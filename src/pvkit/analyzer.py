@@ -13,7 +13,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .invariants import InvariantPolynomial
-from .linalg import DetRng, Matrix, Q, SpanSolver, det, jet_line, nullspace, rank
+from .linalg import (
+    DetRng,
+    Matrix,
+    Q,
+    SpanSolver,
+    _int_array,
+    det,
+    jet_line,
+    nullspace,
+    rank,
+)
 from .reps import MatrixRep, Subalgebra
 
 __all__ = [
@@ -73,12 +83,18 @@ class AnalysisReport:
     notes: str = ""
 
 
+def _tangents(rep: MatrixRep, x: Sequence[Q]) -> list[tuple[Q, ...]]:
+    """B_i . x for every generator, from the one product T @ x."""
+    xi, den = _int_array(x)
+    scale = rep.den * den
+    return [tuple(Q(int(v), scale) for v in row) for row in rep.T @ xi]
+
+
 def action_matrix(rep: MatrixRep, x: Sequence[Q]) -> Matrix:
     """space_dim x algebra_dim matrix with columns B_i . x."""
     if len(x) != rep.space_dim:
         raise ValueError("point length differs from the space dimension")
-    cols = [b.apply(x) for b in rep.basis]
-    return Matrix.from_cols(cols)
+    return Matrix.from_cols(_tangents(rep, x))
 
 
 def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
@@ -196,10 +212,10 @@ def verify_relative_invariant(
         fx = f(p.coordinates)
         if fx == 0:
             raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
-        cur = []
-        for b in rep.basis:
-            u = b.apply(p.coordinates)
-            cur.append(jet_line(f, p.coordinates, u).d1 / fx)
+        cur = [
+            jet_line(f, p.coordinates, u).d1 / fx
+            for u in _tangents(rep, p.coordinates)
+        ]
         if lam is None:
             lam = cur
         elif lam != cur:
@@ -255,7 +271,9 @@ def classify(
 
     Regularity is decided from the first declared invariant exactly when the
     character space is one-dimensional (the invariant is then fundamental);
-    otherwise the flag stays undecided.
+    otherwise the flag stays undecided.  When sampling finds no certified
+    point off an invariant's zero set, that invariant is reported unverified
+    at 0 points, and regularity stays undecided if it needed such a point.
     """
     notes: list[str] = []
     try:
@@ -273,27 +291,37 @@ def classify(
             notes=str(exc),
         )
     notes.append("point from registered data" if x_hint is not None else "seeded point")
-    iso = isotropy_algebra(rep, point)
+    # character_space_dim builds the isotropy algebra, whose dimension
+    # isotropy_algebra has checked against the rank identity
     char_dim = character_space_dim(rep, point)
     if char_dim == 0:
         notes.append("no nontrivial relative invariant at the algebra level")
     checks: list[InvariantCheck] = []
     for f in declared_invariants:
-        pts = sample_certified_points(
-            rep, lambda_points, seed=seed, avoid_zero_of=f, hint=x_hint
-        )
+        try:
+            pts = sample_certified_points(
+                rep, lambda_points, seed=seed, avoid_zero_of=f, hint=x_hint
+            )
+        except NotPrehomogeneousError as exc:
+            notes.append(f"{f.name} unverified: {exc}")
+            checks.append(InvariantCheck(f.name, False, (), 0))
+            continue
         verified, lam = verify_relative_invariant(rep, f, pts)
         checks.append(InvariantCheck(f.name, verified, lam, len(pts)))
     regular: Optional[bool] = None
     if char_dim == 1 and declared_invariants:
         f = declared_invariants[0]
-        pts = sample_certified_points(rep, 1, seed=seed, avoid_zero_of=f, hint=x_hint)
-        regular = hessian_regularity(f, rep, pts[0])
+        try:
+            pts = sample_certified_points(rep, 1, seed=seed, avoid_zero_of=f, hint=x_hint)
+        except NotPrehomogeneousError as exc:
+            notes.append(f"regularity undecided: {exc}")
+        else:
+            regular = hessian_regularity(f, rep, pts[0])
     return AnalysisReport(
         prehomogeneous=True,
         algebra_dim=rep.algebra_dim,
         space_dim=rep.space_dim,
-        isotropy_dim=iso.dim,
+        isotropy_dim=rep.algebra_dim - rep.space_dim,
         character_dim=char_dim,
         qd1=char_dim == 1,
         invariant_checks=tuple(checks),

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -41,7 +40,6 @@ from .reps import (
     MatrixRep,
     add_torus,
     alt2,
-    alt2_action,
     direct_sum_shared,
     dual,
     e6_rep,
@@ -257,7 +255,7 @@ def _vector_and_alt_rep(n: int) -> MatrixRep:
     g = gl(n)
     return direct_sum_shared(
         [
-            (f"gl({n})", [natural_action(g), alt2_action(g.basis, n)]),
+            (f"gl({n})", [natural_action(g), alt2(g)]),
             ("scaling", [_identity_on(n), None]),
         ]
     )
@@ -279,7 +277,7 @@ def _covector_and_alt_rep(n: int) -> MatrixRep:
     g = gl(n)
     return direct_sum_shared(
         [
-            (f"gl({n})", [reps.dual_action(g), alt2_action(g.basis, n)]),
+            (f"gl({n})", [reps.dual_action(g), alt2(g)]),
             ("scaling", [_identity_on(n), None]),
         ]
     )
@@ -518,7 +516,7 @@ def _neg_4212(p):
     spin8 = spin_rep(8)
     vect = so(8)
     rep = direct_sum_shared(
-        [("so(8)", [list(spin8.basis), natural_action(vect)])]
+        [("so(8)", [natural_action(spin8), natural_action(vect)])]
     )
     rep = add_torus(rep, 2)
     invs = (
@@ -952,7 +950,7 @@ _FILTERS = {
 }
 
 
-def run_all(filter_name: str = "all", jobs: int = 1, seed: int = 0):
+def run_all(filter_name: str = "all", seed: int = 0):
     """Run every selected entry at its default parameter choices.
 
     Returns (summary dict, reports).  The summary is timing-free and sorted
@@ -967,11 +965,7 @@ def run_all(filter_name: str = "all", jobs: int = 1, seed: int = 0):
         if keep(entry)
         for params in (entry.defaults or ({},))
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda t: run(t[0], t[1], seed), tasks))
-    else:
-        reports = [run(tid, tparams, seed) for tid, tparams in tasks]
+    reports = [run(tid, tparams, seed) for tid, tparams in tasks]
     reports.sort(key=lambda r: (_entry_sort_key(r.entry), sorted(r.params.items())))
     counts = {"pass": 0, "fail": 0, "inconclusive": 0, "unsupported": 0}
     for r in reports:

@@ -84,7 +84,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    summary, reports = run_all(args.filter, jobs=args.jobs, seed=args.seed)
+    summary, reports = run_all(args.filter, seed=args.seed)
     if args.format == "json":
         for report in reports:
             print(report.to_json())
@@ -152,7 +152,6 @@ def main(argv=None) -> int:
     p_all.add_argument(
         "--filter", choices=("table2", "table3", "negatives", "all"), default="all"
     )
-    p_all.add_argument("--jobs", type=int, default=1)
     p_all.add_argument("--seed", type=int, default=_default_seed())
     p_all.add_argument("--format", choices=("text", "json"), default="text")
 

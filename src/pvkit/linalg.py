@@ -6,6 +6,10 @@ so nothing is ever rounded.  Rows live as numpy int64 vectors on a fast path
 guarded by exact overflow bounds; whenever a bound would be exceeded the row
 falls back to arbitrary-precision Python integers.  Both paths follow the
 same pivot rule, so results are bit-identical regardless of which path ran.
+
+Matrix products go through `_int_array`, which turns rationals into one
+integer array with a common denominator; the representations in `reps`
+store their generators the same way.
 """
 
 from __future__ import annotations
@@ -43,6 +47,29 @@ class DimensionMismatchError(ValueError):
 
 def _as_q(x) -> Q:
     return x if isinstance(x, Q) else Q(x)
+
+
+def _int_array(values) -> tuple[np.ndarray, int]:
+    """(A, den) with A / den == values exactly and A an integer array.
+
+    values is an array-like of rationals or integers.  A is int64 when
+    max|A|^2 * max(A.shape) < 2**62: then a product of two such arrays
+    contracted over an axis they share, or the difference of two such
+    products, fits in int64.  Otherwise A holds Python ints (dtype=object),
+    on which numpy computes the same products exactly.
+    """
+    a = np.asarray(values)
+    den = 1
+    if a.dtype == object:
+        flat = a.ravel()
+        den = math.lcm(*(x.denominator for x in flat))
+        a = np.array(
+            [x.numerator * (den // x.denominator) for x in flat], dtype=object
+        ).reshape(a.shape)
+    big = int(np.abs(a).max(initial=0))
+    if big * big * max(a.shape, default=1) < _GUARD:
+        return a.astype(np.int64), den
+    return a.astype(object), den
 
 
 def _clear_denominators(row: Sequence[Q]) -> tuple[list[int], int]:
@@ -171,7 +198,7 @@ class SpanSolver:
         """Add a vector; True if it enlarged the span."""
         if len(vec) != self.ncols:
             raise DimensionMismatchError(f"expected {self.ncols} entries, got {len(vec)}")
-        ints, s = _clear_denominators([_as_q(x) for x in vec])
+        ints, s = _clear_denominators(vec)
         slot = self._inserted
         if self.track and slot >= self.track:
             raise ValueError("SpanSolver coefficient capacity exceeded")
@@ -189,7 +216,7 @@ class SpanSolver:
 
     def residual(self, vec: Sequence) -> list[int]:
         """Integer residual of vec modulo the span (up to a nonzero scale)."""
-        ints, _ = _clear_denominators([_as_q(x) for x in vec])
+        ints, _ = _clear_denominators(vec)
         work = self._reduce(_to_row(ints + [0] * self.track + [1]))
         return _row_list(work)[: self.ncols]
 
@@ -206,7 +233,7 @@ class SpanSolver:
             raise ValueError("SpanSolver built without coefficient tracking")
         if self._inserted != len(self._rows):
             raise ValueError("coefficient query requires independent inserts")
-        ints, t = _clear_denominators([_as_q(x) for x in vec])
+        ints, t = _clear_denominators(vec)
         work = self._reduce(_to_row(ints + [0] * self.track + [1]))
         lst = _row_list(work)
         if any(v != 0 for v in lst[: self.ncols]):
@@ -306,16 +333,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
-        fast = _int_matmul(self, other)
-        if fast is not None:
-            return fast
-        a, b = self.tolists(), other.tolists()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum((ai[k] * b[k][j] for k in range(self.cols)), Q(0)))
-        return Matrix(self.rows, other.cols, out)
+        a, da = _int_array(np.array(self.data, dtype=object).reshape(self.rows, self.cols))
+        b, db = _int_array(np.array(other.data, dtype=object).reshape(other.rows, other.cols))
+        den = da * db
+        return Matrix(self.rows, other.cols, [Q(int(v), den) for v in (a @ b).ravel()])
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
@@ -325,16 +346,6 @@ class Matrix:
             sum((self.data[i * self.cols + k] * v[k] for k in range(self.cols)), Q(0))
             for i in range(self.rows)
         )
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = []
-        for i in range(self.rows):
-            for p in range(other.rows):
-                for j in range(self.cols):
-                    aij = self.data[i * self.cols + j]
-                    for q in range(other.cols):
-                        out.append(aij * other.data[p * other.cols + q])
-        return Matrix(self.rows * other.rows, self.cols * other.cols, out)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.data)
@@ -360,30 +371,6 @@ class Matrix:
 def bracket(a: Matrix, b: Matrix) -> Matrix:
     """Commutator ab - ba."""
     return a @ b - b @ a
-
-
-def _int_matmul(a: Matrix, b: Matrix) -> Matrix | None:
-    """Exact numpy product after clearing denominators, when bounds allow."""
-    da = db = 1
-    for x in a.data:
-        da = da * x.denominator // math.gcd(da, x.denominator)
-        if da >= 1 << 16:
-            return None
-    for x in b.data:
-        db = db * x.denominator // math.gcd(db, x.denominator)
-        if db >= 1 << 16:
-            return None
-    ia = [int(x.numerator * (da // x.denominator)) for x in a.data]
-    ib = [int(x.numerator * (db // x.denominator)) for x in b.data]
-    ma = max((abs(v) for v in ia), default=0)
-    mb = max((abs(v) for v in ib), default=0)
-    if ma * mb * max(a.cols, 1) >= _GUARD:
-        return None
-    na = np.array(ia, dtype=np.int64).reshape(a.rows, a.cols)
-    nb = np.array(ib, dtype=np.int64).reshape(b.rows, b.cols)
-    prod = na @ nb
-    d = da * db
-    return Matrix(a.rows, b.cols, [Q(int(v), d) for v in prod.ravel()])
 
 
 def rank(m: Matrix) -> int:

@@ -33,7 +33,6 @@ __all__ = [
     "freudenthal_value",
     "freudenthal_monomials",
     "jordan_mult_operator",
-    "albert_trace_vector",
 ]
 
 OCT_DIM = 8
@@ -76,10 +75,6 @@ def _basis_table(n: int) -> List[List[Tuple[int, int]]]:
     while len(table) < n:
         table = _cd_double(table)
     return table
-
-
-def _cd_entry(table, i, j):
-    return table[i][j]
 
 
 @lru_cache(maxsize=None)
@@ -281,13 +276,6 @@ def jordan_mult_operator(coords: Sequence[Q]) -> list[list[Q]]:
         ]
         cols.append(_matrix_coords(sym))
     return [[cols[j][i] for j in range(albert_coords_dim)] for i in range(albert_coords_dim)]
-
-
-def albert_trace_vector() -> list[Q]:
-    """Linear form: trace of the Hermitian matrix, as a coordinate vector."""
-    v = [Q(0)] * albert_coords_dim
-    v[0] = v[1] = v[2] = Q(1)
-    return v
 
 
 def _as_q(x) -> Q:

@@ -1,9 +1,13 @@
 """Exact matrix realizations of the Lie algebras acting in the catalog.
 
-A MatrixRep is a list of square rational matrices (the action of a basis of
-the algebra on the space).  Closure under commutators is checked exactly and
-the structure constants are cached, so isotropy subalgebras and derived
-subalgebras can be handled in coefficient space.
+A MatrixRep holds the action of a basis of the algebra on the space as one
+integer array T of shape (d, n, n) with a common denominator den: generator
+i is T[i] / den.  Every catalog generator is an integer or half-integer
+matrix, so T is int64 except where entries grow past the bound of
+`linalg._int_array`, and then it holds Python ints.  Closure under
+commutators is checked exactly and the structure constants are cached, so
+isotropy subalgebras and derived subalgebras can be handled in coefficient
+space.
 
 Basis enumeration is deterministic everywhere (lexicographic elementary
 matrices), so every downstream report is reproducible bit for bit.
@@ -12,12 +16,12 @@ matrices), so every downstream report is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict, Optional, Sequence
+from functools import cached_property, lru_cache, reduce
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Matrix, Q, SpanSolver, bracket
+from .linalg import Matrix, Q, SpanSolver, _int_array, nullspace
 from .octonion import (
     OCT_DIM,
     albert_coords_dim,
@@ -57,15 +61,17 @@ __all__ = [
     "alt_coords",
 ]
 
-_GUARD = 1 << 62
-
 
 class ClosureError(RuntimeError):
     """A commutator fell outside the span of the declared basis."""
 
 
 class MatrixRep:
-    """A Lie algebra given by the matrices of a basis acting on a space."""
+    """A Lie algebra given by the matrices of a basis acting on a space.
+
+    `T` and `den` hold the generators (see the module docstring); `basis`
+    rebuilds them as rational matrices on first use.
+    """
 
     def __init__(
         self,
@@ -79,9 +85,22 @@ class MatrixRep:
         for b in basis:
             if b.rows != n or b.cols != n:
                 raise ValueError("all basis matrices must be square of equal size")
-        self.basis = tuple(basis)
+        T, den = _int_array([b.tolists() for b in basis])
+        self._setup(T, den, labels, summand_dims)
+
+    @classmethod
+    def _of(cls, T: np.ndarray, den: int, labels, summand_dims=None) -> "MatrixRep":
+        """Wrap an integer array of generators (T / den), re-choosing its dtype."""
+        T, _ = _int_array(T)
+        rep = cls.__new__(cls)
+        rep._setup(T, den, labels, summand_dims)
+        return rep
+
+    def _setup(self, T: np.ndarray, den: int, labels, summand_dims) -> None:
+        self.T = T
+        self.den = den
         self.labels = tuple(labels)
-        self.algebra_dim = len(self.basis)
+        self.algebra_dim, n = T.shape[0], T.shape[1]
         self.space_dim = n
         self.summand_dims = tuple(summand_dims or (n,))
         if sum(self.summand_dims) != n:
@@ -90,45 +109,51 @@ class MatrixRep:
         self._struct: tuple[np.ndarray, int] | None = None
         self._derived: "Subalgebra" | None = None
 
+    @cached_property
+    def basis(self) -> tuple[Matrix, ...]:
+        n = self.space_dim
+        return tuple(
+            Matrix(n, n, [Q(int(v), self.den) for v in t.ravel()]) for t in self.T
+        )
+
     # -- linear structure ---------------------------------------------------
 
     def _basis_span(self) -> SpanSolver:
         if self._span is None:
             span = SpanSolver(self.space_dim**2, track=self.algebra_dim)
-            for b in self.basis:
-                if not span.insert(b.data):
+            for t in self.T:
+                if not span.insert(t.ravel().tolist()):
                     raise ClosureError("basis matrices are linearly dependent")
             self._span = span
         return self._span
 
     def structure_tensor(self) -> tuple[np.ndarray, int]:
-        """(T, den) with [B_i, B_j] = sum_k T[i,j,k]/den * B_k, exactly."""
+        """(S, den) with [B_i, B_j] = sum_k S[i,j,k]/den * B_k, exactly.
+
+        The commutators of T are solved over T itself, one row i at a time,
+        so no (d, d, n, n) array is ever held.
+        """
         if self._struct is not None:
             return self._struct
         span = self._basis_span()
+        T = self.T
         d = self.algebra_dim
-        coeffs: Dict[tuple[int, int], list[Q]] = {}
-        den = 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                com = bracket(self.basis[i], self.basis[j])
-                c = span.coefficients(com.data)
+        coeffs = {}
+        for i in range(d - 1):
+            for j, com in enumerate(T[i] @ T[i + 1 :] - T[i + 1 :] @ T[i], i + 1):
+                c = span.coefficients(com.ravel().tolist())
                 if c is None:
                     raise ClosureError(
                         f"commutator of generators {i}, {j} left the span"
                     )
-                coeffs[(i, j)] = c
-                for x in c:
-                    den = den * x.denominator // math.gcd(den, x.denominator)
-        tensor_ = np.zeros((d, d, d), dtype=np.int64)
-        for (i, j), c in coeffs.items():
-            for k, x in enumerate(c):
-                v = int(x.numerator * (den // x.denominator))
-                if abs(v) >= 1 << 31:
-                    raise ClosureError("structure constants exceed the fast range")
-                tensor_[i, j, k] = v
-                tensor_[j, i, k] = -v
-        self._struct = (tensor_, den)
+                coeffs[i, j] = _int_array(c)
+        lcm = math.lcm(*(k for _, k in coeffs.values()))
+        upper = np.zeros((d, d, d), dtype=object)
+        for (i, j), (ints, k) in coeffs.items():
+            upper[i, j] = ints.astype(object) * (lcm // k)
+        # [T_i, T_j] = sum_k c_k T_k means [B_i, B_j] = sum_k (c_k / den) B_k
+        tensor_, _ = _int_array(upper - upper.transpose(1, 0, 2))
+        self._struct = (tensor_, lcm * self.den)
         return self._struct
 
     def check_closure(self) -> bool:
@@ -139,28 +164,13 @@ class MatrixRep:
     def coeff_bracket(self, v: Sequence[Q], w: Sequence[Q]) -> tuple[Q, ...]:
         """Bracket of two coefficient vectors, via the structure tensor."""
         tensor_, den = self.structure_tensor()
-        vi, sv = _int_vector(v)
-        wi, sw = _int_vector(w)
-        scale = sv * sw / den
         d = self.algebra_dim
-        bound = (
-            int(np.abs(vi).max(initial=0))
-            * int(np.abs(wi).max(initial=0))
-            * int(np.abs(tensor_).max(initial=0))
-            * d
-            * d
-        )
-        if bound < _GUARD:
-            out = np.einsum("i,j,ijk->k", vi, wi, tensor_)
-            return tuple(scale * int(x) for x in out)
-        acc = [0] * d
-        for i in np.nonzero(vi)[0]:
-            for j in np.nonzero(wi)[0]:
-                c = int(vi[i]) * int(wi[j])
-                row = tensor_[i, j]
-                for k in np.nonzero(row)[0]:
-                    acc[k] += c * int(row[k])
-        return tuple(scale * x for x in acc)
+        vi, dv = _int_array(v)
+        wi, dw = _int_array(w)
+        vt, _ = _int_array(vi @ tensor_.reshape(d, d * d))
+        out = wi @ vt.reshape(d, d)
+        scale = dv * dw * den
+        return tuple(Q(int(x), scale) for x in out)
 
     def derived_subalgebra(self) -> "Subalgebra":
         """Span of all pairwise commutators, echelon-reduced, exact."""
@@ -173,7 +183,7 @@ class MatrixRep:
             for j in range(i + 1, d):
                 row = tensor_[i, j]
                 if row.any():
-                    span.insert([Q(int(x)) for x in row])
+                    span.insert(row.tolist())
         basis = tuple(tuple(Q(x) for x in r) for r in span.echelon_rows())
         self._derived = Subalgebra(self, basis)
         return self._derived
@@ -183,23 +193,6 @@ class MatrixRep:
             f"MatrixRep({' + '.join(self.labels)}: dim {self.algebra_dim} "
             f"on C^{self.space_dim})"
         )
-
-
-def _int_vector(v: Sequence[Q]) -> tuple[np.ndarray, Q]:
-    """Return (ints, s) with v = s * ints, entries gcd-reduced."""
-    den = 1
-    vq = [x if isinstance(x, Q) else Q(x) for x in v]
-    for x in vq:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x.numerator * (den // x.denominator)) for x in vq]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    else:
-        g = 1
-    return np.array(ints, dtype=np.int64), Q(g, den)
 
 
 class Subalgebra:
@@ -215,16 +208,6 @@ class Subalgebra:
     @property
     def dim(self) -> int:
         return len(self.coefficient_basis)
-
-    def matrices(self) -> list[Matrix]:
-        out = []
-        for v in self.coefficient_basis:
-            m = Matrix.zeros(self.parent.space_dim, self.parent.space_dim)
-            for c, b in zip(v, self.parent.basis):
-                if c:
-                    m = m + b.scale(c)
-            out.append(m)
-        return out
 
     def is_bracket_closed(self) -> bool:
         """Every commutator of basis vectors re-solves within the span."""
@@ -242,21 +225,48 @@ class Subalgebra:
         return True
 
 
+def _as_rep(gens) -> MatrixRep:
+    """A MatrixRep as it is, or a sequence of Matrix as an unlabelled rep."""
+    return gens if isinstance(gens, MatrixRep) else MatrixRep(gens, ())
+
+
+def _common_den(parts) -> tuple[list[np.ndarray], int]:
+    """Rescale (array, den) pairs to their least common denominator."""
+    den = math.lcm(*(k for _, k in parts))
+    return [t if k == den else t.astype(object) * (den // k) for t, k in parts], den
+
+
+def _eye(n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.int64)
+
+
 # -- classical algebras ------------------------------------------------------
 
 
-def _unit(n: int, i: int, j: int) -> Matrix:
-    data = [Q(0)] * (n * n)
-    data[i * n + j] = Q(1)
-    return Matrix(n, n, data)
+def _units(n: int) -> np.ndarray:
+    """All elementary matrices E_ij, index i*n + j, as an (n*n, n, n) array."""
+    return _eye(n * n).reshape(n * n, n, n)
+
+
+def _sym_units(n: int) -> np.ndarray:
+    """Symmetric basis: E_ii on the diagonal, E_ij + E_ji above it."""
+    i, j = np.triu_indices(n)
+    e = _units(n)
+    return e[i * n + j] + (i != j)[:, None, None] * e[j * n + i]
+
+
+def _alt_units(n: int) -> np.ndarray:
+    """Antisymmetric basis E_ij - E_ji, i < j, row-major."""
+    i, j = np.triu_indices(n, 1)
+    e = _units(n)
+    return e[i * n + j] - e[j * n + i]
 
 
 def gl(n: int) -> MatrixRep:
     """gl(n) on C^n; basis E_ij in row-major order."""
     if n < 1:
         raise ValueError("gl needs n >= 1")
-    basis = [_unit(n, i, j) for i in range(n) for j in range(n)]
-    return MatrixRep(basis, (f"gl({n})",))
+    return MatrixRep._of(_units(n), 1, (f"gl({n})",))
 
 
 def sl(n: int) -> MatrixRep:
@@ -265,34 +275,27 @@ def sl(n: int) -> MatrixRep:
         raise ValueError("sl needs n >= 1")
     if n == 1:
         raise ValueError("sl(1) is zero; use gl(1) or a torus")
-    basis = [_unit(n, i, j) for i in range(n) for j in range(n) if i != j]
-    basis += [_unit(n, i, i) - _unit(n, i + 1, i + 1) for i in range(n - 1)]
-    return MatrixRep(basis, (f"sl({n})",))
+    e = _units(n)
+    diag = np.arange(n) * (n + 1)
+    off = np.setdiff1d(np.arange(n * n), diag)
+    T = np.concatenate([e[off], e[diag[:-1]] - e[diag[1:]]])
+    return MatrixRep._of(T, 1, (f"sl({n})",))
 
 
 def so(n: int) -> MatrixRep:
     """so(n) for the form sum x_i^2: antisymmetric matrices E_ij - E_ji."""
     if n < 2:
         raise ValueError("so needs n >= 2")
-    basis = [_unit(n, i, j) - _unit(n, j, i) for i in range(n) for j in range(i + 1, n)]
-    return MatrixRep(basis, (f"so({n})",))
+    return MatrixRep._of(_alt_units(n), 1, (f"so({n})",))
 
 
 def sym_basis(n: int) -> list[Matrix]:
     """Symmetric matrix basis: E_ii on the diagonal, E_ij + E_ji above it."""
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            out.append(_unit(n, i, i) if i == j else _unit(n, i, j) + _unit(n, j, i))
-    return out
+    return [Matrix(n, n, t.ravel().tolist()) for t in _sym_units(n)]
 
 
 def alt_basis(n: int) -> list[Matrix]:
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(_unit(n, i, j) - _unit(n, j, i))
-    return out
+    return [Matrix(n, n, t.ravel().tolist()) for t in _alt_units(n)]
 
 
 def sym_coords(m: Matrix) -> list[Q]:
@@ -310,48 +313,33 @@ def sp(n: int) -> MatrixRep:
     """
     if n < 1:
         raise ValueError("sp needs n >= 1")
-    basis = []
-    zero = Matrix.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            a = _unit(n, i, j)
-            basis.append(_blocks2(a, zero, zero, -a.transpose()))
-    for s in sym_basis(n):
-        basis.append(_blocks2(zero, s, zero, zero))
-    for s in sym_basis(n):
-        basis.append(_blocks2(zero, zero, s, zero))
-    return MatrixRep(basis, (f"sp({n})",))
-
-
-def _blocks2(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
-    n = a.rows
-    rows = []
-    for i in range(n):
-        rows.append(list(a.row(i)) + list(b.row(i)))
-    for i in range(n):
-        rows.append(list(c.row(i)) + list(d.row(i)))
-    return Matrix.from_rows(rows)
+    e, s = _units(n), _sym_units(n)
+    k = n * n
+    T = np.zeros((k + 2 * len(s), 2 * n, 2 * n), dtype=np.int64)
+    T[:k, :n, :n] = e
+    T[:k, n:, n:] = -e.transpose(0, 2, 1)
+    T[k : k + len(s), :n, n:] = s
+    T[k + len(s) :, n:, :n] = s
+    return MatrixRep._of(T, 1, (f"sp({n})",))
 
 
 # -- spin representations via rational Clifford algebras ----------------------
 
 
 @lru_cache(maxsize=None)
-def _oct_left_mults() -> tuple[Matrix, ...]:
+def _oct_left_mults() -> np.ndarray:
     """Left multiplication by e_0..e_7 on the octonions; integer matrices."""
     table = oct_table()
-    out = []
+    out = np.zeros((OCT_DIM, OCT_DIM, OCT_DIM), dtype=np.int64)
     for i in range(OCT_DIM):
-        data = [[Q(0)] * OCT_DIM for _ in range(OCT_DIM)]
         for j in range(OCT_DIM):
             k, s = table[i][j]
-            data[k][j] = Q(s)
-        out.append(Matrix.from_rows(data))
-    return tuple(out)
+            out[i, k, j] = s
+    return out
 
 
 @lru_cache(maxsize=None)
-def _gammas16() -> tuple[Matrix, ...]:
+def _gammas16() -> np.ndarray:
     """Eight anticommuting 16x16 integer matrices with square -1.
 
     gamma_i doubles left multiplication by e_i (i = 1..7); gamma_8 swaps the
@@ -359,15 +347,18 @@ def _gammas16() -> tuple[Matrix, ...]:
     negative-definite Clifford algebra over the rationals.
     """
     ls = _oct_left_mults()
-    zero = Matrix.zeros(OCT_DIM, OCT_DIM)
-    ident = Matrix.identity(OCT_DIM)
-    gams = [_blocks2(zero, ls[i], ls[i], zero) for i in range(1, 8)]
-    gams.append(_blocks2(zero, -ident, ident, zero))
-    return tuple(gams)
+    gams = np.zeros((8, 2 * OCT_DIM, 2 * OCT_DIM), dtype=np.int64)
+    gams[:7, :OCT_DIM, OCT_DIM:] = ls[1:]
+    gams[:7, OCT_DIM:, :OCT_DIM] = ls[1:]
+    gams[7, :OCT_DIM, OCT_DIM:] = -_eye(OCT_DIM)
+    gams[7, OCT_DIM:, :OCT_DIM] = _eye(OCT_DIM)
+    return gams
 
 
-def _so_pairs(m: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(m) for j in range(i + 1, m)]
+def _pair_products(g: np.ndarray) -> np.ndarray:
+    """g[i] @ g[j] for i < j in row-major order, the basis order of so(m)."""
+    i, j = np.triu_indices(len(g), 1)
+    return g[i] @ g[j]
 
 
 @lru_cache(maxsize=None)
@@ -379,29 +370,16 @@ def spin_rep(m: int) -> MatrixRep:
     representation exactly.  Space dimensions: 8, 8 (a half-spin), 16.
     """
     if m == 7:
-        ls = _oct_left_mults()
-        half = Q(-1, 2)
-        basis = [(ls[i + 1] @ ls[j + 1]).scale(half) for i, j in _so_pairs(7)]
-        return MatrixRep(basis, ("spin(7)",))
+        T = -_pair_products(_oct_left_mults()[1:])
+        return MatrixRep._of(T, 2, ("spin(7)",))
     if m == 8:
-        gams = _gammas16()
-        basis = []
-        for i, j in _so_pairs(8):
-            prod = gams[i] @ gams[j]
-            block = Matrix.from_rows(
-                [[prod[r, c] for c in range(OCT_DIM)] for r in range(OCT_DIM)]
-            )
-            basis.append(block.scale(Q(-1, 2)))
-        return MatrixRep(basis, ("spin(8) half-spin",))
+        T = -_pair_products(_gammas16())[:, :OCT_DIM, :OCT_DIM]
+        return MatrixRep._of(T, 2, ("spin(8) half-spin",))
     if m == 9:
-        gams = _gammas16()
-        basis = []
-        for i, j in _so_pairs(9):
-            if j <= 7:
-                basis.append((gams[i] @ gams[j]).scale(Q(-1, 2)))
-            else:
-                basis.append(gams[i].scale(Q(1, 2)))
-        return MatrixRep(basis, ("spin(9)",))
+        # the ninth generator pairs as gamma_i/2 = -(gamma_i @ -1)/2
+        ninth = -_eye(2 * OCT_DIM)[None]
+        T = -_pair_products(np.concatenate([_gammas16(), ninth]))
+        return MatrixRep._of(T, 2, ("spin(9)",))
     raise ValueError("spin_rep supports m in {7, 8, 9}")
 
 
@@ -416,13 +394,10 @@ def half_spin_rep10() -> MatrixRep:
     (indices of the 10-dimensional natural space, 0-based).
     """
     gams = _gammas16()
-    big = gams[0]
-    for g in gams[1:]:
-        big = big @ g
-    fs = [g @ big for g in gams] + [big]  # nine generators squaring to +1
-    basis = [(fs[i] @ fs[j]).scale(Q(1, 2)) for i, j in _so_pairs(9)]
-    basis += [fs[i].scale(Q(-1, 2)) for i in range(9)]
-    return MatrixRep(basis, ("so(9,1) half-spin",))
+    big = reduce(np.matmul, gams)
+    fs = np.concatenate([gams @ big, big[None]])  # nine generators squaring to +1
+    T = np.concatenate([_pair_products(fs), -fs])
+    return MatrixRep._of(T, 2, ("so(9,1) half-spin",))
 
 
 # -- exceptional algebras -----------------------------------------------------
@@ -461,24 +436,13 @@ def g2_rep() -> MatrixRep:
                     if t:
                         row[b * OCT_DIM + j] -= Q(t)
                 rows.append(row)
-    from .linalg import nullspace
-
-    kernel = nullspace(Matrix.from_rows(rows))
+    kernel, den = _int_array(nullspace(Matrix.from_rows(rows)))
     if len(kernel) != 14:
         raise AssertionError(f"octonion derivations: got dim {len(kernel)}")
-    basis = []
-    for v in kernel:
-        d = Matrix(OCT_DIM, OCT_DIM, v)
-        if any(d[k, 0] != 0 for k in range(OCT_DIM)) or any(
-            d[0, k] != 0 for k in range(OCT_DIM)
-        ):
-            raise AssertionError("a derivation moved the octonion unit")
-        basis.append(
-            Matrix.from_rows(
-                [[d[i, j] for j in range(1, OCT_DIM)] for i in range(1, OCT_DIM)]
-            )
-        )
-    return MatrixRep(basis, ("g2",))
+    kernel = kernel.reshape(14, OCT_DIM, OCT_DIM)
+    if kernel[:, :, 0].any() or kernel[:, 0, :].any():
+        raise AssertionError("a derivation moved the octonion unit")
+    return MatrixRep._of(kernel[:, 1:, 1:], den, ("g2",))
 
 
 @lru_cache(maxsize=None)
@@ -576,7 +540,7 @@ def e6_rep() -> MatrixRep:
     span = SpanSolver(n * n)
     basis_ints: list[np.ndarray] = []
     for cand in candidates:
-        if span.insert([Q(int(v)) for v in cand.ravel()]):
+        if span.insert(cand.ravel().tolist()):
             basis_ints.append(cand)
     if len(basis_ints) != 78:
         raise AssertionError(f"cubic stabilizer candidates span {len(basis_ints)} dims")
@@ -585,10 +549,7 @@ def e6_rep() -> MatrixRep:
     for a in basis_ints:
         if not _annihilates_cubic(a):
             raise AssertionError("a basis element fails to annihilate the cubic")
-    basis = [
-        Matrix(n, n, [Q(int(v)) for v in a.ravel()]) for a in basis_ints
-    ]
-    return MatrixRep(basis, ("e6 (27-dim rep)",))
+    return MatrixRep._of(np.stack(basis_ints), 1, ("e6 (27-dim rep)",))
 
 
 # -- combinators ---------------------------------------------------------------
@@ -596,8 +557,9 @@ def e6_rep() -> MatrixRep:
 
 def dual(rep: MatrixRep) -> MatrixRep:
     """Contragredient representation: X -> -X^T."""
-    return MatrixRep(
-        [-b.transpose() for b in rep.basis],
+    return MatrixRep._of(
+        -rep.T.transpose(0, 2, 1),
+        rep.den,
         tuple(f"{l}*" for l in rep.labels),
         rep.summand_dims,
     )
@@ -605,22 +567,43 @@ def dual(rep: MatrixRep) -> MatrixRep:
 
 def tensor(r1: MatrixRep, r2: MatrixRep) -> MatrixRep:
     """Outer tensor product: X (x) I + I (x) Y on the product space."""
-    i1 = Matrix.identity(r1.space_dim)
-    i2 = Matrix.identity(r2.space_dim)
-    basis = [b.kron(i2) for b in r1.basis] + [i1.kron(b) for b in r2.basis]
-    return MatrixRep(basis, r1.labels + r2.labels)
+    parts, den = _common_den(
+        [
+            (np.kron(r1.T, _eye(r2.space_dim)), r1.den),
+            (np.kron(_eye(r1.space_dim), r2.T), r2.den),
+        ]
+    )
+    return MatrixRep._of(np.concatenate(parts), den, r1.labels + r2.labels)
+
+
+def _square_action(T: np.ndarray, upper: int) -> np.ndarray:
+    """s -> X s + s X^T on symmetric (upper=0) or antisymmetric (upper=1)
+    n x n matrices, in the coordinates of sym_coords / alt_coords.
+
+    The action on all of M(n) is kron(X, I) + kron(I, X) on row-major
+    entries; its rows are gathered at the triangle coordinates and its
+    columns combined into the basis of sym_basis / alt_basis.
+    """
+    n = T.shape[1]
+    i, j = np.triu_indices(n, upper)
+    full = np.kron(T, _eye(n)) + np.kron(_eye(n), T)
+    rows = full[:, i * n + j]
+    sign = 1 - 2 * upper
+    return rows[:, :, i * n + j] + sign * (i != j) * rows[:, :, j * n + i]
 
 
 def sym2(rep: MatrixRep) -> MatrixRep:
     """Action s -> X s + s X^T on symmetric matrices, in triangle coordinates."""
-    n = rep.space_dim
-    return MatrixRep(sym2_action(rep.basis, n), tuple(f"S2({l})" for l in rep.labels))
+    return MatrixRep._of(
+        _square_action(rep.T, 0), rep.den, tuple(f"S2({l})" for l in rep.labels)
+    )
 
 
 def alt2(rep: MatrixRep) -> MatrixRep:
     """Action x -> X x + x X^T on antisymmetric matrices."""
-    n = rep.space_dim
-    return MatrixRep(alt2_action(rep.basis, n), tuple(f"L2({l})" for l in rep.labels))
+    return MatrixRep._of(
+        _square_action(rep.T, 1), rep.den, tuple(f"L2({l})" for l in rep.labels)
+    )
 
 
 def add_torus(rep: MatrixRep, k: int) -> MatrixRep:
@@ -631,22 +614,15 @@ def add_torus(rep: MatrixRep, k: int) -> MatrixRep:
     """
     n = rep.space_dim
     if k == 1:
-        extra = [Matrix.identity(n)]
+        owner = np.zeros(n, dtype=np.int64)
     elif k == len(rep.summand_dims) and k > 1:
-        extra = []
-        off = 0
-        for d in rep.summand_dims:
-            m = Matrix.zeros(n, n).tolists()
-            for i in range(off, off + d):
-                m[i][i] = Q(1)
-            extra.append(Matrix.from_rows(m))
-            off += d
+        owner = np.repeat(np.arange(k), rep.summand_dims)
     else:
         raise ValueError("torus count must be 1 or the number of summands")
-    return MatrixRep(
-        list(rep.basis) + extra,
-        rep.labels + ("torus",) * k,
-        rep.summand_dims,
+    extra = (owner == np.arange(k)[:, None])[:, :, None] * _eye(n)
+    parts, den = _common_den([(rep.T, rep.den), (extra, 1)])
+    return MatrixRep._of(
+        np.concatenate(parts), den, rep.labels + ("torus",) * k, rep.summand_dims
     )
 
 
@@ -657,98 +633,73 @@ def direct_sum_shared(
 
     Each factor is (label, actions); actions has one entry per summand,
     either None (the factor ignores that summand) or the matrices of its
-    basis acting there.  A factor shared between summands must appear as a
-    single entry; duplicate labels are rejected as mis-wired sharing.
+    basis acting there, as a sequence of Matrix or as the MatrixRep that
+    an action helper returns.  A factor shared between summands must appear
+    as a single entry; duplicate labels are rejected as mis-wired sharing.
     """
     labels = [label for label, _ in factors]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate factor label: wire shared factors as one entry")
     n_summands = len(factors[0][1])
     dims: list[Optional[int]] = [None] * n_summands
+    slots = []  # (first generator, summand, action)
+    g0 = 0
     for label, actions in factors:
         if len(actions) != n_summands:
             raise ValueError(f"factor {label}: wrong number of summand slots")
-        for s, act in enumerate(actions):
-            if act is None:
-                continue
-            d = act[0].rows
+        acts = [(s, _as_rep(act)) for s, act in enumerate(actions) if act is not None]
+        if len({act.algebra_dim for _, act in acts}) != 1:
+            raise ValueError(f"factor {label}: inconsistent generator counts")
+        for s, act in acts:
             if dims[s] is None:
-                dims[s] = d
-            elif dims[s] != d:
+                dims[s] = act.space_dim
+            elif dims[s] != act.space_dim:
                 raise ValueError(f"factor {label}: summand {s} dimension mismatch")
+            slots.append((g0, s, act))
+        g0 += acts[0][1].algebra_dim
     if any(d is None for d in dims):
         raise ValueError("every summand needs at least one acting factor")
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    total = offsets[-1]
-    basis: list[Matrix] = []
-    out_labels: list[str] = []
-    for label, actions in factors:
-        gens = None
-        for act in actions:
-            if act is not None:
-                gens = len(act)
-                break
-        for act in actions:
-            if act is not None and len(act) != gens:
-                raise ValueError(f"factor {label}: inconsistent generator counts")
-        for g in range(gens):
-            rows = [[Q(0)] * total for _ in range(total)]
-            for s, act in enumerate(actions):
-                if act is None:
-                    continue
-                block = act[g]
-                for i in range(block.rows):
-                    for j in range(block.cols):
-                        rows[offsets[s] + i][offsets[s] + j] = block[i, j]
-            basis.append(Matrix.from_rows(rows))
-        out_labels.append(label)
-    return MatrixRep(basis, tuple(out_labels), tuple(dims))
+    offsets = np.cumsum([0] + dims)
+    scaled, den = _common_den([(act.T, act.den) for _, _, act in slots])
+    T = np.zeros((g0, offsets[-1], offsets[-1]), dtype=np.result_type(*scaled))
+    for (g, s, act), block in zip(slots, scaled):
+        a, b = offsets[s], offsets[s + 1]
+        T[g : g + act.algebra_dim, a:b, a:b] = block
+    return MatrixRep._of(T, den, tuple(labels), tuple(dims))
 
 
 # -- factor action helpers -----------------------------------------------------
+#
+# Each helper returns the action as a MatrixRep, which direct_sum_shared
+# takes in place of a list of matrices.
 
 
-def natural_action(rep: MatrixRep) -> list[Matrix]:
-    return list(rep.basis)
+def natural_action(rep: MatrixRep) -> MatrixRep:
+    return rep
 
 
-def dual_action(rep: MatrixRep) -> list[Matrix]:
-    return [-b.transpose() for b in rep.basis]
+def dual_action(rep: MatrixRep) -> MatrixRep:
+    return dual(rep)
 
 
-def left_action(rep: MatrixRep, cols: int) -> list[Matrix]:
+def left_action(rep: MatrixRep, cols: int) -> MatrixRep:
     """M -> X M on row-major M(space_dim, cols)."""
-    ident = Matrix.identity(cols)
-    return [b.kron(ident) for b in rep.basis]
+    return MatrixRep._of(np.kron(rep.T, _eye(cols)), rep.den, rep.labels)
 
 
-def right_transpose_action(rep: MatrixRep, rows: int) -> list[Matrix]:
+def right_transpose_action(rep: MatrixRep, rows: int) -> MatrixRep:
     """M -> M X^T on row-major M(rows, space_dim)."""
-    ident = Matrix.identity(rows)
-    return [ident.kron(b) for b in rep.basis]
+    return MatrixRep._of(np.kron(_eye(rows), rep.T), rep.den, rep.labels)
 
 
-def right_neg_action(rep: MatrixRep, rows: int) -> list[Matrix]:
+def right_neg_action(rep: MatrixRep, rows: int) -> MatrixRep:
     """M -> -M X on row-major M(rows, space_dim)."""
-    ident = Matrix.identity(rows)
-    return [ident.kron(-b.transpose()) for b in rep.basis]
+    return right_transpose_action(dual(rep), rows)
 
 
-def sym2_action(basis: Sequence[Matrix], n: int) -> list[Matrix]:
-    mats = sym_basis(n)
-    out = []
-    for x in basis:
-        cols = [sym_coords(x @ b + b @ x.transpose()) for b in mats]
-        out.append(Matrix.from_cols(cols))
-    return out
+def sym2_action(basis: Sequence[Matrix], n: int) -> MatrixRep:
+    return sym2(_as_rep(basis))
 
 
-def alt2_action(basis: Sequence[Matrix], n: int) -> list[Matrix]:
-    mats = alt_basis(n)
-    out = []
-    for x in basis:
-        cols = [alt_coords(x @ b + b @ x.transpose()) for b in mats]
-        out.append(Matrix.from_cols(cols))
-    return out
+def alt2_action(basis: Sequence[Matrix], n: int) -> MatrixRep:
+    return alt2(_as_rep(basis))

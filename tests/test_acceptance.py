@@ -24,7 +24,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_table2_reproduction():
-    summary, reports = run_all("table2", jobs=1, seed=0)
+    summary, reports = run_all("table2", seed=0)
     ok = summary["counts"]["fail"] == 0 and summary["counts"]["inconclusive"] == 0
     families = {r.entry for r in reports}
     ok = ok and len(families) == 10 and len(reports) == 15
@@ -43,7 +43,7 @@ def test_criterion_2_table3_reproduction():
         "T3.4a": False, "T3.4b": True, "T3.5": False, "T3.6": False,
         "T3.7": False, "T3.8": False, "T3.9": True,
     }
-    summary, reports = run_all("table3", jobs=1, seed=0)
+    summary, reports = run_all("table3", seed=0)
     ok = summary["counts"]["fail"] == 0 and summary["counts"]["inconclusive"] == 0
     ok = ok and {r.entry for r in reports} == set(expected_regular)
     for r in reports:
@@ -66,7 +66,7 @@ def test_criterion_3_negative_cases():
         "NEG-4.2.4": [{"n": 5}, {"n": 7}],
         "NEG-4.2.5": [{"n": 2, "m": 3}, {"n": 4, "m": 2}],
     }
-    summary, reports = run_all("negatives", jobs=1, seed=0)
+    summary, reports = run_all("negatives", seed=0)
     ok = summary["counts"]["fail"] == 0 and summary["counts"]["inconclusive"] == 0
     ok = ok and {r.entry for r in reports} == char0 | char2
     for r in reports:
@@ -122,7 +122,7 @@ def test_criterion_6_property_suites():
     details.append("pf^2=det x100")
 
     # dimension identity and lambda checks ride on the catalog runs
-    _, reports = run_all("all", jobs=1, seed=1)
+    _, reports = run_all("all", seed=1)
     for r in reports:
         ok = ok and r.status == "pass"
         ok = ok and r.dims["algebra"] - r.dims["isotropy"] == r.dims["space"]
@@ -148,9 +148,9 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_determinism():
-    first, _ = run_all("all", jobs=4, seed=0)
-    second, _ = run_all("all", jobs=4, seed=0)
+    first, _ = run_all("all", seed=0)
+    second, _ = run_all("all", seed=0)
     a, b = summary_json(first), summary_json(second)
     ok = a == b and len(a) > 1000
-    _verdict(7, ok, f"two jobs=4 runs agree byte for byte "
+    _verdict(7, ok, f"two runs agree byte for byte "
                     f"({len(a)} bytes of summary JSON)")

@@ -16,8 +16,14 @@ from pvkit.analyzer import (
     sample_certified_points,
     verify_relative_invariant,
 )
-from pvkit.invariants import determinant, pfaffian, quadratic_form, restrict_to_summand
-from pvkit.linalg import Matrix, rank
+from pvkit.invariants import (
+    InvariantPolynomial,
+    determinant,
+    pfaffian,
+    quadratic_form,
+    restrict_to_summand,
+)
+from pvkit.linalg import DetRng, Matrix, rank
 from pvkit.reps import (
     MatrixRep,
     add_torus,
@@ -30,6 +36,7 @@ from pvkit.reps import (
     sl,
     so,
     sp,
+    spin_rep,
     sym2,
 )
 
@@ -263,3 +270,28 @@ def test_classify_inconclusive_when_not_prehomogeneous():
     rep = classify(zero, [], seed=0)
     assert not rep.prehomogeneous
     assert "inconclusive" in rep.notes
+
+
+def test_classify_records_unverifiable_invariant():
+    zero_inv = InvariantPolynomial(1, 1, "zero", lambda coords: 0)
+    rep = classify(torus_line(), [zero_inv], seed=0)
+    assert rep.prehomogeneous and rep.character_dim == 1
+    (chk,) = rep.invariant_checks
+    assert not chk.verified and chk.points_checked == 0
+    assert rep.regular is None
+
+
+@pytest.mark.parametrize("which", ["spin9", "t32b_n5"])
+def test_action_matrix_matches_fraction_reference(which):
+    from pvkit.catalog import _build, get_entry
+
+    if which == "spin9":
+        rep = spin_rep(9)
+        assert rep.den == 2
+    else:
+        rep = _build(get_entry("T3.2b"), {"n": 5}).rep
+    rng = DetRng(77)
+    for _ in range(3):
+        x = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rep.space_dim)]
+        reference = Matrix.from_cols([b.apply(x) for b in rep.basis])
+        assert action_matrix(rep, x) == reference

@@ -142,7 +142,7 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
 
 
 def test_run_all_negatives():
-    summary, reports = run_all("negatives", jobs=1, seed=0)
+    summary, reports = run_all("negatives", seed=0)
     assert summary["counts"]["fail"] == 0
     assert summary["counts"]["inconclusive"] == 0
     assert summary["counts"]["pass"] == len(reports)

@@ -261,3 +261,14 @@ def test_subalgebra_bracket_closure():
     r = gl(3)
     der = r.derived_subalgebra()
     assert der.is_bracket_closed()
+
+
+@pytest.mark.parametrize("k", [40, 70])
+def test_structure_constants_beyond_int64(k):
+    h = Matrix.from_rows([[2**k, 0], [0, 0]])
+    e = Matrix.from_rows([[0, 1], [0, 0]])
+    rep = MatrixRep([h, e], ("big",))
+    tensor_, den = rep.structure_tensor()
+    assert [Q(int(c), den) for c in tensor_[0, 1]] == [0, 2**k]
+    assert [Q(int(c), den) for c in tensor_[1, 0]] == [0, -(2**k)]
+    assert rep.derived_subalgebra().dim == 1
