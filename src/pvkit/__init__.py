@@ -61,6 +61,6 @@ from .reps import (
     sym2,
     tensor,
 )
-from .rootsystems import RootSystem, WeightedDiagram, build_root_system, pairing
+from .rootsystems import RootSystem, WeightedDiagram, build_root_system
 
 __version__ = "0.1.0"

@@ -83,23 +83,32 @@ class AnalysisReport:
     notes: str = ""
 
 
-def _tangents(rep: MatrixRep, x: Sequence[Q]) -> list[tuple[Q, ...]]:
-    """B_i . x for every generator, from the one product T @ x."""
-    xi, den = _int_array(x)
-    scale = rep.den * den
-    return [tuple(Q(int(v), scale) for v in row) for row in rep.T @ xi]
+def _ring_coords(x: Sequence[Q]) -> list:
+    """x with each integral coordinate as a Python int, so jets there run in int."""
+    return [c.numerator if c.denominator == 1 else c for c in x]
 
 
 def action_matrix(rep: MatrixRep, x: Sequence[Q]) -> Matrix:
     """space_dim x algebra_dim matrix with columns B_i . x."""
     if len(x) != rep.space_dim:
         raise ValueError("point length differs from the space dimension")
-    return Matrix.from_cols(_tangents(rep, x))
+    xi, den = _int_array(x)
+    scale = rep.den * den
+    return Matrix(
+        rep.space_dim,
+        rep.algebra_dim,
+        [Q(int(v), scale) for v in (rep.T @ xi).T.ravel()],
+    )
 
 
 def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
-    """Exact certificate: the orbit map at x is onto."""
-    return rank(action_matrix(rep, x)) == rep.space_dim
+    """Exact certificate: the orbit map at x is onto.
+
+    (T @ xi).T is a positive multiple of action_matrix(rep, x), so it has
+    the same rank.
+    """
+    xi, _ = _int_array(x)
+    return rank((rep.T @ xi).T) == rep.space_dim
 
 
 def find_generic_point(
@@ -133,7 +142,8 @@ def isotropy_algebra(rep: MatrixRep, point: GenericPoint) -> Subalgebra:
     """Annihilator {X : X.x = 0} as a nullspace; dimension is forced."""
     if not point.certified:
         raise ValueError("isotropy requires a certified point")
-    kernel = nullspace(action_matrix(rep, point.coordinates))
+    xi, _ = _int_array(point.coordinates)
+    kernel = nullspace((rep.T @ xi).T)  # the kernel of action_matrix
     sub = Subalgebra(rep, kernel)
     if sub.dim != rep.algebra_dim - rep.space_dim:
         raise AssertionError("isotropy dimension violates the rank identity")
@@ -209,13 +219,14 @@ def verify_relative_invariant(
         raise ValueError("need at least one point")
     lam: list[Q] | None = None
     for p in points:
-        fx = f(p.coordinates)
+        x = _ring_coords(p.coordinates)
+        fx = f(x)
         if fx == 0:
             raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
-        cur = [
-            jet_line(f, p.coordinates, u).d1 / fx
-            for u in _tangents(rep, p.coordinates)
-        ]
+        # row i of T @ xi is (rep.den * dx) * B_i . x
+        xi, dx = _int_array(p.coordinates)
+        scale = rep.den * dx * fx
+        cur = [Q(jet_line(f, x, u).d1, scale) for u in (rep.T @ xi).tolist()]
         if lam is None:
             lam = cur
         elif lam != cur:
@@ -233,14 +244,15 @@ def verify_relative_invariant(
 def hessian_matrix(f: InvariantPolynomial, x: Sequence[Q]) -> Matrix:
     """Exact Hessian assembled from polarized second jets."""
     n = len(x)
-    e = [tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)]
+    x = _ring_coords(x)
+    e = [[int(j == i) for j in range(n)] for i in range(n)]
     pure = [jet_line(f, x, e[i]).d2 for i in range(n)]
-    h = [[Q(0)] * n for _ in range(n)]
+    h = [[0] * n for _ in range(n)]
     for i in range(n):
         h[i][i] = pure[i]
         for j in range(i + 1, n):
-            both = tuple(a + b for a, b in zip(e[i], e[j]))
-            mixed = (jet_line(f, x, both).d2 - pure[i] - pure[j]) / 2
+            both = [a + b for a, b in zip(e[i], e[j])]
+            mixed = Q(jet_line(f, x, both).d2 - pure[i] - pure[j]) / 2
             h[i][j] = mixed
             h[j][i] = mixed
     return Matrix.from_rows(h)

@@ -2,18 +2,21 @@
 
 Scalars are arbitrary-precision rationals (`fractions.Fraction`); every
 elimination is fraction-free over the integers after clearing denominators,
-so nothing is ever rounded.  Rows live as numpy int64 vectors on a fast path
-guarded by exact overflow bounds; whenever a bound would be exceeded the row
-falls back to arbitrary-precision Python integers.  Both paths follow the
-same pivot rule, so results are bit-identical regardless of which path ran.
+so nothing is ever rounded.  All integer data goes through `_int_array`,
+which clears denominators and picks the dtype: int64 while an overflow
+bound computed from the entries holds, Python ints (`dtype=object`)
+otherwise.  `SpanSolver` keeps each row as one such array, re-chosen after
+every row operation, so one elimination may move from int64 to Python ints
+and back; the numbers, and so the results, are the same on either dtype.
 
-Matrix products go through `_int_array`, which turns rationals into one
-integer array with a common denominator; the representations in `reps`
-store their generators the same way.
+Matrix products go through the same helper; the representations in `reps`
+store their generators that way too.  Jets compute over whatever ring their
+coordinates come from: Python ints stay ints, Fractions stay Fractions.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction as Q
 from typing import Callable, Sequence
@@ -35,9 +38,7 @@ __all__ = [
     "jet_line",
 ]
 
-# int64 rows may only hold entries below _SMALL so that a*x - b*y with the
-# guard below can never overflow 2**63.
-_SMALL = 1 << 60
+# A product of two int64 arrays is exact while max|A|^2 * length < _GUARD.
 _GUARD = 1 << 62
 
 
@@ -49,16 +50,30 @@ def _as_q(x) -> Q:
     return x if isinstance(x, Q) else Q(x)
 
 
+def _fit(a: np.ndarray) -> np.ndarray:
+    """An integer array as int64 when max|a|^2 * max(a.shape) < 2**62.
+
+    Then a product of two such arrays contracted over an axis they share,
+    or the difference of two such products, fits in int64.  Otherwise the
+    array holds Python ints (dtype=object), on which numpy computes the
+    same products exactly.
+    """
+    big = int(np.abs(a).max(initial=0))
+    if big * big * max(a.shape, default=1) < _GUARD:
+        return a.astype(np.int64, copy=False)
+    return a.astype(object, copy=False)
+
+
 def _int_array(values) -> tuple[np.ndarray, int]:
     """(A, den) with A / den == values exactly and A an integer array.
 
-    values is an array-like of rationals or integers.  A is int64 when
-    max|A|^2 * max(A.shape) < 2**62: then a product of two such arrays
-    contracted over an axis they share, or the difference of two such
-    products, fits in int64.  Otherwise A holds Python ints (dtype=object),
-    on which numpy computes the same products exactly.
+    values is an array-like of rationals or integers; A's dtype follows
+    `_fit`.
     """
     a = np.asarray(values)
+    if a.dtype.kind not in "iuO":
+        # numpy stores Python ints at or above 2**63 as float64
+        a = np.array(values, dtype=object)
     den = 1
     if a.dtype == object:
         flat = a.ravel()
@@ -66,79 +81,19 @@ def _int_array(values) -> tuple[np.ndarray, int]:
         a = np.array(
             [x.numerator * (den // x.denominator) for x in flat], dtype=object
         ).reshape(a.shape)
-    big = int(np.abs(a).max(initial=0))
-    if big * big * max(a.shape, default=1) < _GUARD:
-        return a.astype(np.int64), den
-    return a.astype(object), den
+    return _fit(a), den
 
 
-def _clear_denominators(row: Sequence[Q]) -> tuple[list[int], int]:
-    """Return (integer row, d) with integer_row = d * row and d > 0."""
-    den = 1
-    for x in row:
-        d = x.denominator
-        den = den * d // math.gcd(den, d)
-    return [int(x.numerator * (den // x.denominator)) for x in row], den
+def _combine(r: np.ndarray, a: int, p: np.ndarray, b: int) -> np.ndarray:
+    """gcd-reduced a*r - b*p, exactly, on either dtype.
 
-
-def _to_row(ints: Sequence[int]):
-    """Pack an integer vector as int64 if it comfortably fits, else a list."""
-    if all(-_SMALL < v < _SMALL for v in ints):
-        return np.array(ints, dtype=np.int64)
-    return list(ints)
-
-
-def _row_list(row) -> list[int]:
-    return [int(v) for v in row] if isinstance(row, np.ndarray) else row
-
-
-def _row_max(row) -> int:
-    if isinstance(row, np.ndarray):
-        return int(np.abs(row).max(initial=0))
-    return max((abs(v) for v in row), default=0)
-
-
-def _row_gcd(row) -> int:
-    if isinstance(row, np.ndarray):
-        return int(np.gcd.reduce(np.abs(row), initial=0))
-    g = 0
-    for v in row:
-        g = math.gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
-def _row_div(row, g: int):
-    if isinstance(row, np.ndarray):
-        return row // g
-    return [v // g for v in row]
-
-
-def _combine(r, a: int, p, b: int):
-    """Return gcd-reduced a*r - b*p, exactly, on either representation."""
-    if (
-        isinstance(r, np.ndarray)
-        and isinstance(p, np.ndarray)
-        and abs(a) * _row_max(r) + abs(b) * _row_max(p) < _GUARD
-    ):
-        out = r * np.int64(a) - np.int64(b) * p
-        g = int(np.gcd.reduce(np.abs(out), initial=0))
-        return out // g if g > 1 else out
-    rl, pl = _row_list(r), _row_list(p)
-    out = [a * x - b * y for x, y in zip(rl, pl)]
-    g = 0
-    for v in out:
-        g = math.gcd(g, v)
-        if g == 1:
-            break
-    if g > 1:
-        out = [v // g for v in out]
-    return _to_row(out)
-
-
-def _entry(row, i: int) -> int:
-    return int(row[i])
+    When r and p are int64, a and b are entries of them, so `_fit`'s bound
+    keeps the int64 arithmetic exact.
+    """
+    dt = np.result_type(r, p)
+    out = a * r.astype(dt, copy=False) - b * p.astype(dt, copy=False)
+    g = int(np.gcd.reduce(out, initial=0))
+    return _fit(out // g if g > 1 else out)
 
 
 class SpanSolver:
@@ -154,8 +109,7 @@ class SpanSolver:
     def __init__(self, ncols: int, track: int = 0):
         self.ncols = ncols
         self.track = track
-        self._width = ncols + track + 1
-        self._rows: list = []         # echelon rows, scratch column always 0
+        self._rows: list[np.ndarray] = []  # echelon rows, scratch column always 0
         self._pivots: list[int] = []  # pivot column per row, strictly increasing
         self._scales: list[int] = []  # cleared vector j = scale_j * inserted_j
         self._inserted = 0
@@ -164,64 +118,46 @@ class SpanSolver:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, work):
-        for idx, prow in enumerate(self._rows):
-            c = self._pivots[idx]
-            b = _entry(work, c)
-            if b == 0:
-                continue
-            work = _combine(work, _entry(prow, c), prow, b)
-        return work
-
-    def _first_nonzero(self, work) -> int:
-        if isinstance(work, np.ndarray):
-            nz = np.nonzero(work[: self.ncols])[0]
-            return int(nz[0]) if len(nz) else -1
-        for i in range(self.ncols):
-            if work[i] != 0:
-                return i
-        return -1
-
-    def _store(self, work, piv: int) -> None:
-        g = _row_gcd(work)
-        if g > 1:
-            work = _row_div(work, g)
-        if _entry(work, piv) < 0:
-            work = -work if isinstance(work, np.ndarray) else [-v for v in work]
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < piv:
-            pos += 1
-        self._rows.insert(pos, work)
-        self._pivots.insert(pos, piv)
+    def _reduced(self, vec: Sequence, slot: int | None) -> tuple[np.ndarray, int]:
+        """(row, den): vec cleared by den, 1 in tail column slot, reduced."""
+        if len(vec) != self.ncols:
+            raise DimensionMismatchError(f"expected {self.ncols} entries, got {len(vec)}")
+        ints, den = _int_array(vec)
+        tail = np.zeros(self.track + 1, dtype=np.int64)
+        if slot is not None:
+            tail[slot] = 1
+        work = _fit(np.concatenate((ints, tail)))
+        for prow, c in zip(self._rows, self._pivots):
+            b = int(work[c])
+            if b:
+                work = _combine(work, int(prow[c]), prow, b)
+        return work, den
 
     def insert(self, vec: Sequence) -> bool:
         """Add a vector; True if it enlarged the span."""
-        if len(vec) != self.ncols:
-            raise DimensionMismatchError(f"expected {self.ncols} entries, got {len(vec)}")
-        ints, s = _clear_denominators(vec)
         slot = self._inserted
         if self.track and slot >= self.track:
             raise ValueError("SpanSolver coefficient capacity exceeded")
+        work, s = self._reduced(vec, slot if self.track else None)
         self._inserted += 1
         self._scales.append(s)
-        tail = [0] * (self.track + 1)
-        if self.track:
-            tail[slot] = 1
-        work = self._reduce(_to_row(ints + tail))
-        piv = self._first_nonzero(work)
-        if piv < 0:
+        nz = np.flatnonzero(work[: self.ncols])
+        if not len(nz):
             return False
-        self._store(work, piv)
+        piv = int(nz[0])
+        g = int(np.gcd.reduce(work, initial=0))
+        work = _fit(work // g if work[piv] > 0 else -(work // g))
+        pos = bisect.bisect(self._pivots, piv)
+        self._rows.insert(pos, work)
+        self._pivots.insert(pos, piv)
         return True
 
     def residual(self, vec: Sequence) -> list[int]:
         """Integer residual of vec modulo the span (up to a nonzero scale)."""
-        ints, _ = _clear_denominators(vec)
-        work = self._reduce(_to_row(ints + [0] * self.track + [1]))
-        return _row_list(work)[: self.ncols]
+        return self._reduced(vec, -1)[0][: self.ncols].tolist()
 
     def contains(self, vec: Sequence) -> bool:
-        return all(v == 0 for v in self.residual(vec))
+        return not any(self.residual(vec))
 
     def coefficients(self, vec: Sequence) -> list[Q] | None:
         """Exact coefficients of vec over the inserted vectors, or None.
@@ -233,18 +169,16 @@ class SpanSolver:
             raise ValueError("SpanSolver built without coefficient tracking")
         if self._inserted != len(self._rows):
             raise ValueError("coefficient query requires independent inserts")
-        ints, t = _clear_denominators(vec)
-        work = self._reduce(_to_row(ints + [0] * self.track + [1]))
-        lst = _row_list(work)
-        if any(v != 0 for v in lst[: self.ncols]):
+        work, t = self._reduced(vec, -1)
+        if work[: self.ncols].any():
             return None
-        mu = lst[-1]
-        tail = lst[self.ncols : self.ncols + self.track]
-        return [Q(-tail[j] * self._scales[j], mu * t) for j in range(self._inserted)]
+        mu = int(work[-1]) * t
+        tail = work[self.ncols : -1].tolist()
+        return [Q(-c * s, mu) for c, s in zip(tail, self._scales)]
 
     def echelon_rows(self) -> list[list[int]]:
         """Integer echelon rows of the span (main columns, pivot-sorted)."""
-        return [_row_list(r)[: self.ncols] for r in self._rows]
+        return [r[: self.ncols].tolist() for r in self._rows]
 
     @property
     def pivots(self) -> list[int]:
@@ -333,10 +267,13 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
-        a, da = _int_array(np.array(self.data, dtype=object).reshape(self.rows, self.cols))
-        b, db = _int_array(np.array(other.data, dtype=object).reshape(other.rows, other.cols))
+        (a, da), (b, db) = self._ints(), other._ints()
         den = da * db
         return Matrix(self.rows, other.cols, [Q(int(v), den) for v in (a @ b).ravel()])
+
+    def _ints(self) -> tuple[np.ndarray, int]:
+        """(A, den) with A / den == self, A an integer array (see _int_array)."""
+        return _int_array(np.array(self.data, dtype=object).reshape(self.rows, self.cols))
 
     def apply(self, vec: Sequence) -> tuple:
         if len(vec) != self.cols:
@@ -373,35 +310,45 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
-def rank(m: Matrix) -> int:
-    """Row rank by exact fraction-free elimination."""
-    solver = SpanSolver(m.cols)
-    for i in range(m.rows):
-        solver.insert(m.row(i))
-    return solver.rank
+def _row_space(m: Matrix | np.ndarray) -> SpanSolver:
+    """The rows of a Matrix, or of a 2-D integer array, in a SpanSolver."""
+    a = m._ints()[0] if isinstance(m, Matrix) else m
+    solver = SpanSolver(a.shape[1])
+    for row in a:
+        solver.insert(row)
+    return solver
 
 
-def nullspace(m: Matrix) -> list[tuple[Q, ...]]:
+def rank(m: Matrix | np.ndarray) -> int:
+    """Row rank by exact fraction-free elimination.
+
+    m is a Matrix or a 2-D integer array; a nonzero multiple of a matrix
+    has its rank and its kernel, so such an integer array may stand for it.
+    """
+    return _row_space(m).rank
+
+
+def nullspace(m: Matrix | np.ndarray) -> list[tuple[Q, ...]]:
     """Exact basis of {v : m v = 0}, one vector per free column.
 
-    Each vector carries 1 at its free column and 0 at the other free columns,
-    then is sign-normalized so its first nonzero coordinate is positive.
+    m is a Matrix or a 2-D integer array, as for rank.  Each vector carries
+    1 at its free column and 0 at the other free columns, then is
+    sign-normalized so its first nonzero coordinate is positive.
     """
-    solver = SpanSolver(m.cols)
-    for i in range(m.rows):
-        solver.insert(m.row(i))
+    solver = _row_space(m)
+    ncols = solver.ncols
     rows = solver.echelon_rows()
     pivots = solver.pivots
     pivot_set = set(pivots)
     basis: list[tuple[Q, ...]] = []
-    for f in range(m.cols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        v = [Q(0)] * m.cols
+        v = [Q(0)] * ncols
         v[f] = Q(1)
         for r in range(len(rows) - 1, -1, -1):
             p = pivots[r]
-            s = sum((Q(rows[r][c]) * v[c] for c in range(p + 1, m.cols) if v[c]), Q(0))
+            s = sum((Q(rows[r][c]) * v[c] for c in range(p + 1, ncols) if v[c]), Q(0))
             v[p] = -s / rows[r][p]
         for x in v:
             if x != 0:
@@ -422,8 +369,8 @@ def det(m: Matrix) -> Q:
     a: list[list[int]] = []
     scale = 1
     for i in range(n):
-        ints, d = _clear_denominators(list(m.row(i)))
-        a.append(ints)
+        ints, d = _int_array(m.row(i))
+        a.append(ints.tolist())
         scale *= d
     sign = 1
     prev = 1
@@ -453,14 +400,15 @@ class Jet2:
 
     Multiplication follows the truncated Taylor rule
     (a, a', a'')*(b, b', b'') = (ab, a'b + ab', a''b + 2 a'b' + a b'').
+    Components stay in the ring they are given in: ints stay ints.
     """
 
     __slots__ = ("v", "d1", "d2")
 
     def __init__(self, v, d1=0, d2=0):
-        self.v = _as_q(v)
-        self.d1 = _as_q(d1)
-        self.d2 = _as_q(d2)
+        self.v = v
+        self.d1 = d1
+        self.d2 = d2
 
     @staticmethod
     def _lift(x) -> "Jet2":
@@ -510,12 +458,14 @@ class Jet2:
 
 
 def jet_line(f: Callable[[Sequence], object], x: Sequence, u: Sequence) -> Jet2:
-    """Evaluate f along t -> x + t u as a single second-order jet."""
+    """Evaluate f along t -> x + t u as a single second-order jet.
+
+    The jet is computed over the ring of x and u, uncoerced; pass Python
+    ints, never numpy integers, which would wrap around.
+    """
     if len(x) != len(u):
         raise DimensionMismatchError("x and u must have equal length")
-    return Jet2._lift(
-        f([Jet2(_as_q(xi), _as_q(ui)) for xi, ui in zip(x, u)])
-    )
+    return Jet2._lift(f([Jet2(xi, ui) for xi, ui in zip(x, u)]))
 
 
 def jet_eval2(
@@ -534,15 +484,11 @@ def jet_eval2(
     xq = [_as_q(t) for t in x]
     uq = [_as_q(t) for t in u]
     vq = [_as_q(t) for t in v]
-
-    def along(direction):
-        return Jet2._lift(f([Jet2(xi, di) for xi, di in zip(xq, direction)]))
-
-    ju = along(uq)
-    jv = along(vq)
-    jw = along([a + b for a, b in zip(uq, vq)])
-    mixed = (jw.d2 - ju.d2 - jv.d2) / 2
-    return ju.v, ju.d1, jv.d1, mixed
+    ju = jet_line(f, xq, uq)
+    jv = jet_line(f, xq, vq)
+    jw = jet_line(f, xq, [a + b for a, b in zip(uq, vq)])
+    mixed = Q(jw.d2 - ju.d2 - jv.d2) / 2
+    return _as_q(ju.v), _as_q(ju.d1), _as_q(jv.d1), mixed
 
 
 class DetRng:

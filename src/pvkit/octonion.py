@@ -258,18 +258,20 @@ def _oct_mat_mul(a, b):
     return out
 
 
-def jordan_mult_operator(coords: Sequence[Q]) -> list[list[Q]]:
-    """27x27 matrix of x -> a o x (Jordan product, half the anticommutator)."""
-    a = [_as_q(c) for c in coords]
+def jordan_mult_operator(coords: Sequence) -> list[list]:
+    """27x27 matrix of x -> a o x (Jordan product, half the anticommutator).
+
+    The products run in the ring of coords; only the halving makes Fractions.
+    """
+    am = _as_oct_matrix(coords)
+    half = Q(1, 2)
     cols = []
     for j in range(albert_coords_dim):
-        basis = [Q(0)] * albert_coords_dim
-        basis[j] = Q(1)
-        am = _as_oct_matrix(a)
+        basis = [0] * albert_coords_dim
+        basis[j] = 1
         bm = _as_oct_matrix(basis)
         prod = _oct_mat_mul(am, bm)
         prod2 = _oct_mat_mul(bm, am)
-        half = Q(1, 2)
         sym = [
             [[(x + y) * half for x, y in zip(prod[i][k], prod2[i][k])] for k in range(3)]
             for i in range(3)
@@ -277,6 +279,3 @@ def jordan_mult_operator(coords: Sequence[Q]) -> list[list[Q]]:
         cols.append(_matrix_coords(sym))
     return [[cols[j][i] for j in range(albert_coords_dim)] for i in range(albert_coords_dim)]
 
-
-def _as_q(x) -> Q:
-    return x if isinstance(x, Q) else Q(x)

@@ -122,7 +122,7 @@ class MatrixRep:
         if self._span is None:
             span = SpanSolver(self.space_dim**2, track=self.algebra_dim)
             for t in self.T:
-                if not span.insert(t.ravel().tolist()):
+                if not span.insert(t.ravel()):
                     raise ClosureError("basis matrices are linearly dependent")
             self._span = span
         return self._span
@@ -141,7 +141,7 @@ class MatrixRep:
         coeffs = {}
         for i in range(d - 1):
             for j, com in enumerate(T[i] @ T[i + 1 :] - T[i + 1 :] @ T[i], i + 1):
-                c = span.coefficients(com.ravel().tolist())
+                c = span.coefficients(com.ravel())
                 if c is None:
                     raise ClosureError(
                         f"commutator of generators {i}, {j} left the span"
@@ -183,7 +183,7 @@ class MatrixRep:
             for j in range(i + 1, d):
                 row = tensor_[i, j]
                 if row.any():
-                    span.insert(row.tolist())
+                    span.insert(row)
         basis = tuple(tuple(Q(x) for x in r) for r in span.echelon_rows())
         self._derived = Subalgebra(self, basis)
         return self._derived
@@ -528,8 +528,8 @@ def e6_rep() -> MatrixRep:
     n = albert_coords_dim
     mults = []
     for j in range(n):
-        coords = [Q(0)] * n
-        coords[j] = Q(1)
+        coords = [0] * n
+        coords[j] = 1
         op = jordan_mult_operator(coords)
         mults.append(np.array([[int(2 * x) for x in row] for row in op], dtype=np.int64))
     # traceless diagonal combinations, then the off-diagonal coordinates
@@ -540,7 +540,7 @@ def e6_rep() -> MatrixRep:
     span = SpanSolver(n * n)
     basis_ints: list[np.ndarray] = []
     for cand in candidates:
-        if span.insert(cand.ravel().tolist()):
+        if span.insert(cand.ravel()):
             basis_ints.append(cand)
     if len(basis_ints) != 78:
         raise AssertionError(f"cubic stabilizer candidates span {len(basis_ints)} dims")

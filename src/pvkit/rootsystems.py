@@ -16,7 +16,6 @@ __all__ = [
     "RootSystem",
     "WeightedDiagram",
     "build_root_system",
-    "pairing",
     "POSITIVE_ROOT_COUNTS",
 ]
 
@@ -190,11 +189,6 @@ def build_root_system(type_: str, rank: int) -> RootSystem:
         if any(r[j] > highest[j] for j in range(rank)):
             raise AssertionError(f"{type_}{rank}: highest root fails to dominate {r}")
     return RootSystem(type_, rank, cartan, positives, highest)
-
-
-def pairing(rs: RootSystem, alpha: Sequence[int], beta_index: int) -> int:
-    """alpha(H_beta): evaluation of a root on a simple coroot."""
-    return rs.pairing(alpha, beta_index)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from pvkit.analyzer import (
+    GenericPoint,
     NotPrehomogeneousError,
     ZeroAtTestPointError,
     action_matrix,
@@ -295,3 +296,35 @@ def test_action_matrix_matches_fraction_reference(which):
         x = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rep.space_dim)]
         reference = Matrix.from_cols([b.apply(x) for b in rep.basis])
         assert action_matrix(rep, x) == reference
+
+
+@pytest.mark.parametrize(
+    "which", ["sym_det", "spin7_quadratic", "partial_pfaffian"]
+)
+def test_invariance_and_hessian_at_halved_points(which):
+    """Jets at x / 2 run over Fractions and give the lambda and flag of x."""
+    if which == "sym_det":
+        rep, f = sym2(gl(3)), determinant(3, "sym")
+    elif which == "spin7_quadratic":
+        # half-integer generators: rep.den == 2
+        rep, f = add_torus(spin_rep(7), 1), quadratic_form(Matrix.identity(8))
+    else:
+        n = 4
+        g = gl(n)
+        rep = direct_sum_shared(
+            [
+                (f"gl({n})", [dual_action(g), alt2_action(g.basis, n)]),
+                ("scaling", [[Matrix.identity(n)], None]),
+            ]
+        )
+        f = restrict_to_summand(pfaffian(n), n + n * (n - 1) // 2, n)
+    pts = sample_certified_points(rep, 4, seed=2, avoid_zero_of=f)
+    halved = [
+        GenericPoint(tuple(c / 2 for c in p.coordinates), True) for p in pts
+    ]
+    assert any(c.denominator == 2 for c in halved[0].coordinates)
+    ok, lam = verify_relative_invariant(rep, f, pts)
+    assert verify_relative_invariant(rep, f, halved) == (ok, lam)
+    assert all(isinstance(c, Q) for c in lam)
+    for p, h in zip(pts, halved):
+        assert hessian_regularity(f, rep, h) == hessian_regularity(f, rep, p)

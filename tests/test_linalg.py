@@ -1,7 +1,9 @@
 """Exact linear algebra kernel: frozen examples and randomized agreement."""
 
+import math
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from pvkit.linalg import (
@@ -10,8 +12,11 @@ from pvkit.linalg import (
     Jet2,
     Matrix,
     SpanSolver,
+    _combine,
+    _int_array,
     det,
     jet_eval2,
+    jet_line,
     nullspace,
     rank,
 )
@@ -240,3 +245,103 @@ def test_detrng_is_frozen():
     first = rng2.randint(-3, 3)
     rng3 = DetRng.for_stream(0, "generic-point")
     assert rng3.randint(-3, 3) == first
+
+
+def test_int_array_is_exact_above_int64():
+    # numpy would store these Python ints as float64
+    for values in ([2**63 + 1, 0], [2**63 + 1, -1], [[2**64 - 1], [-3]]):
+        a, den = _int_array(values)
+        assert den == 1
+        assert a.dtype == object
+        assert a.tolist() == values
+
+
+def test_span_solver_contains_entries_above_int64():
+    big = 2**63 + 1
+    solver = SpanSolver(3)
+    solver.insert([big, 1, 0])
+    assert solver.contains([2 * big, 2, 0])
+    assert solver.contains(np.array([big, 1, 0], dtype=object))
+    assert not solver.contains([big, 2, 0])
+    assert not solver.contains([big + 1, 1, 0])
+
+
+def _reference_combine(r, a, p, b):
+    out = [a * x - b * y for x, y in zip(r, p)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g else out
+
+
+def test_combine_moves_between_int64_and_python_ints():
+    # a and b are entries of p and r, as in every elimination step
+    cases = [
+        (
+            np.array([2**61, 3 * 2**61, 5 * 2**61, 7 * 2**61 + 1], dtype=object),
+            np.array([1, 3, 5, 7], dtype=np.int64),
+            np.int64,
+        ),
+        (
+            np.array([3, 2**29, 1, 0], dtype=np.int64),
+            np.array([2**29 + 1, 1, 0, 0], dtype=np.int64),
+            object,
+        ),
+        (
+            np.array([3, 1, 4, 1], dtype=np.int64),
+            np.array([2, 7, 1, 8], dtype=np.int64),
+            np.int64,
+        ),
+    ]
+    for r, p, dtype in cases:
+        a, b = int(p[0]), int(r[0])
+        out = _combine(r, a, p, b)
+        assert out.dtype == dtype
+        assert out.tolist() == _reference_combine(r.tolist(), a, p.tolist(), b)
+
+
+def _int_matrices():
+    rng = DetRng(4242)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        yield [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+    # entries above 2**60: rows start as Python ints, and the second one
+    # (2**61 times an int64 row plus e_4) drops back to int64 once reduced
+    yield [
+        [1, 2, 3, 4, 0],
+        [2**61, 2 * 2**61, 3 * 2**61, 4 * 2**61, 1],
+        [2**61 + 1, 3, 2**62 + 5, 7, 11],
+        [2**61 + 2, 5, 2**62 + 8, 11, 11],
+    ]
+    yield [[2**63 + 1, 2**62, 0], [2**62, 2**61 + 7, 1], [1, 1, 1]]
+
+
+def test_rank_and_nullspace_accept_integer_arrays():
+    for rows in _int_matrices():
+        m = Matrix.from_rows(rows)
+        a = np.array(rows, dtype=object)
+        a = a.astype(np.int64) if max(abs(v) for r in rows for v in r) < 2**60 else a
+        assert rank(a) == rank(m) == naive_rank(rows)
+        basis = nullspace(a)
+        assert basis == nullspace(m)
+        assert rank(m) + len(basis) == m.cols
+        for v in basis:
+            assert all(x == 0 for x in m.apply(v))
+
+
+def test_rank_of_positive_multiple_matches_matrix():
+    rng = DetRng(8)
+    for _ in range(20):
+        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), denom=True)
+        ints, _ = _int_array(m.tolists())
+        assert rank(ints) == rank(m)
+        assert nullspace(ints) == nullspace(m)
+
+
+def test_jets_stay_in_the_ring_they_are_given():
+    x, u = [2, -1, 3, 1], [1, 0, -2, 5]
+    ji = jet_line(det2, x, u)
+    assert all(type(c) is int for c in (ji.v, ji.d1, ji.d2))
+    jq = jet_line(det2, [Q(c) for c in x], [Q(c) for c in u])
+    assert all(isinstance(c, Q) for c in (jq.v, jq.d1, jq.d2))
+    assert ji == jq
+    half = jet_line(det2, [Q(c, 2) for c in x], u)
+    assert (half.v, half.d1, half.d2) == (Q(ji.v, 4), Q(ji.d1, 2), ji.d2)

@@ -272,3 +272,26 @@ def test_structure_constants_beyond_int64(k):
     assert [Q(int(c), den) for c in tensor_[0, 1]] == [0, 2**k]
     assert [Q(int(c), den) for c in tensor_[1, 0]] == [0, -(2**k)]
     assert rep.derived_subalgebra().dim == 1
+
+
+def test_jordan_operator_over_ints_matches_fractions():
+    from pvkit.octonion import albert_coords_dim, jordan_mult_operator
+
+    rng = DetRng(27)
+    for _ in range(3):
+        coords = [rng.randint(-3, 3) for _ in range(albert_coords_dim)]
+        op = jordan_mult_operator(coords)
+        assert op == jordan_mult_operator([Q(c) for c in coords])
+    unit = [0] * albert_coords_dim
+    unit[5] = 1
+    assert jordan_mult_operator(unit) == jordan_mult_operator([Q(c) for c in unit])
+
+
+def test_coeff_bracket_exact_above_int64():
+    r = gl(2)
+    big = 2**63 + 1
+    e = [[int(i == j) for j in range(4)] for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            got = r.coeff_bracket([big * c for c in e[i]], e[j])
+            assert got == tuple(big * c for c in r.coeff_bracket(e[i], e[j]))

@@ -6,7 +6,6 @@ from pvkit.rootsystems import (
     POSITIVE_ROOT_COUNTS,
     WeightedDiagram,
     build_root_system,
-    pairing,
 )
 
 ALL_SYSTEMS = (
@@ -73,21 +72,21 @@ def test_cartan_shape(type_, rank):
 def test_pairing_simple_against_own_coroot():
     rs = build_root_system("D", 5)
     for i in range(5):
-        assert pairing(rs, rs.simple_root(i), i) == 2
+        assert rs.pairing(rs.simple_root(i), i) == 2
 
 
 def test_pairing_adjacent_equal_length_is_minus_one():
     rs = build_root_system("A", 5)
     for i in range(4):
-        assert pairing(rs, rs.simple_root(i), i + 1) == -1
-        assert pairing(rs, rs.simple_root(i + 1), i) == -1
+        assert rs.pairing(rs.simple_root(i), i + 1) == -1
+        assert rs.pairing(rs.simple_root(i + 1), i) == -1
 
 
 def test_pairing_long_root_on_short_coroot_in_c():
     rs = build_root_system("C", 4)
     # long simple root against its short neighbor's coroot
-    assert pairing(rs, rs.simple_root(3), 2) == -2
-    assert pairing(rs, rs.simple_root(2), 3) == -1
+    assert rs.pairing(rs.simple_root(3), 2) == -2
+    assert rs.pairing(rs.simple_root(2), 3) == -1
 
 
 @pytest.mark.parametrize("type_,rank", ALL_SYSTEMS)
@@ -99,7 +98,7 @@ def test_arrow_rule_all_connected_pairs(type_, rank):
     for i, j in rs.edges():
         for a, b in ((i, j), (j, i)):
             expected = -1 if norms[a] <= norms[b] else -rs.edge_multiplicity(a, b)
-            assert pairing(rs, rs.simple_root(a), b) == expected
+            assert rs.pairing(rs.simple_root(a), b) == expected
 
 
 @pytest.mark.parametrize("type_,rank", ALL_SYSTEMS)
