@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .invariants import InvariantPolynomial
 from .linalg import (
     DetRng,
@@ -143,7 +145,7 @@ def isotropy_algebra(rep: MatrixRep, point: GenericPoint) -> Subalgebra:
     if not point.certified:
         raise ValueError("isotropy requires a certified point")
     xi, _ = _int_array(point.coordinates)
-    kernel = nullspace((rep.T @ xi).T)  # the kernel of action_matrix
+    kernel, _ = nullspace((rep.T @ xi).T)  # the kernel of action_matrix
     sub = Subalgebra(rep, kernel)
     if sub.dim != rep.algebra_dim - rep.space_dim:
         raise AssertionError("isotropy dimension violates the rank identity")
@@ -214,29 +216,32 @@ def verify_relative_invariant(
     lambda_X * f(x) with one lambda vector shared by every supplied point;
     lambda must also vanish on the derived subalgebra and on the isotropy
     of the first point.  Returns (verified, lambda).
+
+    Each point takes one gradient of f, from n jets along the unit vectors;
+    the derivative along X.x is the gradient applied to X.x.
     """
     if not points:
         raise ValueError("need at least one point")
+    units = np.eye(rep.space_dim, dtype=np.int64).tolist()
     lam: list[Q] | None = None
     for p in points:
         x = _ring_coords(p.coordinates)
         fx = f(x)
         if fx == 0:
             raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
+        grad = np.array([jet_line(f, x, e).d1 for e in units], dtype=object)
         # row i of T @ xi is (rep.den * dx) * B_i . x
         xi, dx = _int_array(p.coordinates)
         scale = rep.den * dx * fx
-        cur = [Q(jet_line(f, x, u).d1, scale) for u in (rep.T @ xi).tolist()]
+        cur = [Q(v, scale) for v in (rep.T @ xi).astype(object) @ grad]
         if lam is None:
             lam = cur
         elif lam != cur:
             return False, tuple(lam)
     assert lam is not None
-    for v in rep.derived_subalgebra().coefficient_basis:
-        if sum((a * b for a, b in zip(lam, v)), Q(0)) != 0:
-            return False, tuple(lam)
-    for v in isotropy_algebra(rep, points[0]).coefficient_basis:
-        if sum((a * b for a, b in zip(lam, v)), Q(0)) != 0:
+    lam_ints, _ = _int_array(lam)
+    for sub in (rep.derived_subalgebra(), isotropy_algebra(rep, points[0])):
+        if (sub.coefficient_basis @ lam_ints).any():
             return False, tuple(lam)
     return True, tuple(lam)
 

@@ -1,17 +1,15 @@
 """Exact rational linear algebra.
 
-Scalars are arbitrary-precision rationals (`fractions.Fraction`); every
-elimination is fraction-free over the integers after clearing denominators,
-so nothing is ever rounded.  All integer data goes through `_int_array`,
-which clears denominators and picks the dtype: int64 while an overflow
-bound computed from the entries holds, Python ints (`dtype=object`)
-otherwise.  `SpanSolver` keeps each row as one such array, re-chosen after
-every row operation, so one elimination may move from int64 to Python ints
-and back; the numbers, and so the results, are the same on either dtype.
-
-Matrix products go through the same helper; the representations in `reps`
-store their generators that way too.  Jets compute over whatever ring their
-coordinates come from: Python ints stay ints, Fractions stay Fractions.
+Exact results are pairs (A, den): an integer array A and a positive common
+denominator, standing for A / den.  `_int_array` makes them from rationals
+or integers and picks the dtype: int64 while an overflow bound computed
+from the entries holds, Python ints (`dtype=object`) otherwise.  Every
+elimination is fraction-free, so nothing is ever rounded.  `SpanSolver`
+keeps each row as one such array, re-chosen after every row operation, so
+one elimination may move from int64 to Python ints and back; the numbers,
+and so the results, are the same on either dtype.  Coefficient vectors and
+kernel bases are (A, den) pairs; `fractions.Fraction` is kept for `Matrix`
+entries.  Jets compute over whatever ring their coordinates come from.
 """
 
 from __future__ import annotations
@@ -102,8 +100,9 @@ class SpanSolver:
     Vectors are cleared to integers on insertion.  Augmented tail columns
     record how each echelon row decomposes over the inserted vectors, and a
     final scratch column plays the same role for the vector currently being
-    reduced; every row operation therefore scales the whole bookkeeping
-    uniformly and gcd normalization stays valid.
+    reduced: a row is sum_j tail_j * inserted_j + scratch * vec.  Every row
+    operation therefore scales the whole bookkeeping uniformly and gcd
+    normalization stays valid.
     """
 
     def __init__(self, ncols: int, track: int = 0):
@@ -111,36 +110,34 @@ class SpanSolver:
         self.track = track
         self._rows: list[np.ndarray] = []  # echelon rows, scratch column always 0
         self._pivots: list[int] = []  # pivot column per row, strictly increasing
-        self._scales: list[int] = []  # cleared vector j = scale_j * inserted_j
         self._inserted = 0
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduced(self, vec: Sequence, slot: int | None) -> tuple[np.ndarray, int]:
-        """(row, den): vec cleared by den, 1 in tail column slot, reduced."""
+    def _reduced(self, vec: Sequence, slot: int | None) -> np.ndarray:
+        """vec cleared by its denominator den, den in tail column slot, reduced."""
         if len(vec) != self.ncols:
             raise DimensionMismatchError(f"expected {self.ncols} entries, got {len(vec)}")
         ints, den = _int_array(vec)
-        tail = np.zeros(self.track + 1, dtype=np.int64)
+        tail = np.zeros(self.track + 1, dtype=np.int64 if den == 1 else object)
         if slot is not None:
-            tail[slot] = 1
+            tail[slot] = den
         work = _fit(np.concatenate((ints, tail)))
         for prow, c in zip(self._rows, self._pivots):
             b = int(work[c])
             if b:
                 work = _combine(work, int(prow[c]), prow, b)
-        return work, den
+        return work
 
     def insert(self, vec: Sequence) -> bool:
         """Add a vector; True if it enlarged the span."""
         slot = self._inserted
         if self.track and slot >= self.track:
             raise ValueError("SpanSolver coefficient capacity exceeded")
-        work, s = self._reduced(vec, slot if self.track else None)
+        work = self._reduced(vec, slot if self.track else None)
         self._inserted += 1
-        self._scales.append(s)
         nz = np.flatnonzero(work[: self.ncols])
         if not len(nz):
             return False
@@ -154,35 +151,35 @@ class SpanSolver:
 
     def residual(self, vec: Sequence) -> list[int]:
         """Integer residual of vec modulo the span (up to a nonzero scale)."""
-        return self._reduced(vec, -1)[0][: self.ncols].tolist()
+        return self._reduced(vec, -1)[: self.ncols].tolist()
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.residual(vec))
 
-    def coefficients(self, vec: Sequence) -> list[Q] | None:
-        """Exact coefficients of vec over the inserted vectors, or None.
+    def coefficients(self, vec: Sequence) -> tuple[np.ndarray, int] | None:
+        """(C, den) with vec == sum_j C[j] / den * inserted_j, or None.
 
-        Requires coefficient tracking and that every insert() succeeded,
-        i.e. the inserted vectors are linearly independent.
+        den > 0 and gcd(C, den) == 1, as from `_int_array`.  Requires
+        coefficient tracking and that every insert() succeeded, i.e. the
+        inserted vectors are linearly independent.
         """
         if not self.track:
             raise ValueError("SpanSolver built without coefficient tracking")
         if self._inserted != len(self._rows):
             raise ValueError("coefficient query requires independent inserts")
-        work, t = self._reduced(vec, -1)
+        work = self._reduced(vec, -1)
         if work[: self.ncols].any():
             return None
-        mu = int(work[-1]) * t
-        tail = work[self.ncols : -1].tolist()
-        return [Q(-c * s, mu) for c, s in zip(tail, self._scales)]
+        # 0 == sum_j tail_j * inserted_j + mu * vec, and mu > 0: it starts
+        # positive and row operations scale it by stored (positive) pivots
+        c, mu = -work[self.ncols : -1], int(work[-1])
+        g = math.gcd(int(np.gcd.reduce(c, initial=0)), mu)
+        return _fit(c // g), mu // g
 
-    def echelon_rows(self) -> list[list[int]]:
-        """Integer echelon rows of the span (main columns, pivot-sorted)."""
-        return [r[: self.ncols].tolist() for r in self._rows]
-
-    @property
-    def pivots(self) -> list[int]:
-        return list(self._pivots)
+    def echelon_rows(self) -> np.ndarray:
+        """Integer echelon rows of the span, shape (rank, ncols), pivot-sorted."""
+        rows = [r[: self.ncols] for r in self._rows]
+        return _fit(np.array(rows, dtype=object).reshape(len(rows), self.ncols))
 
 
 class Matrix:
@@ -310,53 +307,48 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
-def _row_space(m: Matrix | np.ndarray) -> SpanSolver:
-    """The rows of a Matrix, or of a 2-D integer array, in a SpanSolver."""
-    a = m._ints()[0] if isinstance(m, Matrix) else m
-    solver = SpanSolver(a.shape[1])
-    for row in a:
-        solver.insert(row)
-    return solver
-
-
 def rank(m: Matrix | np.ndarray) -> int:
     """Row rank by exact fraction-free elimination.
 
     m is a Matrix or a 2-D integer array; a nonzero multiple of a matrix
     has its rank and its kernel, so such an integer array may stand for it.
     """
-    return _row_space(m).rank
+    a = m._ints()[0] if isinstance(m, Matrix) else m
+    solver = SpanSolver(a.shape[1])
+    for row in a:
+        solver.insert(row)
+    return solver.rank
 
 
-def nullspace(m: Matrix | np.ndarray) -> list[tuple[Q, ...]]:
-    """Exact basis of {v : m v = 0}, one vector per free column.
+def nullspace(m: Matrix | np.ndarray) -> tuple[np.ndarray, int]:
+    """(K, den): the rows of K / den are an exact basis of {v : m v = 0}.
 
-    m is a Matrix or a 2-D integer array, as for rank.  Each vector carries
-    1 at its free column and 0 at the other free columns, then is
-    sign-normalized so its first nonzero coordinate is positive.
+    m is a Matrix or a 2-D integer array, as for rank.  Row f / den has 1
+    at free column f (one in the span of the columns before it), 0 at the
+    other free columns, and is then sign-normalized so its first nonzero
+    coordinate is positive.  den > 0, gcd(K, den) == 1, K is (nullity, cols).
     """
-    solver = _row_space(m)
-    ncols = solver.ncols
-    rows = solver.echelon_rows()
-    pivots = solver.pivots
-    pivot_set = set(pivots)
-    basis: list[tuple[Q, ...]] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Q(0)] * ncols
-        v[f] = Q(1)
-        for r in range(len(rows) - 1, -1, -1):
-            p = pivots[r]
-            s = sum((Q(rows[r][c]) * v[c] for c in range(p + 1, ncols) if v[c]), Q(0))
-            v[p] = -s / rows[r][p]
-        for x in v:
-            if x != 0:
-                if x < 0:
-                    v = [-y for y in v]
-                break
-        basis.append(tuple(v))
-    return basis
+    a = m._ints()[0] if isinstance(m, Matrix) else m
+    cols = a.shape[1]
+    solver = SpanSolver(a.shape[0], track=max(1, min(a.shape)))
+    pivots: list[int] = []
+    free: list[tuple[int, np.ndarray, int]] = []
+    for f in range(cols):
+        got = solver.coefficients(a[:, f])
+        if got is None:
+            solver.insert(a[:, f])
+            pivots.append(f)
+        else:
+            free.append((f, *got))
+    den = math.lcm(*(k for _, _, k in free))
+    kernel = np.zeros((len(free), cols), dtype=object)
+    for v, (f, c, k) in zip(kernel, free):
+        # column f == sum_p c_p / k * column p: den e_f - sum_p (den/k) c_p e_p
+        v[f] = den
+        v[pivots] = c[: len(pivots)].astype(object) * -(den // k)
+        if v[np.flatnonzero(v)[0]] < 0:
+            v *= -1
+    return _fit(kernel), den
 
 
 def det(m: Matrix) -> Q:

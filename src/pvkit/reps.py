@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Matrix, Q, SpanSolver, _int_array, nullspace
+from .linalg import Matrix, Q, SpanSolver, _fit, _int_array, nullspace
 from .octonion import (
     OCT_DIM,
     albert_coords_dim,
@@ -53,7 +53,6 @@ __all__ = [
     "left_action",
     "right_transpose_action",
     "right_neg_action",
-    "sym2_action",
     "alt2_action",
     "sym_basis",
     "alt_basis",
@@ -146,13 +145,13 @@ class MatrixRep:
                     raise ClosureError(
                         f"commutator of generators {i}, {j} left the span"
                     )
-                coeffs[i, j] = _int_array(c)
+                coeffs[i, j] = c
         lcm = math.lcm(*(k for _, k in coeffs.values()))
         upper = np.zeros((d, d, d), dtype=object)
         for (i, j), (ints, k) in coeffs.items():
             upper[i, j] = ints.astype(object) * (lcm // k)
         # [T_i, T_j] = sum_k c_k T_k means [B_i, B_j] = sum_k (c_k / den) B_k
-        tensor_, _ = _int_array(upper - upper.transpose(1, 0, 2))
+        tensor_ = _fit(upper - upper.transpose(1, 0, 2))
         self._struct = (tensor_, lcm * self.den)
         return self._struct
 
@@ -184,8 +183,7 @@ class MatrixRep:
                 row = tensor_[i, j]
                 if row.any():
                     span.insert(row)
-        basis = tuple(tuple(Q(x) for x in r) for r in span.echelon_rows())
-        self._derived = Subalgebra(self, basis)
+        self._derived = Subalgebra(self, span.echelon_rows())
         return self._derived
 
     def __repr__(self) -> str:
@@ -196,14 +194,14 @@ class MatrixRep:
 
 
 class Subalgebra:
-    """A subalgebra of a MatrixRep given by coefficient vectors on its basis."""
+    """A subalgebra of a MatrixRep: an integer array of shape
+    (dim, algebra_dim) whose rows are coefficient vectors of a basis."""
 
-    def __init__(self, parent: MatrixRep, coefficient_basis: Sequence[Sequence[Q]]):
+    def __init__(self, parent: MatrixRep, coefficient_basis: np.ndarray):
+        if coefficient_basis.ndim != 2 or coefficient_basis.shape[1] != parent.algebra_dim:
+            raise ValueError("coefficient basis has the wrong shape")
         self.parent = parent
-        self.coefficient_basis = tuple(tuple(v) for v in coefficient_basis)
-        for v in self.coefficient_basis:
-            if len(v) != parent.algebra_dim:
-                raise ValueError("coefficient vector has the wrong length")
+        self.coefficient_basis = coefficient_basis
 
     @property
     def dim(self) -> int:
@@ -422,21 +420,17 @@ def g2_rep() -> MatrixRep:
         for j in range(OCT_DIM):
             m, sign = table[i][j]
             for k in range(OCT_DIM):
-                row = [Q(0)] * (OCT_DIM * OCT_DIM)
+                row = [0] * (OCT_DIM * OCT_DIM)
                 # D(e_i e_j)_k = sign * D[k][m]
-                row[k * OCT_DIM + m] += Q(sign)
+                row[k * OCT_DIM + m] += sign
                 # -(D(e_i) e_j)_k = -sum_a D[a][i] T[a][j][k]
                 for a in range(OCT_DIM):
-                    t = tensor_[a][j][k]
-                    if t:
-                        row[a * OCT_DIM + i] -= Q(t)
+                    row[a * OCT_DIM + i] -= tensor_[a][j][k]
                 # -(e_i D(e_j))_k = -sum_b D[b][j] T[i][b][k]
                 for b in range(OCT_DIM):
-                    t = tensor_[i][b][k]
-                    if t:
-                        row[b * OCT_DIM + j] -= Q(t)
+                    row[b * OCT_DIM + j] -= tensor_[i][b][k]
                 rows.append(row)
-    kernel, den = _int_array(nullspace(Matrix.from_rows(rows)))
+    kernel, den = nullspace(np.array(rows, dtype=np.int64))
     if len(kernel) != 14:
         raise AssertionError(f"octonion derivations: got dim {len(kernel)}")
     kernel = kernel.reshape(14, OCT_DIM, OCT_DIM)
@@ -695,10 +689,6 @@ def right_transpose_action(rep: MatrixRep, rows: int) -> MatrixRep:
 def right_neg_action(rep: MatrixRep, rows: int) -> MatrixRep:
     """M -> -M X on row-major M(rows, space_dim)."""
     return right_transpose_action(dual(rep), rows)
-
-
-def sym2_action(basis: Sequence[Matrix], n: int) -> MatrixRep:
-    return sym2(_as_rep(basis))
 
 
 def alt2_action(basis: Sequence[Matrix], n: int) -> MatrixRep:

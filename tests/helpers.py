@@ -20,4 +20,4 @@ def invariant_form_space(rho: MatrixRep) -> int:
                     row[index[tuple(sorted((k, j)))]] += a[k, i]
                     row[index[tuple(sorted((i, k)))]] += a[k, j]
                 rows.append(row)
-    return len(nullspace(Matrix.from_rows(rows)))
+    return len(nullspace(Matrix.from_rows(rows))[0])

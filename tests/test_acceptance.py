@@ -4,6 +4,7 @@ Everything here is exact rational arithmetic; there are no tolerances to
 tune.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
 from fractions import Fraction as Q
 
 from helpers import invariant_form_space
@@ -147,10 +148,15 @@ def test_criterion_6_property_suites():
     _verdict(6, ok, "; ".join(details))
 
 
+# sha256 of the seed-0 summary JSON; it changes only with the report schema
+SUMMARY_SHA256 = "23079c12e6eab44274361e716bf6cff490aeaa7bc289ab82f4ab8dd4a6b4c99b"
+
+
 def test_criterion_7_determinism():
     first, _ = run_all("all", seed=0)
     second, _ = run_all("all", seed=0)
     a, b = summary_json(first), summary_json(second)
-    ok = a == b and len(a) > 1000
+    digest = hashlib.sha256(a.encode()).hexdigest()
+    ok = a == b and len(a) > 1000 and digest == SUMMARY_SHA256
     _verdict(7, ok, f"two runs agree byte for byte "
-                    f"({len(a)} bytes of summary JSON)")
+                    f"({len(a)} bytes of summary JSON, sha256 {digest[:12]})")

@@ -115,6 +115,18 @@ def test_isotropy_so_plus_torus(n):
     assert iso.is_bracket_closed()
 
 
+@pytest.mark.parametrize("rep, char_dim", [(gl(1), 1), (add_torus(so(2), 1), 2)])
+def test_empty_subalgebras_keep_their_shape(rep, char_dim):
+    # abelian, so the derived subalgebra is 0; d == n, so is the isotropy
+    d = rep.algebra_dim
+    assert d == rep.space_dim
+    p = find_generic_point(rep, seed=0)
+    for sub in (rep.derived_subalgebra(), isotropy_algebra(rep, p)):
+        assert sub.coefficient_basis.shape == (0, d)
+        assert sub.dim == 0
+    assert character_space_dim(rep, p) == char_dim
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_isotropy_shared_symplectic_pair(n):
     s = sp(n)

@@ -71,26 +71,26 @@ def test_rank_proportional_rows():
 
 
 def test_nullspace_identity():
-    assert nullspace(Matrix.identity(4)) == []
+    basis, den = nullspace(Matrix.identity(4))
+    assert basis.shape == (0, 4) and den == 1
 
 
 def test_nullspace_zero():
-    basis = nullspace(Matrix.zeros(2, 3))
-    assert len(basis) == 3
-    assert basis[0] == (Q(1), Q(0), Q(0))
-    assert basis[1] == (Q(0), Q(1), Q(0))
-    assert basis[2] == (Q(0), Q(0), Q(1))
+    basis, den = nullspace(Matrix.zeros(2, 3))
+    assert den == 1
+    assert basis.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_nullspace_single_relation():
-    assert nullspace(Matrix.from_rows([[1, 1]])) == [(Q(1), Q(-1))]
+    basis, den = nullspace(Matrix.from_rows([[1, 1]]))
+    assert (basis.tolist(), den) == ([[1, -1]], 1)
 
 
 def test_nullspace_solves():
     rng = DetRng(7)
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), denom=True)
-        for v in nullspace(m):
+        for v in nullspace(m)[0].tolist():
             assert all(x == 0 for x in m.apply(v))
 
 
@@ -98,7 +98,7 @@ def test_rank_plus_nullity():
     rng = DetRng(11)
     for _ in range(100):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank(m) + len(nullspace(m)) == m.cols
+        assert rank(m) + len(nullspace(m)[0]) == m.cols
 
 
 def test_fraction_free_agrees_with_naive_on_200_matrices():
@@ -226,8 +226,8 @@ def test_span_solver_coefficients_roundtrip():
         target = [
             sum((c * v[i] for c, v in zip(coeffs, vecs)), Q(0)) for i in range(dim)
         ]
-        got = solver.coefficients(target)
-        assert got == coeffs
+        got, den = solver.coefficients(target)
+        assert [Q(int(c), den) for c in got] == coeffs
 
 
 def test_span_solver_membership():
@@ -320,10 +320,11 @@ def test_rank_and_nullspace_accept_integer_arrays():
         a = np.array(rows, dtype=object)
         a = a.astype(np.int64) if max(abs(v) for r in rows for v in r) < 2**60 else a
         assert rank(a) == rank(m) == naive_rank(rows)
-        basis = nullspace(a)
-        assert basis == nullspace(m)
+        basis, den = nullspace(a)
+        other, other_den = nullspace(m)
+        assert (basis.tolist(), den) == (other.tolist(), other_den)
         assert rank(m) + len(basis) == m.cols
-        for v in basis:
+        for v in basis.tolist():
             assert all(x == 0 for x in m.apply(v))
 
 
@@ -333,7 +334,8 @@ def test_rank_of_positive_multiple_matches_matrix():
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), denom=True)
         ints, _ = _int_array(m.tolists())
         assert rank(ints) == rank(m)
-        assert nullspace(ints) == nullspace(m)
+        (k1, d1), (k2, d2) = nullspace(ints), nullspace(m)
+        assert (k1.tolist(), d1) == (k2.tolist(), d2)
 
 
 def test_jets_stay_in_the_ring_they_are_given():
@@ -345,3 +347,71 @@ def test_jets_stay_in_the_ring_they_are_given():
     assert ji == jq
     half = jet_line(det2, [Q(c, 2) for c in x], u)
     assert (half.v, half.d1, half.d2) == (Q(ji.v, 4), Q(ji.d1, 2), ji.d2)
+
+
+def _reference_nullspace(m):
+    """Fraction back-substitution over the integer echelon rows of m."""
+    solver = SpanSolver(m.cols)
+    for row in m._ints()[0]:
+        solver.insert(row)
+    ncols = m.cols
+    rows = solver.echelon_rows().tolist()
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [Q(0)] * ncols
+        v[f] = Q(1)
+        for r in range(len(rows) - 1, -1, -1):
+            p = pivots[r]
+            s = sum((Q(rows[r][c]) * v[c] for c in range(p + 1, ncols) if v[c]), Q(0))
+            v[p] = -s / rows[r][p]
+        for x in v:
+            if x != 0:
+                if x < 0:
+                    v = [-y for y in v]
+                break
+        basis.append(tuple(v))
+    return basis
+
+
+def test_nullspace_matches_fraction_back_substitution():
+    rng = DetRng(606)
+    matrices = [Matrix.from_rows(rows) for rows in _int_matrices()]
+    matrices += [
+        rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), denom=True)
+        for _ in range(50)
+    ]
+    for m in matrices:
+        ref, ref_den = _int_array(_reference_nullspace(m))
+        basis, den = nullspace(m)
+        assert basis.shape == (len(ref), m.cols)
+        assert basis.tolist() == ref.reshape(len(ref), m.cols).tolist()
+        assert den == ref_den
+
+
+def test_coefficients_are_reduced_with_positive_denominator():
+    cases = [
+        # negative and non-integral coefficients
+        ([[2, 0, 1], [0, 2, 1]], [Q(-1, 2), Q(-3, 2)]),
+        # pivots that insert() stores negated
+        ([[-2, 0, 1], [0, -2, 1]], [Q(-1, 2), Q(3, 2)]),
+        # inserted vectors with denominators
+        ([[Q(1, 3), Q(2, 3), 0], [0, Q(-1, 5), Q(1, 5)]], [Q(-1), Q(5, 2)]),
+        # a denominator above int64, and the zero vector
+        ([[1, 0], [0, 1]], [Q(1, 2**70), Q(-3)]),
+        ([[1, 0], [0, 1]], [Q(0), Q(0)]),
+    ]
+    for vecs, coeffs in cases:
+        solver = SpanSolver(len(vecs[0]), track=len(vecs))
+        assert all(solver.insert(v) for v in vecs)
+        target = [sum(c * Q(v[i]) for c, v in zip(coeffs, vecs)) for i in range(len(vecs[0]))]
+        got, den = solver.coefficients(target)
+        assert den > 0
+        assert math.gcd(int(np.gcd.reduce(got, initial=0)), den) == 1
+        assert [Q(int(c), den) for c in got] == coeffs
+    solver = SpanSolver(3, track=1)
+    solver.insert([1, 0, 1])
+    assert solver.coefficients([1, 0, 0]) is None

@@ -107,7 +107,7 @@ def test_spin8_not_equivalent_to_vector():
                     row[i * 8 + k] += b[k, j]      # (T sigma)_ij
                     row[k * 8 + j] -= a[i, k]      # -(rho T)_ij
                 rows.append(row)
-    assert len(nullspace(Matrix.from_rows(rows))) == 0
+    assert len(nullspace(Matrix.from_rows(rows))[0]) == 0
 
 
 from helpers import invariant_form_space
