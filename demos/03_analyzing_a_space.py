@@ -9,7 +9,7 @@ jets, and decide regularity from the Hessian determinant.
 
 from pvkit import classify, gl, sym2
 from pvkit.analyzer import (
-    action_matrix,
+    certify,
     character_space_dim,
     find_generic_point,
     hessian_regularity,
@@ -26,10 +26,14 @@ f = determinant(n, "sym")
 
 print(f"algebra dim {rep.algebra_dim}, space dim {rep.space_dim}")
 
-# 1. a generic point: the orbit map must be onto, checked by exact rank
+# 1. a generic point: the orbit map must be onto, checked by exact rank.
+# Column i of (T @ x).T is den * B_i . x, so that integer matrix has the
+# rank of the orbit map at x.
 point = find_generic_point(rep, seed=0)
-m = action_matrix(rep, point.coordinates)
-print(f"certified point {point.coordinates}; action matrix rank {rank(m)}")
+x = [int(c) for c in point.coordinates]
+m = (rep.T @ x).T
+print(f"certified point {x}: orbit map rank {rank(m)}, "
+      f"onto: {certify(rep, point.coordinates)}")
 
 # 2. the isotropy subalgebra is the nullspace of that matrix
 iso = isotropy_algebra(rep, point)

@@ -12,7 +12,6 @@ from .analyzer import (
     GenericPoint,
     NotPrehomogeneousError,
     ZeroAtTestPointError,
-    action_matrix,
     character_space_dim,
     classify,
     find_generic_point,
@@ -42,7 +41,7 @@ from .invariants import (
     quadratic_form,
     symplectic_pair,
 )
-from .linalg import DetRng, Jet2, Matrix, Q, det, jet_eval2, nullspace, rank
+from .linalg import DetRng, Jet2, Matrix, Q, det, nullspace, rank
 from .reps import (
     MatrixRep,
     Subalgebra,

@@ -17,7 +17,6 @@ import numpy as np
 from .invariants import InvariantPolynomial
 from .linalg import (
     DetRng,
-    Matrix,
     Q,
     SpanSolver,
     _int_array,
@@ -33,7 +32,6 @@ __all__ = [
     "AnalysisReport",
     "NotPrehomogeneousError",
     "ZeroAtTestPointError",
-    "action_matrix",
     "find_generic_point",
     "certify",
     "isotropy_algebra",
@@ -85,29 +83,22 @@ class AnalysisReport:
     notes: str = ""
 
 
-def _ring_coords(x: Sequence[Q]) -> list:
-    """x with each integral coordinate as a Python int, so jets there run in int."""
-    return [c.numerator if c.denominator == 1 else c for c in x]
+def _integer_point(x: Sequence) -> tuple[list[int], int]:
+    """(xi, c) with xi == c * x a list of Python ints, c > 0.
 
-
-def action_matrix(rep: MatrixRep, x: Sequence[Q]) -> Matrix:
-    """space_dim x algebra_dim matrix with columns B_i . x."""
-    if len(x) != rep.space_dim:
-        raise ValueError("point length differs from the space dimension")
-    xi, den = _int_array(x)
-    scale = rep.den * den
-    return Matrix(
-        rep.space_dim,
-        rep.algebra_dim,
-        [Q(int(v), scale) for v in (rep.T @ xi).T.ravel()],
-    )
+    Every invariant is homogeneous, so f(xi) is zero exactly when f(x) is,
+    and its jets at xi run in ints.  Python ints, never numpy integers,
+    which would wrap around in a jet.
+    """
+    xi, c = _int_array(x)
+    return xi.tolist(), c
 
 
 def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
     """Exact certificate: the orbit map at x is onto.
 
-    (T @ xi).T is a positive multiple of action_matrix(rep, x), so it has
-    the same rank.
+    Column i of (T @ xi).T is a positive multiple of B_i . x, so that
+    matrix has the rank of the orbit map at x.
     """
     xi, _ = _int_array(x)
     return rank((rep.T @ xi).T) == rep.space_dim
@@ -132,9 +123,9 @@ def find_generic_point(
         return GenericPoint(pt, True)
     rng = DetRng.for_stream(seed, "generic-point")
     for _ in range(max_retries):
-        pt = tuple(Q(rng.randint(-3, 3)) for _ in range(rep.space_dim))
-        if certify(rep, pt):
-            return GenericPoint(pt, True)
+        draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
+        if certify(rep, draw):
+            return GenericPoint(tuple(Q(c) for c in draw), True)
     raise NotPrehomogeneousError(
         f"no certified point in {max_retries} samples (inconclusive)"
     )
@@ -145,7 +136,7 @@ def isotropy_algebra(rep: MatrixRep, point: GenericPoint) -> Subalgebra:
     if not point.certified:
         raise ValueError("isotropy requires a certified point")
     xi, _ = _int_array(point.coordinates)
-    kernel, _ = nullspace((rep.T @ xi).T)  # the kernel of action_matrix
+    kernel, _ = nullspace((rep.T @ xi).T)  # the kernel of the orbit map
     sub = Subalgebra(rep, kernel)
     if sub.dim != rep.algebra_dim - rep.space_dim:
         raise AssertionError("isotropy dimension violates the rank identity")
@@ -178,26 +169,27 @@ def sample_certified_points(
     """Deterministic certified points, optionally off an invariant's zero set.
 
     The hint (when provided and acceptable) is always the first point.
+    The zero test runs at the cleared integer point.
     """
     points: list[GenericPoint] = []
     if hint is not None:
         pt = tuple(Q(c) for c in hint)
         if not certify(rep, pt):
             raise NotPrehomogeneousError("the registered point is not generic")
-        if avoid_zero_of is None or avoid_zero_of(pt) != 0:
+        if avoid_zero_of is None or avoid_zero_of(_integer_point(pt)[0]) != 0:
             points.append(GenericPoint(pt, True))
     rng = DetRng.for_stream(seed, "point-sample")
     tries = 0
     while len(points) < count and tries < max_retries:
         tries += 1
-        pt = tuple(Q(rng.randint(-3, 3)) for _ in range(rep.space_dim))
-        if any(pt == p.coordinates for p in points):
+        draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
+        if any(draw == p.coordinates for p in points):
             continue
-        if not certify(rep, pt):
+        if not certify(rep, draw):
             continue
-        if avoid_zero_of is not None and avoid_zero_of(pt) == 0:
+        if avoid_zero_of is not None and avoid_zero_of(draw) == 0:
             continue
-        points.append(GenericPoint(pt, True))
+        points.append(GenericPoint(tuple(Q(c) for c in draw), True))
     if len(points) < count:
         raise NotPrehomogeneousError(
             f"only {len(points)} certified points in {max_retries} samples"
@@ -217,23 +209,23 @@ def verify_relative_invariant(
     lambda must also vanish on the derived subalgebra and on the isotropy
     of the first point.  Returns (verified, lambda).
 
-    Each point takes one gradient of f, from n jets along the unit vectors;
-    the derivative along X.x is the gradient applied to X.x.
+    Each point x is cleared to the integer point xi = c * x.  It takes one
+    gradient of f there, from n jets along the unit vectors; the derivative
+    along X.xi is the gradient applied to X.xi.  lambda is a ratio of
+    degree 0 in x, so lambda_X = grad f(xi) . (T_X xi) / (den * f(xi)).
     """
     if not points:
         raise ValueError("need at least one point")
     units = np.eye(rep.space_dim, dtype=np.int64).tolist()
     lam: list[Q] | None = None
     for p in points:
-        x = _ring_coords(p.coordinates)
-        fx = f(x)
+        xa, _ = _int_array(p.coordinates)
+        xi = xa.tolist()  # Python ints: numpy integers wrap around in a jet
+        fx = f(xi)
         if fx == 0:
             raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
-        grad = np.array([jet_line(f, x, e).d1 for e in units], dtype=object)
-        # row i of T @ xi is (rep.den * dx) * B_i . x
-        xi, dx = _int_array(p.coordinates)
-        scale = rep.den * dx * fx
-        cur = [Q(v, scale) for v in (rep.T @ xi).astype(object) @ grad]
+        grad = np.array([jet_line(f, xi, e).d1 for e in units], dtype=object)
+        cur = [Q(v, rep.den * fx) for v in (rep.T @ xa).astype(object) @ grad]
         if lam is None:
             lam = cur
         elif lam != cur:
@@ -246,21 +238,25 @@ def verify_relative_invariant(
     return True, tuple(lam)
 
 
-def hessian_matrix(f: InvariantPolynomial, x: Sequence[Q]) -> Matrix:
-    """Exact Hessian assembled from polarized second jets."""
+def hessian_matrix(f: InvariantPolynomial, x: Sequence[Q]) -> tuple[np.ndarray, int]:
+    """(H, den) with H / den exactly Hess f(x), from polarized second jets.
+
+    The jets run at the cleared integer point xi = c * x, and f is
+    homogeneous of degree k, so Hess f(x) = c^(2-k) Hess f(xi).  H is twice
+    Hess f(xi), so the polarization D_u D_v = (D^2_{u+v} - D^2_u - D^2_v) / 2
+    divides nothing: den = 2 c^(k-2).  Below degree 2 the Hessian is 0.
+    """
     n = len(x)
-    x = _ring_coords(x)
+    xi, c = _integer_point(x)
     e = [[int(j == i) for j in range(n)] for i in range(n)]
-    pure = [jet_line(f, x, e[i]).d2 for i in range(n)]
-    h = [[0] * n for _ in range(n)]
+    pure = [jet_line(f, xi, e[i]).d2 for i in range(n)]
+    h = np.zeros((n, n), dtype=object)
     for i in range(n):
-        h[i][i] = pure[i]
+        h[i, i] = 2 * pure[i]
         for j in range(i + 1, n):
             both = [a + b for a, b in zip(e[i], e[j])]
-            mixed = Q(jet_line(f, x, both).d2 - pure[i] - pure[j]) / 2
-            h[i][j] = mixed
-            h[j][i] = mixed
-    return Matrix.from_rows(h)
+            h[i, j] = h[j, i] = jet_line(f, xi, both).d2 - pure[i] - pure[j]
+    return h, 2 * c ** max(f.degree - 2, 0)
 
 
 def hessian_regularity(
@@ -272,9 +268,10 @@ def hessian_regularity(
     itself relatively invariant, hence identically zero or nowhere zero on
     the open orbit (exercised as a tested dichotomy elsewhere).
     """
-    if f(point.coordinates) == 0:
+    xi, _ = _integer_point(point.coordinates)
+    if f(xi) == 0:
         raise ZeroAtTestPointError(f"{f.name} vanishes at the chosen point")
-    return det(hessian_matrix(f, point.coordinates)) != 0
+    return det(hessian_matrix(f, xi)[0]) != 0
 
 
 def classify(

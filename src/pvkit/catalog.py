@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from . import reps
 from .analyzer import AnalysisReport, classify
 from .grading import compute_grading, irreducible_components, is_commutative_parabolic
 from .invariants import (
@@ -35,9 +34,10 @@ from .invariants import (
     restrict_to_summand,
     symplectic_pair,
 )
-from .linalg import Matrix, Q
+from .linalg import Q
 from .reps import (
     MatrixRep,
+    _eye,
     add_torus,
     alt2,
     direct_sum_shared,
@@ -47,7 +47,6 @@ from .reps import (
     gl,
     half_spin_rep10,
     left_action,
-    natural_action,
     right_neg_action,
     right_transpose_action,
     sl,
@@ -167,8 +166,9 @@ def _j_block_alt_coords(n: int) -> list[Q]:
     return v
 
 
-def _identity_on(dim: int) -> list[Matrix]:
-    return [Matrix.identity(dim)]
+def _identity_on(dim: int) -> MatrixRep:
+    """One scaling generator on C^dim."""
+    return MatrixRep(_eye(dim)[None], 1, ())
 
 
 def _diagram(type_: str, rank: int, circled_1based: Sequence[int]) -> WeightedDiagram:
@@ -182,7 +182,7 @@ def _diagram(type_: str, rank: int, circled_1based: Sequence[int]) -> WeightedDi
 def _t2_1(p):
     n = p["n"]
     rep = add_torus(so(n), 1)
-    return BuildResult(rep, (quadratic_form(Matrix.identity(n)),), None)
+    return BuildResult(rep, (quadratic_form(_eye(n)),), None)
 
 
 def _t2_1_diagram(p):
@@ -229,23 +229,21 @@ def _t2_7(p):
 
 
 def _t2_8(p):
-    return BuildResult(add_torus(spin_rep(7), 1), (quadratic_form(Matrix.identity(8)),), None)
+    return BuildResult(add_torus(spin_rep(7), 1), (quadratic_form(_eye(8)),), None)
 
 
 def _t2_9(p):
-    return BuildResult(add_torus(spin_rep(9), 1), (quadratic_form(Matrix.identity(16)),), None)
+    return BuildResult(add_torus(spin_rep(9), 1), (quadratic_form(_eye(16)),), None)
 
 
 def _t2_10(p):
-    return BuildResult(add_torus(g2_rep(), 1), (quadratic_form(Matrix.identity(7)),), None)
+    return BuildResult(add_torus(g2_rep(), 1), (quadratic_form(_eye(7)),), None)
 
 
 def _t3_1(p):
     n = p["n"]
     s = sl(n)
-    rep = direct_sum_shared(
-        [(f"sl({n})", [reps.dual_action(s), natural_action(s)])]
-    )
+    rep = direct_sum_shared([(f"sl({n})", [dual(s), s])])
     rep = add_torus(rep, 2)
     return BuildResult(rep, (pair_dot(n),), None)
 
@@ -255,7 +253,7 @@ def _vector_and_alt_rep(n: int) -> MatrixRep:
     g = gl(n)
     return direct_sum_shared(
         [
-            (f"gl({n})", [natural_action(g), alt2(g)]),
+            (f"gl({n})", [g, alt2(g)]),
             ("scaling", [_identity_on(n), None]),
         ]
     )
@@ -277,7 +275,7 @@ def _covector_and_alt_rep(n: int) -> MatrixRep:
     g = gl(n)
     return direct_sum_shared(
         [
-            (f"gl({n})", [reps.dual_action(g), alt2(g)]),
+            (f"gl({n})", [dual(g), alt2(g)]),
             ("scaling", [_identity_on(n), None]),
         ]
     )
@@ -304,7 +302,7 @@ def _vector_and_matrix_rep(n: int, m: int) -> MatrixRep:
     second = f"gl({m})'" if m == n else f"gl({m})"
     return direct_sum_shared(
         [
-            (f"gl({n})", [natural_action(g1), left_action(g1, m)]),
+            (f"gl({n})", [g1, left_action(g1, m)]),
             (second, [None, right_neg_action(g2, n)]),
         ]
     )
@@ -346,7 +344,7 @@ def _t3_5(p):
     g1, g2 = gl(n), gl(n)
     rep = direct_sum_shared(
         [
-            (f"gl({n})", [reps.dual_action(g1), left_action(g1, n)]),
+            (f"gl({n})", [dual(g1), left_action(g1, n)]),
             (f"gl({n})'", [None, right_neg_action(g2, n)]),
         ]
     )
@@ -425,9 +423,7 @@ def _neg_429b(p):
 def _t3_9(p):
     n = p["n"]
     s = sp(n)
-    rep = direct_sum_shared(
-        [(f"sp({n})", [natural_action(s), natural_action(s)])]
-    )
+    rep = direct_sum_shared([(f"sp({n})", [s, s])])
     rep = add_torus(rep, 2)
     hint = _basis_vec(2 * n, 0) + _basis_vec(2 * n, n)
     return BuildResult(rep, (symplectic_pair(n),), tuple(hint))
@@ -468,9 +464,7 @@ def _neg_4112(p):
 def _neg_421(p):
     n = p["n"]
     s = sl(n)
-    rep = direct_sum_shared(
-        [(f"sl({n})", [natural_action(s), natural_action(s)])]
-    )
+    rep = direct_sum_shared([(f"sl({n})", [s, s])])
     rep = add_torus(rep, 2)
     hint = _basis_vec(n, 0) + _basis_vec(n, 1)
     return BuildResult(rep, (), tuple(hint))
@@ -515,13 +509,11 @@ def _neg_4210(p):
 def _neg_4212(p):
     spin8 = spin_rep(8)
     vect = so(8)
-    rep = direct_sum_shared(
-        [("so(8)", [natural_action(spin8), natural_action(vect)])]
-    )
+    rep = direct_sum_shared([("so(8)", [spin8, vect])])
     rep = add_torus(rep, 2)
     invs = (
-        restrict_to_summand(quadratic_form(Matrix.identity(8)), 16, 0, " (1st summand)"),
-        restrict_to_summand(quadratic_form(Matrix.identity(8)), 16, 8, " (2nd summand)"),
+        restrict_to_summand(quadratic_form(_eye(8)), 16, 0, " (1st summand)"),
+        restrict_to_summand(quadratic_form(_eye(8)), 16, 8, " (2nd summand)"),
     )
     return BuildResult(rep, invs, None)
 

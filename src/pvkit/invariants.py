@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .linalg import Matrix
+from .linalg import _int_array
 from .octonion import albert_coords_dim, freudenthal_value
 
 __all__ = [
@@ -167,21 +167,30 @@ def pfaffian(n: int) -> InvariantPolynomial:
     return InvariantPolynomial(n * (n - 1) // 2, n // 2, f"Pf on AS({n})", ev)
 
 
-def quadratic_form(s: Matrix) -> InvariantPolynomial:
-    """x -> x^T s x for a symmetric matrix s."""
-    if s.rows != s.cols:
+def quadratic_form(s) -> InvariantPolynomial:
+    """x -> x^T s x for a square, symmetric integer matrix s (array-like).
+
+    The terms s_ii x_i^2 and 2 s_ij x_i x_j (i < j) are precomputed as ints.
+    """
+    a, den = _int_array(s)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("quadratic form needs a square matrix")
-    if s != s.transpose():
+    if (a != a.T).any():
         raise ValueError("quadratic form needs a symmetric matrix")
-    n = s.rows
-    entries = [[s[i, j] for j in range(n)] for i in range(n)]
+    if den != 1:
+        raise ValueError("quadratic form needs integer entries")
+    n = len(a)
+    terms = [
+        (i, j, int(a[i, j]) * (1 if i == j else 2))
+        for i in range(n)
+        for j in range(i, n)
+        if a[i, j]
+    ]
 
     def ev(coords):
         acc = 0
-        for i in range(n):
-            for j in range(n):
-                if entries[i][j]:
-                    acc = acc + entries[i][j] * coords[i] * coords[j]
+        for i, j, c in terms:
+            acc = acc + c * coords[i] * coords[j]
         return acc
 
     return InvariantPolynomial(n, 2, f"quadratic form on C^{n}", ev)

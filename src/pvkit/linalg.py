@@ -7,9 +7,11 @@ from the entries holds, Python ints (`dtype=object`) otherwise.  Every
 elimination is fraction-free, so nothing is ever rounded.  `SpanSolver`
 keeps each row as one such array, re-chosen after every row operation, so
 one elimination may move from int64 to Python ints and back; the numbers,
-and so the results, are the same on either dtype.  Coefficient vectors and
-kernel bases are (A, den) pairs; `fractions.Fraction` is kept for `Matrix`
-entries.  Jets compute over whatever ring their coordinates come from.
+and so the results, are the same on either dtype.  `rank`, `nullspace` and
+`det` take a 2-D array-like of integers or rationals (or a `Matrix`) and
+clear it once.  Coefficient vectors and kernel bases are (A, den) pairs.
+`Matrix`, a small Fraction matrix, is kept for callers outside the
+pipeline.  Jets compute over whatever ring their coordinates come from.
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ __all__ = [
     "DetRng",
     "SpanSolver",
     "DimensionMismatchError",
-    "bracket",
     "rank",
     "nullspace",
     "det",
-    "jet_eval2",
     "jet_line",
 ]
 
@@ -226,9 +226,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
-
     def tolists(self) -> list[list[Q]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -302,33 +299,37 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body}{'...' if self.rows > 6 else ''})"
 
 
-def bracket(a: Matrix, b: Matrix) -> Matrix:
-    """Commutator ab - ba."""
-    return a @ b - b @ a
+def _int_matrix(m) -> tuple[np.ndarray, int]:
+    """(A, den) for a Matrix or a 2-D array-like, as from `_int_array`."""
+    a, den = m._ints() if isinstance(m, Matrix) else _int_array(m)
+    if a.ndim != 2:
+        raise DimensionMismatchError("expected a 2-D matrix")
+    return a, den
 
 
-def rank(m: Matrix | np.ndarray) -> int:
+def rank(m) -> int:
     """Row rank by exact fraction-free elimination.
 
-    m is a Matrix or a 2-D integer array; a nonzero multiple of a matrix
-    has its rank and its kernel, so such an integer array may stand for it.
+    m is a Matrix or a 2-D array-like of integers or rationals; a nonzero
+    multiple of a matrix has its rank and its kernel, so an integer array
+    may stand for a rational one.
     """
-    a = m._ints()[0] if isinstance(m, Matrix) else m
+    a, _ = _int_matrix(m)
     solver = SpanSolver(a.shape[1])
     for row in a:
         solver.insert(row)
     return solver.rank
 
 
-def nullspace(m: Matrix | np.ndarray) -> tuple[np.ndarray, int]:
+def nullspace(m) -> tuple[np.ndarray, int]:
     """(K, den): the rows of K / den are an exact basis of {v : m v = 0}.
 
-    m is a Matrix or a 2-D integer array, as for rank.  Row f / den has 1
-    at free column f (one in the span of the columns before it), 0 at the
-    other free columns, and is then sign-normalized so its first nonzero
-    coordinate is positive.  den > 0, gcd(K, den) == 1, K is (nullity, cols).
+    m is as for rank.  Row f / den has 1 at free column f (one in the span
+    of the columns before it), 0 at the other free columns, and is then
+    sign-normalized so its first nonzero coordinate is positive.  den > 0,
+    gcd(K, den) == 1, K is (nullity, cols).
     """
-    a = m._ints()[0] if isinstance(m, Matrix) else m
+    a, _ = _int_matrix(m)
     cols = a.shape[1]
     solver = SpanSolver(a.shape[0], track=max(1, min(a.shape)))
     pivots: list[int] = []
@@ -351,19 +352,19 @@ def nullspace(m: Matrix | np.ndarray) -> tuple[np.ndarray, int]:
     return _fit(kernel), den
 
 
-def det(m: Matrix) -> Q:
-    """Exact determinant via Bareiss fraction-free elimination."""
-    if m.rows != m.cols:
+def det(m) -> Q:
+    """Exact determinant via Bareiss fraction-free elimination.
+
+    m is as for rank; it is cleared to A / den once, and Bareiss runs on
+    the Python ints of A, so det(m) == det(A) / den**n.
+    """
+    ints, den = _int_matrix(m)
+    n, cols = ints.shape
+    if n != cols:
         raise DimensionMismatchError("determinant of a non-square matrix")
-    n = m.rows
     if n == 0:
         return Q(1)
-    a: list[list[int]] = []
-    scale = 1
-    for i in range(n):
-        ints, d = _int_array(m.row(i))
-        a.append(ints.tolist())
-        scale *= d
+    a: list[list[int]] = ints.tolist()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -384,7 +385,7 @@ def det(m: Matrix) -> Q:
                 row[j] = (pk * row[j] - aik * prow[j]) // prev
             row[k] = 0
         prev = pk
-    return Q(sign * a[n - 1][n - 1], scale)
+    return Q(sign * a[n - 1][n - 1], den**n)
 
 
 class Jet2:
@@ -458,29 +459,6 @@ def jet_line(f: Callable[[Sequence], object], x: Sequence, u: Sequence) -> Jet2:
     if len(x) != len(u):
         raise DimensionMismatchError("x and u must have equal length")
     return Jet2._lift(f([Jet2(xi, ui) for xi, ui in zip(x, u)]))
-
-
-def jet_eval2(
-    f: Callable[[Sequence], object],
-    x: Sequence,
-    u: Sequence,
-    v: Sequence,
-) -> tuple[Q, Q, Q, Q]:
-    """Exact (f(x), D_u f, D_v f, D_u D_v f) via second-order jets.
-
-    The mixed derivative comes from polarization:
-    D_u D_v = (D^2_{u+v} - D^2_u - D^2_v) / 2.
-    """
-    if not (len(x) == len(u) == len(v)):
-        raise DimensionMismatchError("x, u, v must have equal length")
-    xq = [_as_q(t) for t in x]
-    uq = [_as_q(t) for t in u]
-    vq = [_as_q(t) for t in v]
-    ju = jet_line(f, xq, uq)
-    jv = jet_line(f, xq, vq)
-    jw = jet_line(f, xq, [a + b for a, b in zip(uq, vq)])
-    mixed = Q(jw.d2 - ju.d2 - jv.d2) / 2
-    return _as_q(ju.v), _as_q(ju.d1), _as_q(jv.d1), mixed
 
 
 class DetRng:

@@ -18,7 +18,6 @@ particular), so the cubic form can be evaluated on jet coordinates directly.
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -258,13 +257,13 @@ def _oct_mat_mul(a, b):
     return out
 
 
-def jordan_mult_operator(coords: Sequence) -> list[list]:
-    """27x27 matrix of x -> a o x (Jordan product, half the anticommutator).
+def jordan_mult_operator(coords: Sequence) -> tuple[list[list], int]:
+    """(rows, 2): rows is the 27x27 matrix of x -> a x + x a, so rows / 2 is
+    x -> a o x (the Jordan product, half the anticommutator).
 
-    The products run in the ring of coords; only the halving makes Fractions.
+    The products run in the ring of coords and nothing is divided.
     """
     am = _as_oct_matrix(coords)
-    half = Q(1, 2)
     cols = []
     for j in range(albert_coords_dim):
         basis = [0] * albert_coords_dim
@@ -273,9 +272,10 @@ def jordan_mult_operator(coords: Sequence) -> list[list]:
         prod = _oct_mat_mul(am, bm)
         prod2 = _oct_mat_mul(bm, am)
         sym = [
-            [[(x + y) * half for x, y in zip(prod[i][k], prod2[i][k])] for k in range(3)]
+            [[x + y for x, y in zip(prod[i][k], prod2[i][k])] for k in range(3)]
             for i in range(3)
         ]
         cols.append(_matrix_coords(sym))
-    return [[cols[j][i] for j in range(albert_coords_dim)] for i in range(albert_coords_dim)]
+    rows = [[cols[j][i] for j in range(albert_coords_dim)] for i in range(albert_coords_dim)]
+    return rows, 2
 

@@ -16,12 +16,12 @@ matrices), so every downstream report is reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Matrix, Q, SpanSolver, _fit, _int_array, nullspace
+from .linalg import Q, SpanSolver, _fit, _int_array, nullspace
 from .octonion import (
     OCT_DIM,
     albert_coords_dim,
@@ -48,16 +48,9 @@ __all__ = [
     "alt2",
     "add_torus",
     "direct_sum_shared",
-    "natural_action",
-    "dual_action",
     "left_action",
     "right_transpose_action",
     "right_neg_action",
-    "alt2_action",
-    "sym_basis",
-    "alt_basis",
-    "sym_coords",
-    "alt_coords",
 ]
 
 
@@ -68,36 +61,23 @@ class ClosureError(RuntimeError):
 class MatrixRep:
     """A Lie algebra given by the matrices of a basis acting on a space.
 
-    `T` and `den` hold the generators (see the module docstring); `basis`
-    rebuilds them as rational matrices on first use.
+    Generator i is T[i] / den (see the module docstring).  T is an
+    array-like of shape (d, n, n) with d >= 1, of integers or rationals;
+    it is cleared once, and its dtype re-chosen, by `linalg._int_array`.
     """
 
     def __init__(
         self,
-        basis: Sequence[Matrix],
+        T,
+        den: int,
         labels: Sequence[str],
         summand_dims: Optional[Sequence[int]] = None,
     ):
-        if not basis:
-            raise ValueError("a representation needs at least one generator")
-        n = basis[0].rows
-        for b in basis:
-            if b.rows != n or b.cols != n:
-                raise ValueError("all basis matrices must be square of equal size")
-        T, den = _int_array([b.tolists() for b in basis])
-        self._setup(T, den, labels, summand_dims)
-
-    @classmethod
-    def _of(cls, T: np.ndarray, den: int, labels, summand_dims=None) -> "MatrixRep":
-        """Wrap an integer array of generators (T / den), re-choosing its dtype."""
-        T, _ = _int_array(T)
-        rep = cls.__new__(cls)
-        rep._setup(T, den, labels, summand_dims)
-        return rep
-
-    def _setup(self, T: np.ndarray, den: int, labels, summand_dims) -> None:
+        T, k = _int_array(T)
+        if T.ndim != 3 or T.shape[1] != T.shape[2] or not len(T):
+            raise ValueError("generators must be a nonempty stack of square matrices")
         self.T = T
-        self.den = den
+        self.den = den * k
         self.labels = tuple(labels)
         self.algebra_dim, n = T.shape[0], T.shape[1]
         self.space_dim = n
@@ -107,13 +87,6 @@ class MatrixRep:
         self._span: SpanSolver | None = None
         self._struct: tuple[np.ndarray, int] | None = None
         self._derived: "Subalgebra" | None = None
-
-    @cached_property
-    def basis(self) -> tuple[Matrix, ...]:
-        n = self.space_dim
-        return tuple(
-            Matrix(n, n, [Q(int(v), self.den) for v in t.ravel()]) for t in self.T
-        )
 
     # -- linear structure ---------------------------------------------------
 
@@ -223,11 +196,6 @@ class Subalgebra:
         return True
 
 
-def _as_rep(gens) -> MatrixRep:
-    """A MatrixRep as it is, or a sequence of Matrix as an unlabelled rep."""
-    return gens if isinstance(gens, MatrixRep) else MatrixRep(gens, ())
-
-
 def _common_den(parts) -> tuple[list[np.ndarray], int]:
     """Rescale (array, den) pairs to their least common denominator."""
     den = math.lcm(*(k for _, k in parts))
@@ -264,7 +232,7 @@ def gl(n: int) -> MatrixRep:
     """gl(n) on C^n; basis E_ij in row-major order."""
     if n < 1:
         raise ValueError("gl needs n >= 1")
-    return MatrixRep._of(_units(n), 1, (f"gl({n})",))
+    return MatrixRep(_units(n), 1, (f"gl({n})",))
 
 
 def sl(n: int) -> MatrixRep:
@@ -277,31 +245,14 @@ def sl(n: int) -> MatrixRep:
     diag = np.arange(n) * (n + 1)
     off = np.setdiff1d(np.arange(n * n), diag)
     T = np.concatenate([e[off], e[diag[:-1]] - e[diag[1:]]])
-    return MatrixRep._of(T, 1, (f"sl({n})",))
+    return MatrixRep(T, 1, (f"sl({n})",))
 
 
 def so(n: int) -> MatrixRep:
     """so(n) for the form sum x_i^2: antisymmetric matrices E_ij - E_ji."""
     if n < 2:
         raise ValueError("so needs n >= 2")
-    return MatrixRep._of(_alt_units(n), 1, (f"so({n})",))
-
-
-def sym_basis(n: int) -> list[Matrix]:
-    """Symmetric matrix basis: E_ii on the diagonal, E_ij + E_ji above it."""
-    return [Matrix(n, n, t.ravel().tolist()) for t in _sym_units(n)]
-
-
-def alt_basis(n: int) -> list[Matrix]:
-    return [Matrix(n, n, t.ravel().tolist()) for t in _alt_units(n)]
-
-
-def sym_coords(m: Matrix) -> list[Q]:
-    return [m[i, j] for i in range(m.rows) for j in range(i, m.rows)]
-
-
-def alt_coords(m: Matrix) -> list[Q]:
-    return [m[i, j] for i in range(m.rows) for j in range(i + 1, m.rows)]
+    return MatrixRep(_alt_units(n), 1, (f"so({n})",))
 
 
 def sp(n: int) -> MatrixRep:
@@ -318,7 +269,7 @@ def sp(n: int) -> MatrixRep:
     T[:k, n:, n:] = -e.transpose(0, 2, 1)
     T[k : k + len(s), :n, n:] = s
     T[k + len(s) :, n:, :n] = s
-    return MatrixRep._of(T, 1, (f"sp({n})",))
+    return MatrixRep(T, 1, (f"sp({n})",))
 
 
 # -- spin representations via rational Clifford algebras ----------------------
@@ -369,15 +320,15 @@ def spin_rep(m: int) -> MatrixRep:
     """
     if m == 7:
         T = -_pair_products(_oct_left_mults()[1:])
-        return MatrixRep._of(T, 2, ("spin(7)",))
+        return MatrixRep(T, 2, ("spin(7)",))
     if m == 8:
         T = -_pair_products(_gammas16())[:, :OCT_DIM, :OCT_DIM]
-        return MatrixRep._of(T, 2, ("spin(8) half-spin",))
+        return MatrixRep(T, 2, ("spin(8) half-spin",))
     if m == 9:
         # the ninth generator pairs as gamma_i/2 = -(gamma_i @ -1)/2
         ninth = -_eye(2 * OCT_DIM)[None]
         T = -_pair_products(np.concatenate([_gammas16(), ninth]))
-        return MatrixRep._of(T, 2, ("spin(9)",))
+        return MatrixRep(T, 2, ("spin(9)",))
     raise ValueError("spin_rep supports m in {7, 8, 9}")
 
 
@@ -395,7 +346,7 @@ def half_spin_rep10() -> MatrixRep:
     big = reduce(np.matmul, gams)
     fs = np.concatenate([gams @ big, big[None]])  # nine generators squaring to +1
     T = np.concatenate([_pair_products(fs), -fs])
-    return MatrixRep._of(T, 2, ("so(9,1) half-spin",))
+    return MatrixRep(T, 2, ("so(9,1) half-spin",))
 
 
 # -- exceptional algebras -----------------------------------------------------
@@ -436,7 +387,7 @@ def g2_rep() -> MatrixRep:
     kernel = kernel.reshape(14, OCT_DIM, OCT_DIM)
     if kernel[:, :, 0].any() or kernel[:, 0, :].any():
         raise AssertionError("a derivation moved the octonion unit")
-    return MatrixRep._of(kernel[:, 1:, 1:], den, ("g2",))
+    return MatrixRep(kernel[:, 1:, 1:], den, ("g2",))
 
 
 @lru_cache(maxsize=None)
@@ -524,8 +475,8 @@ def e6_rep() -> MatrixRep:
     for j in range(n):
         coords = [0] * n
         coords[j] = 1
-        op = jordan_mult_operator(coords)
-        mults.append(np.array([[int(2 * x) for x in row] for row in op], dtype=np.int64))
+        rows, _ = jordan_mult_operator(coords)
+        mults.append(np.array(rows, dtype=np.int64))
     # traceless diagonal combinations, then the off-diagonal coordinates
     candidates = [mults[0] - mults[1], mults[1] - mults[2]] + mults[3:]
     for i in range(n):
@@ -543,7 +494,7 @@ def e6_rep() -> MatrixRep:
     for a in basis_ints:
         if not _annihilates_cubic(a):
             raise AssertionError("a basis element fails to annihilate the cubic")
-    return MatrixRep._of(np.stack(basis_ints), 1, ("e6 (27-dim rep)",))
+    return MatrixRep(np.stack(basis_ints), 1, ("e6 (27-dim rep)",))
 
 
 # -- combinators ---------------------------------------------------------------
@@ -551,7 +502,7 @@ def e6_rep() -> MatrixRep:
 
 def dual(rep: MatrixRep) -> MatrixRep:
     """Contragredient representation: X -> -X^T."""
-    return MatrixRep._of(
+    return MatrixRep(
         -rep.T.transpose(0, 2, 1),
         rep.den,
         tuple(f"{l}*" for l in rep.labels),
@@ -567,16 +518,18 @@ def tensor(r1: MatrixRep, r2: MatrixRep) -> MatrixRep:
             (np.kron(_eye(r1.space_dim), r2.T), r2.den),
         ]
     )
-    return MatrixRep._of(np.concatenate(parts), den, r1.labels + r2.labels)
+    return MatrixRep(np.concatenate(parts), den, r1.labels + r2.labels)
 
 
 def _square_action(T: np.ndarray, upper: int) -> np.ndarray:
     """s -> X s + s X^T on symmetric (upper=0) or antisymmetric (upper=1)
-    n x n matrices, in the coordinates of sym_coords / alt_coords.
+    n x n matrices, in upper-triangle coordinates (the diagonal included
+    when upper=0), row-major.
 
     The action on all of M(n) is kron(X, I) + kron(I, X) on row-major
     entries; its rows are gathered at the triangle coordinates and its
-    columns combined into the basis of sym_basis / alt_basis.
+    columns combined into the basis E_ij + E_ji (upper=0) or E_ij - E_ji
+    (upper=1), i <= j resp. i < j.
     """
     n = T.shape[1]
     i, j = np.triu_indices(n, upper)
@@ -588,14 +541,14 @@ def _square_action(T: np.ndarray, upper: int) -> np.ndarray:
 
 def sym2(rep: MatrixRep) -> MatrixRep:
     """Action s -> X s + s X^T on symmetric matrices, in triangle coordinates."""
-    return MatrixRep._of(
+    return MatrixRep(
         _square_action(rep.T, 0), rep.den, tuple(f"S2({l})" for l in rep.labels)
     )
 
 
 def alt2(rep: MatrixRep) -> MatrixRep:
     """Action x -> X x + x X^T on antisymmetric matrices."""
-    return MatrixRep._of(
+    return MatrixRep(
         _square_action(rep.T, 1), rep.den, tuple(f"L2({l})" for l in rep.labels)
     )
 
@@ -615,21 +568,20 @@ def add_torus(rep: MatrixRep, k: int) -> MatrixRep:
         raise ValueError("torus count must be 1 or the number of summands")
     extra = (owner == np.arange(k)[:, None])[:, :, None] * _eye(n)
     parts, den = _common_den([(rep.T, rep.den), (extra, 1)])
-    return MatrixRep._of(
+    return MatrixRep(
         np.concatenate(parts), den, rep.labels + ("torus",) * k, rep.summand_dims
     )
 
 
 def direct_sum_shared(
-    factors: Sequence[tuple[str, Sequence[Optional[Sequence[Matrix]]]]],
+    factors: Sequence[tuple[str, Sequence[Optional[MatrixRep]]]],
 ) -> MatrixRep:
     """Direct sum of summands with factors acting diagonally where shared.
 
     Each factor is (label, actions); actions has one entry per summand,
-    either None (the factor ignores that summand) or the matrices of its
-    basis acting there, as a sequence of Matrix or as the MatrixRep that
-    an action helper returns.  A factor shared between summands must appear
-    as a single entry; duplicate labels are rejected as mis-wired sharing.
+    either None (the factor ignores that summand) or the MatrixRep of its
+    basis acting there.  A factor shared between summands must appear as a
+    single entry; duplicate labels are rejected as mis-wired sharing.
     """
     labels = [label for label, _ in factors]
     if len(set(labels)) != len(labels):
@@ -641,7 +593,7 @@ def direct_sum_shared(
     for label, actions in factors:
         if len(actions) != n_summands:
             raise ValueError(f"factor {label}: wrong number of summand slots")
-        acts = [(s, _as_rep(act)) for s, act in enumerate(actions) if act is not None]
+        acts = [(s, act) for s, act in enumerate(actions) if act is not None]
         if len({act.algebra_dim for _, act in acts}) != 1:
             raise ValueError(f"factor {label}: inconsistent generator counts")
         for s, act in acts:
@@ -659,37 +611,25 @@ def direct_sum_shared(
     for (g, s, act), block in zip(slots, scaled):
         a, b = offsets[s], offsets[s + 1]
         T[g : g + act.algebra_dim, a:b, a:b] = block
-    return MatrixRep._of(T, den, tuple(labels), tuple(dims))
+    return MatrixRep(T, den, tuple(labels), tuple(dims))
 
 
 # -- factor action helpers -----------------------------------------------------
 #
-# Each helper returns the action as a MatrixRep, which direct_sum_shared
-# takes in place of a list of matrices.
-
-
-def natural_action(rep: MatrixRep) -> MatrixRep:
-    return rep
-
-
-def dual_action(rep: MatrixRep) -> MatrixRep:
-    return dual(rep)
+# Each helper returns the action of a factor on a matrix space as a
+# MatrixRep, for direct_sum_shared.
 
 
 def left_action(rep: MatrixRep, cols: int) -> MatrixRep:
     """M -> X M on row-major M(space_dim, cols)."""
-    return MatrixRep._of(np.kron(rep.T, _eye(cols)), rep.den, rep.labels)
+    return MatrixRep(np.kron(rep.T, _eye(cols)), rep.den, rep.labels)
 
 
 def right_transpose_action(rep: MatrixRep, rows: int) -> MatrixRep:
     """M -> M X^T on row-major M(rows, space_dim)."""
-    return MatrixRep._of(np.kron(_eye(rows), rep.T), rep.den, rep.labels)
+    return MatrixRep(np.kron(_eye(rows), rep.T), rep.den, rep.labels)
 
 
 def right_neg_action(rep: MatrixRep, rows: int) -> MatrixRep:
     """M -> -M X on row-major M(rows, space_dim)."""
     return right_transpose_action(dual(rep), rows)
-
-
-def alt2_action(basis: Sequence[Matrix], n: int) -> MatrixRep:
-    return alt2(_as_rep(basis))

@@ -2,16 +2,18 @@
 
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
+from helpers import action_matrix, basis
 from pvkit.analyzer import (
     GenericPoint,
     NotPrehomogeneousError,
     ZeroAtTestPointError,
-    action_matrix,
     character_space_dim,
     classify,
     find_generic_point,
+    hessian_matrix,
     hessian_regularity,
     isotropy_algebra,
     sample_certified_points,
@@ -24,16 +26,14 @@ from pvkit.invariants import (
     quadratic_form,
     restrict_to_summand,
 )
-from pvkit.linalg import DetRng, Matrix, rank
+from pvkit.linalg import DetRng, Jet2, Matrix, rank
 from pvkit.reps import (
     MatrixRep,
     add_torus,
     alt2,
-    alt2_action,
     direct_sum_shared,
-    dual_action,
+    dual,
     gl,
-    natural_action,
     sl,
     so,
     sp,
@@ -42,8 +42,17 @@ from pvkit.reps import (
 )
 
 
+def _eye(n: int) -> np.ndarray:
+    return np.eye(n, dtype=np.int64)
+
+
 def torus_line() -> MatrixRep:
-    return MatrixRep([Matrix.identity(1)], ("torus",))
+    return MatrixRep(_eye(1)[None], 1, ("torus",))
+
+
+def scaling(n: int) -> MatrixRep:
+    """One generator scaling C^n, as a summand action for direct_sum_shared."""
+    return MatrixRep(_eye(n)[None], 1, ())
 
 
 def test_action_matrix_torus():
@@ -68,9 +77,7 @@ def test_action_matrix_at_zero():
 def test_find_generic_point_accepts_registered_point():
     n = 2
     s = sp(n)
-    rep = add_torus(
-        direct_sum_shared([(f"sp({n})", [natural_action(s), natural_action(s)])]), 2
-    )
+    rep = add_torus(direct_sum_shared([(f"sp({n})", [s, s])]), 2)
     hint = [Q(0)] * (4 * n)
     hint[0] = Q(1)
     hint[2 * n + n] = Q(1)
@@ -85,7 +92,7 @@ def test_find_generic_point_certifies_identity_for_sym():
 
 
 def test_zero_rep_is_not_prehomogeneous():
-    zero = MatrixRep([Matrix.zeros(1, 1)], ("zero",))
+    zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
     with pytest.raises(NotPrehomogeneousError):
         find_generic_point(zero, seed=0)
 
@@ -96,8 +103,8 @@ def test_isotropy_dims_vector_plus_alt():
     g = gl(n)
     rep = direct_sum_shared(
         [
-            (f"gl({n})", [natural_action(g), alt2_action(g.basis, n)]),
-            ("scaling", [[Matrix.identity(n)], None]),
+            (f"gl({n})", [g, alt2(g)]),
+            ("scaling", [scaling(n), None]),
         ]
     )
     assert rep.algebra_dim == 10 and rep.space_dim == 6
@@ -130,9 +137,7 @@ def test_empty_subalgebras_keep_their_shape(rep, char_dim):
 @pytest.mark.parametrize("n", [2, 3])
 def test_isotropy_shared_symplectic_pair(n):
     s = sp(n)
-    rep = add_torus(
-        direct_sum_shared([(f"sp({n})", [natural_action(s), natural_action(s)])]), 2
-    )
+    rep = add_torus(direct_sum_shared([(f"sp({n})", [s, s])]), 2)
     hint = [Q(0)] * (4 * n)
     hint[0] = Q(1)
     hint[2 * n + n] = Q(1)
@@ -152,7 +157,7 @@ def test_character_dim_two_for_spin8_vector_pair():
     spin8 = spin_rep(8)
     rep = add_torus(
         direct_sum_shared(
-            [("so(8)", [list(spin8.basis), natural_action(so(8))])]
+            [("so(8)", [spin8, so(8)])]
         ),
         2,
     )
@@ -172,13 +177,13 @@ def test_lambda_det_on_sym_is_twice_trace():
     pts = sample_certified_points(r, 10, seed=0, avoid_zero_of=f)
     ok, lam = verify_relative_invariant(r, f, pts)
     assert ok
-    assert list(lam) == [2 * b.trace() for b in gl(3).basis]
+    assert list(lam) == [2 * b.trace() for b in basis(gl(3))]
 
 
 def test_lambda_quadratic_under_so_plus_torus():
     n = 4
     rep = add_torus(so(n), 1)
-    f = quadratic_form(Matrix.identity(n))
+    f = quadratic_form(_eye(n))
     pts = sample_certified_points(rep, 10, seed=0, avoid_zero_of=f)
     ok, lam = verify_relative_invariant(rep, f, pts)
     assert ok
@@ -191,7 +196,7 @@ def test_lambda_pfaffian_is_trace():
     pts = sample_certified_points(r, 10, seed=0, avoid_zero_of=f)
     ok, lam = verify_relative_invariant(r, f, pts)
     assert ok
-    assert list(lam) == [b.trace() for b in gl(4).basis]
+    assert list(lam) == [b.trace() for b in basis(gl(4))]
 
 
 def test_lambda_constant_across_more_points():
@@ -215,7 +220,7 @@ def test_verify_raises_on_zero_point():
 def test_hessian_regularity_quadratic():
     n = 4
     rep = add_torus(so(n), 1)
-    f = quadratic_form(Matrix.identity(n))
+    f = quadratic_form(_eye(n))
     p = find_generic_point(rep, hint=[1, 0, 0, 0])
     assert hessian_regularity(f, rep, p)
 
@@ -235,8 +240,8 @@ def test_hessian_degenerate_for_partial_invariant():
     g = gl(n)
     rep = direct_sum_shared(
         [
-            (f"gl({n})", [dual_action(g), alt2_action(g.basis, n)]),
-            ("scaling", [[Matrix.identity(n)], None]),
+            (f"gl({n})", [dual(g), alt2(g)]),
+            ("scaling", [scaling(n), None]),
         ]
     )
     total = n + n * (n - 1) // 2
@@ -250,14 +255,13 @@ def test_hessian_dichotomy_at_ten_points():
     cases = [
         (sym2(gl(3)), determinant(3, "sym")),
         (alt2(gl(4)), pfaffian(4)),
-        (add_torus(so(4), 1), quadratic_form(Matrix.identity(4))),
+        (add_torus(so(4), 1), quadratic_form(_eye(4))),
     ]
-    from pvkit.analyzer import hessian_matrix
     from pvkit.linalg import det as det_exact
 
     for rep, f in cases:
         pts = sample_certified_points(rep, 10, seed=3, avoid_zero_of=f)
-        flags = {det_exact(hessian_matrix(f, p.coordinates)) != 0 for p in pts}
+        flags = {det_exact(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts}
         assert len(flags) == 1
 
 
@@ -279,7 +283,7 @@ def test_classify_assembles_report():
 
 
 def test_classify_inconclusive_when_not_prehomogeneous():
-    zero = MatrixRep([Matrix.zeros(1, 1)], ("zero",))
+    zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
     rep = classify(zero, [], seed=0)
     assert not rep.prehomogeneous
     assert "inconclusive" in rep.notes
@@ -306,7 +310,7 @@ def test_action_matrix_matches_fraction_reference(which):
     rng = DetRng(77)
     for _ in range(3):
         x = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rep.space_dim)]
-        reference = Matrix.from_cols([b.apply(x) for b in rep.basis])
+        reference = Matrix.from_cols([b.apply(x) for b in basis(rep)])
         assert action_matrix(rep, x) == reference
 
 
@@ -314,19 +318,20 @@ def test_action_matrix_matches_fraction_reference(which):
     "which", ["sym_det", "spin7_quadratic", "partial_pfaffian"]
 )
 def test_invariance_and_hessian_at_halved_points(which):
-    """Jets at x / 2 run over Fractions and give the lambda and flag of x."""
+    """x / 2 is cleared back to an integer point, and gives the lambda and
+    flag of x; its Hessian is 2^(2-k) times that of x (f of degree k)."""
     if which == "sym_det":
         rep, f = sym2(gl(3)), determinant(3, "sym")
     elif which == "spin7_quadratic":
         # half-integer generators: rep.den == 2
-        rep, f = add_torus(spin_rep(7), 1), quadratic_form(Matrix.identity(8))
+        rep, f = add_torus(spin_rep(7), 1), quadratic_form(_eye(8))
     else:
         n = 4
         g = gl(n)
         rep = direct_sum_shared(
             [
-                (f"gl({n})", [dual_action(g), alt2_action(g.basis, n)]),
-                ("scaling", [[Matrix.identity(n)], None]),
+                (f"gl({n})", [dual(g), alt2(g)]),
+                ("scaling", [scaling(n), None]),
             ]
         )
         f = restrict_to_summand(pfaffian(n), n + n * (n - 1) // 2, n)
@@ -340,3 +345,33 @@ def test_invariance_and_hessian_at_halved_points(which):
     assert all(isinstance(c, Q) for c in lam)
     for p, h in zip(pts, halved):
         assert hessian_regularity(f, rep, h) == hessian_regularity(f, rep, p)
+        (hp, dp), (hh, dh) = hessian_matrix(f, p.coordinates), hessian_matrix(f, h.coordinates)
+        # Hess f(x / 2) = (1/2)^(k-2) Hess f(x)
+        law = Q(1, 2) ** (f.degree - 2)
+        assert (hh * dp * law.denominator).tolist() == (hp * dh * law.numerator).tolist()
+
+
+def _int_only(f: InvariantPolynomial) -> InvariantPolynomial:
+    """f, asserting that every coordinate it sees is an int or an int jet."""
+
+    def ev(coords):
+        for c in coords:
+            parts = (c.v, c.d1, c.d2) if isinstance(c, Jet2) else (c,)
+            assert all(type(v) is int for v in parts), c
+        return f.evaluator(coords)
+
+    return InvariantPolynomial(f.arity, f.degree, f.name, ev)
+
+
+def test_pipeline_evaluates_invariants_at_integer_points_only():
+    rep, f = sym2(gl(3)), _int_only(determinant(3, "sym"))
+    pts = sample_certified_points(rep, 4, seed=2, avoid_zero_of=f)
+    hint = [Q(1, 2), 0, 0, Q(3, 2), 0, Q(-1, 3)]
+    assert sample_certified_points(rep, 2, seed=2, avoid_zero_of=f, hint=hint)
+    halved = [
+        GenericPoint(tuple(c / 2 for c in p.coordinates), True) for p in pts
+    ]
+    for points in (pts, halved):
+        ok, lam = verify_relative_invariant(rep, f, points)
+        assert ok and lam == tuple(2 * b.trace() for b in basis(gl(3)))
+        assert all(hessian_regularity(f, rep, p) for p in points)

@@ -2,8 +2,11 @@
 
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
+from helpers import alt_coords, basis, sym_coords
+from pvkit.analyzer import hessian_matrix
 from pvkit.invariants import (
     alt_unpack,
     bordered_pfaffian,
@@ -18,8 +21,7 @@ from pvkit.invariants import (
     symplectic_pair,
     sym_unpack,
 )
-from pvkit.linalg import DetRng, Matrix, Q as QQ, det, jet_eval2
-from pvkit.reps import alt_coords, sym_coords
+from pvkit.linalg import DetRng, Matrix, Q as QQ, det, jet_line
 
 
 def rand_vec(rng, n, bound=4):
@@ -88,18 +90,24 @@ def test_pf_congruence_law():
 
 
 def test_quadratic_identity_form():
-    f = quadratic_form(Matrix.identity(3))
+    f = quadratic_form(np.eye(3, dtype=np.int64))
     assert f([1, 0, 0]) == 1
     assert f([1, 2, 2]) == 9
 
 
 def test_quadratic_hessian_is_2s():
-    from pvkit.analyzer import hessian_matrix
-
-    s = Matrix.from_rows([[2, 1, 0], [1, 3, -1], [0, -1, 1]])
+    s = [[2, 1, 0], [1, 3, -1], [0, -1, 1]]
     f = quadratic_form(s)
-    h = hessian_matrix(f, [QQ(1), QQ(2), QQ(3)])
-    assert h == s.scale(2)
+    h, den = hessian_matrix(f, [QQ(1), QQ(2), QQ(3)])
+    assert Matrix.from_rows(h.tolist()).scale(QQ(1, den)) == Matrix.from_rows(s).scale(2)
+
+
+def test_quadratic_form_takes_square_symmetric_integer_arrays():
+    s = np.array([[2, 1], [1, -3]], dtype=np.int64)
+    assert quadratic_form(s)([1, 2]) == 2 + 4 - 12
+    for bad in ([[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0]], [[QQ(1, 2), 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            quadratic_form(bad)
 
 
 # -- pairings ----------------------------------------------------------------------
@@ -162,12 +170,11 @@ def test_symplectic_pair_infinitesimal_invariance():
     rng = DetRng(15)
     u = rand_vec(rng, 2 * n)
     v = rand_vec(rng, 2 * n)
-    for b in sp(n).basis:
+    for b in basis(sp(n)):
         du = list(b.apply(u)) + [Q(0)] * (2 * n)
         dv = [Q(0)] * (2 * n) + list(b.apply(v))
-        z = [Q(0)] * (4 * n)
-        _, d1u, _, _ = jet_eval2(f, u + v, du, z)
-        _, d1v, _, _ = jet_eval2(f, u + v, dv, z)
+        d1u = jet_line(f, u + v, du).d1
+        d1v = jet_line(f, u + v, dv).d1
         assert d1u + d1v == 0
 
 
@@ -204,7 +211,7 @@ def test_pf_gram_transformation_law():
     f = pf_gram(n)
     for _ in range(10):
         # symplectic transvection: exp of a nilpotent algebra element
-        b = sp(n).basis[n * n]  # a B-block generator, nilpotent
+        b = basis(sp(n))[n * n]  # a B-block generator, nilpotent
         g = Matrix.identity(2 * n) + b.scale(Q(rng.randint(-2, 2)))
         h = Matrix(2, 2, rand_vec(rng, 4))
         x = Matrix(2 * n, 2, rand_vec(rng, 4 * n))
@@ -342,7 +349,7 @@ def fd_derivatives(f, x, u, degree):
         (lambda: determinant(3), 9, 3),
         (lambda: determinant(3, "sym"), 6, 3),
         (lambda: pfaffian(4), 6, 2),
-        (lambda: quadratic_form(Matrix.identity(4)), 4, 2),
+        (lambda: quadratic_form(np.eye(4, dtype=np.int64)), 4, 2),
         (lambda: pair_dot(3), 6, 2),
         (lambda: symplectic_pair(2), 8, 2),
         (lambda: pf_gram(2), 8, 2),
@@ -358,13 +365,14 @@ def test_jets_match_finite_differences(maker, arity, degree):
     for _ in range(5):
         x = rand_vec(rng, arity, 3)
         u = rand_vec(rng, arity, 2)
-        zero = [Q(0)] * arity
-        val, d1, _, _ = jet_eval2(f, x, u, zero)
-        _, _, _, d2 = jet_eval2(f, x, u, u)
+        jet = jet_line(f, x, u)
         fd1, fd2 = fd_derivatives(f, x, u, degree)
-        assert val == f(x)
-        assert d1 == fd1
-        assert d2 == fd2
+        assert jet.v == f(x)
+        assert jet.d1 == fd1
+        assert jet.d2 == fd2
+        # the mixed derivatives: u^T Hess f(x) u is the second derivative
+        h, den = hessian_matrix(f, x)
+        assert Q(sum(a * hij * b for a, row in zip(u, h) for hij, b in zip(row, u)), den) == fd2
 
 
 @pytest.mark.parametrize(
@@ -372,7 +380,7 @@ def test_jets_match_finite_differences(maker, arity, degree):
     [
         (lambda: determinant(4), 4),
         (lambda: pfaffian(6), 3),
-        (lambda: quadratic_form(Matrix.identity(5)), 2),
+        (lambda: quadratic_form(np.eye(5, dtype=np.int64)), 2),
         (lambda: pair_dot(4), 2),
         (lambda: symplectic_pair(3), 2),
         (lambda: pf_gram(3), 2),

@@ -6,6 +6,8 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from pvkit.analyzer import hessian_matrix
+from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
     DetRng,
     DimensionMismatchError,
@@ -15,7 +17,6 @@ from pvkit.linalg import (
     _combine,
     _int_array,
     det,
-    jet_eval2,
     jet_line,
     nullspace,
     rank,
@@ -141,22 +142,49 @@ def test_det_against_leibniz():
 def test_det_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         det(Matrix.zeros(2, 3))
+    with pytest.raises(DimensionMismatchError):
+        det(np.zeros((2, 3), dtype=np.int64))
+
+
+def test_det_of_integer_array_above_int64_matches_leibniz():
+    rng = DetRng(63)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        rows = [
+            [rng.randint(-3, 3) * 2**63 + rng.randint(-5, 5) for _ in range(n)]
+            for _ in range(n)
+        ]
+        a = np.array(rows, dtype=object)
+        assert det(a) == leibniz_det(Matrix.from_rows(rows))
+        assert det(rows) == det(a)
+
+
+def _hessian(f, x):
+    """Hess f(x) as Fractions, from hessian_matrix's (H, den)."""
+    h, den = hessian_matrix(f, x)
+    return [[Q(int(v), den) for v in row] for row in h]
 
 
 def test_jet_square_example():
-    out = jet_eval2(lambda v: v[0] * v[0], [3], [1], [1])
-    assert out == (Q(9), Q(6), Q(6), Q(2))
+    # f = t^2 at 3: value 9, first derivative 6, second derivative 2
+    assert jet_line(lambda v: v[0] * v[0], [3], [1]) == Jet2(9, 6, 2)
+    f = InvariantPolynomial(1, 2, "square", lambda v: v[0] * v[0])
+    assert _hessian(f, [3]) == [[2]]
 
 
 def det2(v):
     return v[0] * v[3] - v[1] * v[2]
 
 
+DET2 = InvariantPolynomial(4, 2, "det on M(2)", det2)
+
+
 def test_jet_det2_equal_directions():
     # expand det(I + t E11) = 1 + t
     x = [1, 0, 0, 1]
     e11 = [1, 0, 0, 0]
-    assert jet_eval2(det2, x, e11, e11) == (Q(1), Q(1), Q(1), Q(0))
+    assert jet_line(det2, x, e11) == Jet2(1, 1, 0)
+    assert _hessian(DET2, x)[0][0] == 0
 
 
 def test_jet_det2_mixed_directions():
@@ -164,12 +192,16 @@ def test_jet_det2_mixed_directions():
     x = [1, 0, 0, 1]
     e11 = [1, 0, 0, 0]
     e22 = [0, 0, 0, 1]
-    assert jet_eval2(det2, x, e11, e22) == (Q(1), Q(1), Q(1), Q(1))
+    assert (jet_line(det2, x, e11).v, jet_line(det2, x, e11).d1) == (1, 1)
+    assert jet_line(det2, x, e22).d1 == 1
+    h = _hessian(DET2, x)
+    assert h[0][3] == h[3][0] == 1
+    assert h == [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
 
 
 def test_jet_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        jet_eval2(det2, [1, 0, 0, 1], [1, 0], [0, 0, 0, 1])
+        jet_line(det2, [1, 0, 0, 1], [1, 0])
 
 
 def poly_second_derivative(coeffs, t):

@@ -1,0 +1,49 @@
+"""Repository checks: layer boundaries of the package, and the benchmark's
+self-test, which runs the package traced."""
+
+import ast
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pvkit"
+
+
+def _imported_names(module: str) -> set[str]:
+    """Modules and names that src/pvkit/<module>.py imports, plus every
+    attribute it reads, so `linalg.Matrix` counts as well."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").split(".")[0])
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("module", ["analyzer", "reps", "invariants", "catalog"])
+def test_pipeline_modules_do_not_use_matrix(module):
+    assert "Matrix" not in _imported_names(module)
+
+
+def test_octonion_does_not_import_fractions():
+    assert "fractions" not in _imported_names("octonion")
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark self-test, traced runs included, exits 0 (about 10 s)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
