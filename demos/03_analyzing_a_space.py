@@ -30,7 +30,7 @@ print(f"algebra dim {rep.algebra_dim}, space dim {rep.space_dim}")
 # Column i of (T @ x).T is den * B_i . x, so that integer matrix has the
 # rank of the orbit map at x.
 point = find_generic_point(rep, seed=0)
-x = [int(c) for c in point.coordinates]
+x = list(point.coordinates)
 m = (rep.T @ x).T
 print(f"certified point {x}: orbit map rank {rank(m)}, "
       f"onto: {certify(rep, point.coordinates)}")

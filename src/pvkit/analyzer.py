@@ -2,9 +2,11 @@
 
 A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by an exact rank computation and never guessed.
-The isotropy subalgebra is a nullspace, the character-lattice rank is a
-corank, relative invariance is checked through exact jets, and regularity
-is the nonvanishing of an exact Hessian determinant at a certified point.
+One seeded sampler draws every certified point of a run, as tuples of
+Python ints.  The isotropy subalgebra is a nullspace, the character-lattice
+rank is a corank, relative invariance is checked through exact jets with
+the character compared in integers, and regularity is the nonvanishing of
+an exact Hessian determinant at the first invariance point.
 """
 
 from __future__ import annotations
@@ -52,9 +54,14 @@ class ZeroAtTestPointError(RuntimeError):
     """An invariant vanished at a point where it was expected not to."""
 
 
+# Draws per sampling call before it gives up, and points per invariance check.
+MAX_DRAWS = 512
+LAMBDA_POINTS = 10
+
+
 @dataclass(frozen=True)
 class GenericPoint:
-    coordinates: Tuple[Q, ...]
+    coordinates: Tuple[int | Q, ...]    # ints from the sampler
     certified: bool
 
 
@@ -105,30 +112,15 @@ def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
 
 
 def find_generic_point(
-    rep: MatrixRep,
-    seed: int = 0,
-    max_retries: int = 64,
-    hint: Optional[Sequence[Q]] = None,
+    rep: MatrixRep, seed: int = 0, hint: Optional[Sequence[Q]] = None
 ) -> GenericPoint:
-    """A certified generic point: the hint when given, else seeded sampling.
+    """A certified generic point: the first of `sample_certified_points`.
 
-    Sampling draws integer coordinates in [-3, 3].  Exhausting the retries
-    raises NotPrehomogeneousError; failing to find a point is evidence, not
-    proof, and the caller is expected to report it as inconclusive.
+    That is the hint when given, else the first certified seeded draw.
+    Failing to find one raises NotPrehomogeneousError; that is evidence,
+    not proof, and the caller is expected to report it as inconclusive.
     """
-    if hint is not None:
-        pt = tuple(Q(c) for c in hint)
-        if not certify(rep, pt):
-            raise NotPrehomogeneousError("the registered point is not generic")
-        return GenericPoint(pt, True)
-    rng = DetRng.for_stream(seed, "generic-point")
-    for _ in range(max_retries):
-        draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
-        if certify(rep, draw):
-            return GenericPoint(tuple(Q(c) for c in draw), True)
-    raise NotPrehomogeneousError(
-        f"no certified point in {max_retries} samples (inconclusive)"
-    )
+    return sample_certified_points(rep, 1, seed=seed, hint=hint)[0]
 
 
 def isotropy_algebra(rep: MatrixRep, point: GenericPoint) -> Subalgebra:
@@ -164,35 +156,34 @@ def sample_certified_points(
     seed: int = 0,
     avoid_zero_of: Optional[InvariantPolynomial] = None,
     hint: Optional[Sequence[Q]] = None,
-    max_retries: int = 512,
 ) -> list[GenericPoint]:
     """Deterministic certified points, optionally off an invariant's zero set.
 
-    The hint (when provided and acceptable) is always the first point.
-    The zero test runs at the cleared integer point.
+    The hint (when provided and acceptable) is always the first point; it
+    is cleared once to a positive integer multiple, which keeps both the
+    certificate and the zero set.  The other points are draws of integer
+    coordinates in [-3, 3] from one seeded stream.  All coordinates are
+    Python ints.  Running out of draws raises NotPrehomogeneousError.
     """
     points: list[GenericPoint] = []
     if hint is not None:
-        pt = tuple(Q(c) for c in hint)
+        pt = tuple(_integer_point(hint)[0])
         if not certify(rep, pt):
             raise NotPrehomogeneousError("the registered point is not generic")
-        if avoid_zero_of is None or avoid_zero_of(_integer_point(pt)[0]) != 0:
+        if avoid_zero_of is None or avoid_zero_of(pt) != 0:
             points.append(GenericPoint(pt, True))
     rng = DetRng.for_stream(seed, "point-sample")
-    tries = 0
-    while len(points) < count and tries < max_retries:
-        tries += 1
+    for _ in range(MAX_DRAWS):
+        if len(points) >= count:
+            break
         draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
-        if any(draw == p.coordinates for p in points):
+        if any(draw == p.coordinates for p in points) or not certify(rep, draw):
             continue
-        if not certify(rep, draw):
-            continue
-        if avoid_zero_of is not None and avoid_zero_of(draw) == 0:
-            continue
-        points.append(GenericPoint(tuple(Q(c) for c in draw), True))
+        if avoid_zero_of is None or avoid_zero_of(draw) != 0:
+            points.append(GenericPoint(draw, True))
     if len(points) < count:
         raise NotPrehomogeneousError(
-            f"only {len(points)} certified points in {max_retries} samples"
+            f"only {len(points)} certified points in {MAX_DRAWS} samples (inconclusive)"
         )
     return points
 
@@ -205,19 +196,22 @@ def verify_relative_invariant(
     """Infinitesimal relative invariance at certified points, exactly.
 
     For each basis element X the directional derivative along X.x must be
-    lambda_X * f(x) with one lambda vector shared by every supplied point;
-    lambda must also vanish on the derived subalgebra and on the isotropy
-    of the first point.  Returns (verified, lambda).
+    lambda_X * f(x) with one lambda vector shared by every supplied point,
+    and lambda must vanish on the derived subalgebra.  Returns (verified,
+    lambda).  lambda also vanishes on the isotropy of every point checked,
+    by construction: T_X x = 0 there.
 
     Each point x is cleared to the integer point xi = c * x.  It takes one
     gradient of f there, from n jets along the unit vectors; the derivative
     along X.xi is the gradient applied to X.xi.  lambda is a ratio of
-    degree 0 in x, so lambda_X = grad f(xi) . (T_X xi) / (den * f(xi)).
+    degree 0 in x, so lambda_X = grad f(xi) . (T_X xi) / (den * f(xi)); the
+    numerators of two points are compared by cross-multiplying.
     """
     if not points:
         raise ValueError("need at least one point")
     units = np.eye(rep.space_dim, dtype=np.int64).tolist()
-    lam: list[Q] | None = None
+    num, fx0 = None, 0
+    verified = True
     for p in points:
         xa, _ = _int_array(p.coordinates)
         xi = xa.tolist()  # Python ints: numpy integers wrap around in a jet
@@ -225,17 +219,16 @@ def verify_relative_invariant(
         if fx == 0:
             raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
         grad = np.array([jet_line(f, xi, e).d1 for e in units], dtype=object)
-        cur = [Q(v, rep.den * fx) for v in (rep.T @ xa).astype(object) @ grad]
-        if lam is None:
-            lam = cur
-        elif lam != cur:
-            return False, tuple(lam)
-    assert lam is not None
-    lam_ints, _ = _int_array(lam)
-    for sub in (rep.derived_subalgebra(), isotropy_algebra(rep, points[0])):
-        if (sub.coefficient_basis @ lam_ints).any():
-            return False, tuple(lam)
-    return True, tuple(lam)
+        cur = (rep.T @ xa).astype(object) @ grad
+        if num is None:
+            num, fx0 = cur, fx
+        elif (cur * fx0 != num * fx).any():
+            verified = False
+            break
+    lam = tuple(Q(v, rep.den * fx0) for v in num)
+    if verified:
+        verified = not (rep.derived_subalgebra().coefficient_basis @ num).any()
+    return verified, lam
 
 
 def hessian_matrix(f: InvariantPolynomial, x: Sequence[Q]) -> tuple[np.ndarray, int]:
@@ -268,10 +261,9 @@ def hessian_regularity(
     itself relatively invariant, hence identically zero or nowhere zero on
     the open orbit (exercised as a tested dichotomy elsewhere).
     """
-    xi, _ = _integer_point(point.coordinates)
-    if f(xi) == 0:
+    if f(_integer_point(point.coordinates)[0]) == 0:
         raise ZeroAtTestPointError(f"{f.name} vanishes at the chosen point")
-    return det(hessian_matrix(f, xi)[0]) != 0
+    return det(hessian_matrix(f, point.coordinates)[0]) != 0
 
 
 def classify(
@@ -279,15 +271,18 @@ def classify(
     declared_invariants: Sequence[InvariantPolynomial] = (),
     x_hint: Optional[Sequence[Q]] = None,
     seed: int = 0,
-    lambda_points: int = 10,
 ) -> AnalysisReport:
     """Run the whole per-entry pipeline and assemble a report.
 
-    Regularity is decided from the first declared invariant exactly when the
-    character space is one-dimensional (the invariant is then fundamental);
-    otherwise the flag stays undecided.  When sampling finds no certified
-    point off an invariant's zero set, that invariant is reported unverified
-    at 0 points, and regularity stays undecided if it needed such a point.
+    Every point comes from one seeded stream: the generic point is its first
+    certified point, and each invariant is checked at its first LAMBDA_POINTS
+    certified points off the invariant's zero set.  Regularity is decided
+    from the first declared invariant, at the first of its invariance
+    points, exactly when the character space is one-dimensional (the
+    invariant is then fundamental); otherwise the flag stays undecided.
+    When sampling finds no certified point off an invariant's zero set,
+    that invariant is reported unverified at 0 points, and regularity stays
+    undecided if it needed such a point.
     """
     notes: list[str] = []
     try:
@@ -311,10 +306,11 @@ def classify(
     if char_dim == 0:
         notes.append("no nontrivial relative invariant at the algebra level")
     checks: list[InvariantCheck] = []
-    for f in declared_invariants:
+    regular: Optional[bool] = None
+    for i, f in enumerate(declared_invariants):
         try:
             pts = sample_certified_points(
-                rep, lambda_points, seed=seed, avoid_zero_of=f, hint=x_hint
+                rep, LAMBDA_POINTS, seed=seed, avoid_zero_of=f, hint=x_hint
             )
         except NotPrehomogeneousError as exc:
             notes.append(f"{f.name} unverified: {exc}")
@@ -322,14 +318,7 @@ def classify(
             continue
         verified, lam = verify_relative_invariant(rep, f, pts)
         checks.append(InvariantCheck(f.name, verified, lam, len(pts)))
-    regular: Optional[bool] = None
-    if char_dim == 1 and declared_invariants:
-        f = declared_invariants[0]
-        try:
-            pts = sample_certified_points(rep, 1, seed=seed, avoid_zero_of=f, hint=x_hint)
-        except NotPrehomogeneousError as exc:
-            notes.append(f"regularity undecided: {exc}")
-        else:
+        if i == 0 and char_dim == 1:
             regular = hessian_regularity(f, rep, pts[0])
     return AnalysisReport(
         prehomogeneous=True,

@@ -34,7 +34,6 @@ from .invariants import (
     restrict_to_summand,
     symplectic_pair,
 )
-from .linalg import Q
 from .reps import (
     MatrixRep,
     _eye,
@@ -75,7 +74,7 @@ CAPABILITIES = {"halfspin10": True}
 class BuildResult:
     rep: MatrixRep
     invariants: Tuple[InvariantPolynomial, ...]
-    x_hint: Optional[Tuple[Q, ...]]
+    x_hint: Optional[Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -138,18 +137,19 @@ class VerificationReport:
 # -- small builders ------------------------------------------------------------
 
 
-def _zeros(n: int) -> list[Q]:
-    return [Q(0)] * n
+def _zeros(n: int) -> list[int]:
+    return [0] * n
 
 
-def _basis_vec(n: int, i: int) -> list[Q]:
+def _basis_vec(n: int, i: int) -> list[int]:
     v = _zeros(n)
-    v[i] = Q(1)
+    v[i] = 1
     return v
 
 
-def _id_coords(n: int) -> list[Q]:
-    return [Q(1) if i == j else Q(0) for i in range(n) for j in range(n)]
+def _id_coords(n: int, m: int) -> list[int]:
+    """Row-major coordinates of the n x m matrix with ones on the diagonal."""
+    return [int(i == j) for i in range(n) for j in range(m)]
 
 
 def _alt_index(i: int, j: int, n: int) -> int:
@@ -157,12 +157,12 @@ def _alt_index(i: int, j: int, n: int) -> int:
     return sum(n - 1 - r for r in range(i)) + (j - i - 1)
 
 
-def _j_block_alt_coords(n: int) -> list[Q]:
+def _j_block_alt_coords(n: int) -> list[int]:
     """AS(n) coordinates of the standard rank n-1 block [[J, 0], [0, 0]]."""
     p = n // 2
     v = _zeros(n * (n - 1) // 2)
     for i in range(p):
-        v[_alt_index(i, p + i, n)] = Q(1)
+        v[_alt_index(i, p + i, n)] = 1
     return v
 
 
@@ -218,8 +218,8 @@ def _t2_6(p):
     n = p["n"]
     rep = tensor(sp(n), gl(2))
     hint = _zeros(4 * n)
-    hint[0] = Q(1)              # first column e_1
-    hint[2 * n + 1] = Q(1)      # second column e_{n+1}
+    hint[0] = 1                 # first column e_1
+    hint[2 * n + 1] = 1         # second column e_{n+1}
     return BuildResult(rep, (pf_gram(n),), tuple(hint))
 
 
@@ -313,7 +313,7 @@ def _t3_4a(p):
     rep = _vector_and_matrix_rep(n, n)
     total = n + n * n
     inv = restrict_to_summand(determinant(n), total, n, " (2nd summand)")
-    hint = _basis_vec(n, 0) + _id_coords(n)
+    hint = _basis_vec(n, 0) + _id_coords(n, n)
     return BuildResult(rep, (inv,), tuple(hint))
 
 
@@ -321,21 +321,14 @@ def _t3_4b(p):
     n = p["n"]
     m = n - 1
     rep = _vector_and_matrix_rep(n, m)
-    hint = _basis_vec(n, n - 1) + [
-        Q(1) if (i < m and i == j) else Q(0) for i in range(n) for j in range(m)
-    ]
+    hint = _basis_vec(n, n - 1) + _id_coords(n, m)
     return BuildResult(rep, (det_augmented(n),), tuple(hint))
 
 
 def _neg_425(p):
     n, m = p["n"], p["m"]
     rep = _vector_and_matrix_rep(n, m)
-    if n < m:
-        x = [Q(1) if i == j else Q(0) for i in range(n) for j in range(m)]
-        hint = _basis_vec(n, 0) + x
-    else:
-        x = [Q(1) if (i < m and i == j) else Q(0) for i in range(n) for j in range(m)]
-        hint = _basis_vec(n, n - 1) + x
+    hint = _basis_vec(n, 0 if n < m else n - 1) + _id_coords(n, m)
     return BuildResult(rep, (), tuple(hint))
 
 
@@ -350,7 +343,7 @@ def _t3_5(p):
     )
     total = n + n * n
     inv = restrict_to_summand(determinant(n), total, n, " (2nd summand)")
-    hint = _basis_vec(n, 0) + _id_coords(n)
+    hint = _basis_vec(n, 0) + _id_coords(n, n)
     return BuildResult(rep, (inv,), tuple(hint))
 
 
@@ -367,9 +360,9 @@ def _t3_6(p):
     total = 2 + 4 * n
     inv = restrict_to_summand(pf_gram(n), total, 2, " (2nd summand)")
     hint = _zeros(total)
-    hint[0] = Q(1)                  # v = (1, 0)
-    hint[2 + 0] = Q(1)              # first column of X is e_1
-    hint[2 + 2 * n + 1] = Q(1)      # second column of X is e_{n+1}
+    hint[0] = 1                     # v = (1, 0)
+    hint[2 + 0] = 1                 # first column of X is e_1
+    hint[2 + 2 * n + 1] = 1         # second column of X is e_{n+1}
     return BuildResult(rep, (inv,), tuple(hint))
 
 

@@ -65,8 +65,8 @@ def _fit(a: np.ndarray) -> np.ndarray:
 def _int_array(values) -> tuple[np.ndarray, int]:
     """(A, den) with A / den == values exactly and A an integer array.
 
-    values is an array-like of rationals or integers; A's dtype follows
-    `_fit`.
+    values is an array-like of rationals or integers, anything else is a
+    TypeError; A's dtype follows `_fit`.
     """
     a = np.asarray(values)
     if a.dtype.kind not in "iuO":
@@ -75,7 +75,10 @@ def _int_array(values) -> tuple[np.ndarray, int]:
     den = 1
     if a.dtype == object:
         flat = a.ravel()
-        den = math.lcm(*(x.denominator for x in flat))
+        try:
+            den = math.lcm(*(x.denominator for x in flat))
+        except AttributeError:
+            raise TypeError("exact integer or rational input required") from None
         a = np.array(
             [x.numerator * (den // x.denominator) for x in flat], dtype=object
         ).reshape(a.shape)

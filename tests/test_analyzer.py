@@ -26,7 +26,7 @@ from pvkit.invariants import (
     quadratic_form,
     restrict_to_summand,
 )
-from pvkit.linalg import DetRng, Jet2, Matrix, rank
+from pvkit.linalg import DetRng, Jet2, Matrix, nullspace, rank
 from pvkit.reps import (
     MatrixRep,
     add_torus,
@@ -282,6 +282,36 @@ def test_classify_assembles_report():
     assert chk.verified and chk.lambda_nonzero and chk.points_checked >= 10
 
 
+def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch):
+    """One nullspace per run (the isotropy of the generic point), and the
+    Hessian runs at the first point of the invariance check."""
+    from pvkit import analyzer
+
+    calls = {"nullspace": 0}
+    first, seen = [], []
+
+    def counted_nullspace(m):
+        calls["nullspace"] += 1
+        return nullspace(m)
+
+    def recording_verify(rep, f, points):
+        first.append(points[0])
+        return verify_relative_invariant(rep, f, points)
+
+    def recording_hessian(f, rep, point):
+        seen.append(point)
+        return hessian_regularity(f, rep, point)
+
+    monkeypatch.setattr(analyzer, "nullspace", counted_nullspace)
+    monkeypatch.setattr(analyzer, "verify_relative_invariant", recording_verify)
+    monkeypatch.setattr(analyzer, "hessian_regularity", recording_hessian)
+    report = classify(sym2(gl(3)), [determinant(3, "sym")], seed=0)
+    assert report.regular is True
+    assert calls["nullspace"] == 1
+    assert len(seen) == 1 and seen[0] is first[0]
+    assert all(type(c) is int for c in seen[0].coordinates)
+
+
 def test_classify_inconclusive_when_not_prehomogeneous():
     zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
     rep = classify(zero, [], seed=0)
@@ -337,7 +367,7 @@ def test_invariance_and_hessian_at_halved_points(which):
         f = restrict_to_summand(pfaffian(n), n + n * (n - 1) // 2, n)
     pts = sample_certified_points(rep, 4, seed=2, avoid_zero_of=f)
     halved = [
-        GenericPoint(tuple(c / 2 for c in p.coordinates), True) for p in pts
+        GenericPoint(tuple(Q(c, 2) for c in p.coordinates), True) for p in pts
     ]
     assert any(c.denominator == 2 for c in halved[0].coordinates)
     ok, lam = verify_relative_invariant(rep, f, pts)
@@ -369,7 +399,7 @@ def test_pipeline_evaluates_invariants_at_integer_points_only():
     hint = [Q(1, 2), 0, 0, Q(3, 2), 0, Q(-1, 3)]
     assert sample_certified_points(rep, 2, seed=2, avoid_zero_of=f, hint=hint)
     halved = [
-        GenericPoint(tuple(c / 2 for c in p.coordinates), True) for p in pts
+        GenericPoint(tuple(Q(c, 2) for c in p.coordinates), True) for p in pts
     ]
     for points in (pts, halved):
         ok, lam = verify_relative_invariant(rep, f, points)

@@ -1,8 +1,14 @@
 """Catalog integrity: contents, expected flags, cross-links, determinism."""
 
+import numpy as np
 import pytest
 
-from pvkit.analyzer import isotropy_algebra, sample_certified_points
+from pvkit.analyzer import (
+    LAMBDA_POINTS,
+    isotropy_algebra,
+    sample_certified_points,
+    verify_relative_invariant,
+)
 from pvkit.catalog import CAPABILITIES, catalog, get_entry, run, run_all
 from pvkit.grading import compute_grading, irreducible_components
 
@@ -139,6 +145,31 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
             )
             flags = {det(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts}
             assert len(flags) == 1, (entry.id, f.name)
+
+
+def test_lambda_vanishes_on_isotropy_at_an_independent_point():
+    """lambda, read at the invariance points, vanishes on the isotropy
+    algebra of an independently drawn certified point: the character of a
+    relative invariant is trivial on every isotropy, not only at the points
+    it was read from."""
+    from pvkit.catalog import _build
+
+    checked = 0
+    for entry in catalog():
+        built = _build(entry, dict(entry.defaults[0]))
+        if not built.invariants:
+            continue
+        other = sample_certified_points(built.rep, 1, seed=29)[0]
+        iso = isotropy_algebra(built.rep, other).coefficient_basis.astype(object)
+        for f in built.invariants:
+            pts = sample_certified_points(
+                built.rep, LAMBDA_POINTS, seed=0, avoid_zero_of=f, hint=built.x_hint
+            )
+            ok, lam = verify_relative_invariant(built.rep, f, pts)
+            assert ok and any(lam), (entry.id, f.name)
+            assert not (iso @ np.array(lam, dtype=object)).any(), (entry.id, f.name)
+            checked += 1
+    assert checked == 29
 
 
 def test_run_all_negatives():

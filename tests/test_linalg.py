@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from pvkit.analyzer import hessian_matrix
+from pvkit.analyzer import certify, hessian_matrix
 from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
     DetRng,
@@ -21,6 +21,7 @@ from pvkit.linalg import (
     nullspace,
     rank,
 )
+from pvkit.reps import MatrixRep, gl
 
 
 def naive_rank(rows):
@@ -273,10 +274,24 @@ def test_span_solver_membership():
 def test_detrng_is_frozen():
     rng = DetRng(0)
     assert [rng.randint(0, 99) for _ in range(5)] == [35, 0, 79, 44, 47]
-    rng2 = DetRng.for_stream(0, "generic-point")
+    rng2 = DetRng.for_stream(0, "point-sample")
     first = rng2.randint(-3, 3)
-    rng3 = DetRng.for_stream(0, "generic-point")
+    rng3 = DetRng.for_stream(0, "point-sample")
     assert rng3.randint(-3, 3) == first
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rank([[0.5, 1]]),
+        lambda: MatrixRep(np.full((1, 2, 2), 0.5), 1, ("x",)),
+        lambda: certify(gl(2), [0.5, 1.0]),
+    ],
+    ids=["rank", "MatrixRep", "certify"],
+)
+def test_float_input_is_rejected(call):
+    with pytest.raises(TypeError, match="exact integer or rational input required"):
+        call()
 
 
 def test_int_array_is_exact_above_int64():

@@ -37,6 +37,11 @@ def test_octonion_does_not_import_fractions():
     assert "fractions" not in _imported_names("octonion")
 
 
+def test_catalog_uses_no_fractions():
+    names = _imported_names("catalog")
+    assert "Q" not in names and "fractions" not in names
+
+
 def test_perfbench_selftest_passes():
     """The benchmark self-test, traced runs included, exits 0 (about 10 s)."""
     proc = subprocess.run(
