@@ -36,8 +36,8 @@ for m in (7, 8, 9):
     print(f"spin({m}): {rho.algebra_dim} generators on C^{rho.space_dim}")
     rho.check_closure()
 
-# e6: 27x27 matrices annihilating the cubic form; built from Jordan
-# multiplications and certified to be the full 78-dimensional stabilizer.
+# e6: 27x27 matrices annihilating the cubic form, the exact nullspace of the
+# annihilator conditions (one linear condition per cubic monomial).
 e6 = e6_rep()
 print(f"e6: dimension {e6.algebra_dim} acting on C^{e6.space_dim}")
 

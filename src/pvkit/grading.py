@@ -206,7 +206,7 @@ def compute_grading(diagram: WeightedDiagram) -> ParabolicGrading:
         else:
             pieces.setdefault(-p, []).append(neg)
     h_theta = tuple(2 if i in circled else 0 for i in range(rs.rank))
-    theta = [i for i in range(rs.rank) if i not in circled]
+    theta = diagram.theta
     components: list[LeviComponent] = []
     seen: set[int] = set()
     for v in theta:

@@ -1,4 +1,5 @@
-"""Rational octonions and the 27-dimensional cubic Jordan algebra.
+"""Rational octonions, the 27 coordinates of 3x3 Hermitian octonion matrices,
+and their cubic form.
 
 The octonion basis 1, e1, ..., e7 comes from doubling the quaternions twice
 (Cayley-Dickson), so e_i^2 = -1 and all structure constants are +-1.  The
@@ -25,13 +26,11 @@ __all__ = [
     "OCT_DIM",
     "oct_table",
     "oct_mul",
-    "oct_conj",
     "oct_norm",
     "oct_trace",
     "albert_coords_dim",
     "freudenthal_value",
     "freudenthal_monomials",
-    "jordan_mult_operator",
 ]
 
 OCT_DIM = 8
@@ -97,10 +96,6 @@ def oct_mul(a: Sequence, b: Sequence) -> list:
             term = ai * bj
             out[k] = out[k] + (term if s > 0 else -term)
     return out
-
-
-def oct_conj(a: Sequence) -> list:
-    return [a[0]] + [-x for x in a[1:]]
 
 
 def oct_norm(a: Sequence):
@@ -210,72 +205,3 @@ def freudenthal_monomials() -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     if any(len(k) != 3 for k, _ in items):
         raise AssertionError("cubic form has a non-cubic monomial")
     return items
-
-
-def _as_oct_matrix(coords: Sequence):
-    """27 coordinates -> 3x3 matrix of octonions (lists of ring elements)."""
-    x1, x2, x3, o1, o2, o3 = _split(coords)
-
-    def scal(x):
-        return [x] + [0] * 7
-
-    return [
-        [scal(x1), list(o3), oct_conj(o2)],
-        [oct_conj(o3), scal(x2), list(o1)],
-        [list(o2), oct_conj(o1), scal(x3)],
-    ]
-
-
-def _matrix_coords(m) -> list:
-    """Inverse of _as_oct_matrix for a Hermitian matrix; validates shape."""
-    for i in range(3):
-        for k in range(1, 8):
-            if m[i][i][k] != 0:
-                raise AssertionError("diagonal entries must be scalar")
-    for (i, j, idx) in ((1, 2, 0), (2, 0, 1), (0, 1, 2)):
-        if oct_conj(m[i][j]) != list(m[j][i]):
-            raise AssertionError("matrix is not Hermitian")
-    return (
-        [m[0][0][0], m[1][1][0], m[2][2][0]]
-        + list(m[1][2])
-        + list(m[2][0])
-        + list(m[0][1])
-    )
-
-
-def _oct_mat_mul(a, b):
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = [0] * OCT_DIM
-            for k in range(3):
-                prod = oct_mul(a[i][k], b[k][j])
-                acc = [x + y for x, y in zip(acc, prod)]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def jordan_mult_operator(coords: Sequence) -> tuple[list[list], int]:
-    """(rows, 2): rows is the 27x27 matrix of x -> a x + x a, so rows / 2 is
-    x -> a o x (the Jordan product, half the anticommutator).
-
-    The products run in the ring of coords and nothing is divided.
-    """
-    am = _as_oct_matrix(coords)
-    cols = []
-    for j in range(albert_coords_dim):
-        basis = [0] * albert_coords_dim
-        basis[j] = 1
-        bm = _as_oct_matrix(basis)
-        prod = _oct_mat_mul(am, bm)
-        prod2 = _oct_mat_mul(bm, am)
-        sym = [
-            [[x + y for x, y in zip(prod[i][k], prod2[i][k])] for k in range(3)]
-            for i in range(3)
-        ]
-        cols.append(_matrix_coords(sym))
-    rows = [[cols[j][i] for j in range(albert_coords_dim)] for i in range(albert_coords_dim)]
-    return rows, 2
-

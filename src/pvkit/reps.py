@@ -21,14 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import Q, SpanSolver, _fit, _int_array, nullspace
-from .octonion import (
-    OCT_DIM,
-    albert_coords_dim,
-    freudenthal_monomials,
-    jordan_mult_operator,
-    oct_table,
-)
+from .linalg import SpanSolver, _fit, _int_array, nullspace
+from .octonion import OCT_DIM, albert_coords_dim, freudenthal_monomials, oct_table
 
 __all__ = [
     "MatrixRep",
@@ -133,17 +127,6 @@ class MatrixRep:
         self.structure_tensor()
         return True
 
-    def coeff_bracket(self, v: Sequence[Q], w: Sequence[Q]) -> tuple[Q, ...]:
-        """Bracket of two coefficient vectors, via the structure tensor."""
-        tensor_, den = self.structure_tensor()
-        d = self.algebra_dim
-        vi, dv = _int_array(v)
-        wi, dw = _int_array(w)
-        vt, _ = _int_array(vi @ tensor_.reshape(d, d * d))
-        out = wi @ vt.reshape(d, d)
-        scale = dv * dw * den
-        return tuple(Q(int(x), scale) for x in out)
-
     def derived_subalgebra(self) -> "Subalgebra":
         """Span of all pairwise commutators, echelon-reduced, exact."""
         if self._derived is not None:
@@ -181,19 +164,22 @@ class Subalgebra:
         return len(self.coefficient_basis)
 
     def is_bracket_closed(self) -> bool:
-        """Every commutator of basis vectors re-solves within the span."""
-        span = SpanSolver(self.parent.algebra_dim)
-        for v in self.coefficient_basis:
+        """Every commutator of basis vectors lies in their span, exactly.
+
+        With S the parent's structure tensor, brackets[i, j] is den times the
+        coefficient vector of [b_i, b_j], all pairs in one integer
+        contraction; a positive multiple of a vector lies in a span exactly
+        when the vector does.
+        """
+        B = self.coefficient_basis
+        S, _ = self.parent.structure_tensor()
+        k, d = B.shape
+        X = _fit(B @ S.reshape(d, d * d)).reshape(k, d, d)
+        brackets = B @ X
+        span = SpanSolver(d)
+        for v in B:
             span.insert(v)
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                com = self.parent.coeff_bracket(
-                    self.coefficient_basis[i], self.coefficient_basis[j]
-                )
-                if not span.contains(com):
-                    return False
-        return True
+        return all(span.contains(row) for row in brackets[np.triu_indices(k, 1)])
 
 
 def _common_den(parts) -> tuple[list[np.ndarray], int]:
@@ -404,97 +390,31 @@ def _cubic_partials() -> tuple[dict, ...]:
     return tuple(partials)
 
 
-def _annihilates_cubic(a: np.ndarray) -> bool:
-    """Exact test that x -> trilinear(a x, x, x) vanishes identically."""
-    partials = _cubic_partials()
-    acc: dict = {}
-    for l in range(albert_coords_dim):
-        row = a[l]
-        nz = np.nonzero(row)[0]
-        if len(nz) == 0:
-            continue
-        for pair, c in partials[l].items():
-            for i in nz:
-                key = tuple(sorted(pair + (int(i),)))
-                acc[key] = acc.get(key, 0) + c * int(row[i])
-    return all(v == 0 for v in acc.values())
-
-
-@lru_cache(maxsize=None)
-def _cubic_stabilizer_nullity_bound() -> int:
-    """Upper bound for the stabilizer dimension: 729 - rank of the constraint
-    matrix modulo a large prime (modular rank never exceeds rational rank)."""
-    partials = _cubic_partials()
-    n = albert_coords_dim
-    row_index: dict = {}
-    entries: list[tuple[int, int, int]] = []
-    for l in range(n):
-        for pair, c in partials[l].items():
-            for i in range(n):
-                key = tuple(sorted(pair + (i,)))
-                r = row_index.setdefault(key, len(row_index))
-                entries.append((r, l * n + i, c))
-    mat = np.zeros((len(row_index), n * n), dtype=np.int64)
-    for r, cidx, c in entries:
-        mat[r, cidx] += c
-    p = (1 << 31) - 1
-    mat %= p
-    rows, cols = mat.shape
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(mat[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            mat[[r, piv]] = mat[[piv, r]]
-        inv = pow(int(mat[r, c]), p - 2, p)
-        mat[r] = (mat[r] * inv) % p
-        col = mat[r + 1 :, c]
-        nzl = np.nonzero(col)[0]
-        if len(nzl):
-            mat[r + 1 :][nzl] = (mat[r + 1 :][nzl] - np.outer(col[nzl], mat[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return n * n - r
-
-
 @lru_cache(maxsize=None)
 def e6_rep() -> MatrixRep:
     """The 78-dimensional algebra of 27x27 matrices annihilating the cubic.
 
-    Candidate generators are the traceless Jordan multiplications and all of
-    their pairwise commutators; each surviving basis element is verified
-    exactly to annihilate the cubic form, and a modular rank bound certifies
-    that the stabilizer has dimension at most 78, so the span is the whole
-    nullspace of the degree-3 coefficient conditions.
+    X annihilates the cubic N when sum_l (X x)_l dN/dx_l vanishes as a
+    polynomial in x.  The coefficient of each cubic monomial is one linear
+    condition on the 729 entries of X (column l*27 + i is X[l, i]), and the
+    algebra is the exact nullspace of these conditions.
     """
     n = albert_coords_dim
-    mults = []
-    for j in range(n):
-        coords = [0] * n
-        coords[j] = 1
-        rows, _ = jordan_mult_operator(coords)
-        mults.append(np.array(rows, dtype=np.int64))
-    # traceless diagonal combinations, then the off-diagonal coordinates
-    candidates = [mults[0] - mults[1], mults[1] - mults[2]] + mults[3:]
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append(mults[i] @ mults[j] - mults[j] @ mults[i])
-    span = SpanSolver(n * n)
-    basis_ints: list[np.ndarray] = []
-    for cand in candidates:
-        if span.insert(cand.ravel()):
-            basis_ints.append(cand)
-    if len(basis_ints) != 78:
-        raise AssertionError(f"cubic stabilizer candidates span {len(basis_ints)} dims")
-    if _cubic_stabilizer_nullity_bound() != 78:
-        raise AssertionError("modular rank certificate failed")
-    for a in basis_ints:
-        if not _annihilates_cubic(a):
-            raise AssertionError("a basis element fails to annihilate the cubic")
-    return MatrixRep(np.stack(basis_ints), 1, ("e6 (27-dim rep)",))
+    monomials: dict = {}
+    rows, cols, vals = [], [], []
+    for l, partial in enumerate(_cubic_partials()):
+        for pair, c in partial.items():
+            for i in range(n):
+                key = tuple(sorted(pair + (i,)))
+                rows.append(monomials.setdefault(key, len(monomials)))
+                cols.append(l * n + i)
+                vals.append(c)
+    system = np.zeros((len(monomials), n * n), dtype=np.int64)
+    np.add.at(system, (rows, cols), vals)
+    kernel, den = nullspace(system)
+    if len(kernel) != 78:
+        raise AssertionError(f"cubic stabilizer has dimension {len(kernel)}")
+    return MatrixRep(kernel.reshape(78, n, n), den, ("e6 (27-dim rep)",))
 
 
 # -- combinators ---------------------------------------------------------------

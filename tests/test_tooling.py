@@ -37,8 +37,9 @@ def test_octonion_does_not_import_fractions():
     assert "fractions" not in _imported_names("octonion")
 
 
-def test_catalog_uses_no_fractions():
-    names = _imported_names("catalog")
+@pytest.mark.parametrize("module", ["catalog", "reps"])
+def test_pipeline_modules_use_no_fractions(module):
+    names = _imported_names(module)
     assert "Q" not in names and "fractions" not in names
 
 
