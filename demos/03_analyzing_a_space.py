@@ -4,7 +4,7 @@
 The pipeline: certify a generic point by an exact rank computation, read
 the isotropy subalgebra off a nullspace, count available characters as a
 corank, check the determinant transforms by a character through exact
-jets, and decide regularity from the Hessian determinant.
+jets, and decide regularity by one rank that gives the Hessian's rank.
 """
 
 from pvkit import classify, gl, sym2
@@ -51,7 +51,7 @@ print(f"determinant verified: {ok}; character on the gl({n}) basis is "
       "twice the trace form:")
 print("  lambda =", lam)
 
-# 5. regularity: the Hessian determinant at a certified point
+# 5. regularity: the Hessian is nonsingular at a certified point, by one rank
 print("regular:", hessian_regularity(f, rep, pts[0]))
 
 # ... or run the whole pipeline in one call:

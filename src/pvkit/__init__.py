@@ -4,7 +4,8 @@ one-dimensional quotient.
 Everything is computed over the rationals with certified exact linear
 algebra: prehomogeneity through rank certificates, isotropy subalgebras as
 nullspaces, character-lattice ranks as coranks, relative invariance through
-exact jets, and regularity through exact Hessian determinants.
+exact gradients, and regularity through one exact rank that reads the
+Hessian's rank off the gradient.
 """
 
 from .analyzer import (

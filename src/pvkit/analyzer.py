@@ -4,9 +4,10 @@ A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by an exact rank computation and never guessed.
 One seeded sampler draws every certified point of a run, as tuples of
 Python ints.  The isotropy subalgebra is a nullspace, the character-lattice
-rank is a corank, relative invariance is checked through exact jets with
-the character compared in integers, and regularity is the nonvanishing of
-an exact Hessian determinant at the first invariance point.
+rank is a corank, relative invariance is checked through exact gradients
+with the character compared in integers, and regularity is full rank of
+the Hessian, read off the gradient by one rank at the first invariance
+point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .linalg import (
     Q,
     SpanSolver,
     _int_array,
-    det,
     jet_line,
     nullspace,
     rank,
@@ -39,7 +39,6 @@ __all__ = [
     "isotropy_algebra",
     "character_space_dim",
     "verify_relative_invariant",
-    "hessian_matrix",
     "hessian_regularity",
     "classify",
     "sample_certified_points",
@@ -88,17 +87,6 @@ class AnalysisReport:
     invariant_checks: Tuple[InvariantCheck, ...]
     regular: Optional[bool]
     notes: str = ""
-
-
-def _integer_point(x: Sequence) -> tuple[list[int], int]:
-    """(xi, c) with xi == c * x a list of Python ints, c > 0.
-
-    Every invariant is homogeneous, so f(xi) is zero exactly when f(x) is,
-    and its jets at xi run in ints.  Python ints, never numpy integers,
-    which would wrap around in a jet.
-    """
-    xi, c = _int_array(x)
-    return xi.tolist(), c
 
 
 def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
@@ -167,7 +155,7 @@ def sample_certified_points(
     """
     points: list[GenericPoint] = []
     if hint is not None:
-        pt = tuple(_integer_point(hint)[0])
+        pt = tuple(_int_array(hint)[0].tolist())
         if not certify(rep, pt):
             raise NotPrehomogeneousError("the registered point is not generic")
         if avoid_zero_of is None or avoid_zero_of(pt) != 0:
@@ -188,6 +176,26 @@ def sample_certified_points(
     return points
 
 
+def _first_order(
+    rep: MatrixRep, f: InvariantPolynomial, point: GenericPoint
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """(f(xi), grad f(xi), num) at the cleared integer point xi = c * x.
+
+    The gradient takes n jets along the unit vectors and reads only their
+    first derivatives.  num_X = grad f(xi) . (T_X xi) is the derivative
+    along X.xi, times den.  Python ints throughout: numpy integers wrap
+    around in a jet.
+    """
+    xa, _ = _int_array(point.coordinates)
+    xi = xa.tolist()
+    fx = f(xi)
+    if fx == 0:
+        raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
+    units = np.eye(len(xi), dtype=np.int64).tolist()
+    grad = np.array([jet_line(f, xi, e).d1 for e in units], dtype=object)
+    return fx, grad, (rep.T @ xa).astype(object) @ grad
+
+
 def verify_relative_invariant(
     rep: MatrixRep,
     f: InvariantPolynomial,
@@ -201,25 +209,17 @@ def verify_relative_invariant(
     lambda).  lambda also vanishes on the isotropy of every point checked,
     by construction: T_X x = 0 there.
 
-    Each point x is cleared to the integer point xi = c * x.  It takes one
-    gradient of f there, from n jets along the unit vectors; the derivative
-    along X.xi is the gradient applied to X.xi.  lambda is a ratio of
+    Each point x is cleared to the integer point xi = c * x, where one
+    gradient gives the derivatives along every X.xi.  lambda is a ratio of
     degree 0 in x, so lambda_X = grad f(xi) . (T_X xi) / (den * f(xi)); the
     numerators of two points are compared by cross-multiplying.
     """
     if not points:
         raise ValueError("need at least one point")
-    units = np.eye(rep.space_dim, dtype=np.int64).tolist()
     num, fx0 = None, 0
     verified = True
     for p in points:
-        xa, _ = _int_array(p.coordinates)
-        xi = xa.tolist()  # Python ints: numpy integers wrap around in a jet
-        fx = f(xi)
-        if fx == 0:
-            raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
-        grad = np.array([jet_line(f, xi, e).d1 for e in units], dtype=object)
-        cur = (rep.T @ xa).astype(object) @ grad
+        fx, _, cur = _first_order(rep, f, p)
         if num is None:
             num, fx0 = cur, fx
         elif (cur * fx0 != num * fx).any():
@@ -231,39 +231,26 @@ def verify_relative_invariant(
     return verified, lam
 
 
-def hessian_matrix(f: InvariantPolynomial, x: Sequence[Q]) -> tuple[np.ndarray, int]:
-    """(H, den) with H / den exactly Hess f(x), from polarized second jets.
-
-    The jets run at the cleared integer point xi = c * x, and f is
-    homogeneous of degree k, so Hess f(x) = c^(2-k) Hess f(xi).  H is twice
-    Hess f(xi), so the polarization D_u D_v = (D^2_{u+v} - D^2_u - D^2_v) / 2
-    divides nothing: den = 2 c^(k-2).  Below degree 2 the Hessian is 0.
-    """
-    n = len(x)
-    xi, c = _integer_point(x)
-    e = [[int(j == i) for j in range(n)] for i in range(n)]
-    pure = [jet_line(f, xi, e[i]).d2 for i in range(n)]
-    h = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        h[i, i] = 2 * pure[i]
-        for j in range(i + 1, n):
-            both = [a + b for a, b in zip(e[i], e[j])]
-            h[i, j] = h[j, i] = jet_line(f, xi, both).d2 - pure[i] - pure[j]
-    return h, 2 * c ** max(f.degree - 2, 0)
-
-
 def hessian_regularity(
     f: InvariantPolynomial, rep: MatrixRep, point: GenericPoint
 ) -> bool:
-    """True iff det Hess f is nonzero at the certified point.
+    """True iff Hess f is nonsingular at the certified point, by one rank.
+
+    Differentiating grad f(y) . (X y) = lambda_X f(y) once more gives
+    Hess f(x) (X x) = lambda_X grad f(x) - X^T grad f(x) for a relative
+    invariant f.  The vectors X x span the space at a certified point, so
+    Hess f(x) has the rank of the n x d matrix of right-hand sides.  At xi
+    its column X, times den * f(xi), is num_X grad - f(xi) T_X^T grad.
 
     One point decides: the Hessian determinant of a relative invariant is
     itself relatively invariant, hence identically zero or nowhere zero on
     the open orbit (exercised as a tested dichotomy elsewhere).
     """
-    if f(_integer_point(point.coordinates)[0]) == 0:
-        raise ZeroAtTestPointError(f"{f.name} vanishes at the chosen point")
-    return det(hessian_matrix(f, point.coordinates)[0]) != 0
+    if not point.certified:
+        raise ValueError("regularity requires a certified point")
+    fx, grad, num = _first_order(rep, f, point)
+    r = np.outer(grad, num) - fx * (grad @ rep.T).T
+    return rank(r) == rep.space_dim
 
 
 def classify(
@@ -279,10 +266,10 @@ def classify(
     certified points off the invariant's zero set.  Regularity is decided
     from the first declared invariant, at the first of its invariance
     points, exactly when the character space is one-dimensional (the
-    invariant is then fundamental); otherwise the flag stays undecided.
-    When sampling finds no certified point off an invariant's zero set,
-    that invariant is reported unverified at 0 points, and regularity stays
-    undecided if it needed such a point.
+    invariant is then fundamental) and the invariant is verified, since the
+    rank test holds for relative invariants only; otherwise the flag stays
+    undecided.  When sampling finds no certified point off an invariant's
+    zero set, that invariant is reported unverified at 0 points.
     """
     notes: list[str] = []
     try:
@@ -318,7 +305,7 @@ def classify(
             continue
         verified, lam = verify_relative_invariant(rep, f, pts)
         checks.append(InvariantCheck(f.name, verified, lam, len(pts)))
-        if i == 0 and char_dim == 1:
+        if i == 0 and char_dim == 1 and verified:
             regular = hessian_regularity(f, rep, pts[0])
     return AnalysisReport(
         prehomogeneous=True,

@@ -3,7 +3,9 @@ paths of the package."""
 
 from fractions import Fraction as Q
 
-from pvkit.linalg import Matrix, _int_array, nullspace
+import numpy as np
+
+from pvkit.linalg import Matrix, _int_array, jet_line, nullspace
 from pvkit.reps import MatrixRep
 
 
@@ -23,6 +25,29 @@ def action_matrix(rep: MatrixRep, x) -> Matrix:
         rep.algebra_dim,
         [Q(int(v), scale) for v in (rep.T @ xi).T.ravel()],
     )
+
+
+def hessian_matrix(f, x) -> tuple[np.ndarray, int]:
+    """(H, den) with H / den exactly Hess f(x), from polarized second jets.
+
+    The reference for the analyzer's rank test.  The jets run at the
+    cleared integer point xi = c * x, and f is homogeneous of degree k, so
+    Hess f(x) = c^(2-k) Hess f(xi).  H is twice Hess f(xi), so the
+    polarization D_u D_v = (D^2_{u+v} - D^2_u - D^2_v) / 2 divides nothing:
+    den = 2 c^(k-2).  Below degree 2 the Hessian is 0.
+    """
+    n = len(x)
+    xa, c = _int_array(x)
+    xi = xa.tolist()
+    e = [[int(j == i) for j in range(n)] for i in range(n)]
+    pure = [jet_line(f, xi, e[i]).d2 for i in range(n)]
+    h = np.zeros((n, n), dtype=object)
+    for i in range(n):
+        h[i, i] = 2 * pure[i]
+        for j in range(i + 1, n):
+            both = [a + b for a, b in zip(e[i], e[j])]
+            h[i, j] = h[j, i] = jet_line(f, xi, both).d2 - pure[i] - pure[j]
+    return h, 2 * c ** max(f.degree - 2, 0)
 
 
 def sym_coords(m: Matrix) -> list[Q]:

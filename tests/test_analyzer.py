@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import action_matrix, basis
+from helpers import action_matrix, basis, hessian_matrix
 from pvkit.analyzer import (
     GenericPoint,
     NotPrehomogeneousError,
@@ -13,7 +13,6 @@ from pvkit.analyzer import (
     character_space_dim,
     classify,
     find_generic_point,
-    hessian_matrix,
     hessian_regularity,
     isotropy_algebra,
     sample_certified_points,
@@ -250,6 +249,13 @@ def test_hessian_degenerate_for_partial_invariant():
     assert hessian_regularity(f, rep, p) is False
 
 
+def test_hessian_regularity_requires_a_certified_point():
+    r = sym2(gl(2))
+    f = determinant(2, "sym")
+    with pytest.raises(ValueError):
+        hessian_regularity(f, r, GenericPoint((1, 0, 1), False))
+
+
 def test_hessian_dichotomy_at_ten_points():
     """det Hess of a relative invariant vanishes at all points or none."""
     cases = [
@@ -325,6 +331,16 @@ def test_classify_records_unverifiable_invariant():
     assert rep.prehomogeneous and rep.character_dim == 1
     (chk,) = rep.invariant_checks
     assert not chk.verified and chk.points_checked == 0
+    assert rep.regular is None
+
+
+def test_classify_leaves_regularity_undecided_for_an_unverified_invariant():
+    """The rank test holds for relative invariants only: x1^2 + x2^2 + x3^2
+    on symmetric 2x2 matrices is not one, so no regularity is reported."""
+    rep = classify(sym2(gl(2)), [quadratic_form(_eye(3))], seed=0)
+    assert rep.qd1
+    (chk,) = rep.invariant_checks
+    assert not chk.verified
     assert rep.regular is None
 
 

@@ -131,8 +131,10 @@ def test_isotropy_bracket_closed_per_entry():
 
 
 def test_hessian_dichotomy_for_every_catalog_invariant():
-    """det Hess of a relative invariant vanishes at all points or at none."""
-    from pvkit.analyzer import hessian_matrix
+    """det Hess of a relative invariant vanishes at all points or at none,
+    and the analyzer's rank test gives that flag at each point."""
+    from helpers import hessian_matrix
+    from pvkit.analyzer import hessian_regularity
     from pvkit.catalog import _build
     from pvkit.linalg import det
 
@@ -143,8 +145,10 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
             pts = sample_certified_points(
                 built.rep, 10, seed=21, avoid_zero_of=f, hint=built.x_hint
             )
-            flags = {det(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts}
-            assert len(flags) == 1, (entry.id, f.name)
+            flags = [det(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts]
+            assert len(set(flags)) == 1, (entry.id, f.name)
+            for p, flag in zip(pts, flags):
+                assert hessian_regularity(f, built.rep, p) == flag, (entry.id, f.name)
 
 
 def test_lambda_vanishes_on_isotropy_at_an_independent_point():

@@ -5,8 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import alt_coords, basis, sym_coords
-from pvkit.analyzer import hessian_matrix
+from helpers import alt_coords, basis, hessian_matrix, sym_coords
 from pvkit.invariants import (
     alt_unpack,
     bordered_pfaffian,

@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from pvkit.analyzer import certify, hessian_matrix
+from helpers import hessian_matrix
+from pvkit.analyzer import certify
 from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
     DetRng,

@@ -33,6 +33,12 @@ def test_pipeline_modules_do_not_use_matrix(module):
     assert "Matrix" not in _imported_names(module)
 
 
+def test_analyzer_reads_no_second_derivative_and_no_determinant():
+    """Regularity is one rank on first-order data."""
+    names = _imported_names("analyzer")
+    assert "det" not in names and "d2" not in names
+
+
 def test_octonion_does_not_import_fractions():
     assert "fractions" not in _imported_names("octonion")
 
