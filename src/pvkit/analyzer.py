@@ -2,12 +2,11 @@
 
 A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by an exact rank computation and never guessed.
-One seeded sampler draws every certified point of a run, as tuples of
-Python ints.  The isotropy subalgebra is a nullspace, the character-lattice
-rank is a corank, relative invariance is checked through exact gradients
-with the character compared in integers, and regularity is full rank of
-the Hessian, read off the gradient by one rank at the first invariance
-point.
+One sampling call per run draws every certified point, as tuples of Python
+ints.  The isotropy subalgebra is a nullspace, the character-lattice rank
+is a corank, relative invariance is checked through exact gradients with
+the character compared in integers, and regularity is full rank of the
+Hessian, read off the gradient by one rank at the first point.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class NotPrehomogeneousError(RuntimeError):
 
 
 class ZeroAtTestPointError(RuntimeError):
-    """An invariant vanished at a point where it was expected not to."""
+    """An invariant vanished; on the open orbit that disproves relative invariance."""
 
 
 # Draws per sampling call before it gives up, and points per invariance check.
@@ -108,7 +107,9 @@ def find_generic_point(
     Failing to find one raises NotPrehomogeneousError; that is evidence,
     not proof, and the caller is expected to report it as inconclusive.
     """
-    return sample_certified_points(rep, 1, seed=seed, hint=hint)[0]
+    for point in sample_certified_points(rep, 1, seed=seed, hint=hint):
+        return point
+    raise NotPrehomogeneousError(_shortfall(0))
 
 
 def isotropy_algebra(rep: MatrixRep, point: GenericPoint) -> Subalgebra:
@@ -142,38 +143,36 @@ def sample_certified_points(
     rep: MatrixRep,
     count: int,
     seed: int = 0,
-    avoid_zero_of: Optional[InvariantPolynomial] = None,
     hint: Optional[Sequence[Q]] = None,
 ) -> list[GenericPoint]:
-    """Deterministic certified points, optionally off an invariant's zero set.
+    """Up to `count` distinct certified points, deterministically.
 
-    The hint (when provided and acceptable) is always the first point; it
-    is cleared once to a positive integer multiple, which keeps both the
-    certificate and the zero set.  The other points are draws of integer
-    coordinates in [-3, 3] from one seeded stream.  All coordinates are
-    Python ints.  Running out of draws raises NotPrehomogeneousError.
+    The hint, when given, is the first point, cleared once to a positive
+    integer multiple (which keeps the certificate); a non-generic hint
+    raises NotPrehomogeneousError.  The rest are distinct integer draws in
+    [-3, 3] from one seeded stream, each certified once, as Python ints.
+    When MAX_DRAWS draws run out, fewer than `count` points come back.
     """
     points: list[GenericPoint] = []
     if hint is not None:
         pt = tuple(_int_array(hint)[0].tolist())
         if not certify(rep, pt):
             raise NotPrehomogeneousError("the registered point is not generic")
-        if avoid_zero_of is None or avoid_zero_of(pt) != 0:
-            points.append(GenericPoint(pt, True))
+        points.append(GenericPoint(pt, True))
+    seen = {p.coordinates for p in points}
     rng = DetRng.for_stream(seed, "point-sample")
     for _ in range(MAX_DRAWS):
         if len(points) >= count:
             break
         draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
-        if any(draw == p.coordinates for p in points) or not certify(rep, draw):
-            continue
-        if avoid_zero_of is None or avoid_zero_of(draw) != 0:
+        if draw not in seen and certify(rep, draw):
             points.append(GenericPoint(draw, True))
-    if len(points) < count:
-        raise NotPrehomogeneousError(
-            f"only {len(points)} certified points in {MAX_DRAWS} samples (inconclusive)"
-        )
+        seen.add(draw)
     return points
+
+
+def _shortfall(found: int) -> str:
+    return f"only {found} certified points in {MAX_DRAWS} samples (inconclusive)"
 
 
 def _first_order(
@@ -190,7 +189,8 @@ def _first_order(
     xi = xa.tolist()
     fx = f(xi)
     if fx == 0:
-        raise ZeroAtTestPointError(f"{f.name} vanishes at a test point")
+        where = "on the open orbit" if point.certified else "at a test point"
+        raise ZeroAtTestPointError(f"{f.name} vanishes {where}")
     units = np.eye(len(xi), dtype=np.int64).tolist()
     grad = np.array([jet_line(f, xi, e).d1 for e in units], dtype=object)
     return fx, grad, (rep.T @ xa).astype(object) @ grad
@@ -261,19 +261,23 @@ def classify(
 ) -> AnalysisReport:
     """Run the whole per-entry pipeline and assemble a report.
 
-    Every point comes from one seeded stream: the generic point is its first
-    certified point, and each invariant is checked at its first LAMBDA_POINTS
-    certified points off the invariant's zero set.  Regularity is decided
-    from the first declared invariant, at the first of its invariance
-    points, exactly when the character space is one-dimensional (the
-    invariant is then fundamental) and the invariant is verified, since the
-    rank test holds for relative invariants only; otherwise the flag stays
-    undecided.  When sampling finds no certified point off an invariant's
-    zero set, that invariant is reported unverified at 0 points.
+    One `sample_certified_points` call draws every point of a run:
+    LAMBDA_POINTS with declared invariants, else one.  The first is the
+    generic point; each invariant is checked at all of them.  Since a
+    nonzero relative invariant vanishes nowhere on the open orbit, one that
+    vanishes at a point is reported unverified at 0 points, as is each one
+    when fewer than LAMBDA_POINTS points are found.  Regularity is decided
+    from the first invariant at the first point, exactly when the character
+    space is one-dimensional (the invariant is then fundamental) and the
+    invariant is verified, since the rank test holds for relative
+    invariants only; otherwise it is undecided.
     """
-    notes: list[str] = []
     try:
-        point = find_generic_point(rep, seed=seed, hint=x_hint)
+        pts = sample_certified_points(
+            rep, LAMBDA_POINTS if declared_invariants else 1, seed=seed, hint=x_hint
+        )
+        if not pts:
+            raise NotPrehomogeneousError(_shortfall(0))
     except NotPrehomogeneousError as exc:
         return AnalysisReport(
             prehomogeneous=False,
@@ -286,24 +290,23 @@ def classify(
             regular=None,
             notes=str(exc),
         )
-    notes.append("point from registered data" if x_hint is not None else "seeded point")
+    notes = ["point from registered data" if x_hint is not None else "seeded point"]
     # character_space_dim builds the isotropy algebra, whose dimension
     # isotropy_algebra has checked against the rank identity
-    char_dim = character_space_dim(rep, point)
+    char_dim = character_space_dim(rep, pts[0])
     if char_dim == 0:
         notes.append("no nontrivial relative invariant at the algebra level")
     checks: list[InvariantCheck] = []
     regular: Optional[bool] = None
     for i, f in enumerate(declared_invariants):
         try:
-            pts = sample_certified_points(
-                rep, LAMBDA_POINTS, seed=seed, avoid_zero_of=f, hint=x_hint
-            )
-        except NotPrehomogeneousError as exc:
+            if len(pts) < LAMBDA_POINTS:
+                raise NotPrehomogeneousError(_shortfall(len(pts)))
+            verified, lam = verify_relative_invariant(rep, f, pts)
+        except (NotPrehomogeneousError, ZeroAtTestPointError) as exc:
             notes.append(f"{f.name} unverified: {exc}")
             checks.append(InvariantCheck(f.name, False, (), 0))
             continue
-        verified, lam = verify_relative_invariant(rep, f, pts)
         checks.append(InvariantCheck(f.name, verified, lam, len(pts)))
         if i == 0 and char_dim == 1 and verified:
             regular = hessian_regularity(f, rep, pts[0])

@@ -7,9 +7,11 @@ import pytest
 
 from helpers import action_matrix, basis, hessian_matrix
 from pvkit.analyzer import (
+    LAMBDA_POINTS,
     GenericPoint,
     NotPrehomogeneousError,
     ZeroAtTestPointError,
+    certify,
     character_space_dim,
     classify,
     find_generic_point,
@@ -94,6 +96,7 @@ def test_zero_rep_is_not_prehomogeneous():
     zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
     with pytest.raises(NotPrehomogeneousError):
         find_generic_point(zero, seed=0)
+    assert sample_certified_points(zero, 3, seed=0) == []  # no raise: a shortfall
 
 
 def test_isotropy_dims_vector_plus_alt():
@@ -173,7 +176,7 @@ def test_character_dim_one_for_sym_det():
 def test_lambda_det_on_sym_is_twice_trace():
     r = sym2(gl(3))
     f = determinant(3, "sym")
-    pts = sample_certified_points(r, 10, seed=0, avoid_zero_of=f)
+    pts = sample_certified_points(r, 10, seed=0)
     ok, lam = verify_relative_invariant(r, f, pts)
     assert ok
     assert list(lam) == [2 * b.trace() for b in basis(gl(3))]
@@ -183,7 +186,7 @@ def test_lambda_quadratic_under_so_plus_torus():
     n = 4
     rep = add_torus(so(n), 1)
     f = quadratic_form(_eye(n))
-    pts = sample_certified_points(rep, 10, seed=0, avoid_zero_of=f)
+    pts = sample_certified_points(rep, 10, seed=0)
     ok, lam = verify_relative_invariant(rep, f, pts)
     assert ok
     assert list(lam) == [Q(0)] * so(n).algebra_dim + [Q(2)]
@@ -192,7 +195,7 @@ def test_lambda_quadratic_under_so_plus_torus():
 def test_lambda_pfaffian_is_trace():
     r = alt2(gl(4))
     f = pfaffian(4)
-    pts = sample_certified_points(r, 10, seed=0, avoid_zero_of=f)
+    pts = sample_certified_points(r, 10, seed=0)
     ok, lam = verify_relative_invariant(r, f, pts)
     assert ok
     assert list(lam) == [b.trace() for b in basis(gl(4))]
@@ -201,7 +204,7 @@ def test_lambda_pfaffian_is_trace():
 def test_lambda_constant_across_more_points():
     r = sym2(gl(2))
     f = determinant(2, "sym")
-    pts = sample_certified_points(r, 14, seed=5, avoid_zero_of=f)
+    pts = sample_certified_points(r, 14, seed=5)
     ok, _ = verify_relative_invariant(r, f, pts)
     assert ok
 
@@ -245,7 +248,7 @@ def test_hessian_degenerate_for_partial_invariant():
     )
     total = n + n * (n - 1) // 2
     f = restrict_to_summand(pfaffian(n), total, n)
-    p = sample_certified_points(rep, 1, seed=0, avoid_zero_of=f)[0]
+    p = sample_certified_points(rep, 1, seed=0)[0]
     assert hessian_regularity(f, rep, p) is False
 
 
@@ -266,7 +269,7 @@ def test_hessian_dichotomy_at_ten_points():
     from pvkit.linalg import det as det_exact
 
     for rep, f in cases:
-        pts = sample_certified_points(rep, 10, seed=3, avoid_zero_of=f)
+        pts = sample_certified_points(rep, 10, seed=3)
         flags = {det_exact(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts}
         assert len(flags) == 1
 
@@ -334,6 +337,51 @@ def test_classify_records_unverifiable_invariant():
     assert rep.regular is None
 
 
+def test_classify_reports_an_invariant_vanishing_at_a_certified_point():
+    """A nonzero relative invariant vanishes nowhere on the open orbit, so a
+    form that vanishes at the certified hint is reported unverified at 0
+    points instead of being checked at points off its zero set."""
+    off_diagonal = InvariantPolynomial(3, 1, "x01", lambda c: c[1])
+    rep = classify(sym2(gl(2)), [off_diagonal], x_hint=[1, 0, 1], seed=0)
+    assert rep.prehomogeneous
+    (chk,) = rep.invariant_checks
+    assert not chk.verified and chk.points_checked == 0
+    assert "x01 unverified: x01 vanishes on the open orbit" in rep.notes
+
+
+def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypatch):
+    """On an entry with two invariants: one certificate per distinct draw,
+    and each invariant is evaluated without jets LAMBDA_POINTS times, once
+    per point when its gradient is taken."""
+    from pvkit import analyzer
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry("NEG-4.2.8b"), {})
+    certified, evals = [], {}
+
+    def recording_certify(rep, x):
+        certified.append(tuple(x))
+        return certify(rep, x)
+
+    def counted(f):
+        evals[f.name] = 0
+
+        def ev(coords):
+            if not isinstance(coords[0], Jet2):
+                evals[f.name] += 1
+            return f.evaluator(coords)
+
+        return InvariantPolynomial(f.arity, f.degree, f.name, ev)
+
+    monkeypatch.setattr(analyzer, "certify", recording_certify)
+    invariants = [counted(f) for f in built.invariants]
+    report = classify(built.rep, invariants, x_hint=built.x_hint, seed=0)
+    assert report.character_dim == 2 and len(evals) == 2
+    assert all(c.verified for c in report.invariant_checks)
+    assert len(certified) == len(set(certified))
+    assert evals == {f.name: LAMBDA_POINTS for f in built.invariants}
+
+
 def test_classify_leaves_regularity_undecided_for_an_unverified_invariant():
     """The rank test holds for relative invariants only: x1^2 + x2^2 + x3^2
     on symmetric 2x2 matrices is not one, so no regularity is reported."""
@@ -381,7 +429,7 @@ def test_invariance_and_hessian_at_halved_points(which):
             ]
         )
         f = restrict_to_summand(pfaffian(n), n + n * (n - 1) // 2, n)
-    pts = sample_certified_points(rep, 4, seed=2, avoid_zero_of=f)
+    pts = sample_certified_points(rep, 4, seed=2)
     halved = [
         GenericPoint(tuple(Q(c, 2) for c in p.coordinates), True) for p in pts
     ]
@@ -411,9 +459,9 @@ def _int_only(f: InvariantPolynomial) -> InvariantPolynomial:
 
 def test_pipeline_evaluates_invariants_at_integer_points_only():
     rep, f = sym2(gl(3)), _int_only(determinant(3, "sym"))
-    pts = sample_certified_points(rep, 4, seed=2, avoid_zero_of=f)
+    pts = sample_certified_points(rep, 4, seed=2)
     hint = [Q(1, 2), 0, 0, Q(3, 2), 0, Q(-1, 3)]
-    assert sample_certified_points(rep, 2, seed=2, avoid_zero_of=f, hint=hint)
+    assert verify_relative_invariant(rep, f, sample_certified_points(rep, 2, hint=hint))[0]
     halved = [
         GenericPoint(tuple(Q(c, 2) for c in p.coordinates), True) for p in pts
     ]

@@ -2,6 +2,7 @@
 self-test, which runs the package traced."""
 
 import ast
+import json
 import pathlib
 import subprocess
 import sys
@@ -59,3 +60,27 @@ def test_perfbench_selftest_passes():
         timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_traced_run_gives_time_to_every_pipeline_stage():
+    """perfbench's tracer attributes self time to each stage of one run, so
+    the stage table keeps seeing the analyzer functions it wraps by name."""
+    script = (
+        "import json, sys\n"
+        "sys.path[:0] = ['perfbench', 'src']\n"
+        "from spans import SpanTable, Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "import pvkit\n"
+        "pvkit.run('T2.2', {'n': 3})\n"
+        "print(json.dumps(SpanTable(tracer.dump()).self_by_stage()))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    stages = json.loads(proc.stdout)
+    for stage in ("certified point sampling", "isotropy", "character rank",
+                  "invariance jets", "Hessian", "structure tensor + derived subalgebra"):
+        assert stages.get(stage, 0) > 0, (stage, stages)
