@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Anatomy of one verification: GL(n) on symmetric matrices.
 
-The pipeline: certify a generic point by an exact rank computation, read
-the isotropy subalgebra off a nullspace, count available characters as a
-corank, check the determinant transforms by a character through exact
-jets, and decide regularity by one rank that gives the Hessian's rank.
+The pipeline: certify a generic point by an exact rank computation, which
+fixes the isotropy dimension by rank-nullity, count available characters as
+a corank of the commutators at that point, check the determinant transforms
+by a character through exact jets, and decide regularity by one rank that
+gives the Hessian's rank.  Step 2 builds the isotropy subalgebra itself,
+which the pipeline does not need.
 """
 
 from pvkit import classify, gl, sym2
@@ -13,12 +15,12 @@ from pvkit.analyzer import (
     character_space_dim,
     find_generic_point,
     hessian_regularity,
-    isotropy_algebra,
     sample_certified_points,
     verify_relative_invariant,
 )
 from pvkit.invariants import determinant
-from pvkit.linalg import rank
+from pvkit.linalg import nullspace, rank
+from pvkit.reps import Subalgebra
 
 n = 3
 rep = sym2(gl(n))        # s -> X s + s X^T in triangle coordinates
@@ -35,13 +37,16 @@ m = (rep.T @ x).T
 print(f"certified point {x}: orbit map rank {rank(m)}, "
       f"onto: {certify(rep, point.coordinates)}")
 
-# 2. the isotropy subalgebra is the nullspace of that matrix
-iso = isotropy_algebra(rep, point)
+# 2. the isotropy subalgebra is the nullspace of that matrix; its rows are
+# coefficient vectors over the algebra basis
+kernel, _ = nullspace(m)
+iso = Subalgebra(rep, kernel)
 print(f"isotropy dimension {iso.dim} "
       f"(= {rep.algebra_dim} - {rep.space_dim}); bracket closed: "
       f"{iso.is_bracket_closed()}")
 
-# 3. characters available to relative invariants: a corank
+# 3. characters available to relative invariants: n minus the rank of the
+# commutators [B_i, B_j] . x, read at the certified point
 print("character space dimension:", character_space_dim(rep, point))
 
 # 4. the determinant is relatively invariant: same character at 10 points.

@@ -2,10 +2,11 @@
 one-dimensional quotient.
 
 Everything is computed over the rationals with certified exact linear
-algebra: prehomogeneity through rank certificates, isotropy subalgebras as
-nullspaces, character-lattice ranks as coranks, relative invariance through
-exact gradients, and regularity through one exact rank that reads the
-Hessian's rank off the gradient.
+algebra: prehomogeneity through rank certificates, isotropy dimensions by
+rank-nullity, character-lattice ranks as coranks of the commutators at a
+certified point, relative invariance through exact gradients, and
+regularity through one exact rank that reads the Hessian's rank off the
+gradient.
 """
 
 from .analyzer import (
@@ -17,7 +18,6 @@ from .analyzer import (
     classify,
     find_generic_point,
     hessian_regularity,
-    isotropy_algebra,
     verify_relative_invariant,
 )
 from .catalog import CatalogEntry, VerificationReport, catalog, get_entry, run, run_all

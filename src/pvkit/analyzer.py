@@ -3,10 +3,13 @@
 A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by an exact rank computation and never guessed.
 One sampling call per run draws every certified point, as tuples of Python
-ints.  The isotropy subalgebra is a nullspace, the character-lattice rank
-is a corank, relative invariance is checked through exact gradients with
-the character compared in integers, and regularity is full rank of the
-Hessian, read off the gradient by one rank at the first point.
+ints.  The isotropy dimension d - n follows from the point certificate by
+rank-nullity, so no kernel is computed.  The character-lattice rank and the
+check that a character vanishes on the derived algebra both read the
+commutators at the first point, through one n x n Gram matrix.  Relative
+invariance is checked through exact gradients with the character compared
+in integers, and regularity is full rank of the Hessian, read off the
+gradient by one rank at the first point.
 """
 
 from __future__ import annotations
@@ -17,16 +20,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .invariants import InvariantPolynomial
-from .linalg import (
-    DetRng,
-    Q,
-    SpanSolver,
-    _int_array,
-    jet_line,
-    nullspace,
-    rank,
-)
-from .reps import MatrixRep, Subalgebra
+from .linalg import DetRng, Q, _fit, _int_array, jet_line, rank
+from .reps import MatrixRep
 
 __all__ = [
     "GenericPoint",
@@ -35,7 +30,6 @@ __all__ = [
     "ZeroAtTestPointError",
     "find_generic_point",
     "certify",
-    "isotropy_algebra",
     "character_space_dim",
     "verify_relative_invariant",
     "hessian_regularity",
@@ -112,31 +106,33 @@ def find_generic_point(
     raise NotPrehomogeneousError(_shortfall(0))
 
 
-def isotropy_algebra(rep: MatrixRep, point: GenericPoint) -> Subalgebra:
-    """Annihilator {X : X.x = 0} as a nullspace; dimension is forced."""
+def _commutator_gram(rep: MatrixRep, point: GenericPoint) -> np.ndarray:
+    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] xi.
+
+    xi is the point cleared to integers.  With P = T @ (T @ xi).T, of shape
+    (d, n, d), P[i, :, j] = T_i (T_j xi), so M is one gather of P.  Over Q,
+    M v = 0 exactly when G v = 0 (v^T G v = |M v|^2), so G has the rank of
+    M and the same kernel, in an n x n integer matrix.
+    """
     if not point.certified:
-        raise ValueError("isotropy requires a certified point")
+        raise ValueError("the commutators are read at a certified point only")
     xi, _ = _int_array(point.coordinates)
-    kernel, _ = nullspace((rep.T @ xi).T)  # the kernel of the orbit map
-    sub = Subalgebra(rep, kernel)
-    if sub.dim != rep.algebra_dim - rep.space_dim:
-        raise AssertionError("isotropy dimension violates the rank identity")
-    return sub
+    T = rep.T
+    P = _fit(T @ _fit(T @ xi).T)
+    iu, ju = np.triu_indices(rep.algebra_dim, 1)
+    M = _fit(P[iu, :, ju] - P[ju, :, iu])
+    return M.T @ M
 
 
 def character_space_dim(rep: MatrixRep, point: GenericPoint) -> int:
-    """Corank of derived subalgebra + isotropy inside the algebra.
+    """Corank of derived subalgebra + isotropy inside the algebra, n - rank G.
 
     This is the rank of the lattice of characters available to relative
-    invariants; the span is already a subalgebra because all brackets land
-    in the derived part.
+    invariants.  The orbit map Y -> Y.x is onto at the certified point x and
+    has kernel the isotropy g_x, so dim([g, g] + g_x) = (d - n) + dim [g, g].x,
+    and [g, g].x is spanned by the rows of M (see `_commutator_gram`).
     """
-    span = SpanSolver(rep.algebra_dim)
-    for v in rep.derived_subalgebra().coefficient_basis:
-        span.insert(v)
-    for v in isotropy_algebra(rep, point).coefficient_basis:
-        span.insert(v)
-    return rep.algebra_dim - span.rank
+    return rep.space_dim - rank(_commutator_gram(rep, point))
 
 
 def sample_certified_points(
@@ -205,9 +201,11 @@ def verify_relative_invariant(
 
     For each basis element X the directional derivative along X.x must be
     lambda_X * f(x) with one lambda vector shared by every supplied point,
-    and lambda must vanish on the derived subalgebra.  Returns (verified,
-    lambda).  lambda also vanishes on the isotropy of every point checked,
-    by construction: T_X x = 0 there.
+    and lambda must vanish on the derived subalgebra.  It does exactly when
+    grad f(x) is orthogonal to [g, g].x, that is G grad f(x) = 0 at the
+    first point (see `_commutator_gram`).  Returns (verified, lambda).
+    lambda also vanishes on the isotropy of every point checked, by
+    construction: T_X x = 0 there.
 
     Each point x is cleared to the integer point xi = c * x, where one
     gradient gives the derivatives along every X.xi.  lambda is a ratio of
@@ -216,18 +214,18 @@ def verify_relative_invariant(
     """
     if not points:
         raise ValueError("need at least one point")
-    num, fx0 = None, 0
+    num, fx0, grad0 = None, 0, None
     verified = True
     for p in points:
-        fx, _, cur = _first_order(rep, f, p)
+        fx, grad, cur = _first_order(rep, f, p)
         if num is None:
-            num, fx0 = cur, fx
+            num, fx0, grad0 = cur, fx, grad
         elif (cur * fx0 != num * fx).any():
             verified = False
             break
     lam = tuple(Q(v, rep.den * fx0) for v in num)
     if verified:
-        verified = not (rep.derived_subalgebra().coefficient_basis @ num).any()
+        verified = not (_commutator_gram(rep, points[0]) @ grad0).any()
     return verified, lam
 
 
@@ -291,8 +289,6 @@ def classify(
             notes=str(exc),
         )
     notes = ["point from registered data" if x_hint is not None else "seeded point"]
-    # character_space_dim builds the isotropy algebra, whose dimension
-    # isotropy_algebra has checked against the rank identity
     char_dim = character_space_dim(rep, pts[0])
     if char_dim == 0:
         notes.append("no nontrivial relative invariant at the algebra level")

@@ -4,10 +4,12 @@ A MatrixRep holds the action of a basis of the algebra on the space as one
 integer array T of shape (d, n, n) with a common denominator den: generator
 i is T[i] / den.  Every catalog generator is an integer or half-integer
 matrix, so T is int64 except where entries grow past the bound of
-`linalg._int_array`, and then it holds Python ints.  Closure under
-commutators is checked exactly and the structure constants are cached, so
-isotropy subalgebras and derived subalgebras can be handled in coefficient
-space.
+`linalg._int_array`, and then it holds Python ints.  `structure_tensor`
+checks closure under commutators exactly and caches the structure
+constants, on which derived subalgebras and subalgebra closure are handled
+in coefficient space.  A verification run uses none of these: it reads the
+commutators at a certified point (see `analyzer.character_space_dim`), and
+closure of every catalog algebra is checked by acceptance criterion 6.
 
 Basis enumeration is deterministic everywhere (lexicographic elementary
 matrices), so every downstream report is reproducible bit for bit.

@@ -1,12 +1,12 @@
-"""Shared helpers for the test suite: Fraction references for the integer
-paths of the package."""
+"""Shared helpers for the test suite: Fraction and coefficient-space
+references for the integer paths of the package."""
 
 from fractions import Fraction as Q
 
 import numpy as np
 
-from pvkit.linalg import Matrix, _int_array, jet_line, nullspace
-from pvkit.reps import MatrixRep
+from pvkit.linalg import Matrix, SpanSolver, _int_array, jet_line, nullspace
+from pvkit.reps import MatrixRep, Subalgebra
 
 
 def basis(rep: MatrixRep) -> tuple[Matrix, ...]:
@@ -25,6 +25,33 @@ def action_matrix(rep: MatrixRep, x) -> Matrix:
         rep.algebra_dim,
         [Q(int(v), scale) for v in (rep.T @ xi).T.ravel()],
     )
+
+
+def isotropy_algebra(rep: MatrixRep, point) -> Subalgebra:
+    """Annihilator {X : X.x = 0} as a nullspace; dimension is forced.
+
+    The reference for the isotropy dimension d - n that the analyzer takes
+    from the point certificate by rank-nullity.
+    """
+    if not point.certified:
+        raise ValueError("isotropy requires a certified point")
+    xi, _ = _int_array(point.coordinates)
+    kernel, _ = nullspace((rep.T @ xi).T)  # the kernel of the orbit map
+    sub = Subalgebra(rep, kernel)
+    if sub.dim != rep.algebra_dim - rep.space_dim:
+        raise AssertionError("isotropy dimension violates the rank identity")
+    return sub
+
+
+def character_dim_in_coefficients(rep: MatrixRep, point) -> int:
+    """Corank of derived subalgebra + isotropy inside the algebra, in
+    coefficient space: the reference for `analyzer.character_space_dim`."""
+    span = SpanSolver(rep.algebra_dim)
+    for v in rep.derived_subalgebra().coefficient_basis:
+        span.insert(v)
+    for v in isotropy_algebra(rep, point).coefficient_basis:
+        span.insert(v)
+    return rep.algebra_dim - span.rank
 
 
 def hessian_matrix(f, x) -> tuple[np.ndarray, int]:

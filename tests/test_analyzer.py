@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import action_matrix, basis, hessian_matrix
+from helpers import action_matrix, basis, hessian_matrix, isotropy_algebra
 from pvkit.analyzer import (
     LAMBDA_POINTS,
     GenericPoint,
@@ -16,7 +16,6 @@ from pvkit.analyzer import (
     classify,
     find_generic_point,
     hessian_regularity,
-    isotropy_algebra,
     sample_certified_points,
     verify_relative_invariant,
 )
@@ -257,6 +256,8 @@ def test_hessian_regularity_requires_a_certified_point():
     f = determinant(2, "sym")
     with pytest.raises(ValueError):
         hessian_regularity(f, r, GenericPoint((1, 0, 1), False))
+    with pytest.raises(ValueError):
+        character_space_dim(r, GenericPoint((1, 0, 1), False))
 
 
 def test_hessian_dichotomy_at_ten_points():
@@ -292,9 +293,11 @@ def test_classify_assembles_report():
 
 
 def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch):
-    """One nullspace per run (the isotropy of the generic point), and the
-    Hessian runs at the first point of the invariance check."""
-    from pvkit import analyzer
+    """No nullspace in a run: the isotropy dimension comes from the point
+    certificate by rank-nullity (this once allowed the one isotropy kernel
+    of the generic point).  The Hessian runs at the first point of the
+    invariance check."""
+    from pvkit import analyzer, linalg, reps
 
     calls = {"nullspace": 0}
     first, seen = [], []
@@ -311,14 +314,55 @@ def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch
         seen.append(point)
         return hessian_regularity(f, rep, point)
 
-    monkeypatch.setattr(analyzer, "nullspace", counted_nullspace)
+    for module in (analyzer, linalg, reps):
+        monkeypatch.setattr(module, "nullspace", counted_nullspace, raising=False)
     monkeypatch.setattr(analyzer, "verify_relative_invariant", recording_verify)
     monkeypatch.setattr(analyzer, "hessian_regularity", recording_hessian)
     report = classify(sym2(gl(3)), [determinant(3, "sym")], seed=0)
     assert report.regular is True
-    assert calls["nullspace"] == 1
+    assert calls["nullspace"] == 0
     assert len(seen) == 1 and seen[0] is first[0]
     assert all(type(c) is int for c in seen[0].coordinates)
+
+
+def test_classify_builds_no_structure_tensor_derived_subalgebra_or_kernel(monkeypatch):
+    """The report of a run comes from commutators at the certified point
+    alone, so it is unchanged with the coefficient-space tools disabled."""
+    from pvkit import analyzer, linalg, reps
+
+    expected = classify(sym2(gl(3)), [determinant(3, "sym")], seed=0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called during a run")
+
+    monkeypatch.setattr(MatrixRep, "structure_tensor", forbidden)
+    monkeypatch.setattr(MatrixRep, "derived_subalgebra", forbidden)
+    for module in (analyzer, linalg, reps):
+        monkeypatch.setattr(module, "nullspace", forbidden, raising=False)
+    assert classify(sym2(gl(3)), [determinant(3, "sym")], seed=0) == expected
+
+
+@pytest.mark.parametrize("which", ["sym_det", "alt_pfaffian", "so_quadratic"])
+def test_commutators_at_the_point_are_exact_beyond_int64(which):
+    """Generators scaled by 2**40 put the commutator products at the point
+    past int64, into Python ints; the character dimension and the
+    invariance result do not change."""
+    from pvkit.analyzer import _commutator_gram
+
+    if which == "sym_det":
+        rep, f = sym2(gl(3)), determinant(3, "sym")
+    elif which == "alt_pfaffian":
+        rep, f = alt2(gl(4)), pfaffian(4)
+    else:
+        rep, f = add_torus(so(4), 1), quadratic_form(_eye(4))
+    # T and den both times 2**40: the same generators
+    big = MatrixRep(rep.T.astype(object) * 2**40, rep.den * 2**40, rep.labels)
+    assert big.T.dtype == object
+    pts = sample_certified_points(rep, LAMBDA_POINTS, seed=4)
+    assert sample_certified_points(big, LAMBDA_POINTS, seed=4) == pts
+    assert _commutator_gram(big, pts[0]).dtype == object
+    assert character_space_dim(big, pts[0]) == character_space_dim(rep, pts[0])
+    assert verify_relative_invariant(big, f, pts) == verify_relative_invariant(rep, f, pts)
 
 
 def test_classify_inconclusive_when_not_prehomogeneous():

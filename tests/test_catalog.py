@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from helpers import character_dim_in_coefficients, isotropy_algebra
 from pvkit.analyzer import (
     LAMBDA_POINTS,
-    isotropy_algebra,
+    character_space_dim,
     sample_certified_points,
     verify_relative_invariant,
 )
@@ -172,6 +173,37 @@ def test_lambda_vanishes_on_isotropy_at_an_independent_point():
             assert ok and any(lam), (entry.id, f.name)
             assert not (iso @ np.array(lam, dtype=object)).any(), (entry.id, f.name)
             checked += 1
+    assert checked == 29
+
+
+def test_character_dim_and_derived_check_match_coefficient_space():
+    """At the criterion-6 points and an independent one, the character
+    dimension n - rank G equals the corank of derived subalgebra + isotropy,
+    and for every declared invariant G grad = 0 exactly when lambda's
+    numerators vanish on the derived subalgebra; a sum of squares, not an
+    invariant, is compared too."""
+    from pvkit.analyzer import _commutator_gram, _first_order
+    from pvkit.catalog import _build
+    from pvkit.invariants import InvariantPolynomial
+
+    checked = 0
+    for entry in catalog():
+        built = _build(entry, dict(entry.defaults[0]))
+        rep = built.rep
+        pts = sample_certified_points(rep, 5, seed=11, hint=built.x_hint)
+        pts += sample_certified_points(rep, 1, seed=31)
+        for p in pts:
+            want = character_dim_in_coefficients(rep, p)
+            assert character_space_dim(rep, p) == want, entry.id
+        derived = rep.derived_subalgebra().coefficient_basis
+        squares = InvariantPolynomial(
+            rep.space_dim, 2, "squares", lambda c: sum(v * v for v in c)
+        )
+        for f in (*built.invariants, squares):
+            _, grad, num = _first_order(rep, f, pts[0])
+            at_point = not (_commutator_gram(rep, pts[0]) @ grad).any()
+            assert at_point == (not (derived @ num).any()), (entry.id, f.name)
+            checked += f is not squares
     assert checked == 29
 
 
