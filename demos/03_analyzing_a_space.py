@@ -4,8 +4,9 @@
 The pipeline: certify a generic point by an exact rank computation, which
 fixes the isotropy dimension by rank-nullity, count available characters as
 a corank of the commutators at that point, check the determinant transforms
-by a character through exact jets, and decide regularity by one rank that
-gives the Hessian's rank.  Step 2 builds the isotropy subalgebra itself,
+by a character through exact gradients (one taped evaluation and one
+backward sweep per point), and decide regularity by one rank that gives the
+Hessian's rank.  Step 2 builds the isotropy subalgebra itself,
 which the pipeline does not need.
 """
 

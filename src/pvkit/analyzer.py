@@ -6,21 +6,23 @@ One sampling call per run draws every certified point, as tuples of Python
 ints.  The isotropy dimension d - n follows from the point certificate by
 rank-nullity, so no kernel is computed.  The character-lattice rank and the
 check that a character vanishes on the derived algebra both read the
-commutators at the first point, through one n x n Gram matrix.  Relative
-invariance is checked through exact gradients with the character compared
-in integers, and regularity is full rank of the Hessian, read off the
-gradient by one rank at the first point.
+commutators at the first point, through one n x n Gram matrix built once
+per run.  Relative invariance is checked through exact gradients, each from
+one taped evaluation and a backward sweep, with the character compared in
+integers, and regularity is full rank of the Hessian, read off the gradient
+by one rank at the first point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .invariants import InvariantPolynomial
-from .linalg import DetRng, Q, _fit, _int_array, jet_line, rank
+from .invariants import InvariantPolynomial, value_and_gradient
+from .linalg import DetRng, Q, _fit, _int_array, rank
 from .reps import MatrixRep
 
 __all__ = [
@@ -106,13 +108,16 @@ def find_generic_point(
     raise NotPrehomogeneousError(_shortfall(0))
 
 
+@lru_cache(maxsize=1)
 def _commutator_gram(rep: MatrixRep, point: GenericPoint) -> np.ndarray:
-    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] xi.
+    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] xi; read-only.
 
     xi is the point cleared to integers.  With P = T @ (T @ xi).T, of shape
     (d, n, d), P[i, :, j] = T_i (T_j xi), so M is one gather of P.  Over Q,
     M v = 0 exactly when G v = 0 (v^T G v = |M v|^2), so G has the rank of
-    M and the same kernel, in an n x n integer matrix.
+    M and the same kernel, in an n x n integer matrix.  The last (rep,
+    point) is cached: a run reads G at its first point for the character
+    dimension and again for each invariant.
     """
     if not point.certified:
         raise ValueError("the commutators are read at a certified point only")
@@ -121,7 +126,9 @@ def _commutator_gram(rep: MatrixRep, point: GenericPoint) -> np.ndarray:
     P = _fit(T @ _fit(T @ xi).T)
     iu, ju = np.triu_indices(rep.algebra_dim, 1)
     M = _fit(P[iu, :, ju] - P[ju, :, iu])
-    return M.T @ M
+    G = M.T @ M
+    G.flags.writeable = False
+    return G
 
 
 def character_space_dim(rep: MatrixRep, point: GenericPoint) -> int:
@@ -176,19 +183,16 @@ def _first_order(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """(f(xi), grad f(xi), num) at the cleared integer point xi = c * x.
 
-    The gradient takes n jets along the unit vectors and reads only their
-    first derivatives.  num_X = grad f(xi) . (T_X xi) is the derivative
-    along X.xi, times den.  Python ints throughout: numpy integers wrap
-    around in a jet.
+    One taped evaluation of f and one backward sweep give f(xi) and the
+    exact gradient (`value_and_gradient`).  num_X = grad f(xi) . (T_X xi)
+    is the derivative along X.xi, times den.  Python ints throughout.
     """
     xa, _ = _int_array(point.coordinates)
-    xi = xa.tolist()
-    fx = f(xi)
+    fx, grad = value_and_gradient(f, xa.tolist())
     if fx == 0:
         where = "on the open orbit" if point.certified else "at a test point"
         raise ZeroAtTestPointError(f"{f.name} vanishes {where}")
-    units = np.eye(len(xi), dtype=np.int64).tolist()
-    grad = np.array([jet_line(f, xi, e).d1 for e in units], dtype=object)
+    grad = np.array(grad, dtype=object)
     return fx, grad, (rep.T @ xa).astype(object) @ grad
 
 

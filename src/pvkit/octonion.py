@@ -13,8 +13,9 @@ coordinates are ordered (x1, x2, x3, o1[0..7], o2[0..7], o3[0..7]) for
 and the cubic form is normalized so diag(a, b, c) evaluates to a*b*c.
 
 All arithmetic here is generic over any commutative ring whose elements
-support +, -, * with Python ints (exact rationals and second-order jets in
-particular), so the cubic form can be evaluated on jet coordinates directly.
+support +, -, * with Python ints (exact rationals, the gradient tape nodes
+of `invariants.value_and_gradient` and second-order jets in particular), so
+the cubic form can be evaluated on tape or jet coordinates directly.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from pvkit.analyzer import (
 )
 from pvkit.invariants import (
     InvariantPolynomial,
+    TapeNode,
     determinant,
     pfaffian,
     quadratic_form,
@@ -395,8 +396,8 @@ def test_classify_reports_an_invariant_vanishing_at_a_certified_point():
 
 def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypatch):
     """On an entry with two invariants: one certificate per distinct draw,
-    and each invariant is evaluated without jets LAMBDA_POINTS times, once
-    per point when its gradient is taken."""
+    and each invariant is evaluated LAMBDA_POINTS times, once per point, on
+    tape nodes: the taped evaluation gives the value and the gradient."""
     from pvkit import analyzer
     from pvkit.catalog import _build, get_entry
 
@@ -411,8 +412,8 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
         evals[f.name] = 0
 
         def ev(coords):
-            if not isinstance(coords[0], Jet2):
-                evals[f.name] += 1
+            assert all(isinstance(c, TapeNode) for c in coords)
+            evals[f.name] += 1
             return f.evaluator(coords)
 
         return InvariantPolynomial(f.arity, f.degree, f.name, ev)
@@ -424,6 +425,25 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
     assert all(c.verified for c in report.invariant_checks)
     assert len(certified) == len(set(certified))
     assert evals == {f.name: LAMBDA_POINTS for f in built.invariants}
+
+
+def test_classify_builds_the_gram_matrix_once_per_run():
+    """The character dimension and each invariant's derived check read one
+    cached, read-only Gram matrix at the first point."""
+    from pvkit.analyzer import _commutator_gram
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry("NEG-4.2.8b"), {})
+    _commutator_gram.cache_clear()
+    report = classify(built.rep, built.invariants, x_hint=built.x_hint, seed=0)
+    assert len(report.invariant_checks) == 2
+    info = _commutator_gram.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    point = sample_certified_points(built.rep, 1, hint=built.x_hint)[0]
+    G = _commutator_gram(built.rep, point)
+    assert _commutator_gram.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        G[0, 0] = 1
 
 
 def test_classify_leaves_regularity_undecided_for_an_unverified_invariant():
@@ -490,11 +510,15 @@ def test_invariance_and_hessian_at_halved_points(which):
 
 
 def _int_only(f: InvariantPolynomial) -> InvariantPolynomial:
-    """f, asserting that every coordinate it sees is an int or an int jet."""
+    """f, asserting that every coordinate it sees is an int, an int jet or a
+    tape node holding an int."""
 
     def ev(coords):
         for c in coords:
-            parts = (c.v, c.d1, c.d2) if isinstance(c, Jet2) else (c,)
+            if isinstance(c, Jet2):
+                parts = (c.v, c.d1, c.d2)
+            else:
+                parts = (c.v,) if isinstance(c, TapeNode) else (c,)
             assert all(type(v) is int for v in parts), c
         return f.evaluator(coords)
 

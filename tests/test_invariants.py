@@ -1,4 +1,5 @@
-"""Invariant evaluators: frozen values, transformation laws, jet agreement."""
+"""Invariant evaluators: frozen values, transformation laws, jet agreement,
+and the taped gradient against the jet reference."""
 
 from fractions import Fraction as Q
 
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import alt_coords, basis, hessian_matrix, sym_coords
 from pvkit.invariants import (
+    InvariantPolynomial,
     alt_unpack,
     bordered_pfaffian,
     det_augmented,
@@ -16,9 +18,11 @@ from pvkit.invariants import (
     pf_gram,
     pfaffian,
     quadratic_form,
+    restrict_to_summand,
     ring_det,
     symplectic_pair,
     sym_unpack,
+    value_and_gradient,
 )
 from pvkit.linalg import DetRng, Matrix, Q as QQ, det, jet_line
 
@@ -404,3 +408,90 @@ def test_ring_det_matches_matrix_det():
         vals = rand_vec(rng, n * n)
         rows = [vals[i * n : (i + 1) * n] for i in range(n)]
         assert ring_det(rows) == det(Matrix(n, n, vals))
+
+
+# -- taped gradient ------------------------------------------------------------
+
+
+def _jet_reference(f, x):
+    """(f(x), grad f(x)) from n forward jets along the unit vectors."""
+    n = len(x)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    return f(x), [jet_line(f, x, u).d1 for u in units]
+
+
+def _assert_matches_jets(f, seed, points=3):
+    rng = DetRng(seed)
+    for _ in range(points):
+        x = [rng.randint(-3, 3) for _ in range(f.arity)]
+        assert value_and_gradient(f, x) == _jet_reference(f, x), f.name
+
+
+def test_gradient_matches_jets_on_every_default_catalog_invariant():
+    from pvkit.catalog import _build, catalog
+
+    checked = 0
+    for entry in catalog():
+        for params in entry.defaults or ({},):
+            for f in _build(entry, dict(params)).invariants:
+                _assert_matches_jets(f, seed=41 + checked)
+                checked += 1
+    assert checked == 49
+
+
+@pytest.mark.parametrize(
+    "entry_id,params", [("T2.3", {"n": 8}), ("T2.4", {"n": 4}), ("T2.5", {})]
+)
+def test_gradient_matches_jets_at_larger_parameters(entry_id, params):
+    from pvkit.catalog import _build, get_entry
+
+    (f,) = _build(get_entry(entry_id), params).invariants
+    _assert_matches_jets(f, seed=5)
+
+
+def test_gradient_matches_jets_on_a_restricted_summand():
+    f = restrict_to_summand(pfaffian(4), 4 + 6, 4, " (second summand)")
+    _assert_matches_jets(f, seed=6)
+    _, grad = value_and_gradient(f, list(range(1, 11)))
+    assert grad[:4] == [0, 0, 0, 0]
+
+
+def test_gradient_with_ints_on_either_side_and_unary_minus():
+    def ev(c):
+        x, y = c
+        return (2 + x) * (y - 5) + 3 * (7 - x) * y - (-x) + x * 4 - (1 - y)
+
+    f = InvariantPolynomial(2, 2, "mixed", ev)
+    for x, y in [(1, 2), (-3, 0), (5, -4)]:
+        value = (2 + x) * (y - 5) + 3 * (7 - x) * y + x + 4 * x - 1 + y
+        dx = (y - 5) - 3 * y + 1 + 4
+        dy = (2 + x) + 3 * (7 - x) + 1
+        assert value_and_gradient(f, [x, y]) == (value, [dx, dy])
+        assert value_and_gradient(f, [x, y]) == _jet_reference(f, [x, y])
+
+
+def test_gradient_of_a_constant_and_of_a_coordinate():
+    const = InvariantPolynomial(3, 0, "five", lambda c: 5)
+    assert value_and_gradient(const, [1, 2, 3]) == (5, [0, 0, 0])
+    second = InvariantPolynomial(3, 1, "x1", lambda c: c[1])
+    assert value_and_gradient(second, [4, -7, 9]) == (-7, [0, 1, 0])
+
+
+def test_gradient_is_exact_above_int64_and_evaluates_once():
+    calls = []
+
+    def ev(c):
+        calls.append(1)
+        return c[0] * c[1] * c[2] - c[2]
+
+    f = InvariantPolynomial(3, 3, "xyz - z", ev)
+    # numpy int64 inputs become Python ints before any product is formed
+    x = np.array([2**40, -(2**40), 3], dtype=np.int64)
+    value, grad = value_and_gradient(f, x)
+    assert len(calls) == 1
+    assert value == -3 * 2**80 - 3 and value < -(2**63)
+    assert grad == [-3 * 2**40, 3 * 2**40, -(2**80) - 1]
+    assert all(type(g) is int for g in grad)
+    assert (value, grad) == _jet_reference(f, x.tolist())
+    with pytest.raises(TypeError):
+        value_and_gradient(f, [Q(1, 2), 1, 1])

@@ -40,6 +40,13 @@ def test_analyzer_reads_no_second_derivative_and_no_determinant():
     assert "det" not in names and "d2" not in names
 
 
+def test_analyzer_takes_gradients_without_jets():
+    """Each gradient is one taped evaluation and a backward sweep."""
+    names = _imported_names("analyzer")
+    assert "jet_line" not in names and "Jet2" not in names
+    assert "value_and_gradient" in names
+
+
 def test_analyzer_works_at_the_point_not_in_coefficient_space():
     """The character dimension and the derived check read the commutators
     at a certified point; no structure tensor, derived subalgebra or kernel
