@@ -34,7 +34,7 @@ assert g2.derived_subalgebra().dim == g2.algebra_dim  # perfect
 for m in (7, 8, 9):
     rho = spin_rep(m)
     print(f"spin({m}): {rho.algebra_dim} generators on C^{rho.space_dim}")
-    rho.check_closure()
+    rho.structure_tensor()  # exact closure; raises ClosureError otherwise
 
 # e6: 27x27 matrices annihilating the cubic form, the exact nullspace of the
 # annihilator conditions (one linear condition per cubic monomial).

@@ -23,7 +23,7 @@ print(f"T2.6 at n=2: status={report.status} qd1={report.qd1} "
       f"regular={report.regular}")
 print("  dims:", report.dims)
 print("  invariant:", report.invariants[0]["name"])
-print("  diagram:", report.diagram, "cross-link ok:", report.diagram_ok)
+print("  diagram:", report.diagram, "dimension cross-check ok:", report.diagram_ok)
 
 # A two-summand row whose invariant ignores one summand: not regular.
 report = run("T3.3", {"n": 4}, seed=0)

@@ -4,8 +4,10 @@ Entry ids T2.* are the irreducible rows, T3.* the rows with two summands,
 NEG-* the families whose character space is 0- or 2-dimensional (so no
 single fundamental invariant exists).  Each entry builds an exact matrix
 realization, runs the analyzer, and diffs the observed flags against the
-expected ones; entries carrying a weighted diagram are cross-checked
-against the grading (component dimensions must reproduce the space).
+expected ones; entries carrying a weighted diagram get a dimension
+cross-check against the grading: the degree-0 piece has the algebra's
+dimension, and the irreducible components of the degree-1 piece have the
+dimensions of the space's summands.
 
 Reports are deterministic: identical (entry, parameters, seed) give
 bit-identical JSON.
@@ -843,13 +845,17 @@ def _check_params(entry: CatalogEntry, params: Dict[str, int]) -> None:
 
 
 def _diagram_check(entry: CatalogEntry, params, rep: MatrixRep):
+    """(repr of the diagram, dimension cross-check), or (None, None)."""
     wd = entry.diagram(params)
     if wd is None:
         return None, None
     grading = compute_grading(wd)
-    comps = irreducible_components(grading)
-    ok = sum(c.dimension for c in comps) == rep.space_dim
-    ok = ok and len(comps) == len(wd.circled)
+    comp_dims = sorted(c.dimension for c in irreducible_components(grading))
+    ok = (
+        grading.dim(0) == rep.algebra_dim
+        and comp_dims == sorted(rep.summand_dims)
+        and len(comp_dims) == len(wd.circled)
+    )
     if entry.expected_commutative_parabolic is not None and len(wd.circled) == 1:
         ok = ok and (
             is_commutative_parabolic(grading) == entry.expected_commutative_parabolic
@@ -901,7 +907,10 @@ def run(entry_id: str, params: Optional[Dict[str, int]] = None, seed: int = 0) -
                     "lambda_nonzero": chk.lambda_nonzero,
                 }
         if diagram_ok is False:
-            diff["diagram"] = {"expected": "component dims add to the space", "observed": False}
+            diff["diagram"] = {
+                "expected": "grading dims match the algebra and the summands",
+                "observed": False,
+            }
         status = "pass" if not diff else "fail"
     dims = {
         "algebra": report.algebra_dim,

@@ -12,23 +12,24 @@ coordinates are ordered (x1, x2, x3, o1[0..7], o2[0..7], o3[0..7]) for
 
 and the cubic form is normalized so diag(a, b, c) evaluates to a*b*c.
 
-All arithmetic here is generic over any commutative ring whose elements
-support +, -, * with Python ints (exact rationals, the gradient tape nodes
-of `invariants.value_and_gradient` and second-order jets in particular), so
-the cubic form can be evaluated on tape or jet coordinates directly.
+The cubic form is integer data: `freudenthal_monomials` lists its 89 terms
+c * x_a x_b x_c, read straight off the multiplication table, and
+`freudenthal_value` sums them.  Evaluation is generic over any commutative
+ring whose elements support +, -, * with Python ints (exact rationals and
+the gradient tape nodes of `invariants.value_and_gradient` in particular).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from itertools import product
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "OCT_DIM",
     "oct_table",
     "oct_mul",
     "oct_norm",
-    "oct_trace",
     "albert_coords_dim",
     "freudenthal_value",
     "freudenthal_monomials",
@@ -107,102 +108,33 @@ def oct_norm(a: Sequence):
     return out
 
 
-def oct_trace(a: Sequence):
-    """a + conj(a) as a scalar: twice the unit coordinate."""
-    return a[0] + a[0]
+@lru_cache(maxsize=None)
+def freudenthal_monomials() -> Tuple[Tuple[Tuple[int, int, int], int], ...]:
+    """The cubic form as sorted ((a, b, c), coefficient) terms, a <= b <= c.
 
-
-def _split(coords: Sequence):
-    x1, x2, x3 = coords[0], coords[1], coords[2]
-    o1 = list(coords[3:11])
-    o2 = list(coords[11:19])
-    o3 = list(coords[19:27])
-    return x1, x2, x3, o1, o2, o3
+    N = x1 x2 x3 - sum_s x_s n(o_s) + t((o1 o2) o3), with n(o) the sum of
+    squares and t(o) = 2 o[0].  In t, e_i e_j = s e_m and e_m e_k has a unit
+    coordinate only for k = m, where it is e_m e_m; so the term o1_i o2_j
+    o3_m has coefficient 2 s sign(e_m e_m).  89 terms in all.
+    """
+    table = oct_table()
+    terms = [((0, 1, 2), 1)]
+    for s in range(3):
+        base = 3 + OCT_DIM * s
+        terms.extend(((s, base + i, base + i), -1) for i in range(OCT_DIM))
+    for i, j in product(range(OCT_DIM), repeat=2):
+        m, sign = table[i][j]
+        coeff = 2 * sign * table[m][m][1]
+        terms.append(((3 + i, 3 + OCT_DIM + j, 3 + 2 * OCT_DIM + m), coeff))
+    return tuple(sorted(terms))
 
 
 def freudenthal_value(coords: Sequence):
-    """The cubic form of the Hermitian 3x3 octonion matrix with these coords.
-
-    N = x1 x2 x3 - x1 n(o1) - x2 n(o2) - x3 n(o3) + t((o1 o2) o3), where n is
-    the octonion norm and t the octonion trace.  Works over any commutative
-    ring containing the integers.
-    """
+    """The cubic form of the Hermitian 3x3 octonion matrix with these coords:
+    the sum of c * x_a x_b x_c over `freudenthal_monomials`."""
     if len(coords) != albert_coords_dim:
         raise ValueError("expected 27 coordinates")
-    x1, x2, x3, o1, o2, o3 = _split(coords)
-    return (
-        x1 * x2 * x3
-        - x1 * oct_norm(o1)
-        - x2 * oct_norm(o2)
-        - x3 * oct_norm(o3)
-        + oct_trace(oct_mul(oct_mul(o1, o2), o3))
-    )
-
-
-class _Cubic:
-    """Sparse polynomial of total degree <= 3 over the integers.
-
-    Keys are sorted index tuples (with repetition); used once, to expand the
-    cubic form into an exact monomial dictionary.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Tuple[int, ...], int] | None = None):
-        self.terms = dict(terms or {})
-
-    @classmethod
-    def var(cls, i: int) -> "_Cubic":
-        return cls({(i,): 1})
-
-    @classmethod
-    def const(cls, c: int) -> "_Cubic":
-        return cls({(): c} if c else {})
-
-    def _coerce(self, other) -> "_Cubic":
-        return other if isinstance(other, _Cubic) else _Cubic.const(int(other))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        out = dict(self.terms)
-        for k, v in o.terms.items():
-            out[k] = out.get(k, 0) + v
-            if out[k] == 0:
-                del out[k]
-        return _Cubic(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Cubic({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        out: Dict[Tuple[int, ...], int] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in o.terms.items():
-                if len(k1) + len(k2) > 3:
-                    raise ValueError("cubic expansion exceeded degree 3")
-                k = tuple(sorted(k1 + k2))
-                out[k] = out.get(k, 0) + v1 * v2
-                if out[k] == 0:
-                    del out[k]
-        return _Cubic(out)
-
-    __rmul__ = __mul__
-
-
-@lru_cache(maxsize=None)
-def freudenthal_monomials() -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """Exact monomial expansion of the cubic form; keys are sorted triples."""
-    poly = freudenthal_value([_Cubic.var(i) for i in range(albert_coords_dim)])
-    items = tuple(sorted(poly.terms.items()))
-    if any(len(k) != 3 for k, _ in items):
-        raise AssertionError("cubic form has a non-cubic monomial")
-    return items
+    out = 0
+    for (a, b, c), coeff in freudenthal_monomials():
+        out = out + coeff * coords[a] * coords[b] * coords[c]
+    return out

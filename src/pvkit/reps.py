@@ -124,11 +124,6 @@ class MatrixRep:
         self._struct = (tensor_, lcm * self.den)
         return self._struct
 
-    def check_closure(self) -> bool:
-        """Exact test that all commutators lie in the span of the basis."""
-        self.structure_tensor()
-        return True
-
     def derived_subalgebra(self) -> "Subalgebra":
         """Span of all pairwise commutators, echelon-reduced, exact."""
         if self._derived is not None:
@@ -344,32 +339,19 @@ def half_spin_rep10() -> MatrixRep:
 def g2_rep() -> MatrixRep:
     """Derivations of the octonions, restricted to the imaginary part.
 
-    Solves D(e_i e_j) = D(e_i) e_j + e_i D(e_j) for an 8x8 unknown matrix;
-    the nullspace is 14-dimensional and every derivation kills the unit, so
-    the action restricts to the 7 imaginary coordinates.
+    Solves D(e_i e_j) = D(e_i) e_j + e_i D(e_j) for an 8x8 unknown matrix
+    (column r*8 + c is D[r, c], row (i, j, k) the k-th coordinate), with
+    L = `_oct_left_mults()`, so e_i e_j = sum_k L[i, k, j] e_k; the nullspace
+    is 14-dimensional and every derivation kills the unit, so the action
+    restricts to the 7 imaginary coordinates.
     """
-    table = oct_table()
-    tensor_ = [[[0] * OCT_DIM for _ in range(OCT_DIM)] for _ in range(OCT_DIM)]
-    for i in range(OCT_DIM):
-        for j in range(OCT_DIM):
-            k, s = table[i][j]
-            tensor_[i][j][k] = s
-    rows = []
-    for i in range(OCT_DIM):
-        for j in range(OCT_DIM):
-            m, sign = table[i][j]
-            for k in range(OCT_DIM):
-                row = [0] * (OCT_DIM * OCT_DIM)
-                # D(e_i e_j)_k = sign * D[k][m]
-                row[k * OCT_DIM + m] += sign
-                # -(D(e_i) e_j)_k = -sum_a D[a][i] T[a][j][k]
-                for a in range(OCT_DIM):
-                    row[a * OCT_DIM + i] -= tensor_[a][j][k]
-                # -(e_i D(e_j))_k = -sum_b D[b][j] T[i][b][k]
-                for b in range(OCT_DIM):
-                    row[b * OCT_DIM + j] -= tensor_[i][b][k]
-                rows.append(row)
-    kernel, den = nullspace(np.array(rows, dtype=np.int64))
+    L, eye = _oct_left_mults(), _eye(OCT_DIM)
+    rows = (
+        np.einsum("rk,icj->ijkrc", eye, L)  # D(e_i e_j)_k = sum_c L[i,c,j] D[k,c]
+        - np.einsum("rkj,ci->ijkrc", L, eye)  # (D(e_i) e_j)_k = sum_r D[r,i] L[r,k,j]
+        - np.einsum("ikr,cj->ijkrc", L, eye)  # (e_i D(e_j))_k = sum_r D[r,j] L[i,k,r]
+    )
+    kernel, den = nullspace(rows.reshape(OCT_DIM**3, OCT_DIM**2))
     if len(kernel) != 14:
         raise AssertionError(f"octonion derivations: got dim {len(kernel)}")
     kernel = kernel.reshape(14, OCT_DIM, OCT_DIM)
@@ -379,35 +361,25 @@ def g2_rep() -> MatrixRep:
 
 
 @lru_cache(maxsize=None)
-def _cubic_partials() -> tuple[dict, ...]:
-    """partials[l]: quadratic monomial dict of the l-th partial of the cubic."""
-    partials: list[dict] = [dict() for _ in range(albert_coords_dim)]
-    for mono, c in freudenthal_monomials():
-        for v in set(mono):
-            m = mono.count(v)
-            rest = list(mono)
-            rest.remove(v)
-            key = tuple(rest)
-            partials[v][key] = partials[v].get(key, 0) + m * c
-    return tuple(partials)
-
-
-@lru_cache(maxsize=None)
 def e6_rep() -> MatrixRep:
     """The 78-dimensional algebra of 27x27 matrices annihilating the cubic.
 
-    X annihilates the cubic N when sum_l (X x)_l dN/dx_l vanishes as a
-    polynomial in x.  The coefficient of each cubic monomial is one linear
-    condition on the 729 entries of X (column l*27 + i is X[l, i]), and the
-    algebra is the exact nullspace of these conditions.
+    X annihilates the cubic N when N(x + t X x) has no t term, a polynomial
+    identity in x: substituting (X x)_l = sum_i X[l, i] x_i for each factor
+    x_l of each monomial c x_a x_b x_c gives the terms c X[l, i] times the
+    cubic monomial of the other two factors and x_i.  The coefficient of
+    each cubic monomial is one linear condition on the 729 entries of X
+    (column l*27 + i is X[l, i]), and the algebra is the exact nullspace of
+    these conditions.
     """
     n = albert_coords_dim
     monomials: dict = {}
     rows, cols, vals = [], [], []
-    for l, partial in enumerate(_cubic_partials()):
-        for pair, c in partial.items():
+    for mono, c in freudenthal_monomials():
+        for p, l in enumerate(mono):
+            rest = mono[:p] + mono[p + 1 :]
             for i in range(n):
-                key = tuple(sorted(pair + (i,)))
+                key = tuple(sorted(rest + (i,)))
                 rows.append(monomials.setdefault(key, len(monomials)))
                 cols.append(l * n + i)
                 vals.append(c)

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 
 from pvkit.linalg import Matrix, SpanSolver, _int_array, jet_line, nullspace
+from pvkit.octonion import oct_mul, oct_norm
 from pvkit.reps import MatrixRep, Subalgebra
 
 
@@ -102,3 +103,16 @@ def invariant_form_space(rho: MatrixRep) -> int:
                     row[index[tuple(sorted((i, k)))]] += a[k, j]
                 rows.append(row)
     return len(nullspace(Matrix.from_rows(rows))[0])
+
+
+def freudenthal_reference(coords):
+    """N = x1 x2 x3 - sum_s x_s n(o_s) + t((o1 o2) o3) with t(o) = 2 o[0],
+    through the octonion product: the reference for the monomial list that
+    `octonion.freudenthal_value` sums."""
+    x = coords[:3]
+    o = [list(coords[3 + 8 * s : 11 + 8 * s]) for s in range(3)]
+    return (
+        x[0] * x[1] * x[2]
+        - sum(x[s] * oct_norm(o[s]) for s in range(3))
+        + 2 * oct_mul(oct_mul(o[0], o[1]), o[2])[0]
+    )

@@ -109,6 +109,25 @@ def test_diagram_crosslinks_at_default_parameters():
     assert seen >= 20
 
 
+def test_diagram_cross_check_compares_algebra_and_summand_dims():
+    """diagram_ok is False when only the algebra dimension or only the
+    summand split disagrees with the grading; the sum and the count of the
+    component dimensions still agree in both cases."""
+    from pvkit.catalog import _build, _diagram_check
+    from pvkit.reps import MatrixRep
+
+    entry = get_entry("T3.3")
+    params = dict(entry.defaults[0])
+    rep = _build(entry, params).rep
+    assert rep.summand_dims == (4, 6)
+    assert _diagram_check(entry, params, rep)[1] is True
+    one_summand = MatrixRep(rep.T, rep.den, rep.labels)
+    fewer_generators = MatrixRep(rep.T[1:], rep.den, rep.labels, rep.summand_dims)
+    for bad in (one_summand, fewer_generators):
+        assert bad.space_dim == rep.space_dim
+        assert _diagram_check(entry, params, bad)[1] is False
+
+
 def test_declared_invariants_match_character_dim():
     """The catalog declares every fundamental invariant: counts agree."""
     for entry in catalog():

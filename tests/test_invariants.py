@@ -1,12 +1,13 @@
 """Invariant evaluators: frozen values, transformation laws, jet agreement,
 and the taped gradient against the jet reference."""
 
+from collections import Counter
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from helpers import alt_coords, basis, hessian_matrix, sym_coords
+from helpers import alt_coords, basis, freudenthal_reference, hessian_matrix, sym_coords
 from pvkit.invariants import (
     InvariantPolynomial,
     alt_unpack,
@@ -25,6 +26,7 @@ from pvkit.invariants import (
     value_and_gradient,
 )
 from pvkit.linalg import DetRng, Matrix, Q as QQ, det, jet_line
+from pvkit.octonion import freudenthal_monomials, freudenthal_value
 
 
 def rand_vec(rng, n, bound=4):
@@ -298,6 +300,27 @@ def test_freudenthal_diag():
     assert f(coords) == 1
     coords = [Q(2), Q(-3), Q(5)] + [Q(0)] * 24
     assert f(coords) == -30
+
+
+def test_freudenthal_value_matches_the_octonion_formula():
+    rng = DetRng(31)
+    for _ in range(50):
+        x = [rng.randint(-5, 5) for _ in range(27)]
+        assert freudenthal_value(x) == freudenthal_reference(x)
+    for _ in range(3):
+        x = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(27)]
+        assert freudenthal_value(x) == freudenthal_reference(x)
+
+
+def test_freudenthal_monomial_table_is_frozen():
+    """89 sorted triples with Python-int coefficients: x1 x2 x3, the 24
+    norm terms and the 64 trace terms, one per (o1_i, o2_j)."""
+    terms = freudenthal_monomials()
+    assert len(terms) == 89 and list(terms) == sorted(terms)
+    assert len({mono for mono, _ in terms}) == 89
+    assert all(len(mono) == 3 and list(mono) == sorted(mono) for mono, _ in terms)
+    assert all(type(c) is int for _, c in terms)
+    assert Counter(c for _, c in terms) == {1: 1, -1: 24, 2: 22, -2: 42}
 
 
 def test_freudenthal_homogeneous():

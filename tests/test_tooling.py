@@ -61,6 +61,12 @@ def test_octonion_does_not_import_fractions():
     assert "fractions" not in _imported_names("octonion")
 
 
+def test_octonion_defines_no_class():
+    """The cubic is integer data, a list of monomials, not a symbolic ring."""
+    tree = ast.parse((SRC / "octonion.py").read_text())
+    assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+
+
 @pytest.mark.parametrize("module", ["catalog", "reps"])
 def test_pipeline_modules_use_no_fractions(module):
     names = _imported_names(module)
