@@ -7,7 +7,10 @@ realization, runs the analyzer, and diffs the observed flags against the
 expected ones; entries carrying a weighted diagram get a dimension
 cross-check against the grading: the degree-0 piece has the algebra's
 dimension, and the irreducible components of the degree-1 piece have the
-dimensions of the space's summands.
+dimensions of the space's summands.  An invariant of one summand is
+restricted from the summand dimensions the representation carries
+(`restrict_to_summand(f, rep.summand_dims, k)`), so no builder computes a
+coordinate offset or total.
 
 Reports are deterministic: identical (entry, parameters, seed) give
 bit-identical JSON.
@@ -25,6 +28,7 @@ from .analyzer import AnalysisReport, classify
 from .grading import compute_grading, irreducible_components, is_commutative_parabolic
 from .invariants import (
     InvariantPolynomial,
+    _triangle_grid,
     bordered_pfaffian,
     det_augmented,
     determinant,
@@ -62,15 +66,11 @@ from .rootsystems import WeightedDiagram, build_root_system
 __all__ = [
     "CatalogEntry",
     "VerificationReport",
-    "CAPABILITIES",
     "catalog",
     "get_entry",
     "run",
     "run_all",
 ]
-
-CAPABILITIES = {"halfspin10": True}
-
 
 @dataclass(frozen=True)
 class BuildResult:
@@ -92,7 +92,6 @@ class CatalogEntry:
     diagram: Callable[[Dict[str, int]], Optional[WeightedDiagram]] = lambda p: None
     expected_commutative_parabolic: Optional[bool] = None
     mf_rank: Optional[str] = None
-    requires: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class VerificationReport:
     entry: str
     params: Dict[str, int]
     seed: int
-    status: str                      # pass | fail | inconclusive | unsupported
+    status: str                      # pass | fail | inconclusive
     dims: Dict[str, int]
     character_dim: int
     qd1: bool
@@ -152,17 +151,21 @@ def _id_coords(n: int, m: int) -> list[int]:
     return [int(i == j) for i in range(n) for j in range(m)]
 
 
-def _alt_index(i: int, j: int, n: int) -> int:
-    """Index of the (i, j) strict-upper coordinate, i < j."""
-    return sum(n - 1 - r for r in range(i)) + (j - i - 1)
-
-
 def _j_block_alt_coords(n: int) -> list[int]:
     """AS(n) coordinates of the standard rank n-1 block [[J, 0], [0, 0]]."""
     p = n // 2
+    grid = _triangle_grid(n, 1)
     v = _zeros(n * (n - 1) // 2)
     for i in range(p):
-        v[_alt_index(i, p + i, n)] = 1
+        v[grid[i, p + i]] = 1
+    return v
+
+
+def _gram_point(n: int) -> list[int]:
+    """M(2n,2) coordinates of X = [e_1 | e_{n+1}], where Pf(X^T J X) = 1."""
+    v = _zeros(4 * n)
+    v[0] = 1                    # first column e_1
+    v[2 * n + 1] = 1            # second column e_{n+1}
     return v
 
 
@@ -217,10 +220,7 @@ def _t2_5(p):
 def _t2_6(p):
     n = p["n"]
     rep = tensor(sp(n), gl(2))
-    hint = _zeros(4 * n)
-    hint[0] = 1                 # first column e_1
-    hint[2 * n + 1] = 1         # second column e_{n+1}
-    return BuildResult(rep, (pf_gram(n),), tuple(hint))
+    return BuildResult(rep, (pf_gram(n),), tuple(_gram_point(n)))
 
 
 def _t2_7(p):
@@ -248,12 +248,13 @@ def _t3_1(p):
     return BuildResult(rep, (pair_dot(n),), None)
 
 
-def _vector_and_alt_rep(n: int) -> MatrixRep:
-    """gl(n) + C acting on C^n + AS(n): (v, x) -> (Xv + t v, Xx + xX^T)."""
+def _vector_and_alt_rep(n: int, covector: bool = False) -> MatrixRep:
+    """gl(n) + C acting on C^n + AS(n): (v, x) -> (Xv + t v, Xx + xX^T), or
+    with covector=True on M(1,n) + AS(n): (v, x) -> (t v - vX, Xx + xX^T)."""
     g = gl(n)
     return direct_sum_shared(
         [
-            (f"gl({n})", [g, alt2(g)]),
+            (f"gl({n})", [dual(g) if covector else g, alt2(g)]),
             ("scaling", [_identity_on(n), None]),
         ]
     )
@@ -262,57 +263,44 @@ def _vector_and_alt_rep(n: int) -> MatrixRep:
 def _t3_2(p):
     n = p["n"]
     rep = _vector_and_alt_rep(n)
-    total = n + n * (n - 1) // 2
     if n % 2 == 0:
-        inv = restrict_to_summand(pfaffian(n), total, n, " (2nd summand)")
+        inv = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
         return BuildResult(rep, (inv,), None)
     hint = _basis_vec(n, n - 1) + _j_block_alt_coords(n)
     return BuildResult(rep, (bordered_pfaffian(n),), tuple(hint))
 
 
-def _covector_and_alt_rep(n: int) -> MatrixRep:
-    """gl(n) + C on M(1,n) + AS(n): (v, x) -> (t v - vX, Xx + xX^T)."""
-    g = gl(n)
-    return direct_sum_shared(
-        [
-            (f"gl({n})", [dual(g), alt2(g)]),
-            ("scaling", [_identity_on(n), None]),
-        ]
-    )
-
-
 def _t3_3(p):
     n = p["n"]
-    rep = _covector_and_alt_rep(n)
-    total = n + n * (n - 1) // 2
-    inv = restrict_to_summand(pfaffian(n), total, n, " (2nd summand)")
+    rep = _vector_and_alt_rep(n, covector=True)
+    inv = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
     return BuildResult(rep, (inv,), None)
 
 
 def _neg_424(p):
     n = p["n"]
-    rep = _covector_and_alt_rep(n)
+    rep = _vector_and_alt_rep(n, covector=True)
     hint = _basis_vec(n, 0) + _j_block_alt_coords(n)
     return BuildResult(rep, (), tuple(hint))
 
 
-def _vector_and_matrix_rep(n: int, m: int) -> MatrixRep:
-    """gl(n) + gl(m) on M(n,1) + M(n,m): (v, x) -> (g1 v, g1 x - x g2)."""
+def _vector_and_matrix_rep(n: int, m: int, covector: bool = False) -> MatrixRep:
+    """gl(n) + gl(m) on M(n,1) + M(n,m): (v, x) -> (g1 v, g1 x - x g2), or
+    with covector=True on M(1,n) + M(n,m): (v, x) -> (-v g1, g1 x - x g2)."""
     g1, g2 = gl(n), gl(m)
     second = f"gl({m})'" if m == n else f"gl({m})"
     return direct_sum_shared(
         [
-            (f"gl({n})", [g1, left_action(g1, m)]),
+            (f"gl({n})", [dual(g1) if covector else g1, left_action(g1, m)]),
             (second, [None, right_neg_action(g2, n)]),
         ]
     )
 
 
-def _t3_4a(p):
+def _t3_4a(p, covector=False):
     n = p["n"]
-    rep = _vector_and_matrix_rep(n, n)
-    total = n + n * n
-    inv = restrict_to_summand(determinant(n), total, n, " (2nd summand)")
+    rep = _vector_and_matrix_rep(n, n, covector)
+    inv = restrict_to_summand(determinant(n), rep.summand_dims, 1)
     hint = _basis_vec(n, 0) + _id_coords(n, n)
     return BuildResult(rep, (inv,), tuple(hint))
 
@@ -333,18 +321,7 @@ def _neg_425(p):
 
 
 def _t3_5(p):
-    n = p["n"]
-    g1, g2 = gl(n), gl(n)
-    rep = direct_sum_shared(
-        [
-            (f"gl({n})", [dual(g1), left_action(g1, n)]),
-            (f"gl({n})'", [None, right_neg_action(g2, n)]),
-        ]
-    )
-    total = n + n * n
-    inv = restrict_to_summand(determinant(n), total, n, " (2nd summand)")
-    hint = _basis_vec(n, 0) + _id_coords(n, n)
-    return BuildResult(rep, (inv,), tuple(hint))
+    return _t3_4a(p, covector=True)
 
 
 def _t3_6(p):
@@ -357,12 +334,8 @@ def _t3_6(p):
             ("scaling", [_identity_on(2), None]),
         ]
     )
-    total = 2 + 4 * n
-    inv = restrict_to_summand(pf_gram(n), total, 2, " (2nd summand)")
-    hint = _zeros(total)
-    hint[0] = 1                     # v = (1, 0)
-    hint[2 + 0] = 1                 # first column of X is e_1
-    hint[2 + 2 * n + 1] = 1         # second column of X is e_{n+1}
+    inv = restrict_to_summand(pf_gram(n), rep.summand_dims, 1)
+    hint = _basis_vec(2, 0) + _gram_point(n)
     return BuildResult(rep, (inv,), tuple(hint))
 
 
@@ -376,8 +349,7 @@ def _t3_7(p):
             (f"gl({n})", [None, right_neg_action(g3, 2)]),
         ]
     )
-    total = 4 + 2 * n
-    inv = restrict_to_summand(determinant(2), total, 0, " (1st summand)")
+    inv = restrict_to_summand(determinant(2), rep.summand_dims, 0)
     return BuildResult(rep, (inv,), None)
 
 
@@ -397,18 +369,16 @@ def _shared_gl2_sp_rep(n: int, m: int) -> MatrixRep:
 def _t3_8(p):
     n, m = p["n"], p["m"]
     rep = _shared_gl2_sp_rep(n, m)
-    total = 2 * n + 4 * m
-    inv = restrict_to_summand(pf_gram(m), total, 2 * n, " (2nd summand)")
+    inv = restrict_to_summand(pf_gram(m), rep.summand_dims, 1)
     return BuildResult(rep, (inv,), None)
 
 
 def _neg_429b(p):
     m = p["m"]
     rep = _shared_gl2_sp_rep(2, m)
-    total = 4 + 4 * m
     invs = (
-        restrict_to_summand(determinant(2), total, 0, " (1st summand)"),
-        restrict_to_summand(pf_gram(m), total, 4, " (2nd summand)"),
+        restrict_to_summand(determinant(2), rep.summand_dims, 0),
+        restrict_to_summand(pf_gram(m), rep.summand_dims, 1),
     )
     return BuildResult(rep, invs, None)
 
@@ -472,10 +442,7 @@ def _neg_428b(p):
             ("gl(2)'", [None, right_neg_action(g3, 2)]),
         ]
     )
-    invs = (
-        restrict_to_summand(determinant(2), 8, 0, " (1st summand)"),
-        restrict_to_summand(determinant(2), 8, 4, " (2nd summand)"),
-    )
+    invs = tuple(restrict_to_summand(determinant(2), rep.summand_dims, k) for k in (0, 1))
     return BuildResult(rep, invs, None)
 
 
@@ -491,10 +458,9 @@ def _neg_4210(p):
             ("scaling", [None, _identity_on(4 * m)]),
         ]
     )
-    total = 4 * n + 4 * m
     invs = (
-        restrict_to_summand(pf_gram(n), total, 0, " (1st summand)"),
-        restrict_to_summand(pf_gram(m), total, 4 * n, " (2nd summand)"),
+        restrict_to_summand(pf_gram(n), rep.summand_dims, 0),
+        restrict_to_summand(pf_gram(m), rep.summand_dims, 1),
     )
     return BuildResult(rep, invs, None)
 
@@ -504,10 +470,8 @@ def _neg_4212(p):
     vect = so(8)
     rep = direct_sum_shared([("so(8)", [spin8, vect])])
     rep = add_torus(rep, 2)
-    invs = (
-        restrict_to_summand(quadratic_form(_eye(8)), 16, 0, " (1st summand)"),
-        restrict_to_summand(quadratic_form(_eye(8)), 16, 8, " (2nd summand)"),
-    )
+    f = quadratic_form(_eye(8))
+    invs = tuple(restrict_to_summand(f, rep.summand_dims, k) for k in (0, 1))
     return BuildResult(rep, invs, None)
 
 
@@ -748,7 +712,6 @@ def _entries() -> tuple[CatalogEntry, ...]:
         0, None,
         diagram=lambda p: _diagram("E", 6, [6]),
         expected_commutative_parabolic=True,
-        requires=("halfspin10",),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.1", "SL(n), tori, on two copies of C^n, n > 2: no invariant",
@@ -871,13 +834,6 @@ def run(entry_id: str, params: Optional[Dict[str, int]] = None, seed: int = 0) -
         params = dict(entry.defaults[0])
     _check_params(entry, params)
     start = time.monotonic()
-    missing = [c for c in entry.requires if not CAPABILITIES.get(c)]
-    if missing:
-        return VerificationReport(
-            entry.id, params, seed, "unsupported",
-            {}, -1, False, (), None, None, None,
-            {"unsupported_capabilities": missing}, time.monotonic() - start,
-        )
     built = _build(entry, params)
     report: AnalysisReport = classify(
         built.rep, built.invariants, x_hint=built.x_hint, seed=seed

@@ -9,10 +9,15 @@ sweep.  All algorithms are division-free.
 Coordinate conventions (shared with the representation builders):
 
 * symmetric n x n matrices: upper triangle row-major including the diagonal,
-  (0,0), (0,1), ..., (0,n-1), (1,1), ...;
+  (0,0), (0,1), ..., (0,n-1), (1,1), ..., as np.triu_indices(n) lists them;
 * antisymmetric n x n matrices: strict upper triangle row-major;
 * m x n matrix spaces: row-major;
-* direct sums: first summand's coordinates, then the second's.
+* direct sums: the summands in the order of `MatrixRep.summand_dims`.
+
+Determinants and pfaffians gather their matrix through an integer index
+grid (entry (i, j) is coordinate grid[i, j]), so det, Pf, the bordered Pf
+and det(v;x) differ only in their grids; the quadratic and bilinear forms
+are integer term lists (i, j, c), summed as c x_i x_j.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .linalg import _int_array
 from .octonion import albert_coords_dim, freudenthal_value
@@ -36,8 +43,6 @@ __all__ = [
     "det_augmented",
     "freudenthal_cubic",
     "restrict_to_summand",
-    "sym_unpack",
-    "alt_unpack",
     "ring_det",
     "ring_pf",
     "TapeNode",
@@ -162,8 +167,9 @@ def ring_det(rows: list[list]) -> object:
 def ring_pf(rows: list[list]) -> object:
     """Pfaffian of an even antisymmetric matrix, combinatorial expansion.
 
-    Sign convention: Pf = sum over perfect matchings with the sign of the
-    matching permutation, so Pf([[0, a], [-a, 0]]) = a.
+    Only the entries above the diagonal are read, so rows may hold anything
+    on and below it.  Sign convention: Pf = sum over perfect matchings with
+    the sign of the matching permutation, so Pf([[0, a], [-a, 0]]) = a.
     """
     n = len(rows)
     if n % 2:
@@ -190,28 +196,25 @@ def ring_pf(rows: list[list]) -> object:
     return pf(tuple(range(n)))
 
 
-def sym_unpack(coords: Sequence, n: int) -> list[list]:
-    """Upper-triangle coordinates -> full symmetric n x n ring matrix."""
-    m = [[0] * n for _ in range(n)]
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = coords[k]
-            m[j][i] = coords[k]
-            k += 1
-    return m
+def _triangle_grid(n: int, upper: int) -> np.ndarray:
+    """n x n index grid of the triangle coordinates: entries (i, j) and
+    (j, i) both hold the index of coordinate (i, j), i <= j (upper=0) or
+    i < j (upper=1), in the row-major order of np.triu_indices(n, upper).
+    With upper=1 the diagonal holds index 0, which ring_pf never reads."""
+    grid = np.zeros((n, n), dtype=np.int64)
+    i, j = np.triu_indices(n, upper)
+    grid[i, j] = grid[j, i] = np.arange(len(i))
+    return grid
 
 
-def alt_unpack(coords: Sequence, n: int) -> list[list]:
-    """Strict-upper-triangle coordinates -> full antisymmetric ring matrix."""
-    m = [[0] * n for _ in range(n)]
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[i][j] = coords[k]
-            m[j][i] = -coords[k]
-            k += 1
-    return m
+def _on_grid(grid: np.ndarray, expand: Callable[[list[list]], object]):
+    """The evaluator coords -> expand(M) with M[i][j] = coords[grid[i, j]]."""
+    rows = grid.tolist()
+
+    def ev(coords):
+        return expand([[coords[k] for k in row] for row in rows])
+
+    return ev
 
 
 def determinant(n: int, space: str = "full") -> InvariantPolynomial:
@@ -219,17 +222,10 @@ def determinant(n: int, space: str = "full") -> InvariantPolynomial:
     if n < 1:
         raise ValueError("determinant needs n >= 1")
     if space == "full":
-
-        def ev(coords):
-            rows = [list(coords[i * n : (i + 1) * n]) for i in range(n)]
-            return ring_det(rows)
-
-        return InvariantPolynomial(n * n, n, f"det on M({n})", ev)
+        grid = np.arange(n * n).reshape(n, n)
+        return InvariantPolynomial(n * n, n, f"det on M({n})", _on_grid(grid, ring_det))
     if space == "sym":
-
-        def ev(coords):
-            return ring_det(sym_unpack(coords, n))
-
+        ev = _on_grid(_triangle_grid(n, 0), ring_det)
         return InvariantPolynomial(n * (n + 1) // 2, n, f"det on Sym({n})", ev)
     raise ValueError("space must be 'full' or 'sym'")
 
@@ -238,11 +234,55 @@ def pfaffian(n: int) -> InvariantPolynomial:
     """Pfaffian on AS(n), n even; degree n/2."""
     if n < 2 or n % 2:
         raise ValueError("pfaffian needs even n >= 2")
+    ev = _on_grid(_triangle_grid(n, 1), ring_pf)
+    return InvariantPolynomial(n * (n - 1) // 2, n // 2, f"Pf on AS({n})", ev)
+
+
+def bordered_pfaffian(n: int) -> InvariantPolynomial:
+    """(v, x) -> Pf of the (n+1)-square border [[x, v], [-v^T, 0]], n odd.
+
+    The grid's last column reads v; x follows v in the coordinates.  With
+    the matching-sign convention of ring_pf, the example x = J2 + zero
+    block, v = e_n evaluates to +1.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ValueError("bordered pfaffian needs odd n >= 3")
+    grid = np.pad(n + _triangle_grid(n, 1), (0, 1))
+    grid[:n, n] = np.arange(n)
+    ev = _on_grid(grid, ring_pf)
+    name = f"Pf([[x,v],[-v^T,0]]) on C^{n}+AS({n})"
+    return InvariantPolynomial(n + n * (n - 1) // 2, (n + 1) // 2, name, ev)
+
+
+def det_augmented(n: int) -> InvariantPolynomial:
+    """(v, x) -> det of the n x n matrix [v | x] on M(n,1) + M(n,n-1); the
+    grid's first column reads v, the rest the row-major x that follows."""
+    if n < 2:
+        raise ValueError("augmented determinant needs n >= 2")
+    grid = np.c_[np.arange(n), n + np.arange(n * (n - 1)).reshape(n, n - 1)]
+    ev = _on_grid(grid, ring_det)
+    return InvariantPolynomial(n * n, n, f"det(v;x) on M({n},1)+M({n},{n - 1})", ev)
+
+
+def _bilinear(arity: int, name: str, terms: list[tuple[int, int, int]]) -> InvariantPolynomial:
+    """The quadratic x -> sum of c x_i x_j over the integer terms (i, j, c);
+    a term with c = 1 or -1 is added or subtracted with no multiply by c."""
 
     def ev(coords):
-        return ring_pf(alt_unpack(coords, n))
+        acc = 0
+        for i, j, c in terms:
+            t = coords[i] * coords[j]
+            acc = acc + t if c == 1 else acc - t if c == -1 else acc + c * t
+        return acc
 
-    return InvariantPolynomial(n * (n - 1) // 2, n // 2, f"Pf on AS({n})", ev)
+    return InvariantPolynomial(arity, 2, name, ev)
+
+
+def _symplectic_terms(u: Sequence[int], v: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The terms of u^T J v, J = [[0, I], [-I, 0]], for u and v the
+    coordinate indices of two vectors of length 2n."""
+    n = len(u) // 2
+    return [t for i in range(n) for t in ((u[i], v[n + i], 1), (u[n + i], v[i], -1))]
 
 
 def quadratic_form(s) -> InvariantPolynomial:
@@ -264,90 +304,26 @@ def quadratic_form(s) -> InvariantPolynomial:
         for j in range(i, n)
         if a[i, j]
     ]
-
-    def ev(coords):
-        acc = 0
-        for i, j, c in terms:
-            acc = acc + c * coords[i] * coords[j]
-        return acc
-
-    return InvariantPolynomial(n, 2, f"quadratic form on C^{n}", ev)
+    return _bilinear(n, f"quadratic form on C^{n}", terms)
 
 
 def pair_dot(n: int) -> InvariantPolynomial:
     """(u, v) -> u . v on M(1,n) + M(n,1)."""
-
-    def ev(coords):
-        acc = 0
-        for i in range(n):
-            acc = acc + coords[i] * coords[n + i]
-        return acc
-
-    return InvariantPolynomial(2 * n, 2, f"uv on M(1,{n})+M({n},1)", ev)
+    terms = [(i, n + i, 1) for i in range(n)]
+    return _bilinear(2 * n, f"uv on M(1,{n})+M({n},1)", terms)
 
 
 def symplectic_pair(n: int) -> InvariantPolynomial:
     """(u, v) -> u^T J v on two copies of C^{2n}, J = [[0, I], [-I, 0]]."""
-
-    def ev(coords):
-        u, v = coords[: 2 * n], coords[2 * n :]
-        acc = 0
-        for i in range(n):
-            acc = acc + u[i] * v[n + i] - u[n + i] * v[i]
-        return acc
-
-    return InvariantPolynomial(4 * n, 2, f"u^T J v on C^{2 * n}+C^{2 * n}", ev)
+    terms = _symplectic_terms(range(2 * n), range(2 * n, 4 * n))
+    return _bilinear(4 * n, f"u^T J v on C^{2 * n}+C^{2 * n}", terms)
 
 
 def pf_gram(n: int) -> InvariantPolynomial:
-    """X -> Pf(X^T J X) on M(2n, 2); the Gram matrix is 2x2 antisymmetric."""
-
-    def ev(coords):
-        # columns of X
-        a = [coords[2 * i] for i in range(2 * n)]
-        b = [coords[2 * i + 1] for i in range(2 * n)]
-        acc = 0
-        for i in range(n):
-            acc = acc + a[i] * b[n + i] - a[n + i] * b[i]
-        return acc
-
-    return InvariantPolynomial(4 * n, 2, f"Pf(X^T J X) on M({2 * n},2)", ev)
-
-
-def bordered_pfaffian(n: int) -> InvariantPolynomial:
-    """(v, x) -> Pf of the (n+1)-square border [[x, v], [-v^T, 0]], n odd.
-
-    With the matching-sign convention of ring_pf, the example x = J2 + zero
-    block, v = e_n evaluates to +1.
-    """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("bordered pfaffian needs odd n >= 3")
-    k = n * (n - 1) // 2
-
-    def ev(coords):
-        v = list(coords[:n])
-        x = alt_unpack(coords[n:], n)
-        rows = [x[i] + [v[i]] for i in range(n)]
-        rows.append([-t for t in v] + [0])
-        return ring_pf(rows)
-
-    return InvariantPolynomial(n + k, (n + 1) // 2, f"Pf([[x,v],[-v^T,0]]) on C^{n}+AS({n})", ev)
-
-
-def det_augmented(n: int) -> InvariantPolynomial:
-    """(v, x) -> det of the n x n matrix [v | x] on M(n,1) + M(n,n-1)."""
-    if n < 2:
-        raise ValueError("augmented determinant needs n >= 2")
-
-    def ev(coords):
-        v = coords[:n]
-        rows = [
-            [v[i]] + list(coords[n + i * (n - 1) : n + (i + 1) * (n - 1)])
-            for i in range(n)
-        ]
-        return ring_det(rows)
-
-    return InvariantPolynomial(n + n * (n - 1), n, f"det(v;x) on M({n},1)+M({n},{n - 1})", ev)
+    """X -> Pf(X^T J X) on M(2n, 2): the Gram matrix is 2x2 antisymmetric,
+    with (1, 2) entry a^T J b for the columns a and b of the row-major X."""
+    terms = _symplectic_terms(range(0, 4 * n, 2), range(1, 4 * n, 2))
+    return _bilinear(4 * n, f"Pf(X^T J X) on M({2 * n},2)", terms)
 
 
 def freudenthal_cubic() -> InvariantPolynomial:
@@ -358,13 +334,16 @@ def freudenthal_cubic() -> InvariantPolynomial:
 
 
 def restrict_to_summand(
-    f: InvariantPolynomial, total: int, offset: int, suffix: str = ""
+    f: InvariantPolynomial, summand_dims: Sequence[int], k: int
 ) -> InvariantPolynomial:
-    """View an invariant of one summand as a function of the whole sum."""
-    if offset < 0 or offset + f.arity > total:
-        raise ValueError("slice does not fit the total arity")
+    """View an invariant of summand k (from 0) of a direct sum with the given
+    summand dimensions as a function of the whole sum."""
+    if not 0 <= k < len(summand_dims) or f.arity != summand_dims[k]:
+        raise ValueError(f"{f.name} is not a function on summand {k} of {tuple(summand_dims)}")
+    offset = sum(summand_dims[:k])
+    ordinal = ("1st", "2nd", "3rd")[k] if k < 3 else f"{k + 1}th"
 
     def ev(coords):
         return f.evaluator(coords[offset : offset + f.arity])
 
-    return InvariantPolynomial(total, f.degree, f.name + suffix, ev)
+    return InvariantPolynomial(sum(summand_dims), f.degree, f"{f.name} ({ordinal} summand)", ev)

@@ -7,11 +7,11 @@ from the entries holds, Python ints (`dtype=object`) otherwise.  Every
 elimination is fraction-free, so nothing is ever rounded.  `SpanSolver`
 keeps each row as one such array, re-chosen after every row operation, so
 one elimination may move from int64 to Python ints and back; the numbers,
-and so the results, are the same on either dtype.  `rank`, `nullspace` and
-`det` take a 2-D array-like of integers or rationals (or a `Matrix`) and
-clear it once.  Coefficient vectors and kernel bases are (A, den) pairs.
-`Matrix`, a small Fraction matrix, is kept for callers outside the
-pipeline.  Jets compute over whatever ring their coordinates come from.
+and so the results, are the same on either dtype.  `rank` and `nullspace`
+take a 2-D array-like of integers or rationals (or a `Matrix`) and clear it
+once.  Coefficient vectors and kernel bases are (A, den) pairs.  `Matrix`,
+a small Fraction matrix, and `Jet2`, a second-order jet over whatever ring
+its components come from, are kept for callers outside the pipeline.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction as Q
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,8 +32,6 @@ __all__ = [
     "DimensionMismatchError",
     "rank",
     "nullspace",
-    "det",
-    "jet_line",
 ]
 
 # A product of two int64 arrays is exact while max|A|^2 * length < _GUARD.
@@ -355,42 +353,6 @@ def nullspace(m) -> tuple[np.ndarray, int]:
     return _fit(kernel), den
 
 
-def det(m) -> Q:
-    """Exact determinant via Bareiss fraction-free elimination.
-
-    m is as for rank; it is cleared to A / den once, and Bareiss runs on
-    the Python ints of A, so det(m) == det(A) / den**n.
-    """
-    ints, den = _int_matrix(m)
-    n, cols = ints.shape
-    if n != cols:
-        raise DimensionMismatchError("determinant of a non-square matrix")
-    if n == 0:
-        return Q(1)
-    a: list[list[int]] = ints.tolist()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Q(0)
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row = a[i]
-            prow = a[k]
-            for j in range(k + 1, n):
-                row[j] = (pk * row[j] - aik * prow[j]) // prev
-            row[k] = 0
-        prev = pk
-    return Q(sign * a[n - 1][n - 1], den**n)
-
-
 class Jet2:
     """Second-order jet (value, first, second derivative) along one direction.
 
@@ -451,17 +413,6 @@ class Jet2:
 
     def __repr__(self):
         return f"Jet2({self.v}, {self.d1}, {self.d2})"
-
-
-def jet_line(f: Callable[[Sequence], object], x: Sequence, u: Sequence) -> Jet2:
-    """Evaluate f along t -> x + t u as a single second-order jet.
-
-    The jet is computed over the ring of x and u, uncoerced; pass Python
-    ints, never numpy integers, which would wrap around.
-    """
-    if len(x) != len(u):
-        raise DimensionMismatchError("x and u must have equal length")
-    return Jet2._lift(f([Jet2(xi, ui) for xi, ui in zip(x, u)]))
 
 
 class DetRng:

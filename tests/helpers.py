@@ -1,13 +1,71 @@
-"""Shared helpers for the test suite: Fraction and coefficient-space
-references for the integer paths of the package."""
+"""Shared helpers for the test suite: Fraction, jet and coefficient-space
+references for the integer paths of the package, and the hand-written
+invariant evaluators that the index grids and term lists replaced."""
 
+import re
 from fractions import Fraction as Q
 
 import numpy as np
 
-from pvkit.linalg import Matrix, SpanSolver, _int_array, jet_line, nullspace
+from pvkit.invariants import ring_det, ring_pf
+from pvkit.linalg import (
+    DimensionMismatchError,
+    Jet2,
+    Matrix,
+    SpanSolver,
+    _int_array,
+    _int_matrix,
+    nullspace,
+)
 from pvkit.octonion import oct_mul, oct_norm
 from pvkit.reps import MatrixRep, Subalgebra
+
+
+def det(m) -> Q:
+    """Exact determinant via Bareiss fraction-free elimination.
+
+    m is as for `linalg.rank`; it is cleared to A / den once, and Bareiss
+    runs on the Python ints of A, so det(m) == det(A) / den**n.
+    """
+    ints, den = _int_matrix(m)
+    n, cols = ints.shape
+    if n != cols:
+        raise DimensionMismatchError("determinant of a non-square matrix")
+    if n == 0:
+        return Q(1)
+    a: list[list[int]] = ints.tolist()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Q(0)
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row = a[i]
+            prow = a[k]
+            for j in range(k + 1, n):
+                row[j] = (pk * row[j] - aik * prow[j]) // prev
+            row[k] = 0
+        prev = pk
+    return Q(sign * a[n - 1][n - 1], den**n)
+
+
+def jet_line(f, x, u) -> Jet2:
+    """Evaluate f along t -> x + t u as a single second-order jet.
+
+    The jet is computed over the ring of x and u, uncoerced; pass Python
+    ints, never numpy integers, which would wrap around.
+    """
+    if len(x) != len(u):
+        raise DimensionMismatchError("x and u must have equal length")
+    return Jet2._lift(f([Jet2(xi, ui) for xi, ui in zip(x, u)]))
 
 
 def basis(rep: MatrixRep) -> tuple[Matrix, ...]:
@@ -116,3 +174,115 @@ def freudenthal_reference(coords):
         - sum(x[s] * oct_norm(o[s]) for s in range(3))
         + 2 * oct_mul(oct_mul(o[0], o[1]), o[2])[0]
     )
+
+
+# -- hand-written invariant evaluators ------------------------------------------
+
+
+def sym_unpack(coords, n: int) -> list[list]:
+    """Upper-triangle coordinates -> full symmetric n x n ring matrix."""
+    m = [[0] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = coords[k]
+            m[j][i] = coords[k]
+            k += 1
+    return m
+
+
+def alt_unpack(coords, n: int) -> list[list]:
+    """Strict-upper-triangle coordinates -> full antisymmetric ring matrix."""
+    m = [[0] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = coords[k]
+            m[j][i] = -coords[k]
+            k += 1
+    return m
+
+
+def _det_full(coords, n):
+    return ring_det([list(coords[i * n : (i + 1) * n]) for i in range(n)])
+
+
+def _identity_form(coords, n):
+    """x . x: every quadratic form of the catalog is the identity form."""
+    acc = 0
+    for i in range(n):
+        acc = acc + coords[i] * coords[i]
+    return acc
+
+
+def _pair_dot(coords, n):
+    acc = 0
+    for i in range(n):
+        acc = acc + coords[i] * coords[n + i]
+    return acc
+
+
+def _symplectic_pair(coords, n):
+    u, v = coords[: 2 * n], coords[2 * n :]
+    acc = 0
+    for i in range(n):
+        acc = acc + u[i] * v[n + i] - u[n + i] * v[i]
+    return acc
+
+
+def _pf_gram(coords, n):
+    a = [coords[2 * i] for i in range(2 * n)]
+    b = [coords[2 * i + 1] for i in range(2 * n)]
+    acc = 0
+    for i in range(n):
+        acc = acc + a[i] * b[n + i] - a[n + i] * b[i]
+    return acc
+
+
+def _bordered_pfaffian(coords, n):
+    v = list(coords[:n])
+    x = alt_unpack(coords[n:], n)
+    rows = [x[i] + [v[i]] for i in range(n)]
+    rows.append([-t for t in v] + [0])
+    return ring_pf(rows)
+
+
+def _det_augmented(coords, n):
+    v = coords[:n]
+    rows = [
+        [v[i]] + list(coords[n + i * (n - 1) : n + (i + 1) * (n - 1)])
+        for i in range(n)
+    ]
+    return ring_det(rows)
+
+
+# (name pattern, evaluator of (coords, the number the pattern captures))
+_REFERENCES = (
+    (r"det on M\((\d+)\)", _det_full),
+    (r"det on Sym\((\d+)\)", lambda c, n: ring_det(sym_unpack(c, n))),
+    (r"Pf on AS\((\d+)\)", lambda c, n: ring_pf(alt_unpack(c, n))),
+    (r"quadratic form on C\^(\d+)", _identity_form),
+    (r"uv on M\(1,(\d+)\)", _pair_dot),
+    (r"u\^T J v on C\^(\d+)", lambda c, m: _symplectic_pair(c, m // 2)),
+    (r"Pf\(X\^T J X\) on M\((\d+),2\)", lambda c, m: _pf_gram(c, m // 2)),
+    (r"Pf\(\[\[x,v\],\[-v\^T,0\]\]\) on C\^(\d+)", _bordered_pfaffian),
+    (r"det\(v;x\) on M\((\d+),1\)", _det_augmented),
+    (r"Freudenthal cubic on C\^(\d+)", lambda c, _: freudenthal_reference(c)),
+)
+
+
+def reference_value(f, x, summand_dims):
+    """f(x) by the hand-written evaluator that f's name names.  A name that
+    ends in " (kth summand)" reads only that summand of x, located by the
+    summand dimensions of the space."""
+    name, coords = f.name, list(x)
+    suffix = re.search(r" \((\d)\w\w summand\)$", name)
+    if suffix:
+        name, k = name[: suffix.start()], int(suffix.group(1)) - 1
+        offset = sum(summand_dims[:k])
+        coords = coords[offset : offset + summand_dims[k]]
+    for pattern, ev in _REFERENCES:
+        got = re.match(pattern, name)
+        if got:
+            return ev(coords, int(got.group(1)))
+    raise KeyError(f"no reference evaluator for {f.name!r}")

@@ -7,14 +7,13 @@ tune.  Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import hashlib
 from fractions import Fraction as Q
 
-from helpers import invariant_form_space
+from helpers import alt_unpack, det, invariant_form_space
 
 from pvkit.analyzer import character_space_dim, sample_certified_points
 from pvkit.catalog import catalog, run_all, summary_json
 from pvkit.grading import compute_grading, irreducible_components, verify_table1
 from pvkit.invariants import pfaffian
-from pvkit.linalg import DetRng, Matrix, det
-from pvkit.invariants import alt_unpack
+from pvkit.linalg import DetRng, Matrix
 from pvkit.reps import e6_rep, g2_rep, spin_rep
 from pvkit.rootsystems import WeightedDiagram, build_root_system
 

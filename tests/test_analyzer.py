@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import action_matrix, basis, hessian_matrix, isotropy_algebra
+from helpers import action_matrix, basis, det, hessian_matrix, isotropy_algebra
 from pvkit.analyzer import (
     LAMBDA_POINTS,
     GenericPoint,
@@ -246,8 +246,7 @@ def test_hessian_degenerate_for_partial_invariant():
             ("scaling", [scaling(n), None]),
         ]
     )
-    total = n + n * (n - 1) // 2
-    f = restrict_to_summand(pfaffian(n), total, n)
+    f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
     p = sample_certified_points(rep, 1, seed=0)[0]
     assert hessian_regularity(f, rep, p) is False
 
@@ -268,11 +267,9 @@ def test_hessian_dichotomy_at_ten_points():
         (alt2(gl(4)), pfaffian(4)),
         (add_torus(so(4), 1), quadratic_form(_eye(4))),
     ]
-    from pvkit.linalg import det as det_exact
-
     for rep, f in cases:
         pts = sample_certified_points(rep, 10, seed=3)
-        flags = {det_exact(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts}
+        flags = {det(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts}
         assert len(flags) == 1
 
 
@@ -492,7 +489,7 @@ def test_invariance_and_hessian_at_halved_points(which):
                 ("scaling", [scaling(n), None]),
             ]
         )
-        f = restrict_to_summand(pfaffian(n), n + n * (n - 1) // 2, n)
+        f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
     pts = sample_certified_points(rep, 4, seed=2)
     halved = [
         GenericPoint(tuple(Q(c, 2) for c in p.coordinates), True) for p in pts

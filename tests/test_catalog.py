@@ -10,7 +10,7 @@ from pvkit.analyzer import (
     sample_certified_points,
     verify_relative_invariant,
 )
-from pvkit.catalog import CAPABILITIES, catalog, get_entry, run, run_all
+from pvkit.catalog import catalog, get_entry, run, run_all
 from pvkit.grading import compute_grading, irreducible_components
 
 EXPECTED_IDS = {
@@ -33,9 +33,7 @@ def test_entry_metadata_spot_checks():
     t39 = get_entry("T3.9")
     assert t39.expected_regular is True
     neg = get_entry("NEG-4.1.12")
-    assert neg.requires == ("halfspin10",)
     assert neg.expected_character_dim == 0
-    assert CAPABILITIES["halfspin10"] is True
 
 
 def test_every_family_has_two_default_choices_or_is_fixed():
@@ -153,10 +151,9 @@ def test_isotropy_bracket_closed_per_entry():
 def test_hessian_dichotomy_for_every_catalog_invariant():
     """det Hess of a relative invariant vanishes at all points or at none,
     and the analyzer's rank test gives that flag at each point."""
-    from helpers import hessian_matrix
+    from helpers import det, hessian_matrix
     from pvkit.analyzer import hessian_regularity
     from pvkit.catalog import _build
-    from pvkit.linalg import det
 
     for entry in catalog():
         params = dict(entry.defaults[0])
@@ -238,13 +235,6 @@ def test_run_all_negatives():
 def test_run_all_unknown_filter():
     with pytest.raises(ValueError):
         run_all("bogus")
-
-
-def test_capability_gate_reports_unsupported(monkeypatch):
-    monkeypatch.setitem(CAPABILITIES, "halfspin10", False)
-    report = run("NEG-4.1.12", {}, seed=0)
-    assert report.status == "unsupported"
-    assert report.expected_diff == {"unsupported_capabilities": ["halfspin10"]}
 
 
 def test_run_with_omitted_params_uses_first_default():

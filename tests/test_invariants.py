@@ -1,5 +1,6 @@
 """Invariant evaluators: frozen values, transformation laws, jet agreement,
-and the taped gradient against the jet reference."""
+the taped gradient against the jet reference, and values against the
+hand-written evaluators."""
 
 from collections import Counter
 from fractions import Fraction as Q
@@ -7,10 +8,21 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import alt_coords, basis, freudenthal_reference, hessian_matrix, sym_coords
+from helpers import (
+    alt_coords,
+    alt_unpack,
+    basis,
+    det,
+    freudenthal_reference,
+    hessian_matrix,
+    jet_line,
+    reference_value,
+    sym_coords,
+    sym_unpack,
+)
 from pvkit.invariants import (
     InvariantPolynomial,
-    alt_unpack,
+    TapeNode,
     bordered_pfaffian,
     det_augmented,
     determinant,
@@ -22,10 +34,9 @@ from pvkit.invariants import (
     restrict_to_summand,
     ring_det,
     symplectic_pair,
-    sym_unpack,
     value_and_gradient,
 )
-from pvkit.linalg import DetRng, Matrix, Q as QQ, det, jet_line
+from pvkit.linalg import DetRng, Matrix, Q as QQ
 from pvkit.octonion import freudenthal_monomials, freudenthal_value
 
 
@@ -443,11 +454,14 @@ def _jet_reference(f, x):
     return f(x), [jet_line(f, x, u).d1 for u in units]
 
 
-def _assert_matches_jets(f, seed, points=3):
+def _assert_matches_jets(f, seed, summand_dims, points=3):
+    """The taped gradient against the jets, and f(x) against the
+    hand-written evaluator, at seeded integer points."""
     rng = DetRng(seed)
     for _ in range(points):
         x = [rng.randint(-3, 3) for _ in range(f.arity)]
         assert value_and_gradient(f, x) == _jet_reference(f, x), f.name
+        assert f(x) == reference_value(f, x, summand_dims), f.name
 
 
 def test_gradient_matches_jets_on_every_default_catalog_invariant():
@@ -456,27 +470,60 @@ def test_gradient_matches_jets_on_every_default_catalog_invariant():
     checked = 0
     for entry in catalog():
         for params in entry.defaults or ({},):
-            for f in _build(entry, dict(params)).invariants:
-                _assert_matches_jets(f, seed=41 + checked)
+            built = _build(entry, dict(params))
+            for f in built.invariants:
+                _assert_matches_jets(f, 41 + checked, built.rep.summand_dims)
                 checked += 1
     assert checked == 49
 
 
 @pytest.mark.parametrize(
-    "entry_id,params", [("T2.3", {"n": 8}), ("T2.4", {"n": 4}), ("T2.5", {})]
+    "entry_id,params",
+    [
+        ("T2.3", {"n": 8}),
+        ("T2.4", {"n": 4}),
+        ("T2.5", {}),
+        ("T2.3", {"n": 12}),
+        ("T3.2b", {"n": 9}),
+    ],
 )
 def test_gradient_matches_jets_at_larger_parameters(entry_id, params):
     from pvkit.catalog import _build, get_entry
 
-    (f,) = _build(get_entry(entry_id), params).invariants
-    _assert_matches_jets(f, seed=5)
+    built = _build(get_entry(entry_id), params)
+    (f,) = built.invariants
+    _assert_matches_jets(f, 5, built.rep.summand_dims)
 
 
 def test_gradient_matches_jets_on_a_restricted_summand():
-    f = restrict_to_summand(pfaffian(4), 4 + 6, 4, " (second summand)")
-    _assert_matches_jets(f, seed=6)
+    f = restrict_to_summand(pfaffian(4), (4, 6), 1)
+    assert (f.arity, f.name) == (10, "Pf on AS(4) (2nd summand)")
+    _assert_matches_jets(f, 6, (4, 6))
     _, grad = value_and_gradient(f, list(range(1, 11)))
     assert grad[:4] == [0, 0, 0, 0]
+
+
+def _tape_length(f) -> int:
+    tape: list = []
+    f([TapeNode(k % 7 - 3, tape, ()) for k in range(f.arity)])
+    return len(tape)
+
+
+def test_evaluators_record_only_the_nodes_they_need():
+    """The pfaffians read only entries above the diagonal, so no negated
+    lower entry is recorded, and a +-1 term of a bilinear form is one
+    product and one sum."""
+    assert _tape_length(pfaffian(8)) == 222
+    assert _tape_length(bordered_pfaffian(7)) == 222
+    assert _tape_length(pair_dot(3)) <= 12
+    assert _tape_length(symplectic_pair(3)) <= 24
+    assert _tape_length(pf_gram(3)) <= 24
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_restrict_to_summand_rejects_a_summand_of_another_dimension(k):
+    with pytest.raises(ValueError):
+        restrict_to_summand(pfaffian(4), (4, 6), k)
 
 
 def test_gradient_with_ints_on_either_side_and_unary_minus():

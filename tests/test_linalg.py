@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import hessian_matrix
+from helpers import det, hessian_matrix, jet_line
 from pvkit.analyzer import certify
 from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
@@ -17,8 +17,6 @@ from pvkit.linalg import (
     SpanSolver,
     _combine,
     _int_array,
-    det,
-    jet_line,
     nullspace,
     rank,
 )

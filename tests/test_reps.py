@@ -5,9 +5,9 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import basis, invariant_form_space
+from helpers import basis, invariant_form_space, jet_line, sym_unpack
 from pvkit.invariants import freudenthal_cubic
-from pvkit.linalg import DetRng, Matrix, _fit, jet_line, nullspace
+from pvkit.linalg import DetRng, Matrix, _fit, nullspace
 from pvkit.reps import (
     ClosureError,
     MatrixRep,
@@ -189,8 +189,6 @@ def test_sym2_alt2_space_dims():
 
 
 def test_sym2_preserves_symmetry():
-    from pvkit.invariants import sym_unpack
-
     r = sym2(gl(3))
     rng = DetRng(44)
     s = [Q(rng.randint(-3, 3)) for _ in range(6)]

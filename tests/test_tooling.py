@@ -67,6 +67,27 @@ def test_octonion_defines_no_class():
     assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
 
 
+def test_catalog_restricts_invariants_by_the_summand_dims():
+    """Every restriction reads its offset and total off the representation,
+    so no builder spells out the coordinate layout of a direct sum."""
+    tree = ast.parse((SRC / "catalog.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "restrict_to_summand"
+    ]
+    assert calls
+    for call in calls:
+        assert len(call.args) == 3 and not call.keywords, ast.unparse(call)
+        assert ast.unparse(call.args[1]) == "rep.summand_dims", ast.unparse(call)
+
+
+def test_invariants_read_coordinates_through_grids_not_unpackers():
+    tree = ast.parse((SRC / "invariants.py").read_text())
+    defined = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert not [name for name in defined if name.endswith("_unpack")]
+
+
 @pytest.mark.parametrize("module", ["catalog", "reps"])
 def test_pipeline_modules_use_no_fractions(module):
     names = _imported_names(module)
