@@ -1,16 +1,19 @@
 """Executable criteria for prehomogeneous spaces with exact certificates.
 
 A point is generic exactly when the infinitesimal action map is onto, so
-genericity is certified by an exact rank computation and never guessed.
-One sampling call per run draws every certified point, as tuples of Python
-ints.  The isotropy dimension d - n follows from the point certificate by
-rank-nullity, so no kernel is computed.  The character-lattice rank and the
-check that a character vanishes on the derived algebra both read the
-commutators at the first point, through one n x n Gram matrix built once
-per run.  Relative invariance is checked through exact gradients, each from
-one taped evaluation and a backward sweep, with the character compared in
-integers, and regularity is full rank of the Hessian, read off the gradient
-by one rank at the first point.
+genericity is certified by a rank computation and never guessed: full rank
+modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
+rest.  One sampling call per run draws every certified point, as tuples of
+Python ints, and certifies its draws in blocks, one stacked elimination
+mod P per block.  The isotropy dimension d - n follows from the point
+certificate by rank-nullity, so no kernel is computed.  The
+character-lattice rank and the check that a character vanishes on the
+derived algebra both read the commutators at the first point, through one
+n x n Gram matrix built once per run.  Relative invariance is checked
+through exact gradients, each from one taped evaluation and a backward
+sweep, with the character compared in integers, and regularity is full rank
+of the Hessian, read off the gradient at the first point by the same
+full-rank test as the point certificate.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .invariants import InvariantPolynomial, value_and_gradient
-from .linalg import DetRng, Q, _fit, _int_array, rank
+from .linalg import P, DetRng, Q, _fit, _int_array, full_rank_mod_p, rank
 from .reps import MatrixRep
 
 __all__ = [
@@ -84,14 +87,22 @@ class AnalysisReport:
     notes: str = ""
 
 
-def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
-    """Exact certificate: the orbit map at x is onto.
+def _full_column_rank(m: np.ndarray) -> bool:
+    """The r x c integer matrix m has column rank c: full rank modulo
+    2**31 - 1, which proves full rank over Q; exact rank decides the rest."""
+    return bool(full_rank_mod_p(m[None])[0]) or rank(m) == m.shape[1]
 
-    Column i of (T @ xi).T is a positive multiple of B_i . x, so that
-    matrix has the rank of the orbit map at x.
+
+def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
+    """Certificate that the orbit map at x is onto.
+
+    Row i of T @ xi is a positive multiple of B_i . x, so that d x n matrix
+    has the rank of the orbit map at x, and the map is onto when its column
+    rank is n: full rank modulo 2**31 - 1, which proves full rank over Q;
+    exact rank decides the rest.
     """
     xi, _ = _int_array(x)
-    return rank((rep.T @ xi).T) == rep.space_dim
+    return _full_column_rank(rep.T @ xi)
 
 
 def find_generic_point(
@@ -153,8 +164,15 @@ def sample_certified_points(
     The hint, when given, is the first point, cleared once to a positive
     integer multiple (which keeps the certificate); a non-generic hint
     raises NotPrehomogeneousError.  The rest are distinct integer draws in
-    [-3, 3] from one seeded stream, each certified once, as Python ints.
-    When MAX_DRAWS draws run out, fewer than `count` points come back.
+    [-3, 3] from one seeded stream, as Python ints, kept in stream order.
+    Draws come in blocks of twice the points still missing, and the
+    distinct new draws of a block are certified together as one stack of
+    orbit matrices T @ xi: full rank modulo 2**31 - 1, which proves full
+    rank over Q; exact rank decides the rest.  It decides them only when
+    MAX_DRAWS draws, duplicates included, leave fewer than `count` points:
+    then the draws rejected mod P are decided again in stream order, so a
+    shortfall is the one an exact rank per draw gives, and fewer than
+    `count` points come back.
     """
     points: list[GenericPoint] = []
     if hint is not None:
@@ -162,15 +180,37 @@ def sample_certified_points(
         if not certify(rep, pt):
             raise NotPrehomogeneousError("the registered point is not generic")
         points.append(GenericPoint(pt, True))
+    first = len(points)
     seen = {p.coordinates for p in points}
     rng = DetRng.for_stream(seed, "point-sample")
-    for _ in range(MAX_DRAWS):
-        if len(points) >= count:
-            break
-        draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
-        if draw not in seen and certify(rep, draw):
-            points.append(GenericPoint(draw, True))
-        seen.add(draw)
+    # the int64 einsum below is exact for |T| < 2**31 (see linalg._fit)
+    T = (rep.T % P).astype(np.int64) if rep.T.dtype == object else rep.T
+    tried: list[tuple[tuple[int, ...], bool]] = []  # distinct draws, verdict mod P
+    drawn = 0
+    while len(points) < count and drawn < MAX_DRAWS:
+        block = min(2 * (count - len(points)), MAX_DRAWS - drawn)
+        drawn += block
+        fresh = []
+        for _ in range(block):
+            draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
+            if draw not in seen:
+                seen.add(draw)
+                fresh.append(draw)
+        if not fresh:
+            continue
+        stack = np.einsum("ijk,bk->bij", T, np.array(fresh, dtype=np.int64))
+        for draw, ok in zip(fresh, full_rank_mod_p(stack).tolist()):
+            tried.append((draw, ok))
+            if ok and len(points) < count:
+                points.append(GenericPoint(draw, True))
+    if len(points) < count:
+        del points[first:]
+        for draw, ok in tried:
+            if len(points) >= count:
+                break
+            xi = np.array(draw, dtype=np.int64)
+            if ok or rank(rep.T @ xi) == rep.space_dim:
+                points.append(GenericPoint(draw, True))
     return points
 
 
@@ -236,13 +276,15 @@ def verify_relative_invariant(
 def hessian_regularity(
     f: InvariantPolynomial, rep: MatrixRep, point: GenericPoint
 ) -> bool:
-    """True iff Hess f is nonsingular at the certified point, by one rank.
+    """True iff Hess f is nonsingular at the certified point, by one rank test.
 
     Differentiating grad f(y) . (X y) = lambda_X f(y) once more gives
     Hess f(x) (X x) = lambda_X grad f(x) - X^T grad f(x) for a relative
     invariant f.  The vectors X x span the space at a certified point, so
     Hess f(x) has the rank of the n x d matrix of right-hand sides.  At xi
-    its column X, times den * f(xi), is num_X grad - f(xi) T_X^T grad.
+    its column X, times den * f(xi), is num_X grad - f(xi) T_X^T grad, and
+    the question is whether that matrix has rank n: full rank modulo
+    2**31 - 1, which proves full rank over Q; exact rank decides the rest.
 
     One point decides: the Hessian determinant of a relative invariant is
     itself relatively invariant, hence identically zero or nowhere zero on
@@ -252,7 +294,7 @@ def hessian_regularity(
         raise ValueError("regularity requires a certified point")
     fx, grad, num = _first_order(rep, f, point)
     r = np.outer(grad, num) - fx * (grad @ rep.T).T
-    return rank(r) == rep.space_dim
+    return _full_column_rank(r.T)
 
 
 def classify(

@@ -9,9 +9,13 @@ keeps each row as one such array, re-chosen after every row operation, so
 one elimination may move from int64 to Python ints and back; the numbers,
 and so the results, are the same on either dtype.  `rank` and `nullspace`
 take a 2-D array-like of integers or rationals (or a `Matrix`) and clear it
-once.  Coefficient vectors and kernel bases are (A, den) pairs.  `Matrix`,
-a small Fraction matrix, and `Jet2`, a second-order jet over whatever ring
-its components come from, are kept for callers outside the pipeline.
+once.  Coefficient vectors and kernel bases are (A, den) pairs.
+`full_rank_mod_p` asks of a whole stack of integer matrices whether each
+has full column rank modulo the prime P = 2**31 - 1, by one int64
+elimination: full rank modulo 2**31 - 1, which proves full rank over Q;
+exact `rank` decides the rest.  `Matrix`, a small Fraction matrix, and
+`Jet2`, a second-order jet over whatever ring its components come from,
+are kept for callers outside the pipeline.
 """
 
 from __future__ import annotations
@@ -32,10 +36,14 @@ __all__ = [
     "DimensionMismatchError",
     "rank",
     "nullspace",
+    "full_rank_mod_p",
 ]
 
 # A product of two int64 arrays is exact while max|A|^2 * length < _GUARD.
 _GUARD = 1 << 62
+# A prime with P * P < 2**62: a difference of two products of residues mod P
+# is exact in int64.
+P = (1 << 31) - 1
 
 
 class DimensionMismatchError(ValueError):
@@ -351,6 +359,38 @@ def nullspace(m) -> tuple[np.ndarray, int]:
         if v[np.flatnonzero(v)[0]] < 0:
             v *= -1
     return _fit(kernel), den
+
+
+def full_rank_mod_p(stack) -> np.ndarray:
+    """Per matrix of a (K, r, c) integer stack: is its column rank c mod P?
+
+    A True is a proof over Q: some c x c minor is nonzero mod P, so nonzero
+    in Z.  A False proves nothing over Q (P may divide every such minor),
+    and the caller decides it with the exact `rank`.  The stack is reduced
+    mod P first, Python ints (dtype=object) included, and eliminated in
+    int64 in lockstep, one column per step for every matrix at once.  Each
+    matrix picks its own pivot row, the first with a nonzero entry in the
+    column, and every row, the pivot row included, becomes
+    (pv * row - f * prow) % P, which needs no inverse mod P and zeroes the
+    pivot row.  A matrix with no pivot in some column has rank below c.
+    """
+    a = np.asarray(stack)
+    if a.dtype.kind not in "iuO" or a.ndim != 3:
+        raise TypeError("a 3-D stack of integer matrices required")
+    k, r, c = a.shape
+    if r < c:
+        return np.zeros(k, dtype=bool)
+    a = (a % P).astype(np.int64, copy=False)
+    at = np.arange(k)
+    full = np.ones(k, dtype=bool)
+    for _ in range(c):
+        prow = a[at, (a[:, :, 0] != 0).argmax(axis=1)]
+        full &= prow[:, 0] != 0
+        rest = prow[:, :1, None] * a[:, :, 1:]
+        rest -= a[:, :, :1] * prow[:, None, 1:]
+        rest %= P
+        a = rest
+    return full
 
 
 class Jet2:

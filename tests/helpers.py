@@ -1,14 +1,17 @@
-"""Shared helpers for the test suite: Fraction, jet and coefficient-space
-references for the integer paths of the package, and the hand-written
-invariant evaluators that the index grids and term lists replaced."""
+"""Shared helpers for the test suite: Fraction, jet, coefficient-space and
+exact-rank references for the integer and modular paths of the package, and
+the hand-written invariant evaluators that the index grids and term lists
+replaced."""
 
 import re
 from fractions import Fraction as Q
 
 import numpy as np
 
+from pvkit.analyzer import MAX_DRAWS, GenericPoint
 from pvkit.invariants import ring_det, ring_pf
 from pvkit.linalg import (
+    DetRng,
     DimensionMismatchError,
     Jet2,
     Matrix,
@@ -16,6 +19,7 @@ from pvkit.linalg import (
     _int_array,
     _int_matrix,
     nullspace,
+    rank,
 )
 from pvkit.octonion import oct_mul, oct_norm
 from pvkit.reps import MatrixRep, Subalgebra
@@ -100,6 +104,33 @@ def isotropy_algebra(rep: MatrixRep, point) -> Subalgebra:
     if sub.dim != rep.algebra_dim - rep.space_dim:
         raise AssertionError("isotropy dimension violates the rank identity")
     return sub
+
+
+def sequential_certified_points(rep: MatrixRep, count: int, seed: int = 0, hint=None):
+    """One exact rank per distinct draw, in stream order: the reference for
+    `analyzer.sample_certified_points`, which certifies its draws in blocks
+    modulo a prime.  A hint that is not generic raises ValueError."""
+
+    def exact(x) -> bool:
+        xi, _ = _int_array(x)
+        return rank((rep.T @ xi).T) == rep.space_dim
+
+    points = []
+    if hint is not None:
+        pt = tuple(_int_array(hint)[0].tolist())
+        if not exact(pt):
+            raise ValueError("the hint is not generic")
+        points.append(GenericPoint(pt, True))
+    seen = {p.coordinates for p in points}
+    rng = DetRng.for_stream(seed, "point-sample")
+    for _ in range(MAX_DRAWS):
+        if len(points) >= count:
+            break
+        draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
+        if draw not in seen and exact(draw):
+            points.append(GenericPoint(draw, True))
+        seen.add(draw)
+    return points
 
 
 def character_dim_in_coefficients(rep: MatrixRep, point) -> int:

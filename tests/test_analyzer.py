@@ -5,7 +5,14 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import action_matrix, basis, det, hessian_matrix, isotropy_algebra
+from helpers import (
+    action_matrix,
+    basis,
+    det,
+    hessian_matrix,
+    isotropy_algebra,
+    sequential_certified_points,
+)
 from pvkit.analyzer import (
     LAMBDA_POINTS,
     GenericPoint,
@@ -27,7 +34,7 @@ from pvkit.invariants import (
     quadratic_form,
     restrict_to_summand,
 )
-from pvkit.linalg import DetRng, Jet2, Matrix, nullspace, rank
+from pvkit.linalg import P, DetRng, Jet2, Matrix, full_rank_mod_p, nullspace, rank
 from pvkit.reps import (
     MatrixRep,
     add_torus,
@@ -394,16 +401,20 @@ def test_classify_reports_an_invariant_vanishing_at_a_certified_point():
 def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypatch):
     """On an entry with two invariants: one certificate per distinct draw,
     and each invariant is evaluated LAMBDA_POINTS times, once per point, on
-    tape nodes: the taped evaluation gives the value and the gradient."""
+    tape nodes: the taped evaluation gives the value and the gradient.  The
+    certificates are the orbit matrices that reach the mod-P kernel, in
+    blocks of draws; the orbit map is injective here, so distinct draws have
+    distinct matrices."""
     from pvkit import analyzer
     from pvkit.catalog import _build, get_entry
 
     built = _build(get_entry("NEG-4.2.8b"), {})
-    certified, evals = [], {}
+    certified, stacks, evals = [], [], {}
 
-    def recording_certify(rep, x):
-        certified.append(tuple(x))
-        return certify(rep, x)
+    def recording_kernel(stack):
+        stacks.append(len(stack))
+        certified.extend(m.tobytes() for m in np.asarray(stack, dtype=np.int64))
+        return full_rank_mod_p(stack)
 
     def counted(f):
         evals[f.name] = 0
@@ -415,11 +426,15 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
 
         return InvariantPolynomial(f.arity, f.degree, f.name, ev)
 
-    monkeypatch.setattr(analyzer, "certify", recording_certify)
+    monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     invariants = [counted(f) for f in built.invariants]
     report = classify(built.rep, invariants, x_hint=built.x_hint, seed=0)
     assert report.character_dim == 2 and len(evals) == 2
     assert all(c.verified for c in report.invariant_checks)
+    # the hint certificate is a stack of one; each block draws twice the
+    # points still missing
+    assert stacks[0] == (1 if built.x_hint else 2 * LAMBDA_POINTS)
+    assert len(certified) >= LAMBDA_POINTS
     assert len(certified) == len(set(certified))
     assert evals == {f.name: LAMBDA_POINTS for f in built.invariants}
 
@@ -534,3 +549,128 @@ def test_pipeline_evaluates_invariants_at_integer_points_only():
         ok, lam = verify_relative_invariant(rep, f, points)
         assert ok and lam == tuple(2 * b.trace() for b in basis(gl(3)))
         assert all(hessian_regularity(f, rep, p) for p in points)
+
+
+def _default_builds():
+    from pvkit.catalog import _build, catalog
+
+    return [
+        (f"{e.id}{params}", _build(e, dict(params)))
+        for e in catalog()
+        for params in (e.defaults or ({},))
+    ]
+
+
+def test_sampler_matches_the_sequential_exact_sampler_on_every_default_build():
+    """The block sampler, certified mod P, returns the points one exact rank
+    per draw returns, on every default build for seeds 0-5, one and
+    LAMBDA_POINTS points, with and without the registered point."""
+    for name, built in _default_builds():
+        for seed in range(6):
+            for hint in {None, built.x_hint}:
+                want = sequential_certified_points(built.rep, LAMBDA_POINTS, seed, hint)
+                for count in (1, LAMBDA_POINTS):
+                    got = sample_certified_points(built.rep, count, seed=seed, hint=hint)
+                    assert got == want[:count], (name, seed, hint, count)
+
+
+def _times_p(rep: MatrixRep) -> MatrixRep:
+    """The same generators with T and den both times P, so every orbit
+    matrix and every regularity matrix is 0 mod P."""
+    return MatrixRep(rep.T.astype(object) * P, rep.den * P, rep.labels)
+
+
+@pytest.mark.parametrize("which", ["sym_det", "so_quadratic"])
+def test_sampler_decides_draws_rejected_mod_p_exactly(which, monkeypatch):
+    """Every draw fails mod P on the scaled rep, so the sampler reaches the
+    shortfall, decides the rejected draws by exact rank in stream order,
+    and returns the points of the plain rep, hint included."""
+    from pvkit import analyzer
+
+    if which == "sym_det":
+        rep, hint = sym2(gl(3)), [1, 0, 0, 1, 0, 1]
+    else:
+        rep, hint = add_torus(so(4), 1), [1, 0, 0, 0]
+    big = _times_p(rep)
+    verdicts = []
+
+    def recording_kernel(stack):
+        got = full_rank_mod_p(stack)
+        verdicts.extend(got.tolist())
+        return got
+
+    monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
+    for h in (None, hint):
+        for count in (1, LAMBDA_POINTS):
+            want = sample_certified_points(rep, count, seed=2, hint=h)
+            verdicts.clear()
+            assert sample_certified_points(big, count, seed=2, hint=h) == want
+            assert len(want) == count and verdicts and not any(verdicts)
+            assert want == sequential_certified_points(rep, count, 2, h)
+
+
+def test_sampler_shortfall_matches_the_sequential_sampler():
+    """Fewer distinct draws exist than points asked for: both samplers run
+    MAX_DRAWS draws and return the same short list."""
+    rep = add_torus(so(2), 1)  # 49 distinct draws, the nonzero ones generic
+    want = sequential_certified_points(rep, 60, 1)
+    assert len(want) == 48
+    assert sample_certified_points(rep, 60, seed=1) == want
+    assert sample_certified_points(_times_p(rep), 60, seed=1) == want
+
+
+def test_full_column_rank_falls_back_to_exact_rank_only_when_mod_p_says_no(monkeypatch):
+    """det = P: full rank over Q, singular mod P, so exact rank decides; a
+    matrix full rank mod P never reaches exact rank."""
+    from pvkit import analyzer
+
+    calls = []
+
+    def recording_rank(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(analyzer, "rank", recording_rank)
+    assert analyzer._full_column_rank(np.array([[P, 1], [0, 1], [0, 0]]))
+    assert len(calls) == 1
+    assert not analyzer._full_column_rank(np.array([[1, 2], [2, 4]]) * P)
+    assert len(calls) == 2
+    assert analyzer._full_column_rank(np.array([[2, 1], [0, 1]]))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("which", ["sym_det", "so_quadratic", "alt_pfaffian_partial"])
+def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monkeypatch):
+    """On the rep scaled by P the regularity matrix is 0 mod P, so the
+    kernel says no and exact rank gives the flag of the plain rep, regular
+    or not."""
+    from pvkit import analyzer
+
+    if which == "sym_det":
+        rep, f = sym2(gl(3)), determinant(3, "sym")
+    elif which == "so_quadratic":
+        rep, f = add_torus(so(4), 1), quadratic_form(_eye(4))
+    else:
+        g = gl(4)
+        rep = direct_sum_shared(
+            [("gl(4)", [dual(g), alt2(g)]), ("scaling", [scaling(4), None])]
+        )
+        f = restrict_to_summand(pfaffian(4), rep.summand_dims, 1)
+    point = sample_certified_points(rep, 1, seed=0)[0]
+    want = hessian_regularity(f, rep, point)
+    verdicts, ranks = [], []
+
+    def recording_kernel(stack):
+        got = full_rank_mod_p(stack)
+        verdicts.extend(got.tolist())
+        return got
+
+    def recording_rank(m):
+        ranks.append(m.shape)
+        return rank(m)
+
+    monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
+    monkeypatch.setattr(analyzer, "rank", recording_rank)
+    assert hessian_regularity(f, _times_p(rep), point) == want
+    assert verdicts == [False] and len(ranks) == 1
+    assert want == (which != "alt_pfaffian_partial")

@@ -10,6 +10,7 @@ from helpers import det, hessian_matrix, jet_line
 from pvkit.analyzer import certify
 from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
+    P,
     DetRng,
     DimensionMismatchError,
     Jet2,
@@ -17,6 +18,7 @@ from pvkit.linalg import (
     SpanSolver,
     _combine,
     _int_array,
+    full_rank_mod_p,
     nullspace,
     rank,
 )
@@ -461,3 +463,73 @@ def test_coefficients_are_reduced_with_positive_denominator():
     solver = SpanSolver(3, track=1)
     solver.insert([1, 0, 1])
     assert solver.coefficients([1, 0, 0]) is None
+
+
+def _random_stack(rng, k, r, c, big=0):
+    """k random r x c integer matrices with entries in [-5, 5] plus big times
+    another such entry; members with an odd index are built as a product
+    through an inner dimension below c, so their column rank is short."""
+    def entry():
+        return rng.randint(-5, 5) + big * rng.randint(-5, 5)
+
+    mats = []
+    for i in range(k):
+        if i % 2 and c > 1:
+            inner = rng.randint(0, c - 1)
+            left = np.array([[entry() for _ in range(inner)] for _ in range(r)], dtype=object)
+            right = np.array([[entry() for _ in range(c)] for _ in range(inner)], dtype=object)
+            mats.append((left.reshape(r, inner) @ right.reshape(inner, c)).astype(object))
+        else:
+            mats.append(np.array([[entry() for _ in range(c)] for _ in range(r)], dtype=object))
+    return np.array(mats, dtype=object).reshape(k, r, c)
+
+
+@pytest.mark.parametrize("big", [0, 2**20, 2**40, 2**70], ids=["small", "2^20", "2^40", "2^70"])
+def test_full_rank_mod_p_never_claims_a_rank_that_is_short(big):
+    """On random stacks of mixed shapes, True only where the exact rank is
+    full; with these seeds the kernel also finds every full-rank member."""
+    rng = DetRng(16 + big.bit_length())
+    checked = full = 0
+    for _ in range(40):
+        c = rng.randint(0, 6)
+        r = rng.randint(max(c - 1, 0), c + 4)
+        stack = _random_stack(rng, rng.randint(1, 6), r, c, big)
+        ints, _ = _int_array(stack)
+        got = full_rank_mod_p(ints)
+        assert got.dtype == bool and got.shape == (len(stack),)
+        for m, ok in zip(stack, got):
+            exact = rank(m) == c if r else c == 0
+            assert exact or not ok
+            assert ok == exact  # a miss mod P has chance about 1 / P here
+            checked += 1
+            full += exact
+    assert 0 < full < checked
+
+
+def test_full_rank_mod_p_says_no_to_a_matrix_singular_only_mod_p():
+    """det = P: full rank over Q, singular mod P.  The kernel says False and
+    exact rank still says full; the other members keep their verdicts."""
+    stack = np.array(
+        [
+            [[P, 1], [0, 1], [0, 0]],
+            [[1, 2], [2, 4], [3, 6]],   # rank 1
+            [[0, 0], [1, 0], [0, 1]],   # pivot below the first row
+            [[2, 1], [1, 3], [5, 5]],
+        ],
+        dtype=np.int64,
+    )
+    assert full_rank_mod_p(stack).tolist() == [False, False, True, True]
+    assert rank(stack[0]) == 2
+    # the same residues, shifted by a multiple of P into Python ints
+    shifted = stack.astype(object) + P * 2**40
+    assert full_rank_mod_p(shifted).tolist() == [False, False, True, True]
+
+
+def test_full_rank_mod_p_shapes():
+    assert full_rank_mod_p(np.zeros((0, 3, 2), dtype=np.int64)).tolist() == []
+    assert full_rank_mod_p(np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [True, True]
+    assert full_rank_mod_p(np.ones((1, 1, 2), dtype=np.int64)).tolist() == [False]
+    with pytest.raises(TypeError):
+        full_rank_mod_p(np.ones((1, 2, 2)) / 2)
+    with pytest.raises(TypeError):
+        full_rank_mod_p(np.ones((2, 2), dtype=np.int64))

@@ -57,6 +57,40 @@ def test_analyzer_works_at_the_point_not_in_coefficient_space():
         assert name not in names, name
 
 
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return fn
+
+
+def _called(node: ast.AST) -> set[str]:
+    return {
+        n.func.id for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+
+
+def test_regularity_reaches_exact_rank_only_after_the_modular_test():
+    """hessian_regularity and certify call no rank of their own: both go
+    through `_full_column_rank`, where every exact rank is a later operand
+    of an `or` whose first operand is the mod-P kernel."""
+    tree = ast.parse((SRC / "analyzer.py").read_text())
+    for name in ("hessian_regularity", "certify"):
+        called = _called(_function(tree, name))
+        assert "rank" not in called and "_full_column_rank" in called, name
+    full = _function(tree, "_full_column_rank")
+    guarded = set()
+    for node in ast.walk(full):
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            assert _called(node.values[0]) == {"bool", "full_rank_mod_p"}
+            for later in node.values[1:]:
+                guarded |= {id(n) for n in ast.walk(later)}
+    ranks = [
+        n for n in ast.walk(full)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "rank"
+    ]
+    assert ranks and all(id(n) in guarded for n in ranks)
+
+
 def test_octonion_does_not_import_fractions():
     assert "fractions" not in _imported_names("octonion")
 
