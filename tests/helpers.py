@@ -80,7 +80,8 @@ def basis(rep: MatrixRep) -> tuple[Matrix, ...]:
 
 def action_matrix(rep: MatrixRep, x) -> Matrix:
     """The orbit map at x, columns B_i . x, from the integer product
-    (T @ xi).T that certify and isotropy_algebra use, scaled back."""
+    (T @ xi).T that isotropy_algebra uses (certify takes its transpose),
+    scaled back."""
     xi, c = _int_array(x)
     scale = rep.den * c
     return Matrix(
