@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Anatomy of one verification: GL(n) on symmetric matrices.
 
-The pipeline: certify a generic point by an exact rank computation, which
+The pipeline: certify a generic point by a full-rank certificate, which
 fixes the isotropy dimension by rank-nullity, count available characters as
 a corank of the commutators at that point, check the determinant transforms
 by a character through exact gradients (one taped evaluation and one
@@ -12,9 +12,7 @@ which the pipeline does not need.
 
 from pvkit import classify, gl, sym2
 from pvkit.analyzer import (
-    certify,
     character_space_dim,
-    find_generic_point,
     hessian_regularity,
     sample_certified_points,
     verify_relative_invariant,
@@ -29,14 +27,13 @@ f = determinant(n, "sym")
 
 print(f"algebra dim {rep.algebra_dim}, space dim {rep.space_dim}")
 
-# 1. a generic point: the orbit map must be onto, checked by exact rank.
-# Column i of (T @ x).T is den * B_i . x, so that integer matrix has the
-# rank of the orbit map at x.
-point = find_generic_point(rep, seed=0)
-x = list(point.coordinates)
-m = (rep.T @ x).T
-print(f"certified point {x}: orbit map rank {rank(m)}, "
-      f"onto: {certify(rep, point.coordinates)}")
+# 1. a generic point: the orbit map must be onto.  The sampler certifies
+# its draws and returns tuples of ints; column i of (T @ x).T is
+# den * B_i . x, so that integer matrix has the rank of the orbit map at x.
+point = sample_certified_points(rep, 1, seed=0)[0]
+m = (rep.T @ point).T
+print(f"certified point {point}: orbit map rank {rank(m)}, "
+      f"onto: {rank(m) == rep.space_dim}")
 
 # 2. the isotropy subalgebra is the nullspace of that matrix; its rows are
 # coefficient vectors over the algebra basis

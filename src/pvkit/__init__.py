@@ -11,12 +11,10 @@ gradient.
 
 from .analyzer import (
     AnalysisReport,
-    GenericPoint,
     NotPrehomogeneousError,
     ZeroAtTestPointError,
     character_space_dim,
     classify,
-    find_generic_point,
     hessian_regularity,
     verify_relative_invariant,
 )

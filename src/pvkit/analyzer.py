@@ -18,6 +18,7 @@ full-rank test as the point certificate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
@@ -29,12 +30,9 @@ from .linalg import P, DetRng, Q, _fit, _int_array, full_rank_mod_p, rank
 from .reps import MatrixRep
 
 __all__ = [
-    "GenericPoint",
     "AnalysisReport",
     "NotPrehomogeneousError",
     "ZeroAtTestPointError",
-    "find_generic_point",
-    "certify",
     "character_space_dim",
     "verify_relative_invariant",
     "hessian_regularity",
@@ -54,12 +52,6 @@ class ZeroAtTestPointError(RuntimeError):
 # Draws per sampling call before it gives up, and points per invariance check.
 MAX_DRAWS = 512
 LAMBDA_POINTS = 10
-
-
-@dataclass(frozen=True)
-class GenericPoint:
-    coordinates: Tuple[int | Q, ...]    # ints from the sampler
-    certified: bool
 
 
 @dataclass(frozen=True)
@@ -93,46 +85,17 @@ def _full_column_rank(m: np.ndarray) -> bool:
     return bool(full_rank_mod_p(m[None])[0]) or rank(m) == m.shape[1]
 
 
-def certify(rep: MatrixRep, x: Sequence[Q]) -> bool:
-    """Certificate that the orbit map at x is onto.
-
-    Row i of T @ xi is a positive multiple of B_i . x, so that d x n matrix
-    has the rank of the orbit map at x, and the map is onto when its column
-    rank is n: full rank modulo 2**31 - 1, which proves full rank over Q;
-    exact rank decides the rest.
-    """
-    xi, _ = _int_array(x)
-    return _full_column_rank(rep.T @ xi)
-
-
-def find_generic_point(
-    rep: MatrixRep, seed: int = 0, hint: Optional[Sequence[Q]] = None
-) -> GenericPoint:
-    """A certified generic point: the first of `sample_certified_points`.
-
-    That is the hint when given, else the first certified seeded draw.
-    Failing to find one raises NotPrehomogeneousError; that is evidence,
-    not proof, and the caller is expected to report it as inconclusive.
-    """
-    for point in sample_certified_points(rep, 1, seed=seed, hint=hint):
-        return point
-    raise NotPrehomogeneousError(_shortfall(0))
-
-
 @lru_cache(maxsize=1)
-def _commutator_gram(rep: MatrixRep, point: GenericPoint) -> np.ndarray:
-    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] xi; read-only.
+def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
+    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] x; read-only.
 
-    xi is the point cleared to integers.  With P = T @ (T @ xi).T, of shape
-    (d, n, d), P[i, :, j] = T_i (T_j xi), so M is one gather of P.  Over Q,
-    M v = 0 exactly when G v = 0 (v^T G v = |M v|^2), so G has the rank of
-    M and the same kernel, in an n x n integer matrix.  The last (rep,
-    point) is cached: a run reads G at its first point for the character
-    dimension and again for each invariant.
+    With P = T @ (T @ x).T, of shape (d, n, d), P[i, :, j] = T_i (T_j x), so
+    M is one gather of P.  Over Q, M v = 0 exactly when G v = 0
+    (v^T G v = |M v|^2), so G has the rank of M and the same kernel, in an
+    n x n integer matrix.  The last (rep, point) is cached: a run reads G at
+    its first point for the character dimension and again for each invariant.
     """
-    if not point.certified:
-        raise ValueError("the commutators are read at a certified point only")
-    xi, _ = _int_array(point.coordinates)
+    xi = _fit(np.array(point, dtype=object))
     T = rep.T
     P = _fit(T @ _fit(T @ xi).T)
     iu, ju = np.triu_indices(rep.algebra_dim, 1)
@@ -142,7 +105,7 @@ def _commutator_gram(rep: MatrixRep, point: GenericPoint) -> np.ndarray:
     return G
 
 
-def character_space_dim(rep: MatrixRep, point: GenericPoint) -> int:
+def character_space_dim(rep: MatrixRep, point: Sequence[int]) -> int:
     """Corank of derived subalgebra + isotropy inside the algebra, n - rank G.
 
     This is the rank of the lattice of characters available to relative
@@ -150,6 +113,7 @@ def character_space_dim(rep: MatrixRep, point: GenericPoint) -> int:
     has kernel the isotropy g_x, so dim([g, g] + g_x) = (d - n) + dim [g, g].x,
     and [g, g].x is spanned by the rows of M (see `_commutator_gram`).
     """
+    point = tuple(map(operator.index, point))  # a Fraction or float is a TypeError
     return rep.space_dim - rank(_commutator_gram(rep, point))
 
 
@@ -158,30 +122,28 @@ def sample_certified_points(
     count: int,
     seed: int = 0,
     hint: Optional[Sequence[Q]] = None,
-) -> list[GenericPoint]:
-    """Up to `count` distinct certified points, deterministically.
+) -> list[tuple[int, ...]]:
+    """Up to `count` distinct certified points, as tuples of Python ints.
 
-    The hint, when given, is the first point, cleared once to a positive
-    integer multiple (which keeps the certificate); a non-generic hint
-    raises NotPrehomogeneousError.  The rest are distinct integer draws in
-    [-3, 3] from one seeded stream, as Python ints, kept in stream order.
-    Draws come in blocks of twice the points still missing, and the
-    distinct new draws of a block are certified together as one stack of
-    orbit matrices T @ xi: full rank modulo 2**31 - 1, which proves full
-    rank over Q; exact rank decides the rest.  It decides them only when
-    MAX_DRAWS draws, duplicates included, leave fewer than `count` points:
-    then the draws rejected mod P are decided again in stream order, so a
-    shortfall is the one an exact rank per draw gives, and fewer than
-    `count` points come back.
+    x is certified when the d x n matrix T @ x (row i is a positive multiple
+    of B_i . x) has column rank n, so the orbit map at x is onto.  A hint is
+    the first point, cleared once to a positive integer multiple and
+    certified by `_full_column_rank`; a non-generic hint raises
+    NotPrehomogeneousError.  The rest are distinct draws in [-3, 3] from one
+    seeded stream, in stream order, drawn in blocks of twice the points
+    still missing; each block's new draws are certified together mod P as
+    one stack.  When MAX_DRAWS draws (duplicates count) leave fewer than
+    `count` points, exact rank decides the draws rejected mod P again in
+    stream order, so a shortfall is the one an exact rank per draw gives.
     """
-    points: list[GenericPoint] = []
+    points: list[tuple[int, ...]] = []
     if hint is not None:
-        pt = tuple(_int_array(hint)[0].tolist())
-        if not certify(rep, pt):
+        xi, _ = _int_array(hint)
+        if not _full_column_rank(rep.T @ xi):
             raise NotPrehomogeneousError("the registered point is not generic")
-        points.append(GenericPoint(pt, True))
+        points.append(tuple(xi.tolist()))
     first = len(points)
-    seen = {p.coordinates for p in points}
+    seen = set(points)
     rng = DetRng.for_stream(seed, "point-sample")
     # the int64 einsum below is exact for |T| < 2**31 (see linalg._fit)
     T = (rep.T % P).astype(np.int64) if rep.T.dtype == object else rep.T
@@ -202,7 +164,7 @@ def sample_certified_points(
         for draw, ok in zip(fresh, full_rank_mod_p(stack).tolist()):
             tried.append((draw, ok))
             if ok and len(points) < count:
-                points.append(GenericPoint(draw, True))
+                points.append(draw)
     if len(points) < count:
         del points[first:]
         for draw, ok in tried:
@@ -210,7 +172,7 @@ def sample_certified_points(
                 break
             xi = np.array(draw, dtype=np.int64)
             if ok or rank(rep.T @ xi) == rep.space_dim:
-                points.append(GenericPoint(draw, True))
+                points.append(draw)
     return points
 
 
@@ -219,27 +181,28 @@ def _shortfall(found: int) -> str:
 
 
 def _first_order(
-    rep: MatrixRep, f: InvariantPolynomial, point: GenericPoint
+    rep: MatrixRep, f: InvariantPolynomial, point: Sequence[int]
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """(f(xi), grad f(xi), num) at the cleared integer point xi = c * x.
+    """(f(x), grad f(x), num) at the integer point x.
 
-    One taped evaluation of f and one backward sweep give f(xi) and the
-    exact gradient (`value_and_gradient`).  num_X = grad f(xi) . (T_X xi)
-    is the derivative along X.xi, times den.  Python ints throughout.
+    One taped evaluation of f and one backward sweep give f(x) and the
+    exact gradient (`value_and_gradient`).  num_X = grad f(x) . (T_X x) is
+    the derivative along X.x, times den.  Python ints throughout.  The
+    evaluation reads each coordinate through operator.index, so a Fraction
+    or float is a TypeError before numpy could truncate it.
     """
-    xa, _ = _int_array(point.coordinates)
-    fx, grad = value_and_gradient(f, xa.tolist())
+    fx, grad = value_and_gradient(f, point)
     if fx == 0:
-        where = "on the open orbit" if point.certified else "at a test point"
-        raise ZeroAtTestPointError(f"{f.name} vanishes {where}")
+        raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit")
     grad = np.array(grad, dtype=object)
-    return fx, grad, (rep.T @ xa).astype(object) @ grad
+    xi = _fit(np.array(point, dtype=object))
+    return fx, grad, (rep.T @ xi).astype(object) @ grad
 
 
 def verify_relative_invariant(
     rep: MatrixRep,
     f: InvariantPolynomial,
-    points: Sequence[GenericPoint],
+    points: Sequence[Sequence[int]],
 ) -> tuple[bool, Tuple[Q, ...]]:
     """Infinitesimal relative invariance at certified points, exactly.
 
@@ -249,12 +212,10 @@ def verify_relative_invariant(
     grad f(x) is orthogonal to [g, g].x, that is G grad f(x) = 0 at the
     first point (see `_commutator_gram`).  Returns (verified, lambda).
     lambda also vanishes on the isotropy of every point checked, by
-    construction: T_X x = 0 there.
-
-    Each point x is cleared to the integer point xi = c * x, where one
-    gradient gives the derivatives along every X.xi.  lambda is a ratio of
-    degree 0 in x, so lambda_X = grad f(xi) . (T_X xi) / (den * f(xi)); the
-    numerators of two points are compared by cross-multiplying.
+    construction: T_X x = 0 there.  At each point x one gradient gives the
+    derivatives along every X.x, so lambda_X = grad f(x) . (T_X x) /
+    (den * f(x)); the numerators of two points are compared by
+    cross-multiplying.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -269,29 +230,26 @@ def verify_relative_invariant(
             break
     lam = tuple(Q(v, rep.den * fx0) for v in num)
     if verified:
-        verified = not (_commutator_gram(rep, points[0]) @ grad0).any()
+        verified = not (_commutator_gram(rep, tuple(points[0])) @ grad0).any()
     return verified, lam
 
 
 def hessian_regularity(
-    f: InvariantPolynomial, rep: MatrixRep, point: GenericPoint
+    f: InvariantPolynomial, rep: MatrixRep, point: Sequence[int]
 ) -> bool:
     """True iff Hess f is nonsingular at the certified point, by one rank test.
 
     Differentiating grad f(y) . (X y) = lambda_X f(y) once more gives
     Hess f(x) (X x) = lambda_X grad f(x) - X^T grad f(x) for a relative
     invariant f.  The vectors X x span the space at a certified point, so
-    Hess f(x) has the rank of the n x d matrix of right-hand sides.  At xi
-    its column X, times den * f(xi), is num_X grad - f(xi) T_X^T grad, and
-    the question is whether that matrix has rank n: full rank modulo
-    2**31 - 1, which proves full rank over Q; exact rank decides the rest.
+    Hess f(x) has the rank of the n x d matrix of right-hand sides.  Its
+    column X, times den * f(x), is num_X grad - f(x) T_X^T grad, and
+    `_full_column_rank` decides whether that matrix has rank n.
 
     One point decides: the Hessian determinant of a relative invariant is
     itself relatively invariant, hence identically zero or nowhere zero on
     the open orbit (exercised as a tested dichotomy elsewhere).
     """
-    if not point.certified:
-        raise ValueError("regularity requires a certified point")
     fx, grad, num = _first_order(rep, f, point)
     r = np.outer(grad, num) - fx * (grad @ rep.T).T
     return _full_column_rank(r.T)

@@ -83,7 +83,6 @@ class BuildResult:
 class CatalogEntry:
     id: str
     title: str
-    params: Tuple[str, ...]
     defaults: Tuple[Dict[str, int], ...]
     validate: Callable[[Dict[str, int]], Optional[str]]
     build: Callable[[Dict[str, int]], BuildResult]
@@ -92,6 +91,10 @@ class CatalogEntry:
     diagram: Callable[[Dict[str, int]], Optional[WeightedDiagram]] = lambda p: None
     expected_commutative_parabolic: Optional[bool] = None
     mf_rank: Optional[str] = None
+
+    @property
+    def params(self) -> Tuple[str, ...]:
+        return tuple(self.defaults[0])  # every default dict has these keys
 
 
 @dataclass(frozen=True)
@@ -527,134 +530,134 @@ def _entries() -> tuple[CatalogEntry, ...]:
     e = []
     e.append(CatalogEntry(
         "T2.1", "SO(n) x C* on C^n (quadratic form)",
-        ("n",), ({"n": 3}, {"n": 4}), _ge("n", 3), _t2_1,
+        ({"n": 3}, {"n": 4}), _ge("n", 3), _t2_1,
         1, True,
         diagram=_t2_1_diagram, expected_commutative_parabolic=True, mf_rank="2",
     ))
     e.append(CatalogEntry(
         "T2.2", "GL(n) on Sym(n) (determinant)",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_2,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_2,
         1, True,
         diagram=lambda p: _diagram("C", p["n"], [p["n"]]),
         expected_commutative_parabolic=True, mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T2.3", "GL(2p) on AS(2p) (pfaffian)",
-        ("n",), ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t2_3,
+        ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t2_3,
         1, True,
         diagram=lambda p: _diagram("D", p["n"], [p["n"]]),
         expected_commutative_parabolic=True, mf_rank="p",
     ))
     e.append(CatalogEntry(
         "T2.4", "SL(n) x SL(n)* x C* on M(n) (determinant)",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_4,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_4,
         1, True,
         diagram=lambda p: _diagram("A", 2 * p["n"] - 1, [p["n"]]),
         expected_commutative_parabolic=True, mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T2.5", "E6 x C* on C^27 (cubic form)",
-        (), ({},), _no_params, _t2_5,
+        ({},), _no_params, _t2_5,
         1, True,
         diagram=lambda p: _diagram("E", 7, [7]),
         expected_commutative_parabolic=True, mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T2.6", "GL(2) x Sp(n) on M(2n,2) (Pf of the Gram matrix)",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_6,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_6,
         1, True,
         diagram=lambda p: _diagram("C", p["n"] + 2, [2]),
         expected_commutative_parabolic=False, mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T2.7", "SL(4) x Sp(2) x C* on M(4) (determinant)",
-        (), ({},), _no_params, _t2_7,
+        ({},), _no_params, _t2_7,
         1, True,
         diagram=lambda p: _diagram("C", 6, [4]),
         expected_commutative_parabolic=False, mf_rank="6",
     ))
     e.append(CatalogEntry(
         "T2.8", "Spin(7) x C* on C^8 (quadratic form)",
-        (), ({},), _no_params, _t2_8,
+        ({},), _no_params, _t2_8,
         1, True,
         diagram=lambda p: _diagram("F", 4, [4]),
         expected_commutative_parabolic=False, mf_rank="2",
     ))
     e.append(CatalogEntry(
         "T2.9", "Spin(9) x C* on C^16 (quadratic form)",
-        (), ({},), _no_params, _t2_9,
+        ({},), _no_params, _t2_9,
         1, True, mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T2.10", "G2 x C* on C^7 (quadratic form)",
-        (), ({},), _no_params, _t2_10,
+        ({},), _no_params, _t2_10,
         1, True, mf_rank="2",
     ))
 
     e.append(CatalogEntry(
         "T3.1", "SL(n)* + SL(n) shared, tori, on M(1,n)+M(n,1) (f = uv)",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_1,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_1,
         1, True,
         diagram=lambda p: _diagram("A", p["n"] + 1, [1, p["n"] + 1]),
         mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T3.2a", "SL(n) + AS(n), n even (pfaffian on the 2nd summand)",
-        ("n",), ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t3_2,
+        ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t3_2,
         1, False,
         diagram=lambda p: _diagram("E", 7, [1, 2]) if p["n"] == 6 else None,
         mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T3.2b", "SL(n) + AS(n), n odd (bordered pfaffian)",
-        ("n",), ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _t3_2,
+        ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _t3_2,
         1, True,
         diagram=lambda p: {5: _diagram("E", 6, [1, 2]), 7: _diagram("E", 8, [1, 2])}.get(p["n"]),
         mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T3.3", "SL(n)* + AS(n), n even (pfaffian on the 2nd summand)",
-        ("n",), ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t3_3,
+        ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t3_3,
         1, False,
         diagram=lambda p: _diagram("D", p["n"] + 1, [1, p["n"] + 1]),
         mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T3.4a", "SL(n) + (SL(n) x SL(n)) on M(n,1)+M(n,n) (det of the 2nd summand)",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_4a,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_4a,
         1, False,
         diagram=lambda p: {3: _diagram("D", 6, [3, 6]), 4: _diagram("E", 8, [2, 5])}.get(p["n"]),
     ))
     e.append(CatalogEntry(
         "T3.4b", "SL(n) + (SL(n) x SL(n-1)) on M(n,1)+M(n,n-1) (det(v;x))",
-        ("n",), ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_4b,
+        ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_4b,
         1, True,
         diagram=lambda p: {3: _diagram("D", 5, [2, 5]), 4: _diagram("E", 7, [2, 5])}.get(p["n"]),
     ))
     e.append(CatalogEntry(
         "T3.5", "SL(n)* + (SL(n) x SL(n)) on M(1,n)+M(n,n) (det of the 2nd summand)",
-        ("n",), ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_5,
+        ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_5,
         1, False,
         diagram=lambda p: _diagram("A", 2 * p["n"], [1, p["n"] + 1]),
         mf_rank="2n",
     ))
     e.append(CatalogEntry(
         "T3.6", "SL(2) + (SL(2) x Sp(n)) on M(1,2)+M(2n,2) (Pf of the Gram matrix)",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_6,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_6,
         1, False,
         diagram=lambda p: _diagram("C", p["n"] + 3, [1, 3]),
         mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T3.7", "(SL(2) x SL(2)) + (SL(2) x SL(n)) on M(2,2)+M(2,n) (det of the 1st summand)",
-        ("n",), ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_7,
+        ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_7,
         1, False,
         diagram=lambda p: _diagram("A", p["n"] + 3, [2, 4]),
         mf_rank="5",
     ))
     e.append(CatalogEntry(
         "T3.8", "(SL(n) x SL(2)) + (SL(2) x Sp(m)) on M(n,2)+M(2m,2) (Pf of the Gram matrix)",
-        ("n", "m"), ({"n": 3, "m": 2}, {"n": 4, "m": 2}),
+        ({"n": 3, "m": 2}, {"n": 4, "m": 2}),
         _all(_ge("n", 3), _ge("m", 2)), _t3_8,
         1, False,
         diagram=lambda p: _diagram("C", p["n"] + p["m"] + 2, [p["n"], p["n"] + 2]),
@@ -662,27 +665,27 @@ def _entries() -> tuple[CatalogEntry, ...]:
     ))
     e.append(CatalogEntry(
         "T3.9", "Sp(n) shared on two copies of C^2n, tori (f = u^T J v)",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_9,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_9,
         1, True, mf_rank="4",
     ))
 
     e.append(CatalogEntry(
         "NEG-4.1.3", "Sp(n) x C* on C^2n: no nontrivial relative invariant",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _neg_413,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _neg_413,
         0, None,
         diagram=lambda p: _diagram("C", p["n"] + 1, [1]),
         expected_commutative_parabolic=False,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.5", "GL(n) on AS(n), n odd: no nontrivial relative invariant",
-        ("n",), ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _neg_415,
+        ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _neg_415,
         0, None,
         diagram=lambda p: _diagram("D", p["n"], [p["n"]]),
         expected_commutative_parabolic=True,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.6", "SL(n) x SL(m)* x C* on M(n,m), n != m: no invariant",
-        ("n", "m"), ({"n": 2, "m": 3}, {"n": 3, "m": 2}),
+        ({"n": 2, "m": 3}, {"n": 3, "m": 2}),
         _all(
             _ge("n", 2), _ge("m", 2),
             lambda p: "n and m must differ" if p["n"] == p["m"] else None,
@@ -694,40 +697,40 @@ def _entries() -> tuple[CatalogEntry, ...]:
     ))
     e.append(CatalogEntry(
         "NEG-4.1.8", "SL(3) x Sp(n) x C* on M(2n,3): no invariant",
-        ("n",), ({"n": 2}, {"n": 3}), _ge("n", 2), _neg_418,
+        ({"n": 2}, {"n": 3}), _ge("n", 2), _neg_418,
         0, None,
         diagram=lambda p: _diagram("C", p["n"] + 3, [3]),
         expected_commutative_parabolic=False,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.9", "SL(n) x Sp(2) x C* on M(n,4), n > 4: no invariant",
-        ("n",), ({"n": 5}, {"n": 6}), _ge("n", 5), _neg_419,
+        ({"n": 5}, {"n": 6}), _ge("n", 5), _neg_419,
         0, None,
         diagram=lambda p: _diagram("C", p["n"] + 2, [p["n"]]),
         expected_commutative_parabolic=False,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.12", "Spin(10) x C* on a 16-dim half-spin space: no invariant",
-        (), ({},), _no_params, _neg_4112,
+        ({},), _no_params, _neg_4112,
         0, None,
         diagram=lambda p: _diagram("E", 6, [6]),
         expected_commutative_parabolic=True,
     ))
     e.append(CatalogEntry(
         "NEG-4.2.1", "SL(n), tori, on two copies of C^n, n > 2: no invariant",
-        ("n",), ({"n": 3}, {"n": 4}), _ge("n", 3), _neg_421,
+        ({"n": 3}, {"n": 4}), _ge("n", 3), _neg_421,
         0, None,
         diagram=lambda p: _diagram("D", p["n"] + 1, [p["n"], p["n"] + 1]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.4", "SL(n)* + AS(n), n odd: no invariant",
-        ("n",), ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _neg_424,
+        ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _neg_424,
         0, None,
         diagram=lambda p: _diagram("D", p["n"] + 1, [1, p["n"] + 1]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.5", "SL(n) + (SL(n) x SL(m)), n < m or n > m+1: no invariant",
-        ("n", "m"), ({"n": 2, "m": 3}, {"n": 4, "m": 2}),
+        ({"n": 2, "m": 3}, {"n": 4, "m": 2}),
         _all(
             _ge("n", 2), _ge("m", 2),
             lambda p: None if (p["n"] < p["m"] or p["n"] > p["m"] + 1)
@@ -743,25 +746,25 @@ def _entries() -> tuple[CatalogEntry, ...]:
     ))
     e.append(CatalogEntry(
         "NEG-4.2.8b", "(SL(2) x SL(2)) + (SL(2) x SL(2)): two determinants",
-        (), ({},), _no_params, _neg_428b,
+        ({},), _no_params, _neg_428b,
         2, None,
         diagram=lambda p: _diagram("A", 5, [2, 4]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.9b", "(SL(2) x SL(2)) + (SL(2) x Sp(m)): two invariants",
-        ("m",), ({"m": 2}, {"m": 3}), _ge("m", 2), _neg_429b,
+        ({"m": 2}, {"m": 3}), _ge("m", 2), _neg_429b,
         2, None,
         diagram=lambda p: _diagram("C", p["m"] + 4, [2, 4]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.10", "(Sp(n) x SL(2)) + (SL(2) x Sp(m)): two invariants",
-        ("n", "m"), ({"n": 2, "m": 2}, {"n": 2, "m": 3}),
+        ({"n": 2, "m": 2}, {"n": 2, "m": 3}),
         _all(_ge("n", 2), _ge("m", 2)), _neg_4210,
         2, None,
     ))
     e.append(CatalogEntry(
         "NEG-4.2.12", "Spin(8) + SO(8) shared on C^8 + C^8: two quadratic forms",
-        (), ({},), _no_params, _neg_4212,
+        ({},), _no_params, _neg_4212,
         2, None,
         diagram=lambda p: _diagram("E", 6, [1, 6]),
     ))

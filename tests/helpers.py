@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 
 import numpy as np
 
-from pvkit.analyzer import MAX_DRAWS, GenericPoint
+from pvkit.analyzer import MAX_DRAWS
 from pvkit.invariants import ring_det, ring_pf
 from pvkit.linalg import (
     DetRng,
@@ -80,8 +80,8 @@ def basis(rep: MatrixRep) -> tuple[Matrix, ...]:
 
 def action_matrix(rep: MatrixRep, x) -> Matrix:
     """The orbit map at x, columns B_i . x, from the integer product
-    (T @ xi).T that isotropy_algebra uses (certify takes its transpose),
-    scaled back."""
+    (T @ xi).T that isotropy_algebra uses (the sampler certifies its
+    transpose), scaled back."""
     xi, c = _int_array(x)
     scale = rep.den * c
     return Matrix(
@@ -92,14 +92,13 @@ def action_matrix(rep: MatrixRep, x) -> Matrix:
 
 
 def isotropy_algebra(rep: MatrixRep, point) -> Subalgebra:
-    """Annihilator {X : X.x = 0} as a nullspace; dimension is forced.
+    """Annihilator {X : X.x = 0} at a certified point, as a nullspace;
+    dimension is forced.
 
     The reference for the isotropy dimension d - n that the analyzer takes
     from the point certificate by rank-nullity.
     """
-    if not point.certified:
-        raise ValueError("isotropy requires a certified point")
-    xi, _ = _int_array(point.coordinates)
+    xi, _ = _int_array(point)
     kernel, _ = nullspace((rep.T @ xi).T)  # the kernel of the orbit map
     sub = Subalgebra(rep, kernel)
     if sub.dim != rep.algebra_dim - rep.space_dim:
@@ -121,15 +120,15 @@ def sequential_certified_points(rep: MatrixRep, count: int, seed: int = 0, hint=
         pt = tuple(_int_array(hint)[0].tolist())
         if not exact(pt):
             raise ValueError("the hint is not generic")
-        points.append(GenericPoint(pt, True))
-    seen = {p.coordinates for p in points}
+        points.append(pt)
+    seen = set(points)
     rng = DetRng.for_stream(seed, "point-sample")
     for _ in range(MAX_DRAWS):
         if len(points) >= count:
             break
         draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
         if draw not in seen and exact(draw):
-            points.append(GenericPoint(draw, True))
+            points.append(draw)
         seen.add(draw)
     return points
 

@@ -15,13 +15,10 @@ from helpers import (
 )
 from pvkit.analyzer import (
     LAMBDA_POINTS,
-    GenericPoint,
     NotPrehomogeneousError,
     ZeroAtTestPointError,
-    certify,
     character_space_dim,
     classify,
-    find_generic_point,
     hessian_regularity,
     sample_certified_points,
     verify_relative_invariant,
@@ -82,27 +79,27 @@ def test_action_matrix_at_zero():
     assert m.is_zero()
 
 
-def test_find_generic_point_accepts_registered_point():
+def test_sampler_accepts_registered_point():
     n = 2
     s = sp(n)
     rep = add_torus(direct_sum_shared([(f"sp({n})", [s, s])]), 2)
     hint = [Q(0)] * (4 * n)
     hint[0] = Q(1)
     hint[2 * n + n] = Q(1)
-    p = find_generic_point(rep, hint=hint)
-    assert p.certified
+    p = sample_certified_points(rep, 1, hint=hint)[0]
+    assert p == tuple(int(c) for c in hint)
+    assert all(type(c) is int for c in p)
 
 
-def test_find_generic_point_certifies_identity_for_sym():
+def test_sampler_certifies_identity_for_sym():
     r = sym2(gl(2))
-    p = find_generic_point(r, hint=[1, 0, 1])
-    assert p.certified
+    assert sample_certified_points(r, 1, hint=[1, 0, 1]) == [(1, 0, 1)]
 
 
 def test_zero_rep_is_not_prehomogeneous():
     zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
     with pytest.raises(NotPrehomogeneousError):
-        find_generic_point(zero, seed=0)
+        sample_certified_points(zero, 1, hint=[1])
     assert sample_certified_points(zero, 3, seed=0) == []  # no raise: a shortfall
 
 
@@ -117,7 +114,7 @@ def test_isotropy_dims_vector_plus_alt():
         ]
     )
     assert rep.algebra_dim == 10 and rep.space_dim == 6
-    p = find_generic_point(rep, seed=0)
+    p = sample_certified_points(rep, 1, seed=0)[0]
     assert isotropy_algebra(rep, p).dim == 4
 
 
@@ -125,7 +122,7 @@ def test_isotropy_dims_vector_plus_alt():
 def test_isotropy_so_plus_torus(n):
     rep = add_torus(so(n), 1)
     hint = [Q(1)] + [Q(0)] * (n - 1)
-    p = find_generic_point(rep, hint=hint)
+    p = sample_certified_points(rep, 1, hint=hint)[0]
     iso = isotropy_algebra(rep, p)
     assert iso.dim == (n - 1) * (n - 2) // 2
     assert iso.is_bracket_closed()
@@ -136,7 +133,7 @@ def test_empty_subalgebras_keep_their_shape(rep, char_dim):
     # abelian, so the derived subalgebra is 0; d == n, so is the isotropy
     d = rep.algebra_dim
     assert d == rep.space_dim
-    p = find_generic_point(rep, seed=0)
+    p = sample_certified_points(rep, 1, seed=0)[0]
     for sub in (rep.derived_subalgebra(), isotropy_algebra(rep, p)):
         assert sub.coefficient_basis.shape == (0, d)
         assert sub.dim == 0
@@ -150,13 +147,13 @@ def test_isotropy_shared_symplectic_pair(n):
     hint = [Q(0)] * (4 * n)
     hint[0] = Q(1)
     hint[2 * n + n] = Q(1)
-    p = find_generic_point(rep, hint=hint)
+    p = sample_certified_points(rep, 1, hint=hint)[0]
     assert isotropy_algebra(rep, p).dim == (n - 1) ** 2 + n * (n - 1) + 1
 
 
 def test_character_dim_zero_for_symplectic_vector():
     rep = add_torus(sp(2), 1)
-    p = find_generic_point(rep, seed=0)
+    p = sample_certified_points(rep, 1, seed=0)[0]
     assert character_space_dim(rep, p) == 0
 
 
@@ -170,13 +167,13 @@ def test_character_dim_two_for_spin8_vector_pair():
         ),
         2,
     )
-    p = find_generic_point(rep, seed=0)
+    p = sample_certified_points(rep, 1, seed=0)[0]
     assert character_space_dim(rep, p) == 2
 
 
 def test_character_dim_one_for_sym_det():
     r = sym2(gl(3))
-    p = find_generic_point(r, seed=0)
+    p = sample_certified_points(r, 1, seed=0)[0]
     assert character_space_dim(r, p) == 1
 
 
@@ -219,9 +216,7 @@ def test_lambda_constant_across_more_points():
 def test_verify_raises_on_zero_point():
     r = sym2(gl(2))
     f = determinant(2, "sym")
-    from pvkit.analyzer import GenericPoint
-
-    degenerate = GenericPoint((Q(1), Q(0), Q(0)), False)  # det vanishes here
+    degenerate = (1, 0, 0)  # det vanishes here
     with pytest.raises(ZeroAtTestPointError):
         verify_relative_invariant(r, f, [degenerate])
 
@@ -230,7 +225,7 @@ def test_hessian_regularity_quadratic():
     n = 4
     rep = add_torus(so(n), 1)
     f = quadratic_form(_eye(n))
-    p = find_generic_point(rep, hint=[1, 0, 0, 0])
+    p = sample_certified_points(rep, 1, hint=[1, 0, 0, 0])[0]
     assert hessian_regularity(f, rep, p)
 
 
@@ -239,7 +234,7 @@ def test_hessian_regularity_det_on_sym(n):
     r = sym2(gl(n))
     f = determinant(n, "sym")
     ident = [Q(1) if i == j else Q(0) for i in range(n) for j in range(i, n)]
-    p = find_generic_point(r, hint=ident)
+    p = sample_certified_points(r, 1, hint=ident)[0]
     assert hessian_regularity(f, r, p)
 
 
@@ -258,13 +253,20 @@ def test_hessian_degenerate_for_partial_invariant():
     assert hessian_regularity(f, rep, p) is False
 
 
-def test_hessian_regularity_requires_a_certified_point():
+def test_stage_functions_reject_non_integer_coordinates():
+    """Points are tuples of ints: a Fraction or float coordinate is a
+    TypeError in every stage function, never truncated (numpy would read
+    (1/2, 3/2, 1) as the certified point (0, 1, 1))."""
     r = sym2(gl(2))
     f = determinant(2, "sym")
-    with pytest.raises(ValueError):
-        hessian_regularity(f, r, GenericPoint((1, 0, 1), False))
-    with pytest.raises(ValueError):
-        character_space_dim(r, GenericPoint((1, 0, 1), False))
+    assert sample_certified_points(r, 1, hint=[0, 1, 1])  # the truncation is generic
+    for point in [(Q(1, 2), Q(3, 2), 1), (Q(1), 0, Q(1)), (1.0, 0, 1)]:
+        with pytest.raises(TypeError):
+            character_space_dim(r, point)
+        with pytest.raises(TypeError):
+            verify_relative_invariant(r, f, [(1, 0, 1), point])
+        with pytest.raises(TypeError):
+            hessian_regularity(f, r, point)
 
 
 def test_hessian_dichotomy_at_ten_points():
@@ -276,7 +278,7 @@ def test_hessian_dichotomy_at_ten_points():
     ]
     for rep, f in cases:
         pts = sample_certified_points(rep, 10, seed=3)
-        flags = {det(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts}
+        flags = {det(hessian_matrix(f, p)[0]) != 0 for p in pts}
         assert len(flags) == 1
 
 
@@ -327,7 +329,7 @@ def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch
     assert report.regular is True
     assert calls["nullspace"] == 0
     assert len(seen) == 1 and seen[0] is first[0]
-    assert all(type(c) is int for c in seen[0].coordinates)
+    assert all(type(c) is int for c in seen[0])
 
 
 def test_classify_builds_no_structure_tensor_derived_subalgebra_or_kernel(monkeypatch):
@@ -488,8 +490,9 @@ def test_action_matrix_matches_fraction_reference(which):
     "which", ["sym_det", "spin7_quadratic", "partial_pfaffian"]
 )
 def test_invariance_and_hessian_at_halved_points(which):
-    """x / 2 is cleared back to an integer point, and gives the lambda and
-    flag of x; its Hessian is 2^(2-k) times that of x (f of degree k)."""
+    """A sampled point x is the half of the integer point 2x, and both give
+    one lambda and one regularity flag; Hess f(2x) is 2^(k-2) times
+    Hess f(x) (f of degree k)."""
     if which == "sym_det":
         rep, f = sym2(gl(3)), determinant(3, "sym")
     elif which == "spin7_quadratic":
@@ -506,19 +509,16 @@ def test_invariance_and_hessian_at_halved_points(which):
         )
         f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
     pts = sample_certified_points(rep, 4, seed=2)
-    halved = [
-        GenericPoint(tuple(Q(c, 2) for c in p.coordinates), True) for p in pts
-    ]
-    assert any(c.denominator == 2 for c in halved[0].coordinates)
+    doubled = [tuple(2 * c for c in p) for p in pts]
     ok, lam = verify_relative_invariant(rep, f, pts)
-    assert verify_relative_invariant(rep, f, halved) == (ok, lam)
+    assert verify_relative_invariant(rep, f, doubled) == (ok, lam)
     assert all(isinstance(c, Q) for c in lam)
-    for p, h in zip(pts, halved):
-        assert hessian_regularity(f, rep, h) == hessian_regularity(f, rep, p)
-        (hp, dp), (hh, dh) = hessian_matrix(f, p.coordinates), hessian_matrix(f, h.coordinates)
-        # Hess f(x / 2) = (1/2)^(k-2) Hess f(x)
-        law = Q(1, 2) ** (f.degree - 2)
-        assert (hh * dp * law.denominator).tolist() == (hp * dh * law.numerator).tolist()
+    for p, d in zip(pts, doubled):
+        assert hessian_regularity(f, rep, d) == hessian_regularity(f, rep, p)
+        (hp, dp), (hd, dd) = hessian_matrix(f, p), hessian_matrix(f, d)
+        # Hess f(2x) = 2^(k-2) Hess f(x)
+        law = Q(2) ** (f.degree - 2)
+        assert (hd * dp * law.denominator).tolist() == (hp * dd * law.numerator).tolist()
 
 
 def _int_only(f: InvariantPolynomial) -> InvariantPolynomial:
@@ -542,10 +542,8 @@ def test_pipeline_evaluates_invariants_at_integer_points_only():
     pts = sample_certified_points(rep, 4, seed=2)
     hint = [Q(1, 2), 0, 0, Q(3, 2), 0, Q(-1, 3)]
     assert verify_relative_invariant(rep, f, sample_certified_points(rep, 2, hint=hint))[0]
-    halved = [
-        GenericPoint(tuple(Q(c, 2) for c in p.coordinates), True) for p in pts
-    ]
-    for points in (pts, halved):
+    doubled = [tuple(2 * c for c in p) for p in pts]
+    for points in (pts, doubled):
         ok, lam = verify_relative_invariant(rep, f, points)
         assert ok and lam == tuple(2 * b.trace() for b in basis(gl(3)))
         assert all(hessian_regularity(f, rep, p) for p in points)

@@ -45,6 +45,12 @@ def test_every_family_has_two_default_choices_or_is_fixed():
             assert entry.defaults == ({},)
 
 
+def test_default_choices_share_the_parameter_names():
+    """An entry's parameter names are read off its first default choice."""
+    for entry in catalog():
+        assert {frozenset(d) for d in entry.defaults} == {frozenset(entry.params)}
+
+
 def test_run_t22_example():
     report = run("T2.2", {"n": 4}, seed=0)
     assert report.status == "pass"
@@ -160,7 +166,7 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
         built = _build(entry, params)
         for f in built.invariants:
             pts = sample_certified_points(built.rep, 10, seed=21, hint=built.x_hint)
-            flags = [det(hessian_matrix(f, p.coordinates)[0]) != 0 for p in pts]
+            flags = [det(hessian_matrix(f, p)[0]) != 0 for p in pts]
             assert len(set(flags)) == 1, (entry.id, f.name)
             for p, flag in zip(pts, flags):
                 assert hessian_regularity(f, built.rep, p) == flag, (entry.id, f.name)
@@ -184,7 +190,7 @@ def test_lambda_vanishes_on_isotropy_at_an_independent_point():
         iso = isotropy_algebra(built.rep, other).coefficient_basis.astype(object)
         pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0, hint=built.x_hint)
         for f in built.invariants:
-            assert f(other.coordinates) != 0, (entry.id, f.name)
+            assert f(other) != 0, (entry.id, f.name)
             ok, lam = verify_relative_invariant(built.rep, f, pts)
             assert ok and any(lam), (entry.id, f.name)
             assert not (iso @ np.array(lam, dtype=object)).any(), (entry.id, f.name)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import det, hessian_matrix, jet_line
-from pvkit.analyzer import certify
+from pvkit.analyzer import sample_certified_points
 from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
     P,
@@ -286,9 +286,9 @@ def test_detrng_is_frozen():
     [
         lambda: rank([[0.5, 1]]),
         lambda: MatrixRep(np.full((1, 2, 2), 0.5), 1, ("x",)),
-        lambda: certify(gl(2), [0.5, 1.0]),
+        lambda: sample_certified_points(gl(2), 1, hint=[0.5, 1.0]),
     ],
-    ids=["rank", "MatrixRep", "certify"],
+    ids=["rank", "MatrixRep", "sampler_hint"],
 )
 def test_float_input_is_rejected(call):
     with pytest.raises(TypeError, match="exact integer or rational input required"):

@@ -69,14 +69,33 @@ def _called(node: ast.AST) -> set[str]:
     }
 
 
+def _rank_calls(node: ast.AST) -> list[ast.Call]:
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "rank"
+    ]
+
+
 def test_regularity_reaches_exact_rank_only_after_the_modular_test():
-    """hessian_regularity and certify call no rank of their own: both go
+    """hessian_regularity and the sampler's hint reach exact rank only
     through `_full_column_rank`, where every exact rank is a later operand
-    of an `or` whose first operand is the mod-P kernel."""
+    of an `or` whose first operand is the mod-P kernel.  The one other
+    full-rank decision by exact rank is the sampler's shortfall branch; the
+    Gram rank of the character dimension is the only other rank call."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
-    for name in ("hessian_regularity", "certify"):
-        called = _called(_function(tree, name))
-        assert "rank" not in called and "_full_column_rank" in called, name
+    regularity = _called(_function(tree, "hessian_regularity"))
+    assert "rank" not in regularity and "_full_column_rank" in regularity
+    sampler = _function(tree, "sample_certified_points")
+    hint, *rest = [n for n in sampler.body if isinstance(n, ast.If)]
+    assert "_full_column_rank" in _called(hint) and not _rank_calls(hint)
+    (shortfall,) = [n for n in rest if _rank_calls(n)]
+    assert ast.unparse(shortfall.test) == "len(points) < count"
+    assert len(_rank_calls(sampler)) == 1
+    owners = {
+        fn.name for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and _rank_calls(fn)
+    }
+    assert owners == {"_full_column_rank", "sample_certified_points", "character_space_dim"}
     full = _function(tree, "_full_column_rank")
     guarded = set()
     for node in ast.walk(full):
@@ -84,10 +103,7 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
             assert _called(node.values[0]) == {"bool", "full_rank_mod_p"}
             for later in node.values[1:]:
                 guarded |= {id(n) for n in ast.walk(later)}
-    ranks = [
-        n for n in ast.walk(full)
-        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "rank"
-    ]
+    ranks = _rank_calls(full)
     assert ranks and all(id(n) in guarded for n in ranks)
 
 
