@@ -6,18 +6,22 @@ modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
 rest.  One sampling call per run draws every certified point, as tuples of
 Python ints, and certifies its draws in blocks, one stacked elimination
 mod P per block.  The isotropy dimension d - n follows from the point
-certificate by rank-nullity, so no kernel is computed.  The
-character-lattice rank and the check that a character vanishes on the
-derived algebra both read the commutators at the first point, through one
-n x n Gram matrix built once per run.  Relative invariance is checked
-through exact gradients, each from one taped evaluation and a backward
-sweep, with the character compared in integers, and regularity is full rank
-of the Hessian, read off the gradient at the first point by the same
-full-rank test as the point certificate.
+certificate by rank-nullity, so no kernel is computed.  Relative
+invariance is checked through exact gradients, each from one taped
+evaluation and a backward sweep, with the character compared in integers;
+the character vanishes on the derived algebra when the gradient at the
+first point is orthogonal to the commutators [g, g].x there, read off one
+d x d integer matrix that must be symmetric.  The character-lattice rank is
+then proved by one full-rank test mod P of seeded commutators stacked on
+the verified gradients; the exact rank of the commutators' Gram matrix
+decides only what that test rejects.  Regularity is full rank of the
+Hessian, read off the gradient at the first point by the same full-rank
+test as the point certificate, on residues mod P.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,36 +89,95 @@ def _full_column_rank(m: np.ndarray) -> bool:
     return bool(full_rank_mod_p(m[None])[0]) or rank(m) == m.shape[1]
 
 
-@lru_cache(maxsize=1)
-def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
-    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] x; read-only.
+def _mod_p(a: np.ndarray) -> np.ndarray:
+    """The residues of an integer array mod P, as int64 in [0, P)."""
+    return (a % P).astype(np.int64)
 
-    With P = T @ (T @ x).T, of shape (d, n, d), P[i, :, j] = T_i (T_j x), so
-    M is one gather of P.  Over Q, M v = 0 exactly when G v = 0
+
+def _act(rep: MatrixRep, point: Sequence[int]) -> np.ndarray:
+    """The d x n matrix with row i = T_i x, exactly: int64 under `_fit`'s
+    bound, Python ints otherwise.  An einsum, since numpy's integer matmul
+    takes about nine times as long on a (256, 120, 120) T."""
+    xi = _fit(np.array(point, dtype=object))
+    return _fit(np.einsum("irc,c->ir", rep.T, xi))
+
+
+def _pullback(rep: MatrixRep, grad: np.ndarray) -> np.ndarray:
+    """The d x n matrix with row i = T_i^T grad, exactly, as `_act`."""
+    return _fit(np.einsum("r,irc->ic", _fit(grad), rep.T))
+
+
+def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
+    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] x.
+
+    With TTx = T @ (T @ x).T, of shape (d, n, d), TTx[i, :, j] = T_i (T_j x),
+    so M is one gather of TTx.  Over Q, M v = 0 exactly when G v = 0
     (v^T G v = |M v|^2), so G has the rank of M and the same kernel, in an
-    n x n integer matrix.  The last (rep, point) is cached: a run reads G at
-    its first point for the character dimension and again for each invariant.
+    n x n integer matrix.  It costs O(d^2 n^2); a run builds it only when
+    the certificate of `character_space_dim` fails.
     """
     xi = _fit(np.array(point, dtype=object))
     T = rep.T
-    P = _fit(T @ _fit(T @ xi).T)
+    TTx = _fit(T @ _fit(T @ xi).T)
     iu, ju = np.triu_indices(rep.algebra_dim, 1)
-    M = _fit(P[iu, :, ju] - P[ju, :, iu])
-    G = M.T @ M
-    G.flags.writeable = False
-    return G
+    M = _fit(TTx[iu, :, ju] - TTx[ju, :, iu])
+    return M.T @ M
 
 
-def character_space_dim(rep: MatrixRep, point: Sequence[int]) -> int:
-    """Corank of derived subalgebra + isotropy inside the algebra, n - rank G.
+def _commutator_sketch(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
+    """n + 4 seeded commutators [X_k, Y_k] x mod P, an (n + 4, n) int64 array.
+
+    X_k and Y_k are combinations of the T_i with coefficients in [-3, 3]
+    from one fixed stream, and [X, Y] x = X (Y x) - Y (X x) is formed from
+    T's nonzeros: row r of (sum_i a_i T_i) v sums a_i T[i, r, c] v_c over
+    the nonzeros T[i, r, c].  Every row lies in [g, g].x (times den**2).
+    """
+    d, n = rep.algebra_dim, rep.space_dim
+    k = n + 4
+    i, r, c = np.nonzero(rep.T)
+    t = _mod_p(rep.T[i, r, c])
+    order = np.argsort(r, kind="stable")
+    rows, starts = np.unique(r[order], return_index=True)
+
+    def act(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Row q: (sum_i coef[q, i] T_i) v[q] mod P; |coef| <= 3 keeps int64."""
+        terms = coef[:, i] * (t * v[:, c] % P)
+        out = np.zeros((k, n), dtype=np.int64)
+        out[:, rows] = np.add.reduceat(terms[:, order], starts, axis=1) % P
+        return out
+
+    rng = DetRng.for_stream(0, "commutator-sketch")
+    a, b = rng.randints(2 * k * d, -3, 3).reshape(2, k, d)
+    x = np.broadcast_to(_mod_p(np.array(point, dtype=object)), (k, n))
+    return (act(a, act(b, x)) - act(b, act(a, x))) % P
+
+
+def character_space_dim(
+    rep: MatrixRep, point: Sequence[int], covectors: Sequence[Sequence[int]] = ()
+) -> int:
+    """Corank of derived subalgebra + isotropy inside the algebra, n - rank [g, g].x.
 
     This is the rank of the lattice of characters available to relative
     invariants.  The orbit map Y -> Y.x is onto at the certified point x and
-    has kernel the isotropy g_x, so dim([g, g] + g_x) = (d - n) + dim [g, g].x,
-    and [g, g].x is spanned by the rows of M (see `_commutator_gram`).
+    has kernel the isotropy g_x, so dim([g, g] + g_x) = (d - n) + dim [g, g].x.
+
+    covectors are integer vectors orthogonal over Q to [g, g].x, such as the
+    gradients at x of verified relative invariants; there are m of them.
+    One test mod P proves the answer: if the n + 4 rows of
+    `_commutator_sketch` stacked on the covectors have column rank n, then
+    n <= rank [g, g].x + m, and if the covectors have rank m as well, the m
+    covectors span the annihilator of [g, g].x, so the answer is m.  When
+    either test fails (an unlucky sketch, a bad prime, or covectors that do
+    not span), n - rank G decides it exactly (see `_commutator_gram`), so
+    the answer never depends on the test.
     """
     point = tuple(map(operator.index, point))  # a Fraction or float is a TypeError
-    return rep.space_dim - rank(_commutator_gram(rep, point))
+    n = rep.space_dim
+    grads = _mod_p(np.array(covectors, dtype=object).reshape(-1, n))
+    stack = np.concatenate([_commutator_sketch(rep, point), grads])
+    if full_rank_mod_p(stack[None])[0] and full_rank_mod_p(grads.T[None])[0]:
+        return len(grads)
+    return n - rank(_commutator_gram(rep, point))
 
 
 def sample_certified_points(
@@ -130,11 +193,11 @@ def sample_certified_points(
     the first point, cleared once to a positive integer multiple and
     certified by `_full_column_rank`; a non-generic hint raises
     NotPrehomogeneousError.  The rest are distinct draws in [-3, 3] from one
-    seeded stream, in stream order, drawn in blocks of twice the points
-    still missing; each block's new draws are certified together mod P as
-    one stack.  When MAX_DRAWS draws (duplicates count) leave fewer than
-    `count` points, exact rank decides the draws rejected mod P again in
-    stream order, so a shortfall is the one an exact rank per draw gives.
+    seeded stream, in stream order, drawn in blocks of as many draws as
+    points are still missing; each block's new draws are certified together
+    mod P as one stack.  When MAX_DRAWS draws (duplicates count) leave fewer
+    than `count` points, exact rank decides the draws rejected mod P again
+    in stream order, so a shortfall is the one an exact rank per draw gives.
     """
     points: list[tuple[int, ...]] = []
     if hint is not None:
@@ -150,11 +213,11 @@ def sample_certified_points(
     tried: list[tuple[tuple[int, ...], bool]] = []  # distinct draws, verdict mod P
     drawn = 0
     while len(points) < count and drawn < MAX_DRAWS:
-        block = min(2 * (count - len(points)), MAX_DRAWS - drawn)
+        block = min(count - len(points), MAX_DRAWS - drawn)
         drawn += block
         fresh = []
-        for _ in range(block):
-            draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
+        draws = rng.randints(block * rep.space_dim, -3, 3).reshape(block, -1)
+        for draw in map(tuple, draws.tolist()):
             if draw not in seen:
                 seen.add(draw)
                 fresh.append(draw)
@@ -187,16 +250,47 @@ def _first_order(
 
     One taped evaluation of f and one backward sweep give f(x) and the
     exact gradient (`value_and_gradient`).  num_X = grad f(x) . (T_X x) is
-    the derivative along X.x, times den.  Python ints throughout.  The
-    evaluation reads each coordinate through operator.index, so a Fraction
-    or float is a TypeError before numpy could truncate it.
+    the derivative along X.x, times den, multiplied out in int64 under
+    `_fit`'s bound.  All three come as Python ints.  The evaluation reads
+    each coordinate through operator.index, so a Fraction or float is a
+    TypeError before numpy could truncate it.
     """
     fx, grad = value_and_gradient(f, point)
     if fx == 0:
         raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit")
     grad = np.array(grad, dtype=object)
-    xi = _fit(np.array(point, dtype=object))
-    return fx, grad, (rep.T @ xi).astype(object) @ grad
+    return fx, grad, (_act(rep, point) @ _fit(grad)).astype(object)
+
+
+@lru_cache(maxsize=4)
+def _first_order_at(
+    rep: MatrixRep, f: InvariantPolynomial, point: tuple[int, ...]
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """`_first_order` at a run's first point, kept for the last few calls.
+
+    The invariance check, the character certificate and the Hessian each
+    read the gradient there, and it is taken once.  point is a tuple of
+    ints, so that a float equal to an int cannot hit the cache; the arrays
+    are read-only.
+    """
+    fx, grad, num = _first_order(rep, f, point)
+    grad.flags.writeable = num.flags.writeable = False
+    return fx, grad, num
+
+
+def _annihilates_commutators(
+    rep: MatrixRep, grad: np.ndarray, point: tuple[int, ...]
+) -> bool:
+    """grad . [T_i, T_j] x == 0 for all i, j, by one symmetric d x d matrix.
+
+    With U_i = T_i^T grad / gcd(grad) and W_i = T_i x, S = U W^T has
+    S_ij = grad . T_i T_j x / gcd, so S_ij - S_ji = grad . [T_i, T_j] x / gcd,
+    and S is symmetric exactly when grad is orthogonal to [g, g].x.  The
+    product is in int64 under `_fit`'s bound, in Python ints otherwise.
+    """
+    U = _pullback(rep, grad // (math.gcd(*grad.tolist()) or 1))
+    S = U @ _act(rep, point).T
+    return not (S != S.T).any()
 
 
 def verify_relative_invariant(
@@ -209,29 +303,26 @@ def verify_relative_invariant(
     For each basis element X the directional derivative along X.x must be
     lambda_X * f(x) with one lambda vector shared by every supplied point,
     and lambda must vanish on the derived subalgebra.  It does exactly when
-    grad f(x) is orthogonal to [g, g].x, that is G grad f(x) = 0 at the
-    first point (see `_commutator_gram`).  Returns (verified, lambda).
-    lambda also vanishes on the isotropy of every point checked, by
-    construction: T_X x = 0 there.  At each point x one gradient gives the
-    derivatives along every X.x, so lambda_X = grad f(x) . (T_X x) /
-    (den * f(x)); the numerators of two points are compared by
-    cross-multiplying.
+    grad f(x) is orthogonal to [g, g].x at the first point, which one
+    symmetric matrix decides (see `_annihilates_commutators`).  Returns
+    (verified, lambda).  lambda also vanishes on the isotropy of every
+    point checked, by construction: T_X x = 0 there.  At each point x one
+    gradient gives the derivatives along every X.x, so
+    lambda_X = grad f(x) . (T_X x) / (den * f(x)); the numerators of two
+    points are compared by cross-multiplying.
     """
     if not points:
         raise ValueError("need at least one point")
-    num, fx0, grad0 = None, 0, None
-    verified = True
-    for p in points:
-        fx, grad, cur = _first_order(rep, f, p)
-        if num is None:
-            num, fx0, grad0 = cur, fx, grad
-        elif (cur * fx0 != num * fx).any():
+    first = tuple(map(operator.index, points[0]))
+    fx0, grad0, num = _first_order_at(rep, f, first)
+    for p in points[1:]:
+        fx, _, cur = _first_order(rep, f, p)
+        if (cur * fx0 != num * fx).any():
             verified = False
             break
-    lam = tuple(Q(v, rep.den * fx0) for v in num)
-    if verified:
-        verified = not (_commutator_gram(rep, tuple(points[0])) @ grad0).any()
-    return verified, lam
+    else:
+        verified = _annihilates_commutators(rep, grad0, first)
+    return verified, tuple(Q(v, rep.den * fx0) for v in num)
 
 
 def hessian_regularity(
@@ -242,17 +333,23 @@ def hessian_regularity(
     Differentiating grad f(y) . (X y) = lambda_X f(y) once more gives
     Hess f(x) (X x) = lambda_X grad f(x) - X^T grad f(x) for a relative
     invariant f.  The vectors X x span the space at a certified point, so
-    Hess f(x) has the rank of the n x d matrix of right-hand sides.  Its
-    column X, times den * f(x), is num_X grad - f(x) T_X^T grad, and
-    `_full_column_rank` decides whether that matrix has rank n.
+    Hess f(x) has the rank of the n x d matrix r of right-hand sides.  Its
+    column X, times den * f(x), is num_X grad - f(x) T_X^T grad.  Full
+    column rank of r^T mod P, built in int64 from the residues of grad, num,
+    f(x) and the exact T_X^T grad, proves rank n; only when it fails is the
+    exact r built, and exact rank decides.
 
     One point decides: the Hessian determinant of a relative invariant is
     itself relatively invariant, hence identically zero or nowhere zero on
     the open orbit (exercised as a tested dichotomy elsewhere).
     """
-    fx, grad, num = _first_order(rep, f, point)
-    r = np.outer(grad, num) - fx * (grad @ rep.T).T
-    return _full_column_rank(r.T)
+    fx, grad, num = _first_order_at(rep, f, tuple(map(operator.index, point)))
+    u = _pullback(rep, grad)
+    residues = np.outer(_mod_p(grad), _mod_p(num)) - (fx % P) * _mod_p(u).T
+    if full_rank_mod_p(residues.T[None])[0]:
+        return True
+    r = np.outer(grad, num) - fx * u.astype(object).T
+    return rank(r.T) == rep.space_dim
 
 
 def classify(
@@ -268,11 +365,15 @@ def classify(
     generic point; each invariant is checked at all of them.  Since a
     nonzero relative invariant vanishes nowhere on the open orbit, one that
     vanishes at a point is reported unverified at 0 points, as is each one
-    when fewer than LAMBDA_POINTS points are found.  Regularity is decided
-    from the first invariant at the first point, exactly when the character
-    space is one-dimensional (the invariant is then fundamental) and the
-    invariant is verified, since the rank test holds for relative
-    invariants only; otherwise it is undecided.
+    when fewer than LAMBDA_POINTS points are found.  The invariants are
+    checked first, so that the character dimension can be proved from the
+    gradients of the verified ones at the first point (see
+    `character_space_dim`).  Regularity is decided from the first invariant
+    at the first point, exactly when the character space is
+    one-dimensional (the invariant is then fundamental) and the invariant
+    is verified, since the rank test holds for relative invariants only;
+    otherwise it is undecided.  The notes keep the order point, character,
+    invariants.
     """
     try:
         pts = sample_certified_points(
@@ -293,23 +394,28 @@ def classify(
             notes=str(exc),
         )
     notes = ["point from registered data" if x_hint is not None else "seeded point"]
-    char_dim = character_space_dim(rep, pts[0])
-    if char_dim == 0:
-        notes.append("no nontrivial relative invariant at the algebra level")
+    unverified: list[str] = []
     checks: list[InvariantCheck] = []
-    regular: Optional[bool] = None
-    for i, f in enumerate(declared_invariants):
+    covectors = []
+    for f in declared_invariants:
         try:
             if len(pts) < LAMBDA_POINTS:
                 raise NotPrehomogeneousError(_shortfall(len(pts)))
             verified, lam = verify_relative_invariant(rep, f, pts)
         except (NotPrehomogeneousError, ZeroAtTestPointError) as exc:
-            notes.append(f"{f.name} unverified: {exc}")
+            unverified.append(f"{f.name} unverified: {exc}")
             checks.append(InvariantCheck(f.name, False, (), 0))
             continue
         checks.append(InvariantCheck(f.name, verified, lam, len(pts)))
-        if i == 0 and char_dim == 1 and verified:
-            regular = hessian_regularity(f, rep, pts[0])
+        if verified:
+            covectors.append(_first_order_at(rep, f, pts[0])[1])
+    char_dim = character_space_dim(rep, pts[0], covectors=covectors)
+    if char_dim == 0:
+        notes.append("no nontrivial relative invariant at the algebra level")
+    notes += unverified
+    regular: Optional[bool] = None
+    if char_dim == 1 and checks and checks[0].verified:
+        regular = hessian_regularity(declared_invariants[0], rep, pts[0])
     return AnalysisReport(
         prehomogeneous=True,
         algebra_dim=rep.algebra_dim,

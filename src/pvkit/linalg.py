@@ -459,21 +459,42 @@ class DetRng:
     """Deterministic splitmix64 generator; stable across platforms forever."""
 
     _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
+    _MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
     def __init__(self, seed: int):
         self._state = seed & self._MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        self._state = (self._state + self._GAMMA) & self._MASK
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        z = ((z ^ (z >> 30)) * self._MIX[0]) & self._MASK
+        z = ((z ^ (z >> 27)) * self._MIX[1]) & self._MASK
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
         if hi < lo:
             raise ValueError("empty range")
         return lo + self.next_u64() % (hi - lo + 1)
+
+    def randints(self, count: int, lo: int, hi: int) -> np.ndarray:
+        """`count` successive `randint(lo, hi)` draws as one int64 array.
+
+        The states of the next `count` steps are state + k * gamma, so the
+        whole block is mixed at once in uint64, whose arithmetic wraps
+        modulo 2**64 as the masks above do; the generator is left where
+        `count` calls of `randint` leave it.  lo, hi and hi - lo + 1 lie
+        in int64.
+        """
+        if hi < lo:
+            raise ValueError("empty range")
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(self._GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + count * self._GAMMA) & self._MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(self._MIX[0])
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(self._MIX[1])
+        z ^= z >> np.uint64(31)
+        return (z % np.uint64(hi - lo + 1)).astype(np.int64) + lo
 
     @staticmethod
     def for_stream(seed: int, *tags) -> "DetRng":

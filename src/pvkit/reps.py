@@ -226,7 +226,7 @@ def sl(n: int) -> MatrixRep:
         raise ValueError("sl(1) is zero; use gl(1) or a torus")
     e = _units(n)
     diag = np.arange(n) * (n + 1)
-    off = np.setdiff1d(np.arange(n * n), diag)
+    off = np.flatnonzero(np.arange(n * n) % (n + 1))
     T = np.concatenate([e[off], e[diag[:-1]] - e[diag[1:]]])
     return MatrixRep(T, 1, (f"sl({n})",))
 

@@ -411,11 +411,14 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
     from pvkit.catalog import _build, get_entry
 
     built = _build(get_entry("NEG-4.2.8b"), {})
+    orbit_shape = (built.rep.algebra_dim, built.rep.space_dim)
     certified, stacks, evals = [], [], {}
 
     def recording_kernel(stack):
-        stacks.append(len(stack))
-        certified.extend(m.tobytes() for m in np.asarray(stack, dtype=np.int64))
+        # the character certificate's two matrices have other shapes
+        if np.shape(stack)[1:] == orbit_shape:
+            stacks.append(len(stack))
+            certified.extend(m.tobytes() for m in np.asarray(stack, dtype=np.int64))
         return full_rank_mod_p(stack)
 
     def counted(f):
@@ -433,31 +436,136 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
     report = classify(built.rep, invariants, x_hint=built.x_hint, seed=0)
     assert report.character_dim == 2 and len(evals) == 2
     assert all(c.verified for c in report.invariant_checks)
-    # the hint certificate is a stack of one; each block draws twice the
-    # points still missing
-    assert stacks[0] == (1 if built.x_hint else 2 * LAMBDA_POINTS)
+    # the hint certificate is a stack of one; each block draws as many
+    # draws as points are still missing
+    assert stacks[0] == (1 if built.x_hint else LAMBDA_POINTS)
     assert len(certified) >= LAMBDA_POINTS
     assert len(certified) == len(set(certified))
     assert evals == {f.name: LAMBDA_POINTS for f in built.invariants}
 
 
-def test_classify_builds_the_gram_matrix_once_per_run():
-    """The character dimension and each invariant's derived check read one
-    cached, read-only Gram matrix at the first point."""
-    from pvkit.analyzer import _commutator_gram
+def _counting_gram(monkeypatch) -> list:
+    """Patch analyzer._commutator_gram to record each (rep, point) it builds."""
+    from pvkit import analyzer
+
+    built, gram = [], analyzer._commutator_gram
+
+    def counted(rep, point):
+        built.append((rep, point))
+        return gram(rep, point)
+
+    monkeypatch.setattr(analyzer, "_commutator_gram", counted)
+    return built
+
+
+def test_classify_builds_no_gram_matrix_when_the_bounds_meet(monkeypatch):
+    """Two verified invariants whose gradients have rank 2 and a sketch of
+    rank n - 2 prove the character dimension 2 with no Gram matrix."""
     from pvkit.catalog import _build, get_entry
 
     built = _build(get_entry("NEG-4.2.8b"), {})
-    _commutator_gram.cache_clear()
+    grams = _counting_gram(monkeypatch)
     report = classify(built.rep, built.invariants, x_hint=built.x_hint, seed=0)
     assert len(report.invariant_checks) == 2
-    info = _commutator_gram.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-    point = sample_certified_points(built.rep, 1, hint=built.x_hint)[0]
-    G = _commutator_gram(built.rep, point)
-    assert _commutator_gram.cache_info().misses == 1
-    with pytest.raises(ValueError):
-        G[0, 0] = 1
+    assert all(c.verified for c in report.invariant_checks)
+    assert report.character_dim == 2 and grams == []
+
+
+def test_every_default_run_proves_its_character_dimension_without_the_gram_matrix(
+    monkeypatch,
+):
+    """The certificate of `character_space_dim` holds on all 60 default runs
+    at seeds 0-5, so the reports come from it alone (about 2 s)."""
+    from pvkit.catalog import run_all
+
+    grams = _counting_gram(monkeypatch)
+    for seed in range(6):
+        summary, reports = run_all("all", seed=seed)
+        assert len(reports) == 60 and summary["counts"]["fail"] == 0
+        assert grams == [], seed
+
+
+def _sym_det_covector():
+    rep, f = sym2(gl(3)), determinant(3, "sym")
+    point = sample_certified_points(rep, 1, seed=0)[0]
+    return rep, point, _gradient(f, point)
+
+
+def _gradient(f: InvariantPolynomial, point) -> np.ndarray:
+    from pvkit.invariants import value_and_gradient
+
+    return np.array(value_and_gradient(f, point)[1], dtype=object)
+
+
+def test_character_dim_falls_back_to_the_gram_rank_when_the_sketch_is_short(monkeypatch):
+    """A sketch of rank-deficient rows cannot meet the gradients' bound, so
+    the exact Gram rank decides, once, and gives the same dimension."""
+    from pvkit import analyzer
+
+    rep, point, grad = _sym_det_covector()
+    grams = _counting_gram(monkeypatch)
+    assert character_space_dim(rep, point, covectors=[grad]) == 1
+    assert grams == []
+    sketch = analyzer._commutator_sketch
+
+    def short_sketch(rep, point):
+        rows = sketch(rep, point).copy()
+        rows[1:] = rows[0]  # every row a copy of the first: rank 1 < n - 1
+        return rows
+
+    monkeypatch.setattr(analyzer, "_commutator_sketch", short_sketch)
+    assert character_space_dim(rep, point, covectors=[grad]) == 1
+    assert len(grams) == 1
+
+
+def test_character_dim_falls_back_when_the_covectors_fall_short(monkeypatch):
+    """One of two independent gradients, no gradient, or a gradient twice:
+    the bounds cannot meet, and the Gram rank gives the dimension."""
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry("NEG-4.2.8b"), {})
+    rep = built.rep
+    point = sample_certified_points(rep, 1, seed=0, hint=built.x_hint)[0]
+    g1, g2 = (_gradient(f, point) for f in built.invariants)
+    grams = _counting_gram(monkeypatch)
+    assert character_space_dim(rep, point, covectors=[g1, g2]) == 2
+    assert grams == []
+    for covectors in ([g1], [], [g1, 3 * g1]):
+        grams.clear()
+        assert character_space_dim(rep, point, covectors=covectors) == 2
+        assert len(grams) == 1
+
+
+def test_character_dim_falls_back_when_every_residue_vanishes(monkeypatch):
+    """With T and den times P the sketch is 0 mod P: a bad prime costs the
+    Gram rank and gives the plain rep's dimension."""
+    rep, point, grad = _sym_det_covector()
+    grams = _counting_gram(monkeypatch)
+    assert character_space_dim(_times_p(rep), point, covectors=[grad]) == 1
+    assert len(grams) == 1
+
+
+def test_classify_with_an_unverified_invariant_takes_the_gram_rank(monkeypatch):
+    """An unverified invariant gives no covector: alone, it leaves the
+    dimension to the Gram rank; beside a verified one, whose gradient
+    proves it, no Gram matrix is built.  Regularity follows the first
+    invariant only, and the reports keep their notes."""
+    rep, det3 = sym2(gl(3)), determinant(3, "sym")
+    squares = quadratic_form(_eye(6))
+    grams = _counting_gram(monkeypatch)
+    alone = classify(rep, [squares], seed=0)
+    assert alone.character_dim == 1 and alone.regular is None
+    assert [c.verified for c in alone.invariant_checks] == [False]
+    assert len(grams) == 1
+    grams.clear()
+    for invariants, regular in (([det3, squares], True), ([squares, det3], None)):
+        report = classify(rep, invariants, seed=0)
+        assert report.character_dim == 1 and report.regular is regular
+        assert [c.verified for c in report.invariant_checks] == [
+            f is det3 for f in invariants
+        ]
+        assert report.notes == "seeded point"
+    assert grams == []
 
 
 def test_classify_leaves_regularity_undecided_for_an_unverified_invariant():

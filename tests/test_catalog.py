@@ -200,11 +200,13 @@ def test_lambda_vanishes_on_isotropy_at_an_independent_point():
 
 def test_character_dim_and_derived_check_match_coefficient_space():
     """At the criterion-6 points and an independent one, the character
-    dimension n - rank G equals the corank of derived subalgebra + isotropy,
-    and for every declared invariant G grad = 0 exactly when lambda's
-    numerators vanish on the derived subalgebra; a sum of squares, not an
-    invariant, is compared too."""
-    from pvkit.analyzer import _commutator_gram, _first_order
+    dimension equals the corank of derived subalgebra + isotropy, also when
+    the gradients of the declared invariants prove it, and for every
+    declared invariant G grad = 0 exactly when lambda's numerators vanish on
+    the derived subalgebra, and exactly when the d x d matrix of the
+    invariance check is symmetric; a sum of squares, not an invariant, is
+    compared too."""
+    from pvkit.analyzer import _annihilates_commutators, _commutator_gram, _first_order
     from pvkit.catalog import _build
     from pvkit.invariants import InvariantPolynomial
 
@@ -221,11 +223,18 @@ def test_character_dim_and_derived_check_match_coefficient_space():
         squares = InvariantPolynomial(
             rep.space_dim, 2, "squares", lambda c: sum(v * v for v in c)
         )
+        gram = _commutator_gram(rep, pts[0])
+        covectors = []
         for f in (*built.invariants, squares):
             _, grad, num = _first_order(rep, f, pts[0])
-            at_point = not (_commutator_gram(rep, pts[0]) @ grad).any()
+            at_point = not (gram @ grad).any()
             assert at_point == (not (derived @ num).any()), (entry.id, f.name)
-            checked += f is not squares
+            assert at_point == _annihilates_commutators(rep, grad, pts[0]), (entry.id, f.name)
+            if f is not squares:
+                covectors.append(grad)
+                checked += 1
+        want = character_dim_in_coefficients(rep, pts[0])
+        assert character_space_dim(rep, pts[0], covectors=covectors) == want, entry.id
     assert checked == 29
 
 

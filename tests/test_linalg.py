@@ -281,6 +281,23 @@ def test_detrng_is_frozen():
     assert rng3.randint(-3, 3) == first
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 987654321])
+def test_detrng_randints_equals_successive_randint(seed):
+    """A block of draws is the sequence of single draws, and leaves the
+    generator in the same state, for small and wide ranges."""
+    for lo, hi in ((-3, 3), (0, 0), (-(2**40), 2**40), (0, 2**62)):
+        block, single = DetRng.for_stream(seed, "x"), DetRng.for_stream(seed, "x")
+        got = block.randints(5000, lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == [single.randint(lo, hi) for _ in range(5000)]
+        assert block.next_u64() == single.next_u64()
+    rng = DetRng(seed)
+    assert rng.randints(0, -3, 3).shape == (0,)
+    assert rng.next_u64() == DetRng(seed).next_u64()
+    with pytest.raises(ValueError):
+        rng.randints(3, 1, 0)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,5 +1,9 @@
 """Matrix realizations: dimensions, closure, spin and exceptional algebras."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import numpy as np
@@ -27,6 +31,37 @@ from pvkit.reps import (
     sym2,
     tensor,
 )
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sl_matches_the_setdiff_construction(n):
+    """sl(n) picks its off-diagonal units without np.setdiff1d, which would
+    import numpy.ma; T, den, dtype and labels are those of the old build."""
+    e = np.zeros((n * n, n, n), dtype=np.int64)
+    e[np.arange(n * n), np.arange(n * n) // n, np.arange(n * n) % n] = 1
+    diag = np.arange(n) * (n + 1)
+    off = np.setdiff1d(np.arange(n * n), diag)
+    want = np.concatenate([e[off], e[diag[:-1]] - e[diag[1:]]])
+    rep = sl(n)
+    assert rep.T.dtype == want.dtype and (rep.T == want).all()
+    assert rep.den == 1 and rep.labels == (f"sl({n})",)
+
+
+def test_cold_run_of_an_sl_entry_does_not_import_numpy_ma():
+    script = (
+        "import sys\n"
+        "from pvkit.cli import main\n"
+        "main(['run', '--entry', 'T2.4', '--param', 'n=2', '--format', 'json'])\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.strip().splitlines()[-1] == "False"
 
 
 def test_classical_dimensions():

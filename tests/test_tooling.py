@@ -76,15 +76,51 @@ def _rank_calls(node: ast.AST) -> list[ast.Call]:
     ]
 
 
+def _kernel_verdict(expr: ast.expr) -> bool:
+    """expr is `full_rank_mod_p(...)[0]`, or an `and` of such verdicts."""
+    if isinstance(expr, ast.BoolOp):
+        return isinstance(expr.op, ast.And) and all(map(_kernel_verdict, expr.values))
+    return (
+        isinstance(expr, ast.Subscript)
+        and isinstance(expr.value, ast.Call)
+        and isinstance(expr.value.func, ast.Name)
+        and expr.value.func.id == "full_rank_mod_p"
+    )
+
+
+def _exact_only_after_a_rejection(fn: ast.FunctionDef, exact: set[str]) -> ast.If:
+    """fn calls the names in `exact` only after the mod-P kernel said no:
+    the first top-level statement to call `full_rank_mod_p` is an `if` whose
+    test is the kernel's verdict and whose body is one `return`, and every
+    call in `exact` lies in the statements after it.  Returns that `if`."""
+    at = next(k for k, node in enumerate(fn.body) if "full_rank_mod_p" in _called(node))
+    gate = fn.body[at]
+    assert isinstance(gate, ast.If) and not gate.orelse, ast.unparse(gate)
+    assert _kernel_verdict(gate.test), ast.unparse(gate.test)
+    assert len(gate.body) == 1 and isinstance(gate.body[0], ast.Return)
+    for node in fn.body[: at + 1]:
+        assert not _called(node) & exact, ast.unparse(node)
+    assert any(_called(node) & exact for node in fn.body[at + 1 :])
+    return gate
+
+
 def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     """hessian_regularity and the sampler's hint reach exact rank only
-    through `_full_column_rank`, where every exact rank is a later operand
-    of an `or` whose first operand is the mod-P kernel.  The one other
-    full-rank decision by exact rank is the sampler's shortfall branch; the
-    Gram rank of the character dimension is the only other rank call."""
+    after the mod-P kernel said no: regularity after an `if` on the
+    kernel's verdict that returns, the hint through `_full_column_rank`,
+    where every exact rank is a later operand of an `or` whose first operand
+    is the kernel.  character_space_dim builds the Gram matrix and takes its
+    rank only after its certificate, two kernel verdicts joined by `and`,
+    is rejected.  The one other exact rank is the sampler's shortfall
+    branch."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
-    regularity = _called(_function(tree, "hessian_regularity"))
-    assert "rank" not in regularity and "_full_column_rank" in regularity
+    regularity = _function(tree, "hessian_regularity")
+    _exact_only_after_a_rejection(regularity, {"rank", "_full_column_rank"})
+    assert len(_rank_calls(regularity)) == 1
+    character = _function(tree, "character_space_dim")
+    gate = _exact_only_after_a_rejection(character, {"rank", "_commutator_gram"})
+    assert isinstance(gate.test, ast.BoolOp) and len(gate.test.values) == 2
+    assert len(_rank_calls(character)) == 1
     sampler = _function(tree, "sample_certified_points")
     hint, *rest = [n for n in sampler.body if isinstance(n, ast.If)]
     assert "_full_column_rank" in _called(hint) and not _rank_calls(hint)
@@ -95,7 +131,15 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
         fn.name for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and _rank_calls(fn)
     }
-    assert owners == {"_full_column_rank", "sample_certified_points", "character_space_dim"}
+    assert owners == {
+        "_full_column_rank", "sample_certified_points", "character_space_dim",
+        "hessian_regularity",
+    }
+    gram_callers = {
+        fn.name for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and "_commutator_gram" in _called(fn)
+    }
+    assert gram_callers == {"character_space_dim"}
     full = _function(tree, "_full_column_rank")
     guarded = set()
     for node in ast.walk(full):
