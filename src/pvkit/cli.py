@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: list, run, run-all, diagram, table1.  The exit code is 0 iff
-every selected check passed.  PVKIT_SEED overrides the default seed.
+every selected check passed, 1 when a check failed, and 2 on a usage
+error: an unknown entry or bad parameter, bad arguments, or a PVKIT_SEED
+that is not an integer.  PVKIT_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from .grading import compute_grading, irreducible_components, render_diagram, ve
 from .rootsystems import WeightedDiagram, build_root_system
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PVKIT_SEED", "0"))
+def _default_seed() -> int | None:
+    """PVKIT_SEED as an integer, 0 when unset, None when not an integer."""
+    value = os.environ.get("PVKIT_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        print(f"PVKIT_SEED must be an integer, got {value!r}", file=sys.stderr)
+        return None
 
 
 def _cmd_list(args) -> int:
@@ -41,7 +49,7 @@ def _parse_params(items) -> dict:
     for item in items or ():
         key, _, val = item.partition("=")
         if not val:
-            raise SystemExit(f"--param expects name=value, got {item!r}")
+            raise ValueError(f"--param expects name=value, got {item!r}")
         out[key] = int(val)
     return out
 
@@ -133,6 +141,9 @@ def _cmd_table1(args) -> int:
 
 
 def main(argv=None) -> int:
+    seed = _default_seed()
+    if seed is None:
+        return 2
     parser = argparse.ArgumentParser(
         prog="pvkit",
         description="Exact verification of the multiplicity-free catalog "
@@ -145,14 +156,14 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="verify one entry")
     p_run.add_argument("--entry", required=True)
     p_run.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_run.add_argument("--seed", type=int, default=_default_seed())
+    p_run.add_argument("--seed", type=int, default=seed)
     p_run.add_argument("--format", choices=("text", "json"), default="text")
 
     p_all = sub.add_parser("run-all", help="verify a whole slice of the catalog")
     p_all.add_argument(
         "--filter", choices=("table2", "table3", "negatives", "all"), default="all"
     )
-    p_all.add_argument("--seed", type=int, default=_default_seed())
+    p_all.add_argument("--seed", type=int, default=seed)
     p_all.add_argument("--format", choices=("text", "json"), default="text")
 
     p_diag = sub.add_parser("diagram", help="render a weighted diagram and its grading")

@@ -9,7 +9,9 @@ keeps each row as one such array, re-chosen after every row operation, so
 one elimination may move from int64 to Python ints and back; the numbers,
 and so the results, are the same on either dtype.  `rank` and `nullspace`
 take a 2-D array-like of integers or rationals (or a `Matrix`) and clear it
-once.  Coefficient vectors and kernel bases are (A, den) pairs.
+once.  Coefficient vectors and kernel bases are (A, den) pairs;
+`nullspace` eliminates each block of columns that share no nonzero row
+with the others on its own.
 `full_rank_mod_p` asks of a whole stack of integer matrices whether each
 has full column rank modulo the prime P = 2**31 - 1, by one int64
 elimination: full rank modulo 2**31 - 1, which proves full rank over Q;
@@ -41,6 +43,8 @@ __all__ = [
 
 # A product of two int64 arrays is exact while max|A|^2 * length < _GUARD.
 _GUARD = 1 << 62
+# From this many entries on, `_fit` reads an array twice instead of copying it.
+_COPY_FREE = 1 << 14
 # A prime with P * P < 2**62: a difference of two products of residues mod P
 # is exact in int64.
 P = (1 << 31) - 1
@@ -60,9 +64,14 @@ def _fit(a: np.ndarray) -> np.ndarray:
     Then a product of two such arrays contracted over an axis they share,
     or the difference of two such products, fits in int64.  Otherwise the
     array holds Python ints (dtype=object), on which numpy computes the
-    same products exactly.
+    same products exactly.  A large array is not copied: max|a| is read
+    as max(max a, -min a) there, while np.abs is the faster call on small
+    ones.
     """
-    big = int(np.abs(a).max(initial=0))
+    if a.size < _COPY_FREE:
+        big = int(np.abs(a).max(initial=0))
+    else:
+        big = max(int(a.max()), -int(a.min()))
     if big * big * max(a.shape, default=1) < _GUARD:
         return a.astype(np.int64, copy=False)
     return a.astype(object, copy=False)
@@ -330,32 +339,84 @@ def rank(m) -> int:
     return solver.rank
 
 
-def nullspace(m) -> tuple[np.ndarray, int]:
-    """(K, den): the rows of K / den are an exact basis of {v : m v = 0}.
+def _column_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) of each connected block of a, in order of first column.
 
-    m is as for rank.  Row f / den has 1 at free column f (one in the span
-    of the columns before it), 0 at the other free columns, and is then
-    sign-normalized so its first nonzero coordinate is positive.  den > 0,
-    gcd(K, den) == 1, K is (nullity, cols).
+    Two columns are joined when some row is nonzero in both.  Each column
+    is labelled by the smallest column of its block, by min-label
+    propagation through the rows, with the labels' own labels taken each
+    round so that long chains close in few rounds.  A row belongs to the
+    block of its nonzeros; all-zero rows belong to none, and an all-zero
+    column is a block of its own with no rows.
     """
-    a, _ = _int_matrix(m)
-    cols = a.shape[1]
+    nrows, ncols = a.shape
+    r, c = np.nonzero(a)
+    label = np.arange(ncols)
+    while True:
+        at_row = np.full(nrows, ncols)
+        np.minimum.at(at_row, r, label[c])
+        new = label.copy()
+        np.minimum.at(new, c, at_row[r])
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    col_order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[col_order], prepend=-1))
+    row_order = np.argsort(at_row, kind="stable")
+    row_labels = at_row[row_order]
+    heads = label[col_order[starts]]
+    lo = np.searchsorted(row_labels, heads, "left")
+    hi = np.searchsorted(row_labels, heads, "right")
+    return [
+        (row_order[i:j], cols)
+        for i, j, cols in zip(lo, hi, np.split(col_order, starts[1:]))
+    ]
+
+
+def _column_relations(a: np.ndarray) -> tuple[list[int], list[tuple[int, np.ndarray, int]]]:
+    """(pivots, free): the pivot columns of a, each independent of the
+    columns before it, and per other column f the (f, c, k) with column
+    f == sum_p c_p / k * column pivots[p], by one fraction-free elimination
+    of the columns in order."""
     solver = SpanSolver(a.shape[0], track=max(1, min(a.shape)))
     pivots: list[int] = []
     free: list[tuple[int, np.ndarray, int]] = []
-    for f in range(cols):
+    for f in range(a.shape[1]):
         got = solver.coefficients(a[:, f])
         if got is None:
             solver.insert(a[:, f])
             pivots.append(f)
         else:
             free.append((f, *got))
-    den = math.lcm(*(k for _, _, k in free))
-    kernel = np.zeros((len(free), cols), dtype=object)
-    for v, (f, c, k) in zip(kernel, free):
+    return pivots, free
+
+
+def nullspace(m) -> tuple[np.ndarray, int]:
+    """(K, den): the rows of K / den are an exact basis of {v : m v = 0}.
+
+    m is as for rank.  Row f / den has 1 at free column f (one in the span
+    of the columns before it), 0 at the other free columns, and is then
+    sign-normalized so its first nonzero coordinate is positive.  den > 0,
+    gcd(K, den) == 1, K is (nullity, cols).  The basis is unique, so it is
+    found block by block (see `_column_blocks`): a column's relation to
+    the columns before it involves only its own block's columns.  Each
+    block is eliminated on its own rows and columns, and the rows are put
+    back in free-column order over the common denominator.
+    """
+    a, _ = _int_matrix(m)
+    free: list[tuple[int, np.ndarray, np.ndarray, int]] = []
+    for rows, cols in _column_blocks(a):
+        pivots, block_free = _column_relations(a[np.ix_(rows, cols)])
+        at = cols[pivots]
+        free += [(cols[f], at, c[: len(at)], k) for f, c, k in block_free]
+    free.sort(key=lambda item: item[0])
+    den = math.lcm(*(k for *_, k in free))
+    kernel = np.zeros((len(free), a.shape[1]), dtype=object)
+    for v, (f, at, c, k) in zip(kernel, free):
         # column f == sum_p c_p / k * column p: den e_f - sum_p (den/k) c_p e_p
         v[f] = den
-        v[pivots] = c[: len(pivots)].astype(object) * -(den // k)
+        v[at] = c.astype(object) * -(den // k)
         if v[np.flatnonzero(v)[0]] < 0:
             v *= -1
     return _fit(kernel), den

@@ -418,19 +418,38 @@ def tensor(r1: MatrixRep, r2: MatrixRep) -> MatrixRep:
 def _square_action(T: np.ndarray, upper: int) -> np.ndarray:
     """s -> X s + s X^T on symmetric (upper=0) or antisymmetric (upper=1)
     n x n matrices, in upper-triangle coordinates (the diagonal included
-    when upper=0), row-major.
+    when upper=0), row-major, with T's dtype.
 
-    The action on all of M(n) is kron(X, I) + kron(I, X) on row-major
-    entries; its rows are gathered at the triangle coordinates and its
-    columns combined into the basis E_ij + E_ji (upper=0) or E_ij - E_ji
-    (upper=1), i <= j resp. i < j.
+    Column {a, b} is the basis matrix E_ab + E_ba (upper=0) or E_ab - E_ba
+    (upper=1), a <= b resp. a < b, and row {x, y} reads entry (x, y) of
+    the image.  An entry X[p, q] = v of generator g maps E_qb to v E_pb
+    (X s) and E_bq to v E_bp (s X^T) for every b; each of these that lands
+    on an upper-triangle entry is added to out[g] at that row and at the
+    column of {q, b} resp. {b, q}, times the sign of the basis matrix
+    there.  So the work is T's nonzeros times n, and nothing larger than
+    the output is formed.
     """
-    n = T.shape[1]
+    d, n, _ = T.shape
     i, j = np.triu_indices(n, upper)
-    full = np.kron(T, _eye(n)) + np.kron(_eye(n), T)
-    rows = full[:, i * n + j]
-    sign = 1 - 2 * upper
-    return rows[:, :, i * n + j] + sign * (i != j) * rows[:, :, j * n + i]
+    m = len(i)
+    row = np.full((n, n), -1)
+    row[i, j] = np.arange(m)  # the coordinate entry (x, y) is read at
+    col = np.full((n, n), -1)
+    col[i, j] = col[j, i] = np.arange(m)  # the basis matrix with (a, b) in it
+    sign = np.ones((n, n), dtype=np.int64)
+    sign[j, i] = 1 - 2 * upper  # its entry at (a, b)
+    g, p, q = np.nonzero(T)
+    v = T[g, p, q][:, None]
+    b = np.arange(n)
+    out = np.zeros((d, m, m), dtype=T.dtype)
+    # (entry of the image, entry of the basis matrix) for X s, then s X^T
+    terms = (((p[:, None], b), (q[:, None], b)), ((b, p[:, None]), (b, q[:, None])))
+    for at, src in terms:
+        r, c = row[at], col[src]
+        keep = (r >= 0) & (c >= 0)
+        gk = np.broadcast_to(g[:, None], keep.shape)[keep]
+        np.add.at(out, (gk, r[keep], c[keep]), (v * sign[src])[keep])
+    return out
 
 
 def sym2(rep: MatrixRep) -> MatrixRep:

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: Fraction, jet, coefficient-space and
 exact-rank references for the integer and modular paths of the package, and
 the hand-written invariant evaluators that the index grids and term lists
-replaced."""
+replaced, and the dense kron square action and one-block nullspace that
+the scattered and block-wise builds replaced."""
 
+import math
 import re
 from fractions import Fraction as Q
 
@@ -16,6 +18,7 @@ from pvkit.linalg import (
     Jet2,
     Matrix,
     SpanSolver,
+    _fit,
     _int_array,
     _int_matrix,
     nullspace,
@@ -131,6 +134,45 @@ def sequential_certified_points(rep: MatrixRep, count: int, seed: int = 0, hint=
             points.append(draw)
         seen.add(draw)
     return points
+
+
+def kron_square_action(T: np.ndarray, upper: int) -> np.ndarray:
+    """The dense reference for `reps._square_action`: the action on all of
+    M(n) is kron(X, I) + kron(I, X) on row-major entries; its rows are
+    gathered at the triangle coordinates and its columns combined into the
+    basis E_ij + E_ji (upper=0) or E_ij - E_ji (upper=1)."""
+    n = T.shape[1]
+    i, j = np.triu_indices(n, upper)
+    eye = np.eye(n, dtype=np.int64)
+    full = np.kron(T, eye) + np.kron(eye, T)
+    rows = full[:, i * n + j]
+    sign = 1 - 2 * upper
+    return rows[:, :, i * n + j] + sign * (i != j) * rows[:, :, j * n + i]
+
+
+def dense_nullspace(m) -> tuple[np.ndarray, int]:
+    """The reference for `linalg.nullspace`: one elimination over all
+    columns in order, with no split into blocks."""
+    a, _ = _int_matrix(m)
+    cols = a.shape[1]
+    solver = SpanSolver(a.shape[0], track=max(1, min(a.shape)))
+    pivots: list[int] = []
+    free = []
+    for f in range(cols):
+        got = solver.coefficients(a[:, f])
+        if got is None:
+            solver.insert(a[:, f])
+            pivots.append(f)
+        else:
+            free.append((f, *got))
+    den = math.lcm(*(k for _, _, k in free))
+    kernel = np.zeros((len(free), cols), dtype=object)
+    for v, (f, c, k) in zip(kernel, free):
+        v[f] = den
+        v[pivots] = c[: len(pivots)].astype(object) * -(den // k)
+        if v[np.flatnonzero(v)[0]] < 0:
+            v *= -1
+    return _fit(kernel), den
 
 
 def character_dim_in_coefficients(rep: MatrixRep, point) -> int:

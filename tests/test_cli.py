@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from pvkit.cli import main
 
 
@@ -93,3 +95,17 @@ def test_env_seed_is_honored(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["seed"] == 5
+
+
+def test_run_param_without_value_exits_2(capsys):
+    assert main(["run", "--entry", "T2.1", "--param", "n"]) == 2
+    assert "--param expects name=value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["list"], ["run", "--entry", "T2.1"], ["table1"]])
+def test_non_integer_env_seed_exits_2_with_one_line(capsys, monkeypatch, argv):
+    monkeypatch.setenv("PVKIT_SEED", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "PVKIT_SEED" in captured.err

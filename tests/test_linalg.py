@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from helpers import det, hessian_matrix, jet_line
+from helpers import dense_nullspace, det, hessian_matrix, jet_line
 from pvkit.analyzer import sample_certified_points
 from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
@@ -16,7 +16,9 @@ from pvkit.linalg import (
     Jet2,
     Matrix,
     SpanSolver,
+    _column_blocks,
     _combine,
+    _fit,
     _int_array,
     full_rank_mod_p,
     nullspace,
@@ -455,6 +457,109 @@ def test_nullspace_matches_fraction_back_substitution():
         assert basis.shape == (len(ref), m.cols)
         assert basis.tolist() == ref.reshape(len(ref), m.cols).tolist()
         assert den == ref_den
+
+
+def _permuted_blocks(rng, scale=1):
+    """A random integer matrix made of diagonal blocks (sparse ones that may
+    split further, and rank-deficient ones), with zero rows and columns
+    added, rows and columns shuffled, and every entry times `scale`."""
+    blocks = []
+    for _ in range(rng.integers(1, 6)):
+        r, c = rng.integers(0, 6, 2)
+        b = rng.integers(-4, 5, (r, c)) * (rng.random((r, c)) < 0.6)
+        if r > 1 and rng.random() < 0.3:
+            b[-1] = b[0] - 2 * b[1 % (r - 1)]  # a dependent row
+        blocks.append(b)
+    rows = sum(b.shape[0] for b in blocks) + rng.integers(0, 3)
+    cols = sum(b.shape[1] for b in blocks) + rng.integers(0, 3)
+    a = np.zeros((rows, cols), dtype=np.int64)
+    r0 = c0 = 0
+    for b in blocks:
+        a[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
+        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
+    a = a[rng.permutation(rows)][:, rng.permutation(cols)]
+    return a if scale == 1 else a.astype(object) * scale
+
+
+def _assert_same_kernel(m):
+    (got, den), (want, want_den) = nullspace(m), dense_nullspace(m)
+    assert den == want_den
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "scale", [1, 2**40, 2**63 + 1, -(3**50)], ids=["1", "2^40", "2^63+1", "-3^50"]
+)
+def test_blockwise_nullspace_equals_the_dense_elimination(scale):
+    rng = np.random.default_rng(1900 + abs(scale) % 97)
+    for _ in range(150):
+        _assert_same_kernel(_permuted_blocks(rng, scale))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.zeros((3, 4), dtype=np.int64),
+        np.zeros((0, 3), dtype=np.int64),
+        np.zeros((3, 0), dtype=np.int64),
+        np.array([[0, 2, 0, 0], [0, 0, 0, 0], [0, 3, 0, 0]]),
+        np.array([[1, 0, 2, 0], [0, 0, 0, 0], [0, 5, 0, 1]]),
+        Matrix.from_rows([[Q(1, 2), 0, 0, 3], [0, Q(2, 3), 1, 0], [1, 0, 0, 6]]),
+        Matrix.zeros(2, 3),
+        np.array([[2**70, 0, 1], [0, 2**65, 0]], dtype=object),
+    ],
+    ids=["zero", "no-rows", "no-cols", "one-column", "zero-row", "matrix",
+         "matrix-zero", "beyond-int64"],
+)
+def test_blockwise_nullspace_edge_cases(m):
+    _assert_same_kernel(m)
+
+
+def _reference_blocks(a):
+    """Connected column blocks by repeated merging of row supports."""
+    groups = [{c} for c in range(a.shape[1])]
+    for row in a:
+        support = set(np.flatnonzero(row).tolist())
+        hit = [g for g in groups if g & support]
+        groups = [g for g in groups if not g & support] + [set().union(*hit)] * bool(hit)
+    return sorted(sorted(g) for g in groups)
+
+
+def test_column_blocks_are_the_connected_components():
+    rng = np.random.default_rng(1901)
+    chain = np.zeros((40, 41), dtype=np.int64)  # one block, a long chain
+    chain[np.arange(40), np.arange(40)] = 1
+    chain[np.arange(40), np.arange(1, 41)] = -1
+    cases = [chain[rng.permutation(40)][:, rng.permutation(41)], chain]
+    cases += [_permuted_blocks(rng) for _ in range(100)]
+    for a in cases:
+        blocks = _column_blocks(a)
+        cols = [c.tolist() for _, c in blocks]
+        assert sorted(cols) == _reference_blocks(a)
+        assert [c[0] for c in cols] == sorted(c[0] for c in cols)
+        assert all(c == sorted(c) for c in cols)
+        rows = np.concatenate([r for r, _ in blocks] + [np.zeros(0, dtype=int)])
+        assert sorted(rows.tolist()) == np.flatnonzero(a.any(axis=1)).tolist()
+        for r, c in blocks:
+            outside = np.setdiff1d(np.arange(a.shape[1]), c)
+            assert not a[np.ix_(r, outside)].any()
+            assert r.tolist() == sorted(r.tolist())
+
+
+@pytest.mark.parametrize("size", [7, (1 << 14) - 1, 1 << 14, (1 << 14) + 5])
+def test_fit_reads_large_arrays_without_changing_the_verdict(size):
+    """`_fit` reads max|a| without np.abs from 2**14 entries on; the dtype
+    it picks is the bound's, on either side of that size and of the bound."""
+    edge = math.isqrt(((1 << 62) - 1) // size)  # the largest max|a| for int64
+    for big, sign in ((edge, 1), (edge, -1), (edge + 1, 1), (edge + 1, -1), (0, 1)):
+        a = np.zeros(size, dtype=np.int64)
+        a[size // 2] = sign * big
+        a[0] = -sign * (big // 3)
+        want = np.int64 if big * big * size < (1 << 62) else object
+        assert _fit(a).dtype == want
+        assert _fit(a.astype(object)).dtype == want
 
 
 def test_coefficients_are_reduced_with_positive_denominator():

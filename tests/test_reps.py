@@ -4,12 +4,21 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from helpers import basis, invariant_form_space, jet_line, sym_unpack
+import pvkit.reps as reps
+from helpers import (
+    basis,
+    dense_nullspace,
+    invariant_form_space,
+    jet_line,
+    kron_square_action,
+    sym_unpack,
+)
 from pvkit.invariants import freudenthal_cubic
 from pvkit.linalg import DetRng, Matrix, _fit, nullspace
 from pvkit.reps import (
@@ -232,6 +241,60 @@ def test_sym2_preserves_symmetry():
         for i in range(3):
             for j in range(3):
                 assert image[i][j] == image[j][i]
+
+
+SQUARE_CASES = (
+    [(gl, n) for n in range(1, 11)]
+    + [(sl, n) for n in range(2, 11)]
+    + [(so, n) for n in range(2, 11)]
+    + [(sp, n) for n in range(1, 6)]  # on C^(2n)
+)
+
+
+@pytest.mark.parametrize("upper", [0, 1], ids=["sym2", "alt2"])
+@pytest.mark.parametrize(
+    "maker, n", SQUARE_CASES, ids=[f"{m.__name__}{n}" for m, n in SQUARE_CASES]
+)
+def test_square_action_matches_the_kron_reference(maker, n, upper):
+    T = maker(n).T
+    for t in (T, T.astype(object) * (2**63 + 1)):
+        got, want = reps._square_action(t, upper), kron_square_action(t, upper)
+        assert got.dtype == want.dtype == t.dtype
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize("upper", [0, 1], ids=["sym2", "alt2"])
+def test_square_action_of_random_dense_generators(upper):
+    """Generators with every entry set and entries other than 0 and 1."""
+    rng = np.random.default_rng(19)
+    for n in range(1, 7):
+        T = rng.integers(-9, 10, (3, n, n))
+        for t in (T, T.astype(object) * -(3**45)):
+            got, want = reps._square_action(t, upper), kron_square_action(t, upper)
+            assert got.dtype == want.dtype and (got == want).all()
+
+
+def test_alt2_builds_within_twice_its_output():
+    """The square action forms nothing larger than the T it returns: at
+    gl(12) the kron products peaked at 14 times T."""
+    g = gl(12)
+    tracemalloc.start()
+    try:
+        got = alt2(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * got.T.nbytes, peak / got.T.nbytes
+
+
+@pytest.mark.parametrize("maker", [g2_rep, e6_rep], ids=["g2", "e6"])
+def test_exceptional_builds_match_the_dense_nullspace(maker, monkeypatch):
+    got = maker()
+    monkeypatch.setattr(reps, "nullspace", dense_nullspace)
+    want = maker.__wrapped__()
+    assert (got.den, got.labels, got.T.dtype) == (want.den, want.labels, want.T.dtype)
+    assert got.T.shape == want.T.shape and (got.T == want.T).all()
 
 
 def test_tensor_dims():

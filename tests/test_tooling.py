@@ -182,6 +182,15 @@ def test_invariants_read_coordinates_through_grids_not_unpackers():
     assert not [name for name in defined if name.endswith("_unpack")]
 
 
+def test_square_action_scatters_without_kron():
+    """sym2 and alt2 add T's nonzeros into the output; the kron products of
+    the whole M(n) action peaked at 14 times the T they returned."""
+    fn = _function(ast.parse((SRC / "reps.py").read_text()), "_square_action")
+    attrs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert "kron" not in attrs and "kron" not in _called(fn)
+    assert "at" in attrs  # np.add.at
+
+
 @pytest.mark.parametrize("module", ["catalog", "reps"])
 def test_pipeline_modules_use_no_fractions(module):
     names = _imported_names(module)
