@@ -43,8 +43,6 @@ __all__ = [
 
 # A product of two int64 arrays is exact while max|A|^2 * length < _GUARD.
 _GUARD = 1 << 62
-# From this many entries on, `_fit` reads an array twice instead of copying it.
-_COPY_FREE = 1 << 14
 # A prime with P * P < 2**62: a difference of two products of residues mod P
 # is exact in int64.
 P = (1 << 31) - 1
@@ -64,14 +62,10 @@ def _fit(a: np.ndarray) -> np.ndarray:
     Then a product of two such arrays contracted over an axis they share,
     or the difference of two such products, fits in int64.  Otherwise the
     array holds Python ints (dtype=object), on which numpy computes the
-    same products exactly.  A large array is not copied: max|a| is read
-    as max(max a, -min a) there, while np.abs is the faster call on small
-    ones.
+    same products exactly.  max|a| is read as max(max a, -min a), which
+    copies nothing and, unlike np.abs, does not wrap -2**63 to itself.
     """
-    if a.size < _COPY_FREE:
-        big = int(np.abs(a).max(initial=0))
-    else:
-        big = max(int(a.max()), -int(a.min()))
+    big = max(int(a.max(initial=0)), -int(a.min(initial=0)))
     if big * big * max(a.shape, default=1) < _GUARD:
         return a.astype(np.int64, copy=False)
     return a.astype(object, copy=False)

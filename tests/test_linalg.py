@@ -549,9 +549,9 @@ def test_column_blocks_are_the_connected_components():
 
 
 @pytest.mark.parametrize("size", [7, (1 << 14) - 1, 1 << 14, (1 << 14) + 5])
-def test_fit_reads_large_arrays_without_changing_the_verdict(size):
-    """`_fit` reads max|a| without np.abs from 2**14 entries on; the dtype
-    it picks is the bound's, on either side of that size and of the bound."""
+def test_fit_picks_the_dtype_of_the_bound(size):
+    """`_fit` picks int64 exactly when max|a|^2 * size < 2**62, whatever the
+    array's size and the sign of its largest entry."""
     edge = math.isqrt(((1 << 62) - 1) // size)  # the largest max|a| for int64
     for big, sign in ((edge, 1), (edge, -1), (edge + 1, 1), (edge + 1, -1), (0, 1)):
         a = np.zeros(size, dtype=np.int64)
@@ -560,6 +560,10 @@ def test_fit_reads_large_arrays_without_changing_the_verdict(size):
         want = np.int64 if big * big * size < (1 << 62) else object
         assert _fit(a).dtype == want
         assert _fit(a.astype(object)).dtype == want
+    a = np.zeros(size, dtype=np.int64)
+    a[-1] = -(2**63)  # np.abs would wrap it to itself
+    assert _fit(a).dtype == object
+    assert _fit(np.array([-(2**63), 5])).dtype == object
 
 
 def test_coefficients_are_reduced_with_positive_denominator():
