@@ -5,8 +5,8 @@ Everything is computed over the rationals with certified exact linear
 algebra: prehomogeneity through rank certificates, isotropy dimensions by
 rank-nullity, character-lattice ranks as coranks of the commutators at a
 certified point, relative invariance through exact gradients, and
-regularity through one exact rank that reads the Hessian's rank off the
-gradient.
+regularity through the Hessian's rank, read off the gradient by a rank
+test modulo 2**31 - 1 that exact rank backs up only when it says no.
 """
 
 from .analyzer import (

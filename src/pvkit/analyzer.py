@@ -186,7 +186,7 @@ def sample_certified_points(
     seed: int = 0,
     hint: Optional[Sequence[Q]] = None,
 ) -> list[tuple[int, ...]]:
-    """Up to `count` distinct certified points, as tuples of Python ints.
+    """Up to `count` >= 1 distinct certified points, as tuples of Python ints.
 
     x is certified when the d x n matrix T @ x (row i is a positive multiple
     of B_i . x) has column rank n, so the orbit map at x is onto.  A hint is
@@ -199,6 +199,8 @@ def sample_certified_points(
     than `count` points, exact rank decides the draws rejected mod P again
     in stream order, so a shortfall is the one an exact rank per draw gives.
     """
+    if count < 1:
+        raise ValueError("need at least one point")
     points: list[tuple[int, ...]] = []
     if hint is not None:
         xi, _ = _int_array(hint)

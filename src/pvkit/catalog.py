@@ -833,7 +833,7 @@ def run(entry_id: str, params: Optional[Dict[str, int]] = None, seed: int = 0) -
     """Verify one catalog entry at one parameter choice; deterministic."""
     entry = get_entry(entry_id)
     params = dict(params or {})
-    if not params and entry.defaults and entry.params:
+    if not params and entry.params:
         params = dict(entry.defaults[0])
     _check_params(entry, params)
     start = time.monotonic()
@@ -913,7 +913,7 @@ def run_all(filter_name: str = "all", seed: int = 0):
         (entry.id, dict(params))
         for entry in catalog()
         if keep(entry)
-        for params in (entry.defaults or ({},))
+        for params in entry.defaults
     ]
     reports = [run(tid, tparams, seed) for tid, tparams in tasks]
     reports.sort(key=lambda r: (_entry_sort_key(r.entry), sorted(r.params.items())))

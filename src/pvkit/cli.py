@@ -50,6 +50,8 @@ def _parse_params(items) -> dict:
         key, _, val = item.partition("=")
         if not val:
             raise ValueError(f"--param expects name=value, got {item!r}")
+        if key in out:
+            raise ValueError(f"--param {key} given more than once")
         out[key] = int(val)
     return out
 

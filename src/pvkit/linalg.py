@@ -5,13 +5,12 @@ denominator, standing for A / den.  `_int_array` makes them from rationals
 or integers and picks the dtype: int64 while an overflow bound computed
 from the entries holds, Python ints (`dtype=object`) otherwise.  Every
 elimination is fraction-free, so nothing is ever rounded.  `SpanSolver`
-keeps each row as one such array, re-chosen after every row operation, so
-one elimination may move from int64 to Python ints and back; the numbers,
-and so the results, are the same on either dtype.  `rank` and `nullspace`
-take a 2-D array-like of integers or rationals (or a `Matrix`) and clear it
-once.  Coefficient vectors and kernel bases are (A, den) pairs;
-`nullspace` eliminates each block of columns that share no nonzero row
-with the others on its own.
+keeps every row in Python ints from its first reduction on; only what it
+hands out (coefficient vectors, echelon rows) is fitted back to int64.
+`rank` and `nullspace` take a 2-D array-like of integers or rationals (or
+a `Matrix`) and clear it once.  Coefficient vectors and kernel bases are
+(A, den) pairs; `nullspace` eliminates each block of columns that share no
+nonzero row with the others on its own.
 `full_rank_mod_p` asks of a whole stack of integer matrices whether each
 has full column rank modulo the prime P = 2**31 - 1, by one int64
 elimination: full rank modulo 2**31 - 1, which proves full rank over Q;
@@ -95,21 +94,17 @@ def _int_array(values) -> tuple[np.ndarray, int]:
 
 
 def _combine(r: np.ndarray, a: int, p: np.ndarray, b: int) -> np.ndarray:
-    """gcd-reduced a*r - b*p, exactly, on either dtype.
-
-    When r and p are int64, a and b are entries of them, so `_fit`'s bound
-    keeps the int64 arithmetic exact.
-    """
-    dt = np.result_type(r, p)
-    out = a * r.astype(dt, copy=False) - b * p.astype(dt, copy=False)
-    g = int(np.gcd.reduce(out, initial=0))
-    return _fit(out // g if g > 1 else out)
+    """gcd-reduced a*r - b*p of two rows of Python ints."""
+    out = a * r - b * p
+    g = math.gcd(*out)
+    return out // g if g > 1 else out
 
 
 class SpanSolver:
     """Incremental exact row space with membership and coefficient queries.
 
-    Vectors are cleared to integers on insertion.  Augmented tail columns
+    Vectors are cleared to integers on insertion, and every row is an array
+    of Python ints (dtype=object) from then on.  Augmented tail columns
     record how each echelon row decomposes over the inserted vectors, and a
     final scratch column plays the same role for the vector currently being
     reduced: a row is sum_j tail_j * inserted_j + scratch * vec.  Every row
@@ -133,14 +128,14 @@ class SpanSolver:
         if len(vec) != self.ncols:
             raise DimensionMismatchError(f"expected {self.ncols} entries, got {len(vec)}")
         ints, den = _int_array(vec)
-        tail = np.zeros(self.track + 1, dtype=np.int64 if den == 1 else object)
+        tail = np.zeros(self.track + 1, dtype=object)
         if slot is not None:
             tail[slot] = den
-        work = _fit(np.concatenate((ints, tail)))
+        work = np.concatenate((ints, tail), dtype=object)
         for prow, c in zip(self._rows, self._pivots):
-            b = int(work[c])
+            b = work[c]
             if b:
-                work = _combine(work, int(prow[c]), prow, b)
+                work = _combine(work, prow[c], prow, b)
         return work
 
     def insert(self, vec: Sequence) -> bool:
@@ -154,8 +149,8 @@ class SpanSolver:
         if not len(nz):
             return False
         piv = int(nz[0])
-        g = int(np.gcd.reduce(work, initial=0))
-        work = _fit(work // g if work[piv] > 0 else -(work // g))
+        g = math.gcd(*work)
+        work = work // g if work[piv] > 0 else -(work // g)
         pos = bisect.bisect(self._pivots, piv)
         self._rows.insert(pos, work)
         self._pivots.insert(pos, piv)
@@ -184,8 +179,8 @@ class SpanSolver:
             return None
         # 0 == sum_j tail_j * inserted_j + mu * vec, and mu > 0: it starts
         # positive and row operations scale it by stored (positive) pivots
-        c, mu = -work[self.ncols : -1], int(work[-1])
-        g = math.gcd(int(np.gcd.reduce(c, initial=0)), mu)
+        c, mu = -work[self.ncols : -1], work[-1]
+        g = math.gcd(*c, mu)
         return _fit(c // g), mu // g
 
     def echelon_rows(self) -> np.ndarray:

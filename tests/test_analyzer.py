@@ -96,6 +96,16 @@ def test_sampler_certifies_identity_for_sym():
     assert sample_certified_points(r, 1, hint=[1, 0, 1]) == [(1, 0, 1)]
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_sampler_rejects_a_count_below_one(count):
+    """A hint is never returned beyond the count asked for: `count` < 1 is
+    a ValueError, with or without a hint."""
+    with pytest.raises(ValueError, match="at least one point"):
+        sample_certified_points(gl(2), count, hint=[1, 0])
+    with pytest.raises(ValueError, match="at least one point"):
+        sample_certified_points(gl(2), count, seed=0)
+
+
 def test_zero_rep_is_not_prehomogeneous():
     zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
     with pytest.raises(NotPrehomogeneousError):
@@ -663,7 +673,7 @@ def _default_builds():
     return [
         (f"{e.id}{params}", _build(e, dict(params)))
         for e in catalog()
-        for params in (e.defaults or ({},))
+        for params in e.defaults
     ]
 
 

@@ -102,6 +102,11 @@ def test_run_param_without_value_exits_2(capsys):
     assert "--param expects name=value" in capsys.readouterr().err
 
 
+def test_run_repeated_param_exits_2(capsys):
+    assert main(["run", "--entry", "T2.1", "--param", "n=3", "--param", "n=5"]) == 2
+    assert "--param n given more than once" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["list"], ["run", "--entry", "T2.1"], ["table1"]])
 def test_non_integer_env_seed_exits_2_with_one_line(capsys, monkeypatch, argv):
     monkeypatch.setenv("PVKIT_SEED", "abc")

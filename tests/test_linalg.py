@@ -339,30 +339,64 @@ def _reference_combine(r, a, p, b):
     return [v // g for v in out] if g else out
 
 
-def test_combine_moves_between_int64_and_python_ints():
+def test_combine_keeps_rows_in_python_ints():
+    """A row operation stays in Python ints whatever the size of its
+    entries: a result that would fit int64, one that would not, and small
+    rows all come back as dtype=object arrays of ints."""
     # a and b are entries of p and r, as in every elimination step
     cases = [
-        (
-            np.array([2**61, 3 * 2**61, 5 * 2**61, 7 * 2**61 + 1], dtype=object),
-            np.array([1, 3, 5, 7], dtype=np.int64),
-            np.int64,
-        ),
-        (
-            np.array([3, 2**29, 1, 0], dtype=np.int64),
-            np.array([2**29 + 1, 1, 0, 0], dtype=np.int64),
-            object,
-        ),
-        (
-            np.array([3, 1, 4, 1], dtype=np.int64),
-            np.array([2, 7, 1, 8], dtype=np.int64),
-            np.int64,
-        ),
+        ([2**61, 3 * 2**61, 5 * 2**61, 7 * 2**61 + 1], [1, 3, 5, 7]),
+        ([3, 2**29, 1, 0], [2**29 + 1, 1, 0, 0]),
+        ([3, 1, 4, 1], [2, 7, 1, 8]),
+        ([2**70, 1, 0], [2**65 + 3, 0, 1]),
     ]
-    for r, p, dtype in cases:
-        a, b = int(p[0]), int(r[0])
-        out = _combine(r, a, p, b)
-        assert out.dtype == dtype
-        assert out.tolist() == _reference_combine(r.tolist(), a, p.tolist(), b)
+    for r, p in cases:
+        a, b = p[0], r[0]
+        out = _combine(np.array(r, dtype=object), a, np.array(p, dtype=object), b)
+        assert out.dtype == object
+        assert all(type(x) is int for x in out)
+        assert out.tolist() == _reference_combine(r, a, p, b)
+
+
+@pytest.mark.parametrize(
+    "vecs",
+    [
+        np.array([[1, 2, 3], [2, 5, 7], [0, 1, 4]], dtype=np.int64),
+        [[2**63 + 1, 1, 0], [2**64, 3, 5], [1, 1, 1]],
+        [[Q(1, 2), Q(2, 3), 0], [Q(-5, 7), 1, Q(1, 3)], [0, Q(1, 9), 2]],
+    ],
+    ids=["int64", "above-2^63", "fraction"],
+)
+def test_span_solver_rows_are_python_ints(vecs):
+    """Every stored row, and every reduced vector, is an object array of
+    Python ints, whatever the dtype of the input."""
+    solver = SpanSolver(3, track=3)
+    for v in vecs:
+        assert solver.insert(v)
+        assert solver._reduced(v, -1).dtype == object
+    assert all(r.dtype == object for r in solver._rows)
+    assert all(type(x) is int for r in solver._rows for x in r)
+
+
+@pytest.mark.parametrize("big", [4, 2**62, 2**70], ids=["4", "2^62", "2^70"])
+def test_results_leave_linalg_in_the_dtype_of_fit(big):
+    """rank is a Python int; kernels, coefficient vectors and echelon rows
+    come out as `_fit` picks for their values: int64 where they fit."""
+    m = np.array([[1, 2, 3, big], [2, 4, 7, 2 * big + 1], [0, 0, 1, 1]], dtype=object)
+    assert type(rank(m)) is int and rank(m) == 2
+    kernel, den = nullspace(m)
+    solver = SpanSolver(4, track=2)
+    solver.insert(m[0])
+    solver.insert(m[2])
+    coeffs, k = solver.coefficients(m[1])
+    echelon = solver.echelon_rows()
+    assert (kernel.tolist(), den) == ([[2, -1, 0, 0], [big - 3, 0, 1, -1]], 1)
+    assert (coeffs.tolist(), k) == ([2, 1], 1)
+    assert echelon.tolist() == [[1, 2, 3, big], [0, 0, 1, 1]]
+    for out in (kernel, coeffs, echelon):
+        assert out.dtype == _fit(out.astype(object)).dtype
+    assert coeffs.dtype == np.int64
+    assert kernel.dtype == echelon.dtype == (np.int64 if big == 4 else object)
 
 
 def _int_matrices():
@@ -370,8 +404,8 @@ def _int_matrices():
     for _ in range(40):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         yield [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-    # entries above 2**60: rows start as Python ints, and the second one
-    # (2**61 times an int64 row plus e_4) drops back to int64 once reduced
+    # entries above 2**60; the second row (2**61 times the first plus e_4)
+    # reduces to small entries, and stays in Python ints
     yield [
         [1, 2, 3, 4, 0],
         [2**61, 2 * 2**61, 3 * 2**61, 4 * 2**61, 1],

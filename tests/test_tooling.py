@@ -122,7 +122,9 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     assert isinstance(gate.test, ast.BoolOp) and len(gate.test.values) == 2
     assert len(_rank_calls(character)) == 1
     sampler = _function(tree, "sample_certified_points")
-    hint, *rest = [n for n in sampler.body if isinstance(n, ast.If)]
+    ifs = [n for n in sampler.body if isinstance(n, ast.If)]
+    (hint,) = [n for n in ifs if ast.unparse(n.test) == "hint is not None"]
+    rest = [n for n in ifs if n is not hint]
     assert "_full_column_rank" in _called(hint) and not _rank_calls(hint)
     (shortfall,) = [n for n in rest if _rank_calls(n)]
     assert ast.unparse(shortfall.test) == "len(points) < count"
@@ -188,6 +190,18 @@ def test_square_action_scatters_without_kron():
     fn = _function(ast.parse((SRC / "reps.py").read_text()), "_square_action")
     attrs = {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
     assert "kron" not in attrs and "kron" not in _called(fn)
+
+
+def test_span_solver_picks_no_dtype_per_row_operation():
+    """Rows stay in Python ints through the elimination: neither `_combine`
+    nor `SpanSolver._reduced` or `insert` fits an array, casts one or asks
+    numpy for a common dtype."""
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    (solver,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SpanSolver"]
+    methods = {n.name: n for n in solver.body if isinstance(n, ast.FunctionDef)}
+    for fn in (_function(tree, "_combine"), methods["_reduced"], methods["insert"]):
+        names = _called(fn) | {n.attr for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+        assert not names & {"_fit", "result_type", "astype"}, fn.name
 
 
 @pytest.mark.parametrize("module", ["catalog", "reps"])
