@@ -115,8 +115,10 @@ def _cmd_run_all(args) -> int:
 def _cmd_diagram(args) -> int:
     try:
         rs = build_root_system(args.type, args.rank)
-        circled = frozenset(int(tok) - 1 for tok in args.circle.split(","))
-        wd = WeightedDiagram(rs, circled)
+        circled = [int(tok) - 1 for tok in args.circle.split(",")]
+        if len(set(circled)) != len(circled):
+            raise ValueError(f"--circle {args.circle} repeats a vertex")
+        wd = WeightedDiagram(rs, frozenset(circled))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

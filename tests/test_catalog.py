@@ -259,3 +259,44 @@ def test_run_with_omitted_params_uses_first_default():
     report = run("T2.2", seed=0)
     assert report.params == {"n": 2}
     assert report.status == "pass"
+
+
+# One larger choice per parametrized entry, 2-3 times its largest default.
+LARGER_PARAMS = (
+    ("T2.1", {"n": 12}), ("T2.2", {"n": 8}), ("T2.3", {"n": 14}), ("T2.4", {"n": 8}),
+    ("T2.6", {"n": 8}), ("T3.1", {"n": 8}), ("T3.2a", {"n": 12}), ("T3.2b", {"n": 13}),
+    ("T3.3", {"n": 12}), ("T3.4a", {"n": 8}), ("T3.4b", {"n": 8}), ("T3.5", {"n": 8}),
+    ("T3.6", {"n": 8}), ("T3.7", {"n": 10}), ("T3.8", {"n": 8, "m": 4}), ("T3.9", {"n": 8}),
+    ("NEG-4.1.3", {"n": 8}), ("NEG-4.1.5", {"n": 15}), ("NEG-4.1.6", {"n": 4, "m": 7}),
+    ("NEG-4.1.8", {"n": 8}), ("NEG-4.1.9", {"n": 12}), ("NEG-4.2.1", {"n": 10}),
+    ("NEG-4.2.4", {"n": 13}), ("NEG-4.2.5", {"n": 8, "m": 4}), ("NEG-4.2.9b", {"m": 8}),
+    ("NEG-4.2.10", {"n": 4, "m": 6}),
+)
+# sha256 of the seed-0 summary JSON of the LARGER_PARAMS runs
+LARGER_PARAMS_SHA256 = "4b63d47b3ecaa6a5d86ca858d97f57b8c17e02b6ef47cb4691ee488aa4b0b357"
+
+
+def test_every_parametrized_entry_passes_at_larger_parameters():
+    """Each parametrized entry at one choice beyond its defaults: the run
+    passes with the entry's expected flags, every declared invariant is
+    verified at LAMBDA_POINTS points, and the seed-0 summary is frozen."""
+    import hashlib
+
+    from pvkit.catalog import summary_json
+
+    assert sorted(e for e, _ in LARGER_PARAMS) == sorted(
+        e.id for e in catalog() if e.params
+    )
+    reports = [run(eid, params, seed=0) for eid, params in LARGER_PARAMS]
+    for r in reports:
+        entry = get_entry(r.entry)
+        assert r.status == "pass" and not r.expected_diff, (r.entry, r.params)
+        assert r.character_dim == entry.expected_character_dim, r.entry
+        if entry.expected_regular is not None:
+            assert r.regular is entry.expected_regular, r.entry
+        for inv in r.invariants:
+            assert inv["verified"] and inv["lambda_nonzero"], (r.entry, inv["name"])
+            assert inv["points"] == LAMBDA_POINTS, (r.entry, inv["name"])
+    summary = {"entries": [r.to_dict(with_elapsed=False) for r in reports]}
+    digest = hashlib.sha256(summary_json(summary).encode()).hexdigest()
+    assert digest == LARGER_PARAMS_SHA256

@@ -66,6 +66,12 @@ def test_diagram_command_rejects_bad_input(capsys):
     assert main(["diagram", "--type", "A", "--rank", "3", "--circle", "9"]) == 2
 
 
+def test_diagram_command_rejects_a_repeated_vertex(capsys):
+    assert main(["diagram", "--type", "G", "--rank", "2", "--circle", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--circle 1,1 repeats a vertex" in captured.err
+
+
 def test_table1_command(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
