@@ -4,8 +4,8 @@
 The pipeline: certify a generic point by a full-rank certificate, which
 fixes the isotropy dimension by rank-nullity, count available characters as
 a corank of the commutators at that point, check the determinant transforms
-by a character through exact gradients (one taped evaluation and one
-backward sweep per point), and decide regularity by one rank that gives the
+by a character through exact gradients (one fraction-free elimination
+per point gives det and its adjugate), and decide regularity by one rank that gives the
 Hessian's rank.  Step 2 builds the isotropy subalgebra itself,
 which the pipeline does not need.
 """

@@ -7,8 +7,9 @@ rest.  One sampling call per run draws every certified point, as tuples of
 Python ints, and certifies its draws in blocks, one stacked elimination
 mod P per block.  The isotropy dimension d - n follows from the point
 certificate by rank-nullity, so no kernel is computed.  Relative
-invariance is checked through exact gradients, each from one taped
-evaluation and a backward sweep, with the character compared in integers;
+invariance is checked through exact gradients, each in closed form from
+the invariant's data (a determinant, a pfaffian or integer terms), with the
+character compared in integers;
 the character vanishes on the derived algebra when the gradient at the
 first point is orthogonal to the commutators [g, g].x there, read off one
 d x d integer matrix that must be symmetric.  The character-lattice rank is
@@ -250,8 +251,9 @@ def _first_order(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """(f(x), grad f(x), num) at the integer point x.
 
-    One taped evaluation of f and one backward sweep give f(x) and the
-    exact gradient (`value_and_gradient`).  num_X = grad f(x) . (T_X x) is
+    f(x) and the exact gradient come in closed form from f's data
+    (`value_and_gradient`: an elimination for a det or Pf grid, one loop
+    over the terms of a polynomial).  num_X = grad f(x) . (T_X x) is
     the derivative along X.x, times den, multiplied out in int64 under
     `_fit`'s bound.  All three come as Python ints.  The evaluation reads
     each coordinate through operator.index, so a Fraction or float is a

@@ -1,220 +1,191 @@
-"""Exact evaluators for the relative invariants of the catalog.
+"""The relative invariants of the catalog, as integer data of three kinds.
 
-Every evaluator is a black-box polynomial function of its coordinate vector,
-generic over any commutative ring containing the integers: exact rationals
-or Python ints for plain evaluation, and tape nodes for the exact gradient
-of `value_and_gradient`, which takes one taped evaluation and one backward
-sweep.  All algorithms are division-free.
+* ``det``: an integer index grid, matrix entry (i, j) = coordinate grid[i, j];
+* ``pf``: the same for an antisymmetric matrix; only entries above the
+  diagonal are read;
+* ``poly``: a (terms, degree) array of coordinate indices with one integer
+  coefficient per term, summed as c x_a x_b ...
 
-Coordinate conventions (shared with the representation builders):
+So det, Pf, the bordered Pf and det(v;x) differ only in their grids, and the
+quadratic and bilinear forms and the Freudenthal cubic only in their terms.
+`value_and_gradient` gives the exact value and gradient at an integer point
+in Python ints, in one closed form per kind:
 
-* symmetric n x n matrices: upper triangle row-major including the diagonal,
-  (0,0), (0,1), ..., (0,n-1), (1,1), ..., as np.triu_indices(n) lists them;
-* antisymmetric n x n matrices: strict upper triangle row-major;
-* m x n matrix spaces: row-major;
-* direct sums: the summands in the order of `MatrixRep.summand_dims`.
+* det: one fraction-free Gauss-Jordan elimination on [M | I] (Bareiss 1968)
+  gives det M and adj M; the gradient is adj^T, read through the grid;
+* pf: |Pf| = isqrt(det M), its sign comes from one skew elimination modulo a
+  prime that does not divide it, and dPf/dm_ij = adj_ji / Pf exactly;
+* poly: one loop over the terms.
 
-Determinants and pfaffians gather their matrix through an integer index
-grid (entry (i, j) is coordinate grid[i, j]), so det, Pf, the bordered Pf
-and det(v;x) differ only in their grids; the quadratic and bilinear forms
-are integer term lists (i, j, c), summed as c x_i x_j.
+Coordinates: Sym(n) is the upper triangle row-major with the diagonal, in
+the order of np.triu_indices(n); AS(n) the strict upper triangle likewise;
+M(m, n) is row-major; a direct sum lists its summands in the order of
+`MatrixRep.summand_dims`.
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import count
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import _int_array
-from .octonion import albert_coords_dim, freudenthal_value
+from .linalg import P, _int_array
+from .octonion import albert_coords_dim, freudenthal_monomials
 
 __all__ = [
-    "InvariantPolynomial",
-    "determinant",
-    "pfaffian",
-    "quadratic_form",
-    "pair_dot",
-    "symplectic_pair",
-    "pf_gram",
-    "bordered_pfaffian",
-    "det_augmented",
-    "freudenthal_cubic",
-    "restrict_to_summand",
-    "ring_det",
-    "ring_pf",
-    "TapeNode",
-    "value_and_gradient",
+    "InvariantPolynomial", "determinant", "pfaffian", "quadratic_form", "pair_dot",
+    "symplectic_pair", "pf_gram", "bordered_pfaffian", "det_augmented",
+    "freudenthal_cubic", "restrict_to_summand", "value_and_gradient",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvariantPolynomial:
-    """Exactly evaluable homogeneous polynomial with degree metadata."""
+    """A homogeneous integer polynomial as data (see the module docstring).
+    eq=False: an invariant hashes by identity, as a key of the analyzer's
+    cache, and no array enters the hash."""
 
     arity: int
-    degree: int
     name: str
-    evaluator: Callable[[Sequence], object]
+    kind: str
+    index: np.ndarray
+    coeffs: tuple = ()
+
+    def __post_init__(self):
+        index = np.array(self.index, dtype=np.int64)
+        index.flags.writeable = False
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
+
+    @property
+    def degree(self) -> int:
+        m = self.index.shape[1]
+        return m // 2 if self.kind == "pf" else m
 
     def __call__(self, coords: Sequence):
-        if len(coords) != self.arity:
-            raise ValueError(f"{self.name}: expected {self.arity} coordinates")
-        return self.evaluator(coords)
+        """f(coords) exactly: rationals are cleared once to ints / D, and f is
+        homogeneous, so f(coords) = f(ints) / D**degree."""
+        ints, den = _int_array(coords)
+        value = value_and_gradient(self, ints.tolist())[0]
+        return value if den == 1 else Fraction(value, den**self.degree)
 
 
-class TapeNode:
-    """A Python int value at index i of a gradient tape.
+def _det_adj(m: list[list[int]]) -> tuple[int, Optional[list[list[int]]]]:
+    """(det m, adj m) for a square matrix of Python ints, or (0, None) when
+    m is singular, by one fraction-free Gauss-Jordan elimination on [m | I].
 
-    Each +, -, * or unary - with another node or an int appends one new
-    node, whose tape entry holds the (parent index, int coefficient) pairs
-    of its partial derivatives.  A shared subexpression, such as a memoized
-    minor, is one node and so is swept once.
+    Step k replaces every row but the pivot row by (p_k row - a_ik pivot
+    row) / p_(k-1); each entry is then a minor of [m | I], so the division
+    is exact (Bareiss 1968).  The left block ends as d I, with d the last
+    pivot, and the right block as d m^-1; a row swap flips the sign of d.
     """
-
-    __slots__ = ("v", "i", "tape")
-
-    def __init__(self, v: int, tape: list, parents: tuple):
-        self.v = v
-        self.i = len(tape)
-        self.tape = tape
-        tape.append(parents)
-
-    def __add__(self, other):
-        if isinstance(other, TapeNode):
-            return TapeNode(self.v + other.v, self.tape, ((self.i, 1), (other.i, 1)))
-        return TapeNode(self.v + other, self.tape, ((self.i, 1),))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, TapeNode):
-            return TapeNode(self.v - other.v, self.tape, ((self.i, 1), (other.i, -1)))
-        return TapeNode(self.v - other, self.tape, ((self.i, 1),))
-
-    def __rsub__(self, other):
-        return TapeNode(other - self.v, self.tape, ((self.i, -1),))
-
-    def __mul__(self, other):
-        if isinstance(other, TapeNode):
-            return TapeNode(
-                self.v * other.v, self.tape, ((self.i, other.v), (other.i, self.v))
-            )
-        return TapeNode(self.v * other, self.tape, ((self.i, other),))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TapeNode(-self.v, self.tape, ((self.i, -1),))
+    n = len(m)
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        j = next((j for j in range(k, n) if a[j][k]), None)
+        if j is None:
+            return 0, None
+        if j != k:
+            a[k], a[j] = a[j], a[k]
+            sign = -sign
+        pivot_row, pk = a[k], a[k][k]
+        for i, row in enumerate(a):
+            if i != k:
+                c = row[k]
+                a[i] = [(pk * x - c * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pk
+    return sign * prev, [[sign * v for v in row[n:]] for row in a]
 
 
-def value_and_gradient(
-    f: Callable[[Sequence], object], xi: Sequence[int]
-) -> tuple[int, list[int]]:
-    """(f(xi), grad f(xi)) exactly, from one evaluation and one backward sweep.
+def _pf_mod(m: list[list[int]], p: int) -> int:
+    """Pf m mod the prime p, for an antisymmetric matrix m of Python ints.
+    Each step moves a nonzero entry of row k to column k + 1 (one swap of
+    rows and columns, which negates Pf), multiplies Pf by a = m[k][k+1] and
+    replaces the trailing block by its Schur complement m_il -
+    (m_ki m_(k+1)l - m_kl m_(k+1)i) / a, which is again antisymmetric."""
+    a = [[v % p for v in row] for row in m]
+    pf = 1
+    for k in range(0, len(a), 2):
+        j = next((j for j in range(k + 1, len(a)) if a[k][j]), None)
+        if j is None:
+            return 0
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            pf = -pf
+        rk, rk1, pivot = a[k][k + 2 :], a[k + 1][k + 2 :], a[k][k + 1]
+        pf, inv = pf * pivot % p, pow(pivot, -1, p)
+        for c, d, row in zip(rk, rk1, a[k + 2 :]):
+            c, d = c * inv % p, d * inv % p
+            row[k + 2 :] = [(x - c * y + d * z) % p for x, y, z in zip(row[k + 2 :], rk1, rk)]
+    return pf
 
-    f runs once on tape nodes holding the Python ints xi (numpy integers are
-    converted first, so nothing wraps around).  The sweep visits the tape
-    from the output back in creation order, adds each nonzero adjoint times
-    the recorded coefficients to the parents' adjoints, and ends with the
-    adjoints of the n inputs.  An evaluator that returns a plain int is
-    constant, with gradient zero.  Reverse mode costs a constant multiple
-    of one evaluation (Baur and Strassen 1983); n forward jets cost n of them.
+
+def _next_prime(p: int) -> int:
+    """The least prime above the odd number p, by trial division."""
+    return next(q for q in count(p + 2, 2) if all(q % r for r in range(3, math.isqrt(q) + 1, 2)))
+
+
+def value_and_gradient(f: InvariantPolynomial, xi: Sequence[int]) -> tuple[int, Optional[list]]:
+    """(f(xi), grad f(xi)) exactly at an integer point, in Python ints.
+
+    Coordinates pass through operator.index: numpy integers become Python
+    ints, so nothing wraps around, and a Fraction or float is a TypeError.
+    At a singular det or Pf grid the value is 0 and the gradient None; the
+    analyzer reads gradients only where a relative invariant is nonzero.
     """
-    tape: list = []
-    nodes = [TapeNode(operator.index(v), tape, ()) for v in xi]
-    n = len(nodes)
-    out = f(nodes)
-    if not isinstance(out, TapeNode):
-        return operator.index(out), [0] * n
-    adj = [0] * len(tape)
-    adj[out.i] = 1
-    for k in range(out.i, n - 1, -1):  # the n inputs have no parents
-        a = adj[k]
-        if a:
-            for p, c in tape[k]:
-                adj[p] += a * c
-    return out.v, adj[:n]
-
-
-def ring_det(rows: list[list]) -> object:
-    """Division-free determinant by memoized minor expansion."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    memo: dict[tuple[int, ...], object] = {}
-
-    def minor(cols: tuple[int, ...]) -> object:
-        if len(cols) == 1:
-            return rows[n - 1][cols[0]]
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        r = n - len(cols)
-        acc = 0
-        for pos, c in enumerate(cols):
-            rest = cols[:pos] + cols[pos + 1 :]
-            term = rows[r][c] * minor(rest)
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(n)))
-
-
-def ring_pf(rows: list[list]) -> object:
-    """Pfaffian of an even antisymmetric matrix, combinatorial expansion.
-
-    Only the entries above the diagonal are read, so rows may hold anything
-    on and below it.  Sign convention: Pf = sum over perfect matchings with
-    the sign of the matching permutation, so Pf([[0, a], [-a, 0]]) = a.
-    """
-    n = len(rows)
-    if n % 2:
-        raise ValueError("pfaffian requires even size")
-    if n == 0:
-        return 1
-    memo: dict[tuple[int, ...], object] = {}
-
-    def pf(idx: tuple[int, ...]) -> object:
-        if not idx:
-            return 1
-        got = memo.get(idx)
-        if got is not None:
-            return got
-        i0, rest = idx[0], idx[1:]
-        acc = 0
-        for pos, j in enumerate(rest):
-            others = rest[:pos] + rest[pos + 1 :]
-            term = rows[i0][j] * pf(others)
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[idx] = acc
-        return acc
-
-    return pf(tuple(range(n)))
+    x = [operator.index(v) for v in xi]
+    if len(x) != f.arity:
+        raise ValueError(f"{f.name}: expected {f.arity} coordinates")
+    if f.kind == "poly":
+        value, grad = 0, [0] * len(x)
+        for term, c in zip(f.index.tolist(), f.coeffs):
+            vals = [x[i] for i in term]
+            value += c * math.prod(vals)
+            for q, i in enumerate(term):
+                grad[i] += c * math.prod(vals[:q] + vals[q + 1 :])
+        return value, grad
+    grid = f.index.tolist()
+    n = len(grid)
+    if f.kind == "det":
+        m = [[x[g] for g in row] for row in grid]
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        m = [[0] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for i, j in pairs:
+            m[i][j], m[j][i] = x[grid[i][j]], -x[grid[i][j]]
+    value, adj = _det_adj(m)
+    if adj is None:
+        return 0, None
+    scale = 1
+    if f.kind == "pf":
+        root, p = math.isqrt(value), P
+        while root % p == 0:
+            p = _next_prime(p)
+        value = scale = root if _pf_mod(m, p) == root % p else -root
+    grad = [0] * len(x)
+    for i, j in pairs:
+        grad[grid[i][j]] += adj[j][i] // scale
+    return value, grad
 
 
 def _triangle_grid(n: int, upper: int) -> np.ndarray:
     """n x n index grid of the triangle coordinates: entries (i, j) and
     (j, i) both hold the index of coordinate (i, j), i <= j (upper=0) or
     i < j (upper=1), in the row-major order of np.triu_indices(n, upper).
-    With upper=1 the diagonal holds index 0, which ring_pf never reads."""
+    With upper=1 the diagonal holds index 0, which a pf grid never reads."""
     grid = np.zeros((n, n), dtype=np.int64)
     i, j = np.triu_indices(n, upper)
     grid[i, j] = grid[j, i] = np.arange(len(i))
     return grid
-
-
-def _on_grid(grid: np.ndarray, expand: Callable[[list[list]], object]):
-    """The evaluator coords -> expand(M) with M[i][j] = coords[grid[i, j]]."""
-    rows = grid.tolist()
-
-    def ev(coords):
-        return expand([[coords[k] for k in row] for row in rows])
-
-    return ev
 
 
 def determinant(n: int, space: str = "full") -> InvariantPolynomial:
@@ -222,36 +193,32 @@ def determinant(n: int, space: str = "full") -> InvariantPolynomial:
     if n < 1:
         raise ValueError("determinant needs n >= 1")
     if space == "full":
-        grid = np.arange(n * n).reshape(n, n)
-        return InvariantPolynomial(n * n, n, f"det on M({n})", _on_grid(grid, ring_det))
+        return InvariantPolynomial(n * n, f"det on M({n})", "det", np.arange(n * n).reshape(n, n))
     if space == "sym":
-        ev = _on_grid(_triangle_grid(n, 0), ring_det)
-        return InvariantPolynomial(n * (n + 1) // 2, n, f"det on Sym({n})", ev)
+        grid = _triangle_grid(n, 0)
+        return InvariantPolynomial(n * (n + 1) // 2, f"det on Sym({n})", "det", grid)
     raise ValueError("space must be 'full' or 'sym'")
 
 
 def pfaffian(n: int) -> InvariantPolynomial:
-    """Pfaffian on AS(n), n even; degree n/2."""
+    """Pfaffian on AS(n), n even; degree n/2.  Sign convention: Pf is the
+    sum over perfect matchings with the sign of the matching permutation,
+    so Pf([[0, a], [-a, 0]]) = a."""
     if n < 2 or n % 2:
         raise ValueError("pfaffian needs even n >= 2")
-    ev = _on_grid(_triangle_grid(n, 1), ring_pf)
-    return InvariantPolynomial(n * (n - 1) // 2, n // 2, f"Pf on AS({n})", ev)
+    return InvariantPolynomial(n * (n - 1) // 2, f"Pf on AS({n})", "pf", _triangle_grid(n, 1))
 
 
 def bordered_pfaffian(n: int) -> InvariantPolynomial:
     """(v, x) -> Pf of the (n+1)-square border [[x, v], [-v^T, 0]], n odd.
-
     The grid's last column reads v; x follows v in the coordinates.  With
-    the matching-sign convention of ring_pf, the example x = J2 + zero
-    block, v = e_n evaluates to +1.
-    """
+    the sign convention of `pfaffian`, x = J2 + zero block, v = e_n gives +1."""
     if n < 3 or n % 2 == 0:
         raise ValueError("bordered pfaffian needs odd n >= 3")
     grid = np.pad(n + _triangle_grid(n, 1), (0, 1))
     grid[:n, n] = np.arange(n)
-    ev = _on_grid(grid, ring_pf)
     name = f"Pf([[x,v],[-v^T,0]]) on C^{n}+AS({n})"
-    return InvariantPolynomial(n + n * (n - 1) // 2, (n + 1) // 2, name, ev)
+    return InvariantPolynomial(n + n * (n - 1) // 2, name, "pf", grid)
 
 
 def det_augmented(n: int) -> InvariantPolynomial:
@@ -260,22 +227,13 @@ def det_augmented(n: int) -> InvariantPolynomial:
     if n < 2:
         raise ValueError("augmented determinant needs n >= 2")
     grid = np.c_[np.arange(n), n + np.arange(n * (n - 1)).reshape(n, n - 1)]
-    ev = _on_grid(grid, ring_det)
-    return InvariantPolynomial(n * n, n, f"det(v;x) on M({n},1)+M({n},{n - 1})", ev)
+    return InvariantPolynomial(n * n, f"det(v;x) on M({n},1)+M({n},{n - 1})", "det", grid)
 
 
 def _bilinear(arity: int, name: str, terms: list[tuple[int, int, int]]) -> InvariantPolynomial:
-    """The quadratic x -> sum of c x_i x_j over the integer terms (i, j, c);
-    a term with c = 1 or -1 is added or subtracted with no multiply by c."""
-
-    def ev(coords):
-        acc = 0
-        for i, j, c in terms:
-            t = coords[i] * coords[j]
-            acc = acc + t if c == 1 else acc - t if c == -1 else acc + c * t
-        return acc
-
-    return InvariantPolynomial(arity, 2, name, ev)
+    """The quadratic x -> sum of c x_i x_j over the integer terms (i, j, c)."""
+    index = np.array([(i, j) for i, j, _ in terms], dtype=np.int64).reshape(-1, 2)
+    return InvariantPolynomial(arity, name, "poly", index, tuple(c for _, _, c in terms))
 
 
 def _symplectic_terms(u: Sequence[int], v: Sequence[int]) -> list[tuple[int, int, int]]:
@@ -286,10 +244,8 @@ def _symplectic_terms(u: Sequence[int], v: Sequence[int]) -> list[tuple[int, int
 
 
 def quadratic_form(s) -> InvariantPolynomial:
-    """x -> x^T s x for a square, symmetric integer matrix s (array-like).
-
-    The terms s_ii x_i^2 and 2 s_ij x_i x_j (i < j) are precomputed as ints.
-    """
+    """x -> x^T s x for a square, symmetric integer matrix s (array-like):
+    the terms s_ii x_i^2 and 2 s_ij x_i x_j, i < j."""
     a, den = _int_array(s)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("quadratic form needs a square matrix")
@@ -298,12 +254,8 @@ def quadratic_form(s) -> InvariantPolynomial:
     if den != 1:
         raise ValueError("quadratic form needs integer entries")
     n = len(a)
-    terms = [
-        (i, j, int(a[i, j]) * (1 if i == j else 2))
-        for i in range(n)
-        for j in range(i, n)
-        if a[i, j]
-    ]
+    i, j = np.nonzero(np.triu(a))
+    terms = [(p, q, int(a[p, q]) * (1 if p == q else 2)) for p, q in zip(i.tolist(), j.tolist())]
     return _bilinear(n, f"quadratic form on C^{n}", terms)
 
 
@@ -327,23 +279,21 @@ def pf_gram(n: int) -> InvariantPolynomial:
 
 
 def freudenthal_cubic() -> InvariantPolynomial:
-    """The cubic form on the 27 coordinates of 3x3 Hermitian octonion matrices."""
-    return InvariantPolynomial(
-        albert_coords_dim, 3, "Freudenthal cubic on C^27", freudenthal_value
-    )
+    """The cubic form on the 27 coordinates of 3x3 Hermitian octonion
+    matrices: its 89 monomials from `octonion.freudenthal_monomials`."""
+    index, coeffs = zip(*freudenthal_monomials())
+    name = "Freudenthal cubic on C^27"
+    return InvariantPolynomial(albert_coords_dim, name, "poly", index, coeffs)
 
 
 def restrict_to_summand(
     f: InvariantPolynomial, summand_dims: Sequence[int], k: int
 ) -> InvariantPolynomial:
     """View an invariant of summand k (from 0) of a direct sum with the given
-    summand dimensions as a function of the whole sum."""
+    summand dimensions as a function of the whole sum: its indices move by
+    the dimensions of the summands before k."""
     if not 0 <= k < len(summand_dims) or f.arity != summand_dims[k]:
         raise ValueError(f"{f.name} is not a function on summand {k} of {tuple(summand_dims)}")
-    offset = sum(summand_dims[:k])
     ordinal = ("1st", "2nd", "3rd")[k] if k < 3 else f"{k + 1}th"
-
-    def ev(coords):
-        return f.evaluator(coords[offset : offset + f.arity])
-
-    return InvariantPolynomial(sum(summand_dims), f.degree, f"{f.name} ({ordinal} summand)", ev)
+    name = f"{f.name} ({ordinal} summand)"
+    return replace(f, arity=sum(summand_dims), name=name, index=f.index + sum(summand_dims[:k]))

@@ -13,10 +13,10 @@ coordinates are ordered (x1, x2, x3, o1[0..7], o2[0..7], o3[0..7]) for
 and the cubic form is normalized so diag(a, b, c) evaluates to a*b*c.
 
 The cubic form is integer data: `freudenthal_monomials` lists its 89 terms
-c * x_a x_b x_c, read straight off the multiplication table, and
-`freudenthal_value` sums them.  Evaluation is generic over any commutative
-ring whose elements support +, -, * with Python ints (exact rationals and
-the gradient tape nodes of `invariants.value_and_gradient` in particular).
+c * x_a x_b x_c, read straight off the multiplication table.
+`invariants.freudenthal_cubic` holds them as a term array, whose value and
+gradient are one loop over the terms; `freudenthal_value` sums them over
+any commutative ring whose elements support +, -, * with Python ints.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
 """Shared helpers for the test suite: Fraction, jet, coefficient-space and
-exact-rank references for the integer and modular paths of the package, and
-the hand-written invariant evaluators that the index grids and term lists
-replaced, and the dense kron square action and one-block nullspace that
-the scattered and block-wise builds replaced."""
+exact-rank references for the integer and modular paths of the package;
+the ring-generic evaluation of an invariant's data (memoized det and Pf
+expansions, term sums) and the reverse-mode tape that the closed-form
+gradients replaced; the hand-written invariant evaluators that the index
+grids and term lists replaced; and the dense kron square action and
+one-block nullspace that the scattered and block-wise builds replaced."""
 
 import math
+import operator
 import re
 from fractions import Fraction as Q
 
 import numpy as np
 
 from pvkit.analyzer import MAX_DRAWS
-from pvkit.invariants import ring_det, ring_pf
+from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
     DetRng,
     DimensionMismatchError,
@@ -64,15 +67,179 @@ def det(m) -> Q:
     return Q(sign * a[n - 1][n - 1], den**n)
 
 
+def ring_det(rows: list[list]) -> object:
+    """Division-free determinant by memoized minor expansion."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    memo: dict[tuple[int, ...], object] = {}
+
+    def minor(cols: tuple[int, ...]) -> object:
+        if len(cols) == 1:
+            return rows[n - 1][cols[0]]
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        r = n - len(cols)
+        acc = 0
+        for pos, c in enumerate(cols):
+            rest = cols[:pos] + cols[pos + 1 :]
+            term = rows[r][c] * minor(rest)
+            acc = acc + term if pos % 2 == 0 else acc - term
+        memo[cols] = acc
+        return acc
+
+    return minor(tuple(range(n)))
+
+
+def ring_pf(rows: list[list]) -> object:
+    """Pfaffian of an even antisymmetric matrix, combinatorial expansion.
+
+    Only the entries above the diagonal are read, so rows may hold anything
+    on and below it.  Sign convention: Pf = sum over perfect matchings with
+    the sign of the matching permutation, so Pf([[0, a], [-a, 0]]) = a.
+    """
+    n = len(rows)
+    if n % 2:
+        raise ValueError("pfaffian requires even size")
+    if n == 0:
+        return 1
+    memo: dict[tuple[int, ...], object] = {}
+
+    def pf(idx: tuple[int, ...]) -> object:
+        if not idx:
+            return 1
+        got = memo.get(idx)
+        if got is not None:
+            return got
+        i0, rest = idx[0], idx[1:]
+        acc = 0
+        for pos, j in enumerate(rest):
+            others = rest[:pos] + rest[pos + 1 :]
+            term = rows[i0][j] * pf(others)
+            acc = acc + term if pos % 2 == 0 else acc - term
+        memo[idx] = acc
+        return acc
+
+    return pf(tuple(range(n)))
+
+
+def ring_evaluator(f: InvariantPolynomial):
+    """coords -> f(coords) over the ring of the coordinates, from f's data:
+    its grid through `ring_det` or `ring_pf`, or the sum of its terms, where
+    a term with coefficient 1 or -1 is added or subtracted with no multiply.
+    Division-free, so it runs on jets and tape nodes."""
+    if f.kind == "poly":
+        terms = list(zip(f.index.tolist(), f.coeffs))
+
+        def ev(coords):
+            acc = 0
+            for term, c in terms:
+                t = coords[term[0]] if term else 1
+                for i in term[1:]:
+                    t = t * coords[i]
+                acc = acc + t if c == 1 else acc - t if c == -1 else acc + c * t
+            return acc
+
+        return ev
+    rows = f.index.tolist()
+    expand = ring_det if f.kind == "det" else ring_pf
+
+    def ev(coords):
+        return expand([[coords[k] for k in row] for row in rows])
+
+    return ev
+
+
+class TapeNode:
+    """A Python int value at index i of a gradient tape.
+
+    Each +, -, * or unary - with another node or an int appends one new
+    node, whose tape entry holds the (parent index, int coefficient) pairs
+    of its partial derivatives.  A shared subexpression, such as a memoized
+    minor, is one node and so is swept once.
+    """
+
+    __slots__ = ("v", "i", "tape")
+
+    def __init__(self, v: int, tape: list, parents: tuple):
+        self.v = v
+        self.i = len(tape)
+        self.tape = tape
+        tape.append(parents)
+
+    def __add__(self, other):
+        if isinstance(other, TapeNode):
+            return TapeNode(self.v + other.v, self.tape, ((self.i, 1), (other.i, 1)))
+        return TapeNode(self.v + other, self.tape, ((self.i, 1),))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, TapeNode):
+            return TapeNode(self.v - other.v, self.tape, ((self.i, 1), (other.i, -1)))
+        return TapeNode(self.v - other, self.tape, ((self.i, 1),))
+
+    def __rsub__(self, other):
+        return TapeNode(other - self.v, self.tape, ((self.i, -1),))
+
+    def __mul__(self, other):
+        if isinstance(other, TapeNode):
+            return TapeNode(
+                self.v * other.v, self.tape, ((self.i, other.v), (other.i, self.v))
+            )
+        return TapeNode(self.v * other, self.tape, ((self.i, other),))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return TapeNode(-self.v, self.tape, ((self.i, -1),))
+
+
+def _ring_function(f):
+    """An invariant's `ring_evaluator`, or f itself if it is a plain function
+    of a coordinate list."""
+    return ring_evaluator(f) if isinstance(f, InvariantPolynomial) else f
+
+
+def taped_value_and_gradient(f, xi) -> tuple[int, list[int]]:
+    """(f(xi), grad f(xi)) exactly, from one evaluation and one backward sweep:
+    the reference for `invariants.value_and_gradient`.
+
+    f (an invariant, through `ring_evaluator`, or a function of a coordinate
+    list) runs once on tape nodes holding the Python ints xi (numpy integers
+    are converted first, so nothing wraps around).  The sweep visits the
+    tape from the output back in creation order, adds each nonzero adjoint
+    times the recorded coefficients to the parents' adjoints, and ends with
+    the adjoints of the n inputs.  An evaluator that returns a plain int is
+    constant, with gradient zero.
+    """
+    tape: list = []
+    nodes = [TapeNode(operator.index(v), tape, ()) for v in xi]
+    n = len(nodes)
+    out = _ring_function(f)(nodes)
+    if not isinstance(out, TapeNode):
+        return operator.index(out), [0] * n
+    adj = [0] * len(tape)
+    adj[out.i] = 1
+    for k in range(out.i, n - 1, -1):  # the n inputs have no parents
+        a = adj[k]
+        if a:
+            for p, c in tape[k]:
+                adj[p] += a * c
+    return out.v, adj[:n]
+
+
 def jet_line(f, x, u) -> Jet2:
-    """Evaluate f along t -> x + t u as a single second-order jet.
+    """Evaluate f (an invariant, through `ring_evaluator`, or a function of
+    a coordinate list) along t -> x + t u as a single second-order jet.
 
     The jet is computed over the ring of x and u, uncoerced; pass Python
     ints, never numpy integers, which would wrap around.
     """
     if len(x) != len(u):
         raise DimensionMismatchError("x and u must have equal length")
-    return Jet2._lift(f([Jet2(xi, ui) for xi, ui in zip(x, u)]))
+    return Jet2._lift(_ring_function(f)([Jet2(xi, ui) for xi, ui in zip(x, u)]))
 
 
 def basis(rep: MatrixRep) -> tuple[Matrix, ...]:

@@ -25,13 +25,12 @@ from pvkit.analyzer import (
 )
 from pvkit.invariants import (
     InvariantPolynomial,
-    TapeNode,
     determinant,
     pfaffian,
     quadratic_form,
     restrict_to_summand,
 )
-from pvkit.linalg import P, DetRng, Jet2, Matrix, full_rank_mod_p, nullspace, rank
+from pvkit.linalg import P, DetRng, Matrix, full_rank_mod_p, nullspace, rank
 from pvkit.reps import (
     MatrixRep,
     add_torus,
@@ -390,7 +389,7 @@ def test_classify_inconclusive_when_not_prehomogeneous():
 
 
 def test_classify_records_unverifiable_invariant():
-    zero_inv = InvariantPolynomial(1, 1, "zero", lambda coords: 0)
+    zero_inv = InvariantPolynomial(1, "zero", "poly", np.zeros((0, 1)))
     rep = classify(torus_line(), [zero_inv], seed=0)
     assert rep.prehomogeneous and rep.character_dim == 1
     (chk,) = rep.invariant_checks
@@ -402,7 +401,7 @@ def test_classify_reports_an_invariant_vanishing_at_a_certified_point():
     """A nonzero relative invariant vanishes nowhere on the open orbit, so a
     form that vanishes at the certified hint is reported unverified at 0
     points instead of being checked at points off its zero set."""
-    off_diagonal = InvariantPolynomial(3, 1, "x01", lambda c: c[1])
+    off_diagonal = InvariantPolynomial(3, "x01", "poly", [[1]], (1,))
     rep = classify(sym2(gl(2)), [off_diagonal], x_hint=[1, 0, 1], seed=0)
     assert rep.prehomogeneous
     (chk,) = rep.invariant_checks
@@ -410,11 +409,43 @@ def test_classify_reports_an_invariant_vanishing_at_a_certified_point():
     assert "x01 unverified: x01 vanishes on the open orbit" in rep.notes
 
 
+@pytest.mark.parametrize("kind,grid", [("det", [[1]]), ("pf", [[0, 1], [1, 0]])])
+def test_classify_reports_a_grid_singular_at_a_certified_point(kind, grid):
+    """A det or Pf grid singular at the certified hint has value 0 and no
+    gradient, so the stage raises ZeroAtTestPointError and the run reports
+    the invariant unverified."""
+    f = InvariantPolynomial(3, f"{kind} of x01", kind, grid)
+    with pytest.raises(ZeroAtTestPointError):
+        verify_relative_invariant(sym2(gl(2)), f, [(1, 0, 1)])
+    rep = classify(sym2(gl(2)), [f], x_hint=[1, 0, 1], seed=0)
+    (chk,) = rep.invariant_checks
+    assert rep.prehomogeneous and not chk.verified and chk.points_checked == 0
+    assert f"{f.name} unverified: {f.name} vanishes on the open orbit" in rep.notes
+
+
+def _counting_gradients(monkeypatch) -> dict:
+    """Patch analyzer.value_and_gradient to count its calls per invariant
+    name and to assert that every coordinate it is given is a Python int."""
+    from pvkit import analyzer
+
+    evals: dict = {}
+    closed_form = analyzer.value_and_gradient
+
+    def counted(f, point):
+        assert all(type(c) is int for c in point), point
+        evals[f.name] = evals.get(f.name, 0) + 1
+        return closed_form(f, point)
+
+    monkeypatch.setattr(analyzer, "value_and_gradient", counted)
+    analyzer._first_order_at.cache_clear()  # a cached gradient is not re-taken
+    return evals
+
+
 def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypatch):
     """On an entry with two invariants: one certificate per distinct draw,
-    and each invariant is evaluated LAMBDA_POINTS times, once per point, on
-    tape nodes: the taped evaluation gives the value and the gradient.  The
-    certificates are the orbit matrices that reach the mod-P kernel, in
+    and each invariant is evaluated LAMBDA_POINTS times, once per point, by
+    one `value_and_gradient` call that gives the value and the gradient.
+    The certificates are the orbit matrices that reach the mod-P kernel, in
     blocks of draws; the orbit map is injective here, so distinct draws have
     distinct matrices."""
     from pvkit import analyzer
@@ -422,7 +453,7 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
 
     built = _build(get_entry("NEG-4.2.8b"), {})
     orbit_shape = (built.rep.algebra_dim, built.rep.space_dim)
-    certified, stacks, evals = [], [], {}
+    certified, stacks = [], []
 
     def recording_kernel(stack):
         # the character certificate's two matrices have other shapes
@@ -431,19 +462,9 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
             certified.extend(m.tobytes() for m in np.asarray(stack, dtype=np.int64))
         return full_rank_mod_p(stack)
 
-    def counted(f):
-        evals[f.name] = 0
-
-        def ev(coords):
-            assert all(isinstance(c, TapeNode) for c in coords)
-            evals[f.name] += 1
-            return f.evaluator(coords)
-
-        return InvariantPolynomial(f.arity, f.degree, f.name, ev)
-
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
-    invariants = [counted(f) for f in built.invariants]
-    report = classify(built.rep, invariants, x_hint=built.x_hint, seed=0)
+    evals = _counting_gradients(monkeypatch)
+    report = classify(built.rep, built.invariants, x_hint=built.x_hint, seed=0)
     assert report.character_dim == 2 and len(evals) == 2
     assert all(c.verified for c in report.invariant_checks)
     # the hint certificate is a stack of one; each block draws as many
@@ -639,24 +660,9 @@ def test_invariance_and_hessian_at_halved_points(which):
         assert (hd * dp * law.denominator).tolist() == (hp * dd * law.numerator).tolist()
 
 
-def _int_only(f: InvariantPolynomial) -> InvariantPolynomial:
-    """f, asserting that every coordinate it sees is an int, an int jet or a
-    tape node holding an int."""
-
-    def ev(coords):
-        for c in coords:
-            if isinstance(c, Jet2):
-                parts = (c.v, c.d1, c.d2)
-            else:
-                parts = (c.v,) if isinstance(c, TapeNode) else (c,)
-            assert all(type(v) is int for v in parts), c
-        return f.evaluator(coords)
-
-    return InvariantPolynomial(f.arity, f.degree, f.name, ev)
-
-
-def test_pipeline_evaluates_invariants_at_integer_points_only():
-    rep, f = sym2(gl(3)), _int_only(determinant(3, "sym"))
+def test_pipeline_evaluates_invariants_at_integer_points_only(monkeypatch):
+    evals = _counting_gradients(monkeypatch)
+    rep, f = sym2(gl(3)), determinant(3, "sym")
     pts = sample_certified_points(rep, 4, seed=2)
     hint = [Q(1, 2), 0, 0, Q(3, 2), 0, Q(-1, 3)]
     assert verify_relative_invariant(rep, f, sample_certified_points(rep, 2, hint=hint))[0]
@@ -665,6 +671,7 @@ def test_pipeline_evaluates_invariants_at_integer_points_only():
         ok, lam = verify_relative_invariant(rep, f, points)
         assert ok and lam == tuple(2 * b.trace() for b in basis(gl(3)))
         assert all(hessian_regularity(f, rep, p) for p in points)
+    assert evals[f.name] >= 2 + 2 * 4
 
 
 def _default_builds():

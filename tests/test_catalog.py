@@ -223,9 +223,8 @@ def test_character_dim_and_derived_check_match_coefficient_space():
             want = character_dim_in_coefficients(rep, p)
             assert character_space_dim(rep, p) == want, entry.id
         derived = rep.derived_subalgebra().coefficient_basis
-        squares = InvariantPolynomial(
-            rep.space_dim, 2, "squares", lambda c: sum(v * v for v in c)
-        )
+        n = rep.space_dim
+        squares = InvariantPolynomial(n, "squares", "poly", [[i, i] for i in range(n)], (1,) * n)
         gram = _commutator_gram(rep, pts[0])
         covectors = []
         for f in (*built.invariants, squares):

@@ -1,6 +1,7 @@
-"""Invariant evaluators: frozen values, transformation laws, jet agreement,
-the taped gradient against the jet reference, and values against the
-hand-written evaluators."""
+"""Invariants as data: frozen values, transformation laws, jet agreement,
+the closed-form gradients against the taped reference and the taped
+reference against the jets, the closed forms' edge cases, and values
+against the hand-written evaluators."""
 
 from collections import Counter
 from fractions import Fraction as Q
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    TapeNode,
     alt_coords,
     alt_unpack,
     basis,
@@ -17,12 +19,15 @@ from helpers import (
     hessian_matrix,
     jet_line,
     reference_value,
+    ring_det,
+    ring_evaluator,
+    ring_pf,
     sym_coords,
     sym_unpack,
+    taped_value_and_gradient,
 )
 from pvkit.invariants import (
     InvariantPolynomial,
-    TapeNode,
     bordered_pfaffian,
     det_augmented,
     determinant,
@@ -32,11 +37,10 @@ from pvkit.invariants import (
     pfaffian,
     quadratic_form,
     restrict_to_summand,
-    ring_det,
     symplectic_pair,
     value_and_gradient,
 )
-from pvkit.linalg import DetRng, Matrix, Q as QQ
+from pvkit.linalg import P, DetRng, Matrix, Q as QQ
 from pvkit.octonion import freudenthal_monomials, freudenthal_value
 
 
@@ -444,7 +448,7 @@ def test_ring_det_matches_matrix_det():
         assert ring_det(rows) == det(Matrix(n, n, vals))
 
 
-# -- taped gradient ------------------------------------------------------------
+# -- closed-form gradients and the taped reference -------------------------------
 
 
 def _jet_reference(f, x):
@@ -454,13 +458,26 @@ def _jet_reference(f, x):
     return f(x), [jet_line(f, x, u).d1 for u in units]
 
 
+def _assert_closed_form_matches_tape(f, x):
+    """value_and_gradient against the taped reference at one integer point.
+    A singular det or Pf grid has value 0 and no gradient."""
+    value, grad = value_and_gradient(f, x)
+    taped = taped_value_and_gradient(f, x)
+    if grad is None:
+        assert f.kind in ("det", "pf") and value == taped[0] == 0, f.name
+    else:
+        assert (value, grad) == taped, f.name
+
+
 def _assert_matches_jets(f, seed, summand_dims, points=3):
-    """The taped gradient against the jets, and f(x) against the
-    hand-written evaluator, at seeded integer points."""
+    """The taped gradient against the jets, the closed form against the
+    tape, and f(x) against the hand-written evaluator, at seeded integer
+    points."""
     rng = DetRng(seed)
     for _ in range(points):
         x = [rng.randint(-3, 3) for _ in range(f.arity)]
-        assert value_and_gradient(f, x) == _jet_reference(f, x), f.name
+        assert taped_value_and_gradient(f, x) == _jet_reference(f, x), f.name
+        _assert_closed_form_matches_tape(f, x)
         assert f(x) == reference_value(f, x, summand_dims), f.name
 
 
@@ -475,6 +492,55 @@ def test_gradient_matches_jets_on_every_default_catalog_invariant():
                 _assert_matches_jets(f, 41 + checked, built.rep.summand_dims)
                 checked += 1
     assert checked == 49
+
+
+def test_closed_form_matches_the_tape_at_every_default_runs_certified_points():
+    """At each default run's certified points for seeds 0-5, which are the
+    points where the analyzer reads gradients, every declared invariant is
+    nonzero and its value and gradient equal the taped reference."""
+    from pvkit.analyzer import LAMBDA_POINTS, sample_certified_points
+    from pvkit.catalog import _build, catalog
+
+    checked = 0
+    for entry in catalog():
+        for params in entry.defaults:
+            built = _build(entry, dict(params))
+            if not built.invariants:
+                continue
+            for seed in range(6):
+                pts = sample_certified_points(
+                    built.rep, LAMBDA_POINTS, seed=seed, hint=built.x_hint
+                )
+                for f in built.invariants:
+                    for p in pts:
+                        value, grad = value_and_gradient(f, p)
+                        assert value != 0 and (value, grad) == taped_value_and_gradient(f, p)
+                        checked += 1
+    assert checked == 49 * 6 * LAMBDA_POINTS
+
+
+@pytest.mark.parametrize(
+    "entry_id,params",
+    [
+        ("T2.3", {"n": 12}),
+        ("T2.3", {"n": 16}),
+        ("T2.2", {"n": 9}),
+        ("T2.2", {"n": 12}),
+        ("T3.2b", {"n": 9}),
+        ("T3.2b", {"n": 11}),
+    ],
+)
+def test_closed_form_matches_the_tape_at_certified_points_of_larger_runs(entry_id, params):
+    from pvkit.analyzer import LAMBDA_POINTS, sample_certified_points
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry(entry_id), params)
+    (f,) = built.invariants
+    pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0, hint=built.x_hint)
+    assert len(pts) == LAMBDA_POINTS
+    for p in pts:
+        value, grad = value_and_gradient(f, p)
+        assert value != 0 and (value, grad) == taped_value_and_gradient(f, p)
 
 
 @pytest.mark.parametrize(
@@ -503,16 +569,25 @@ def test_gradient_matches_jets_on_a_restricted_summand():
     assert grad[:4] == [0, 0, 0, 0]
 
 
+def test_restrict_to_summand_offsets_the_indices():
+    for f in (pfaffian(4), determinant(2), pair_dot(2)):
+        g = restrict_to_summand(f, (3, f.arity, 2), 1)
+        assert (g.kind, g.degree, g.coeffs) == (f.kind, f.degree, f.coeffs)
+        assert (g.index == f.index + 3).all()
+        x = list(range(-4, g.arity - 4))
+        assert g(x) == f(x[3 : 3 + f.arity])
+
+
 def _tape_length(f) -> int:
     tape: list = []
-    f([TapeNode(k % 7 - 3, tape, ()) for k in range(f.arity)])
+    ring_evaluator(f)([TapeNode(k % 7 - 3, tape, ()) for k in range(f.arity)])
     return len(tape)
 
 
 def test_evaluators_record_only_the_nodes_they_need():
-    """The pfaffians read only entries above the diagonal, so no negated
-    lower entry is recorded, and a +-1 term of a bilinear form is one
-    product and one sum."""
+    """The pfaffian expansion reads only entries above the diagonal, so no
+    negated lower entry is recorded, and a +-1 term of a bilinear form is
+    one product and one sum."""
     assert _tape_length(pfaffian(8)) == 222
     assert _tape_length(bordered_pfaffian(7)) == 222
     assert _tape_length(pair_dot(3)) <= 12
@@ -531,19 +606,26 @@ def test_gradient_with_ints_on_either_side_and_unary_minus():
         x, y = c
         return (2 + x) * (y - 5) + 3 * (7 - x) * y - (-x) + x * 4 - (1 - y)
 
-    f = InvariantPolynomial(2, 2, "mixed", ev)
     for x, y in [(1, 2), (-3, 0), (5, -4)]:
         value = (2 + x) * (y - 5) + 3 * (7 - x) * y + x + 4 * x - 1 + y
         dx = (y - 5) - 3 * y + 1 + 4
         dy = (2 + x) + 3 * (7 - x) + 1
-        assert value_and_gradient(f, [x, y]) == (value, [dx, dy])
-        assert value_and_gradient(f, [x, y]) == _jet_reference(f, [x, y])
+        assert taped_value_and_gradient(ev, [x, y]) == (value, [dx, dy])
+        assert taped_value_and_gradient(ev, [x, y]) == _jet_reference(ev, [x, y])
+
+
+def _poly(arity, terms, coeffs, name="poly"):
+    return InvariantPolynomial(arity, name, "poly", np.array(terms, dtype=np.int64), coeffs)
 
 
 def test_gradient_of_a_constant_and_of_a_coordinate():
-    const = InvariantPolynomial(3, 0, "five", lambda c: 5)
+    assert taped_value_and_gradient(lambda c: 5, [1, 2, 3]) == (5, [0, 0, 0])
+    assert taped_value_and_gradient(lambda c: c[1], [4, -7, 9]) == (-7, [0, 1, 0])
+    const = _poly(3, np.zeros((1, 0)), (5,), "five")
+    assert const.degree == 0
     assert value_and_gradient(const, [1, 2, 3]) == (5, [0, 0, 0])
-    second = InvariantPolynomial(3, 1, "x1", lambda c: c[1])
+    second = _poly(3, [[1]], (1,), "x1")
+    assert second.degree == 1
     assert value_and_gradient(second, [4, -7, 9]) == (-7, [0, 1, 0])
 
 
@@ -554,14 +636,85 @@ def test_gradient_is_exact_above_int64_and_evaluates_once():
         calls.append(1)
         return c[0] * c[1] * c[2] - c[2]
 
-    f = InvariantPolynomial(3, 3, "xyz - z", ev)
     # numpy int64 inputs become Python ints before any product is formed
     x = np.array([2**40, -(2**40), 3], dtype=np.int64)
-    value, grad = value_and_gradient(f, x)
+    value, grad = taped_value_and_gradient(ev, x)
     assert len(calls) == 1
     assert value == -3 * 2**80 - 3 and value < -(2**63)
     assert grad == [-3 * 2**40, 3 * 2**40, -(2**80) - 1]
     assert all(type(g) is int for g in grad)
-    assert (value, grad) == _jet_reference(f, x.tolist())
+    assert (value, grad) == _jet_reference(ev, x.tolist())
+    with pytest.raises(TypeError):
+        taped_value_and_gradient(ev, [Q(1, 2), 1, 1])
+    # the closed form on xyz - z^3: the same inputs, the same exactness
+    f = _poly(3, [[0, 1, 2], [2, 2, 2]], (1, -1), "xyz - z^3")
+    value, grad = value_and_gradient(f, x)
+    assert value == -3 * 2**80 - 27
+    assert grad == [-3 * 2**40, 3 * 2**40, -(2**80) - 27]
+    assert all(type(g) is int for g in [value, *grad])
     with pytest.raises(TypeError):
         value_and_gradient(f, [Q(1, 2), 1, 1])
+
+
+# -- edge cases of the closed forms -------------------------------------------------
+
+
+def test_pfaffian_sign_when_the_prime_divides_it():
+    """|Pf| = isqrt(det) loses the sign, which is read mod P; when P divides
+    Pf the next primes decide it, so the value stays exact."""
+    assert value_and_gradient(pfaffian(2), (P,)) == (P, [1])
+    assert value_and_gradient(pfaffian(2), (-P,)) == (-P, [1])
+    q = 2**31 + 11  # the least prime above P
+    for k in (3, -3, q, -q * q):
+        # (a12, a13, a14, a23, a24, a34): Pf = a12 a34 - a13 a24 + a14 a23
+        x = [P * k, 1, 2, 0, 0, 1]
+        value, grad = value_and_gradient(pfaffian(4), x)
+        assert value == P * k
+        assert (value, grad) == taped_value_and_gradient(pfaffian(4), x)
+        assert value == ring_pf(alt_unpack(x, 4))
+
+
+def test_determinant_with_a_zero_leading_pivot_swaps_rows():
+    # det [[0, 1], [1, 0]] = -1; grad of ad - bc is (d, -c, -b, a)
+    assert value_and_gradient(determinant(2), [0, 1, 1, 0]) == (-1, [0, -1, -1, 0])
+    # two swaps in Sym(3): [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    x = [0, 1, 2, 0, 3, 0]
+    value, grad = value_and_gradient(determinant(3, "sym"), x)
+    assert value == 12 == ring_det(sym_unpack(x, 3))
+    assert (value, grad) == taped_value_and_gradient(determinant(3, "sym"), x)
+
+
+def test_a_singular_grid_has_value_zero_and_no_gradient():
+    for f, x in [
+        (determinant(2), [1, 2, 2, 4]),              # rank 1
+        (determinant(3), [1, 2, 3, 4, 5, 6, 7, 8, 9]),  # rank 2: adj != 0
+        (pfaffian(4), [1, 0, 0, 0, 0, 0]),           # rank 2: grad Pf != 0
+        (bordered_pfaffian(3), [0, 0, 0, 1, 2, 3]),
+    ]:
+        assert value_and_gradient(f, x) == (0, None)
+        assert f(x) == 0 == taped_value_and_gradient(f, x)[0]
+
+
+def test_int64_coordinates_near_2_62_do_not_wrap():
+    big = np.array([2**62 - 1, -(2**62) + 3, 2**62 - 7, 5, 2**61, -(2**62)], dtype=np.int64)
+    xs = big.tolist()
+    for f, x in [
+        (determinant(2), big[:4]),
+        (determinant(3, "sym"), big),
+        (pfaffian(4), big),
+        (quadratic_form(np.eye(6, dtype=np.int64)), big),
+    ]:
+        value, grad = value_and_gradient(f, x)
+        assert abs(value) > 2**63 and all(type(v) is int for v in [value, *grad])
+        assert (value, grad) == taped_value_and_gradient(f, xs[: f.arity])
+
+
+def test_invariants_hash_by_identity_and_hold_read_only_data():
+    """An invariant keys the analyzer's gradient cache: two forms with one
+    name are distinct keys, and the data cannot change under the key."""
+    f, g = quadratic_form(np.eye(2, dtype=np.int64)), quadratic_form([[0, 1], [1, 0]])
+    assert f.name == g.name and f != g and len({f, g}) == 2 and hash(f) == hash(f)
+    with pytest.raises(ValueError):
+        f.index[0, 0] = 1
+    with pytest.raises(ValueError):
+        value_and_gradient(f, [1, 2, 3])

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import dense_nullspace, det, hessian_matrix, jet_line
 from pvkit.analyzer import sample_certified_points
-from pvkit.invariants import InvariantPolynomial
+from pvkit.invariants import InvariantPolynomial, determinant
 from pvkit.linalg import (
     P,
     DetRng,
@@ -172,7 +172,7 @@ def _hessian(f, x):
 def test_jet_square_example():
     # f = t^2 at 3: value 9, first derivative 6, second derivative 2
     assert jet_line(lambda v: v[0] * v[0], [3], [1]) == Jet2(9, 6, 2)
-    f = InvariantPolynomial(1, 2, "square", lambda v: v[0] * v[0])
+    f = InvariantPolynomial(1, "square", "poly", [[0, 0]], (1,))
     assert _hessian(f, [3]) == [[2]]
 
 
@@ -180,7 +180,7 @@ def det2(v):
     return v[0] * v[3] - v[1] * v[2]
 
 
-DET2 = InvariantPolynomial(4, 2, "det on M(2)", det2)
+DET2 = determinant(2)  # the same polynomial as an index grid
 
 
 def test_jet_det2_equal_directions():

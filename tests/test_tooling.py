@@ -41,7 +41,8 @@ def test_analyzer_reads_no_second_derivative_and_no_determinant():
 
 
 def test_analyzer_takes_gradients_without_jets():
-    """Each gradient is one taped evaluation and a backward sweep."""
+    """Each gradient is one closed form from the invariant's data:
+    `invariants.value_and_gradient`."""
     names = _imported_names("analyzer")
     assert "jet_line" not in names and "Jet2" not in names
     assert "value_and_gradient" in names
@@ -182,6 +183,18 @@ def test_invariants_read_coordinates_through_grids_not_unpackers():
     tree = ast.parse((SRC / "invariants.py").read_text())
     defined = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     assert not [name for name in defined if name.endswith("_unpack")]
+
+
+def test_package_defines_no_gradient_tape_or_ring_expansion():
+    """Invariants are data with closed-form gradients; the tape and the
+    memoized det and Pf expansions live on in tests/helpers.py only."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {
+            n.name for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert not defined & {"TapeNode", "ring_det", "ring_pf"}, path.name
 
 
 def test_square_action_scatters_without_kron():
