@@ -5,7 +5,8 @@ genericity is certified by a rank computation and never guessed: full rank
 modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
 rest.  One sampling call per run draws every certified point, as tuples of
 Python ints, and certifies its draws in blocks, one stacked elimination
-mod P per block.  The isotropy dimension d - n follows from the point
+mod P per block, with the registered point as member 0 of the first
+block.  The isotropy dimension d - n follows from the point
 certificate by rank-nullity, so no kernel is computed.  Relative
 invariance is checked through exact gradients, each in closed form from
 the invariant's data (a determinant, a pfaffian or integer terms), with the
@@ -17,7 +18,10 @@ then proved by one full-rank test mod P of seeded commutators stacked on
 the verified gradients; the exact rank of the commutators' Gram matrix
 decides only what that test rejects.  Regularity is full rank of the
 Hessian, read off the gradient at the first point by the same full-rank
-test as the point certificate, on residues mod P.
+test as the point certificate, on residues mod P; when that test rejects,
+a zero row of the exact matrix proves the Hessian singular before exact
+rank is asked.  The seeded sketch reads T's nonzero layout, kept on the
+rep, and draws its coefficients once per shape.
 """
 
 from __future__ import annotations
@@ -84,12 +88,6 @@ class AnalysisReport:
     notes: str = ""
 
 
-def _full_column_rank(m: np.ndarray) -> bool:
-    """The r x c integer matrix m has column rank c: full rank modulo
-    2**31 - 1, which proves full rank over Q; exact rank decides the rest."""
-    return bool(full_rank_mod_p(m[None])[0]) or rank(m) == m.shape[1]
-
-
 def _mod_p(a: np.ndarray) -> np.ndarray:
     """The residues of an integer array mod P, as int64 in [0, P)."""
     return (a % P).astype(np.int64)
@@ -125,30 +123,36 @@ def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
     return M.T @ M
 
 
+@lru_cache(maxsize=128)  # the default catalog runs use 47 shapes
+def _sketch_coefficients(d: int, n: int) -> np.ndarray:
+    """The (2, n + 4, d) coefficients in [-3, 3] of `_commutator_sketch`,
+    from one fixed stream, so drawn once per shape; read-only."""
+    rng = DetRng.for_stream(0, "commutator-sketch")
+    coef = rng.randints(2 * (n + 4) * d, -3, 3).reshape(2, n + 4, d)
+    coef.flags.writeable = False
+    return coef
+
+
 def _commutator_sketch(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
     """n + 4 seeded commutators [X_k, Y_k] x mod P, an (n + 4, n) int64 array.
 
     X_k and Y_k are combinations of the T_i with coefficients in [-3, 3]
-    from one fixed stream, and [X, Y] x = X (Y x) - Y (X x) is formed from
-    T's nonzeros: row r of (sum_i a_i T_i) v sums a_i T[i, r, c] v_c over
-    the nonzeros T[i, r, c].  Every row lies in [g, g].x (times den**2).
+    (`_sketch_coefficients`), and [X, Y] x = X (Y x) - Y (X x) is formed
+    from T's nonzeros (`MatrixRep.nonzero_layout`): row r of
+    (sum_i a_i T_i) v sums a_i T[i, r, c] v_c over the nonzeros T[i, r, c].
+    Every row lies in [g, g].x (times den**2).
     """
-    d, n = rep.algebra_dim, rep.space_dim
-    k = n + 4
-    i, r, c = np.nonzero(rep.T)
-    t = _mod_p(rep.T[i, r, c])
-    order = np.argsort(r, kind="stable")
-    rows, starts = np.unique(r[order], return_index=True)
+    k, n = rep.space_dim + 4, rep.space_dim
+    i, c, t, rows, starts = rep.nonzero_layout()
 
     def act(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Row q: (sum_i coef[q, i] T_i) v[q] mod P; |coef| <= 3 keeps int64."""
         terms = coef[:, i] * (t * v[:, c] % P)
         out = np.zeros((k, n), dtype=np.int64)
-        out[:, rows] = np.add.reduceat(terms[:, order], starts, axis=1) % P
+        out[:, rows] = np.add.reduceat(terms, starts, axis=1) % P
         return out
 
-    rng = DetRng.for_stream(0, "commutator-sketch")
-    a, b = rng.randints(2 * k * d, -3, 3).reshape(2, k, d)
+    a, b = _sketch_coefficients(rep.algebra_dim, n)
     x = np.broadcast_to(_mod_p(np.array(point, dtype=object)), (k, n))
     return (act(a, act(b, x)) - act(b, act(a, x))) % P
 
@@ -191,22 +195,24 @@ def sample_certified_points(
 
     x is certified when the d x n matrix T @ x (row i is a positive multiple
     of B_i . x) has column rank n, so the orbit map at x is onto.  A hint is
-    the first point, cleared once to a positive integer multiple and
-    certified by `_full_column_rank`; a non-generic hint raises
-    NotPrehomogeneousError.  The rest are distinct draws in [-3, 3] from one
-    seeded stream, in stream order, drawn in blocks of as many draws as
-    points are still missing; each block's new draws are certified together
-    mod P as one stack.  When MAX_DRAWS draws (duplicates count) leave fewer
-    than `count` points, exact rank decides the draws rejected mod P again
-    in stream order, so a shortfall is the one an exact rank per draw gives.
+    the first point, cleared once to a positive integer multiple; it is
+    member 0 of the first stack certified mod P, even when `count` is 1 and
+    no draw is made, and exact rank decides it only when that stack rejects
+    it.  A non-generic hint raises NotPrehomogeneousError.  The rest are
+    distinct draws in [-3, 3] from one seeded stream, in stream order, drawn
+    in blocks of as many draws as points are still missing; each block's
+    new draws are certified together mod P as one stack.  When MAX_DRAWS
+    draws (duplicates count) leave fewer than `count` points, exact rank
+    decides the draws rejected mod P again in stream order, so a shortfall
+    is the one an exact rank per draw gives.
     """
     if count < 1:
         raise ValueError("need at least one point")
     points: list[tuple[int, ...]] = []
+    hinted = None  # the exact T @ hint until the first stack certifies it
     if hint is not None:
         xi, _ = _int_array(hint)
-        if not _full_column_rank(rep.T @ xi):
-            raise NotPrehomogeneousError("the registered point is not generic")
+        hinted = rep.T @ xi
         points.append(tuple(xi.tolist()))
     first = len(points)
     seen = set(points)
@@ -215,19 +221,27 @@ def sample_certified_points(
     T = (rep.T % P).astype(np.int64) if rep.T.dtype == object else rep.T
     tried: list[tuple[tuple[int, ...], bool]] = []  # distinct draws, verdict mod P
     drawn = 0
-    while len(points) < count and drawn < MAX_DRAWS:
+    while hinted is not None or (len(points) < count and drawn < MAX_DRAWS):
         block = min(count - len(points), MAX_DRAWS - drawn)
         drawn += block
         fresh = []
-        draws = rng.randints(block * rep.space_dim, -3, 3).reshape(block, -1)
-        for draw in map(tuple, draws.tolist()):
+        draws = rng.randints(block * rep.space_dim, -3, 3)
+        for draw in map(tuple, draws.reshape(block, rep.space_dim).tolist()):
             if draw not in seen:
                 seen.add(draw)
                 fresh.append(draw)
-        if not fresh:
+        if not fresh and hinted is None:
             continue
-        stack = np.einsum("ijk,bk->bij", T, np.array(fresh, dtype=np.int64))
-        for draw, ok in zip(fresh, full_rank_mod_p(stack).tolist()):
+        fresh_xi = np.array(fresh, dtype=np.int64).reshape(-1, rep.space_dim)
+        stack = np.einsum("ijk,bk->bij", T, fresh_xi)
+        if hinted is not None:
+            stack = np.concatenate([_mod_p(hinted)[None], stack])
+        verdicts = full_rank_mod_p(stack).tolist()
+        if hinted is not None:
+            if not (verdicts[0] or rank(hinted) == rep.space_dim):
+                raise NotPrehomogeneousError("the registered point is not generic")
+            hinted, verdicts = None, verdicts[1:]
+        for draw, ok in zip(fresh, verdicts):
             tried.append((draw, ok))
             if ok and len(points) < count:
                 points.append(draw)
@@ -340,8 +354,10 @@ def hessian_regularity(
     Hess f(x) has the rank of the n x d matrix r of right-hand sides.  Its
     column X, times den * f(x), is num_X grad - f(x) T_X^T grad.  Full
     column rank of r^T mod P, built in int64 from the residues of grad, num,
-    f(x) and the exact T_X^T grad, proves rank n; only when it fails is the
-    exact r built, and exact rank decides.
+    f(x) and the exact T_X^T grad, proves rank n.  Only when it fails is the
+    exact r built.  A zero row of r then proves rank below n: a coordinate
+    that neither grad f(x) nor any T_X^T grad f(x) reaches, such as one of
+    a summand the invariant never reads.  Exact rank decides the rest.
 
     One point decides: the Hessian determinant of a relative invariant is
     itself relatively invariant, hence identically zero or nowhere zero on
@@ -353,6 +369,8 @@ def hessian_regularity(
     if full_rank_mod_p(residues.T[None])[0]:
         return True
     r = np.outer(grad, num) - fx * u.astype(object).T
+    if not (r != 0).any(axis=1).all():
+        return False
     return rank(r.T) == rep.space_dim
 
 

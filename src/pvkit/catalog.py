@@ -788,16 +788,23 @@ def get_entry(entry_id: str) -> CatalogEntry:
     raise KeyError(f"unknown catalog entry {entry_id!r}")
 
 
-_BUILD_CACHE: Dict[tuple, BuildResult] = {}
+# (entry id, sorted params) -> the build and its `_diagram_check`, neither
+# of which depends on the seed.
+_BUILD_CACHE: Dict[tuple, tuple[BuildResult, tuple]] = {}
 
 
-def _build(entry: CatalogEntry, params: Dict[str, int]) -> BuildResult:
+def _built(entry: CatalogEntry, params: Dict[str, int]) -> tuple[BuildResult, tuple]:
+    """(build, diagram check) at one parameter choice, made once."""
     key = (entry.id, tuple(sorted(params.items())))
     got = _BUILD_CACHE.get(key)
     if got is None:
-        got = entry.build(params)
-        _BUILD_CACHE[key] = got
+        built = entry.build(params)
+        got = _BUILD_CACHE[key] = (built, _diagram_check(entry, params, built.rep))
     return got
+
+
+def _build(entry: CatalogEntry, params: Dict[str, int]) -> BuildResult:
+    return _built(entry, params)[0]
 
 
 def _check_params(entry: CatalogEntry, params: Dict[str, int]) -> None:
@@ -837,11 +844,10 @@ def run(entry_id: str, params: Optional[Dict[str, int]] = None, seed: int = 0) -
         params = dict(entry.defaults[0])
     _check_params(entry, params)
     start = time.monotonic()
-    built = _build(entry, params)
+    built, (diagram_repr, diagram_ok) = _built(entry, params)
     report: AnalysisReport = classify(
         built.rep, built.invariants, x_hint=built.x_hint, seed=seed
     )
-    diagram_repr, diagram_ok = _diagram_check(entry, params, built.rep)
     diff: Dict[str, object] = {}
     if not report.prehomogeneous:
         status = "inconclusive"

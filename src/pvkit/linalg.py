@@ -11,10 +11,12 @@ hands out (coefficient vectors, echelon rows) is fitted back to int64.
 a `Matrix`) and clear it once.  Coefficient vectors and kernel bases are
 (A, den) pairs; `nullspace` eliminates each block of columns that share no
 nonzero row with the others on its own.
-`full_rank_mod_p` asks of a whole stack of integer matrices whether each
-has full column rank modulo the prime P = 2**31 - 1, by one int64
-elimination: full rank modulo 2**31 - 1, which proves full rank over Q;
-exact `rank` decides the rest.  `Matrix`, a small Fraction matrix, and
+`full_rank_mod_p` asks of a whole stack of integer r x c matrices A
+whether each has full column rank, by proving R A nonsingular modulo the
+prime P = 2**31 - 1 for one seeded c x r mixing matrix R: the c x c
+products of the whole stack are eliminated in int64 at once, on their
+diagonal pivots.  A True proves full rank over Q; exact `rank` decides
+the rest.  `Matrix`, a small Fraction matrix, and
 `Jet2`, a second-order jet over whatever ring its components come from,
 are kept for callers outside the pipeline.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -411,18 +414,45 @@ def nullspace(m) -> tuple[np.ndarray, int]:
     return _fit(kernel), den
 
 
-def full_rank_mod_p(stack) -> np.ndarray:
-    """Per matrix of a (K, r, c) integer stack: is its column rank c mod P?
+# Rows per int64 product in `full_rank_mod_p`: a 16-bit limb times a
+# residue below 2**31, summed over 2**15 rows, stays below 2**62.
+_MIX_ROWS = 1 << 15
 
-    A True is a proof over Q: some c x c minor is nonzero mod P, so nonzero
-    in Z.  A False proves nothing over Q (P may divide every such minor),
-    and the caller decides it with the exact `rank`.  The stack is reduced
-    mod P first, Python ints (dtype=object) included, and eliminated in
-    int64 in lockstep, one column per step for every matrix at once.  Each
-    matrix picks its own pivot row, the first with a nonzero entry in the
-    column, and every row, the pivot row included, becomes
-    (pv * row - f * prow) % P, which needs no inverse mod P and zeroes the
-    pivot row.  A matrix with no pivot in some column has rank below c.
+
+@lru_cache(maxsize=128)  # the default catalog runs use 103 shapes
+def _mixing(r: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded c x r mixing matrix R of `full_rank_mod_p`, entries
+    uniform in [0, 2**31), as its low 15-bit and high 16-bit limbs."""
+    mix = DetRng.for_stream(0, "row-mixing", f"{r}x{c}").randints(c * r, 0, (1 << 31) - 1)
+    low, high = mix.reshape(c, r) & 0x7FFF, mix.reshape(c, r) >> 15
+    low.flags.writeable = high.flags.writeable = False
+    return low, high
+
+
+def full_rank_mod_p(stack) -> np.ndarray:
+    """Per matrix A of a (K, r, c) integer stack: is R A nonsingular mod P?
+
+    R is one seeded c x r matrix (`_mixing`), the same for every member,
+    and rank(R A) <= rank(A), so a True proves that A has column rank c
+    over Q: det(R A) is nonzero mod P, so nonzero in Z.  A False proves
+    nothing over Q (an unlucky R, a vanishing leading minor of R A, or P
+    dividing every c x c minor of A), and the caller decides it with the
+    exact `rank`.  For A of full rank mod P, the k-th leading minor of R A
+    is a nonzero polynomial of degree k in R's entries (Cauchy-Binet), and
+    each entry hits a given residue with chance at most 2 / 2**31, so a
+    random R misses with chance at most c (c + 1) / 2**31 (Schwartz 1980;
+    Kaltofen and Saunders 1991).  The rows are mixed even when r == c: a
+    full-rank A can have a zero leading minor.
+
+    The stack is reduced mod P first, Python ints (dtype=object) included.
+    R A is formed in int64 as R_low A + 2**15 R_high A mod P, the limbs
+    applied to at most `_MIX_ROWS` rows at a time, so every sum is exact.
+    Then a fraction-free elimination runs on every c x c product at once,
+    with the diagonal as the pivots: each step turns the trailing block
+    into (pv * row - f * prow) % P, which needs no inverse mod P, and the
+    active block shrinks by one row and one column.  The answer is True
+    when all c pivots are nonzero: the k-th pivot is the k-th leading
+    minor times a product of earlier pivots.
     """
     a = np.asarray(stack)
     if a.dtype.kind not in "iuO" or a.ndim != 3:
@@ -431,15 +461,21 @@ def full_rank_mod_p(stack) -> np.ndarray:
     if r < c:
         return np.zeros(k, dtype=bool)
     a = (a % P).astype(np.int64, copy=False)
-    at = np.arange(k)
+    low, high = _mixing(r, c)
+    m = np.zeros((k, c, c), dtype=np.int64)
+    for lo in range(0, r, _MIX_ROWS):
+        rows = slice(lo, lo + _MIX_ROWS)
+        m += (low[:, rows] @ a[:, rows]) % P
+        m += ((high[:, rows] @ a[:, rows]) % P) << 15
+        m %= P
     full = np.ones(k, dtype=bool)
     for _ in range(c):
-        prow = a[at, (a[:, :, 0] != 0).argmax(axis=1)]
-        full &= prow[:, 0] != 0
-        rest = prow[:, :1, None] * a[:, :, 1:]
-        rest -= a[:, :, :1] * prow[:, None, 1:]
+        pivot = m[:, :1, :1]
+        full &= pivot[:, 0, 0] != 0
+        rest = pivot * m[:, 1:, 1:]
+        rest -= m[:, 1:, :1] * m[:, :1, 1:]
         rest %= P
-        a = rest
+        m = rest
     return full
 
 

@@ -10,6 +10,8 @@ constants, on which derived subalgebras and subalgebra closure are handled
 in coefficient space.  A verification run uses none of these: it reads the
 commutators at a certified point (see `analyzer.character_space_dim`), and
 closure of every catalog algebra is checked by acceptance criterion 6.
+The commutator sketch of a run reads T's nonzeros, sorted by row with
+their residues mod P, from `nonzero_layout`, which a rep computes once.
 
 Basis enumeration is deterministic everywhere (lexicographic elementary
 matrices), so every downstream report is reproducible bit for bit.
@@ -23,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SpanSolver, _fit, _int_array, nullspace
+from .linalg import P, SpanSolver, _fit, _int_array, nullspace
 from .octonion import OCT_DIM, albert_coords_dim, freudenthal_monomials, oct_table
 
 __all__ = [
@@ -83,6 +85,7 @@ class MatrixRep:
         self._span: SpanSolver | None = None
         self._struct: tuple[np.ndarray, int] | None = None
         self._derived: "Subalgebra" | None = None
+        self._nonzeros: tuple[np.ndarray, ...] | None = None
 
     # -- linear structure ---------------------------------------------------
 
@@ -94,6 +97,25 @@ class MatrixRep:
                     raise ClosureError("basis matrices are linearly dependent")
             self._span = span
         return self._span
+
+    def nonzero_layout(self) -> tuple[np.ndarray, ...]:
+        """(i, c, t, rows, starts): T's nonzeros T[i, r, c] sorted by row r.
+
+        t holds their residues mod `linalg.P` as int64, rows the distinct
+        rows in increasing order, and starts the position of each row's
+        first nonzero, as `np.add.reduceat` takes it.  Computed once and
+        kept, like the structure constants; the arrays are read-only.
+        """
+        if self._nonzeros is None:
+            i, r, c = np.nonzero(self.T)
+            t = (self.T[i, r, c] % P).astype(np.int64)
+            order = np.argsort(r, kind="stable")
+            rows, starts = np.unique(r[order], return_index=True)
+            layout = (i[order], c[order], t[order], rows, starts)
+            for a in layout:
+                a.flags.writeable = False
+            self._nonzeros = layout
+        return self._nonzeros
 
     def structure_tensor(self) -> tuple[np.ndarray, int]:
         """(S, den) with [B_i, B_j] = sum_k S[i,j,k]/den * B_k, exactly.

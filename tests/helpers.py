@@ -1,5 +1,7 @@
 """Shared helpers for the test suite: Fraction, jet, coefficient-space and
 exact-rank references for the integer and modular paths of the package;
+the lockstep elimination mod P and the per-call commutator sketch that
+the mixed-row square kernel and the cached nonzero layout replaced;
 the ring-generic evaluation of an invariant's data (memoized det and Pf
 expansions, term sums) and the reverse-mode tape that the closed-form
 gradients replaced; the hand-written invariant evaluators that the index
@@ -16,6 +18,7 @@ import numpy as np
 from pvkit.analyzer import MAX_DRAWS
 from pvkit.invariants import InvariantPolynomial
 from pvkit.linalg import (
+    P,
     DetRng,
     DimensionMismatchError,
     Jet2,
@@ -301,6 +304,57 @@ def sequential_certified_points(rep: MatrixRep, count: int, seed: int = 0, hint=
             points.append(draw)
         seen.add(draw)
     return points
+
+
+def lockstep_full_rank_mod_p(stack) -> np.ndarray:
+    """Per matrix of a (K, r, c) integer stack: is its column rank c mod P?
+
+    The reference for `linalg.full_rank_mod_p`, which mixes the rows into
+    a c x c product first: every matrix is eliminated whole, in int64, in
+    lockstep, one column per step.  Each matrix picks its own pivot row,
+    the first with a nonzero entry in the column, and every row, the pivot
+    row included, becomes (pv * row - f * prow) % P, which zeroes the pivot
+    row.  A matrix with no pivot in some column has rank below c.
+    """
+    a = np.asarray(stack)
+    if a.dtype.kind not in "iuO" or a.ndim != 3:
+        raise TypeError("a 3-D stack of integer matrices required")
+    k, r, c = a.shape
+    if r < c:
+        return np.zeros(k, dtype=bool)
+    a = (a % P).astype(np.int64, copy=False)
+    at = np.arange(k)
+    full = np.ones(k, dtype=bool)
+    for _ in range(c):
+        prow = a[at, (a[:, :, 0] != 0).argmax(axis=1)]
+        full &= prow[:, 0] != 0
+        rest = prow[:, :1, None] * a[:, :, 1:]
+        rest -= a[:, :, :1] * prow[:, None, 1:]
+        rest %= P
+        a = rest
+    return full
+
+
+def commutator_sketch_reference(rep: MatrixRep, point) -> np.ndarray:
+    """`analyzer._commutator_sketch` with T's nonzero layout and the
+    fixed-stream coefficients found afresh on every call."""
+    d, n = rep.algebra_dim, rep.space_dim
+    k = n + 4
+    i, r, c = np.nonzero(rep.T)
+    t = (rep.T[i, r, c] % P).astype(np.int64)
+    order = np.argsort(r, kind="stable")
+    rows, starts = np.unique(r[order], return_index=True)
+
+    def act(coef, v):
+        terms = coef[:, i] * (t * v[:, c] % P)
+        out = np.zeros((k, n), dtype=np.int64)
+        out[:, rows] = np.add.reduceat(terms[:, order], starts, axis=1) % P
+        return out
+
+    rng = DetRng.for_stream(0, "commutator-sketch")
+    a, b = rng.randints(2 * k * d, -3, 3).reshape(2, k, d)
+    x = np.broadcast_to((np.array(point, dtype=object) % P).astype(np.int64), (k, n))
+    return (act(a, act(b, x)) - act(b, act(a, x))) % P
 
 
 def kron_square_action(T: np.ndarray, upper: int) -> np.ndarray:

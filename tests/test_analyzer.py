@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     action_matrix,
     basis,
+    commutator_sketch_reference,
     det,
     hessian_matrix,
     isotropy_algebra,
@@ -742,24 +743,45 @@ def test_sampler_shortfall_matches_the_sequential_sampler():
     assert sample_certified_points(_times_p(rep), 60, seed=1) == want
 
 
-def test_full_column_rank_falls_back_to_exact_rank_only_when_mod_p_says_no(monkeypatch):
-    """det = P: full rank over Q, singular mod P, so exact rank decides; a
-    matrix full rank mod P never reaches exact rank."""
+def _recording(monkeypatch, name: str) -> list:
+    """Route the analyzer's `name` through a wrapper that records each
+    argument, and return the record."""
     from pvkit import analyzer
 
-    calls = []
+    calls, inner = [], getattr(analyzer, name)
 
-    def recording_rank(m):
+    def wrapper(m):
         calls.append(m)
-        return rank(m)
+        return inner(m)
 
-    monkeypatch.setattr(analyzer, "rank", recording_rank)
-    assert analyzer._full_column_rank(np.array([[P, 1], [0, 1], [0, 0]]))
-    assert len(calls) == 1
-    assert not analyzer._full_column_rank(np.array([[1, 2], [2, 4]]) * P)
-    assert len(calls) == 2
-    assert analyzer._full_column_rank(np.array([[2, 1], [0, 1]]))
-    assert len(calls) == 2
+    monkeypatch.setattr(analyzer, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("count", [1, LAMBDA_POINTS])
+def test_sampler_certifies_the_hint_as_the_first_member_of_the_first_stack(
+    count, monkeypatch
+):
+    """The hint is member 0 of the first stack certified mod P, also when
+    one point is asked for and nothing is drawn.  It reaches exact rank
+    only when that stack rejects it (the rep times P): then it is accepted
+    and comes first.  A hint that is not generic raises."""
+    stacks = _recording(monkeypatch, "full_rank_mod_p")
+    ranks = _recording(monkeypatch, "rank")
+    rep, hint = sym2(gl(3)), (1, 0, 0, 1, 0, 1)
+    got = sample_certified_points(rep, count, seed=2, hint=hint)
+    assert got[0] == hint and len(got) == count and not ranks
+    assert len(stacks) == 1 and len(stacks[0]) == count
+    assert (stacks[0][0] == (rep.T @ np.array(hint)) % P).all()
+    stacks.clear()
+    assert sample_certified_points(_times_p(rep), 1, seed=2, hint=hint) == [hint]
+    assert len(stacks) == 1 and len(stacks[0]) == 1 and len(ranks) == 1
+    assert sample_certified_points(_times_p(rep), count, seed=2, hint=hint) == got
+    for bad in [(1, 0, 0, 0, 0, 0), (0,) * 6]:
+        with pytest.raises(NotPrehomogeneousError, match="registered point"):
+            sample_certified_points(rep, count, seed=2, hint=bad)
+        with pytest.raises(NotPrehomogeneousError, match="registered point"):
+            sample_certified_points(_times_p(rep), count, seed=2, hint=bad)
 
 
 @pytest.mark.parametrize("which", ["sym_det", "so_quadratic", "alt_pfaffian_partial"])
@@ -795,5 +817,74 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     monkeypatch.setattr(analyzer, "rank", recording_rank)
     assert hessian_regularity(f, _times_p(rep), point) == want
-    assert verdicts == [False] and len(ranks) == 1
+    # the singular Hessian has a zero row, which decides it before exact rank
+    assert verdicts == [False] and len(ranks) == (which != "alt_pfaffian_partial")
     assert want == (which != "alt_pfaffian_partial")
+
+
+def test_hessian_regularity_without_a_zero_row_reaches_exact_rank(monkeypatch):
+    """f = (x1 + x3) x2 on C^3 is relatively invariant under the algebra
+    that scales y1 = x1 + x3, x2 and x3 and adds y1 to x3.  Its Hessian is
+    singular with no zero row (rows 1 and 3 agree), so the zero-row
+    certificate does not apply and exact rank returns False."""
+    s_inv = np.array([[1, 0, -1], [0, 1, 0], [0, 0, 1]])  # x = s_inv y
+    s = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])  # y = s x
+    in_y = np.zeros((4, 3, 3), dtype=np.int64)
+    in_y[0, 0, 0] = in_y[1, 1, 1] = in_y[2, 2, 2] = in_y[3, 2, 0] = 1
+    rep = MatrixRep(s_inv @ in_y @ s, 1, ("y1", "x2", "x3", "x3 += y1"))
+    f = quadratic_form([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # 2 (x1 + x3) x2
+    points = sample_certified_points(rep, LAMBDA_POINTS, seed=0)
+    ok, lam = verify_relative_invariant(rep, f, points)
+    assert ok and lam == (1, 1, 0, 0)
+    h, _ = hessian_matrix(f, [Q(c) for c in points[0]])
+    assert rank(h) == 2 and (h != 0).any(axis=1).all()
+    ranks = _recording(monkeypatch, "rank")
+    assert hessian_regularity(f, rep, points[0]) is False
+    assert len(ranks) == 1
+
+
+def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatch):
+    """Every default run that reports regular: false calls no exact rank at
+    seeds 0-5: the points, the character dimension and the zero-row
+    certificate of the Hessian all come from the modular test.  So do the
+    singular Hessians of the invariants of every default build, the
+    negative entries' included, whose runs leave regularity undecided."""
+    from pvkit.catalog import _build, catalog, run
+
+    ranks = _recording(monkeypatch, "rank")
+    for seed in range(6):
+        singular = []
+        for e in catalog():
+            for params in e.defaults:
+                ranks.clear()
+                report = run(e.id, dict(params), seed)
+                if report.regular is False:
+                    singular.append(e.id)
+                    assert not ranks, (e.id, params, seed)
+        assert len(singular) == 14 and len(set(singular)) == 7, seed
+    ranks.clear()
+    runs = set()
+    for e in catalog():
+        for params in e.defaults:
+            built = _build(e, dict(params))
+            if not built.invariants:
+                continue
+            point = sample_certified_points(built.rep, 1, hint=built.x_hint)[0]
+            if not all([hessian_regularity(f, built.rep, point) for f in built.invariants]):
+                runs.add((e.id, tuple(params.items())))
+    assert len(runs) == 20 and not ranks
+
+
+def test_commutator_sketch_equals_the_per_call_reference_on_every_default_build():
+    """T's nonzero layout kept on the rep and the coefficients drawn once
+    per shape give the sketch that finding both afresh gives, at two
+    points, so the second call reads what the first one kept."""
+    from pvkit.analyzer import _commutator_sketch
+
+    for name, built in _default_builds():
+        rep = built.rep
+        rng = DetRng.for_stream(22, name)
+        for _ in range(2):
+            point = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
+            want = commutator_sketch_reference(rep, point)
+            assert (_commutator_sketch(rep, point) == want).all(), name

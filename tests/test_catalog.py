@@ -1,5 +1,7 @@
 """Catalog integrity: contents, expected flags, cross-links, determinism."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,32 @@ def test_reports_are_deterministic():
     a = run("T3.6", {"n": 2}, seed=7)
     b = run("T3.6", {"n": 2}, seed=7)
     assert a.to_json(with_elapsed=False) == b.to_json(with_elapsed=False)
+
+
+def test_warm_reports_equal_reports_with_the_caches_cleared(monkeypatch):
+    """The build and its diagram check are kept per parameter choice, and a
+    rep keeps T's nonzero layout: one warm process gives, for all 60
+    default runs at seeds 0-2, the reports of runs that each start from an
+    empty build cache.  After the first pass no mixing matrix and no sketch
+    coefficients are drawn again: both are kept per shape."""
+    cat = importlib.import_module("pvkit.catalog")  # pvkit.catalog is also a function
+    per_shape = (
+        importlib.import_module("pvkit.linalg")._mixing,
+        importlib.import_module("pvkit.analyzer")._sketch_coefficients,
+    )
+    for seed in range(3):
+        warm, _ = run_all("all", seed)
+        if seed == 0:
+            drawn = [f.cache_info().misses for f in per_shape]
+        cold = []
+        for e in catalog():
+            for params in e.defaults:
+                monkeypatch.setattr(cat, "_BUILD_CACHE", {})
+                cold.append(run(e.id, dict(params), seed).to_dict(with_elapsed=False))
+        key = lambda d: (d["entry"], sorted(d["params"].items()))  # noqa: E731
+        assert len(cold) == 60
+        assert sorted(cold, key=key) == sorted(warm["entries"], key=key)
+    assert [f.cache_info().misses for f in per_shape] == drawn
 
 
 def test_diagram_crosslinks_at_default_parameters():

@@ -1,12 +1,13 @@
 """Exact linear algebra kernel: frozen examples and randomized agreement."""
 
+import itertools
 import math
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
-from helpers import dense_nullspace, det, hessian_matrix, jet_line
+from helpers import dense_nullspace, det, hessian_matrix, jet_line, lockstep_full_rank_mod_p
 from pvkit.analyzer import sample_certified_points
 from pvkit.invariants import InvariantPolynomial, determinant
 from pvkit.linalg import (
@@ -693,3 +694,48 @@ def test_full_rank_mod_p_shapes():
         full_rank_mod_p(np.ones((1, 2, 2)) / 2)
     with pytest.raises(TypeError):
         full_rank_mod_p(np.ones((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("big", [0, 2**20, 2**40, 2**70], ids=["small", "2^20", "2^40", "2^70"])
+def test_full_rank_mod_p_agrees_with_the_lockstep_reference(big):
+    """On random stacks of mixed shapes, empty stacks, r < c and c = 0
+    included, mixing the rows into a c x c product gives the verdicts of
+    the lockstep elimination of the whole matrices."""
+    rng = DetRng(22 + big.bit_length())
+    for _ in range(40):
+        c = rng.randint(0, 6)
+        r = rng.randint(max(c - 1, 0), c + 4)
+        ints, _ = _int_array(_random_stack(rng, rng.randint(0, 6), r, c, big))
+        assert full_rank_mod_p(ints).tolist() == lockstep_full_rank_mod_p(ints).tolist()
+    for shape in [(0, 3, 2), (2, 3, 0), (1, 0, 0), (2, 1, 2)]:
+        ones = np.ones(shape, dtype=np.int64)
+        assert full_rank_mod_p(ones).tolist() == lockstep_full_rank_mod_p(ones).tolist()
+
+
+def test_full_rank_mod_p_mixes_the_rows_of_square_and_tall_members():
+    """The pivots of R A lie on its diagonal, so the rows are mixed even
+    when A is square: every permutation matrix up to 6 x 6 is full rank,
+    and so is a tall member whose first c rows are dependent.  The
+    det = P and rank-short square members stay False."""
+    for c in range(1, 7):
+        perms = np.eye(c, dtype=np.int64)[list(itertools.permutations(range(c)))]
+        assert full_rank_mod_p(perms).all(), c
+        eye = np.eye(c, dtype=np.int64)
+        tall = np.array([
+            np.concatenate([np.outer(np.arange(1, c + 1), eye[0]), eye[1:]]),
+            np.concatenate([np.zeros((c - 1, c), dtype=np.int64), eye]),
+        ])
+        assert full_rank_mod_p(tall).tolist() == [True, True], c
+    square = np.array([[[P, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 1], [1, 0]]])
+    assert full_rank_mod_p(square).tolist() == [False, False, True]
+
+
+def test_full_rank_mod_p_mixes_a_stack_taller_than_two_to_the_seventeen_exactly():
+    """Residues near P in 200,000 rows, where one sum over all rows would
+    pass 2**63: the mixing is applied a block of rows at a time, so no
+    int64 sum wraps."""
+    rng = np.random.default_rng(22)
+    stack = rng.integers(P - 4, P, size=(2, 200_000, 3))
+    stack[1, :, 2] = stack[1, :, 0] + stack[1, :, 1]  # rank 2, not 3
+    assert full_rank_mod_p(stack).tolist() == [True, False]
+    assert lockstep_full_rank_mod_p(stack).tolist() == [True, False]

@@ -107,16 +107,25 @@ def _exact_only_after_a_rejection(fn: ast.FunctionDef, exact: set[str]) -> ast.I
 
 def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     """hessian_regularity and the sampler's hint reach exact rank only
-    after the mod-P kernel said no: regularity after an `if` on the
-    kernel's verdict that returns, the hint through `_full_column_rank`,
-    where every exact rank is a later operand of an `or` whose first operand
-    is the kernel.  character_space_dim builds the Gram matrix and takes its
-    rank only after its certificate, two kernel verdicts joined by `and`,
-    is rejected.  The one other exact rank is the sampler's shortfall
-    branch."""
+    after the mod-P kernel said no.  Regularity: after an `if` on the
+    kernel's verdict that returns, and after the zero-row check, an `if`
+    that returns False.  The hint: as member 0 of the first stack, so its
+    one exact rank is a later operand of an `or` whose first operand is
+    `verdicts[0]`, the stack's verdict on it.  character_space_dim builds
+    the Gram matrix and takes its rank only after its certificate, two
+    kernel verdicts joined by `and`, is rejected.  The one other exact
+    rank is the sampler's shortfall branch."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
     regularity = _function(tree, "hessian_regularity")
-    _exact_only_after_a_rejection(regularity, {"rank", "_full_column_rank"})
+    gate = _exact_only_after_a_rejection(regularity, {"rank"})
+    at = regularity.body.index(gate)
+    zero_row = next(n for n in regularity.body[at + 1 :] if isinstance(n, ast.If))
+    assert not zero_row.orelse, ast.unparse(zero_row)
+    assert ast.unparse(zero_row.body) == "return False"
+    assert {"any", "all"} <= {n.attr for n in ast.walk(zero_row.test)
+                              if isinstance(n, ast.Attribute)}
+    after = regularity.body.index(zero_row) + 1
+    assert not any(_rank_calls(n) for n in regularity.body[:after])
     assert len(_rank_calls(regularity)) == 1
     character = _function(tree, "character_space_dim")
     gate = _exact_only_after_a_rejection(character, {"rank", "_commutator_gram"})
@@ -125,33 +134,36 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     sampler = _function(tree, "sample_certified_points")
     ifs = [n for n in sampler.body if isinstance(n, ast.If)]
     (hint,) = [n for n in ifs if ast.unparse(n.test) == "hint is not None"]
-    rest = [n for n in ifs if n is not hint]
-    assert "_full_column_rank" in _called(hint) and not _rank_calls(hint)
-    (shortfall,) = [n for n in rest if _rank_calls(n)]
+    assert not _called(hint) & {"rank", "full_rank_mod_p"}
+    (shortfall,) = [n for n in ifs if _rank_calls(n)]
     assert ast.unparse(shortfall.test) == "len(points) < count"
-    assert len(_rank_calls(sampler)) == 1
+    (loop,) = [n for n in sampler.body if isinstance(n, ast.While)]
+    body = [n for stmt in loop.body for n in ast.walk(stmt)]
+    (verdicts,) = [
+        n for n in body if isinstance(n, ast.Assign) and "full_rank_mod_p" in _called(n)
+    ]
+    assert ast.unparse(verdicts) == "verdicts = full_rank_mod_p(stack).tolist()"
+    guarded = set()
+    for node in body:
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            assert ast.unparse(node.values[0]) == "verdicts[0]", ast.unparse(node)
+            for later in node.values[1:]:
+                guarded |= {id(n) for n in ast.walk(later)}
+    ranks = _rank_calls(loop)
+    assert len(ranks) == 1 and all(id(n) in guarded for n in ranks)
+    assert len(_rank_calls(sampler)) == 2
     owners = {
         fn.name for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and _rank_calls(fn)
     }
     assert owners == {
-        "_full_column_rank", "sample_certified_points", "character_space_dim",
-        "hessian_regularity",
+        "sample_certified_points", "character_space_dim", "hessian_regularity",
     }
     gram_callers = {
         fn.name for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and "_commutator_gram" in _called(fn)
     }
     assert gram_callers == {"character_space_dim"}
-    full = _function(tree, "_full_column_rank")
-    guarded = set()
-    for node in ast.walk(full):
-        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
-            assert _called(node.values[0]) == {"bool", "full_rank_mod_p"}
-            for later in node.values[1:]:
-                guarded |= {id(n) for n in ast.walk(later)}
-    ranks = _rank_calls(full)
-    assert ranks and all(id(n) in guarded for n in ranks)
 
 
 def test_octonion_does_not_import_fractions():
