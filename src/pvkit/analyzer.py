@@ -3,15 +3,14 @@
 A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by a rank computation and never guessed: full rank
 modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
-rest.  One sampling call per run draws every certified point, as tuples of
-Python ints, and certifies its draws in blocks, one stacked elimination
-mod P per block, with the registered point as member 0 of the first
-block.  The isotropy dimension d - n follows from the point
-certificate by rank-nullity, so no kernel is computed.  Relative
-invariance is checked through exact gradients, each in closed form from
-the invariant's data (a determinant, a pfaffian or integer terms), with the
-character compared in integers;
-the character vanishes on the derived algebra when the gradient at the
+rest.  One sampling call per run draws every certified point from the
+seed, as tuples of Python ints, and certifies its draws in blocks, one
+stacked elimination mod P per block.  The isotropy dimension d - n
+follows from the point certificate by rank-nullity, so no kernel is
+computed.  Relative invariance is checked through exact gradients, each
+in closed form from the invariant's data (a determinant, a pfaffian or
+integer terms), with the character compared in integers; the character
+vanishes on the derived algebra when the gradient at the
 first point is orthogonal to the commutators [g, g].x there, read off one
 d x d integer matrix that must be symmetric.  The character-lattice rank is
 then proved by one full-rank test mod P of seeded commutators stacked on
@@ -35,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .invariants import InvariantPolynomial, value_and_gradient
-from .linalg import P, DetRng, Q, _fit, _int_array, full_rank_mod_p, rank
+from .linalg import P, DetRng, Q, _fit, full_rank_mod_p, rank
 from .reps import MatrixRep
 
 __all__ = [
@@ -186,42 +185,29 @@ def character_space_dim(
 
 
 def sample_certified_points(
-    rep: MatrixRep,
-    count: int,
-    seed: int = 0,
-    hint: Optional[Sequence[Q]] = None,
+    rep: MatrixRep, count: int, seed: int = 0
 ) -> list[tuple[int, ...]]:
     """Up to `count` >= 1 distinct certified points, as tuples of Python ints.
 
     x is certified when the d x n matrix T @ x (row i is a positive multiple
-    of B_i . x) has column rank n, so the orbit map at x is onto.  A hint is
-    the first point, cleared once to a positive integer multiple; it is
-    member 0 of the first stack certified mod P, even when `count` is 1 and
-    no draw is made, and exact rank decides it only when that stack rejects
-    it.  A non-generic hint raises NotPrehomogeneousError.  The rest are
-    distinct draws in [-3, 3] from one seeded stream, in stream order, drawn
-    in blocks of as many draws as points are still missing; each block's
-    new draws are certified together mod P as one stack.  When MAX_DRAWS
-    draws (duplicates count) leave fewer than `count` points, exact rank
-    decides the draws rejected mod P again in stream order, so a shortfall
-    is the one an exact rank per draw gives.
+    of B_i . x) has column rank n, so the orbit map at x is onto.  The
+    points are distinct draws in [-3, 3] from one seeded stream, in stream
+    order, drawn in blocks of as many draws as points are still missing;
+    each block's new draws are certified together mod P as one stack.  When
+    MAX_DRAWS draws (duplicates count) leave fewer than `count` points,
+    exact rank decides the draws rejected mod P again in stream order, so a
+    shortfall is the one an exact rank per draw gives.
     """
     if count < 1:
         raise ValueError("need at least one point")
     points: list[tuple[int, ...]] = []
-    hinted = None  # the exact T @ hint until the first stack certifies it
-    if hint is not None:
-        xi, _ = _int_array(hint)
-        hinted = rep.T @ xi
-        points.append(tuple(xi.tolist()))
-    first = len(points)
-    seen = set(points)
+    seen: set[tuple[int, ...]] = set()
     rng = DetRng.for_stream(seed, "point-sample")
     # the int64 einsum below is exact for |T| < 2**31 (see linalg._fit)
     T = (rep.T % P).astype(np.int64) if rep.T.dtype == object else rep.T
     tried: list[tuple[tuple[int, ...], bool]] = []  # distinct draws, verdict mod P
     drawn = 0
-    while hinted is not None or (len(points) < count and drawn < MAX_DRAWS):
+    while len(points) < count and drawn < MAX_DRAWS:
         block = min(count - len(points), MAX_DRAWS - drawn)
         drawn += block
         fresh = []
@@ -230,28 +216,19 @@ def sample_certified_points(
             if draw not in seen:
                 seen.add(draw)
                 fresh.append(draw)
-        if not fresh and hinted is None:
+        if not fresh:
             continue
-        fresh_xi = np.array(fresh, dtype=np.int64).reshape(-1, rep.space_dim)
-        stack = np.einsum("ijk,bk->bij", T, fresh_xi)
-        if hinted is not None:
-            stack = np.concatenate([_mod_p(hinted)[None], stack])
-        verdicts = full_rank_mod_p(stack).tolist()
-        if hinted is not None:
-            if not (verdicts[0] or rank(hinted) == rep.space_dim):
-                raise NotPrehomogeneousError("the registered point is not generic")
-            hinted, verdicts = None, verdicts[1:]
-        for draw, ok in zip(fresh, verdicts):
+        stack = np.einsum("ijk,bk->bij", T, np.array(fresh, dtype=np.int64))
+        for draw, ok in zip(fresh, full_rank_mod_p(stack).tolist()):
             tried.append((draw, ok))
             if ok and len(points) < count:
                 points.append(draw)
     if len(points) < count:
-        del points[first:]
+        points = []
         for draw, ok in tried:
             if len(points) >= count:
                 break
-            xi = np.array(draw, dtype=np.int64)
-            if ok or rank(rep.T @ xi) == rep.space_dim:
+            if ok or rank(rep.T @ np.array(draw, dtype=np.int64)) == rep.space_dim:
                 points.append(draw)
     return points
 
@@ -377,14 +354,13 @@ def hessian_regularity(
 def classify(
     rep: MatrixRep,
     declared_invariants: Sequence[InvariantPolynomial] = (),
-    x_hint: Optional[Sequence[Q]] = None,
     seed: int = 0,
 ) -> AnalysisReport:
     """Run the whole per-entry pipeline and assemble a report.
 
-    One `sample_certified_points` call draws every point of a run:
-    LAMBDA_POINTS with declared invariants, else one.  The first is the
-    generic point; each invariant is checked at all of them.  Since a
+    One `sample_certified_points` call draws every point of a run from the
+    seed: LAMBDA_POINTS with declared invariants, else one.  The first is
+    the generic point; each invariant is checked at all of them.  Since a
     nonzero relative invariant vanishes nowhere on the open orbit, one that
     vanishes at a point is reported unverified at 0 points, as is each one
     when fewer than LAMBDA_POINTS points are found.  The invariants are
@@ -397,13 +373,8 @@ def classify(
     otherwise it is undecided.  The notes keep the order point, character,
     invariants.
     """
-    try:
-        pts = sample_certified_points(
-            rep, LAMBDA_POINTS if declared_invariants else 1, seed=seed, hint=x_hint
-        )
-        if not pts:
-            raise NotPrehomogeneousError(_shortfall(0))
-    except NotPrehomogeneousError as exc:
+    pts = sample_certified_points(rep, LAMBDA_POINTS if declared_invariants else 1, seed=seed)
+    if not pts:
         return AnalysisReport(
             prehomogeneous=False,
             algebra_dim=rep.algebra_dim,
@@ -413,9 +384,9 @@ def classify(
             qd1=False,
             invariant_checks=(),
             regular=None,
-            notes=str(exc),
+            notes=_shortfall(0),
         )
-    notes = ["point from registered data" if x_hint is not None else "seeded point"]
+    notes = ["seeded point"]
     unverified: list[str] = []
     checks: list[InvariantCheck] = []
     covectors = []

@@ -19,6 +19,7 @@ bit-identical JSON.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import time
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from .analyzer import AnalysisReport, classify
 from .grading import compute_grading, irreducible_components, is_commutative_parabolic
 from .invariants import (
     InvariantPolynomial,
-    _triangle_grid,
     bordered_pfaffian,
     det_augmented,
     determinant,
@@ -76,7 +76,6 @@ __all__ = [
 class BuildResult:
     rep: MatrixRep
     invariants: Tuple[InvariantPolynomial, ...]
-    x_hint: Optional[Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -139,39 +138,6 @@ class VerificationReport:
 # -- small builders ------------------------------------------------------------
 
 
-def _zeros(n: int) -> list[int]:
-    return [0] * n
-
-
-def _basis_vec(n: int, i: int) -> list[int]:
-    v = _zeros(n)
-    v[i] = 1
-    return v
-
-
-def _id_coords(n: int, m: int) -> list[int]:
-    """Row-major coordinates of the n x m matrix with ones on the diagonal."""
-    return [int(i == j) for i in range(n) for j in range(m)]
-
-
-def _j_block_alt_coords(n: int) -> list[int]:
-    """AS(n) coordinates of the standard rank n-1 block [[J, 0], [0, 0]]."""
-    p = n // 2
-    grid = _triangle_grid(n, 1)
-    v = _zeros(n * (n - 1) // 2)
-    for i in range(p):
-        v[grid[i, p + i]] = 1
-    return v
-
-
-def _gram_point(n: int) -> list[int]:
-    """M(2n,2) coordinates of X = [e_1 | e_{n+1}], where Pf(X^T J X) = 1."""
-    v = _zeros(4 * n)
-    v[0] = 1                    # first column e_1
-    v[2 * n + 1] = 1            # second column e_{n+1}
-    return v
-
-
 def _identity_on(dim: int) -> MatrixRep:
     """One scaling generator on C^dim."""
     return MatrixRep(_eye(dim)[None], 1, ())
@@ -188,7 +154,7 @@ def _diagram(type_: str, rank: int, circled_1based: Sequence[int]) -> WeightedDi
 def _t2_1(p):
     n = p["n"]
     rep = add_torus(so(n), 1)
-    return BuildResult(rep, (quadratic_form(_eye(n)),), None)
+    return BuildResult(rep, (quadratic_form(_eye(n)),))
 
 
 def _t2_1_diagram(p):
@@ -202,45 +168,45 @@ def _t2_1_diagram(p):
 
 def _t2_2(p):
     n = p["n"]
-    return BuildResult(sym2(gl(n)), (determinant(n, "sym"),), None)
+    return BuildResult(sym2(gl(n)), (determinant(n, "sym"),))
 
 
 def _t2_3(p):
     n = p["n"]
-    return BuildResult(alt2(gl(n)), (pfaffian(n),), None)
+    return BuildResult(alt2(gl(n)), (pfaffian(n),))
 
 
 def _t2_4(p):
     n = p["n"]
     rep = add_torus(tensor(sl(n), dual(sl(n))), 1)
-    return BuildResult(rep, (determinant(n),), None)
+    return BuildResult(rep, (determinant(n),))
 
 
 def _t2_5(p):
-    return BuildResult(add_torus(e6_rep(), 1), (freudenthal_cubic(),), None)
+    return BuildResult(add_torus(e6_rep(), 1), (freudenthal_cubic(),))
 
 
 def _t2_6(p):
     n = p["n"]
     rep = tensor(sp(n), gl(2))
-    return BuildResult(rep, (pf_gram(n),), tuple(_gram_point(n)))
+    return BuildResult(rep, (pf_gram(n),))
 
 
 def _t2_7(p):
     rep = add_torus(tensor(sl(4), dual(sp(2))), 1)
-    return BuildResult(rep, (determinant(4),), None)
+    return BuildResult(rep, (determinant(4),))
 
 
 def _t2_8(p):
-    return BuildResult(add_torus(spin_rep(7), 1), (quadratic_form(_eye(8)),), None)
+    return BuildResult(add_torus(spin_rep(7), 1), (quadratic_form(_eye(8)),))
 
 
 def _t2_9(p):
-    return BuildResult(add_torus(spin_rep(9), 1), (quadratic_form(_eye(16)),), None)
+    return BuildResult(add_torus(spin_rep(9), 1), (quadratic_form(_eye(16)),))
 
 
 def _t2_10(p):
-    return BuildResult(add_torus(g2_rep(), 1), (quadratic_form(_eye(7)),), None)
+    return BuildResult(add_torus(g2_rep(), 1), (quadratic_form(_eye(7)),))
 
 
 def _t3_1(p):
@@ -248,7 +214,7 @@ def _t3_1(p):
     s = sl(n)
     rep = direct_sum_shared([(f"sl({n})", [dual(s), s])])
     rep = add_torus(rep, 2)
-    return BuildResult(rep, (pair_dot(n),), None)
+    return BuildResult(rep, (pair_dot(n),))
 
 
 def _vector_and_alt_rep(n: int, covector: bool = False) -> MatrixRep:
@@ -268,23 +234,21 @@ def _t3_2(p):
     rep = _vector_and_alt_rep(n)
     if n % 2 == 0:
         inv = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
-        return BuildResult(rep, (inv,), None)
-    hint = _basis_vec(n, n - 1) + _j_block_alt_coords(n)
-    return BuildResult(rep, (bordered_pfaffian(n),), tuple(hint))
+        return BuildResult(rep, (inv,))
+    return BuildResult(rep, (bordered_pfaffian(n),))
 
 
 def _t3_3(p):
     n = p["n"]
     rep = _vector_and_alt_rep(n, covector=True)
     inv = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
-    return BuildResult(rep, (inv,), None)
+    return BuildResult(rep, (inv,))
 
 
 def _neg_424(p):
     n = p["n"]
     rep = _vector_and_alt_rep(n, covector=True)
-    hint = _basis_vec(n, 0) + _j_block_alt_coords(n)
-    return BuildResult(rep, (), tuple(hint))
+    return BuildResult(rep, ())
 
 
 def _vector_and_matrix_rep(n: int, m: int, covector: bool = False) -> MatrixRep:
@@ -304,23 +268,20 @@ def _t3_4a(p, covector=False):
     n = p["n"]
     rep = _vector_and_matrix_rep(n, n, covector)
     inv = restrict_to_summand(determinant(n), rep.summand_dims, 1)
-    hint = _basis_vec(n, 0) + _id_coords(n, n)
-    return BuildResult(rep, (inv,), tuple(hint))
+    return BuildResult(rep, (inv,))
 
 
 def _t3_4b(p):
     n = p["n"]
     m = n - 1
     rep = _vector_and_matrix_rep(n, m)
-    hint = _basis_vec(n, n - 1) + _id_coords(n, m)
-    return BuildResult(rep, (det_augmented(n),), tuple(hint))
+    return BuildResult(rep, (det_augmented(n),))
 
 
 def _neg_425(p):
     n, m = p["n"], p["m"]
     rep = _vector_and_matrix_rep(n, m)
-    hint = _basis_vec(n, 0 if n < m else n - 1) + _id_coords(n, m)
-    return BuildResult(rep, (), tuple(hint))
+    return BuildResult(rep, ())
 
 
 def _t3_5(p):
@@ -338,8 +299,7 @@ def _t3_6(p):
         ]
     )
     inv = restrict_to_summand(pf_gram(n), rep.summand_dims, 1)
-    hint = _basis_vec(2, 0) + _gram_point(n)
-    return BuildResult(rep, (inv,), tuple(hint))
+    return BuildResult(rep, (inv,))
 
 
 def _t3_7(p):
@@ -353,7 +313,7 @@ def _t3_7(p):
         ]
     )
     inv = restrict_to_summand(determinant(2), rep.summand_dims, 0)
-    return BuildResult(rep, (inv,), None)
+    return BuildResult(rep, (inv,))
 
 
 def _shared_gl2_sp_rep(n: int, m: int) -> MatrixRep:
@@ -373,7 +333,7 @@ def _t3_8(p):
     n, m = p["n"], p["m"]
     rep = _shared_gl2_sp_rep(n, m)
     inv = restrict_to_summand(pf_gram(m), rep.summand_dims, 1)
-    return BuildResult(rep, (inv,), None)
+    return BuildResult(rep, (inv,))
 
 
 def _neg_429b(p):
@@ -383,7 +343,7 @@ def _neg_429b(p):
         restrict_to_summand(determinant(2), rep.summand_dims, 0),
         restrict_to_summand(pf_gram(m), rep.summand_dims, 1),
     )
-    return BuildResult(rep, invs, None)
+    return BuildResult(rep, invs)
 
 
 def _t3_9(p):
@@ -391,40 +351,39 @@ def _t3_9(p):
     s = sp(n)
     rep = direct_sum_shared([(f"sp({n})", [s, s])])
     rep = add_torus(rep, 2)
-    hint = _basis_vec(2 * n, 0) + _basis_vec(2 * n, n)
-    return BuildResult(rep, (symplectic_pair(n),), tuple(hint))
+    return BuildResult(rep, (symplectic_pair(n),))
 
 
 def _neg_413(p):
     n = p["n"]
-    return BuildResult(add_torus(sp(n), 1), (), None)
+    return BuildResult(add_torus(sp(n), 1), ())
 
 
 def _neg_415(p):
     n = p["n"]
-    return BuildResult(alt2(gl(n)), (), None)
+    return BuildResult(alt2(gl(n)), ())
 
 
 def _neg_416(p):
     n, m = p["n"], p["m"]
     rep = add_torus(tensor(sl(n), dual(sl(m))), 1)
-    return BuildResult(rep, (), None)
+    return BuildResult(rep, ())
 
 
 def _neg_418(p):
     n = p["n"]
     rep = add_torus(tensor(sp(n), sl(3)), 1)
-    return BuildResult(rep, (), None)
+    return BuildResult(rep, ())
 
 
 def _neg_419(p):
     n = p["n"]
     rep = add_torus(tensor(sl(n), dual(sp(2))), 1)
-    return BuildResult(rep, (), None)
+    return BuildResult(rep, ())
 
 
 def _neg_4112(p):
-    return BuildResult(add_torus(half_spin_rep10(), 1), (), None)
+    return BuildResult(add_torus(half_spin_rep10(), 1), ())
 
 
 def _neg_421(p):
@@ -432,8 +391,7 @@ def _neg_421(p):
     s = sl(n)
     rep = direct_sum_shared([(f"sl({n})", [s, s])])
     rep = add_torus(rep, 2)
-    hint = _basis_vec(n, 0) + _basis_vec(n, 1)
-    return BuildResult(rep, (), tuple(hint))
+    return BuildResult(rep, ())
 
 
 def _neg_428b(p):
@@ -446,7 +404,7 @@ def _neg_428b(p):
         ]
     )
     invs = tuple(restrict_to_summand(determinant(2), rep.summand_dims, k) for k in (0, 1))
-    return BuildResult(rep, invs, None)
+    return BuildResult(rep, invs)
 
 
 def _neg_4210(p):
@@ -465,7 +423,7 @@ def _neg_4210(p):
         restrict_to_summand(pf_gram(n), rep.summand_dims, 0),
         restrict_to_summand(pf_gram(m), rep.summand_dims, 1),
     )
-    return BuildResult(rep, invs, None)
+    return BuildResult(rep, invs)
 
 
 def _neg_4212(p):
@@ -475,7 +433,7 @@ def _neg_4212(p):
     rep = add_torus(rep, 2)
     f = quadratic_form(_eye(8))
     invs = tuple(restrict_to_summand(f, rep.summand_dims, k) for k in (0, 1))
-    return BuildResult(rep, invs, None)
+    return BuildResult(rep, invs)
 
 
 # -- parameter validation --------------------------------------------------------
@@ -807,14 +765,24 @@ def _build(entry: CatalogEntry, params: Dict[str, int]) -> BuildResult:
     return _built(entry, params)[0]
 
 
-def _check_params(entry: CatalogEntry, params: Dict[str, int]) -> None:
+def _check_params(entry: CatalogEntry, params: Dict[str, int]) -> Dict[str, int]:
+    """params with each value as a Python int; raises before any build."""
     if set(params) != set(entry.params):
         raise ValueError(
             f"{entry.id} expects parameters {entry.params}, got {tuple(params)}"
         )
-    msg = entry.validate(params)
+    ints = {}
+    for name, value in params.items():
+        try:
+            ints[name] = operator.index(value)  # a float, even 4.0, is refused
+        except TypeError:
+            raise TypeError(
+                f"{entry.id}: parameter {name} must be an integer, got {value!r}"
+            ) from None
+    msg = entry.validate(ints)
     if msg:
         raise ValueError(f"{entry.id}: {msg}")
+    return ints
 
 
 def _diagram_check(entry: CatalogEntry, params, rep: MatrixRep):
@@ -839,15 +807,10 @@ def _diagram_check(entry: CatalogEntry, params, rep: MatrixRep):
 def run(entry_id: str, params: Optional[Dict[str, int]] = None, seed: int = 0) -> VerificationReport:
     """Verify one catalog entry at one parameter choice; deterministic."""
     entry = get_entry(entry_id)
-    params = dict(params or {})
-    if not params and entry.params:
-        params = dict(entry.defaults[0])
-    _check_params(entry, params)
+    params = _check_params(entry, params or entry.defaults[0])
     start = time.monotonic()
     built, (diagram_repr, diagram_ok) = _built(entry, params)
-    report: AnalysisReport = classify(
-        built.rep, built.invariants, x_hint=built.x_hint, seed=seed
-    )
+    report: AnalysisReport = classify(built.rep, built.invariants, seed=seed)
     diff: Dict[str, object] = {}
     if not report.prehomogeneous:
         status = "inconclusive"

@@ -20,6 +20,7 @@ matrices), so every downstream report is reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
@@ -62,6 +63,7 @@ class MatrixRep:
     Generator i is T[i] / den (see the module docstring).  T is an
     array-like of shape (d, n, n) with d >= 1, of integers or rationals;
     it is cleared once, and its dtype re-chosen, by `linalg._int_array`.
+    den is a positive integer.
     """
 
     def __init__(
@@ -71,6 +73,8 @@ class MatrixRep:
         labels: Sequence[str],
         summand_dims: Optional[Sequence[int]] = None,
     ):
+        if not isinstance(den, numbers.Integral) or den < 1:
+            raise ValueError(f"den must be a positive integer, got {den!r}")
         T, k = _int_array(T)
         if T.ndim != 3 or T.shape[1] != T.shape[2] or not len(T):
             raise ValueError("generators must be a nonempty stack of square matrices")

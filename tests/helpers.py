@@ -279,28 +279,18 @@ def isotropy_algebra(rep: MatrixRep, point) -> Subalgebra:
     return sub
 
 
-def sequential_certified_points(rep: MatrixRep, count: int, seed: int = 0, hint=None):
+def sequential_certified_points(rep: MatrixRep, count: int, seed: int = 0):
     """One exact rank per distinct draw, in stream order: the reference for
     `analyzer.sample_certified_points`, which certifies its draws in blocks
-    modulo a prime.  A hint that is not generic raises ValueError."""
-
-    def exact(x) -> bool:
-        xi, _ = _int_array(x)
-        return rank((rep.T @ xi).T) == rep.space_dim
-
-    points = []
-    if hint is not None:
-        pt = tuple(_int_array(hint)[0].tolist())
-        if not exact(pt):
-            raise ValueError("the hint is not generic")
-        points.append(pt)
-    seen = set(points)
+    modulo a prime."""
+    points, seen = [], set()
     rng = DetRng.for_stream(seed, "point-sample")
     for _ in range(MAX_DRAWS):
         if len(points) >= count:
             break
         draw = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
-        if draw not in seen and exact(draw):
+        orbit = rep.T @ np.array(draw, dtype=np.int64)
+        if draw not in seen and rank(orbit.T) == rep.space_dim:
             points.append(draw)
         seen.add(draw)
     return points

@@ -135,7 +135,7 @@ def test_criterion_6_property_suites():
     # character dimension stable across five certified points per entry
     for entry in catalog():
         built = _build(entry, dict(entry.defaults[0]))
-        pts = sample_certified_points(built.rep, 5, seed=11, hint=built.x_hint)
+        pts = sample_certified_points(built.rep, 5, seed=11)
         dims = {character_space_dim(built.rep, p) for p in pts}
         ok = ok and dims == {entry.expected_character_dim}
     details.append("char stability x5")

@@ -16,7 +16,6 @@ from helpers import (
 )
 from pvkit.analyzer import (
     LAMBDA_POINTS,
-    NotPrehomogeneousError,
     ZeroAtTestPointError,
     character_space_dim,
     classify,
@@ -79,37 +78,14 @@ def test_action_matrix_at_zero():
     assert m.is_zero()
 
 
-def test_sampler_accepts_registered_point():
-    n = 2
-    s = sp(n)
-    rep = add_torus(direct_sum_shared([(f"sp({n})", [s, s])]), 2)
-    hint = [Q(0)] * (4 * n)
-    hint[0] = Q(1)
-    hint[2 * n + n] = Q(1)
-    p = sample_certified_points(rep, 1, hint=hint)[0]
-    assert p == tuple(int(c) for c in hint)
-    assert all(type(c) is int for c in p)
-
-
-def test_sampler_certifies_identity_for_sym():
-    r = sym2(gl(2))
-    assert sample_certified_points(r, 1, hint=[1, 0, 1]) == [(1, 0, 1)]
-
-
 @pytest.mark.parametrize("count", [0, -1])
 def test_sampler_rejects_a_count_below_one(count):
-    """A hint is never returned beyond the count asked for: `count` < 1 is
-    a ValueError, with or without a hint."""
-    with pytest.raises(ValueError, match="at least one point"):
-        sample_certified_points(gl(2), count, hint=[1, 0])
     with pytest.raises(ValueError, match="at least one point"):
         sample_certified_points(gl(2), count, seed=0)
 
 
 def test_zero_rep_is_not_prehomogeneous():
     zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
-    with pytest.raises(NotPrehomogeneousError):
-        sample_certified_points(zero, 1, hint=[1])
     assert sample_certified_points(zero, 3, seed=0) == []  # no raise: a shortfall
 
 
@@ -131,8 +107,7 @@ def test_isotropy_dims_vector_plus_alt():
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_isotropy_so_plus_torus(n):
     rep = add_torus(so(n), 1)
-    hint = [Q(1)] + [Q(0)] * (n - 1)
-    p = sample_certified_points(rep, 1, hint=hint)[0]
+    p = sample_certified_points(rep, 1, seed=0)[0]
     iso = isotropy_algebra(rep, p)
     assert iso.dim == (n - 1) * (n - 2) // 2
     assert iso.is_bracket_closed()
@@ -154,10 +129,7 @@ def test_empty_subalgebras_keep_their_shape(rep, char_dim):
 def test_isotropy_shared_symplectic_pair(n):
     s = sp(n)
     rep = add_torus(direct_sum_shared([(f"sp({n})", [s, s])]), 2)
-    hint = [Q(0)] * (4 * n)
-    hint[0] = Q(1)
-    hint[2 * n + n] = Q(1)
-    p = sample_certified_points(rep, 1, hint=hint)[0]
+    p = sample_certified_points(rep, 1, seed=0)[0]
     assert isotropy_algebra(rep, p).dim == (n - 1) ** 2 + n * (n - 1) + 1
 
 
@@ -235,7 +207,8 @@ def test_hessian_regularity_quadratic():
     n = 4
     rep = add_torus(so(n), 1)
     f = quadratic_form(_eye(n))
-    p = sample_certified_points(rep, 1, hint=[1, 0, 0, 0])[0]
+    p = (1, 0, 0, 0)
+    assert rank(action_matrix(rep, p)) == n  # p is generic
     assert hessian_regularity(f, rep, p)
 
 
@@ -243,9 +216,9 @@ def test_hessian_regularity_quadratic():
 def test_hessian_regularity_det_on_sym(n):
     r = sym2(gl(n))
     f = determinant(n, "sym")
-    ident = [Q(1) if i == j else Q(0) for i in range(n) for j in range(i, n)]
-    p = sample_certified_points(r, 1, hint=ident)[0]
-    assert hessian_regularity(f, r, p)
+    ident = tuple(int(i == j) for i in range(n) for j in range(i, n))
+    assert rank(action_matrix(r, ident)) == r.space_dim  # the identity is generic
+    assert hessian_regularity(f, r, ident)
 
 
 def test_hessian_degenerate_for_partial_invariant():
@@ -269,7 +242,7 @@ def test_stage_functions_reject_non_integer_coordinates():
     (1/2, 3/2, 1) as the certified point (0, 1, 1))."""
     r = sym2(gl(2))
     f = determinant(2, "sym")
-    assert sample_certified_points(r, 1, hint=[0, 1, 1])  # the truncation is generic
+    assert rank(action_matrix(r, [0, 1, 1])) == 3  # the truncation is generic
     for point in [(Q(1, 2), Q(3, 2), 1), (Q(1), 0, Q(1)), (1.0, 0, 1)]:
         with pytest.raises(TypeError):
             character_space_dim(r, point)
@@ -390,38 +363,46 @@ def test_classify_inconclusive_when_not_prehomogeneous():
 
 
 def test_classify_records_unverifiable_invariant():
+    """An invariant is reported unverified at 0 points when too few points
+    are certified (the line has 6 nonzero draws), and when it vanishes at a
+    certified point: a nonzero relative invariant vanishes nowhere on the
+    open orbit, so it is not checked at points off its zero set."""
     zero_inv = InvariantPolynomial(1, "zero", "poly", np.zeros((0, 1)))
     rep = classify(torus_line(), [zero_inv], seed=0)
     assert rep.prehomogeneous and rep.character_dim == 1
     (chk,) = rep.invariant_checks
     assert not chk.verified and chk.points_checked == 0
     assert rep.regular is None
-
-
-def test_classify_reports_an_invariant_vanishing_at_a_certified_point():
-    """A nonzero relative invariant vanishes nowhere on the open orbit, so a
-    form that vanishes at the certified hint is reported unverified at 0
-    points instead of being checked at points off its zero set."""
-    off_diagonal = InvariantPolynomial(3, "x01", "poly", [[1]], (1,))
-    rep = classify(sym2(gl(2)), [off_diagonal], x_hint=[1, 0, 1], seed=0)
-    assert rep.prehomogeneous
-    (chk,) = rep.invariant_checks
-    assert not chk.verified and chk.points_checked == 0
-    assert "x01 unverified: x01 vanishes on the open orbit" in rep.notes
-
-
-@pytest.mark.parametrize("kind,grid", [("det", [[1]]), ("pf", [[0, 1], [1, 0]])])
-def test_classify_reports_a_grid_singular_at_a_certified_point(kind, grid):
-    """A det or Pf grid singular at the certified hint has value 0 and no
-    gradient, so the stage raises ZeroAtTestPointError and the run reports
-    the invariant unverified."""
-    f = InvariantPolynomial(3, f"{kind} of x01", kind, grid)
-    with pytest.raises(ZeroAtTestPointError):
-        verify_relative_invariant(sym2(gl(2)), f, [(1, 0, 1)])
-    rep = classify(sym2(gl(2)), [f], x_hint=[1, 0, 1], seed=0)
+    assert "zero unverified: only 6 certified points" in rep.notes
+    zero_inv = InvariantPolynomial(3, "zero", "poly", np.zeros((0, 1)))
+    rep = classify(sym2(gl(2)), [zero_inv], seed=0)
     (chk,) = rep.invariant_checks
     assert rep.prehomogeneous and not chk.verified and chk.points_checked == 0
-    assert f"{f.name} unverified: {f.name} vanishes on the open orbit" in rep.notes
+    assert "zero unverified: zero vanishes on the open orbit" in rep.notes
+
+
+@pytest.mark.parametrize("kind,grid", [("det", [[0, 1], [0, 1]]), ("pf", [[0, 1], [1, 0]])])
+def test_classify_reports_a_grid_singular_at_a_certified_point(kind, grid, monkeypatch):
+    """A det or Pf grid singular at a certified point has value 0 and no
+    gradient, so the stage raises ZeroAtTestPointError, and a run reports
+    the invariant unverified.  The det grid has two equal rows, so it is
+    singular everywhere; Pf(x01) vanishes at (1, 0, 1), which the run's
+    sampler is made to return first."""
+    from pvkit import analyzer
+
+    rep, f = sym2(gl(2)), InvariantPolynomial(3, f"{kind} grid", kind, grid)
+    with pytest.raises(ZeroAtTestPointError):
+        verify_relative_invariant(rep, f, [(1, 0, 1)])
+    if kind == "pf":
+        seeded = analyzer.sample_certified_points
+        monkeypatch.setattr(
+            analyzer, "sample_certified_points",
+            lambda rep, count, seed=0: [(1, 0, 1)] + seeded(rep, count, seed)[1:],
+        )
+    report = classify(rep, [f], seed=0)
+    (chk,) = report.invariant_checks
+    assert report.prehomogeneous and not chk.verified and chk.points_checked == 0
+    assert f"{f.name} unverified: {f.name} vanishes on the open orbit" in report.notes
 
 
 def _counting_gradients(monkeypatch) -> dict:
@@ -465,12 +446,11 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     evals = _counting_gradients(monkeypatch)
-    report = classify(built.rep, built.invariants, x_hint=built.x_hint, seed=0)
+    report = classify(built.rep, built.invariants, seed=0)
     assert report.character_dim == 2 and len(evals) == 2
     assert all(c.verified for c in report.invariant_checks)
-    # the hint certificate is a stack of one; each block draws as many
-    # draws as points are still missing
-    assert stacks[0] == (1 if built.x_hint else LAMBDA_POINTS)
+    # each block draws as many draws as points are still missing
+    assert stacks[0] == LAMBDA_POINTS
     assert len(certified) >= LAMBDA_POINTS
     assert len(certified) == len(set(certified))
     assert evals == {f.name: LAMBDA_POINTS for f in built.invariants}
@@ -497,7 +477,7 @@ def test_classify_builds_no_gram_matrix_when_the_bounds_meet(monkeypatch):
 
     built = _build(get_entry("NEG-4.2.8b"), {})
     grams = _counting_gram(monkeypatch)
-    report = classify(built.rep, built.invariants, x_hint=built.x_hint, seed=0)
+    report = classify(built.rep, built.invariants, seed=0)
     assert len(report.invariant_checks) == 2
     assert all(c.verified for c in report.invariant_checks)
     assert report.character_dim == 2 and grams == []
@@ -557,7 +537,7 @@ def test_character_dim_falls_back_when_the_covectors_fall_short(monkeypatch):
 
     built = _build(get_entry("NEG-4.2.8b"), {})
     rep = built.rep
-    point = sample_certified_points(rep, 1, seed=0, hint=built.x_hint)[0]
+    point = sample_certified_points(rep, 1, seed=0)[0]
     g1, g2 = (_gradient(f, point) for f in built.invariants)
     grams = _counting_gram(monkeypatch)
     assert character_space_dim(rep, point, covectors=[g1, g2]) == 2
@@ -665,14 +645,12 @@ def test_pipeline_evaluates_invariants_at_integer_points_only(monkeypatch):
     evals = _counting_gradients(monkeypatch)
     rep, f = sym2(gl(3)), determinant(3, "sym")
     pts = sample_certified_points(rep, 4, seed=2)
-    hint = [Q(1, 2), 0, 0, Q(3, 2), 0, Q(-1, 3)]
-    assert verify_relative_invariant(rep, f, sample_certified_points(rep, 2, hint=hint))[0]
     doubled = [tuple(2 * c for c in p) for p in pts]
     for points in (pts, doubled):
         ok, lam = verify_relative_invariant(rep, f, points)
         assert ok and lam == tuple(2 * b.trace() for b in basis(gl(3)))
         assert all(hessian_regularity(f, rep, p) for p in points)
-    assert evals[f.name] >= 2 + 2 * 4
+    assert evals[f.name] >= 2 * 4
 
 
 def _default_builds():
@@ -688,14 +666,13 @@ def _default_builds():
 def test_sampler_matches_the_sequential_exact_sampler_on_every_default_build():
     """The block sampler, certified mod P, returns the points one exact rank
     per draw returns, on every default build for seeds 0-5, one and
-    LAMBDA_POINTS points, with and without the registered point."""
+    LAMBDA_POINTS points."""
     for name, built in _default_builds():
         for seed in range(6):
-            for hint in {None, built.x_hint}:
-                want = sequential_certified_points(built.rep, LAMBDA_POINTS, seed, hint)
-                for count in (1, LAMBDA_POINTS):
-                    got = sample_certified_points(built.rep, count, seed=seed, hint=hint)
-                    assert got == want[:count], (name, seed, hint, count)
+            want = sequential_certified_points(built.rep, LAMBDA_POINTS, seed)
+            for count in (1, LAMBDA_POINTS):
+                got = sample_certified_points(built.rep, count, seed=seed)
+                assert got == want[:count], (name, seed, count)
 
 
 def _times_p(rep: MatrixRep) -> MatrixRep:
@@ -708,13 +685,10 @@ def _times_p(rep: MatrixRep) -> MatrixRep:
 def test_sampler_decides_draws_rejected_mod_p_exactly(which, monkeypatch):
     """Every draw fails mod P on the scaled rep, so the sampler reaches the
     shortfall, decides the rejected draws by exact rank in stream order,
-    and returns the points of the plain rep, hint included."""
+    and returns the points of the plain rep."""
     from pvkit import analyzer
 
-    if which == "sym_det":
-        rep, hint = sym2(gl(3)), [1, 0, 0, 1, 0, 1]
-    else:
-        rep, hint = add_torus(so(4), 1), [1, 0, 0, 0]
+    rep = sym2(gl(3)) if which == "sym_det" else add_torus(so(4), 1)
     big = _times_p(rep)
     verdicts = []
 
@@ -724,13 +698,12 @@ def test_sampler_decides_draws_rejected_mod_p_exactly(which, monkeypatch):
         return got
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
-    for h in (None, hint):
-        for count in (1, LAMBDA_POINTS):
-            want = sample_certified_points(rep, count, seed=2, hint=h)
-            verdicts.clear()
-            assert sample_certified_points(big, count, seed=2, hint=h) == want
-            assert len(want) == count and verdicts and not any(verdicts)
-            assert want == sequential_certified_points(rep, count, 2, h)
+    for count in (1, LAMBDA_POINTS):
+        want = sample_certified_points(rep, count, seed=2)
+        verdicts.clear()
+        assert sample_certified_points(big, count, seed=2) == want
+        assert len(want) == count and verdicts and not any(verdicts)
+        assert want == sequential_certified_points(rep, count, 2)
 
 
 def test_sampler_shortfall_matches_the_sequential_sampler():
@@ -756,32 +729,6 @@ def _recording(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(analyzer, name, wrapper)
     return calls
-
-
-@pytest.mark.parametrize("count", [1, LAMBDA_POINTS])
-def test_sampler_certifies_the_hint_as_the_first_member_of_the_first_stack(
-    count, monkeypatch
-):
-    """The hint is member 0 of the first stack certified mod P, also when
-    one point is asked for and nothing is drawn.  It reaches exact rank
-    only when that stack rejects it (the rep times P): then it is accepted
-    and comes first.  A hint that is not generic raises."""
-    stacks = _recording(monkeypatch, "full_rank_mod_p")
-    ranks = _recording(monkeypatch, "rank")
-    rep, hint = sym2(gl(3)), (1, 0, 0, 1, 0, 1)
-    got = sample_certified_points(rep, count, seed=2, hint=hint)
-    assert got[0] == hint and len(got) == count and not ranks
-    assert len(stacks) == 1 and len(stacks[0]) == count
-    assert (stacks[0][0] == (rep.T @ np.array(hint)) % P).all()
-    stacks.clear()
-    assert sample_certified_points(_times_p(rep), 1, seed=2, hint=hint) == [hint]
-    assert len(stacks) == 1 and len(stacks[0]) == 1 and len(ranks) == 1
-    assert sample_certified_points(_times_p(rep), count, seed=2, hint=hint) == got
-    for bad in [(1, 0, 0, 0, 0, 0), (0,) * 6]:
-        with pytest.raises(NotPrehomogeneousError, match="registered point"):
-            sample_certified_points(rep, count, seed=2, hint=bad)
-        with pytest.raises(NotPrehomogeneousError, match="registered point"):
-            sample_certified_points(_times_p(rep), count, seed=2, hint=bad)
 
 
 @pytest.mark.parametrize("which", ["sym_det", "so_quadratic", "alt_pfaffian_partial"])
@@ -869,7 +816,7 @@ def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatc
             built = _build(e, dict(params))
             if not built.invariants:
                 continue
-            point = sample_certified_points(built.rep, 1, hint=built.x_hint)[0]
+            point = sample_certified_points(built.rep, 1, seed=0)[0]
             if not all([hessian_regularity(f, built.rep, point) for f in built.invariants]):
                 runs.add((e.id, tuple(params.items())))
     assert len(runs) == 20 and not ranks

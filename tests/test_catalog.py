@@ -94,6 +94,25 @@ def test_out_of_range_parameters_rejected():
         run("T2.1", {"k": 3})
 
 
+def test_non_integer_parameters_are_rejected_before_any_build(monkeypatch):
+    """A parameter value is read through operator.index: a numpy integer
+    gives the report of the Python int, and a float, even 4.0, is a
+    TypeError that names the parameter before anything is built."""
+    cat = importlib.import_module("pvkit.catalog")
+
+    want = run("T2.3", {"n": 4}).to_json(with_elapsed=False)
+    got = run("T2.3", {"n": np.int64(4)})
+    assert type(got.params["n"]) is int and got.to_json(with_elapsed=False) == want
+
+    def no_build(entry, params):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cat, "_built", no_build)
+    for bad in (4.0, np.float64(4.0), "4", None):
+        with pytest.raises(TypeError, match="parameter n must be an integer"):
+            run("T2.3", {"n": bad})
+
+
 def test_reports_are_deterministic():
     a = run("T3.6", {"n": 2}, seed=7)
     b = run("T3.6", {"n": 2}, seed=7)
@@ -179,7 +198,7 @@ def test_isotropy_bracket_closed_per_entry():
     for entry in catalog():
         params = dict(entry.defaults[0])
         built = _build(entry, params)
-        pts = sample_certified_points(built.rep, 1, seed=13, hint=built.x_hint)
+        pts = sample_certified_points(built.rep, 1, seed=13)
         iso = isotropy_algebra(built.rep, pts[0])
         assert iso.is_bracket_closed(), entry.id
         assert built.rep.algebra_dim - iso.dim == built.rep.space_dim
@@ -196,7 +215,7 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
         params = dict(entry.defaults[0])
         built = _build(entry, params)
         for f in built.invariants:
-            pts = sample_certified_points(built.rep, 10, seed=21, hint=built.x_hint)
+            pts = sample_certified_points(built.rep, 10, seed=21)
             flags = [det(hessian_matrix(f, p)[0]) != 0 for p in pts]
             assert len(set(flags)) == 1, (entry.id, f.name)
             for p, flag in zip(pts, flags):
@@ -219,7 +238,7 @@ def test_lambda_vanishes_on_isotropy_at_an_independent_point():
             continue
         other = sample_certified_points(built.rep, 1, seed=29)[0]
         iso = isotropy_algebra(built.rep, other).coefficient_basis.astype(object)
-        pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0, hint=built.x_hint)
+        pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0)
         for f in built.invariants:
             assert f(other) != 0, (entry.id, f.name)
             ok, lam = verify_relative_invariant(built.rep, f, pts)
@@ -245,7 +264,7 @@ def test_character_dim_and_derived_check_match_coefficient_space():
     for entry in catalog():
         built = _build(entry, dict(entry.defaults[0]))
         rep = built.rep
-        pts = sample_certified_points(rep, 5, seed=11, hint=built.x_hint)
+        pts = sample_certified_points(rep, 5, seed=11)
         pts += sample_certified_points(rep, 1, seed=31)
         for p in pts:
             want = character_dim_in_coefficients(rep, p)

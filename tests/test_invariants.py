@@ -508,9 +508,7 @@ def test_closed_form_matches_the_tape_at_every_default_runs_certified_points():
             if not built.invariants:
                 continue
             for seed in range(6):
-                pts = sample_certified_points(
-                    built.rep, LAMBDA_POINTS, seed=seed, hint=built.x_hint
-                )
+                pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=seed)
                 for f in built.invariants:
                     for p in pts:
                         value, grad = value_and_gradient(f, p)
@@ -536,7 +534,7 @@ def test_closed_form_matches_the_tape_at_certified_points_of_larger_runs(entry_i
 
     built = _build(get_entry(entry_id), params)
     (f,) = built.invariants
-    pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0, hint=built.x_hint)
+    pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0)
     assert len(pts) == LAMBDA_POINTS
     for p in pts:
         value, grad = value_and_gradient(f, p)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from helpers import dense_nullspace, det, hessian_matrix, jet_line, lockstep_full_rank_mod_p
-from pvkit.analyzer import sample_certified_points
 from pvkit.invariants import InvariantPolynomial, determinant
 from pvkit.linalg import (
     P,
@@ -25,7 +24,7 @@ from pvkit.linalg import (
     nullspace,
     rank,
 )
-from pvkit.reps import MatrixRep, gl
+from pvkit.reps import MatrixRep
 
 
 def naive_rank(rows):
@@ -306,9 +305,8 @@ def test_detrng_randints_equals_successive_randint(seed):
     [
         lambda: rank([[0.5, 1]]),
         lambda: MatrixRep(np.full((1, 2, 2), 0.5), 1, ("x",)),
-        lambda: sample_certified_points(gl(2), 1, hint=[0.5, 1.0]),
     ],
-    ids=["rank", "MatrixRep", "sampler_hint"],
+    ids=["rank", "MatrixRep"],
 )
 def test_float_input_is_rejected(call):
     with pytest.raises(TypeError, match="exact integer or rational input required"):

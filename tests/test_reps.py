@@ -373,6 +373,13 @@ def test_constructor_clears_rational_generators():
             MatrixRep(bad, 1, ("bad",))
 
 
+@pytest.mark.parametrize("den", [0, -1, 0.5, 1.0, None])
+def test_constructor_rejects_a_den_that_is_not_a_positive_integer(den):
+    """A zero den would reach classify as a Fraction with denominator 0."""
+    with pytest.raises(ValueError, match="den must be a positive integer"):
+        MatrixRep(np.eye(2, dtype=np.int64)[None], den, ("x",))
+
+
 @pytest.mark.parametrize("scale", [1, 2**63 + 1], ids=["int64", "above_int64"])
 def test_bracket_closure_in_gl2(scale):
     # [E01, E10] = E00 - E11 lies outside span{E01, E10}; rows scaled past

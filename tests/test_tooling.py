@@ -106,15 +106,13 @@ def _exact_only_after_a_rejection(fn: ast.FunctionDef, exact: set[str]) -> ast.I
 
 
 def test_regularity_reaches_exact_rank_only_after_the_modular_test():
-    """hessian_regularity and the sampler's hint reach exact rank only
-    after the mod-P kernel said no.  Regularity: after an `if` on the
-    kernel's verdict that returns, and after the zero-row check, an `if`
-    that returns False.  The hint: as member 0 of the first stack, so its
-    one exact rank is a later operand of an `or` whose first operand is
-    `verdicts[0]`, the stack's verdict on it.  character_space_dim builds
-    the Gram matrix and takes its rank only after its certificate, two
-    kernel verdicts joined by `and`, is rejected.  The one other exact
-    rank is the sampler's shortfall branch."""
+    """hessian_regularity reaches exact rank only after the mod-P kernel
+    said no: after an `if` on the kernel's verdict that returns, and after
+    the zero-row check, an `if` that returns False.  character_space_dim
+    builds the Gram matrix and takes its rank only after its certificate,
+    two kernel verdicts joined by `and`, is rejected.  The sampler's draw
+    loop certifies by the kernel alone, and its one exact rank is in the
+    shortfall branch."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
     regularity = _function(tree, "hessian_regularity")
     gate = _exact_only_after_a_rejection(regularity, {"rank"})
@@ -132,26 +130,11 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     assert isinstance(gate.test, ast.BoolOp) and len(gate.test.values) == 2
     assert len(_rank_calls(character)) == 1
     sampler = _function(tree, "sample_certified_points")
-    ifs = [n for n in sampler.body if isinstance(n, ast.If)]
-    (hint,) = [n for n in ifs if ast.unparse(n.test) == "hint is not None"]
-    assert not _called(hint) & {"rank", "full_rank_mod_p"}
-    (shortfall,) = [n for n in ifs if _rank_calls(n)]
+    (shortfall,) = [n for n in sampler.body if isinstance(n, ast.If) and _rank_calls(n)]
     assert ast.unparse(shortfall.test) == "len(points) < count"
+    assert len(_rank_calls(sampler)) == len(_rank_calls(shortfall)) == 1
     (loop,) = [n for n in sampler.body if isinstance(n, ast.While)]
-    body = [n for stmt in loop.body for n in ast.walk(stmt)]
-    (verdicts,) = [
-        n for n in body if isinstance(n, ast.Assign) and "full_rank_mod_p" in _called(n)
-    ]
-    assert ast.unparse(verdicts) == "verdicts = full_rank_mod_p(stack).tolist()"
-    guarded = set()
-    for node in body:
-        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
-            assert ast.unparse(node.values[0]) == "verdicts[0]", ast.unparse(node)
-            for later in node.values[1:]:
-                guarded |= {id(n) for n in ast.walk(later)}
-    ranks = _rank_calls(loop)
-    assert len(ranks) == 1 and all(id(n) in guarded for n in ranks)
-    assert len(_rank_calls(sampler)) == 2
+    assert "full_rank_mod_p" in _called(loop)
     owners = {
         fn.name for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and _rank_calls(fn)
@@ -207,6 +190,27 @@ def test_package_defines_no_gradient_tape_or_ring_expansion():
             if isinstance(n, (ast.FunctionDef, ast.ClassDef))
         }
         assert not defined & {"TapeNode", "ring_det", "ring_pf"}, path.name
+
+
+def test_package_takes_no_registered_point():
+    """A run's points come from (build, seed) alone: no function in the
+    package has a `hint` or `x_hint` parameter, and no dataclass such a
+    field."""
+    banned = {"hint", "x_hint"}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                assert not params & banned, (path.name, getattr(node, "name", "lambda"))
+            elif isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+            ):
+                fields = {
+                    n.target.id for n in node.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+                }
+                assert not fields & banned, (path.name, node.name)
 
 
 def test_square_action_scatters_without_kron():
