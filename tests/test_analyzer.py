@@ -364,9 +364,7 @@ def test_classify_inconclusive_when_not_prehomogeneous():
 
 def test_classify_records_unverifiable_invariant():
     """An invariant is reported unverified at 0 points when too few points
-    are certified (the line has 6 nonzero draws), and when it vanishes at a
-    certified point: a nonzero relative invariant vanishes nowhere on the
-    open orbit, so it is not checked at points off its zero set."""
+    are certified (the line has 6 nonzero draws)."""
     zero_inv = InvariantPolynomial(1, "zero", "poly", np.zeros((0, 1)))
     rep = classify(torus_line(), [zero_inv], seed=0)
     assert rep.prehomogeneous and rep.character_dim == 1
@@ -374,6 +372,28 @@ def test_classify_records_unverifiable_invariant():
     assert not chk.verified and chk.points_checked == 0
     assert rep.regular is None
     assert "zero unverified: only 6 certified points" in rep.notes
+
+
+def test_classify_reports_an_invariant_vanishing_at_a_certified_point(monkeypatch):
+    """A nonzero relative invariant vanishes nowhere on the open orbit, so a
+    form that vanishes at a certified point is reported unverified at 0
+    points instead of being checked at points off its zero set.  The run's
+    sampler is made to return (1, 0, 1), a zero of x01, first; the zero
+    form vanishes at every seeded point."""
+    from pvkit import analyzer
+
+    seeded = analyzer.sample_certified_points
+    monkeypatch.setattr(
+        analyzer, "sample_certified_points",
+        lambda rep, count, seed=0: [(1, 0, 1)] + seeded(rep, count, seed)[1:],
+    )
+    off_diagonal = InvariantPolynomial(3, "x01", "poly", [[1]], (1,))
+    rep = classify(sym2(gl(2)), [off_diagonal], seed=0)
+    assert rep.prehomogeneous
+    (chk,) = rep.invariant_checks
+    assert not chk.verified and chk.points_checked == 0
+    assert "x01 unverified: x01 vanishes on the open orbit" in rep.notes
+    monkeypatch.setattr(analyzer, "sample_certified_points", seeded)
     zero_inv = InvariantPolynomial(3, "zero", "poly", np.zeros((0, 1)))
     rep = classify(sym2(gl(2)), [zero_inv], seed=0)
     (chk,) = rep.invariant_checks
