@@ -11,7 +11,6 @@ test modulo 2**31 - 1 that exact rank backs up only when it says no.
 
 from .analyzer import (
     AnalysisReport,
-    NotPrehomogeneousError,
     ZeroAtTestPointError,
     character_space_dim,
     classify,

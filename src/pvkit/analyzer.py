@@ -39,7 +39,6 @@ from .reps import MatrixRep
 
 __all__ = [
     "AnalysisReport",
-    "NotPrehomogeneousError",
     "ZeroAtTestPointError",
     "character_space_dim",
     "verify_relative_invariant",
@@ -47,10 +46,6 @@ __all__ = [
     "classify",
     "sample_certified_points",
 ]
-
-
-class NotPrehomogeneousError(RuntimeError):
-    """No certified generic point was found; absence of a certificate only."""
 
 
 class ZeroAtTestPointError(RuntimeError):
@@ -391,11 +386,13 @@ def classify(
     checks: list[InvariantCheck] = []
     covectors = []
     for f in declared_invariants:
+        if len(pts) < LAMBDA_POINTS:
+            unverified.append(f"{f.name} unverified: {_shortfall(len(pts))}")
+            checks.append(InvariantCheck(f.name, False, (), 0))
+            continue
         try:
-            if len(pts) < LAMBDA_POINTS:
-                raise NotPrehomogeneousError(_shortfall(len(pts)))
             verified, lam = verify_relative_invariant(rep, f, pts)
-        except (NotPrehomogeneousError, ZeroAtTestPointError) as exc:
+        except ZeroAtTestPointError as exc:
             unverified.append(f"{f.name} unverified: {exc}")
             checks.append(InvariantCheck(f.name, False, (), 0))
             continue

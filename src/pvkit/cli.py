@@ -1,30 +1,31 @@
 """Command-line interface.
 
-Subcommands: list, run, run-all, diagram, table1.  The exit code is 0 iff
-every selected check passed, 1 when a check failed, and 2 on a usage
-error: an unknown entry or bad parameter, bad arguments, or a PVKIT_SEED
-that is not an integer.  PVKIT_SEED overrides the default seed.
+Subcommands: list, run, run-all, diagram, table1, each with the options in
+COMMANDS, which `getopt` reads as `--name value`, `--name=value` or a unique
+prefix of the name; `-h`/`--help` prints the usage from the same table.
+The exit code is 0 iff every selected check passed (or for --help), 1 when a
+check failed, and 2 on a usage error, reported in one line on stderr: bad
+arguments, an unknown entry or bad parameter, or a PVKIT_SEED that is not
+an integer.  PVKIT_SEED overrides the default seed.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import os
 import sys
+from types import SimpleNamespace
 
 from .catalog import catalog, get_entry, run, run_all, summary_json
 from .grading import compute_grading, irreducible_components, render_diagram, verify_table1
 from .rootsystems import WeightedDiagram, build_root_system
 
 
-def _default_seed() -> int | None:
-    """PVKIT_SEED as an integer, 0 when unset, None when not an integer."""
-    value = os.environ.get("PVKIT_SEED", "0")
+def _int(value: str, name: str) -> int:
     try:
         return int(value)
     except ValueError:
-        print(f"PVKIT_SEED must be an integer, got {value!r}", file=sys.stderr)
-        return None
+        raise getopt.GetoptError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _cmd_list(args) -> int:
@@ -144,48 +145,79 @@ def _cmd_table1(args) -> int:
     return 0 if result["ok"] else 1
 
 
+# Each subcommand's handler, summary and options, name -> (kind, default).  A
+# kind is int, a tuple of choices or a free-text value's name.  A default of
+# None marks a required option, () a repeatable one, "PVKIT_SEED" the env seed.
+COMMANDS = {
+    "list": (_cmd_list, "list catalog entries", {}),
+    "run": (_cmd_run, "verify one entry", {
+        "entry": ("ID", None), "param": ("NAME=VALUE", ()),
+        "seed": (int, "PVKIT_SEED"), "format": (("text", "json"), "text"),
+    }),
+    "run-all": (_cmd_run_all, "verify a whole slice of the catalog", {
+        "filter": (("table2", "table3", "negatives", "all"), "all"),
+        "seed": (int, "PVKIT_SEED"), "format": (("text", "json"), "text"),
+    }),
+    "diagram": (_cmd_diagram, "render a weighted diagram and its grading", {
+        "type": (tuple("ABCDEFG"), None), "rank": (int, None),
+        "circle": ("I,J,... (1-based vertices)", None),
+    }),
+    "table1": (_cmd_table1, "check the commutative-parabolic rows", {}),
+}
+
+
+def _help(command: str) -> str:
+    if not command:
+        lines = ["usage: pvkit COMMAND [OPTIONS]; pvkit COMMAND --help lists them"]
+        lines += [f"  {name:8s} {summary}" for name, (_, summary, _) in COMMANDS.items()]
+        return "\n".join(lines)
+    lines = [f"usage: pvkit {command} [OPTIONS]: {COMMANDS[command][1]}"]
+    for name, (kind, default) in COMMANDS[command][2].items():
+        value = "INT" if kind is int else "|".join(kind) if isinstance(kind, tuple) else kind
+        note = ("required" if default is None else "repeatable" if default == ()
+                else f"default {default}")
+        lines.append(f"  --{name} {value}  ({note})")
+    return "\n".join(lines)
+
+
+def _parse(command: str, argv: list, seed: int):
+    """The handler's arguments, or None for --help; GetoptError on a usage error."""
+    options = COMMANDS[command][2] if command else {}
+    pairs, rest = getopt.getopt(argv, "h", ["help", *(f"{name}=" for name in options)])
+    if any(opt in ("-h", "--help") for opt, _ in pairs):
+        return None
+    if rest or not command:
+        raise getopt.GetoptError(f"unexpected argument {rest[0]!r}" if command
+                                 else f"expected a command: {', '.join(COMMANDS)}")
+    values = {}
+    for opt, val in pairs:
+        name = opt[2:]
+        kind, default = options[name]
+        if kind is int:
+            val = _int(val, f"--{name}")
+        elif isinstance(kind, tuple) and val not in kind:
+            raise getopt.GetoptError(f"--{name} must be one of {', '.join(kind)}, got {val!r}")
+        values[name] = values.get(name, ()) + (val,) if default == () else val
+    for name, (_, default) in options.items():
+        if name not in values and default is None:
+            raise getopt.GetoptError(f"--{name} is required")
+        values.setdefault(name, seed if default == "PVKIT_SEED" else default)
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    seed = _default_seed()
-    if seed is None:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else ""
+    try:
+        seed = _int(os.environ.get("PVKIT_SEED", "0"), "PVKIT_SEED")
+        args = _parse(command, argv[1:] if command else argv, seed)
+    except getopt.GetoptError as exc:
+        print(f"pvkit{' ' + command if command else ''}: {exc.msg}", file=sys.stderr)
         return 2
-    parser = argparse.ArgumentParser(
-        prog="pvkit",
-        description="Exact verification of the multiplicity-free catalog "
-        "with one-dimensional quotient.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list catalog entries")
-
-    p_run = sub.add_parser("run", help="verify one entry")
-    p_run.add_argument("--entry", required=True)
-    p_run.add_argument("--param", action="append", metavar="NAME=VALUE")
-    p_run.add_argument("--seed", type=int, default=seed)
-    p_run.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_all = sub.add_parser("run-all", help="verify a whole slice of the catalog")
-    p_all.add_argument(
-        "--filter", choices=("table2", "table3", "negatives", "all"), default="all"
-    )
-    p_all.add_argument("--seed", type=int, default=seed)
-    p_all.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_diag = sub.add_parser("diagram", help="render a weighted diagram and its grading")
-    p_diag.add_argument("--type", required=True, choices=list("ABCDEFG"))
-    p_diag.add_argument("--rank", required=True, type=int)
-    p_diag.add_argument("--circle", required=True, help="1-based vertices, comma separated")
-
-    sub.add_parser("table1", help="check the commutative-parabolic rows")
-
-    args = parser.parse_args(argv)
-    handlers = {
-        "list": _cmd_list,
-        "run": _cmd_run,
-        "run-all": _cmd_run_all,
-        "diagram": _cmd_diagram,
-        "table1": _cmd_table1,
-    }
-    return handlers[args.command](args)
+    if args is None:
+        print(_help(command))
+        return 0
+    return COMMANDS[command][0](args)
 
 
 if __name__ == "__main__":

@@ -120,3 +120,55 @@ def test_non_integer_env_seed_exits_2_with_one_line(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "PVKIT_SEED" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([], id="missing-command"),
+    pytest.param(["frobnicate"], id="unknown-command"),
+    pytest.param(["--seed", "1", "run"], id="option-before-command"),
+    pytest.param(["run", "--entry", "T2.1", "--bogus", "1"], id="unknown-option"),
+    pytest.param(["run-all", "--f", "json"], id="ambiguous-prefix"),
+    pytest.param(["run", "--entry"], id="option-without-value"),
+    pytest.param(["run", "--entry", "T2.1", "--help=x"], id="flag-with-value"),
+    pytest.param(["run", "--param", "n=3"], id="missing-entry"),
+    pytest.param(["diagram", "--type", "A", "--rank", "2"], id="missing-circle"),
+    pytest.param(["run", "--entry", "T2.1", "--seed", "x"], id="non-integer-seed"),
+    pytest.param(["diagram", "--type", "A", "--rank", "2.0", "--circle", "1"],
+                 id="non-integer-rank"),
+    pytest.param(["run", "--entry", "T2.1", "--format", "xml"], id="bad-format"),
+    pytest.param(["run-all", "--filter", "table9"], id="bad-filter"),
+    pytest.param(["diagram", "--type", "H", "--rank", "2", "--circle", "1"], id="bad-type"),
+    pytest.param(["run", "--entry", "T2.1", "stray"], id="stray-positional"),
+    pytest.param(["table1", "--", "stray"], id="stray-after-double-dash"),
+])
+def test_usage_error_returns_2_with_one_stderr_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("pvkit")
+
+
+@pytest.mark.parametrize("argv,names", [
+    pytest.param(["--help"], ["list", "run", "run-all", "diagram", "table1"], id="help"),
+    pytest.param(["-h"], ["list", "run", "run-all", "diagram", "table1"], id="h"),
+    pytest.param(["run", "--help"], ["--entry", "--param", "--seed", "--format"], id="run-help"),
+    pytest.param(["diagram", "-h"], ["--type", "--rank", "--circle"], id="diagram-h"),
+])
+def test_help_prints_to_stdout_and_returns_0(capsys, argv, names):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert all(name in captured.out for name in names)
+
+
+def test_equals_form_and_unique_prefixes_give_the_spaced_report(capsys):
+    reports = []
+    for argv in (["--entry", "T2.1", "--param", "n=3", "--seed", "-1", "--format", "json"],
+                 ["--entry=T2.1", "--param=n=3", "--seed=-1", "--format=json"],
+                 ["--ent", "T2.1", "--param", "n=3", "--s", "-1", "--form", "json"]):
+        assert main(["run", *argv]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_s")
+        reports.append(report)
+    assert reports[0]["seed"] == -1 and reports[0]["params"] == {"n": 3}
+    assert reports[0] == reports[1] == reports[2]
