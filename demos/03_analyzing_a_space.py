@@ -28,10 +28,11 @@ f = determinant(n, "sym")
 print(f"algebra dim {rep.algebra_dim}, space dim {rep.space_dim}")
 
 # 1. a generic point: the orbit map must be onto.  The sampler certifies
-# its draws and returns tuples of ints; column i of (T @ x).T is
-# den * B_i . x, so that integer matrix has the rank of the orbit map at x.
+# its draws and returns tuples of ints; row i of rep.act(x) is T_i x, so
+# column i of its transpose is den * B_i . x, and that integer matrix has
+# the rank of the orbit map at x.
 point = sample_certified_points(rep, 1, seed=0)[0]
-m = (rep.T @ point).T
+m = rep.act(point).T
 print(f"certified point {point}: orbit map rank {rank(m)}, "
       f"onto: {rank(m) == rep.space_dim}")
 

@@ -19,8 +19,11 @@ decides only what that test rejects.  Regularity is full rank of the
 Hessian, read off the gradient at the first point by the same full-rank
 test as the point certificate, on residues mod P; when that test rejects,
 a zero row of the exact matrix proves the Hessian singular before exact
-rank is asked.  The seeded sketch reads T's nonzero layout, kept on the
-rep, and draws its coefficients once per shape.
+rank is asked.  Every product with the generators is `MatrixRep.act` or
+`MatrixRep.pullback`, exact in int64 or Python ints; a product of their
+results with another array picks its dtype by `linalg._fit`.  The seeded
+sketch reduces the rep's list of T's nonzeros mod P and draws its
+coefficients once per shape.
 """
 
 from __future__ import annotations
@@ -87,33 +90,18 @@ def _mod_p(a: np.ndarray) -> np.ndarray:
     return (a % P).astype(np.int64)
 
 
-def _act(rep: MatrixRep, point: Sequence[int]) -> np.ndarray:
-    """The d x n matrix with row i = T_i x, exactly: int64 under `_fit`'s
-    bound, Python ints otherwise.  An einsum, since numpy's integer matmul
-    takes about nine times as long on a (256, 120, 120) T."""
-    xi = _fit(np.array(point, dtype=object))
-    return _fit(np.einsum("irc,c->ir", rep.T, xi))
-
-
-def _pullback(rep: MatrixRep, grad: np.ndarray) -> np.ndarray:
-    """The d x n matrix with row i = T_i^T grad, exactly, as `_act`."""
-    return _fit(np.einsum("r,irc->ic", _fit(grad), rep.T))
-
-
 def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
     """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] x.
 
-    With TTx = T @ (T @ x).T, of shape (d, n, d), TTx[i, :, j] = T_i (T_j x),
-    so M is one gather of TTx.  Over Q, M v = 0 exactly when G v = 0
+    With TTx = `rep.act(rep.act(x))`, TTx[j, i] = T_i (T_j x), so M is
+    one gather of TTx.  Over Q, M v = 0 exactly when G v = 0
     (v^T G v = |M v|^2), so G has the rank of M and the same kernel, in an
     n x n integer matrix.  It costs O(d^2 n^2); a run builds it only when
     the certificate of `character_space_dim` fails.
     """
-    xi = _fit(np.array(point, dtype=object))
-    T = rep.T
-    TTx = _fit(T @ _fit(T @ xi).T)
+    TTx = rep.act(rep.act(point))
     iu, ju = np.triu_indices(rep.algebra_dim, 1)
-    M = _fit(TTx[iu, :, ju] - TTx[ju, :, iu])
+    M = _fit(TTx[ju, iu] - TTx[iu, ju])
     return M.T @ M
 
 
@@ -132,12 +120,14 @@ def _commutator_sketch(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
 
     X_k and Y_k are combinations of the T_i with coefficients in [-3, 3]
     (`_sketch_coefficients`), and [X, Y] x = X (Y x) - Y (X x) is formed
-    from T's nonzeros (`MatrixRep.nonzero_layout`): row r of
+    from T's nonzeros, which the rep keeps sorted by row: row r of
     (sum_i a_i T_i) v sums a_i T[i, r, c] v_c over the nonzeros T[i, r, c].
     Every row lies in [g, g].x (times den**2).
     """
     k, n = rep.space_dim + 4, rep.space_dim
-    i, c, t, rows, starts = rep.nonzero_layout()
+    i, r, c, t, _, _ = rep._entries
+    t = _mod_p(t)
+    rows, starts = np.unique(r, return_index=True)
 
     def act(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Row q: (sum_i coef[q, i] T_i) v[q] mod P; |coef| <= 3 keeps int64."""
@@ -184,22 +174,20 @@ def sample_certified_points(
 ) -> list[tuple[int, ...]]:
     """Up to `count` >= 1 distinct certified points, as tuples of Python ints.
 
-    x is certified when the d x n matrix T @ x (row i is a positive multiple
-    of B_i . x) has column rank n, so the orbit map at x is onto.  The
-    points are distinct draws in [-3, 3] from one seeded stream, in stream
-    order, drawn in blocks of as many draws as points are still missing;
-    each block's new draws are certified together mod P as one stack.  When
-    MAX_DRAWS draws (duplicates count) leave fewer than `count` points,
-    exact rank decides the draws rejected mod P again in stream order, so a
-    shortfall is the one an exact rank per draw gives.
+    x is certified when the d x n matrix `rep.act(x)` (row i is a positive
+    multiple of B_i . x) has column rank n, so the orbit map at x is onto.
+    The points are distinct draws in [-3, 3] from one seeded stream, in
+    stream order, drawn in blocks of as many draws as points are still
+    missing; each block's new draws are certified together mod P as one
+    stack.  When MAX_DRAWS draws (duplicates count) leave fewer than
+    `count` points, exact rank decides the draws rejected mod P again in
+    stream order, so a shortfall is the one an exact rank per draw gives.
     """
     if count < 1:
         raise ValueError("need at least one point")
     points: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     rng = DetRng.for_stream(seed, "point-sample")
-    # the int64 einsum below is exact for |T| < 2**31 (see linalg._fit)
-    T = (rep.T % P).astype(np.int64) if rep.T.dtype == object else rep.T
     tried: list[tuple[tuple[int, ...], bool]] = []  # distinct draws, verdict mod P
     drawn = 0
     while len(points) < count and drawn < MAX_DRAWS:
@@ -213,7 +201,7 @@ def sample_certified_points(
                 fresh.append(draw)
         if not fresh:
             continue
-        stack = np.einsum("ijk,bk->bij", T, np.array(fresh, dtype=np.int64))
+        stack = rep.act(np.array(fresh, dtype=np.int64))
         for draw, ok in zip(fresh, full_rank_mod_p(stack).tolist()):
             tried.append((draw, ok))
             if ok and len(points) < count:
@@ -223,7 +211,7 @@ def sample_certified_points(
         for draw, ok in tried:
             if len(points) >= count:
                 break
-            if ok or rank(rep.T @ np.array(draw, dtype=np.int64)) == rep.space_dim:
+            if ok or rank(rep.act(draw)) == rep.space_dim:
                 points.append(draw)
     return points
 
@@ -249,7 +237,7 @@ def _first_order(
     if fx == 0:
         raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit")
     grad = np.array(grad, dtype=object)
-    return fx, grad, (_act(rep, point) @ _fit(grad)).astype(object)
+    return fx, grad, (_fit(rep.act(point)) @ _fit(grad)).astype(object)
 
 
 @lru_cache(maxsize=4)
@@ -278,8 +266,8 @@ def _annihilates_commutators(
     and S is symmetric exactly when grad is orthogonal to [g, g].x.  The
     product is in int64 under `_fit`'s bound, in Python ints otherwise.
     """
-    U = _pullback(rep, grad // (math.gcd(*grad.tolist()) or 1))
-    S = U @ _act(rep, point).T
+    U = _fit(rep.pullback(grad // (math.gcd(*grad.tolist()) or 1)))
+    S = U @ _fit(rep.act(point)).T
     return not (S != S.T).any()
 
 
@@ -336,7 +324,7 @@ def hessian_regularity(
     the open orbit (exercised as a tested dichotomy elsewhere).
     """
     fx, grad, num = _first_order_at(rep, f, tuple(map(operator.index, point)))
-    u = _pullback(rep, grad)
+    u = rep.pullback(grad)
     residues = np.outer(_mod_p(grad), _mod_p(num)) - (fx % P) * _mod_p(u).T
     if full_rank_mod_p(residues.T[None])[0]:
         return True

@@ -4,9 +4,9 @@ Subcommands: list, run, run-all, diagram, table1, each with the options in
 COMMANDS, which `getopt` reads as `--name value`, `--name=value` or a unique
 prefix of the name; `-h`/`--help` prints the usage from the same table.
 The exit code is 0 iff every selected check passed (or for --help), 1 when a
-check failed, and 2 on a usage error, reported in one line on stderr: bad
-arguments, an unknown entry or bad parameter, or a PVKIT_SEED that is not
-an integer.  PVKIT_SEED overrides the default seed.
+check failed, and 2 on a usage error, reported as one line "pvkit COMMAND:
+message" on stderr: bad arguments, an unknown entry or bad parameter, or a
+PVKIT_SEED that is not an integer.  PVKIT_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def _int(value: str, name: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise getopt.GetoptError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _cmd_list(args) -> int:
@@ -53,7 +53,7 @@ def _parse_params(items) -> dict:
             raise ValueError(f"--param expects name=value, got {item!r}")
         if key in out:
             raise ValueError(f"--param {key} given more than once")
-        out[key] = int(val)
+        out[key] = _int(val, f"--param {key}")
     return out
 
 
@@ -83,12 +83,12 @@ def _cmd_run(args) -> int:
     try:
         get_entry(args.entry)
     except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+        print(f"pvkit run: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
         report = run(args.entry, _parse_params(args.param), seed=args.seed)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"pvkit run: {exc}", file=sys.stderr)
         return 2
     _print_report(report, args.format)
     return 0 if report.status == "pass" else 1
@@ -116,12 +116,12 @@ def _cmd_run_all(args) -> int:
 def _cmd_diagram(args) -> int:
     try:
         rs = build_root_system(args.type, args.rank)
-        circled = [int(tok) - 1 for tok in args.circle.split(",")]
+        circled = [_int(tok, "--circle vertex") - 1 for tok in args.circle.split(",")]
         if len(set(circled)) != len(circled):
             raise ValueError(f"--circle {args.circle} repeats a vertex")
         wd = WeightedDiagram(rs, frozenset(circled))
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"pvkit diagram: {exc}", file=sys.stderr)
         return 2
     print(render_diagram(wd))
     grading = compute_grading(wd)
@@ -181,7 +181,7 @@ def _help(command: str) -> str:
 
 
 def _parse(command: str, argv: list, seed: int):
-    """The handler's arguments, or None for --help; GetoptError on a usage error."""
+    """The handler's arguments, or None for --help; raises on a usage error."""
     options = COMMANDS[command][2] if command else {}
     pairs, rest = getopt.getopt(argv, "h", ["help", *(f"{name}=" for name in options)])
     if any(opt in ("-h", "--help") for opt, _ in pairs):
@@ -211,8 +211,8 @@ def main(argv=None) -> int:
     try:
         seed = _int(os.environ.get("PVKIT_SEED", "0"), "PVKIT_SEED")
         args = _parse(command, argv[1:] if command else argv, seed)
-    except getopt.GetoptError as exc:
-        print(f"pvkit{' ' + command if command else ''}: {exc.msg}", file=sys.stderr)
+    except (getopt.GetoptError, ValueError) as exc:
+        print(f"pvkit{' ' + command if command else ''}: {exc}", file=sys.stderr)
         return 2
     if args is None:
         print(_help(command))

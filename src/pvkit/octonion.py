@@ -15,8 +15,7 @@ and the cubic form is normalized so diag(a, b, c) evaluates to a*b*c.
 The cubic form is integer data: `freudenthal_monomials` lists its 89 terms
 c * x_a x_b x_c, read straight off the multiplication table.
 `invariants.freudenthal_cubic` holds them as a term array, whose value and
-gradient are one loop over the terms; `freudenthal_value` sums them over
-any commutative ring whose elements support +, -, * with Python ints.
+gradient are one loop over the terms.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "oct_mul",
     "oct_norm",
     "albert_coords_dim",
-    "freudenthal_value",
     "freudenthal_monomials",
 ]
 
@@ -127,14 +125,3 @@ def freudenthal_monomials() -> Tuple[Tuple[Tuple[int, int, int], int], ...]:
         coeff = 2 * sign * table[m][m][1]
         terms.append(((3 + i, 3 + OCT_DIM + j, 3 + 2 * OCT_DIM + m), coeff))
     return tuple(sorted(terms))
-
-
-def freudenthal_value(coords: Sequence):
-    """The cubic form of the Hermitian 3x3 octonion matrix with these coords:
-    the sum of c * x_a x_b x_c over `freudenthal_monomials`."""
-    if len(coords) != albert_coords_dim:
-        raise ValueError("expected 27 coordinates")
-    out = 0
-    for (a, b, c), coeff in freudenthal_monomials():
-        out = out + coeff * coords[a] * coords[b] * coords[c]
-    return out

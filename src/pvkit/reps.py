@@ -10,8 +10,10 @@ constants, on which derived subalgebras and subalgebra closure are handled
 in coefficient space.  A verification run uses none of these: it reads the
 commutators at a certified point (see `analyzer.character_space_dim`), and
 closure of every catalog algebra is checked by acceptance criterion 6.
-The commutator sketch of a run reads T's nonzeros, sorted by row with
-their residues mod P, from `nonzero_layout`, which a rep computes once.
+A rep owns every product of its generators with a vector, `act` (T_i x)
+and `pullback` (T_i^T u), both exact from one kept list of T's nonzeros:
+in int64 when max|t| * max|v| * n < 2**62, since each output entry sums
+at most n products t * v, and in Python ints otherwise.
 
 Basis enumeration is deterministic everywhere (lexicographic elementary
 matrices), so every downstream report is reproducible bit for bit.
@@ -21,12 +23,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import P, SpanSolver, _fit, _int_array, nullspace
+from .linalg import _GUARD, SpanSolver, _fit, _int_array, nullspace
 from .octonion import OCT_DIM, albert_coords_dim, freudenthal_monomials, oct_table
 
 __all__ = [
@@ -89,7 +91,6 @@ class MatrixRep:
         self._span: SpanSolver | None = None
         self._struct: tuple[np.ndarray, int] | None = None
         self._derived: "Subalgebra" | None = None
-        self._nonzeros: tuple[np.ndarray, ...] | None = None
 
     # -- linear structure ---------------------------------------------------
 
@@ -102,24 +103,35 @@ class MatrixRep:
             self._span = span
         return self._span
 
-    def nonzero_layout(self) -> tuple[np.ndarray, ...]:
-        """(i, c, t, rows, starts): T's nonzeros T[i, r, c] sorted by row r.
+    @cached_property
+    def _entries(self) -> tuple:
+        """(i, r, c, t, runs, big): T's nonzeros t = T[i, r, c] in (r, i, c)
+        order, where each run of one (r, i) starts, as `np.add.reduceat`
+        takes it, and max|t|.  Computed once; the arrays are read-only."""
+        r, i, c = np.nonzero(self.T.transpose(1, 0, 2))
+        t = self.T[i, r, c]
+        runs = np.flatnonzero(np.diff(r * self.algebra_dim + i, prepend=-1))
+        for a in (i, r, c, t, runs):
+            a.flags.writeable = False
+        return i, r, c, t, runs, max(int(t.max(initial=0)), -int(t.min(initial=0)))
 
-        t holds their residues mod `linalg.P` as int64, rows the distinct
-        rows in increasing order, and starts the position of each row's
-        first nonzero, as `np.add.reduceat` takes it.  Computed once and
-        kept, like the structure constants; the arrays are read-only.
-        """
-        if self._nonzeros is None:
-            i, r, c = np.nonzero(self.T)
-            t = (self.T[i, r, c] % P).astype(np.int64)
-            order = np.argsort(r, kind="stable")
-            rows, starts = np.unique(r[order], return_index=True)
-            layout = (i[order], c[order], t[order], rows, starts)
-            for a in layout:
-                a.flags.writeable = False
-            self._nonzeros = layout
-        return self._nonzeros
+    def act(self, x) -> np.ndarray:
+        """T_i x for every generator i, exactly: shape (..., d, n) for an
+        integer x of shape (..., n), with [..., i, :] = T_i x."""
+        i, r, c, t, runs, big = self._entries
+        x, t = _exact(x, t, big, self.space_dim)
+        out = np.zeros(x.shape[:-1] + (self.algebra_dim, self.space_dim), dtype=x.dtype)
+        out[..., i[runs], r[runs]] = np.add.reduceat(t * x[..., c], runs, axis=-1)
+        return out
+
+    def pullback(self, u) -> np.ndarray:
+        """T_i^T u for every generator i, exactly: shape (d, n) for an
+        integer u of shape (n,), with row i = T_i^T u."""
+        i, r, c, t, _, big = self._entries
+        u, t = _exact(u, t, big, self.space_dim)
+        out = np.zeros((self.algebra_dim, self.space_dim), dtype=u.dtype)
+        np.add.at(out, (i, c), t * u[r])
+        return out
 
     def structure_tensor(self) -> tuple[np.ndarray, int]:
         """(S, den) with [B_i, B_j] = sum_k S[i,j,k]/den * B_k, exactly.
@@ -203,6 +215,18 @@ class Subalgebra:
         for v in B:
             span.insert(v)
         return all(span.contains(row) for row in brackets[np.triu_indices(k, 1)])
+
+
+def _exact(v, t: np.ndarray, big: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer v of shape (..., n) and T's nonzeros t, both int64 when
+    big * max|v| * n < 2**62 for big = max|t|, else both Python ints; max|v|
+    counts as at least 1, so that t itself fits whenever int64 is picked."""
+    v = v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
+    if v.dtype.kind not in "iuO" or v.shape[-1:] != (n,):
+        raise TypeError(f"an integer array of shape (..., {n}) required")
+    top = max(1, int(v.max(initial=0)), -int(v.min(initial=0)))
+    dtype = np.int64 if big * top * n < _GUARD else object
+    return v.astype(dtype, copy=False), t.astype(dtype, copy=False)
 
 
 def _common_den(parts) -> tuple[list[np.ndarray], int]:

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: Fraction, jet, coefficient-space and
 exact-rank references for the integer and modular paths of the package;
 the lockstep elimination mod P and the per-call commutator sketch that
-the mixed-row square kernel and the cached nonzero layout replaced;
+the mixed-row square kernel and the rep's kept nonzero list replaced; the
+dense einsums over T that `MatrixRep.act` and `pullback` replaced;
 the ring-generic evaluation of an invariant's data (memoized det and Pf
 expansions, term sums) and the reverse-mode tape that the closed-form
 gradients replaced; the hand-written invariant evaluators that the index
@@ -325,6 +326,18 @@ def lockstep_full_rank_mod_p(stack) -> np.ndarray:
     return full
 
 
+def act_reference(rep: MatrixRep, x) -> np.ndarray:
+    """`MatrixRep.act` as the dense einsum "irc,c->ir" over T in Python
+    ints, for x of shape (n,) or a batch (..., n)."""
+    return np.einsum("irc,...c->...ir", rep.T.astype(object), np.array(x, dtype=object))
+
+
+def pullback_reference(rep: MatrixRep, u) -> np.ndarray:
+    """`MatrixRep.pullback` as the dense einsum "r,irc->ic" over T in
+    Python ints."""
+    return np.einsum("r,irc->ic", np.array(u, dtype=object), rep.T.astype(object))
+
+
 def commutator_sketch_reference(rep: MatrixRep, point) -> np.ndarray:
     """`analyzer._commutator_sketch` with T's nonzero layout and the
     fixed-stream coefficients found afresh on every call."""
@@ -450,7 +463,7 @@ def invariant_form_space(rho: MatrixRep) -> int:
 def freudenthal_reference(coords):
     """N = x1 x2 x3 - sum_s x_s n(o_s) + t((o1 o2) o3) with t(o) = 2 o[0],
     through the octonion product: the reference for the monomial list that
-    `octonion.freudenthal_value` sums."""
+    `invariants.freudenthal_cubic` holds."""
     x = coords[:3]
     o = [list(coords[3 + 8 * s : 11 + 8 * s]) for s in range(3)]
     return (

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from helpers import (
+    act_reference,
     action_matrix,
     basis,
     commutator_sketch_reference,
     det,
     hessian_matrix,
     isotropy_algebra,
+    pullback_reference,
     sequential_certified_points,
 )
 from pvkit.analyzer import (
@@ -843,8 +845,8 @@ def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatc
 
 
 def test_commutator_sketch_equals_the_per_call_reference_on_every_default_build():
-    """T's nonzero layout kept on the rep and the coefficients drawn once
-    per shape give the sketch that finding both afresh gives, at two
+    """T's nonzeros kept on the rep and the coefficients drawn once per
+    shape give the sketch that finding both afresh gives, at two
     points, so the second call reads what the first one kept."""
     from pvkit.analyzer import _commutator_sketch
 
@@ -855,3 +857,57 @@ def test_commutator_sketch_equals_the_per_call_reference_on_every_default_build(
             point = tuple(rng.randint(-3, 3) for _ in range(rep.space_dim))
             want = commutator_sketch_reference(rep, point)
             assert (_commutator_sketch(rep, point) == want).all(), name
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and bool((got == want).all())
+
+
+def test_act_and_pullback_equal_the_dense_einsum_on_every_default_build():
+    """`MatrixRep.act` at one point and at a (10, n) batch, and
+    `MatrixRep.pullback` at one covector, equal the dense einsums over T;
+    at these sizes both stay in int64."""
+    for name, built in _default_builds():
+        rep, n = built.rep, built.rep.space_dim
+        rng = DetRng.for_stream(27, name)
+        batch = rng.randints(10 * n, -3, 3).reshape(10, n)
+        u = rng.randints(n, -100, 100)
+        point = tuple(batch[0].tolist())
+        for got, want in (
+            (rep.act(point), act_reference(rep, point)),
+            (rep.act(batch), act_reference(rep, batch)),
+            (rep.pullback(u), pullback_reference(rep, u)),
+        ):
+            assert got.dtype == np.int64 and _same(got, want), name
+
+
+@pytest.mark.parametrize("which", ["sym_det", "alt_pfaffian", "so_quadratic"])
+def test_act_and_pullback_are_exact_in_python_ints(which):
+    """Past max|t| * max|v| * n < 2**62 both products switch to Python ints
+    and stay exact: T scaled by 2**40 (applied twice, as the commutator
+    Gram matrix does, and pulled back along a covector near 2**30), and
+    the plain T against vectors of entries at least 2**62."""
+    rep = {"sym_det": sym2(gl(3)), "alt_pfaffian": alt2(gl(4)),
+           "so_quadratic": add_torus(so(4), 1)}[which]
+    n = rep.space_dim
+    big = MatrixRep(rep.T.astype(object) * 2**40, rep.den * 2**40, rep.labels)
+    rng = DetRng.for_stream(27, which)
+    x = tuple(rng.randint(-3, 3) for _ in range(n))
+    u = [2**30 + rng.randint(0, 9) for _ in range(n)]
+    huge = [2**62 + rng.randint(-9, 9) for _ in range(n)]
+    once = act_reference(big, x)
+    cases = [
+        (big.act(big.act(x)), act_reference(big, once)),
+        (big.pullback(u), pullback_reference(big, u)),
+        (rep.act(huge), act_reference(rep, huge)),
+        (rep.act([huge, x]), act_reference(rep, [huge, x])),
+        (rep.pullback(huge), pullback_reference(rep, huge)),
+    ]
+    assert _same(big.act(x), once)
+    for got, want in cases:
+        assert got.dtype == object and _same(got, want)
+    for bad in (np.ones(n), np.ones(n + 1, dtype=np.int64)):
+        with pytest.raises(TypeError):  # not truncated or cut short silently
+            rep.act(bad)
+        with pytest.raises(TypeError):
+            rep.pullback(bad)

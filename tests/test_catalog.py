@@ -121,7 +121,7 @@ def test_reports_are_deterministic():
 
 def test_warm_reports_equal_reports_with_the_caches_cleared(monkeypatch):
     """The build and its diagram check are kept per parameter choice, and a
-    rep keeps T's nonzero layout: one warm process gives, for all 60
+    rep keeps the list of T's nonzeros: one warm process gives, for all 60
     default runs at seeds 0-2, the reports of runs that each start from an
     empty build cache.  After the first pass no mixing matrix and no sketch
     coefficients are drawn again: both are kept per shape."""

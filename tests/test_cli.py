@@ -135,6 +135,9 @@ def test_non_integer_env_seed_exits_2_with_one_line(capsys, monkeypatch, argv):
     pytest.param(["run", "--entry", "T2.1", "--seed", "x"], id="non-integer-seed"),
     pytest.param(["diagram", "--type", "A", "--rank", "2.0", "--circle", "1"],
                  id="non-integer-rank"),
+    pytest.param(["run", "--entry", "T2.1", "--param", "n=x"], id="non-integer-param"),
+    pytest.param(["diagram", "--type", "A", "--rank", "3", "--circle", ","],
+                 id="empty-circle-vertex"),
     pytest.param(["run", "--entry", "T2.1", "--format", "xml"], id="bad-format"),
     pytest.param(["run-all", "--filter", "table9"], id="bad-filter"),
     pytest.param(["diagram", "--type", "H", "--rank", "2", "--circle", "1"], id="bad-type"),

@@ -41,7 +41,7 @@ from pvkit.invariants import (
     value_and_gradient,
 )
 from pvkit.linalg import P, DetRng, Matrix, Q as QQ
-from pvkit.octonion import freudenthal_monomials, freudenthal_value
+from pvkit.octonion import freudenthal_monomials
 
 
 def rand_vec(rng, n, bound=4):
@@ -317,14 +317,15 @@ def test_freudenthal_diag():
     assert f(coords) == -30
 
 
-def test_freudenthal_value_matches_the_octonion_formula():
+def test_freudenthal_cubic_matches_the_octonion_formula():
+    f = freudenthal_cubic()
     rng = DetRng(31)
     for _ in range(50):
         x = [rng.randint(-5, 5) for _ in range(27)]
-        assert freudenthal_value(x) == freudenthal_reference(x)
+        assert f(x) == freudenthal_reference(x)
     for _ in range(3):
         x = [Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(27)]
-        assert freudenthal_value(x) == freudenthal_reference(x)
+        assert f(x) == freudenthal_reference(x)
 
 
 def test_freudenthal_monomial_table_is_frozen():

@@ -149,6 +149,27 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     assert gram_callers == {"character_space_dim"}
 
 
+def test_products_with_the_generators_have_one_owner():
+    """Every product with T in the analyzer goes through `MatrixRep.act`,
+    `MatrixRep.pullback` or the rep's list of T's nonzeros: analyzer.py
+    reads no `rep.T`, calls no einsum and defines no `_act` or `_pullback`;
+    reps.py keeps no second, residue layout of T and does not know P."""
+    tree = ast.parse((SRC / "analyzer.py").read_text())
+    reads = [
+        ast.unparse(n) for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "T"
+        and isinstance(n.value, ast.Name) and n.value.id == "rep"
+    ]
+    assert not reads, reads
+    assert "einsum" not in _imported_names("analyzer")
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_act", "_pullback"}
+    tree = ast.parse((SRC / "reps.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "nonzero_layout" not in defined
+    assert "P" not in _imported_names("reps")
+
+
 def test_octonion_does_not_import_fractions():
     assert "fractions" not in _imported_names("octonion")
 
