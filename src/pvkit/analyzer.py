@@ -20,10 +20,10 @@ Hessian, read off the gradient at the first point by the same full-rank
 test as the point certificate, on residues mod P; when that test rejects,
 a zero row of the exact matrix proves the Hessian singular before exact
 rank is asked.  Every product with the generators is `MatrixRep.act` or
-`MatrixRep.pullback`, exact in int64 or Python ints; a product of their
-results with another array picks its dtype by `linalg._fit`.  The seeded
-sketch reduces the rep's list of T's nonzeros mod P and draws its
-coefficients once per shape.
+`MatrixRep.pullback`, and every product of their results `linalg._matmul`,
+all exact under the one int64 bound of `linalg._pair`.  Residues mod P are
+`linalg._mod_p`; the seeded sketch reduces the rep's nonzeros of T mod P
+and draws its coefficients once per shape.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .invariants import InvariantPolynomial, value_and_gradient
-from .linalg import P, DetRng, Q, _fit, full_rank_mod_p, rank
+from .linalg import P, DetRng, Q, _matmul, _mod_p, full_rank_mod_p, rank
 from .reps import MatrixRep
 
 __all__ = [
@@ -85,11 +85,6 @@ class AnalysisReport:
     notes: str = ""
 
 
-def _mod_p(a: np.ndarray) -> np.ndarray:
-    """The residues of an integer array mod P, as int64 in [0, P)."""
-    return (a % P).astype(np.int64)
-
-
 def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
     """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] x.
 
@@ -101,8 +96,8 @@ def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
     """
     TTx = rep.act(rep.act(point))
     iu, ju = np.triu_indices(rep.algebra_dim, 1)
-    M = _fit(TTx[ju, iu] - TTx[iu, ju])
-    return M.T @ M
+    M = TTx[ju, iu] - TTx[iu, ju]
+    return _matmul(M.T, M)
 
 
 @lru_cache(maxsize=128)  # the default catalog runs use 47 shapes
@@ -125,7 +120,7 @@ def _commutator_sketch(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
     Every row lies in [g, g].x (times den**2).
     """
     k, n = rep.space_dim + 4, rep.space_dim
-    i, r, c, t, _, _ = rep._entries
+    i, r, c, t, _ = rep._entries
     t = _mod_p(t)
     rows, starts = np.unique(r, return_index=True)
 
@@ -228,16 +223,16 @@ def _first_order(
     f(x) and the exact gradient come in closed form from f's data
     (`value_and_gradient`: an elimination for a det or Pf grid, one loop
     over the terms of a polynomial).  num_X = grad f(x) . (T_X x) is
-    the derivative along X.x, times den, multiplied out in int64 under
-    `_fit`'s bound.  All three come as Python ints.  The evaluation reads
-    each coordinate through operator.index, so a Fraction or float is a
-    TypeError before numpy could truncate it.
+    the derivative along X.x, times den, one `_matmul`: in int64 when
+    max|T_X x| * max|grad| * n < 2**62.  All three come as Python ints.
+    The evaluation reads each coordinate through operator.index, so a
+    Fraction or float is a TypeError before numpy could truncate it.
     """
     fx, grad = value_and_gradient(f, point)
     if fx == 0:
         raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit")
     grad = np.array(grad, dtype=object)
-    return fx, grad, (_fit(rep.act(point)) @ _fit(grad)).astype(object)
+    return fx, grad, _matmul(rep.act(point), grad).astype(object)
 
 
 @lru_cache(maxsize=4)
@@ -263,11 +258,11 @@ def _annihilates_commutators(
 
     With U_i = T_i^T grad / gcd(grad) and W_i = T_i x, S = U W^T has
     S_ij = grad . T_i T_j x / gcd, so S_ij - S_ji = grad . [T_i, T_j] x / gcd,
-    and S is symmetric exactly when grad is orthogonal to [g, g].x.  The
-    product is in int64 under `_fit`'s bound, in Python ints otherwise.
+    and S is symmetric exactly when grad is orthogonal to [g, g].x.  S is a
+    `_matmul`, in int64 when max|U| * max|W| * n < 2**62.
     """
-    U = _fit(rep.pullback(grad // (math.gcd(*grad.tolist()) or 1)))
-    S = U @ _fit(rep.act(point)).T
+    U = rep.pullback(grad // (math.gcd(*grad.tolist()) or 1))
+    S = _matmul(U, rep.act(point).T)
     return not (S != S.T).any()
 
 

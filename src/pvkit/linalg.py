@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
 Exact results are pairs (A, den): an integer array A and a positive common
-denominator, standing for A / den.  `_int_array` makes them from rationals
-or integers and picks the dtype: int64 while an overflow bound computed
-from the entries holds, Python ints (`dtype=object`) otherwise.  Every
+denominator, standing for A / den.  One overflow rule, `_pair`, picks every
+integer dtype: int64 while a sum of k products of two arrays' entries is
+exact, else Python ints (`dtype=object`); `_matmul` is a @ b under it, and
+`_fit` (an array paired with itself) stores what leaves the module.  Every
 elimination is fraction-free, so nothing is ever rounded.  `SpanSolver`
 keeps every row in Python ints from its first reduction on; only what it
 hands out (coefficient vectors, echelon rows) is fitted back to int64.
@@ -43,7 +44,7 @@ __all__ = [
     "full_rank_mod_p",
 ]
 
-# A product of two int64 arrays is exact while max|A|^2 * length < _GUARD.
+# The one overflow bound, read only in `_pair`: max|a| * max|b| * k < _GUARD.
 _GUARD = 1 << 62
 # A prime with P * P < 2**62: a difference of two products of residues mod P
 # is exact in int64.
@@ -58,19 +59,34 @@ def _as_q(x) -> Q:
     return x if isinstance(x, Q) else Q(x)
 
 
-def _fit(a: np.ndarray) -> np.ndarray:
-    """An integer array as int64 when max|a|^2 * max(a.shape) < 2**62.
+def _pair(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer arrays a and b, both int64 when max|a| * max|b| * k < 2**62,
+    else both Python ints, so that a sum of k products of their entries is
+    exact.  max|x| is max(max x, -min x), at least 1: it copies nothing, it
+    keeps -2**63 out of int64 (np.abs wraps it to itself), and each array
+    fits on its own whenever int64 is picked."""
+    top = [max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
+           for x in ((a,) if b is a else (a, b))]
+    dtype = np.int64 if top[0] * top[-1] * k < _GUARD else object
+    return a.astype(dtype, copy=False), b.astype(dtype, copy=False)
 
-    Then a product of two such arrays contracted over an axis they share,
-    or the difference of two such products, fits in int64.  Otherwise the
-    array holds Python ints (dtype=object), on which numpy computes the
-    same products exactly.  max|a| is read as max(max a, -min a), which
-    copies nothing and, unlike np.abs, does not wrap -2**63 to itself.
-    """
-    big = max(int(a.max(initial=0)), -int(a.min(initial=0)))
-    if big * big * max(a.shape, default=1) < _GUARD:
-        return a.astype(np.int64, copy=False)
-    return a.astype(object, copy=False)
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b exactly: both operands as `_pair` picks them for k = a.shape[-1]."""
+    return np.matmul(*_pair(a, b, a.shape[-1]))
+
+
+def _fit(a: np.ndarray) -> np.ndarray:
+    """a as int64 when max|a|^2 * max(a.shape) < 2**62, else as Python ints:
+    `_pair` of a with itself, the storage rule for arrays that leave
+    `linalg`.  A product of two such arrays contracted over an axis they
+    share, or the difference of two such products, is then exact."""
+    return _pair(a, a, max(a.shape, default=1))[0]
+
+
+def _mod_p(a: np.ndarray) -> np.ndarray:
+    """The residues of an integer array mod P, as int64 in [0, P)."""
+    return (a % P).astype(np.int64, copy=False)
 
 
 def _int_array(values) -> tuple[np.ndarray, int]:
@@ -460,7 +476,7 @@ def full_rank_mod_p(stack) -> np.ndarray:
     k, r, c = a.shape
     if r < c:
         return np.zeros(k, dtype=bool)
-    a = (a % P).astype(np.int64, copy=False)
+    a = _mod_p(a)
     low, high = _mixing(r, c)
     m = np.zeros((k, c, c), dtype=np.int64)
     for lo in range(0, r, _MIX_ROWS):

@@ -11,9 +11,9 @@ in coefficient space.  A verification run uses none of these: it reads the
 commutators at a certified point (see `analyzer.character_space_dim`), and
 closure of every catalog algebra is checked by acceptance criterion 6.
 A rep owns every product of its generators with a vector, `act` (T_i x)
-and `pullback` (T_i^T u), both exact from one kept list of T's nonzeros:
-in int64 when max|t| * max|v| * n < 2**62, since each output entry sums
-at most n products t * v, and in Python ints otherwise.
+and `pullback` (T_i^T u), both exact from one kept list of T's nonzeros.
+Each output entry sums at most n products t * v, so `linalg._pair` of v
+and the nonzeros with k = n picks int64 or Python ints for both.
 
 Basis enumeration is deterministic everywhere (lexicographic elementary
 matrices), so every downstream report is reproducible bit for bit.
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import _GUARD, SpanSolver, _fit, _int_array, nullspace
+from .linalg import SpanSolver, _fit, _int_array, _pair, nullspace
 from .octonion import OCT_DIM, albert_coords_dim, freudenthal_monomials, oct_table
 
 __all__ = [
@@ -105,21 +105,21 @@ class MatrixRep:
 
     @cached_property
     def _entries(self) -> tuple:
-        """(i, r, c, t, runs, big): T's nonzeros t = T[i, r, c] in (r, i, c)
-        order, where each run of one (r, i) starts, as `np.add.reduceat`
-        takes it, and max|t|.  Computed once; the arrays are read-only."""
+        """(i, r, c, t, runs): T's nonzeros t = T[i, r, c] in (r, i, c)
+        order, and where each run of one (r, i) starts, as `np.add.reduceat`
+        takes it.  Computed once; the arrays are read-only."""
         r, i, c = np.nonzero(self.T.transpose(1, 0, 2))
         t = self.T[i, r, c]
         runs = np.flatnonzero(np.diff(r * self.algebra_dim + i, prepend=-1))
         for a in (i, r, c, t, runs):
             a.flags.writeable = False
-        return i, r, c, t, runs, max(int(t.max(initial=0)), -int(t.min(initial=0)))
+        return i, r, c, t, runs
 
     def act(self, x) -> np.ndarray:
         """T_i x for every generator i, exactly: shape (..., d, n) for an
         integer x of shape (..., n), with [..., i, :] = T_i x."""
-        i, r, c, t, runs, big = self._entries
-        x, t = _exact(x, t, big, self.space_dim)
+        i, r, c, t, runs = self._entries
+        x, t = _exact(x, t, self.space_dim)
         out = np.zeros(x.shape[:-1] + (self.algebra_dim, self.space_dim), dtype=x.dtype)
         out[..., i[runs], r[runs]] = np.add.reduceat(t * x[..., c], runs, axis=-1)
         return out
@@ -127,8 +127,8 @@ class MatrixRep:
     def pullback(self, u) -> np.ndarray:
         """T_i^T u for every generator i, exactly: shape (d, n) for an
         integer u of shape (n,), with row i = T_i^T u."""
-        i, r, c, t, _, big = self._entries
-        u, t = _exact(u, t, big, self.space_dim)
+        i, r, c, t, _ = self._entries
+        u, t = _exact(u, t, self.space_dim)
         out = np.zeros((self.algebra_dim, self.space_dim), dtype=u.dtype)
         np.add.at(out, (i, c), t * u[r])
         return out
@@ -217,16 +217,13 @@ class Subalgebra:
         return all(span.contains(row) for row in brackets[np.triu_indices(k, 1)])
 
 
-def _exact(v, t: np.ndarray, big: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer v of shape (..., n) and T's nonzeros t, both int64 when
-    big * max|v| * n < 2**62 for big = max|t|, else both Python ints; max|v|
-    counts as at least 1, so that t itself fits whenever int64 is picked."""
+def _exact(v, t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer v of shape (..., n) and T's nonzeros t, as `linalg._pair`
+    picks them for sums of n products t * v; any other v is a TypeError."""
     v = v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
     if v.dtype.kind not in "iuO" or v.shape[-1:] != (n,):
         raise TypeError(f"an integer array of shape (..., {n}) required")
-    top = max(1, int(v.max(initial=0)), -int(v.min(initial=0)))
-    dtype = np.int64 if big * top * n < _GUARD else object
-    return v.astype(dtype, copy=False), t.astype(dtype, copy=False)
+    return _pair(v, t, n)
 
 
 def _common_den(parts) -> tuple[list[np.ndarray], int]:

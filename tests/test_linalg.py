@@ -20,6 +20,8 @@ from pvkit.linalg import (
     _combine,
     _fit,
     _int_array,
+    _matmul,
+    _pair,
     full_rank_mod_p,
     nullspace,
     rank,
@@ -597,6 +599,99 @@ def test_fit_picks_the_dtype_of_the_bound(size):
     a[-1] = -(2**63)  # np.abs would wrap it to itself
     assert _fit(a).dtype == object
     assert _fit(np.array([-(2**63), 5])).dtype == object
+
+
+def _dtypes(pair) -> tuple:
+    return tuple(x.dtype for x in pair)
+
+
+@pytest.mark.parametrize("k", [1, 7, 136, 1 << 20])
+def test_pair_picks_int64_exactly_below_the_bound(k):
+    """`_pair` picks int64 for both arrays exactly when
+    max|a| * max|b| * k < 2**62, in either order and whatever the signs,
+    and hands back the same values."""
+    top_a = 1 << 20
+    edge = ((1 << 62) - 1) // (top_a * k)  # the largest max|b| for int64
+    for top_b in (edge, edge + 1):
+        want = np.int64 if top_a * top_b * k < (1 << 62) else object
+        for sa, sb in itertools.product((1, -1), repeat=2):
+            a = np.array([[0, sa * top_a], [-sa * (top_a // 3), 2]])
+            b = np.array([sb * top_b, -sb * (top_b // 5), 1], dtype=object)
+            for x, y in ((a, b), (b, a), (a.astype(object), b)):
+                got = _pair(x, y, k)
+                assert _dtypes(got) == (want, want)
+                assert [g.tolist() for g in got] == [x.tolist(), y.tolist()]
+    at = 1 << 31  # at the bound itself: 2**31 * 2**31 * 1 == 2**62
+    assert _dtypes(_pair(np.array([at]), np.array([-at]), 1)) == (object, object)
+    assert _dtypes(_pair(np.array([at]), np.array([at - 1]), 1)) == (np.int64, np.int64)
+
+
+def test_pair_keeps_minus_two_to_the_63_out_of_int64():
+    low = np.array([-(2**63), 0])
+    for other in (np.zeros(2, dtype=np.int64), np.array([1], dtype=object)):
+        assert _dtypes(_pair(low, other, 1)) == (object, object)
+        assert _dtypes(_pair(other, low, 1)) == (object, object)
+    assert _dtypes(_pair(low, low, 1)) == (object, object)
+
+
+def test_pair_reads_object_and_empty_arrays():
+    """Python-int arrays are fitted down to int64 when the bound holds, and
+    an empty array counts as max|.| = 1: it pairs in int64 with any array
+    that fits on its own, and with Python ints with one that does not."""
+    small = np.array([3, -4], dtype=object)
+    assert _dtypes(_pair(small, small * 5, 2)) == (np.int64, np.int64)
+    huge = np.array([2**70], dtype=object)
+    assert _dtypes(_pair(small, huge, 1)) == (object, object)
+    for empty in (np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=object)):
+        assert _dtypes(_pair(empty, empty, 3)) == (np.int64, np.int64)
+        assert _dtypes(_pair(empty, small, 3)) == (np.int64, np.int64)
+        assert _dtypes(_pair(np.array([1 << 61]), empty, 2)) == (object, object)
+        assert _dtypes(_pair(np.array([1 << 61]), empty, 1)) == (np.int64, np.int64)
+
+
+@pytest.mark.parametrize("scale", [1, 2**20, 2**40, 2**70], ids=["1", "2^20", "2^40", "2^70"])
+def test_matmul_equals_the_object_product(scale):
+    """`_matmul` is the exact product, in int64 exactly when `_pair`'s bound
+    holds for k = a.shape[-1]: matrices, a vector, a stack, a scaled
+    operand against a small one, and a sum that only k takes past int64."""
+    rng = np.random.default_rng(scale % 1009)
+
+    def ints(shape, s):
+        hi, lo = rng.integers(-9, 10, shape), rng.integers(-9, 10, shape)
+        return hi.astype(object) * s + lo.astype(object)
+
+    cases = [
+        (ints((5, 7), scale), ints((7, 3), scale)),
+        (ints((5, 7), scale), ints((7,), scale)),
+        (ints((2, 4, 6), scale), ints((6, 3), scale)),
+        (ints((6, 9), scale), ints((9, 6), 1)),
+        (np.full((2, 9), 2**30), np.full(9, -(2**30))),  # k = 9 alone passes 2**63
+    ]
+    for a, b in cases:
+        want = a.astype(object) @ b.astype(object)
+        top = [max(1, *(abs(int(v)) for v in x.ravel())) for x in (a, b)]
+        dtype = np.int64 if top[0] * top[1] * a.shape[-1] < (1 << 62) else object
+        for x, y in ((a, b), (_fit(a), _fit(b))):
+            got = _matmul(x, y)
+            assert got.dtype == dtype
+            assert got.tolist() == want.tolist()
+
+
+def test_pair_keeps_a_large_gradient_against_a_small_action_in_int64():
+    """S = U W^T of `analyzer._annihilates_commutators` in the shape seen at
+    T2.2 n=16: d = 256, n = 136, max|U| = 2**36 and max|W| = 6.  The pair
+    bound, 2**36 * 6 * 136 < 2**46, keeps both in int64, where the square
+    rule of `_fit` (2**72 * 256) would turn U into Python ints."""
+    rng = np.random.default_rng(16)
+    U = rng.integers(-(2**36), 2**36, (256, 136))
+    U[3, 5] = 2**36
+    W = rng.integers(-6, 7, (256, 136))
+    W[7, 0] = -6
+    assert _dtypes(_pair(U, W.T, 136)) == (np.int64, np.int64)
+    assert _fit(U).dtype == object
+    S = _matmul(U, W.T)
+    assert S.dtype == np.int64
+    assert S.tolist() == (U.astype(object) @ W.T.astype(object)).tolist()
 
 
 def test_coefficients_are_reduced_with_positive_denominator():

@@ -170,6 +170,30 @@ def test_products_with_the_generators_have_one_owner():
     assert "P" not in _imported_names("reps")
 
 
+def _guard_reads(node: ast.AST) -> int:
+    return sum(
+        isinstance(n, ast.Name) and n.id == "_GUARD" and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute) and n.attr == "_GUARD"
+        for n in ast.walk(node)
+    )
+
+
+def test_one_overflow_rule_for_exact_integer_products():
+    """`_GUARD` is read in one function of the package, `linalg._pair`, and
+    no module imports it (reps pairs T's nonzeros with a vector through
+    `_pair`).  The analyzer's products are `linalg._matmul`, so it does not
+    import `_fit`, and its residues are `linalg._mod_p`, so it defines no
+    `_mod_p`."""
+    modules = sorted(SRC.glob("*.py"))
+    total = sum(_guard_reads(ast.parse(path.read_text())) for path in modules)
+    pair = _function(ast.parse((SRC / "linalg.py").read_text()), "_pair")
+    assert total == _guard_reads(pair) > 0
+    assert not [path.stem for path in modules if "_GUARD" in _imported_names(path.stem)]
+    assert "_fit" not in _imported_names("analyzer")
+    tree = ast.parse((SRC / "analyzer.py").read_text())
+    assert "_mod_p" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+
 def test_octonion_does_not_import_fractions():
     assert "fractions" not in _imported_names("octonion")
 
