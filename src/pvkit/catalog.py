@@ -12,6 +12,12 @@ restricted from the summand dimensions the representation carries
 (`restrict_to_summand(f, rep.summand_dims, k)`), so no builder computes a
 coordinate offset or total.
 
+Each entry declares its parameters' domain as data, name -> (lowest, step):
+a value is at least lowest, and has lowest's parity when step is 2.
+`_check_params` refuses a value outside it before anything is built.  A
+condition that joins two parameters (n != m for NEG-4.1.6) is part of the
+family's definition, so it is the first line of that family's builder.
+
 Reports are deterministic: identical (entry, parameters, seed) give
 bit-identical JSON.
 """
@@ -78,12 +84,15 @@ class BuildResult:
     invariants: Tuple[InvariantPolynomial, ...]
 
 
+_PARITY = ("even", "odd")
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
     title: str
     defaults: Tuple[Dict[str, int], ...]
-    validate: Callable[[Dict[str, int]], Optional[str]]
+    domain: Dict[str, Tuple[int, int]]  # name -> (lowest, step); step 2 fixes the parity
     build: Callable[[Dict[str, int]], BuildResult]
     expected_character_dim: int
     expected_regular: Optional[bool]
@@ -93,7 +102,15 @@ class CatalogEntry:
 
     @property
     def params(self) -> Tuple[str, ...]:
-        return tuple(self.defaults[0])  # every default dict has these keys
+        return tuple(self.domain)
+
+    @property
+    def domain_text(self) -> str:
+        """The legal values, as `pvkit list` shows them: "n>=4 even", "n>=2,m>=2"."""
+        return ",".join(
+            f"{name}>={lowest}" + (f" {_PARITY[lowest % 2]}" if step == 2 else "")
+            for name, (lowest, step) in self.domain.items()
+        )
 
 
 @dataclass(frozen=True)
@@ -280,6 +297,8 @@ def _t3_4b(p):
 
 def _neg_425(p):
     n, m = p["n"], p["m"]
+    if m <= n <= m + 1:
+        raise ValueError("NEG-4.2.5: requires n < m or n > m+1")
     rep = _vector_and_matrix_rep(n, m)
     return BuildResult(rep, ())
 
@@ -366,6 +385,8 @@ def _neg_415(p):
 
 def _neg_416(p):
     n, m = p["n"], p["m"]
+    if n == m:
+        raise ValueError("NEG-4.1.6: n and m must differ")
     rep = add_torus(tensor(sl(n), dual(sl(m))), 1)
     return BuildResult(rep, ())
 
@@ -436,51 +457,6 @@ def _neg_4212(p):
     return BuildResult(rep, invs)
 
 
-# -- parameter validation --------------------------------------------------------
-
-
-def _ge(name: str, lo: int):
-    def check(p):
-        if p[name] < lo:
-            return f"{name} must be >= {lo}"
-        return None
-
-    return check
-
-
-def _all(*checks):
-    def check(p):
-        for c in checks:
-            msg = c(p)
-            if msg:
-                return msg
-        return None
-
-    return check
-
-
-def _even(name):
-    def check(p):
-        if p[name] % 2:
-            return f"{name} must be even"
-        return None
-
-    return check
-
-
-def _odd(name):
-    def check(p):
-        if p[name] % 2 == 0:
-            return f"{name} must be odd"
-        return None
-
-    return check
-
-
-def _no_params(p):
-    return None
-
-
 # -- the catalog -----------------------------------------------------------------
 
 
@@ -488,213 +464,201 @@ def _entries() -> tuple[CatalogEntry, ...]:
     e = []
     e.append(CatalogEntry(
         "T2.1", "SO(n) x C* on C^n (quadratic form)",
-        ({"n": 3}, {"n": 4}), _ge("n", 3), _t2_1,
+        ({"n": 3}, {"n": 4}), {"n": (3, 1)}, _t2_1,
         1, True,
         diagram=_t2_1_diagram, expected_commutative_parabolic=True, mf_rank="2",
     ))
     e.append(CatalogEntry(
         "T2.2", "GL(n) on Sym(n) (determinant)",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_2,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _t2_2,
         1, True,
         diagram=lambda p: _diagram("C", p["n"], [p["n"]]),
         expected_commutative_parabolic=True, mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T2.3", "GL(2p) on AS(2p) (pfaffian)",
-        ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t2_3,
+        ({"n": 4}, {"n": 6}), {"n": (4, 2)}, _t2_3,
         1, True,
         diagram=lambda p: _diagram("D", p["n"], [p["n"]]),
         expected_commutative_parabolic=True, mf_rank="p",
     ))
     e.append(CatalogEntry(
         "T2.4", "SL(n) x SL(n)* x C* on M(n) (determinant)",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_4,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _t2_4,
         1, True,
         diagram=lambda p: _diagram("A", 2 * p["n"] - 1, [p["n"]]),
         expected_commutative_parabolic=True, mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T2.5", "E6 x C* on C^27 (cubic form)",
-        ({},), _no_params, _t2_5,
+        ({},), {}, _t2_5,
         1, True,
         diagram=lambda p: _diagram("E", 7, [7]),
         expected_commutative_parabolic=True, mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T2.6", "GL(2) x Sp(n) on M(2n,2) (Pf of the Gram matrix)",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _t2_6,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _t2_6,
         1, True,
         diagram=lambda p: _diagram("C", p["n"] + 2, [2]),
         expected_commutative_parabolic=False, mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T2.7", "SL(4) x Sp(2) x C* on M(4) (determinant)",
-        ({},), _no_params, _t2_7,
+        ({},), {}, _t2_7,
         1, True,
         diagram=lambda p: _diagram("C", 6, [4]),
         expected_commutative_parabolic=False, mf_rank="6",
     ))
     e.append(CatalogEntry(
         "T2.8", "Spin(7) x C* on C^8 (quadratic form)",
-        ({},), _no_params, _t2_8,
+        ({},), {}, _t2_8,
         1, True,
         diagram=lambda p: _diagram("F", 4, [4]),
         expected_commutative_parabolic=False, mf_rank="2",
     ))
     e.append(CatalogEntry(
         "T2.9", "Spin(9) x C* on C^16 (quadratic form)",
-        ({},), _no_params, _t2_9,
+        ({},), {}, _t2_9,
         1, True, mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T2.10", "G2 x C* on C^7 (quadratic form)",
-        ({},), _no_params, _t2_10,
+        ({},), {}, _t2_10,
         1, True, mf_rank="2",
     ))
 
     e.append(CatalogEntry(
         "T3.1", "SL(n)* + SL(n) shared, tori, on M(1,n)+M(n,1) (f = uv)",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_1,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _t3_1,
         1, True,
         diagram=lambda p: _diagram("A", p["n"] + 1, [1, p["n"] + 1]),
         mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T3.2a", "SL(n) + AS(n), n even (pfaffian on the 2nd summand)",
-        ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t3_2,
+        ({"n": 4}, {"n": 6}), {"n": (4, 2)}, _t3_2,
         1, False,
         diagram=lambda p: _diagram("E", 7, [1, 2]) if p["n"] == 6 else None,
         mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T3.2b", "SL(n) + AS(n), n odd (bordered pfaffian)",
-        ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _t3_2,
+        ({"n": 5}, {"n": 7}), {"n": (5, 2)}, _t3_2,
         1, True,
         diagram=lambda p: {5: _diagram("E", 6, [1, 2]), 7: _diagram("E", 8, [1, 2])}.get(p["n"]),
         mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T3.3", "SL(n)* + AS(n), n even (pfaffian on the 2nd summand)",
-        ({"n": 4}, {"n": 6}), _all(_ge("n", 4), _even("n")), _t3_3,
+        ({"n": 4}, {"n": 6}), {"n": (4, 2)}, _t3_3,
         1, False,
         diagram=lambda p: _diagram("D", p["n"] + 1, [1, p["n"] + 1]),
         mf_rank="n",
     ))
     e.append(CatalogEntry(
         "T3.4a", "SL(n) + (SL(n) x SL(n)) on M(n,1)+M(n,n) (det of the 2nd summand)",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_4a,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _t3_4a,
         1, False,
         diagram=lambda p: {3: _diagram("D", 6, [3, 6]), 4: _diagram("E", 8, [2, 5])}.get(p["n"]),
     ))
     e.append(CatalogEntry(
         "T3.4b", "SL(n) + (SL(n) x SL(n-1)) on M(n,1)+M(n,n-1) (det(v;x))",
-        ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_4b,
+        ({"n": 3}, {"n": 4}), {"n": (3, 1)}, _t3_4b,
         1, True,
         diagram=lambda p: {3: _diagram("D", 5, [2, 5]), 4: _diagram("E", 7, [2, 5])}.get(p["n"]),
     ))
     e.append(CatalogEntry(
         "T3.5", "SL(n)* + (SL(n) x SL(n)) on M(1,n)+M(n,n) (det of the 2nd summand)",
-        ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_5,
+        ({"n": 3}, {"n": 4}), {"n": (3, 1)}, _t3_5,
         1, False,
         diagram=lambda p: _diagram("A", 2 * p["n"], [1, p["n"] + 1]),
         mf_rank="2n",
     ))
     e.append(CatalogEntry(
         "T3.6", "SL(2) + (SL(2) x Sp(n)) on M(1,2)+M(2n,2) (Pf of the Gram matrix)",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_6,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _t3_6,
         1, False,
         diagram=lambda p: _diagram("C", p["n"] + 3, [1, 3]),
         mf_rank="3",
     ))
     e.append(CatalogEntry(
         "T3.7", "(SL(2) x SL(2)) + (SL(2) x SL(n)) on M(2,2)+M(2,n) (det of the 1st summand)",
-        ({"n": 3}, {"n": 4}), _ge("n", 3), _t3_7,
+        ({"n": 3}, {"n": 4}), {"n": (3, 1)}, _t3_7,
         1, False,
         diagram=lambda p: _diagram("A", p["n"] + 3, [2, 4]),
         mf_rank="5",
     ))
     e.append(CatalogEntry(
         "T3.8", "(SL(n) x SL(2)) + (SL(2) x Sp(m)) on M(n,2)+M(2m,2) (Pf of the Gram matrix)",
-        ({"n": 3, "m": 2}, {"n": 4, "m": 2}),
-        _all(_ge("n", 3), _ge("m", 2)), _t3_8,
+        ({"n": 3, "m": 2}, {"n": 4, "m": 2}), {"n": (3, 1), "m": (2, 1)}, _t3_8,
         1, False,
         diagram=lambda p: _diagram("C", p["n"] + p["m"] + 2, [p["n"], p["n"] + 2]),
         mf_rank="6",
     ))
     e.append(CatalogEntry(
         "T3.9", "Sp(n) shared on two copies of C^2n, tori (f = u^T J v)",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _t3_9,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _t3_9,
         1, True, mf_rank="4",
     ))
 
     e.append(CatalogEntry(
         "NEG-4.1.3", "Sp(n) x C* on C^2n: no nontrivial relative invariant",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _neg_413,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _neg_413,
         0, None,
         diagram=lambda p: _diagram("C", p["n"] + 1, [1]),
         expected_commutative_parabolic=False,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.5", "GL(n) on AS(n), n odd: no nontrivial relative invariant",
-        ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _neg_415,
+        ({"n": 5}, {"n": 7}), {"n": (5, 2)}, _neg_415,
         0, None,
         diagram=lambda p: _diagram("D", p["n"], [p["n"]]),
         expected_commutative_parabolic=True,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.6", "SL(n) x SL(m)* x C* on M(n,m), n != m: no invariant",
-        ({"n": 2, "m": 3}, {"n": 3, "m": 2}),
-        _all(
-            _ge("n", 2), _ge("m", 2),
-            lambda p: "n and m must differ" if p["n"] == p["m"] else None,
-        ),
-        _neg_416,
+        ({"n": 2, "m": 3}, {"n": 3, "m": 2}), {"n": (2, 1), "m": (2, 1)}, _neg_416,
         0, None,
         diagram=lambda p: _diagram("A", p["n"] + p["m"] - 1, [p["n"]]),
         expected_commutative_parabolic=True,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.8", "SL(3) x Sp(n) x C* on M(2n,3): no invariant",
-        ({"n": 2}, {"n": 3}), _ge("n", 2), _neg_418,
+        ({"n": 2}, {"n": 3}), {"n": (2, 1)}, _neg_418,
         0, None,
         diagram=lambda p: _diagram("C", p["n"] + 3, [3]),
         expected_commutative_parabolic=False,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.9", "SL(n) x Sp(2) x C* on M(n,4), n > 4: no invariant",
-        ({"n": 5}, {"n": 6}), _ge("n", 5), _neg_419,
+        ({"n": 5}, {"n": 6}), {"n": (5, 1)}, _neg_419,
         0, None,
         diagram=lambda p: _diagram("C", p["n"] + 2, [p["n"]]),
         expected_commutative_parabolic=False,
     ))
     e.append(CatalogEntry(
         "NEG-4.1.12", "Spin(10) x C* on a 16-dim half-spin space: no invariant",
-        ({},), _no_params, _neg_4112,
+        ({},), {}, _neg_4112,
         0, None,
         diagram=lambda p: _diagram("E", 6, [6]),
         expected_commutative_parabolic=True,
     ))
     e.append(CatalogEntry(
         "NEG-4.2.1", "SL(n), tori, on two copies of C^n, n > 2: no invariant",
-        ({"n": 3}, {"n": 4}), _ge("n", 3), _neg_421,
+        ({"n": 3}, {"n": 4}), {"n": (3, 1)}, _neg_421,
         0, None,
         diagram=lambda p: _diagram("D", p["n"] + 1, [p["n"], p["n"] + 1]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.4", "SL(n)* + AS(n), n odd: no invariant",
-        ({"n": 5}, {"n": 7}), _all(_ge("n", 5), _odd("n")), _neg_424,
+        ({"n": 5}, {"n": 7}), {"n": (5, 2)}, _neg_424,
         0, None,
         diagram=lambda p: _diagram("D", p["n"] + 1, [1, p["n"] + 1]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.5", "SL(n) + (SL(n) x SL(m)), n < m or n > m+1: no invariant",
-        ({"n": 2, "m": 3}, {"n": 4, "m": 2}),
-        _all(
-            _ge("n", 2), _ge("m", 2),
-            lambda p: None if (p["n"] < p["m"] or p["n"] > p["m"] + 1)
-            else "requires n < m or n > m+1",
-        ),
-        _neg_425,
+        ({"n": 2, "m": 3}, {"n": 4, "m": 2}), {"n": (2, 1), "m": (2, 1)}, _neg_425,
         0, None,
         diagram=lambda p: {
             (4, 2): _diagram("E", 6, [2, 5]),
@@ -704,25 +668,24 @@ def _entries() -> tuple[CatalogEntry, ...]:
     ))
     e.append(CatalogEntry(
         "NEG-4.2.8b", "(SL(2) x SL(2)) + (SL(2) x SL(2)): two determinants",
-        ({},), _no_params, _neg_428b,
+        ({},), {}, _neg_428b,
         2, None,
         diagram=lambda p: _diagram("A", 5, [2, 4]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.9b", "(SL(2) x SL(2)) + (SL(2) x Sp(m)): two invariants",
-        ({"m": 2}, {"m": 3}), _ge("m", 2), _neg_429b,
+        ({"m": 2}, {"m": 3}), {"m": (2, 1)}, _neg_429b,
         2, None,
         diagram=lambda p: _diagram("C", p["m"] + 4, [2, 4]),
     ))
     e.append(CatalogEntry(
         "NEG-4.2.10", "(Sp(n) x SL(2)) + (SL(2) x Sp(m)): two invariants",
-        ({"n": 2, "m": 2}, {"n": 2, "m": 3}),
-        _all(_ge("n", 2), _ge("m", 2)), _neg_4210,
+        ({"n": 2, "m": 2}, {"n": 2, "m": 3}), {"n": (2, 1), "m": (2, 1)}, _neg_4210,
         2, None,
     ))
     e.append(CatalogEntry(
         "NEG-4.2.12", "Spin(8) + SO(8) shared on C^8 + C^8: two quadratic forms",
-        ({},), _no_params, _neg_4212,
+        ({},), {}, _neg_4212,
         2, None,
         diagram=lambda p: _diagram("E", 6, [1, 6]),
     ))
@@ -766,7 +729,8 @@ def _build(entry: CatalogEntry, params: Dict[str, int]) -> BuildResult:
 
 
 def _check_params(entry: CatalogEntry, params: Dict[str, int]) -> Dict[str, int]:
-    """params with each value as a Python int; raises before any build."""
+    """params with each value as a Python int in the entry's domain; raises
+    before any build."""
     if set(params) != set(entry.params):
         raise ValueError(
             f"{entry.id} expects parameters {entry.params}, got {tuple(params)}"
@@ -779,9 +743,11 @@ def _check_params(entry: CatalogEntry, params: Dict[str, int]) -> Dict[str, int]
             raise TypeError(
                 f"{entry.id}: parameter {name} must be an integer, got {value!r}"
             ) from None
-    msg = entry.validate(ints)
-    if msg:
-        raise ValueError(f"{entry.id}: {msg}")
+    for name, (lowest, step) in entry.domain.items():
+        if ints[name] < lowest:
+            raise ValueError(f"{entry.id}: {name} must be >= {lowest}")
+        if (ints[name] - lowest) % step:
+            raise ValueError(f"{entry.id}: {name} must be {_PARITY[lowest % 2]}")
     return ints
 
 

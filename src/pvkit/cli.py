@@ -5,7 +5,8 @@ COMMANDS, which `getopt` reads as `--name value`, `--name=value` or a unique
 prefix of the name; `-h`/`--help` prints the usage from the same table.
 The exit code is 0 iff every selected check passed (or for --help), 1 when a
 check failed, and 2 on a usage error, reported as one line "pvkit COMMAND:
-message" on stderr: bad arguments, an unknown entry or bad parameter, or a
+message" on stderr: bad arguments, an unknown entry, a parameter outside the
+entry's domain (which `list` prints), a run that runs out of memory, or a
 PVKIT_SEED that is not an integer.  PVKIT_SEED overrides the default seed.
 """
 
@@ -28,19 +29,20 @@ def _int(value: str, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _params_text(params) -> str:
+    return ",".join(f"{k}={v}" for k, v in sorted(params.items())) or "-"
+
+
 def _cmd_list(args) -> int:
     for entry in catalog():
-        params = ",".join(entry.params) if entry.params else "-"
-        defaults = "; ".join(
-            ",".join(f"{k}={v}" for k, v in sorted(d.items())) or "-"
-            for d in entry.defaults
-        )
+        domain = entry.domain_text or "-"
+        defaults = "; ".join(_params_text(d) for d in entry.defaults)
         expected = f"char={entry.expected_character_dim}"
         if entry.expected_regular is not None:
             expected += f" regular={entry.expected_regular}"
         if entry.mf_rank:
             expected += f" rank={entry.mf_rank}"
-        print(f"{entry.id:13s} {params:6s} [{defaults}]  {expected}")
+        print(f"{entry.id:13s} {domain:9s} [{defaults}]  {expected}")
         print(f"{'':13s} {entry.title}")
     return 0
 
@@ -81,14 +83,19 @@ def _print_report(report, fmt: str) -> None:
 
 def _cmd_run(args) -> int:
     try:
-        get_entry(args.entry)
+        entry = get_entry(args.entry)
     except KeyError as exc:
         print(f"pvkit run: {exc.args[0]}", file=sys.stderr)
         return 2
     try:
-        report = run(args.entry, _parse_params(args.param), seed=args.seed)
+        params = _parse_params(args.param) or entry.defaults[0]
+        report = run(entry.id, params, seed=args.seed)
     except ValueError as exc:
         print(f"pvkit run: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # numpy's _ArrayMemoryError included
+        print(f"pvkit run: out of memory verifying {entry.id} at {_params_text(params)}",
+              file=sys.stderr)
         return 2
     _print_report(report, args.format)
     return 0 if report.status == "pass" else 1
@@ -102,7 +109,7 @@ def _cmd_run_all(args) -> int:
         print(summary_json(summary))
     else:
         for report in reports:
-            params = ",".join(f"{k}={v}" for k, v in sorted(report.params.items())) or "-"
+            params = _params_text(report.params)
             print(f"{report.entry:13s} {params:10s} {report.status:12s} "
                   f"char={report.character_dim} regular={report.regular} "
                   f"({report.elapsed_s:.2f}s)")

@@ -5,7 +5,9 @@ uncircled simple roots and 2 on circled ones; each root then lands in the
 graded piece indexed by half its value on H, which equals the sum of its
 coefficients over the circled vertices.  The degree-one piece decomposes
 into one irreducible per circled vertex, with highest weights read off the
-diagram by the arrow rule.
+Cartan integers (`RootSystem.pairing`).  `rule_r_coefficient` is the arrow
+rule; the tests check that it gives the same coefficient on every edge of
+every type.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from .rootsystems import Root, RootSystem, WeightedDiagram, build_root_system
+from .rootsystems import POSITIVE_ROOT_COUNTS, Root, RootSystem, WeightedDiagram, build_root_system
 
 __all__ = [
     "LeviComponent",
@@ -35,16 +37,6 @@ _NAMES = {
     "E": lambda k: f"e{k}",
     "F": lambda k: "f4",
     "G": lambda k: "g2",
-}
-
-_DIMS = {
-    "A": lambda k: (k + 1) ** 2 - 1,
-    "B": lambda k: k * (2 * k + 1),
-    "C": lambda k: k * (2 * k + 1),
-    "D": lambda k: k * (2 * k - 1),
-    "E": lambda k: {6: 78, 7: 133, 8: 248}[k],
-    "F": lambda k: 52,
-    "G": lambda k: 14,
 }
 
 # isomorphic low-rank names accepted interchangeably
@@ -74,7 +66,8 @@ class LeviComponent:
 
     @property
     def dim(self) -> int:
-        return _DIMS[self.type](self.rank)
+        """A root space per root and the Cartan: 2 |positive roots| + rank."""
+        return 2 * POSITIVE_ROOT_COUNTS[self.type](self.rank) + self.rank
 
     def omega_index(self, vertex: int) -> int:
         """1-based fundamental-weight index of a vertex of this component."""

@@ -51,7 +51,8 @@ def test_every_family_has_two_default_choices_or_is_fixed():
 
 
 def test_default_choices_share_the_parameter_names():
-    """An entry's parameter names are read off its first default choice."""
+    """Every default choice names exactly the parameters of the entry's
+    domain, which `params` reads."""
     for entry in catalog():
         assert {frozenset(d) for d in entry.defaults} == {frozenset(entry.params)}
 
@@ -92,6 +93,36 @@ def test_out_of_range_parameters_rejected():
         run("NEG-4.2.5", {"n": 3, "m": 3})
     with pytest.raises(ValueError):
         run("T2.1", {"k": 3})
+
+
+# The families defined only for even n (pfaffians) or only for odd n.
+PARITY_FAMILIES = {"T2.3", "T3.2a", "T3.2b", "T3.3", "NEG-4.1.5", "NEG-4.2.4"}
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog() if e.params])
+def test_parameter_domains_admit_every_choice_and_refuse_their_edges(monkeypatch, entry_id):
+    """Each parametrized entry's declared (lowest, step) domain holds its
+    defaults and its LARGER_PARAMS choice.  One below lowest is refused,
+    and so is lowest + 1 when the step is 2, each by a ValueError naming
+    the entry and the parameter, before anything is built."""
+    cat = importlib.import_module("pvkit.catalog")
+
+    def no_build(entry, params):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cat, "_built", no_build)
+    entry = get_entry(entry_id)
+    for params in (*entry.defaults, dict(LARGER_PARAMS)[entry_id]):
+        assert cat._check_params(entry, params) == params
+    for name, (lowest, step) in entry.domain.items():
+        assert step == (2 if entry_id in PARITY_FAMILIES else 1)
+        refused = {lowest - 1: f"must be >= {lowest}"}
+        if step == 2:
+            refused[lowest + 1] = f"must be {('even', 'odd')[lowest % 2]}"
+        for value, reason in refused.items():
+            with pytest.raises(ValueError) as exc:
+                run(entry_id, {**entry.defaults[0], name: value})
+            assert str(exc.value) == f"{entry_id}: {name} {reason}"
 
 
 def test_non_integer_parameters_are_rejected_before_any_build(monkeypatch):

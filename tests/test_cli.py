@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, env seed."""
 
+import importlib
 import json
 
 import pytest
@@ -12,6 +13,8 @@ def test_list_mentions_every_entry(capsys):
     out = capsys.readouterr().out
     for eid in ("T2.1", "T2.10", "T3.2b", "NEG-4.2.12"):
         assert eid in out
+    t23 = next(line for line in out.splitlines() if line.startswith("T2.3 "))
+    assert "n>=4" in t23 and "even" in t23
 
 
 REPORT_FIELDS = {
@@ -106,6 +109,21 @@ def test_env_seed_is_honored(capsys, monkeypatch):
 def test_run_param_without_value_exits_2(capsys):
     assert main(["run", "--entry", "T2.1", "--param", "n"]) == 2
     assert "--param expects name=value" in capsys.readouterr().err
+
+
+def test_run_out_of_memory_exits_2_with_one_line_naming_the_run(capsys, monkeypatch):
+    """A build or run that raises MemoryError (numpy's _ArrayMemoryError is
+    one) is a usage error: exit 2, nothing on stdout, one stderr line with
+    the entry and its parameters.  The allocation is stubbed, not made."""
+    def out_of_memory(entry, params):
+        raise MemoryError
+
+    monkeypatch.setattr(importlib.import_module("pvkit.catalog"), "_built", out_of_memory)
+    assert main(["run", "--entry", "T2.1", "--param", "n=99999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("pvkit run:")
+    assert "T2.1" in captured.err and "n=99999" in captured.err
 
 
 def test_run_repeated_param_exits_2(capsys):

@@ -219,6 +219,21 @@ def test_catalog_restricts_invariants_by_the_summand_dims():
         assert ast.unparse(call.args[1]) == "rep.summand_dims", ast.unparse(call)
 
 
+def test_catalog_declares_parameter_domains_as_data():
+    """Parameter ranges are each entry's (lowest, step) domain: catalog.py
+    defines none of the validator factories, and an entry has no
+    `validate` field."""
+    import dataclasses
+
+    from pvkit.catalog import CatalogEntry
+
+    tree = ast.parse((SRC / "catalog.py").read_text())
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not defined & {"_ge", "_all", "_even", "_odd", "_no_params"}
+    fields = {f.name for f in dataclasses.fields(CatalogEntry)}
+    assert "domain" in fields and "validate" not in fields
+
+
 def test_invariants_read_coordinates_through_grids_not_unpackers():
     tree = ast.parse((SRC / "invariants.py").read_text())
     defined = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
