@@ -125,6 +125,26 @@ def test_parameter_domains_admit_every_choice_and_refuse_their_edges(monkeypatch
             assert str(exc.value) == f"{entry_id}: {name} {reason}"
 
 
+@pytest.mark.parametrize("entry_id,params,message", [
+    ("NEG-4.1.6", {"n": 3, "m": 3}, "NEG-4.1.6: n and m must differ"),
+    ("NEG-4.2.5", {"n": 3, "m": 3}, "NEG-4.2.5: requires n < m or n > m+1"),
+    ("NEG-4.2.5", {"n": 4, "m": 3}, "NEG-4.2.5: requires n < m or n > m+1"),
+])
+def test_joint_conditions_are_the_builders_first_line(monkeypatch, entry_id, params, message):
+    """A condition joining two parameters is refused by the family's builder
+    before it constructs any representation."""
+    cat = importlib.import_module("pvkit.catalog")
+
+    def no_rep(*args):
+        raise AssertionError("constructed")
+
+    monkeypatch.setattr(cat, "_vector_and_matrix_rep", no_rep)
+    monkeypatch.setattr(cat, "sl", no_rep)
+    with pytest.raises(ValueError) as exc:
+        run(entry_id, params)
+    assert str(exc.value) == message
+
+
 def test_non_integer_parameters_are_rejected_before_any_build(monkeypatch):
     """A parameter value is read through operator.index: a numpy integer
     gives the report of the Python int, and a float, even 4.0, is a
