@@ -7,7 +7,8 @@ The exit code is 0 iff every selected check passed (or for --help), 1 when a
 check failed, and 2 on a usage error, reported as one line "pvkit COMMAND:
 message" on stderr: bad arguments, an unknown entry, a parameter outside the
 entry's domain (which `list` prints), a run that runs out of memory, or a
-PVKIT_SEED that is not an integer.  PVKIT_SEED overrides the default seed.
+PVKIT_SEED that is not an integer.  A reader that closes stdout early ends
+the command quietly with 1.  PVKIT_SEED overrides the default seed.
 """
 
 from __future__ import annotations
@@ -224,7 +225,15 @@ def main(argv=None) -> int:
     if args is None:
         print(_help(command))
         return 0
-    return COMMANDS[command][0](args)
+    try:
+        code = COMMANDS[command][0](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: devnull takes the rest, so the exit flush is quiet
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -5,9 +5,12 @@ uncircled simple roots and 2 on circled ones; each root then lands in the
 graded piece indexed by half its value on H, which equals the sum of its
 coefficients over the circled vertices.  The degree-one piece decomposes
 into one irreducible per circled vertex, with highest weights read off the
-Cartan integers (`RootSystem.pairing`).  `rule_r_coefficient` is the arrow
-rule; the tests check that it gives the same coefficient on every edge of
-every type.
+Cartan integers (`RootSystem.pairing`) and named by the fundamental-weight
+index of a vertex in its Levi factor.  Each factor is typed from its shape
+and the integer root lengths (`RootSystem.norms`) and numbered as in
+Bourbaki, a D factor inside E too, so `wi` names the same weight in any
+ambient diagram.  `rule_r_coefficient` is the arrow rule; the tests check
+that it gives the same coefficient on every edge of every type.
 """
 
 from __future__ import annotations
@@ -113,76 +116,49 @@ class ParabolicGrading:
         return " + ".join(parts) if parts else "0"
 
 
-def _chain_order(rs: RootSystem, verts: Sequence[int]) -> list[int]:
-    """Walk a linear component starting from its smaller-index endpoint."""
-    verts = list(verts)
-    if len(verts) == 1:
-        return verts
-    adj = {v: [w for w in verts if w != v and rs.cartan[v][w] != 0] for v in verts}
-    ends = sorted(v for v in verts if len(adj[v]) == 1)
-    cur, prev = ends[0], None
-    order = [cur]
-    while len(order) < len(verts):
-        nxt = [w for w in adj[cur] if w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
+def _walk(adj: Dict[int, list], path: list[int]) -> list[int]:
+    """Extend a path to the end of its chain, each step to the neighbour of
+    the last vertex that is not the one before it."""
+    while nxt := [w for w in adj[path[-1]] if w not in path[-2:]]:
+        path.append(nxt[0])
+    return path
 
 
-def _classify_component(rs: RootSystem, verts: Sequence[int]) -> LeviComponent:
-    verts = sorted(verts)
+def _classify_component(
+    rs: RootSystem, verts: Sequence[int], norms: Sequence[int]
+) -> LeviComponent:
+    """Type a connected set of sorted vertices by its shape and its root
+    lengths, numbered as in Bourbaki's plates.
+
+    A branch vertex makes D when two of its arms are single vertices, walked
+    from the end of its long arm to the branch and then to those two leaves,
+    and E otherwise, in vertex order.  A chain is walked from its lower end
+    and turned so that the lengths rise: equal lengths give A; a ratio of 3
+    gives G2 and one long root C (sp(2) included), short root first; one
+    short root gives B and two F4, walked back so that the lengths fall.
+    """
     k = len(verts)
-    if k == 1:
-        return LeviComponent("A", 1, tuple(verts))
-    adj = {v: [w for w in verts if w != v and rs.cartan[v][w] != 0] for v in verts}
-    doubles = [
-        (v, w)
-        for v in verts
-        for w in adj[v]
-        if v < w and rs.edge_multiplicity(v, w) >= 2
-    ]
-    if doubles and rs.edge_multiplicity(*doubles[0]) == 3:
-        u, w = doubles[0]
-        # cartan[i][j] = -3 means alpha_j is the long root
-        short, long_ = (u, w) if rs.cartan[u][w] == -3 else (w, u)
-        return LeviComponent("G", 2, (short, long_))
-    if doubles:
-        u, w = doubles[0]
-        # cartan[i][j] = -2 means alpha_j is the long root
-        long_, short = (w, u) if rs.cartan[u][w] == -2 else (u, w)
-        order = _chain_order(rs, verts)
-        if k == 2:
-            # B2 and C2 coincide; canonical name sp(2), short root first
-            return LeviComponent("C", 2, (short, long_))
-        if order[0] == short or order[-1] == short:
-            if order[0] == short:
-                order.reverse()
-            if order[-1] == short:
-                return LeviComponent("B", k, tuple(order))
-        if order[0] == long_:
-            order.reverse()
-        if order[-1] == long_:
-            return LeviComponent("C", k, tuple(order))
-        return LeviComponent("F", 4, tuple(order))
-    degrees = {v: len(adj[v]) for v in verts}
-    branch = [v for v in verts if degrees[v] == 3]
-    if not branch:
-        return LeviComponent("A", k, tuple(_chain_order(rs, verts)))
-    b = branch[0]
-    arm_lengths = []
-    for start in adj[b]:
-        length, prev, cur = 1, b, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arm_lengths.append(length)
-    arms = sorted(arm_lengths)
-    if arms[0] == 1 and arms[1] == 1:
-        return LeviComponent("D", k, tuple(verts))
-    return LeviComponent("E", k, tuple(verts))
+    adj = {v: [w for w in verts if w != v and rs.cartan[v][w]] for v in verts}
+    branch = [v for v in verts if len(adj[v]) == 3]
+    if branch:
+        b = branch[0]
+        leaves = [w for w in adj[b] if len(adj[w]) == 1][-2:]
+        if len(leaves) < 2:
+            return LeviComponent("E", k, tuple(verts))
+        start = next(w for w in adj[b] if w not in leaves)
+        return LeviComponent("D", k, tuple(_walk(adj, [b, start])[::-1] + leaves))
+    order = _walk(adj, [next(v for v in verts if len(adj[v]) < 2)])
+    if norms[order[0]] > norms[order[-1]]:
+        order.reverse()
+    lengths = [norms[v] for v in order]
+    short, long_ = lengths[0], lengths[-1]
+    if short == long_:
+        return LeviComponent("A", k, tuple(order))
+    if long_ == 3 * short:
+        return LeviComponent("G", 2, tuple(order))
+    if lengths.count(long_) == 1:
+        return LeviComponent("C", k, tuple(order))
+    return LeviComponent("B" if lengths.count(short) == 1 else "F", k, tuple(order[::-1]))
 
 
 def compute_grading(diagram: WeightedDiagram) -> ParabolicGrading:
@@ -200,6 +176,7 @@ def compute_grading(diagram: WeightedDiagram) -> ParabolicGrading:
             pieces.setdefault(-p, []).append(neg)
     h_theta = tuple(2 if i in circled else 0 for i in range(rs.rank))
     theta = diagram.theta
+    norms = rs.norms()
     components: list[LeviComponent] = []
     seen: set[int] = set()
     for v in theta:
@@ -215,7 +192,7 @@ def compute_grading(diagram: WeightedDiagram) -> ParabolicGrading:
                 w for w in theta if w not in comp and rs.cartan[cur][w] != 0
             )
         seen |= comp
-        components.append(_classify_component(rs, sorted(comp)))
+        components.append(_classify_component(rs, sorted(comp), norms))
     components.sort(key=lambda c: c.vertices[0])
     grading = ParabolicGrading(
         diagram=diagram,

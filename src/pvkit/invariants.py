@@ -13,8 +13,8 @@ in Python ints, in one closed form per kind:
 
 * det: one fraction-free Gauss-Jordan elimination on [M | I] (Bareiss 1968)
   gives det M and adj M; the gradient is adj^T, read through the grid;
-* pf: |Pf| = isqrt(det M), its sign comes from one skew elimination modulo a
-  prime that does not divide it, and dPf/dm_ij = adj_ji / Pf exactly;
+* pf: one fraction-free skew elimination gives Pf M, and dPf/dm_ij =
+  adj_ji / Pf exactly, with adj M from the det elimination;
 * poly: one loop over the terms.
 
 Coordinates: Sym(n) is the upper triangle row-major with the diagonal, in
@@ -29,12 +29,11 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import count
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import P, _int_array
+from .linalg import _int_array
 from .octonion import albert_coords_dim, freudenthal_monomials
 
 __all__ = [
@@ -103,14 +102,17 @@ def _det_adj(m: list[list[int]]) -> tuple[int, Optional[list[list[int]]]]:
     return sign * prev, [[sign * v for v in row[n:]] for row in a]
 
 
-def _pf_mod(m: list[list[int]], p: int) -> int:
-    """Pf m mod the prime p, for an antisymmetric matrix m of Python ints.
-    Each step moves a nonzero entry of row k to column k + 1 (one swap of
-    rows and columns, which negates Pf), multiplies Pf by a = m[k][k+1] and
-    replaces the trailing block by its Schur complement m_il -
-    (m_ki m_(k+1)l - m_kl m_(k+1)i) / a, which is again antisymmetric."""
-    a = [[v % p for v in row] for row in m]
-    pf = 1
+def _pf(m: list[list[int]]) -> int:
+    """Pf m for an antisymmetric matrix m of Python ints, by one fraction-
+    free skew elimination.  Each step moves a nonzero entry of row k to
+    column k + 1 (one swap of rows and columns, which negates Pf) and
+    replaces each trailing m_il by (p m_il - m_ki m_(k+1)l + m_kl m_(k+1)i)
+    / p', with p = m_k(k+1) the pivot and p' the one before.  That entry is
+    the Pfaffian of the swapped m on rows and columns 0..k+1, i, l, so the
+    division is exact (the skew form of Bareiss 1968); the last pivot is Pf
+    up to the sign of the swaps."""
+    a = [row[:] for row in m]
+    sign, prev = 1, 1
     for k in range(0, len(a), 2):
         j = next((j for j in range(k + 1, len(a)) if a[k][j]), None)
         if j is None:
@@ -119,18 +121,12 @@ def _pf_mod(m: list[list[int]], p: int) -> int:
             a[k + 1], a[j] = a[j], a[k + 1]
             for row in a:
                 row[k + 1], row[j] = row[j], row[k + 1]
-            pf = -pf
+            sign = -sign
         rk, rk1, pivot = a[k][k + 2 :], a[k + 1][k + 2 :], a[k][k + 1]
-        pf, inv = pf * pivot % p, pow(pivot, -1, p)
         for c, d, row in zip(rk, rk1, a[k + 2 :]):
-            c, d = c * inv % p, d * inv % p
-            row[k + 2 :] = [(x - c * y + d * z) % p for x, y, z in zip(row[k + 2 :], rk1, rk)]
-    return pf
-
-
-def _next_prime(p: int) -> int:
-    """The least prime above the odd number p, by trial division."""
-    return next(q for q in count(p + 2, 2) if all(q % r for r in range(3, math.isqrt(q) + 1, 2)))
+            row[k + 2 :] = [(pivot * x - c * y + d * z) // prev for x, y, z in zip(row[k + 2 :], rk1, rk)]
+        prev = pivot
+    return sign * prev
 
 
 def value_and_gradient(f: InvariantPolynomial, xi: Sequence[int]) -> tuple[int, Optional[list]]:
@@ -167,10 +163,7 @@ def value_and_gradient(f: InvariantPolynomial, xi: Sequence[int]) -> tuple[int, 
         return 0, None
     scale = 1
     if f.kind == "pf":
-        root, p = math.isqrt(value), P
-        while root % p == 0:
-            p = _next_prime(p)
-        value = scale = root if _pf_mod(m, p) == root % p else -root
+        value = scale = _pf(m)
     grad = [0] * len(x)
     for i, j in pairs:
         grad[grid[i][j]] += adj[j][i] // scale

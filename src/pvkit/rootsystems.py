@@ -123,21 +123,21 @@ class RootSystem:
     def norms(self) -> tuple[int, ...]:
         """Relative squared lengths of the simple roots (smallest = 1).
 
-        Propagated along edges using |a_j|^2 / |a_i|^2 = C[i][j] / C[j][i].
+        Propagated from 6 at vertex 0 along the edges by |a_j|^2 =
+        |a_i|^2 C[i][j] / C[j][i]; a connected diagram has length ratios 2 or
+        3 but not both, so every value is 6 times one of 1, 2, 3, 1/2, 1/3,
+        an integer, and each `//` is exact.
         """
-        from fractions import Fraction
-
-        norm = [None] * self.rank
-        norm[0] = Fraction(1)
+        norm = [6] + [0] * (self.rank - 1)
         pending = [0]
         while pending:
             i = pending.pop()
             for j in range(self.rank):
-                if j != i and self.cartan[i][j] != 0 and norm[j] is None:
-                    norm[j] = norm[i] * Fraction(self.cartan[i][j], self.cartan[j][i])
+                if self.cartan[i][j] and not norm[j]:
+                    norm[j] = norm[i] * self.cartan[i][j] // self.cartan[j][i]
                     pending.append(j)
-        scale = min(n for n in norm)
-        return tuple(int(n / scale) for n in norm)
+        low = min(norm)
+        return tuple(n // low for n in norm)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type}{self.rank}, {len(self.positive_roots)} positive roots)"

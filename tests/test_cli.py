@@ -2,6 +2,10 @@
 
 import importlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -193,3 +197,19 @@ def test_equals_form_and_unique_prefixes_give_the_spaced_report(capsys):
         reports.append(report)
     assert reports[0]["seed"] == -1 and reports[0]["params"] == {"n": 3}
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("argv", [["list"], ["run-all", "--filter", "negatives", "--format", "json"]])
+def test_closed_stdout_ends_quietly_with_1(argv):
+    """A reader that has gone (`pvkit list | head -3`) costs no traceback:
+    stdout is a pipe whose read end is closed before the child starts."""
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pvkit.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=600)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")

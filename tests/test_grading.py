@@ -110,6 +110,10 @@ def test_grading_invariants_all_diagrams(type_, rank):
             assert g.center_dim == len(circled)
             levi_dim = sum(c.dim for c in g.levi_components) + g.center_dim
             assert levi_dim == g.dim(0)
+            for c in g.levi_components:
+                # each factor is numbered as its own Bourbaki diagram
+                own = build_root_system(c.type, c.rank).cartan
+                assert own == tuple(tuple(rs.cartan[a][b] for b in c.vertices) for a in c.vertices)
 
 
 @pytest.mark.parametrize("type_,rank", ALL_SYSTEMS)
@@ -128,6 +132,12 @@ def test_component_weights_match_rule_r():
     assert comp.weights == ((2, 1),)   # w3 of so(7): the 8-dim spin weight
     assert comp.dimension == 8
     assert comp.label == "w3[so(7)]"
+    # a D factor inside E is numbered along its chain, as in Bourbaki:
+    # w5 of so(10) is a half-spin weight, w1 the vector one
+    e6 = irreducible_components(grade("E", 6, [1]))
+    assert [(c.label, c.dimension) for c in e6] == [("w5[so(10)]", 16)]
+    e7 = irreducible_components(grade("E", 7, [1, 7]))
+    assert [(c.label, c.dimension) for c in e7] == [("w5[so(10)]", 16), ("w1[so(10)]", 10)]
 
 
 def test_render_golden_linear():

@@ -96,6 +96,21 @@ def test_pf_squared_is_det_100_random():
         done += 1
 
 
+def test_pf_value_is_the_matching_expansion_at_random_points():
+    """The skew elimination's divisions are exact, singular grids included:
+    its value is the signed sum over perfect matchings, sizes 2 - 10."""
+    rng = DetRng(14)
+    zeros = 0
+    for _ in range(300):
+        n = 2 * rng.randint(1, 5)
+        coords = [rng.randint(-3, 3) * rng.randint(0, 1) for _ in range(n * (n - 1) // 2)]
+        value, grad = value_and_gradient(pfaffian(n), coords)
+        assert value == ring_pf(alt_unpack(coords, n))
+        zeros += value == 0
+        assert (grad is None) == (value == 0)
+    assert 30 <= zeros <= 270
+
+
 def test_pf_congruence_law():
     rng = DetRng(13)
     f = pfaffian(4)
@@ -659,8 +674,8 @@ def test_gradient_is_exact_above_int64_and_evaluates_once():
 
 
 def test_pfaffian_sign_when_the_prime_divides_it():
-    """|Pf| = isqrt(det) loses the sign, which is read mod P; when P divides
-    Pf the next primes decide it, so the value stays exact."""
+    """Pf a multiple of P, or of P times the next prime, keeps its sign: the
+    skew elimination is exact and depends on no prime."""
     assert value_and_gradient(pfaffian(2), (P,)) == (P, [1])
     assert value_and_gradient(pfaffian(2), (-P,)) == (-P, [1])
     q = 2**31 + 11  # the least prime above P

@@ -293,10 +293,17 @@ def test_span_solver_picks_no_dtype_per_row_operation():
         assert not names & {"_fit", "result_type", "astype"}, fn.name
 
 
-@pytest.mark.parametrize("module", ["catalog", "reps"])
+@pytest.mark.parametrize("module", ["catalog", "reps", "rootsystems", "grading"])
 def test_pipeline_modules_use_no_fractions(module):
     names = _imported_names(module)
     assert "Q" not in names and "fractions" not in names
+
+
+def test_pfaffian_needs_no_prime():
+    """Pf comes from one exact skew elimination, not a sign read modulo P."""
+    assert "P" not in _imported_names("invariants")
+    tree = ast.parse((SRC / "invariants.py").read_text())
+    assert "_next_prime" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
 
 
 def test_perfbench_selftest_passes():
