@@ -222,11 +222,10 @@ def main(argv=None) -> int:
     except (getopt.GetoptError, ValueError) as exc:
         print(f"pvkit{' ' + command if command else ''}: {exc}", file=sys.stderr)
         return 2
-    if args is None:
-        print(_help(command))
-        return 0
     try:
-        code = COMMANDS[command][0](args)
+        if args is None:
+            print(_help(command))
+        code = 0 if args is None else COMMANDS[command][0](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: devnull takes the rest, so the exit flush is quiet

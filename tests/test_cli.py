@@ -199,7 +199,9 @@ def test_equals_form_and_unique_prefixes_give_the_spaced_report(capsys):
     assert reports[0] == reports[1] == reports[2]
 
 
-@pytest.mark.parametrize("argv", [["list"], ["run-all", "--filter", "negatives", "--format", "json"]])
+@pytest.mark.parametrize(
+    "argv", [["list"], ["run-all", "--filter", "negatives", "--format", "json"], ["run", "--help"]]
+)
 def test_closed_stdout_ends_quietly_with_1(argv):
     """A reader that has gone (`pvkit list | head -3`) costs no traceback:
     stdout is a pipe whose read end is closed before the child starts."""
