@@ -49,9 +49,10 @@ print(f"isotropy dimension {iso.dim} "
 print("character space dimension:", character_space_dim(rep, point))
 
 # 4. the determinant is relatively invariant: same character at 10 points.
-# They are not chosen off its zero set: a relative invariant vanishes
-# nowhere on the open orbit, which holds every certified point.  classify
-# draws these 10 points in one call and takes the first as its generic point.
+# The invariance identity is polynomial, so any point where det is nonzero
+# is evidence for it; these 10 happen to be certified.  classify certifies
+# only its first point, the generic one, and takes the next draws of the
+# same stream uncertified, skipping any where the invariant vanishes.
 pts = sample_certified_points(rep, 10, seed=0)
 assert pts[0] == point
 ok, lam = verify_relative_invariant(rep, f, pts)

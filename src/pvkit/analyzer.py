@@ -3,13 +3,15 @@
 A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by a rank computation and never guessed: full rank
 modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
-rest.  One sampling call per run draws every certified point from the
-seed, as tuples of Python ints, and certifies its draws in blocks, one
-stacked elimination mod P per block.  The isotropy dimension d - n
+rest.  A run certifies one point: the first draw of its seeded stream
+that passes, as a tuple of Python ints.  The isotropy dimension d - n
 follows from the point certificate by rank-nullity, so no kernel is
-computed.  Relative invariance is checked through exact gradients, each
-in closed form from the invariant's data (a determinant, a pfaffian or
-integer terms), with the character compared in integers; the character
+computed.  Relative invariance is checked through exact gradients at that
+point and at the next draws of the same stream where the invariant is
+nonzero, uncertified, since the invariance identity is polynomial: all of
+an invariant's points in one stacked closed form from its data (a
+determinant, a pfaffian or integer terms), with the character compared
+in integers; the character
 vanishes on the derived algebra when the gradient at the
 first point is orthogonal to the commutators [g, g].x there, read off one
 d x d integer matrix that must be symmetric.  The character-lattice rank is
@@ -32,11 +34,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .invariants import InvariantPolynomial, value_and_gradient
+from .invariants import InvariantPolynomial, value_and_gradient, values_and_gradients
 from .linalg import P, DetRng, Q, _matmul, _mod_p, full_rank_mod_p, rank
 from .reps import MatrixRep
 
@@ -52,7 +55,12 @@ __all__ = [
 
 
 class ZeroAtTestPointError(RuntimeError):
-    """An invariant vanished; on the open orbit that disproves relative invariance."""
+    """An invariant vanished at the listed `points`; at a certified point,
+    on the open orbit, that disproves relative invariance."""
+
+    def __init__(self, message: str, points: Sequence[tuple[int, ...]] = ()):
+        super().__init__(message)
+        self.points = tuple(points)
 
 
 # Draws per sampling call before it gives up, and points per invariance check.
@@ -215,22 +223,58 @@ def _shortfall(found: int) -> str:
     return f"only {found} certified points in {MAX_DRAWS} samples (inconclusive)"
 
 
+def _further_draws(n: int, seed: int, first: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct draws of the seeded point stream after `first`, in
+    stream order, uncertified: at most MAX_DRAWS draws, taken
+    LAMBDA_POINTS - 1 at a time.
+
+    `sample_certified_points(rep, 1, seed)` returns the first draw of this
+    stream that it certifies, so the stream is drawn again up to the first
+    occurrence of that point, once per run.  A point that is not among the
+    first MAX_DRAWS draws (no seeded run has one) is followed by the draws
+    after those.
+    """
+    rng = DetRng.for_stream(seed, "point-sample")
+    for _ in range(MAX_DRAWS):
+        if tuple(rng.randints(n, -3, 3).tolist()) == first:
+            break
+    seen = {first}
+    for drawn in range(0, MAX_DRAWS, LAMBDA_POINTS - 1):
+        block = min(LAMBDA_POINTS - 1, MAX_DRAWS - drawn)
+        for draw in map(tuple, rng.randints(block * n, -3, 3).reshape(block, n).tolist()):
+            if draw not in seen:
+                seen.add(draw)
+                yield draw
+
+
+def _first_orders(
+    rep: MatrixRep, f: InvariantPolynomial, points: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(f(x), grad f(x), num) at each integer point x of a stack of K.
+
+    The values (K,) and the exact gradients (K, n) come from one stacked
+    elimination (`values_and_gradients`: a det or Pf grid, or one pass
+    over the terms of a polynomial).  num_X = grad f(x) . (T_X x) is the
+    derivative along X.x, times den: one `rep.act` over the stack and one
+    batched `_matmul`, in int64 when max|T_X x| * max|grad| * n < 2**62.
+    The values and num come as Python ints.  The evaluation reads each
+    coordinate through operator.index, so a Fraction or float is a
+    TypeError before numpy could truncate it.
+    """
+    fx, grads = values_and_gradients(f, points)
+    tx = rep.act(np.array(points, dtype=object).reshape(grads.shape))
+    num = _matmul(tx, grads[:, :, None])[:, :, 0]
+    return fx.astype(object), grads, num.astype(object)
+
+
 def _first_order(
     rep: MatrixRep, f: InvariantPolynomial, point: Sequence[int]
 ) -> tuple[int, np.ndarray, np.ndarray]:
-    """(f(x), grad f(x), num) at the integer point x.
-
-    f(x) and the exact gradient come in closed form from f's data
-    (`value_and_gradient`: an elimination for a det or Pf grid, one loop
-    over the terms of a polynomial).  num_X = grad f(x) . (T_X x) is
-    the derivative along X.x, times den, one `_matmul`: in int64 when
-    max|T_X x| * max|grad| * n < 2**62.  All three come as Python ints.
-    The evaluation reads each coordinate through operator.index, so a
-    Fraction or float is a TypeError before numpy could truncate it.
-    """
+    """(f(x), grad f(x), num) of `_first_orders` at one point, where f must
+    not vanish: the stack of one, through `value_and_gradient`."""
     fx, grad = value_and_gradient(f, point)
     if fx == 0:
-        raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit")
+        raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit", [tuple(point)])
     grad = np.array(grad, dtype=object)
     return fx, grad, _matmul(rep.act(point), grad).astype(object)
 
@@ -241,10 +285,9 @@ def _first_order_at(
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """`_first_order` at a run's first point, kept for the last few calls.
 
-    The invariance check, the character certificate and the Hessian each
-    read the gradient there, and it is taken once.  point is a tuple of
-    ints, so that a float equal to an int cannot hit the cache; the arrays
-    are read-only.
+    The character certificate and the Hessian each read the gradient
+    there, and it is taken once.  point is a tuple of ints, so that a float
+    equal to an int cannot hit the cache; the arrays are read-only.
     """
     fx, grad, num = _first_order(rep, f, point)
     grad.flags.writeable = num.flags.writeable = False
@@ -271,7 +314,8 @@ def verify_relative_invariant(
     f: InvariantPolynomial,
     points: Sequence[Sequence[int]],
 ) -> tuple[bool, Tuple[Q, ...]]:
-    """Infinitesimal relative invariance at certified points, exactly.
+    """Infinitesimal relative invariance at integer points, exactly; the
+    first is a certified point.
 
     For each basis element X the directional derivative along X.x must be
     lambda_X * f(x) with one lambda vector shared by every supplied point,
@@ -281,21 +325,25 @@ def verify_relative_invariant(
     (verified, lambda).  lambda also vanishes on the isotropy of every
     point checked, by construction: T_X x = 0 there.  At each point x one
     gradient gives the derivatives along every X.x, so
-    lambda_X = grad f(x) . (T_X x) / (den * f(x)); the numerators of two
-    points are compared by cross-multiplying.
+    lambda_X = grad f(x) . (T_X x) / (den * f(x)); f is evaluated at all
+    points in one stack (`_first_orders`), and the numerators of each
+    point and the first are compared by cross-multiplying.  The identity
+    is polynomial, so it holds at every point where f is nonzero, generic
+    or not.  f must not vanish at any point: ZeroAtTestPointError lists
+    those where it does, and at the certified first point that disproves
+    relative invariance.
     """
     if not points:
         raise ValueError("need at least one point")
+    fx, grads, num = _first_orders(rep, f, points)
+    zeros = [tuple(p) for p, v in zip(points, fx) if v == 0]
+    if zeros:
+        where = "on the open orbit" if fx[0] == 0 else f"at {len(zeros)} test points"
+        raise ZeroAtTestPointError(f"{f.name} vanishes {where}", zeros)
     first = tuple(map(operator.index, points[0]))
-    fx0, grad0, num = _first_order_at(rep, f, first)
-    for p in points[1:]:
-        fx, _, cur = _first_order(rep, f, p)
-        if (cur * fx0 != num * fx).any():
-            verified = False
-            break
-    else:
-        verified = _annihilates_commutators(rep, grad0, first)
-    return verified, tuple(Q(v, rep.den * fx0) for v in num)
+    same = not (num * fx[0] != num[0] * fx[:, None]).any()
+    verified = same and _annihilates_commutators(rep, grads[0], first)
+    return verified, tuple(Q(v, rep.den * fx[0]) for v in num[0])
 
 
 def hessian_regularity(
@@ -329,6 +377,43 @@ def hessian_regularity(
     return rank(r.T) == rep.space_dim
 
 
+def _check_invariant(
+    rep: MatrixRep,
+    f: InvariantPolynomial,
+    first: tuple[int, ...],
+    taken: list[tuple[int, ...]],
+    draws: Iterator[tuple[int, ...]],
+) -> tuple[Optional[tuple[bool, Tuple[Q, ...]]], str]:
+    """(verify_relative_invariant's result, "") for f at the certified
+    point first and the next LAMBDA_POINTS - 1 further draws where f does
+    not vanish, or (None, note) when f is unverified.
+
+    taken holds the further draws taken so far, shared by the invariants of
+    a run and extended from draws only as far as one of them needs.  A
+    further draw where f vanishes is skipped and the stage runs again
+    without it: off the open orbit a zero is no evidence either way.  A
+    zero at first disproves relative invariance, and too few further draws
+    leave f unverified.
+    """
+    skip: set[tuple[int, ...]] = set()
+    while True:
+        points = [first] + [p for p in taken if p not in skip][: LAMBDA_POINTS - 1]
+        fresh = list(islice(draws, LAMBDA_POINTS - len(points)))
+        taken += fresh
+        points += fresh
+        try:
+            result = verify_relative_invariant(rep, f, points)
+        except ZeroAtTestPointError as exc:
+            if first in exc.points:
+                return None, f"{f.name} unverified: {exc}"
+            skip.update(exc.points)
+            continue
+        if len(points) < LAMBDA_POINTS:
+            found = f"only {len(points)} points off its zero set in {MAX_DRAWS} samples"
+            return None, f"{f.name} unverified: {found} (inconclusive)"
+        return result, ""
+
+
 def classify(
     rep: MatrixRep,
     declared_invariants: Sequence[InvariantPolynomial] = (),
@@ -336,22 +421,25 @@ def classify(
 ) -> AnalysisReport:
     """Run the whole per-entry pipeline and assemble a report.
 
-    One `sample_certified_points` call draws every point of a run from the
-    seed: LAMBDA_POINTS with declared invariants, else one.  The first is
-    the generic point; each invariant is checked at all of them.  Since a
-    nonzero relative invariant vanishes nowhere on the open orbit, one that
-    vanishes at a point is reported unverified at 0 points, as is each one
-    when fewer than LAMBDA_POINTS points are found.  The invariants are
-    checked first, so that the character dimension can be proved from the
-    gradients of the verified ones at the first point (see
-    `character_space_dim`).  Regularity is decided from the first invariant
-    at the first point, exactly when the character space is
-    one-dimensional (the invariant is then fundamental) and the invariant
-    is verified, since the rank test holds for relative invariants only;
-    otherwise it is undecided.  The notes keep the order point, character,
-    invariants.
+    `sample_certified_points(rep, 1, seed)` certifies draws of the seeded
+    point stream until one passes: the generic point, and the only rank
+    certificate of a run.  Each invariant is then checked there and at the
+    next distinct draws of the same stream, uncertified, skipping those
+    where it vanishes, LAMBDA_POINTS points in all (see `_check_invariant`):
+    the invariance identity is polynomial, so any point where f is nonzero
+    is evidence, generic or not.  Since a nonzero relative invariant
+    vanishes nowhere on the open orbit, one that vanishes at the certified
+    point is reported unverified at 0 points, as is one with too few
+    points.  The invariants are checked first, so that the character
+    dimension can be proved from the gradients of the verified ones at the
+    first point (see `character_space_dim`).  Regularity is decided from
+    the first invariant at the first point, exactly when the character
+    space is one-dimensional (the invariant is then fundamental) and the
+    invariant is verified, since the rank test holds for relative
+    invariants only; otherwise it is undecided.  The notes keep the order
+    point, character, invariants.
     """
-    pts = sample_certified_points(rep, LAMBDA_POINTS if declared_invariants else 1, seed=seed)
+    pts = sample_certified_points(rep, 1, seed=seed)
     if not pts:
         return AnalysisReport(
             prehomogeneous=False,
@@ -364,31 +452,30 @@ def classify(
             regular=None,
             notes=_shortfall(0),
         )
+    first = pts[0]
     notes = ["seeded point"]
     unverified: list[str] = []
     checks: list[InvariantCheck] = []
     covectors = []
+    draws = _further_draws(rep.space_dim, seed, first)
+    taken: list[tuple[int, ...]] = []
     for f in declared_invariants:
-        if len(pts) < LAMBDA_POINTS:
-            unverified.append(f"{f.name} unverified: {_shortfall(len(pts))}")
+        result, note = _check_invariant(rep, f, first, taken, draws)
+        if result is None:
+            unverified.append(note)
             checks.append(InvariantCheck(f.name, False, (), 0))
             continue
-        try:
-            verified, lam = verify_relative_invariant(rep, f, pts)
-        except ZeroAtTestPointError as exc:
-            unverified.append(f"{f.name} unverified: {exc}")
-            checks.append(InvariantCheck(f.name, False, (), 0))
-            continue
-        checks.append(InvariantCheck(f.name, verified, lam, len(pts)))
+        verified, lam = result
+        checks.append(InvariantCheck(f.name, verified, lam, LAMBDA_POINTS))
         if verified:
-            covectors.append(_first_order_at(rep, f, pts[0])[1])
-    char_dim = character_space_dim(rep, pts[0], covectors=covectors)
+            covectors.append(_first_order_at(rep, f, first)[1])
+    char_dim = character_space_dim(rep, first, covectors=covectors)
     if char_dim == 0:
         notes.append("no nontrivial relative invariant at the algebra level")
     notes += unverified
     regular: Optional[bool] = None
     if char_dim == 1 and checks and checks[0].verified:
-        regular = hessian_regularity(declared_invariants[0], rep, pts[0])
+        regular = hessian_regularity(declared_invariants[0], rep, first)
     return AnalysisReport(
         prehomogeneous=True,
         algebra_dim=rep.algebra_dim,

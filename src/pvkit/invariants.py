@@ -8,14 +8,19 @@
 
 So det, Pf, the bordered Pf and det(v;x) differ only in their grids, and the
 quadratic and bilinear forms and the Freudenthal cubic only in their terms.
-`value_and_gradient` gives the exact value and gradient at an integer point
-in Python ints, in one closed form per kind:
+`values_and_gradients` gives the exact values and gradients at a stack of
+integer points, in one closed form per kind run on the whole stack:
 
-* det: one fraction-free Gauss-Jordan elimination on [M | I] (Bareiss 1968)
-  gives det M and adj M; the gradient is adj^T, read through the grid;
+* det: one fraction-free Gauss-Jordan elimination on the (K, m, 2m) stack
+  of [M | I] (Bareiss 1968) gives det M and adj M; the gradient is adj^T,
+  read through the grid;
 * pf: one fraction-free skew elimination gives Pf M, and dPf/dm_ij =
   adj_ji / Pf exactly, with adj M from the det elimination;
-* poly: one loop over the terms.
+* poly: one vectorized pass over the terms.
+
+The stack is int64 when `linalg._pair` admits its Hadamard bound, and
+Python ints otherwise, through the same code (see `_stack_dtype`).
+`value_and_gradient` is the stack of one, in Python ints.
 
 Coordinates: Sym(n) is the upper triangle row-major with the diagonal, in
 the order of np.triu_indices(n); AS(n) the strict upper triangle likewise;
@@ -33,13 +38,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import _int_array
+from .linalg import _int_array, _pair
 from .octonion import albert_coords_dim, freudenthal_monomials
 
 __all__ = [
     "InvariantPolynomial", "determinant", "pfaffian", "quadratic_form", "pair_dot",
     "symplectic_pair", "pf_gram", "bordered_pfaffian", "det_augmented",
-    "freudenthal_cubic", "restrict_to_summand", "value_and_gradient",
+    "freudenthal_cubic", "restrict_to_summand", "value_and_gradient", "values_and_gradients",
 ]
 
 
@@ -74,100 +79,165 @@ class InvariantPolynomial:
         return value if den == 1 else Fraction(value, den**self.degree)
 
 
-def _det_adj(m: list[list[int]]) -> tuple[int, Optional[list[list[int]]]]:
-    """(det m, adj m) for a square matrix of Python ints, or (0, None) when
-    m is singular, by one fraction-free Gauss-Jordan elimination on [m | I].
+def _stack_dtype(f: InvariantPolynomial, x: np.ndarray) -> np.dtype:
+    """The dtype of f's evaluation at the rows of the integer stack x.
 
-    Step k replaces every row but the pivot row by (p_k row - a_ik pivot
-    row) / p_(k-1); each entry is then a minor of [m | I], so the division
-    is exact (Bareiss 1968).  The left block ends as d I, with d the last
-    pivot, and the right block as d m^-1; a row swap flips the sign of d.
+    Every number the evaluation forms is a sum of at most k products of two
+    numbers of size at most h, so `linalg._pair` of h with itself picks
+    int64 exactly when that is exact.  For a grid of size m with entries at
+    most t, every minor of [M | I] (Bareiss) and every sub-Pfaffian is at
+    most h = (1 + m t^2)^(m/2) by Hadamard's inequality, and k = 2 m^2
+    covers the two products of a Gauss-Jordan step, the three of a skew
+    step and a gradient coordinate read at up to m^2 grid entries.  For
+    terms of degree q, a term is a coefficient times a monomial of size at
+    most t^q, and a value or gradient coordinate sums at most terms * q.
     """
-    n = len(m)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    sign, prev = 1, 1
+    t = max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
+    if f.kind == "poly":
+        terms, degree = f.index.shape
+        coeffs = np.array(f.coeffs, dtype=object)
+        return _pair(coeffs, np.array([t**degree], dtype=object), terms * degree)[0].dtype
+    m = len(f.index)
+    h = np.array([math.isqrt((1 + m * t * t) ** m - 1) + 1], dtype=object)
+    return _pair(h, h, 2 * m * m)[0].dtype
+
+
+def _pivot(
+    a: np.ndarray, lo: int, col: int, cols: bool, filler: np.ndarray,
+    prev: np.ndarray, alive: np.ndarray,
+) -> None:
+    """Make entry (lo, col) nonzero in each member of the stack a that has
+    a nonzero at or below it: add to row lo the first such row j (and
+    column j to column lo when cols, which keeps a skew member skew).  A
+    row addition leaves det, adj and Pf as they are, and the entries of an
+    elimination state are minors (or sub-Pfaffians) linear in each row, so
+    the state stays that of the changed matrix.  A member without such a
+    row is singular: it is marked in alive and carried on as filler with
+    prev 1, which every later step leaves as it is.  In place.
+    """
+    nonzero = a[:, lo:, col] != 0
+    lift = np.flatnonzero(~nonzero[:, 0])
+    j = lo + nonzero[lift].argmax(axis=1)
+    a[lift, lo] += a[lift, j]
+    if cols:
+        a[lift, :, lo] += a[lift, :, j]
+    dead = ~nonzero.any(axis=1)
+    if dead.any():
+        alive &= ~dead
+        a[dead] = filler
+        prev[dead] = 1
+
+
+def _det_adj(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(det M, adj M) for each member M of a (K, m, m) integer stack, by
+    one fraction-free Gauss-Jordan elimination on [M | I] for all at once.
+
+    Step k makes entry (k, k) nonzero (`_pivot`) and replaces every other
+    row by (p_k row - a_ik pivot row) / p_(k-1); each entry is then a
+    minor of [M | I], so the division is exact (Bareiss 1968).  The left
+    block ends as d I, with d the last pivot, and the right block as
+    d M^-1.  A singular member has det 0 and adj 0, and is carried on as
+    [I | I].
+    """
+    k_, n = m.shape[:2]
+    eye = np.eye(n, dtype=m.dtype)
+    a = np.concatenate([m, np.broadcast_to(eye, m.shape)], axis=2)
+    filler = np.concatenate([eye, eye], axis=1)
+    prev = np.ones(k_, dtype=m.dtype)
+    alive = np.ones(k_, dtype=bool)
     for k in range(n):
-        j = next((j for j in range(k, n) if a[j][k]), None)
-        if j is None:
-            return 0, None
-        if j != k:
-            a[k], a[j] = a[j], a[k]
-            sign = -sign
-        pivot_row, pk = a[k], a[k][k]
-        for i, row in enumerate(a):
-            if i != k:
-                c = row[k]
-                a[i] = [(pk * x - c * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pk
-    return sign * prev, [[sign * v for v in row[n:]] for row in a]
+        if not a[:, k, k].all():
+            _pivot(a, k, k, False, filler, prev, alive)
+        pivot_row = a[:, k : k + 1]
+        pk = pivot_row[:, :, k : k + 1]
+        a = (pk * a - a[:, :, k : k + 1] * pivot_row) // prev[:, None, None]
+        a[:, k] = pivot_row[:, 0]
+        prev = pk[:, 0, 0]
+    return np.where(alive, prev, 0), a[:, :, n:] * alive[:, None, None]
 
 
-def _pf(m: list[list[int]]) -> int:
-    """Pf m for an antisymmetric matrix m of Python ints, by one fraction-
-    free skew elimination.  Each step moves a nonzero entry of row k to
-    column k + 1 (one swap of rows and columns, which negates Pf) and
-    replaces each trailing m_il by (p m_il - m_ki m_(k+1)l + m_kl m_(k+1)i)
-    / p', with p = m_k(k+1) the pivot and p' the one before.  That entry is
-    the Pfaffian of the swapped m on rows and columns 0..k+1, i, l, so the
-    division is exact (the skew form of Bareiss 1968); the last pivot is Pf
-    up to the sign of the swaps."""
-    a = [row[:] for row in m]
-    sign, prev = 1, 1
-    for k in range(0, len(a), 2):
-        j = next((j for j in range(k + 1, len(a)) if a[k][j]), None)
-        if j is None:
-            return 0
-        if j != k + 1:
-            a[k + 1], a[j] = a[j], a[k + 1]
-            for row in a:
-                row[k + 1], row[j] = row[j], row[k + 1]
-            sign = -sign
-        rk, rk1, pivot = a[k][k + 2 :], a[k + 1][k + 2 :], a[k][k + 1]
-        for c, d, row in zip(rk, rk1, a[k + 2 :]):
-            row[k + 2 :] = [(pivot * x - c * y + d * z) // prev for x, y, z in zip(row[k + 2 :], rk1, rk)]
-        prev = pivot
-    return sign * prev
+def _pf(m: np.ndarray) -> np.ndarray:
+    """Pf M for each member M of a (K, m, m) antisymmetric integer stack,
+    by one fraction-free skew elimination for all at once.  Each step
+    makes entry (0, 1) of the active block nonzero (`_pivot` on row and
+    column 1), and replaces the trailing block by
+    (p m_il - m_0i m_1l + m_1i m_0l) / p', with p = m_01 the pivot and p'
+    the one before.  That entry is the Pfaffian of M on rows and columns
+    0, 1, i, l of the block and the pivots before, so the division is exact
+    (the skew form of Bareiss 1968); the last pivot is Pf.  A singular
+    member has Pf 0, and is carried on as the standard symplectic block.
+    """
+    k_, n = m.shape[:2]
+    if n % 2:
+        return np.zeros(k_, dtype=m.dtype)
+    prev = np.ones(k_, dtype=m.dtype)
+    alive = np.ones(k_, dtype=bool)
+    symplectic = np.zeros((n, n), dtype=m.dtype)
+    r = np.arange(0, n, 2)
+    symplectic[r, r + 1], symplectic[r + 1, r] = 1, -1
+    a = m.copy()
+    for s in range(n, 0, -2):
+        if not a[:, 1, 0].all():
+            _pivot(a, 1, 0, True, symplectic[:s, :s], prev, alive)
+        p, r0, r1 = a[:, 0, 1], a[:, 0, 2:], a[:, 1, 2:]
+        a = (
+            p[:, None, None] * a[:, 2:, 2:]
+            - r0[:, :, None] * r1[:, None, :]
+            + r1[:, :, None] * r0[:, None, :]
+        ) // prev[:, None, None]
+        prev = p
+    return np.where(alive, prev, 0)
+
+
+def values_and_gradients(f: InvariantPolynomial, points) -> tuple[np.ndarray, np.ndarray]:
+    """(f(x), grad f(x)) exactly at each row x of a (K, arity) integer stack.
+
+    Returns values of shape (K,) and gradients of shape (K, arity), both
+    int64 when `_stack_dtype` admits it and Python ints otherwise; the
+    same code runs in either.  Coordinates pass through operator.index, so
+    a Fraction or float is a TypeError.  At a singular det or Pf grid the
+    value is 0 and the gradient row is 0; the analyzer reads gradients only
+    where a relative invariant is nonzero.
+    """
+    rows = [[operator.index(v) for v in p] for p in points]
+    if any(len(p) != f.arity for p in rows):
+        raise ValueError(f"{f.name}: expected {f.arity} coordinates")
+    x = np.array(rows, dtype=object).reshape(len(rows), f.arity)
+    x = x.astype(_stack_dtype(f, x))
+    grad = np.zeros_like(x)
+    if f.kind == "poly":
+        monomials = x[:, f.index]
+        coeffs = np.array(f.coeffs, dtype=x.dtype)
+        value = (coeffs * monomials.prod(axis=2)).sum(axis=1)
+        for q in range(f.index.shape[1]):
+            rest = np.delete(monomials, q, axis=2).prod(axis=2)
+            np.add.at(grad, (slice(None), f.index[:, q]), coeffs * rest)
+        return value, grad
+    grid = f.index
+    if f.kind == "det":
+        value, adj = _det_adj(x[:, grid])
+        at = np.ones(grid.shape, dtype=bool)
+    else:
+        at = np.triu(np.ones(grid.shape, dtype=bool), 1)
+        m = np.zeros((len(x),) + grid.shape, dtype=x.dtype)
+        m[:, at] = x[:, grid[at]]
+        m = m - m.transpose(0, 2, 1)
+        value = _pf(m)
+        adj = _det_adj(m)[1] // np.where(value == 0, 1, value)[:, None, None]
+    # dPf/dm_ij = adj_ji / Pf, and d det/dm_ij = adj_ji, read through the grid
+    np.add.at(grad, (slice(None), grid[at]), adj.transpose(0, 2, 1)[:, at])
+    return value, grad
 
 
 def value_and_gradient(f: InvariantPolynomial, xi: Sequence[int]) -> tuple[int, Optional[list]]:
-    """(f(xi), grad f(xi)) exactly at an integer point, in Python ints.
-
-    Coordinates pass through operator.index: numpy integers become Python
-    ints, so nothing wraps around, and a Fraction or float is a TypeError.
-    At a singular det or Pf grid the value is 0 and the gradient None; the
-    analyzer reads gradients only where a relative invariant is nonzero.
-    """
-    x = [operator.index(v) for v in xi]
-    if len(x) != f.arity:
-        raise ValueError(f"{f.name}: expected {f.arity} coordinates")
-    if f.kind == "poly":
-        value, grad = 0, [0] * len(x)
-        for term, c in zip(f.index.tolist(), f.coeffs):
-            vals = [x[i] for i in term]
-            value += c * math.prod(vals)
-            for q, i in enumerate(term):
-                grad[i] += c * math.prod(vals[:q] + vals[q + 1 :])
-        return value, grad
-    grid = f.index.tolist()
-    n = len(grid)
-    if f.kind == "det":
-        m = [[x[g] for g in row] for row in grid]
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        m = [[0] * n for _ in range(n)]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for i, j in pairs:
-            m[i][j], m[j][i] = x[grid[i][j]], -x[grid[i][j]]
-    value, adj = _det_adj(m)
-    if adj is None:
+    """(f(xi), grad f(xi)) exactly at one integer point, in Python ints: the
+    stack of one of `values_and_gradients`.  At a singular det or Pf grid
+    the value is 0 and the gradient None."""
+    value, grad = values_and_gradients(f, [xi])
+    value = int(value[0])
+    if value == 0 and f.kind != "poly":
         return 0, None
-    scale = 1
-    if f.kind == "pf":
-        value = scale = _pf(m)
-    grad = [0] * len(x)
-    for i, j in pairs:
-        grad[grid[i][j]] += adj[j][i] // scale
-    return value, grad
+    return value, grad[0].tolist()
 
 
 def _triangle_grid(n: int, upper: int) -> np.ndarray:

@@ -227,9 +227,15 @@ def _exact(v, t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _common_den(parts) -> tuple[list[np.ndarray], int]:
-    """Rescale (array, den) pairs to their least common denominator."""
+    """Rescale (array, den) pairs to their least common denominator.  Each
+    array is multiplied by den / k as `linalg._pair` picks the two, so it
+    stays int64 unless the product leaves it."""
     den = math.lcm(*(k for _, k in parts))
-    return [t if k == den else t.astype(object) * (den // k) for t, k in parts], den
+    scaled = [
+        t if k == den else np.multiply(*_pair(t, np.array(den // k, dtype=object), 1))
+        for t, k in parts
+    ]
+    return scaled, den
 
 
 def _eye(n: int) -> np.ndarray:

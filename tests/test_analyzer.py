@@ -18,6 +18,7 @@ from helpers import (
 )
 from pvkit.analyzer import (
     LAMBDA_POINTS,
+    MAX_DRAWS,
     ZeroAtTestPointError,
     character_space_dim,
     classify,
@@ -365,15 +366,20 @@ def test_classify_inconclusive_when_not_prehomogeneous():
 
 
 def test_classify_records_unverifiable_invariant():
-    """An invariant is reported unverified at 0 points when too few points
-    are certified (the line has 6 nonzero draws)."""
-    zero_inv = InvariantPolynomial(1, "zero", "poly", np.zeros((0, 1)))
-    rep = classify(torus_line(), [zero_inv], seed=0)
+    """An invariant is reported unverified at 0 points when the stream has
+    too few distinct draws where it does not vanish: on the line, x is
+    relatively invariant, the certified point is one of 6 nonzero draws,
+    and the further draws add the other 5 and 0, which is skipped."""
+    x = InvariantPolynomial(1, "x", "poly", [[0]], (1,))
+    rep = classify(torus_line(), [x], seed=0)
     assert rep.prehomogeneous and rep.character_dim == 1
     (chk,) = rep.invariant_checks
     assert not chk.verified and chk.points_checked == 0
     assert rep.regular is None
-    assert "zero unverified: only 6 certified points" in rep.notes
+    assert rep.notes == (
+        "seeded point; x unverified: only 6 points off its zero set in "
+        f"{MAX_DRAWS} samples (inconclusive)"
+    )
 
 
 def test_classify_reports_an_invariant_vanishing_at_a_certified_point(monkeypatch):
@@ -445,37 +451,99 @@ def _counting_gradients(monkeypatch) -> dict:
     return evals
 
 
+def _recording_stacks(monkeypatch) -> dict:
+    """Patch analyzer.values_and_gradients to record, per invariant name,
+    the points and values of each stack it evaluates."""
+    from pvkit import analyzer
+
+    stacks: dict = {}
+    stacked = analyzer.values_and_gradients
+
+    def recorded(f, points):
+        values, grads = stacked(f, points)
+        stacks.setdefault(f.name, []).append((list(points), values.tolist()))
+        return values, grads
+
+    monkeypatch.setattr(analyzer, "values_and_gradients", recorded)
+    return stacks
+
+
 def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypatch):
-    """On an entry with two invariants: one certificate per distinct draw,
-    and each invariant is evaluated LAMBDA_POINTS times, once per point, by
-    one `value_and_gradient` call that gives the value and the gradient.
-    The certificates are the orbit matrices that reach the mod-P kernel, in
-    blocks of draws; the orbit map is injective here, so distinct draws have
-    distinct matrices."""
+    """On an entry with two invariants: the first draw passes, so one orbit
+    matrix reaches the mod-P kernel, and each invariant is evaluated in
+    stacks of exactly LAMBDA_POINTS distinct points: the certified point
+    and the next further draws, drawn once for both invariants.  An
+    invariant is evaluated again only after a stack where it vanished at a
+    further draw, without those draws (the first determinant, at seed 0);
+    its gradient at the certified point is then taken once, by one
+    `value_and_gradient` call, for the character certificate."""
     from pvkit import analyzer
     from pvkit.catalog import _build, get_entry
 
     built = _build(get_entry("NEG-4.2.8b"), {})
     orbit_shape = (built.rep.algebra_dim, built.rep.space_dim)
-    certified, stacks = [], []
+    certified = []
 
     def recording_kernel(stack):
         # the character certificate's two matrices have other shapes
         if np.shape(stack)[1:] == orbit_shape:
-            stacks.append(len(stack))
-            certified.extend(m.tobytes() for m in np.asarray(stack, dtype=np.int64))
+            certified.append(len(stack))
         return full_rank_mod_p(stack)
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     evals = _counting_gradients(monkeypatch)
+    stacks = _recording_stacks(monkeypatch)
     report = classify(built.rep, built.invariants, seed=0)
-    assert report.character_dim == 2 and len(evals) == 2
+    assert report.character_dim == 2
     assert all(c.verified for c in report.invariant_checks)
-    # each block draws as many draws as points are still missing
-    assert stacks[0] == LAMBDA_POINTS
-    assert len(certified) >= LAMBDA_POINTS
-    assert len(certified) == len(set(certified))
-    assert evals == {f.name: LAMBDA_POINTS for f in built.invariants}
+    assert certified == [1]
+    first = sample_certified_points(built.rep, 1, seed=0)[0]
+    names = [f.name for f in built.invariants]
+    assert list(stacks) == names and [len(stacks[n]) for n in names] == [2, 1]
+    opening = [runs[0][0] for runs in stacks.values()]
+    assert opening[0] == opening[1]  # the further draws are drawn once
+    for runs in stacks.values():
+        for (points, values), (after, _) in zip(runs, runs[1:]):
+            zeros = [p for p, v in zip(points, values) if v == 0]
+            assert zeros and first not in zeros
+            assert after[: LAMBDA_POINTS - len(zeros)] == [p for p in points if p not in zeros]
+        for points, _ in runs:
+            assert len(points) == len(set(points)) == LAMBDA_POINTS and points[0] == first
+        assert 0 not in runs[-1][1]
+    assert evals == {name: 1 for name in names}
+
+
+def test_classify_skips_a_further_draw_where_the_invariant_vanishes(monkeypatch):
+    """At seed 0, det on Sym(2) vanishes at one of the further draws of
+    GL(2) on Sym(2).  Off the open orbit a zero is no evidence, so the stage
+    runs again on the certified point and the next LAMBDA_POINTS - 1 draws
+    where det does not vanish, and the invariant is verified at
+    LAMBDA_POINTS points."""
+    from pvkit import analyzer
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry("T2.2"), {"n": 2})
+    (f,) = built.invariants
+    calls = []
+
+    def recording_verify(rep, f, points):
+        calls.append(list(points))
+        return verify_relative_invariant(rep, f, points)
+
+    monkeypatch.setattr(analyzer, "verify_relative_invariant", recording_verify)
+    report = classify(built.rep, [f], seed=0)
+    (chk,) = report.invariant_checks
+    assert chk.verified and chk.points_checked == LAMBDA_POINTS
+    assert report.notes == "seeded point" and report.regular is True
+    first, second = calls
+    zeros = [p for p in first if f(p) == 0]
+    assert len(zeros) == 1 and zeros[0] != first[0]
+    with pytest.raises(ZeroAtTestPointError) as exc:
+        verify_relative_invariant(built.rep, f, first)
+    assert exc.value.points == tuple(zeros)
+    assert second[:-1] == [p for p in first if p not in zeros]
+    assert second[-1] not in first and f(second[-1]) != 0
+    assert verify_relative_invariant(built.rep, f, second) == (True, chk.lam)
 
 
 def _counting_gram(monkeypatch) -> list:

@@ -3,6 +3,7 @@ the closed-form gradients against the taped reference and the taped
 reference against the jets, the closed forms' edge cases, and values
 against the hand-written evaluators."""
 
+import math
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -39,6 +40,7 @@ from pvkit.invariants import (
     restrict_to_summand,
     symplectic_pair,
     value_and_gradient,
+    values_and_gradients,
 )
 from pvkit.linalg import P, DetRng, Matrix, Q as QQ
 from pvkit.octonion import freudenthal_monomials
@@ -721,6 +723,67 @@ def test_int64_coordinates_near_2_62_do_not_wrap():
         value, grad = value_and_gradient(f, x)
         assert abs(value) > 2**63 and all(type(v) is int for v in [value, *grad])
         assert (value, grad) == taped_value_and_gradient(f, xs[: f.arity])
+
+
+_STACK_KINDS = {
+    "det_full": determinant(3),
+    "det_sym": determinant(3, "sym"),
+    "pf": pfaffian(6),
+    "bordered_pf": bordered_pfaffian(5),
+    "det_augmented": det_augmented(3),
+    "poly": freudenthal_cubic(),
+}
+
+
+@pytest.mark.parametrize("scale", [1, 2**40], ids=["int64", "python_ints"])
+@pytest.mark.parametrize("kind", sorted(_STACK_KINDS))
+def test_stack_equals_the_tape_point_by_point(kind, scale):
+    """One stacked evaluation equals the taped reference at each of its
+    points: seeded draws in [-3, 3] and singular points (0, and a single
+    nonzero coordinate), where a det or Pf grid has value 0 and a zero
+    gradient row.  Scaled by 2**40 the stack runs in Python ints, and
+    unscaled in int64."""
+    f = _STACK_KINDS[kind]
+    rng = DetRng(7)
+    points = [[rng.randint(-3, 3) for _ in range(f.arity)] for _ in range(12)]
+    points += [[0] * f.arity, [0] * (f.arity - 1) + [2]]
+    points = [[scale * v for v in p] for p in points]
+    values, grads = values_and_gradients(f, points)
+    assert values.dtype == grads.dtype == (np.int64 if scale == 1 else object)
+    singular = 0
+    for p, value, grad in zip(points, values.tolist(), grads.tolist()):
+        want, want_grad = taped_value_and_gradient(f, p)
+        assert value == want, (kind, p)
+        if value == 0 and f.kind != "poly":
+            assert not any(grad) and value_and_gradient(f, p) == (0, None)
+            singular += 1
+        else:
+            assert grad == want_grad, (kind, p)
+            assert value_and_gradient(f, p) == (value, grad)
+    assert singular >= (2 if f.kind != "poly" else 0)
+
+
+def test_stack_switches_to_python_ints_at_the_hadamard_bound():
+    """A det stack of size m with entries at most t runs in int64 exactly
+    when `_pair` keeps the Hadamard bound h = (1 + m t^2)^(m/2) against
+    itself for 2 m^2 products, 2 m^2 h^2 < 2**62, and in Python ints from
+    the next t on, with the same values and gradients."""
+    m, f = 3, determinant(3)
+
+    def int64_admits(t):
+        h = math.isqrt((1 + m * t * t) ** m - 1) + 1
+        return 2 * m * m * h * h < 1 << 62
+
+    lo, hi = 1, 1 << 20  # int64_admits(lo) and not int64_admits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if int64_admits(mid) else (lo, mid)
+    for t, want in ((lo, np.int64), (hi, object)):
+        points = [[t, -t, 1, 2, t - 1, 0, -1, 3, t], [t, 0, 0, 0, t, 0, 0, 0, -t]]
+        values, grads = values_and_gradients(f, points)
+        assert values.dtype == grads.dtype == want
+        for p, value, grad in zip(points, values.tolist(), grads.tolist()):
+            assert (value, grad) == taped_value_and_gradient(f, p)
 
 
 def test_invariants_hash_by_identity_and_hold_read_only_data():

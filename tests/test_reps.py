@@ -327,6 +327,30 @@ def test_direct_sum_shared_rejects_duplicate_labels():
         )
 
 
+def test_common_den_scales_each_part_in_int64_until_the_bound():
+    """A part rescaled to the common denominator stays int64 while `_pair`
+    keeps max|T| * (den / k) below 2**62, and holds Python ints from there
+    on: the half-integer spin(9) keeps its int64 T when a torus joins it,
+    and entries near 2**62 are scaled exactly."""
+    from pvkit.reps import _common_den
+
+    spin = spin_rep(9)
+    assert spin.T.dtype == np.int64 and spin.den == 2
+    rep = add_torus(spin, 1)
+    assert rep.T.dtype == np.int64 and rep.den == 2
+    assert (rep.T[:-1] == spin.T).all() and (rep.T[-1] == 2 * np.eye(16, dtype=np.int64)).all()
+    small = np.array([[3, -1], [0, 2]])
+    parts, den = _common_den([(small, 2), (small, 3)])
+    assert den == 6 and [p.dtype for p in parts] == [np.int64, np.int64]
+    assert [p.tolist() for p in parts] == [(small * 3).tolist(), (small * 2).tolist()]
+    edge = (1 << 61) - 1  # edge * 2 < 2**62 <= (edge + 1) * 2
+    for top, want in ((edge, np.int64), (edge + 1, object)):
+        big = np.array([[top, -5], [1, -top]])
+        (scaled, same), den = _common_den([(big, 1), (small, 2)])
+        assert den == 2 and scaled.dtype == want and same is small
+        assert scaled.tolist() == [[2 * top, -10], [2, -2 * top]]
+
+
 def test_add_torus_rules():
     r = so(3)
     assert add_torus(r, 1).algebra_dim == 4

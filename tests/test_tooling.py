@@ -306,6 +306,36 @@ def test_pfaffian_needs_no_prime():
     assert "_next_prime" not in {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
 
 
+def _floor_divides(node: ast.AST) -> bool:
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.FloorDiv) for n in ast.walk(node)
+    )
+
+
+def test_invariants_evaluate_by_one_stacked_elimination():
+    """A det or Pf grid is eliminated in one place per kind, on a whole
+    stack of points: the only loops of invariants.py that divide are the
+    steps of `_det_adj` and `_pf`, which build no list comprehension, no
+    comprehension divides (the per-point list elimination did), and
+    `value_and_gradient` is the stack of one, which calls
+    `values_and_gradients` and no elimination of its own."""
+    tree = ast.parse((SRC / "invariants.py").read_text())
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    eliminations = [
+        fn.name for fn in functions
+        if any(isinstance(n, (ast.For, ast.While)) and _floor_divides(n) for n in ast.walk(fn))
+    ]
+    assert sorted(eliminations) == ["_det_adj", "_pf"]
+    for name in eliminations:
+        fn = _function(tree, name)
+        assert not [n for n in ast.walk(fn) if isinstance(n, ast.ListComp)], name
+    comprehensions = (ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    assert not [n for n in ast.walk(tree) if isinstance(n, comprehensions) and _floor_divides(n)]
+    single = _function(tree, "value_and_gradient")
+    assert "values_and_gradients" in _called(single)
+    assert not _called(single) & {"_det_adj", "_pf", "_pivot"}
+
+
 def test_perfbench_selftest_passes():
     """The benchmark self-test, traced runs included, exits 0 (about 10 s)."""
     proc = subprocess.run(
