@@ -219,10 +219,6 @@ def sample_certified_points(
     return points
 
 
-def _shortfall(found: int) -> str:
-    return f"only {found} certified points in {MAX_DRAWS} samples (inconclusive)"
-
-
 def _further_draws(n: int, seed: int, first: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The distinct draws of the seeded point stream after `first`, in
     stream order, uncertified: at most MAX_DRAWS draws, taken
@@ -383,10 +379,10 @@ def _check_invariant(
     first: tuple[int, ...],
     taken: list[tuple[int, ...]],
     draws: Iterator[tuple[int, ...]],
-) -> tuple[Optional[tuple[bool, Tuple[Q, ...]]], str]:
-    """(verify_relative_invariant's result, "") for f at the certified
-    point first and the next LAMBDA_POINTS - 1 further draws where f does
-    not vanish, or (None, note) when f is unverified.
+) -> tuple[InvariantCheck, str]:
+    """The check of f at the certified point first and the next
+    LAMBDA_POINTS - 1 further draws where f does not vanish, and a note
+    when f is unverified.
 
     taken holds the further draws taken so far, shared by the invariants of
     a run and extended from draws only as far as one of them needs.  A
@@ -402,16 +398,17 @@ def _check_invariant(
         taken += fresh
         points += fresh
         try:
-            result = verify_relative_invariant(rep, f, points)
+            verified, lam = verify_relative_invariant(rep, f, points)
         except ZeroAtTestPointError as exc:
             if first in exc.points:
-                return None, f"{f.name} unverified: {exc}"
+                return InvariantCheck(f.name, False, (), 0), f"{f.name} unverified: {exc}"
             skip.update(exc.points)
             continue
         if len(points) < LAMBDA_POINTS:
             found = f"only {len(points)} points off its zero set in {MAX_DRAWS} samples"
-            return None, f"{f.name} unverified: {found} (inconclusive)"
-        return result, ""
+            note = f"{f.name} unverified: {found} (inconclusive)"
+            return InvariantCheck(f.name, False, (), 0), note
+        return InvariantCheck(f.name, verified, lam, LAMBDA_POINTS), ""
 
 
 def classify(
@@ -450,7 +447,7 @@ def classify(
             qd1=False,
             invariant_checks=(),
             regular=None,
-            notes=_shortfall(0),
+            notes=f"only 0 certified points in {MAX_DRAWS} samples (inconclusive)",
         )
     first = pts[0]
     notes = ["seeded point"]
@@ -460,14 +457,11 @@ def classify(
     draws = _further_draws(rep.space_dim, seed, first)
     taken: list[tuple[int, ...]] = []
     for f in declared_invariants:
-        result, note = _check_invariant(rep, f, first, taken, draws)
-        if result is None:
+        check, note = _check_invariant(rep, f, first, taken, draws)
+        checks.append(check)
+        if note:
             unverified.append(note)
-            checks.append(InvariantCheck(f.name, False, (), 0))
-            continue
-        verified, lam = result
-        checks.append(InvariantCheck(f.name, verified, lam, LAMBDA_POINTS))
-        if verified:
+        elif check.verified:
             covectors.append(_first_order_at(rep, f, first)[1])
     char_dim = character_space_dim(rep, first, covectors=covectors)
     if char_dim == 0:
