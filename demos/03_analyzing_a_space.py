@@ -52,16 +52,19 @@ print("character space dimension:", character_space_dim(rep, point))
 # The invariance identity is polynomial, so any point where det is nonzero
 # is evidence for it; these 10 happen to be certified.  classify certifies
 # only its first point, the generic one, and takes the next draws of the
-# same stream uncertified, skipping any where the invariant vanishes.
+# same stream uncertified, skipping any where the invariant vanishes.  The
+# check also returns the exact gradient at the first point, from the same
+# stacked evaluation.
 pts = sample_certified_points(rep, 10, seed=0)
 assert pts[0] == point
-ok, lam = verify_relative_invariant(rep, f, pts)
+ok, lam, grad = verify_relative_invariant(rep, f, pts)
 print(f"determinant verified: {ok}; character on the gl({n}) basis is "
       "twice the trace form:")
 print("  lambda =", lam)
 
-# 5. regularity: the Hessian is nonsingular at a certified point, by one rank
-print("regular:", hessian_regularity(f, rep, pts[0]))
+# 5. regularity: the Hessian is nonsingular at a certified point, by one
+# rank, read off that gradient (det is not evaluated again)
+print("regular:", hessian_regularity(f, rep, pts[0], grad))
 
 # ... or run the whole pipeline in one call:
 report = classify(rep, [f], seed=0)

@@ -3,29 +3,30 @@
 A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by a rank computation and never guessed: full rank
 modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
-rest.  A run certifies one point: the first draw of its seeded stream
-that passes, as a tuple of Python ints.  The isotropy dimension d - n
-follows from the point certificate by rank-nullity, so no kernel is
-computed.  Relative invariance is checked through exact gradients at that
-point and at the next draws of the same stream where the invariant is
-nonzero, uncertified, since the invariance identity is polynomial: all of
-an invariant's points in one stacked closed form from its data (a
-determinant, a pfaffian or integer terms), with the character compared
-in integers; the character
-vanishes on the derived algebra when the gradient at the
-first point is orthogonal to the commutators [g, g].x there, read off one
-d x d integer matrix that must be symmetric.  The character-lattice rank is
-then proved by one full-rank test mod P of seeded commutators stacked on
-the verified gradients; the exact rank of the commutators' Gram matrix
-decides only what that test rejects.  Regularity is full rank of the
-Hessian, read off the gradient at the first point by the same full-rank
-test as the point certificate, on residues mod P; when that test rejects,
-a zero row of the exact matrix proves the Hessian singular before exact
-rank is asked.  Every product with the generators is `MatrixRep.act` or
-`MatrixRep.pullback`, and every product of their results `linalg._matmul`,
-all exact under the one int64 bound of `linalg._pair`.  Residues mod P are
-`linalg._mod_p`; the seeded sketch reduces the rep's nonzeros of T mod P
-and draws its coefficients once per shape.
+rest.  A run reads one seeded stream of distinct draws (`_draws`) and
+certifies one point: the first draw that passes, as a tuple of Python
+ints.  The isotropy dimension d - n follows from the point certificate by
+rank-nullity, so no kernel is computed.  Relative invariance is checked
+through exact gradients at that point and at the next draws of the same
+stream where the invariant is nonzero, uncertified, since the invariance
+identity is polynomial: all of an invariant's points in one stacked
+closed form from its data (a determinant, a pfaffian or integer terms),
+with the character compared in integers; no other evaluation is made.
+The character vanishes on the derived algebra when the stack's gradient
+at the first point is orthogonal to the commutators [g, g].x there, read
+off one d x d integer matrix that must be symmetric.  The
+character-lattice rank is then proved by one full-rank test mod P of
+seeded commutators stacked on the verified gradients; the exact rank of
+the commutators' Gram matrix decides only what that test rejects.
+Regularity is full rank of the Hessian, read off that gradient by the same
+full-rank test as the point certificate, on residues mod P; when that test
+rejects, a zero row of the exact matrix proves the Hessian singular before
+exact rank is asked.  Every product with the generators is
+`MatrixRep.act` or `MatrixRep.pullback`, and every product of their
+results `linalg._matmul`, all exact under the one int64 bound of
+`linalg._pair`.  Residues mod P are `linalg._mod_p`; the seeded sketch
+reduces the rep's nonzeros of T mod P and draws its coefficients once per
+shape.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import dropwhile, islice
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .invariants import InvariantPolynomial, value_and_gradient, values_and_gradients
+from .invariants import InvariantPolynomial, values_and_gradients
 from .linalg import P, DetRng, Q, _matmul, _mod_p, full_rank_mod_p, rank
 from .reps import MatrixRep
 
@@ -172,6 +173,20 @@ def character_space_dim(
     return n - rank(_commutator_gram(rep, point))
 
 
+def _draws(n: int, seed: int) -> Iterator[tuple[int, ...]]:
+    """The distinct draws in [-3, 3]^n among the first MAX_DRAWS of the
+    seeded point stream, in stream order: its one reader, LAMBDA_POINTS
+    draws per `DetRng.randints` call (ten cost about what one does)."""
+    rng = DetRng.for_stream(seed, "point-sample")
+    seen: set[tuple[int, ...]] = set()
+    for drawn in range(0, MAX_DRAWS, LAMBDA_POINTS):
+        block = min(LAMBDA_POINTS, MAX_DRAWS - drawn)
+        for draw in map(tuple, rng.randints(block * n, -3, 3).reshape(block, n).tolist()):
+            if draw not in seen:
+                seen.add(draw)
+                yield draw
+
+
 def sample_certified_points(
     rep: MatrixRep, count: int, seed: int = 0
 ) -> list[tuple[int, ...]]:
@@ -179,35 +194,26 @@ def sample_certified_points(
 
     x is certified when the d x n matrix `rep.act(x)` (row i is a positive
     multiple of B_i . x) has column rank n, so the orbit map at x is onto.
-    The points are distinct draws in [-3, 3] from one seeded stream, in
-    stream order, drawn in blocks of as many draws as points are still
-    missing; each block's new draws are certified together mod P as one
-    stack.  When MAX_DRAWS draws (duplicates count) leave fewer than
-    `count` points, exact rank decides the draws rejected mod P again in
-    stream order, so a shortfall is the one an exact rank per draw gives.
+    The points are draws of `_draws`, in stream order, taken in blocks of
+    as many draws as points are still missing; each block is certified
+    together mod P as one stack.  When the stream's MAX_DRAWS draws leave
+    fewer than `count` points, exact rank decides the draws rejected mod P
+    again in stream order, so a shortfall is the one an exact rank per draw
+    gives.
     """
     if count < 1:
         raise ValueError("need at least one point")
     points: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    rng = DetRng.for_stream(seed, "point-sample")
-    tried: list[tuple[tuple[int, ...], bool]] = []  # distinct draws, verdict mod P
-    drawn = 0
-    while len(points) < count and drawn < MAX_DRAWS:
-        block = min(count - len(points), MAX_DRAWS - drawn)
-        drawn += block
-        fresh = []
-        draws = rng.randints(block * rep.space_dim, -3, 3)
-        for draw in map(tuple, draws.reshape(block, rep.space_dim).tolist()):
-            if draw not in seen:
-                seen.add(draw)
-                fresh.append(draw)
-        if not fresh:
-            continue
-        stack = rep.act(np.array(fresh, dtype=np.int64))
-        for draw, ok in zip(fresh, full_rank_mod_p(stack).tolist()):
+    draws = _draws(rep.space_dim, seed)
+    tried: list[tuple[tuple[int, ...], bool]] = []  # draws, verdict mod P
+    while len(points) < count:
+        block = list(islice(draws, count - len(points)))
+        if not block:
+            break
+        stack = rep.act(np.array(block, dtype=np.int64))
+        for draw, ok in zip(block, full_rank_mod_p(stack).tolist()):
             tried.append((draw, ok))
-            if ok and len(points) < count:
+            if ok:
                 points.append(draw)
     if len(points) < count:
         points = []
@@ -217,30 +223,6 @@ def sample_certified_points(
             if ok or rank(rep.act(draw)) == rep.space_dim:
                 points.append(draw)
     return points
-
-
-def _further_draws(n: int, seed: int, first: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct draws of the seeded point stream after `first`, in
-    stream order, uncertified: at most MAX_DRAWS draws, taken
-    LAMBDA_POINTS - 1 at a time.
-
-    `sample_certified_points(rep, 1, seed)` returns the first draw of this
-    stream that it certifies, so the stream is drawn again up to the first
-    occurrence of that point, once per run.  A point that is not among the
-    first MAX_DRAWS draws (no seeded run has one) is followed by the draws
-    after those.
-    """
-    rng = DetRng.for_stream(seed, "point-sample")
-    for _ in range(MAX_DRAWS):
-        if tuple(rng.randints(n, -3, 3).tolist()) == first:
-            break
-    seen = {first}
-    for drawn in range(0, MAX_DRAWS, LAMBDA_POINTS - 1):
-        block = min(LAMBDA_POINTS - 1, MAX_DRAWS - drawn)
-        for draw in map(tuple, rng.randints(block * n, -3, 3).reshape(block, n).tolist()):
-            if draw not in seen:
-                seen.add(draw)
-                yield draw
 
 
 def _first_orders(
@@ -263,33 +245,6 @@ def _first_orders(
     return fx.astype(object), grads, num.astype(object)
 
 
-def _first_order(
-    rep: MatrixRep, f: InvariantPolynomial, point: Sequence[int]
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """(f(x), grad f(x), num) of `_first_orders` at one point, where f must
-    not vanish: the stack of one, through `value_and_gradient`."""
-    fx, grad = value_and_gradient(f, point)
-    if fx == 0:
-        raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit", [tuple(point)])
-    grad = np.array(grad, dtype=object)
-    return fx, grad, _matmul(rep.act(point), grad).astype(object)
-
-
-@lru_cache(maxsize=4)
-def _first_order_at(
-    rep: MatrixRep, f: InvariantPolynomial, point: tuple[int, ...]
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """`_first_order` at a run's first point, kept for the last few calls.
-
-    The character certificate and the Hessian each read the gradient
-    there, and it is taken once.  point is a tuple of ints, so that a float
-    equal to an int cannot hit the cache; the arrays are read-only.
-    """
-    fx, grad, num = _first_order(rep, f, point)
-    grad.flags.writeable = num.flags.writeable = False
-    return fx, grad, num
-
-
 def _annihilates_commutators(
     rep: MatrixRep, grad: np.ndarray, point: tuple[int, ...]
 ) -> bool:
@@ -309,7 +264,7 @@ def verify_relative_invariant(
     rep: MatrixRep,
     f: InvariantPolynomial,
     points: Sequence[Sequence[int]],
-) -> tuple[bool, Tuple[Q, ...]]:
+) -> tuple[bool, Tuple[Q, ...], tuple[int, ...]]:
     """Infinitesimal relative invariance at integer points, exactly; the
     first is a certified point.
 
@@ -317,17 +272,18 @@ def verify_relative_invariant(
     lambda_X * f(x) with one lambda vector shared by every supplied point,
     and lambda must vanish on the derived subalgebra.  It does exactly when
     grad f(x) is orthogonal to [g, g].x at the first point, which one
-    symmetric matrix decides (see `_annihilates_commutators`).  Returns
-    (verified, lambda).  lambda also vanishes on the isotropy of every
-    point checked, by construction: T_X x = 0 there.  At each point x one
-    gradient gives the derivatives along every X.x, so
-    lambda_X = grad f(x) . (T_X x) / (den * f(x)); f is evaluated at all
-    points in one stack (`_first_orders`), and the numerators of each
-    point and the first are compared by cross-multiplying.  The identity
-    is polynomial, so it holds at every point where f is nonzero, generic
-    or not.  f must not vanish at any point: ZeroAtTestPointError lists
-    those where it does, and at the certified first point that disproves
-    relative invariance.
+    symmetric matrix decides (see `_annihilates_commutators`).  lambda also
+    vanishes on the isotropy of every point checked, by construction:
+    T_X x = 0 there.  At each point x one gradient gives the derivatives
+    along every X.x, so lambda_X = grad f(x) . (T_X x) / (den * f(x)); f is
+    evaluated at all points in one stack (`_first_orders`), and the
+    numerators of each point and the first are compared by
+    cross-multiplying.  The identity is polynomial, so it holds at every
+    point where f is nonzero, generic or not.  f must not vanish at any
+    point: ZeroAtTestPointError lists those where it does, and at the
+    certified first point that disproves relative invariance.  Returns
+    (verified, lambda, grad), with grad the exact gradient at the first
+    point from the stack, as Python ints.
     """
     if not points:
         raise ValueError("need at least one point")
@@ -339,13 +295,18 @@ def verify_relative_invariant(
     first = tuple(map(operator.index, points[0]))
     same = not (num * fx[0] != num[0] * fx[:, None]).any()
     verified = same and _annihilates_commutators(rep, grads[0], first)
-    return verified, tuple(Q(v, rep.den * fx[0]) for v in num[0])
+    return verified, tuple(Q(v, rep.den * fx[0]) for v in num[0]), tuple(grads[0].tolist())
 
 
 def hessian_regularity(
-    f: InvariantPolynomial, rep: MatrixRep, point: Sequence[int]
+    f: InvariantPolynomial, rep: MatrixRep, point: Sequence[int], grad: Sequence[int]
 ) -> bool:
     """True iff Hess f is nonsingular at the certified point, by one rank test.
+
+    grad is the exact gradient of f at point, so f is not evaluated again:
+    f(x) = grad . x / deg f (Euler; f is homogeneous), and
+    num_X = grad . (T_X x).  Both are read through operator.index, so a
+    Fraction or float is a TypeError; an f(x) of 0 is ZeroAtTestPointError.
 
     Differentiating grad f(y) . (X y) = lambda_X f(y) once more gives
     Hess f(x) (X x) = lambda_X grad f(x) - X^T grad f(x) for a relative
@@ -362,7 +323,14 @@ def hessian_regularity(
     itself relatively invariant, hence identically zero or nowhere zero on
     the open orbit (exercised as a tested dichotomy elsewhere).
     """
-    fx, grad, num = _first_order_at(rep, f, tuple(map(operator.index, point)))
+    point = tuple(map(operator.index, point))
+    grad = np.array([operator.index(g) for g in grad], dtype=object)
+    if not f.degree:
+        return False  # a constant: Hess f = 0, and Euler's identity gives no f(x)
+    fx = sum(map(operator.mul, grad, point)) // f.degree
+    if fx == 0:
+        raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit", [point])
+    num = _matmul(rep.act(point), grad).astype(object)
     u = rep.pullback(grad)
     residues = np.outer(_mod_p(grad), _mod_p(num)) - (fx % P) * _mod_p(u).T
     if full_rank_mod_p(residues.T[None])[0]:
@@ -379,10 +347,11 @@ def _check_invariant(
     first: tuple[int, ...],
     taken: list[tuple[int, ...]],
     draws: Iterator[tuple[int, ...]],
-) -> tuple[InvariantCheck, str]:
+) -> tuple[InvariantCheck, str, Optional[tuple[int, ...]]]:
     """The check of f at the certified point first and the next
-    LAMBDA_POINTS - 1 further draws where f does not vanish, and a note
-    when f is unverified.
+    LAMBDA_POINTS - 1 further draws where f does not vanish, a note when f
+    is unverified, and the gradient at first from the last stack (None
+    with a note).
 
     taken holds the further draws taken so far, shared by the invariants of
     a run and extended from draws only as far as one of them needs.  A
@@ -398,17 +367,17 @@ def _check_invariant(
         taken += fresh
         points += fresh
         try:
-            verified, lam = verify_relative_invariant(rep, f, points)
+            verified, lam, grad = verify_relative_invariant(rep, f, points)
         except ZeroAtTestPointError as exc:
             if first in exc.points:
-                return InvariantCheck(f.name, False, (), 0), f"{f.name} unverified: {exc}"
+                return InvariantCheck(f.name, False, (), 0), f"{f.name} unverified: {exc}", None
             skip.update(exc.points)
             continue
         if len(points) < LAMBDA_POINTS:
             found = f"only {len(points)} points off its zero set in {MAX_DRAWS} samples"
             note = f"{f.name} unverified: {found} (inconclusive)"
-            return InvariantCheck(f.name, False, (), 0), note
-        return InvariantCheck(f.name, verified, lam, LAMBDA_POINTS), ""
+            return InvariantCheck(f.name, False, (), 0), note, None
+        return InvariantCheck(f.name, verified, lam, LAMBDA_POINTS), "", grad
 
 
 def classify(
@@ -421,20 +390,20 @@ def classify(
     `sample_certified_points(rep, 1, seed)` certifies draws of the seeded
     point stream until one passes: the generic point, and the only rank
     certificate of a run.  Each invariant is then checked there and at the
-    next distinct draws of the same stream, uncertified, skipping those
-    where it vanishes, LAMBDA_POINTS points in all (see `_check_invariant`):
-    the invariance identity is polynomial, so any point where f is nonzero
-    is evidence, generic or not.  Since a nonzero relative invariant
-    vanishes nowhere on the open orbit, one that vanishes at the certified
-    point is reported unverified at 0 points, as is one with too few
-    points.  The invariants are checked first, so that the character
-    dimension can be proved from the gradients of the verified ones at the
-    first point (see `character_space_dim`).  Regularity is decided from
-    the first invariant at the first point, exactly when the character
-    space is one-dimensional (the invariant is then fundamental) and the
-    invariant is verified, since the rank test holds for relative
-    invariants only; otherwise it is undecided.  The notes keep the order
-    point, character, invariants.
+    next distinct draws of the same stream (`_draws` read past that point),
+    uncertified, skipping those where it vanishes, LAMBDA_POINTS points in
+    all (see `_check_invariant`): the invariance identity is polynomial, so
+    any point where f is nonzero is evidence, generic or not.  Since a
+    nonzero relative invariant vanishes nowhere on the open orbit, one that
+    vanishes at the certified point is reported unverified at 0 points, as
+    is one with too few points.  The invariants are checked first, so that
+    the character dimension can be proved from the gradients of the
+    verified ones at the first point, which the stacks that verified them
+    return (see `character_space_dim`).  Regularity is decided from the
+    first invariant's, exactly when the character space is one-dimensional
+    (the invariant is then fundamental) and the invariant is verified,
+    since the rank test holds for relative invariants only; otherwise it is
+    undecided.  The notes keep the order point, character, invariants.
     """
     pts = sample_certified_points(rep, 1, seed=seed)
     if not pts:
@@ -454,22 +423,22 @@ def classify(
     unverified: list[str] = []
     checks: list[InvariantCheck] = []
     covectors = []
-    draws = _further_draws(rep.space_dim, seed, first)
+    further = islice(dropwhile(first.__ne__, _draws(rep.space_dim, seed)), 1, None)
     taken: list[tuple[int, ...]] = []
     for f in declared_invariants:
-        check, note = _check_invariant(rep, f, first, taken, draws)
+        check, note, grad = _check_invariant(rep, f, first, taken, further)
         checks.append(check)
         if note:
             unverified.append(note)
-        elif check.verified:
-            covectors.append(_first_order_at(rep, f, first)[1])
+        if check.verified:
+            covectors.append(grad)
     char_dim = character_space_dim(rep, first, covectors=covectors)
     if char_dim == 0:
         notes.append("no nontrivial relative invariant at the algebra level")
     notes += unverified
     regular: Optional[bool] = None
     if char_dim == 1 and checks and checks[0].verified:
-        regular = hessian_regularity(declared_invariants[0], rep, first)
+        regular = hessian_regularity(declared_invariants[0], rep, first, covectors[0])
     return AnalysisReport(
         prehomogeneous=True,
         algebra_dim=rep.algebra_dim,

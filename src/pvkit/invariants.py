@@ -51,8 +51,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class InvariantPolynomial:
     """A homogeneous integer polynomial as data (see the module docstring).
-    eq=False: an invariant hashes by identity, as a key of the analyzer's
-    cache, and no array enters the hash."""
+    eq=False: the index array can enter neither a generated __eq__ (its ==
+    is elementwise) nor a hash, so an invariant compares and hashes by
+    identity."""
 
     arity: int
     name: str

@@ -297,6 +297,21 @@ def sequential_certified_points(rep: MatrixRep, count: int, seed: int = 0):
     return points
 
 
+def sequential_further_draws(n: int, seed: int, first):
+    """The distinct draws after `first` among the first MAX_DRAWS draws of
+    the seeded point stream, drawn one `randint` at a time, in stream
+    order: the reference for the uncertified points at which
+    `analyzer.classify` checks invariants after its certified point."""
+    rng = DetRng.for_stream(seed, "point-sample")
+    seen, after = set(), False
+    for _ in range(MAX_DRAWS):
+        draw = tuple(rng.randint(-3, 3) for _ in range(n))
+        if after and draw not in seen:
+            yield draw
+        after = after or draw == first
+        seen.add(draw)
+
+
 def lockstep_full_rank_mod_p(stack) -> np.ndarray:
     """Per matrix of a (K, r, c) integer stack: is its column rank c mod P?
 

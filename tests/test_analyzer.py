@@ -1,6 +1,7 @@
 """Analyzer criteria: certificates, isotropy, characters, regularity."""
 
 from fractions import Fraction as Q
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from helpers import (
     isotropy_algebra,
     pullback_reference,
     sequential_certified_points,
+    sequential_further_draws,
 )
 from pvkit.analyzer import (
     LAMBDA_POINTS,
@@ -166,7 +168,7 @@ def test_lambda_det_on_sym_is_twice_trace():
     r = sym2(gl(3))
     f = determinant(3, "sym")
     pts = sample_certified_points(r, 10, seed=0)
-    ok, lam = verify_relative_invariant(r, f, pts)
+    ok, lam, _ = verify_relative_invariant(r, f, pts)
     assert ok
     assert list(lam) == [2 * b.trace() for b in basis(gl(3))]
 
@@ -176,7 +178,7 @@ def test_lambda_quadratic_under_so_plus_torus():
     rep = add_torus(so(n), 1)
     f = quadratic_form(_eye(n))
     pts = sample_certified_points(rep, 10, seed=0)
-    ok, lam = verify_relative_invariant(rep, f, pts)
+    ok, lam, _ = verify_relative_invariant(rep, f, pts)
     assert ok
     assert list(lam) == [Q(0)] * so(n).algebra_dim + [Q(2)]
 
@@ -185,7 +187,7 @@ def test_lambda_pfaffian_is_trace():
     r = alt2(gl(4))
     f = pfaffian(4)
     pts = sample_certified_points(r, 10, seed=0)
-    ok, lam = verify_relative_invariant(r, f, pts)
+    ok, lam, _ = verify_relative_invariant(r, f, pts)
     assert ok
     assert list(lam) == [b.trace() for b in basis(gl(4))]
 
@@ -194,7 +196,7 @@ def test_lambda_constant_across_more_points():
     r = sym2(gl(2))
     f = determinant(2, "sym")
     pts = sample_certified_points(r, 14, seed=5)
-    ok, _ = verify_relative_invariant(r, f, pts)
+    ok, _, _ = verify_relative_invariant(r, f, pts)
     assert ok
 
 
@@ -212,7 +214,7 @@ def test_hessian_regularity_quadratic():
     f = quadratic_form(_eye(n))
     p = (1, 0, 0, 0)
     assert rank(action_matrix(rep, p)) == n  # p is generic
-    assert hessian_regularity(f, rep, p)
+    assert hessian_regularity(f, rep, p, _gradient(f, p))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -221,7 +223,7 @@ def test_hessian_regularity_det_on_sym(n):
     f = determinant(n, "sym")
     ident = tuple(int(i == j) for i in range(n) for j in range(i, n))
     assert rank(action_matrix(r, ident)) == r.space_dim  # the identity is generic
-    assert hessian_regularity(f, r, ident)
+    assert hessian_regularity(f, r, ident, _gradient(f, ident))
 
 
 def test_hessian_degenerate_for_partial_invariant():
@@ -236,23 +238,43 @@ def test_hessian_degenerate_for_partial_invariant():
     )
     f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
     p = sample_certified_points(rep, 1, seed=0)[0]
-    assert hessian_regularity(f, rep, p) is False
+    assert hessian_regularity(f, rep, p, _gradient(f, p)) is False
+
+
+def test_a_constant_invariant_is_not_regular():
+    """A nonzero constant is relatively invariant with character 0, and its
+    Hessian is 0: Euler's identity cannot give its value, so the stage
+    answers without it, and a run reports the space not regular."""
+    rep = sym2(gl(2))
+    const = InvariantPolynomial(3, "five", "poly", np.zeros((1, 0), dtype=np.int64), (5,))
+    assert hessian_regularity(const, rep, (1, 0, 1), (0, 0, 0)) is False
+    report = classify(rep, [const], seed=0)
+    (chk,) = report.invariant_checks
+    assert chk.verified and not chk.lambda_nonzero
+    assert report.character_dim == 1 and report.regular is False
 
 
 def test_stage_functions_reject_non_integer_coordinates():
     """Points are tuples of ints: a Fraction or float coordinate is a
     TypeError in every stage function, never truncated (numpy would read
-    (1/2, 3/2, 1) as the certified point (0, 1, 1))."""
+    (1/2, 3/2, 1) as the certified point (0, 1, 1)).  The Hessian is given
+    a valid gradient, so its TypeError comes from the coordinate, and a
+    Fraction or float in the gradient is one too."""
     r = sym2(gl(2))
     f = determinant(2, "sym")
     assert rank(action_matrix(r, [0, 1, 1])) == 3  # the truncation is generic
+    grad = _gradient(f, (1, 0, 1))
+    assert hessian_regularity(f, r, (1, 0, 1), grad)
     for point in [(Q(1, 2), Q(3, 2), 1), (Q(1), 0, Q(1)), (1.0, 0, 1)]:
         with pytest.raises(TypeError):
             character_space_dim(r, point)
         with pytest.raises(TypeError):
             verify_relative_invariant(r, f, [(1, 0, 1), point])
         with pytest.raises(TypeError):
-            hessian_regularity(f, r, point)
+            hessian_regularity(f, r, point, grad)
+    for bad in ([Q(1), 0, Q(1)], [1.0, 0, 1]):
+        with pytest.raises(TypeError):
+            hessian_regularity(f, r, (1, 0, 1), bad)
 
 
 def test_hessian_dichotomy_at_ten_points():
@@ -289,11 +311,11 @@ def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch
     """No nullspace in a run: the isotropy dimension comes from the point
     certificate by rank-nullity (this once allowed the one isotropy kernel
     of the generic point).  The Hessian runs at the first point of the
-    invariance check."""
+    invariance check, on the gradient that check returned."""
     from pvkit import analyzer, linalg, reps
 
     calls = {"nullspace": 0}
-    first, seen = [], []
+    first, seen, returned, given = [], [], [], []
 
     def counted_nullspace(m):
         calls["nullspace"] += 1
@@ -301,11 +323,13 @@ def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch
 
     def recording_verify(rep, f, points):
         first.append(points[0])
-        return verify_relative_invariant(rep, f, points)
+        returned.append(verify_relative_invariant(rep, f, points))
+        return returned[-1]
 
-    def recording_hessian(f, rep, point):
+    def recording_hessian(f, rep, point, grad):
         seen.append(point)
-        return hessian_regularity(f, rep, point)
+        given.append(grad)
+        return hessian_regularity(f, rep, point, grad)
 
     for module in (analyzer, linalg, reps):
         monkeypatch.setattr(module, "nullspace", counted_nullspace, raising=False)
@@ -316,6 +340,7 @@ def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch
     assert calls["nullspace"] == 0
     assert len(seen) == 1 and seen[0] is first[0]
     assert all(type(c) is int for c in seen[0])
+    assert given == [returned[-1][2]] and all(type(c) is int for c in given[0])
 
 
 def test_classify_builds_no_structure_tensor_derived_subalgebra_or_kernel(monkeypatch):
@@ -433,38 +458,24 @@ def test_classify_reports_a_grid_singular_at_a_certified_point(kind, grid, monke
     assert f"{f.name} unverified: {f.name} vanishes on the open orbit" in report.notes
 
 
-def _counting_gradients(monkeypatch) -> dict:
-    """Patch analyzer.value_and_gradient to count its calls per invariant
-    name and to assert that every coordinate it is given is a Python int."""
-    from pvkit import analyzer
-
-    evals: dict = {}
-    closed_form = analyzer.value_and_gradient
-
-    def counted(f, point):
-        assert all(type(c) is int for c in point), point
-        evals[f.name] = evals.get(f.name, 0) + 1
-        return closed_form(f, point)
-
-    monkeypatch.setattr(analyzer, "value_and_gradient", counted)
-    analyzer._first_order_at.cache_clear()  # a cached gradient is not re-taken
-    return evals
-
-
 def _recording_stacks(monkeypatch) -> dict:
-    """Patch analyzer.values_and_gradients to record, per invariant name,
-    the points and values of each stack it evaluates."""
-    from pvkit import analyzer
+    """Patch values_and_gradients, in the analyzer and in invariants (so
+    that `value_and_gradient`, the stack of one, is seen too), to record,
+    per invariant name, the points and values of each stack it evaluates,
+    and to assert that every coordinate it is given is a Python int."""
+    from pvkit import analyzer, invariants
 
     stacks: dict = {}
-    stacked = analyzer.values_and_gradients
+    stacked = invariants.values_and_gradients
 
     def recorded(f, points):
+        assert all(type(c) is int for p in points for c in p), points
         values, grads = stacked(f, points)
         stacks.setdefault(f.name, []).append((list(points), values.tolist()))
         return values, grads
 
-    monkeypatch.setattr(analyzer, "values_and_gradients", recorded)
+    for module in (analyzer, invariants):
+        monkeypatch.setattr(module, "values_and_gradients", recorded)
     return stacks
 
 
@@ -474,9 +485,9 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
     stacks of exactly LAMBDA_POINTS distinct points: the certified point
     and the next further draws, drawn once for both invariants.  An
     invariant is evaluated again only after a stack where it vanished at a
-    further draw, without those draws (the first determinant, at seed 0);
-    its gradient at the certified point is then taken once, by one
-    `value_and_gradient` call, for the character certificate."""
+    further draw, without those draws (the first determinant, at seed 0).
+    Its gradient at the certified point, for the character certificate,
+    comes from the stack that verified it: no other evaluation is made."""
     from pvkit import analyzer
     from pvkit.catalog import _build, get_entry
 
@@ -491,7 +502,6 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
         return full_rank_mod_p(stack)
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
-    evals = _counting_gradients(monkeypatch)
     stacks = _recording_stacks(monkeypatch)
     report = classify(built.rep, built.invariants, seed=0)
     assert report.character_dim == 2
@@ -510,7 +520,76 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
         for points, _ in runs:
             assert len(points) == len(set(points)) == LAMBDA_POINTS and points[0] == first
         assert 0 not in runs[-1][1]
-    assert evals == {name: 1 for name in names}
+    assert sum(map(len, stacks.values())) == 3  # no stack of one for a gradient
+
+
+def test_a_regular_run_evaluates_its_invariant_only_in_checking_stacks(monkeypatch):
+    """T2.3 at n = 8 (Pf on AS(8), regular): the character certificate and
+    the Hessian read the gradient at the certified point from the stack
+    that verified Pf, so Pf is evaluated in stacks of LAMBDA_POINTS points
+    only, with no stack of one beside them."""
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry("T2.3"), {"n": 8})
+    (f,) = built.invariants
+    stacks = _recording_stacks(monkeypatch)
+    report = classify(built.rep, built.invariants, seed=0)
+    assert report.character_dim == 1 and report.regular is True
+    assert list(stacks) == [f.name] and stacks[f.name]
+    assert all(len(points) == LAMBDA_POINTS for points, _ in stacks[f.name])
+
+
+def test_classify_checks_invariants_at_the_stream_draws_after_the_certified_point(
+    monkeypatch,
+):
+    """On every default build at seeds 0-5, each stack that checks an
+    invariant holds the certified point and then the distinct draws of the
+    seeded stream after it, drawn one at a time (`sequential_further_draws`),
+    without the draws where an earlier stack of that invariant vanished."""
+    stacks = _recording_stacks(monkeypatch)
+    checked = skips = 0
+    for name, built in _default_builds():
+        if not built.invariants:
+            continue
+        for seed in range(6):
+            stacks.clear()
+            classify(built.rep, built.invariants, seed=seed)
+            first = sequential_certified_points(built.rep, 1, seed)[0]
+            zeros = {p for runs in stacks.values() for points, values in runs
+                     for p, v in zip(points, values) if v == 0}
+            reference = list(islice(sequential_further_draws(built.rep.space_dim, seed, first),
+                                    LAMBDA_POINTS - 1 + len(zeros)))
+            skips += bool(zeros)
+            for runs in stacks.values():
+                skipped: set = set()
+                for points, values in runs:
+                    want = [p for p in reference if p not in skipped][: LAMBDA_POINTS - 1]
+                    assert points == [first] + want, (name, seed)
+                    skipped.update(p for p, v in zip(points, values) if v == 0)
+                    checked += 1
+    assert checked >= 6 * 29 and skips
+
+
+def test_every_default_invariant_satisfies_euler_at_the_certified_point():
+    """`hessian_regularity` takes f(x) = grad . x / deg f from the gradient
+    that verified f: for every declared invariant of every default build
+    (det on M and on Sym, Pf, the bordered Pf, det(v;x), the quadratic and
+    bilinear forms, the Freudenthal cubic), verified at the seed-0
+    certified point, deg f divides grad . x, and the quotient is the value
+    of f's stack there."""
+    from pvkit.invariants import values_and_gradients
+
+    kinds = set()
+    for name, built in _default_builds():
+        point = sample_certified_points(built.rep, 1, seed=0)[0]
+        for f in built.invariants:
+            ok, _, grad = verify_relative_invariant(built.rep, f, [point])
+            (value,), _ = values_and_gradients(f, [point])
+            euler, rest = divmod(sum(g * c for g, c in zip(grad, point)), f.degree)
+            assert ok and rest == 0 and euler == value != 0, (name, f.name)
+            kinds.add((f.kind, f.degree))
+    assert {kind for kind, _ in kinds} == {"det", "pf", "poly"}
+    assert ("poly", 3) in kinds and ("poly", 2) in kinds
 
 
 def test_classify_skips_a_further_draw_where_the_invariant_vanishes(monkeypatch):
@@ -543,7 +622,7 @@ def test_classify_skips_a_further_draw_where_the_invariant_vanishes(monkeypatch)
     assert exc.value.points == tuple(zeros)
     assert second[:-1] == [p for p in first if p not in zeros]
     assert second[-1] not in first and f(second[-1]) != 0
-    assert verify_relative_invariant(built.rep, f, second) == (True, chk.lam)
+    assert verify_relative_invariant(built.rep, f, second)[:2] == (True, chk.lam)
 
 
 def _counting_gram(monkeypatch) -> list:
@@ -720,11 +799,12 @@ def test_invariance_and_hessian_at_halved_points(which):
         f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
     pts = sample_certified_points(rep, 4, seed=2)
     doubled = [tuple(2 * c for c in p) for p in pts]
-    ok, lam = verify_relative_invariant(rep, f, pts)
-    assert verify_relative_invariant(rep, f, doubled) == (ok, lam)
+    ok, lam, _ = verify_relative_invariant(rep, f, pts)
+    assert verify_relative_invariant(rep, f, doubled)[:2] == (ok, lam)
     assert all(isinstance(c, Q) for c in lam)
     for p, d in zip(pts, doubled):
-        assert hessian_regularity(f, rep, d) == hessian_regularity(f, rep, p)
+        regular = hessian_regularity(f, rep, p, _gradient(f, p))
+        assert hessian_regularity(f, rep, d, _gradient(f, d)) == regular
         (hp, dp), (hd, dd) = hessian_matrix(f, p), hessian_matrix(f, d)
         # Hess f(2x) = 2^(k-2) Hess f(x)
         law = Q(2) ** (f.degree - 2)
@@ -732,15 +812,16 @@ def test_invariance_and_hessian_at_halved_points(which):
 
 
 def test_pipeline_evaluates_invariants_at_integer_points_only(monkeypatch):
-    evals = _counting_gradients(monkeypatch)
+    stacks = _recording_stacks(monkeypatch)
     rep, f = sym2(gl(3)), determinant(3, "sym")
     pts = sample_certified_points(rep, 4, seed=2)
     doubled = [tuple(2 * c for c in p) for p in pts]
     for points in (pts, doubled):
-        ok, lam = verify_relative_invariant(rep, f, points)
+        ok, lam, grad = verify_relative_invariant(rep, f, points)
         assert ok and lam == tuple(2 * b.trace() for b in basis(gl(3)))
-        assert all(hessian_regularity(f, rep, p) for p in points)
-    assert evals[f.name] >= 2 * 4
+        grads = [grad] + [_gradient(f, p) for p in points[1:]]
+        assert all(hessian_regularity(f, rep, p, g) for p, g in zip(points, grads))
+    assert sum(len(points) for points, _ in stacks[f.name]) >= 2 * 4
 
 
 def _default_builds():
@@ -839,7 +920,8 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
         )
         f = restrict_to_summand(pfaffian(4), rep.summand_dims, 1)
     point = sample_certified_points(rep, 1, seed=0)[0]
-    want = hessian_regularity(f, rep, point)
+    grad = _gradient(f, point)
+    want = hessian_regularity(f, rep, point, grad)
     verdicts, ranks = [], []
 
     def recording_kernel(stack):
@@ -853,7 +935,7 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     monkeypatch.setattr(analyzer, "rank", recording_rank)
-    assert hessian_regularity(f, _times_p(rep), point) == want
+    assert hessian_regularity(f, _times_p(rep), point, grad) == want
     # the singular Hessian has a zero row, which decides it before exact rank
     assert verdicts == [False] and len(ranks) == (which != "alt_pfaffian_partial")
     assert want == (which != "alt_pfaffian_partial")
@@ -871,12 +953,12 @@ def test_hessian_regularity_without_a_zero_row_reaches_exact_rank(monkeypatch):
     rep = MatrixRep(s_inv @ in_y @ s, 1, ("y1", "x2", "x3", "x3 += y1"))
     f = quadratic_form([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # 2 (x1 + x3) x2
     points = sample_certified_points(rep, LAMBDA_POINTS, seed=0)
-    ok, lam = verify_relative_invariant(rep, f, points)
+    ok, lam, grad = verify_relative_invariant(rep, f, points)
     assert ok and lam == (1, 1, 0, 0)
     h, _ = hessian_matrix(f, [Q(c) for c in points[0]])
     assert rank(h) == 2 and (h != 0).any(axis=1).all()
     ranks = _recording(monkeypatch, "rank")
-    assert hessian_regularity(f, rep, points[0]) is False
+    assert hessian_regularity(f, rep, points[0], grad) is False
     assert len(ranks) == 1
 
 
@@ -907,7 +989,9 @@ def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatc
             if not built.invariants:
                 continue
             point = sample_certified_points(built.rep, 1, seed=0)[0]
-            if not all([hessian_regularity(f, built.rep, point) for f in built.invariants]):
+            flags = [hessian_regularity(f, built.rep, point, _gradient(f, point))
+                     for f in built.invariants]
+            if not all(flags):
                 runs.add((e.id, tuple(params.items())))
     assert len(runs) == 20 and not ranks
 

@@ -261,6 +261,7 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
     from helpers import det, hessian_matrix
     from pvkit.analyzer import hessian_regularity
     from pvkit.catalog import _build
+    from pvkit.invariants import values_and_gradients
 
     for entry in catalog():
         params = dict(entry.defaults[0])
@@ -269,8 +270,9 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
             pts = sample_certified_points(built.rep, 10, seed=21)
             flags = [det(hessian_matrix(f, p)[0]) != 0 for p in pts]
             assert len(set(flags)) == 1, (entry.id, f.name)
-            for p, flag in zip(pts, flags):
-                assert hessian_regularity(f, built.rep, p) == flag, (entry.id, f.name)
+            _, grads = values_and_gradients(f, pts)
+            for p, grad, flag in zip(pts, grads, flags):
+                assert hessian_regularity(f, built.rep, p, grad) == flag, (entry.id, f.name)
 
 
 def test_lambda_vanishes_on_isotropy_at_an_independent_point():
@@ -292,7 +294,7 @@ def test_lambda_vanishes_on_isotropy_at_an_independent_point():
         pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0)
         for f in built.invariants:
             assert f(other) != 0, (entry.id, f.name)
-            ok, lam = verify_relative_invariant(built.rep, f, pts)
+            ok, lam, _ = verify_relative_invariant(built.rep, f, pts)
             assert ok and any(lam), (entry.id, f.name)
             assert not (iso @ np.array(lam, dtype=object)).any(), (entry.id, f.name)
             checked += 1
@@ -307,7 +309,7 @@ def test_character_dim_and_derived_check_match_coefficient_space():
     the derived subalgebra, and exactly when the d x d matrix of the
     invariance check is symmetric; a sum of squares, not an invariant, is
     compared too."""
-    from pvkit.analyzer import _annihilates_commutators, _commutator_gram, _first_order
+    from pvkit.analyzer import _annihilates_commutators, _commutator_gram, _first_orders
     from pvkit.catalog import _build
     from pvkit.invariants import InvariantPolynomial
 
@@ -326,7 +328,8 @@ def test_character_dim_and_derived_check_match_coefficient_space():
         gram = _commutator_gram(rep, pts[0])
         covectors = []
         for f in (*built.invariants, squares):
-            _, grad, num = _first_order(rep, f, pts[0])
+            _, grads, nums = _first_orders(rep, f, [pts[0]])
+            grad, num = grads[0].astype(object), nums[0]
             at_point = not (gram @ grad).any()
             assert at_point == (not (derived @ num).any()), (entry.id, f.name)
             assert at_point == _annihilates_commutators(rep, grad, pts[0]), (entry.id, f.name)

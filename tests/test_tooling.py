@@ -41,11 +41,42 @@ def test_analyzer_reads_no_second_derivative_and_no_determinant():
 
 
 def test_analyzer_takes_gradients_without_jets():
-    """Each gradient is one closed form from the invariant's data:
-    `invariants.value_and_gradient`."""
+    """Each gradient is one closed form from the invariant's data, taken
+    in a stack: `invariants.values_and_gradients`, never the stack of one."""
     names = _imported_names("analyzer")
     assert "jet_line" not in names and "Jet2" not in names
-    assert "value_and_gradient" in names
+    assert "values_and_gradients" in names and "value_and_gradient" not in names
+
+
+def test_analyzer_evaluates_invariants_and_reads_the_point_stream_in_one_place():
+    """The analyzer evaluates an invariant only in `_first_orders`, which
+    only `verify_relative_invariant` calls, so the character certificate
+    and the Hessian take the gradients that check returned; no hidden cache
+    keeps one (`_sketch_coefficients` is the only `lru_cache`), and one
+    function opens the "point-sample" stream."""
+    tree = ast.parse((SRC / "analyzer.py").read_text())
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+
+    def callers(name: str) -> set[str]:
+        return {fn.name for fn in functions if name in _called(fn)}
+
+    assert callers("values_and_gradients") == {"_first_orders"}
+    assert len([
+        n for n in ast.walk(_function(tree, "_first_orders"))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "values_and_gradients"
+    ]) == 1
+    assert callers("_first_orders") == {"verify_relative_invariant"}
+    cached = {
+        fn.name for fn in functions
+        for d in fn.decorator_list
+        if "lru_cache" in {n.id for n in ast.walk(d) if isinstance(n, ast.Name)}
+    }
+    assert cached == {"_sketch_coefficients"}
+    openers = {
+        fn.name for fn in functions
+        if any(isinstance(n, ast.Constant) and n.value == "point-sample" for n in ast.walk(fn))
+    }
+    assert openers == {"_draws"}
 
 
 def test_analyzer_works_at_the_point_not_in_coefficient_space():
