@@ -27,11 +27,11 @@ f = determinant(n, "sym")
 
 print(f"algebra dim {rep.algebra_dim}, space dim {rep.space_dim}")
 
-# 1. a generic point: the orbit map must be onto.  The sampler certifies
-# its draws and returns tuples of ints; row i of rep.act(x) is T_i x, so
-# column i of its transpose is den * B_i . x, and that integer matrix has
-# the rank of the orbit map at x.
-point = sample_certified_points(rep, 1, seed=0)[0]
+# 1. a generic point: the orbit map must be onto.  The sampler returns the
+# first draw of the seeded stream that it certifies, a tuple of ints (or
+# None); row i of rep.act(x) is T_i x, so column i of its transpose is
+# den * B_i . x, and that integer matrix has the rank of the orbit map at x.
+point = sample_certified_points(rep, seed=0)
 m = rep.act(point).T
 print(f"certified point {point}: orbit map rank {rank(m)}, "
       f"onto: {rank(m) == rep.space_dim}")
@@ -50,12 +50,12 @@ print("character space dimension:", character_space_dim(rep, point))
 
 # 4. the determinant is relatively invariant: same character at 10 points.
 # The invariance identity is polynomial, so any point where det is nonzero
-# is evidence for it; these 10 happen to be certified.  classify certifies
-# only its first point, the generic one, and takes the next draws of the
-# same stream uncertified, skipping any where the invariant vanishes.  The
-# check also returns the exact gradient at the first point, from the same
-# stacked evaluation.
-pts = sample_certified_points(rep, 10, seed=0)
+# is evidence for it; here the certified points of seeds 0-9.  classify
+# certifies only its first point, the generic one, and takes the next draws
+# of the same stream uncertified, skipping any where the invariant
+# vanishes.  The check also returns the exact gradient at the first point,
+# from the same stacked evaluation.
+pts = [sample_certified_points(rep, seed=s) for s in range(10)]
 assert pts[0] == point
 ok, lam, grad = verify_relative_invariant(rep, f, pts)
 print(f"determinant verified: {ok}; character on the gl({n}) basis is "

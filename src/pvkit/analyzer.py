@@ -3,12 +3,13 @@
 A point is generic exactly when the infinitesimal action map is onto, so
 genericity is certified by a rank computation and never guessed: full rank
 modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
-rest.  A run reads one seeded stream of distinct draws (`_draws`) and
-certifies one point: the first draw that passes, as a tuple of Python
-ints.  The isotropy dimension d - n follows from the point certificate by
-rank-nullity, so no kernel is computed.  Relative invariance is checked
-through exact gradients at that point and at the next draws of the same
-stream where the invariant is nonzero, uncertified, since the invariance
+rest.  A run certifies one point (`sample_certified_points`): the first
+distinct draw of one seeded stream (`_draws`) that passes, as a tuple of
+Python ints.  The isotropy dimension d - n follows from the point
+certificate by rank-nullity, so no kernel is computed.  Relative
+invariance is checked through exact gradients at that point and at the
+next draws of the stream where the invariant is nonzero, which each
+invariant reads on past the point, uncertified, since the invariance
 identity is polynomial: all of an invariant's points in one stacked
 closed form from its data (a determinant, a pfaffian or integer terms),
 with the character compared in integers; no other evaluation is made.
@@ -175,8 +176,9 @@ def character_space_dim(
 
 def _draws(n: int, seed: int) -> Iterator[tuple[int, ...]]:
     """The distinct draws in [-3, 3]^n among the first MAX_DRAWS of the
-    seeded point stream, in stream order: its one reader, LAMBDA_POINTS
-    draws per `DetRng.randints` call (ten cost about what one does)."""
+    seeded point stream, in stream order, LAMBDA_POINTS draws per
+    `DetRng.randints` call (ten cost about what one does); the stream's
+    one opener, read by the sampler and by each invariance check."""
     rng = DetRng.for_stream(seed, "point-sample")
     seen: set[tuple[int, ...]] = set()
     for drawn in range(0, MAX_DRAWS, LAMBDA_POINTS):
@@ -187,42 +189,19 @@ def _draws(n: int, seed: int) -> Iterator[tuple[int, ...]]:
                 yield draw
 
 
-def sample_certified_points(
-    rep: MatrixRep, count: int, seed: int = 0
-) -> list[tuple[int, ...]]:
-    """Up to `count` >= 1 distinct certified points, as tuples of Python ints.
+def sample_certified_points(rep: MatrixRep, seed: int = 0) -> Optional[tuple[int, ...]]:
+    """The certified point of a run, as a tuple of Python ints, or None.
 
     x is certified when the d x n matrix `rep.act(x)` (row i is a positive
     multiple of B_i . x) has column rank n, so the orbit map at x is onto.
-    The points are draws of `_draws`, in stream order, taken in blocks of
-    as many draws as points are still missing; each block is certified
-    together mod P as one stack.  When the stream's MAX_DRAWS draws leave
-    fewer than `count` points, exact rank decides the draws rejected mod P
-    again in stream order, so a shortfall is the one an exact rank per draw
-    gives.
+    It is the first draw of `_draws` that passes mod P, as a stack of one
+    per draw; when none does, the first that exact rank certifies, or None.
     """
-    if count < 1:
-        raise ValueError("need at least one point")
-    points: list[tuple[int, ...]] = []
-    draws = _draws(rep.space_dim, seed)
-    tried: list[tuple[tuple[int, ...], bool]] = []  # draws, verdict mod P
-    while len(points) < count:
-        block = list(islice(draws, count - len(points)))
-        if not block:
-            break
-        stack = rep.act(np.array(block, dtype=np.int64))
-        for draw, ok in zip(block, full_rank_mod_p(stack).tolist()):
-            tried.append((draw, ok))
-            if ok:
-                points.append(draw)
-    if len(points) < count:
-        points = []
-        for draw, ok in tried:
-            if len(points) >= count:
-                break
-            if ok or rank(rep.act(draw)) == rep.space_dim:
-                points.append(draw)
-    return points
+    n = rep.space_dim
+    for draw in _draws(n, seed):
+        if full_rank_mod_p(rep.act(np.array([draw], dtype=np.int64)))[0]:
+            return draw
+    return next((draw for draw in _draws(n, seed) if rank(rep.act(draw)) == n), None)
 
 
 def _first_orders(
@@ -342,36 +321,30 @@ def hessian_regularity(
 
 
 def _check_invariant(
-    rep: MatrixRep,
-    f: InvariantPolynomial,
-    first: tuple[int, ...],
-    taken: list[tuple[int, ...]],
-    draws: Iterator[tuple[int, ...]],
+    rep: MatrixRep, f: InvariantPolynomial, first: tuple[int, ...], seed: int
 ) -> tuple[InvariantCheck, str, Optional[tuple[int, ...]]]:
     """The check of f at the certified point first and the next
     LAMBDA_POINTS - 1 further draws where f does not vanish, a note when f
     is unverified, and the gradient at first from the last stack (None
     with a note).
 
-    taken holds the further draws taken so far, shared by the invariants of
-    a run and extended from draws only as far as one of them needs.  A
-    further draw where f vanishes is skipped and the stage runs again
-    without it: off the open orbit a zero is no evidence either way.  A
+    f reads the draws of `_draws(n, seed)` after first from its own
+    iterator, so every invariant sees the same draws in the same order.
+    Draws where f vanishes are dropped for the next ones, and the stage
+    runs again: off the open orbit a zero is no evidence either way.  A
     zero at first disproves relative invariance, and too few further draws
     leave f unverified.
     """
-    skip: set[tuple[int, ...]] = set()
+    further = islice(dropwhile(first.__ne__, _draws(rep.space_dim, seed)), 1, None)
+    points = [first, *islice(further, LAMBDA_POINTS - 1)]
     while True:
-        points = [first] + [p for p in taken if p not in skip][: LAMBDA_POINTS - 1]
-        fresh = list(islice(draws, LAMBDA_POINTS - len(points)))
-        taken += fresh
-        points += fresh
         try:
             verified, lam, grad = verify_relative_invariant(rep, f, points)
         except ZeroAtTestPointError as exc:
             if first in exc.points:
                 return InvariantCheck(f.name, False, (), 0), f"{f.name} unverified: {exc}", None
-            skip.update(exc.points)
+            points = [p for p in points if p not in exc.points]
+            points += islice(further, LAMBDA_POINTS - len(points))
             continue
         if len(points) < LAMBDA_POINTS:
             found = f"only {len(points)} points off its zero set in {MAX_DRAWS} samples"
@@ -387,26 +360,26 @@ def classify(
 ) -> AnalysisReport:
     """Run the whole per-entry pipeline and assemble a report.
 
-    `sample_certified_points(rep, 1, seed)` certifies draws of the seeded
-    point stream until one passes: the generic point, and the only rank
-    certificate of a run.  Each invariant is then checked there and at the
-    next distinct draws of the same stream (`_draws` read past that point),
-    uncertified, skipping those where it vanishes, LAMBDA_POINTS points in
-    all (see `_check_invariant`): the invariance identity is polynomial, so
-    any point where f is nonzero is evidence, generic or not.  Since a
-    nonzero relative invariant vanishes nowhere on the open orbit, one that
-    vanishes at the certified point is reported unverified at 0 points, as
-    is one with too few points.  The invariants are checked first, so that
+    `sample_certified_points(rep, seed)` gives the generic point, the only
+    rank certificate of a run.  Each invariant is then checked there and
+    at the next distinct draws of the stream, uncertified, skipping those
+    where it vanishes, LAMBDA_POINTS points in all (see `_check_invariant`):
+    the invariance identity is polynomial, so any point where f is nonzero
+    is evidence, generic or not.  Since a nonzero relative invariant
+    vanishes nowhere on the open orbit, one that vanishes at the certified
+    point is reported unverified at 0 points, as is one with too few
+    points.  The invariants are checked first, so that
     the character dimension can be proved from the gradients of the
     verified ones at the first point, which the stacks that verified them
     return (see `character_space_dim`).  Regularity is decided from the
     first invariant's, exactly when the character space is one-dimensional
-    (the invariant is then fundamental) and the invariant is verified,
-    since the rank test holds for relative invariants only; otherwise it is
-    undecided.  The notes keep the order point, character, invariants.
+    and the invariant is verified, since the rank test holds for relative
+    invariants only; otherwise it is undecided.  That does not make the
+    declared invariant fundamental: its square passes every check here.
+    The notes keep the order point, character, invariants.
     """
-    pts = sample_certified_points(rep, 1, seed=seed)
-    if not pts:
+    first = sample_certified_points(rep, seed)
+    if first is None:
         return AnalysisReport(
             prehomogeneous=False,
             algebra_dim=rep.algebra_dim,
@@ -416,17 +389,14 @@ def classify(
             qd1=False,
             invariant_checks=(),
             regular=None,
-            notes=f"only 0 certified points in {MAX_DRAWS} samples (inconclusive)",
+            notes=f"no certified point among the {MAX_DRAWS} draws (inconclusive)",
         )
-    first = pts[0]
     notes = ["seeded point"]
     unverified: list[str] = []
     checks: list[InvariantCheck] = []
     covectors = []
-    further = islice(dropwhile(first.__ne__, _draws(rep.space_dim, seed)), 1, None)
-    taken: list[tuple[int, ...]] = []
     for f in declared_invariants:
-        check, note, grad = _check_invariant(rep, f, first, taken, further)
+        check, note, grad = _check_invariant(rep, f, first, seed)
         checks.append(check)
         if note:
             unverified.append(note)

@@ -8,6 +8,7 @@ Bourbaki for E, F, G.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import FrozenSet, Sequence, Tuple
@@ -145,39 +146,28 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(type_: str, rank: int) -> RootSystem:
-    """Build a root system by closing the simple roots under root strings."""
+    """Build a root system by closing the simple roots under raising reflections.
+
+    s_i(gamma) = gamma - gamma(H_i) alpha_i is a positive root of greater
+    height when gamma(H_i) < 0, and every positive root of height > 1
+    arises so from a lower one (Humphreys 1972, section 10.2).
+    """
     type_ = type_.upper()
     if type_ not in _VALID_RANKS or not _VALID_RANKS[type_](rank):
         raise ValueError(f"invalid simple type {type_}{rank}")
     cartan = _cartan_matrix(type_, rank)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     roots: set[Root] = set(simples)
-    by_height: dict[int, list[Root]] = {1: list(simples)}
-    height = 1
-    while by_height.get(height):
-        nxt: list[Root] = []
-        for gamma in by_height[height]:
-            for i in range(rank):
-                # length of the alpha_i-string below gamma
-                p = 0
-                cur = list(gamma)
-                while True:
-                    cur[i] -= 1
-                    if tuple(cur) in roots:
-                        p += 1
-                    else:
-                        break
-                q = p - sum(cartan[i][j] * gamma[j] for j in range(rank))
-                if q >= 1:
-                    up = list(gamma)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in roots:
-                        roots.add(cand)
-                        nxt.append(cand)
-        height += 1
-        if nxt:
-            by_height[height] = nxt
+    pending = list(simples)
+    while pending:
+        gamma = pending.pop()
+        for i, row in enumerate(cartan):
+            pair = sum(map(operator.mul, row, gamma))
+            if pair < 0:
+                up = gamma[:i] + (gamma[i] - pair,) + gamma[i + 1 :]
+                if up not in roots:
+                    roots.add(up)
+                    pending.append(up)
     positives = tuple(sorted(roots, key=lambda r: (sum(r), r)))
     expected = POSITIVE_ROOT_COUNTS[type_](rank)
     if len(positives) != expected:

@@ -83,15 +83,9 @@ def test_action_matrix_at_zero():
     assert m.is_zero()
 
 
-@pytest.mark.parametrize("count", [0, -1])
-def test_sampler_rejects_a_count_below_one(count):
-    with pytest.raises(ValueError, match="at least one point"):
-        sample_certified_points(gl(2), count, seed=0)
-
-
 def test_zero_rep_is_not_prehomogeneous():
     zero = MatrixRep(np.zeros((1, 1, 1), dtype=np.int64), 1, ("zero",))
-    assert sample_certified_points(zero, 3, seed=0) == []  # no raise: a shortfall
+    assert sample_certified_points(zero, seed=0) is None  # no raise: no point
 
 
 def test_isotropy_dims_vector_plus_alt():
@@ -105,14 +99,14 @@ def test_isotropy_dims_vector_plus_alt():
         ]
     )
     assert rep.algebra_dim == 10 and rep.space_dim == 6
-    p = sample_certified_points(rep, 1, seed=0)[0]
+    p = sample_certified_points(rep, seed=0)
     assert isotropy_algebra(rep, p).dim == 4
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_isotropy_so_plus_torus(n):
     rep = add_torus(so(n), 1)
-    p = sample_certified_points(rep, 1, seed=0)[0]
+    p = sample_certified_points(rep, seed=0)
     iso = isotropy_algebra(rep, p)
     assert iso.dim == (n - 1) * (n - 2) // 2
     assert iso.is_bracket_closed()
@@ -123,7 +117,7 @@ def test_empty_subalgebras_keep_their_shape(rep, char_dim):
     # abelian, so the derived subalgebra is 0; d == n, so is the isotropy
     d = rep.algebra_dim
     assert d == rep.space_dim
-    p = sample_certified_points(rep, 1, seed=0)[0]
+    p = sample_certified_points(rep, seed=0)
     for sub in (rep.derived_subalgebra(), isotropy_algebra(rep, p)):
         assert sub.coefficient_basis.shape == (0, d)
         assert sub.dim == 0
@@ -134,13 +128,13 @@ def test_empty_subalgebras_keep_their_shape(rep, char_dim):
 def test_isotropy_shared_symplectic_pair(n):
     s = sp(n)
     rep = add_torus(direct_sum_shared([(f"sp({n})", [s, s])]), 2)
-    p = sample_certified_points(rep, 1, seed=0)[0]
+    p = sample_certified_points(rep, seed=0)
     assert isotropy_algebra(rep, p).dim == (n - 1) ** 2 + n * (n - 1) + 1
 
 
 def test_character_dim_zero_for_symplectic_vector():
     rep = add_torus(sp(2), 1)
-    p = sample_certified_points(rep, 1, seed=0)[0]
+    p = sample_certified_points(rep, seed=0)
     assert character_space_dim(rep, p) == 0
 
 
@@ -154,20 +148,20 @@ def test_character_dim_two_for_spin8_vector_pair():
         ),
         2,
     )
-    p = sample_certified_points(rep, 1, seed=0)[0]
+    p = sample_certified_points(rep, seed=0)
     assert character_space_dim(rep, p) == 2
 
 
 def test_character_dim_one_for_sym_det():
     r = sym2(gl(3))
-    p = sample_certified_points(r, 1, seed=0)[0]
+    p = sample_certified_points(r, seed=0)
     assert character_space_dim(r, p) == 1
 
 
 def test_lambda_det_on_sym_is_twice_trace():
     r = sym2(gl(3))
     f = determinant(3, "sym")
-    pts = sample_certified_points(r, 10, seed=0)
+    pts = sequential_certified_points(r, 10, 0)
     ok, lam, _ = verify_relative_invariant(r, f, pts)
     assert ok
     assert list(lam) == [2 * b.trace() for b in basis(gl(3))]
@@ -177,7 +171,7 @@ def test_lambda_quadratic_under_so_plus_torus():
     n = 4
     rep = add_torus(so(n), 1)
     f = quadratic_form(_eye(n))
-    pts = sample_certified_points(rep, 10, seed=0)
+    pts = sequential_certified_points(rep, 10, 0)
     ok, lam, _ = verify_relative_invariant(rep, f, pts)
     assert ok
     assert list(lam) == [Q(0)] * so(n).algebra_dim + [Q(2)]
@@ -186,7 +180,7 @@ def test_lambda_quadratic_under_so_plus_torus():
 def test_lambda_pfaffian_is_trace():
     r = alt2(gl(4))
     f = pfaffian(4)
-    pts = sample_certified_points(r, 10, seed=0)
+    pts = sequential_certified_points(r, 10, 0)
     ok, lam, _ = verify_relative_invariant(r, f, pts)
     assert ok
     assert list(lam) == [b.trace() for b in basis(gl(4))]
@@ -195,7 +189,7 @@ def test_lambda_pfaffian_is_trace():
 def test_lambda_constant_across_more_points():
     r = sym2(gl(2))
     f = determinant(2, "sym")
-    pts = sample_certified_points(r, 14, seed=5)
+    pts = sequential_certified_points(r, 14, 5)
     ok, _, _ = verify_relative_invariant(r, f, pts)
     assert ok
 
@@ -237,7 +231,7 @@ def test_hessian_degenerate_for_partial_invariant():
         ]
     )
     f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
-    p = sample_certified_points(rep, 1, seed=0)[0]
+    p = sample_certified_points(rep, seed=0)
     assert hessian_regularity(f, rep, p, _gradient(f, p)) is False
 
 
@@ -252,6 +246,30 @@ def test_a_constant_invariant_is_not_regular():
     (chk,) = report.invariant_checks
     assert chk.verified and not chk.lambda_nonzero
     assert report.character_dim == 1 and report.regular is False
+
+
+def test_a_squared_invariant_is_reported_like_a_fundamental_one():
+    """q^2, for the quadratic form q of SO(4) x C*, is relatively invariant
+    with twice q's character, but it is not squarefree, so not the
+    fundamental invariant.  A run does not check squarefreeness: q^2 is
+    reported verified, with a nonzero character, character dimension 1
+    and regular, exactly as q is.  A squarefreeness certificate (ROADMAP
+    item 3) must change this report."""
+    n = 4
+    rep = add_torus(so(n), 1)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    q2 = InvariantPolynomial(
+        n, "q^2", "poly", [[i, i, j, j] for i, j in pairs],
+        tuple(1 if i == j else 2 for i, j in pairs),
+    )
+    point = (1, 2, 0, -1)
+    assert q2(point) == quadratic_form(_eye(n))(point) ** 2
+    square, plain = (classify(rep, [f], seed=0) for f in (q2, quadratic_form(_eye(n))))
+    (chk,), (base,) = square.invariant_checks, plain.invariant_checks
+    assert chk.verified and chk.lambda_nonzero
+    assert chk.lam == tuple(2 * c for c in base.lam)
+    assert square.character_dim == 1 and square.regular is True
+    assert (square.qd1, square.regular) == (plain.qd1, plain.regular)
 
 
 def test_stage_functions_reject_non_integer_coordinates():
@@ -285,14 +303,14 @@ def test_hessian_dichotomy_at_ten_points():
         (add_torus(so(4), 1), quadratic_form(_eye(4))),
     ]
     for rep, f in cases:
-        pts = sample_certified_points(rep, 10, seed=3)
+        pts = sequential_certified_points(rep, 10, 3)
         flags = {det(hessian_matrix(f, p)[0]) != 0 for p in pts}
         assert len(flags) == 1
 
 
 def test_character_dim_stable_across_points():
     r = sym2(gl(3))
-    pts = sample_certified_points(r, 5, seed=9)
+    pts = sequential_certified_points(r, 5, 9)
     dims = {character_space_dim(r, p) for p in pts}
     assert dims == {1}
 
@@ -376,8 +394,8 @@ def test_commutators_at_the_point_are_exact_beyond_int64(which):
     # T and den both times 2**40: the same generators
     big = MatrixRep(rep.T.astype(object) * 2**40, rep.den * 2**40, rep.labels)
     assert big.T.dtype == object
-    pts = sample_certified_points(rep, LAMBDA_POINTS, seed=4)
-    assert sample_certified_points(big, LAMBDA_POINTS, seed=4) == pts
+    pts = sequential_certified_points(rep, LAMBDA_POINTS, 4)
+    assert sample_certified_points(big, seed=4) == pts[0]
     assert _commutator_gram(big, pts[0]).dtype == object
     assert character_space_dim(big, pts[0]) == character_space_dim(rep, pts[0])
     assert verify_relative_invariant(big, f, pts) == verify_relative_invariant(rep, f, pts)
@@ -411,15 +429,12 @@ def test_classify_reports_an_invariant_vanishing_at_a_certified_point(monkeypatc
     """A nonzero relative invariant vanishes nowhere on the open orbit, so a
     form that vanishes at a certified point is reported unverified at 0
     points instead of being checked at points off its zero set.  The run's
-    sampler is made to return (1, 0, 1), a zero of x01, first; the zero
-    form vanishes at every seeded point."""
+    sampler is made to return (1, 0, 1), a zero of x01; the zero form
+    vanishes at every seeded point."""
     from pvkit import analyzer
 
     seeded = analyzer.sample_certified_points
-    monkeypatch.setattr(
-        analyzer, "sample_certified_points",
-        lambda rep, count, seed=0: [(1, 0, 1)] + seeded(rep, count, seed)[1:],
-    )
+    monkeypatch.setattr(analyzer, "sample_certified_points", lambda rep, seed=0: (1, 0, 1))
     off_diagonal = InvariantPolynomial(3, "x01", "poly", [[1]], (1,))
     rep = classify(sym2(gl(2)), [off_diagonal], seed=0)
     assert rep.prehomogeneous
@@ -440,18 +455,14 @@ def test_classify_reports_a_grid_singular_at_a_certified_point(kind, grid, monke
     gradient, so the stage raises ZeroAtTestPointError, and a run reports
     the invariant unverified.  The det grid has two equal rows, so it is
     singular everywhere; Pf(x01) vanishes at (1, 0, 1), which the run's
-    sampler is made to return first."""
+    sampler is made to return."""
     from pvkit import analyzer
 
     rep, f = sym2(gl(2)), InvariantPolynomial(3, f"{kind} grid", kind, grid)
     with pytest.raises(ZeroAtTestPointError):
         verify_relative_invariant(rep, f, [(1, 0, 1)])
     if kind == "pf":
-        seeded = analyzer.sample_certified_points
-        monkeypatch.setattr(
-            analyzer, "sample_certified_points",
-            lambda rep, count, seed=0: [(1, 0, 1)] + seeded(rep, count, seed)[1:],
-        )
+        monkeypatch.setattr(analyzer, "sample_certified_points", lambda rep, seed=0: (1, 0, 1))
     report = classify(rep, [f], seed=0)
     (chk,) = report.invariant_checks
     assert report.prehomogeneous and not chk.verified and chk.points_checked == 0
@@ -483,7 +494,7 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
     """On an entry with two invariants: the first draw passes, so one orbit
     matrix reaches the mod-P kernel, and each invariant is evaluated in
     stacks of exactly LAMBDA_POINTS distinct points: the certified point
-    and the next further draws, drawn once for both invariants.  An
+    and the next further draws, the same for both invariants.  An
     invariant is evaluated again only after a stack where it vanished at a
     further draw, without those draws (the first determinant, at seed 0).
     Its gradient at the certified point, for the character certificate,
@@ -507,11 +518,11 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
     assert report.character_dim == 2
     assert all(c.verified for c in report.invariant_checks)
     assert certified == [1]
-    first = sample_certified_points(built.rep, 1, seed=0)[0]
+    first = sample_certified_points(built.rep, seed=0)
     names = [f.name for f in built.invariants]
     assert list(stacks) == names and [len(stacks[n]) for n in names] == [2, 1]
     opening = [runs[0][0] for runs in stacks.values()]
-    assert opening[0] == opening[1]  # the further draws are drawn once
+    assert opening[0] == opening[1]  # each invariant reads the same further draws
     for runs in stacks.values():
         for (points, values), (after, _) in zip(runs, runs[1:]):
             zeros = [p for p, v in zip(points, values) if v == 0]
@@ -581,7 +592,7 @@ def test_every_default_invariant_satisfies_euler_at_the_certified_point():
 
     kinds = set()
     for name, built in _default_builds():
-        point = sample_certified_points(built.rep, 1, seed=0)[0]
+        point = sample_certified_points(built.rep, seed=0)
         for f in built.invariants:
             ok, _, grad = verify_relative_invariant(built.rep, f, [point])
             (value,), _ = values_and_gradients(f, [point])
@@ -668,7 +679,7 @@ def test_every_default_run_proves_its_character_dimension_without_the_gram_matri
 
 def _sym_det_covector():
     rep, f = sym2(gl(3)), determinant(3, "sym")
-    point = sample_certified_points(rep, 1, seed=0)[0]
+    point = sample_certified_points(rep, seed=0)
     return rep, point, _gradient(f, point)
 
 
@@ -706,7 +717,7 @@ def test_character_dim_falls_back_when_the_covectors_fall_short(monkeypatch):
 
     built = _build(get_entry("NEG-4.2.8b"), {})
     rep = built.rep
-    point = sample_certified_points(rep, 1, seed=0)[0]
+    point = sample_certified_points(rep, seed=0)
     g1, g2 = (_gradient(f, point) for f in built.invariants)
     grams = _counting_gram(monkeypatch)
     assert character_space_dim(rep, point, covectors=[g1, g2]) == 2
@@ -797,7 +808,7 @@ def test_invariance_and_hessian_at_halved_points(which):
             ]
         )
         f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
-    pts = sample_certified_points(rep, 4, seed=2)
+    pts = sequential_certified_points(rep, 4, 2)
     doubled = [tuple(2 * c for c in p) for p in pts]
     ok, lam, _ = verify_relative_invariant(rep, f, pts)
     assert verify_relative_invariant(rep, f, doubled)[:2] == (ok, lam)
@@ -814,7 +825,7 @@ def test_invariance_and_hessian_at_halved_points(which):
 def test_pipeline_evaluates_invariants_at_integer_points_only(monkeypatch):
     stacks = _recording_stacks(monkeypatch)
     rep, f = sym2(gl(3)), determinant(3, "sym")
-    pts = sample_certified_points(rep, 4, seed=2)
+    pts = sequential_certified_points(rep, 4, 2)
     doubled = [tuple(2 * c for c in p) for p in pts]
     for points in (pts, doubled):
         ok, lam, grad = verify_relative_invariant(rep, f, points)
@@ -835,15 +846,12 @@ def _default_builds():
 
 
 def test_sampler_matches_the_sequential_exact_sampler_on_every_default_build():
-    """The block sampler, certified mod P, returns the points one exact rank
-    per draw returns, on every default build for seeds 0-5, one and
-    LAMBDA_POINTS points."""
+    """The sampler, certifying mod P, returns the point one exact rank per
+    draw returns, on every default build for seeds 0-5."""
     for name, built in _default_builds():
         for seed in range(6):
-            want = sequential_certified_points(built.rep, LAMBDA_POINTS, seed)
-            for count in (1, LAMBDA_POINTS):
-                got = sample_certified_points(built.rep, count, seed=seed)
-                assert got == want[:count], (name, seed, count)
+            want = sequential_certified_points(built.rep, 1, seed)
+            assert [sample_certified_points(built.rep, seed=seed)] == want, (name, seed)
 
 
 def _times_p(rep: MatrixRep) -> MatrixRep:
@@ -854,9 +862,9 @@ def _times_p(rep: MatrixRep) -> MatrixRep:
 
 @pytest.mark.parametrize("which", ["sym_det", "so_quadratic"])
 def test_sampler_decides_draws_rejected_mod_p_exactly(which, monkeypatch):
-    """Every draw fails mod P on the scaled rep, so the sampler reaches the
-    shortfall, decides the rejected draws by exact rank in stream order,
-    and returns the points of the plain rep."""
+    """Every draw fails mod P on the scaled rep, so the sampler decides the
+    rejected draws by exact rank in stream order, and returns the point of
+    the plain rep."""
     from pvkit import analyzer
 
     rep = sym2(gl(3)) if which == "sym_det" else add_torus(so(4), 1)
@@ -869,22 +877,31 @@ def test_sampler_decides_draws_rejected_mod_p_exactly(which, monkeypatch):
         return got
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
-    for count in (1, LAMBDA_POINTS):
-        want = sample_certified_points(rep, count, seed=2)
-        verdicts.clear()
-        assert sample_certified_points(big, count, seed=2) == want
-        assert len(want) == count and verdicts and not any(verdicts)
-        assert want == sequential_certified_points(rep, count, 2)
+    want = sample_certified_points(rep, seed=2)
+    verdicts.clear()
+    assert sample_certified_points(big, seed=2) == want
+    assert want is not None and verdicts and not any(verdicts)
+    assert [want] == sequential_certified_points(rep, 1, 2)
 
 
-def test_sampler_shortfall_matches_the_sequential_sampler():
-    """Fewer distinct draws exist than points asked for: both samplers run
-    MAX_DRAWS draws and return the same short list."""
-    rep = add_torus(so(2), 1)  # 49 distinct draws, the nonzero ones generic
-    want = sequential_certified_points(rep, 60, 1)
-    assert len(want) == 48
-    assert sample_certified_points(rep, 60, seed=1) == want
-    assert sample_certified_points(_times_p(rep), 60, seed=1) == want
+def test_sampler_shortfall_matches_the_sequential_sampler(monkeypatch):
+    """No draw is generic: both samplers run MAX_DRAWS draws and find no
+    point, and the sampler tests each of the 49 distinct draws once mod P,
+    as a stack of one, before exact rank rejects them all."""
+    from pvkit import analyzer
+
+    rep = MatrixRep(np.zeros((1, 2, 2), dtype=np.int64), 1, ("zero",))
+    stacks = []
+
+    def recording_kernel(stack):
+        stacks.append(len(stack))
+        return full_rank_mod_p(stack)
+
+    monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
+    ranks = _recording(monkeypatch, "rank")
+    assert sequential_certified_points(rep, 1, 1) == []
+    assert sample_certified_points(rep, seed=1) is None
+    assert stacks == [1] * 49 and len(ranks) == 49
 
 
 def _recording(monkeypatch, name: str) -> list:
@@ -919,7 +936,7 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
             [("gl(4)", [dual(g), alt2(g)]), ("scaling", [scaling(4), None])]
         )
         f = restrict_to_summand(pfaffian(4), rep.summand_dims, 1)
-    point = sample_certified_points(rep, 1, seed=0)[0]
+    point = sample_certified_points(rep, seed=0)
     grad = _gradient(f, point)
     want = hessian_regularity(f, rep, point, grad)
     verdicts, ranks = [], []
@@ -952,7 +969,7 @@ def test_hessian_regularity_without_a_zero_row_reaches_exact_rank(monkeypatch):
     in_y[0, 0, 0] = in_y[1, 1, 1] = in_y[2, 2, 2] = in_y[3, 2, 0] = 1
     rep = MatrixRep(s_inv @ in_y @ s, 1, ("y1", "x2", "x3", "x3 += y1"))
     f = quadratic_form([[0, 1, 0], [1, 0, 1], [0, 1, 0]])  # 2 (x1 + x3) x2
-    points = sample_certified_points(rep, LAMBDA_POINTS, seed=0)
+    points = sequential_certified_points(rep, LAMBDA_POINTS, 0)
     ok, lam, grad = verify_relative_invariant(rep, f, points)
     assert ok and lam == (1, 1, 0, 0)
     h, _ = hessian_matrix(f, [Q(c) for c in points[0]])
@@ -988,7 +1005,7 @@ def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatc
             built = _build(e, dict(params))
             if not built.invariants:
                 continue
-            point = sample_certified_points(built.rep, 1, seed=0)[0]
+            point = sample_certified_points(built.rep, seed=0)
             flags = [hessian_regularity(f, built.rep, point, _gradient(f, point))
                      for f in built.invariants]
             if not all(flags):

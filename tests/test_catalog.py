@@ -5,7 +5,11 @@ import importlib
 import numpy as np
 import pytest
 
-from helpers import character_dim_in_coefficients, isotropy_algebra
+from helpers import (
+    character_dim_in_coefficients,
+    isotropy_algebra,
+    sequential_certified_points,
+)
 from pvkit.analyzer import (
     LAMBDA_POINTS,
     character_space_dim,
@@ -249,8 +253,8 @@ def test_isotropy_bracket_closed_per_entry():
     for entry in catalog():
         params = dict(entry.defaults[0])
         built = _build(entry, params)
-        pts = sample_certified_points(built.rep, 1, seed=13)
-        iso = isotropy_algebra(built.rep, pts[0])
+        point = sample_certified_points(built.rep, seed=13)
+        iso = isotropy_algebra(built.rep, point)
         assert iso.is_bracket_closed(), entry.id
         assert built.rep.algebra_dim - iso.dim == built.rep.space_dim
 
@@ -267,7 +271,7 @@ def test_hessian_dichotomy_for_every_catalog_invariant():
         params = dict(entry.defaults[0])
         built = _build(entry, params)
         for f in built.invariants:
-            pts = sample_certified_points(built.rep, 10, seed=21)
+            pts = sequential_certified_points(built.rep, 10, 21)
             flags = [det(hessian_matrix(f, p)[0]) != 0 for p in pts]
             assert len(set(flags)) == 1, (entry.id, f.name)
             _, grads = values_and_gradients(f, pts)
@@ -289,9 +293,9 @@ def test_lambda_vanishes_on_isotropy_at_an_independent_point():
         built = _build(entry, dict(entry.defaults[0]))
         if not built.invariants:
             continue
-        other = sample_certified_points(built.rep, 1, seed=29)[0]
+        other = sample_certified_points(built.rep, seed=29)
         iso = isotropy_algebra(built.rep, other).coefficient_basis.astype(object)
-        pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0)
+        pts = sequential_certified_points(built.rep, LAMBDA_POINTS, 0)
         for f in built.invariants:
             assert f(other) != 0, (entry.id, f.name)
             ok, lam, _ = verify_relative_invariant(built.rep, f, pts)
@@ -317,8 +321,8 @@ def test_character_dim_and_derived_check_match_coefficient_space():
     for entry in catalog():
         built = _build(entry, dict(entry.defaults[0]))
         rep = built.rep
-        pts = sample_certified_points(rep, 5, seed=11)
-        pts += sample_certified_points(rep, 1, seed=31)
+        pts = sequential_certified_points(rep, 5, 11)
+        pts.append(sample_certified_points(rep, seed=31))
         for p in pts:
             want = character_dim_in_coefficients(rep, p)
             assert character_space_dim(rep, p) == want, entry.id

@@ -23,6 +23,7 @@ from helpers import (
     ring_det,
     ring_evaluator,
     ring_pf,
+    sequential_certified_points,
     sym_coords,
     sym_unpack,
     taped_value_and_gradient,
@@ -516,7 +517,7 @@ def test_closed_form_matches_the_tape_at_every_default_runs_certified_points():
     """At each default run's certified points for seeds 0-5, which are the
     points where the analyzer reads gradients, every declared invariant is
     nonzero and its value and gradient equal the taped reference."""
-    from pvkit.analyzer import LAMBDA_POINTS, sample_certified_points
+    from pvkit.analyzer import LAMBDA_POINTS
     from pvkit.catalog import _build, catalog
 
     checked = 0
@@ -526,7 +527,7 @@ def test_closed_form_matches_the_tape_at_every_default_runs_certified_points():
             if not built.invariants:
                 continue
             for seed in range(6):
-                pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=seed)
+                pts = sequential_certified_points(built.rep, LAMBDA_POINTS, seed)
                 for f in built.invariants:
                     for p in pts:
                         value, grad = value_and_gradient(f, p)
@@ -547,12 +548,12 @@ def test_closed_form_matches_the_tape_at_every_default_runs_certified_points():
     ],
 )
 def test_closed_form_matches_the_tape_at_certified_points_of_larger_runs(entry_id, params):
-    from pvkit.analyzer import LAMBDA_POINTS, sample_certified_points
+    from pvkit.analyzer import LAMBDA_POINTS
     from pvkit.catalog import _build, get_entry
 
     built = _build(get_entry(entry_id), params)
     (f,) = built.invariants
-    pts = sample_certified_points(built.rep, LAMBDA_POINTS, seed=0)
+    pts = sequential_certified_points(built.rep, LAMBDA_POINTS, 0)
     assert len(pts) == LAMBDA_POINTS
     for p in pts:
         value, grad = value_and_gradient(f, p)

@@ -1,4 +1,5 @@
-"""Root systems against an independent reflection-closure oracle."""
+"""Root systems against two independent references: the closure under
+every simple reflection, and the closure under root strings."""
 
 import pytest
 
@@ -20,8 +21,9 @@ ALL_SYSTEMS = (
 def reflection_closure(cartan):
     """All roots from the simple ones by closing under simple reflections.
 
-    s_i(gamma) = gamma - gamma(H_i) alpha_i; an oracle independent of the
-    root-string generation used by the library.
+    s_i(gamma) = gamma - gamma(H_i) alpha_i, applied to every root,
+    negative ones included, and in every direction; the library raises
+    positive roots only.
     """
     rank = len(cartan)
     simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
@@ -42,6 +44,31 @@ def reflection_closure(cartan):
     return {r for r in roots if all(c >= 0 for c in r)}
 
 
+def root_string_closure(cartan):
+    """The positive roots from the simple ones by root strings: gamma +
+    alpha_i is a root exactly when q >= 1, where the alpha_i-string through
+    gamma runs from gamma - p alpha_i to gamma + q alpha_i and
+    p - q = gamma(H_i)."""
+    rank = len(cartan)
+    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    roots = set(simples)
+    frontier = list(simples)  # the roots of one height
+    while frontier:
+        nxt = []
+        for gamma in frontier:
+            for i in range(rank):
+                p = 1
+                while gamma[:i] + (gamma[i] - p,) + gamma[i + 1 :] in roots:
+                    p += 1
+                q = p - 1 - sum(cartan[i][j] * gamma[j] for j in range(rank))
+                up = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1 :]
+                if q >= 1 and up not in roots:
+                    roots.add(up)
+                    nxt.append(up)
+        frontier = nxt
+    return roots
+
+
 # frozen from the oracle: reflection closure of A2, C3, G2 simple roots
 def test_positive_root_counts_frozen_examples():
     assert len(reflection_closure(build_root_system("A", 2).cartan)) == 3
@@ -57,6 +84,12 @@ def test_generation_agrees_with_reflection_oracle(type_, rank):
     rs = build_root_system(type_, rank)
     assert set(rs.positive_roots) == reflection_closure(rs.cartan)
     assert len(rs.positive_roots) == POSITIVE_ROOT_COUNTS[type_](rank)
+
+
+@pytest.mark.parametrize("type_,rank", ALL_SYSTEMS)
+def test_generation_agrees_with_root_string_reference(type_, rank):
+    rs = build_root_system(type_, rank)
+    assert set(rs.positive_roots) == root_string_closure(rs.cartan)
 
 
 @pytest.mark.parametrize("type_,rank", ALL_SYSTEMS)

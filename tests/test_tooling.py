@@ -53,7 +53,10 @@ def test_analyzer_evaluates_invariants_and_reads_the_point_stream_in_one_place()
     only `verify_relative_invariant` calls, so the character certificate
     and the Hessian take the gradients that check returned; no hidden cache
     keeps one (`_sketch_coefficients` is the only `lru_cache`), and one
-    function opens the "point-sample" stream."""
+    function opens the "point-sample" stream.  A run certifies one point:
+    the sampler takes the rep and the seed alone, each invariant check
+    reads the stream after the point it is given, from the seed, and
+    `classify` handles no draws itself."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
     functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
 
@@ -77,6 +80,15 @@ def test_analyzer_evaluates_invariants_and_reads_the_point_stream_in_one_place()
         if any(isinstance(n, ast.Constant) and n.value == "point-sample" for n in ast.walk(fn))
     }
     assert openers == {"_draws"}
+
+    def parameters(name: str) -> list[str]:
+        args = _function(tree, name).args
+        assert not (args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg)
+        return [a.arg for a in args.args]
+
+    assert parameters("sample_certified_points") == ["rep", "seed"]
+    assert parameters("_check_invariant") == ["rep", "f", "first", "seed"]
+    assert not _called(_function(tree, "classify")) & {"_draws", "islice", "dropwhile"}
 
 
 def test_analyzer_works_at_the_point_not_in_coefficient_space():
@@ -142,8 +154,8 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     the zero-row check, an `if` that returns False.  character_space_dim
     builds the Gram matrix and takes its rank only after its certificate,
     two kernel verdicts joined by `and`, is rejected.  The sampler's draw
-    loop certifies by the kernel alone, and its one exact rank is in the
-    shortfall branch."""
+    loop certifies by the kernel alone, and its one exact rank comes after
+    that loop, when no draw passed."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
     regularity = _function(tree, "hessian_regularity")
     gate = _exact_only_after_a_rejection(regularity, {"rank"})
@@ -161,11 +173,10 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     assert isinstance(gate.test, ast.BoolOp) and len(gate.test.values) == 2
     assert len(_rank_calls(character)) == 1
     sampler = _function(tree, "sample_certified_points")
-    (shortfall,) = [n for n in sampler.body if isinstance(n, ast.If) and _rank_calls(n)]
-    assert ast.unparse(shortfall.test) == "len(points) < count"
-    assert len(_rank_calls(sampler)) == len(_rank_calls(shortfall)) == 1
-    (loop,) = [n for n in sampler.body if isinstance(n, ast.While)]
-    assert "full_rank_mod_p" in _called(loop)
+    (loop,) = [n for n in sampler.body if isinstance(n, ast.For)]
+    assert "full_rank_mod_p" in _called(loop) and not _rank_calls(loop)
+    after = sampler.body[sampler.body.index(loop) + 1 :]
+    assert len(_rank_calls(sampler)) == sum(len(_rank_calls(n)) for n in after) == 1
     owners = {
         fn.name for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and _rank_calls(fn)
