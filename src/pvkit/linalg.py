@@ -11,7 +11,9 @@ hands out (coefficient vectors, echelon rows) is fitted back to int64.
 `rank` and `nullspace` take a 2-D array-like of integers or rationals (or
 a `Matrix`) and clear it once.  Coefficient vectors and kernel bases are
 (A, den) pairs; `nullspace` eliminates each block of columns that share no
-nonzero row with the others on its own.
+nonzero row with the others on its own, once, by a fraction-free
+Gauss-Jordan elimination that stays in int64 while `_pair` admits its next
+step.
 `full_rank_mod_p` asks of a whole stack of integer r x c matrices A
 whether each has full column rank, by proving R A nonsingular modulo the
 prime P = 2**31 - 1 for one seeded c x r mixing matrix R: the c x c
@@ -382,21 +384,43 @@ def _column_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _column_relations(a: np.ndarray) -> tuple[list[int], list[tuple[int, np.ndarray, int]]]:
+def _column_relations(a: np.ndarray) -> tuple[list[int], list[tuple[int, list[int], int]]]:
     """(pivots, free): the pivot columns of a, each independent of the
     columns before it, and per other column f the (f, c, k) with column
-    f == sum_p c_p / k * column pivots[p], by one fraction-free elimination
-    of the columns in order."""
-    solver = SpanSolver(a.shape[0], track=max(1, min(a.shape)))
+    f == sum_t c_t / k * column pivots[t] over the pivots before f, k > 0
+    and gcd(c, k) == 1.
+
+    One fraction-free Gauss-Jordan elimination of the columns in order
+    (Bareiss 1968, *Math. Comp.* 22): a pivot p at row r clears its column
+    from every other row, each updated entry (p * x - x_j * y) // p_prev,
+    which is exact because every entry is a minor of a.  The pivot rows
+    then all hold the latest pivot on their pivot columns, so a column that
+    no row below them can pivot reads its relation off them, over that
+    pivot.  Only the columns not yet reached are updated.  The rows stay
+    int64 while `_pair` admits a step's two products, and are Python ints
+    from the first step it refuses.
+    """
+    m = a.copy()
     pivots: list[int] = []
-    free: list[tuple[int, np.ndarray, int]] = []
-    for f in range(a.shape[1]):
-        got = solver.coefficients(a[:, f])
-        if got is None:
-            solver.insert(a[:, f])
-            pivots.append(f)
-        else:
-            free.append((f, *got))
+    free: list[tuple[int, list[int], int]] = []
+    prev = 1
+    for j in range(m.shape[1]):
+        r = len(pivots)
+        below = np.flatnonzero(m[r:, j])
+        if not len(below):
+            c = m[:r, j].tolist()
+            g = math.gcd(*c, prev) * (1 if prev > 0 else -1)  # k = prev // g > 0
+            free.append((j, [x // g for x in c], prev // g))
+            continue
+        if below[0]:
+            m[[r, r + below[0]]] = m[[r + below[0], r]]
+        if m.dtype != object:
+            m = _pair(m, m, 2)[0]
+        pivot, top = m[r, j], m[r, j + 1 :].copy()
+        m[:, j + 1 :] = (pivot * m[:, j + 1 :] - m[:, j : j + 1] * top) // prev
+        m[r, j + 1 :] = top
+        pivots.append(j)
+        prev = int(pivot)
     return pivots, free
 
 
@@ -409,25 +433,32 @@ def nullspace(m) -> tuple[np.ndarray, int]:
     gcd(K, den) == 1, K is (nullity, cols).  The basis is unique, so it is
     found block by block (see `_column_blocks`): a column's relation to
     the columns before it involves only its own block's columns.  Each
-    block is eliminated on its own rows and columns, and the rows are put
-    back in free-column order over the common denominator.
+    block is eliminated once on its own rows and columns (see
+    `_column_relations`), and the rows are put back in free-column order
+    over the common denominator.
     """
     a, _ = _int_matrix(m)
-    free: list[tuple[int, np.ndarray, np.ndarray, int]] = []
+    free: list[tuple[int, list[int], list[int], int]] = []
     for rows, cols in _column_blocks(a):
         pivots, block_free = _column_relations(a[np.ix_(rows, cols)])
-        at = cols[pivots]
-        free += [(cols[f], at, c[: len(at)], k) for f, c, k in block_free]
+        at = cols[pivots].tolist()
+        free += [(int(cols[f]), at[: len(c)], c, k) for f, c, k in block_free]
     free.sort(key=lambda item: item[0])
     den = math.lcm(*(k for *_, k in free))
-    kernel = np.zeros((len(free), a.shape[1]), dtype=object)
-    for v, (f, at, c, k) in zip(kernel, free):
-        # column f == sum_p c_p / k * column p: den e_f - sum_p (den/k) c_p e_p
-        v[f] = den
-        v[at] = c.astype(object) * -(den // k)
-        if v[np.flatnonzero(v)[0]] < 0:
-            v *= -1
-    return _fit(kernel), den
+    at_row, at_col, vals = [], [], []
+    for row, (f, at, c, k) in enumerate(free):
+        # column f == sum_t c_t / k * column at_t: den e_f - sum_t (den/k) c_t e_at_t,
+        # negated when its first nonzero coordinate, -(den/k) c_t or den, is negative
+        sign = -1 if next((x for x in c if x), 0) > 0 else 1
+        at_row += [row] * (len(c) + 1)
+        at_col += [f, *at]
+        vals += [sign * den, *(-sign * (den // k) * x for x in c)]
+    # the dtype `_fit` picks for the kernel, read off its nonzeros alone
+    vals = np.array(vals, dtype=object)
+    vals, _ = _pair(vals, vals, max(len(free), a.shape[1]))
+    kernel = np.zeros((len(free), a.shape[1]), dtype=vals.dtype)
+    kernel[at_row, at_col] = vals
+    return kernel, den
 
 
 # Rows per int64 product in `full_rank_mod_p`: a 16-bit limb times a

@@ -390,27 +390,46 @@ def half_spin_rep10() -> MatrixRep:
 
 @lru_cache(maxsize=None)
 def g2_rep() -> MatrixRep:
-    """Derivations of the octonions, restricted to the imaginary part.
+    """Derivations of the octonions, on the 7 imaginary coordinates.
 
-    Solves D(e_i e_j) = D(e_i) e_j + e_i D(e_j) for an 8x8 unknown matrix
-    (column r*8 + c is D[r, c], row (i, j, k) the k-th coordinate), with
-    L = `_oct_left_mults()`, so e_i e_j = sum_k L[i, k, j] e_k; the nullspace
-    is 14-dimensional and every derivation kills the unit, so the action
-    restricts to the 7 imaginary coordinates.
+    g2 is the part of so(7) that annihilates the 3-form
+    phi(x, y, z) = <x y, z> of the imaginary octonions, the kernel of the
+    contraction of so(7) with phi onto the imaginary octonions (Bryant
+    1987, *Ann. of Math.* 126).  Each unit e_i lies on three Fano lines
+    {i, j, k}, e_j e_k = s e_i with s = +-1, and the rotation
+    s (E_jk - E_kj) of each of these planes contracts with phi to 2 e_i.
+    So the difference of two of a unit's rotations lies in g2: two per
+    unit, fourteen in all.  The planes are visited in the order of their
+    lower entry (k, j), and each unit's later two rotations minus its
+    first, sign-normalized (first nonzero positive), come out in the order
+    of their last nonzero, the later rotation's lower entry.  That is the
+    canonical kernel basis that `linalg.nullspace` returns for the
+    derivation equations: den 1 and four +-1 entries each.  One exact check
+    with L = `_oct_left_mults()`, e_a e_b = sum_k L[a, k, b] e_k, confirms
+    that each is a derivation, D(e_a e_b) = D(e_a) e_b + e_a D(e_b), on all
+    of the octonions.
     """
-    L, eye = _oct_left_mults(), _eye(OCT_DIM)
-    rows = (
-        np.einsum("rk,icj->ijkrc", eye, L)  # D(e_i e_j)_k = sum_c L[i,c,j] D[k,c]
-        - np.einsum("rkj,ci->ijkrc", L, eye)  # (D(e_i) e_j)_k = sum_r D[r,i] L[r,k,j]
-        - np.einsum("ikr,cj->ijkrc", L, eye)  # (e_i D(e_j))_k = sum_r D[r,j] L[i,k,r]
-    )
-    kernel, den = nullspace(rows.reshape(OCT_DIM**3, OCT_DIM**2))
-    if len(kernel) != 14:
-        raise AssertionError(f"octonion derivations: got dim {len(kernel)}")
-    kernel = kernel.reshape(14, OCT_DIM, OCT_DIM)
-    if kernel[:, :, 0].any() or kernel[:, 0, :].any():
-        raise AssertionError("a derivation moved the octonion unit")
-    return MatrixRep(kernel[:, 1:, 1:], den, ("g2",))
+    table, L = oct_table(), _oct_left_mults()
+    first, basis = {}, []
+    for k in range(1, OCT_DIM):
+        for j in range(1, k):
+            i, s = table[j][k]  # the Fano line {i, j, k}
+            rotation = {(j, k): s, (k, j): -s}
+            if i in first:
+                D = rotation | {at: -v for at, v in first[i].items()}
+                basis.append({at: D[min(D)] * v for at, v in D.items()})
+            else:
+                first[i] = rotation
+    K = np.zeros((len(basis), OCT_DIM, OCT_DIM), dtype=np.int64)
+    for g, D in enumerate(basis):
+        for at, v in D.items():
+            K[g][at] = v
+    # D L_a - L_a D == L_(D e_a) for every a: at [g, a, (k, b)] both sides
+    # are coordinate k, of D(e_a e_b) - e_a D(e_b) and of D(e_a) e_b
+    commutators = (K[:, None] @ L - L @ K[:, None]).reshape(len(K), OCT_DIM, -1)
+    if (commutators != K.transpose(0, 2, 1) @ L.reshape(OCT_DIM, -1)).any():
+        raise AssertionError("a g2 basis matrix is not an octonion derivation")
+    return MatrixRep(K[:, 1:, 1:], 1, ("g2",))
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,10 @@ dense einsums over T that `MatrixRep.act` and `pullback` replaced;
 the ring-generic evaluation of an invariant's data (memoized det and Pf
 expansions, term sums) and the reverse-mode tape that the closed-form
 gradients replaced; the hand-written invariant evaluators that the index
-grids and term lists replaced; and the dense kron square action and
-one-block nullspace that the scattered and block-wise builds replaced."""
+grids and term lists replaced; the dense kron square action and
+one-block nullspace that the scattered and block-wise builds replaced; and
+the octonion derivation equations whose nullspace g2's closed form
+replaced."""
 
 import math
 import operator
@@ -32,7 +34,7 @@ from pvkit.linalg import (
     rank,
 )
 from pvkit.octonion import oct_mul, oct_norm
-from pvkit.reps import MatrixRep, Subalgebra
+from pvkit.reps import MatrixRep, Subalgebra, _oct_left_mults
 
 
 def det(m) -> Q:
@@ -412,6 +414,21 @@ def dense_nullspace(m) -> tuple[np.ndarray, int]:
         if v[np.flatnonzero(v)[0]] < 0:
             v *= -1
     return _fit(kernel), den
+
+
+def octonion_derivation_system() -> np.ndarray:
+    """The derivation equations D(e_i e_j) = D(e_i) e_j + e_i D(e_j) of an
+    8 x 8 unknown D, as a 512 x 64 integer system: column r*8 + c is
+    D[r, c], row (i, j, k) the k-th coordinate, and e_i e_j =
+    sum_k L[i, k, j] e_k for L = `reps._oct_left_mults()`.  Its nullspace
+    is g2 on the octonions, the reference for `reps.g2_rep`."""
+    L, eye = _oct_left_mults(), np.eye(8, dtype=np.int64)
+    rows = (
+        np.einsum("rk,icj->ijkrc", eye, L)  # D(e_i e_j)_k = sum_c L[i,c,j] D[k,c]
+        - np.einsum("rkj,ci->ijkrc", L, eye)  # (D(e_i) e_j)_k = sum_r D[r,i] L[r,k,j]
+        - np.einsum("ikr,cj->ijkrc", L, eye)  # (e_i D(e_j))_k = sum_r D[r,j] L[i,k,r]
+    )
+    return rows.reshape(8**3, 8**2)
 
 
 def character_dim_in_coefficients(rep: MatrixRep, point) -> int:

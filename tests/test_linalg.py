@@ -533,6 +533,35 @@ def test_blockwise_nullspace_equals_the_dense_elimination(scale):
         _assert_same_kernel(_permuted_blocks(rng, scale))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nullspace_leaves_int64_partway_through_a_block(seed, monkeypatch):
+    """A 6 x 7 block with entries near 2**14 starts in int64, and its
+    3 x 3 minors, near 2**42, take the elimination to Python ints partway:
+    `_pair` picks int64 for the first steps and object for a later one.
+    One row and one column are sums of two others, so the rank is 5 and
+    two columns are free."""
+    from pvkit import linalg
+
+    rng = np.random.default_rng(1950 + seed)
+    m = rng.integers(2**14 - 100, 2**14 + 100, (6, 7)) * rng.choice([-1, 1], (6, 7))
+    m[5] = m[0] + m[2]
+    m[:, 4] = m[:, 1] + m[:, 3]
+    chosen = []
+
+    def recording(a, b, k):
+        out = _pair(a, b, k)
+        chosen.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(linalg, "_pair", recording)
+    linalg._column_relations(m)
+    assert chosen[0] == np.int64 and chosen[-1] == object
+    monkeypatch.undo()
+    got, _ = nullspace(m)
+    assert len(got) == 2 and got.dtype == object
+    _assert_same_kernel(m)
+
+
 @pytest.mark.parametrize(
     "m",
     [

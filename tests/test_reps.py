@@ -17,6 +17,7 @@ from helpers import (
     invariant_form_space,
     jet_line,
     kron_square_action,
+    octonion_derivation_system,
     sym_unpack,
 )
 from pvkit.invariants import freudenthal_cubic
@@ -172,7 +173,7 @@ def test_g2_dimensions_and_derivation_property():
     assert g2.algebra_dim == 14
     assert g2.space_dim == 7
     rng = DetRng(41)
-    for b in basis(g2)[:5]:
+    for b in basis(g2):
         for _ in range(5):
             x = [Q(0)] + [Q(rng.randint(-3, 3)) for _ in range(7)]
             y = [Q(0)] + [Q(rng.randint(-3, 3)) for _ in range(7)]
@@ -184,6 +185,21 @@ def test_g2_dimensions_and_derivation_property():
             rhs = oct_mul(x, dy)
             assert dxy == [a + b2 for a, b2 in zip(lhs, rhs)], "not a derivation"
             assert xy[0] + 0 == xy[0]  # product kept its real part untouched by D
+
+
+def test_g2_builds_without_an_elimination(monkeypatch):
+    """g2 is written down from the Fano lines: no nullspace and no span
+    solver is called, and the build is the cached one."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an elimination in the g2 build")
+
+    want = g2_rep()
+    monkeypatch.setattr(reps, "nullspace", forbidden)
+    monkeypatch.setattr(reps, "SpanSolver", forbidden)
+    got = reps.g2_rep.__wrapped__()
+    assert (got.den, got.labels, got.T.dtype) == (want.den, want.labels, want.T.dtype)
+    assert (got.T == want.T).all()
 
 
 def test_g2_and_e6_are_perfect():
@@ -291,11 +307,28 @@ def test_alt2_builds_within_twice_its_output():
     assert peak <= 2 * got.T.nbytes, peak / got.T.nbytes
 
 
-@pytest.mark.parametrize("maker", [g2_rep, e6_rep], ids=["g2", "e6"])
-def test_exceptional_builds_match_the_dense_nullspace(maker, monkeypatch):
-    got = maker()
+def _g2_by_the_dense_nullspace(monkeypatch):
+    """The derivations of the octonions, solved for by one elimination;
+    each kills the unit, so it acts on the imaginary coordinates."""
+    kernel, den = dense_nullspace(octonion_derivation_system())
+    kernel = kernel.reshape(-1, 8, 8)
+    assert not kernel[:, 0].any() and not kernel[:, :, 0].any()
+    return MatrixRep(kernel[:, 1:, 1:], den, ("g2",))
+
+
+def _e6_by_the_dense_nullspace(monkeypatch):
     monkeypatch.setattr(reps, "nullspace", dense_nullspace)
-    want = maker.__wrapped__()
+    return e6_rep.__wrapped__()
+
+
+@pytest.mark.parametrize(
+    "maker,reference",
+    [(g2_rep, _g2_by_the_dense_nullspace), (e6_rep, _e6_by_the_dense_nullspace)],
+    ids=["g2", "e6"],
+)
+def test_exceptional_builds_match_the_dense_nullspace(maker, reference, monkeypatch):
+    got = maker()
+    want = reference(monkeypatch)
     assert (got.den, got.labels, got.T.dtype) == (want.den, want.labels, want.T.dtype)
     assert got.T.shape == want.T.shape and (got.T == want.T).all()
 
