@@ -5,7 +5,8 @@ The only inputs are the rational octonion multiplication table and exact
 linear algebra: g2 appears as the derivation algebra, the spin
 representations through left multiplications (a rational Clifford algebra),
 and e6 as the stabilizer of the cubic form on 3x3 Hermitian octonion
-matrices.
+matrices, spanned by the traceless Jordan multiplications and their
+commutators.
 """
 
 from fractions import Fraction as Q
@@ -36,8 +37,9 @@ for m in (7, 8, 9):
     print(f"spin({m}): {rho.algebra_dim} generators on C^{rho.space_dim}")
     rho.structure_tensor()  # exact closure; raises ClosureError otherwise
 
-# e6: 27x27 matrices annihilating the cubic form, the exact nullspace of the
-# annihilator conditions (one linear condition per cubic monomial).
+# e6: 27x27 matrices annihilating the cubic form, written down from the
+# Albert algebra: the traceless Jordan multiplications L_a and commutators
+# of them, each checked exactly to annihilate the cubic.
 e6 = e6_rep()
 print(f"e6: dimension {e6.algebra_dim} acting on C^{e6.space_dim}")
 

@@ -39,7 +39,7 @@ from .invariants import (
     quadratic_form,
     symplectic_pair,
 )
-from .linalg import DetRng, Jet2, Matrix, Q, nullspace, rank
+from .linalg import DetRng, Jet2, Matrix, Q, rank
 from .reps import (
     MatrixRep,
     Subalgebra,

@@ -8,12 +8,10 @@ exact, else Python ints (`dtype=object`); `_matmul` is a @ b under it, and
 elimination is fraction-free, so nothing is ever rounded.  `SpanSolver`
 keeps every row in Python ints from its first reduction on; only what it
 hands out (coefficient vectors, echelon rows) is fitted back to int64.
-`rank` and `nullspace` take a 2-D array-like of integers or rationals (or
-a `Matrix`) and clear it once.  Coefficient vectors and kernel bases are
-(A, den) pairs; `nullspace` eliminates each block of columns that share no
-nonzero row with the others on its own, once, by a fraction-free
-Gauss-Jordan elimination that stays in int64 while `_pair` admits its next
-step.
+`rank` takes a 2-D array-like of integers or rationals (or a `Matrix`)
+and clears it once.  Coefficient vectors are (A, den) pairs.  No exact
+kernel is computed here: the pipeline reads each isotropy dimension from a
+rank by rank-nullity, and the exceptional algebras are written down.
 `full_rank_mod_p` asks of a whole stack of integer r x c matrices A
 whether each has full column rank, by proving R A nonsingular modulo the
 prime P = 2**31 - 1 for one seeded c x r mixing matrix R: the c x c
@@ -42,7 +40,6 @@ __all__ = [
     "SpanSolver",
     "DimensionMismatchError",
     "rank",
-    "nullspace",
     "full_rank_mod_p",
 ]
 
@@ -339,126 +336,14 @@ def rank(m) -> int:
     """Row rank by exact fraction-free elimination.
 
     m is a Matrix or a 2-D array-like of integers or rationals; a nonzero
-    multiple of a matrix has its rank and its kernel, so an integer array
-    may stand for a rational one.
+    multiple of a matrix has its rank, so an integer array may stand for a
+    rational one.
     """
     a, _ = _int_matrix(m)
     solver = SpanSolver(a.shape[1])
     for row in a:
         solver.insert(row)
     return solver.rank
-
-
-def _column_blocks(a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, cols) of each connected block of a, in order of first column.
-
-    Two columns are joined when some row is nonzero in both.  Each column
-    is labelled by the smallest column of its block, by min-label
-    propagation through the rows, with the labels' own labels taken each
-    round so that long chains close in few rounds.  A row belongs to the
-    block of its nonzeros; all-zero rows belong to none, and an all-zero
-    column is a block of its own with no rows.
-    """
-    nrows, ncols = a.shape
-    r, c = np.nonzero(a)
-    label = np.arange(ncols)
-    while True:
-        at_row = np.full(nrows, ncols)
-        np.minimum.at(at_row, r, label[c])
-        new = label.copy()
-        np.minimum.at(new, c, at_row[r])
-        new = new[new]
-        if (new == label).all():
-            break
-        label = new
-    col_order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[col_order], prepend=-1))
-    row_order = np.argsort(at_row, kind="stable")
-    row_labels = at_row[row_order]
-    heads = label[col_order[starts]]
-    lo = np.searchsorted(row_labels, heads, "left")
-    hi = np.searchsorted(row_labels, heads, "right")
-    return [
-        (row_order[i:j], cols)
-        for i, j, cols in zip(lo, hi, np.split(col_order, starts[1:]))
-    ]
-
-
-def _column_relations(a: np.ndarray) -> tuple[list[int], list[tuple[int, list[int], int]]]:
-    """(pivots, free): the pivot columns of a, each independent of the
-    columns before it, and per other column f the (f, c, k) with column
-    f == sum_t c_t / k * column pivots[t] over the pivots before f, k > 0
-    and gcd(c, k) == 1.
-
-    One fraction-free Gauss-Jordan elimination of the columns in order
-    (Bareiss 1968, *Math. Comp.* 22): a pivot p at row r clears its column
-    from every other row, each updated entry (p * x - x_j * y) // p_prev,
-    which is exact because every entry is a minor of a.  The pivot rows
-    then all hold the latest pivot on their pivot columns, so a column that
-    no row below them can pivot reads its relation off them, over that
-    pivot.  Only the columns not yet reached are updated.  The rows stay
-    int64 while `_pair` admits a step's two products, and are Python ints
-    from the first step it refuses.
-    """
-    m = a.copy()
-    pivots: list[int] = []
-    free: list[tuple[int, list[int], int]] = []
-    prev = 1
-    for j in range(m.shape[1]):
-        r = len(pivots)
-        below = np.flatnonzero(m[r:, j])
-        if not len(below):
-            c = m[:r, j].tolist()
-            g = math.gcd(*c, prev) * (1 if prev > 0 else -1)  # k = prev // g > 0
-            free.append((j, [x // g for x in c], prev // g))
-            continue
-        if below[0]:
-            m[[r, r + below[0]]] = m[[r + below[0], r]]
-        if m.dtype != object:
-            m = _pair(m, m, 2)[0]
-        pivot, top = m[r, j], m[r, j + 1 :].copy()
-        m[:, j + 1 :] = (pivot * m[:, j + 1 :] - m[:, j : j + 1] * top) // prev
-        m[r, j + 1 :] = top
-        pivots.append(j)
-        prev = int(pivot)
-    return pivots, free
-
-
-def nullspace(m) -> tuple[np.ndarray, int]:
-    """(K, den): the rows of K / den are an exact basis of {v : m v = 0}.
-
-    m is as for rank.  Row f / den has 1 at free column f (one in the span
-    of the columns before it), 0 at the other free columns, and is then
-    sign-normalized so its first nonzero coordinate is positive.  den > 0,
-    gcd(K, den) == 1, K is (nullity, cols).  The basis is unique, so it is
-    found block by block (see `_column_blocks`): a column's relation to
-    the columns before it involves only its own block's columns.  Each
-    block is eliminated once on its own rows and columns (see
-    `_column_relations`), and the rows are put back in free-column order
-    over the common denominator.
-    """
-    a, _ = _int_matrix(m)
-    free: list[tuple[int, list[int], list[int], int]] = []
-    for rows, cols in _column_blocks(a):
-        pivots, block_free = _column_relations(a[np.ix_(rows, cols)])
-        at = cols[pivots].tolist()
-        free += [(int(cols[f]), at[: len(c)], c, k) for f, c, k in block_free]
-    free.sort(key=lambda item: item[0])
-    den = math.lcm(*(k for *_, k in free))
-    at_row, at_col, vals = [], [], []
-    for row, (f, at, c, k) in enumerate(free):
-        # column f == sum_t c_t / k * column at_t: den e_f - sum_t (den/k) c_t e_at_t,
-        # negated when its first nonzero coordinate, -(den/k) c_t or den, is negative
-        sign = -1 if next((x for x in c if x), 0) > 0 else 1
-        at_row += [row] * (len(c) + 1)
-        at_col += [f, *at]
-        vals += [sign * den, *(-sign * (den // k) * x for x in c)]
-    # the dtype `_fit` picks for the kernel, read off its nonzeros alone
-    vals = np.array(vals, dtype=object)
-    vals, _ = _pair(vals, vals, max(len(free), a.shape[1]))
-    kernel = np.zeros((len(free), a.shape[1]), dtype=vals.dtype)
-    kernel[at_row, at_col] = vals
-    return kernel, den
 
 
 # Rows per int64 product in `full_rank_mod_p`: a 16-bit limb times a

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SpanSolver, _fit, _int_array, _pair, nullspace
+from .linalg import SpanSolver, _fit, _int_array, _pair, full_rank_mod_p
 from .octonion import OCT_DIM, albert_coords_dim, freudenthal_monomials, oct_table
 
 __all__ = [
@@ -403,11 +403,11 @@ def g2_rep() -> MatrixRep:
     lower entry (k, j), and each unit's later two rotations minus its
     first, sign-normalized (first nonzero positive), come out in the order
     of their last nonzero, the later rotation's lower entry.  That is the
-    canonical kernel basis that `linalg.nullspace` returns for the
-    derivation equations: den 1 and four +-1 entries each.  One exact check
-    with L = `_oct_left_mults()`, e_a e_b = sum_k L[a, k, b] e_k, confirms
-    that each is a derivation, D(e_a e_b) = D(e_a) e_b + e_a D(e_b), on all
-    of the octonions.
+    canonical kernel basis of the derivation equations (1 at each free
+    column, 0 at the others): den 1 and four +-1 entries each.  One exact
+    check with L = `_oct_left_mults()`, e_a e_b = sum_k L[a, k, b] e_k,
+    confirms that each is a derivation, D(e_a e_b) = D(e_a) e_b + e_a
+    D(e_b), on all of the octonions.
     """
     table, L = oct_table(), _oct_left_mults()
     first, basis = {}, []
@@ -432,35 +432,88 @@ def g2_rep() -> MatrixRep:
     return MatrixRep(K[:, 1:, 1:], 1, ("g2",))
 
 
+# The octonion slots o1, o2, o3 of a Hermitian matrix, at these entries.
+_SLOTS = ((1, 2), (2, 0), (0, 1))
+
+
+def _jordan_mults() -> np.ndarray:
+    """2 L_a for each of the 27 coordinates a, as integer 27 x 27 matrices.
+
+    L_a X = (a X + X a) / 2 is the Jordan product on 3x3 Hermitian
+    octonion matrices, in the coordinate order of `octonion`: a unit a of
+    slot s has e_k at `_SLOTS[s]` and its conjugate at the mirrored entry.
+    The matrix products are taken entry by entry with L =
+    `_oct_left_mults()`, e_u e_v = sum_w L[u, w, v] e_w, and the 27
+    coordinates are read back from the diagonal's real parts and the
+    slots.  Column j of 2 L_a is then the coordinates of a b_j + b_j a.
+    """
+    at = [(i, i, 0) for i in range(3)]
+    at += [(r, c, k) for r, c in _SLOTS for k in range(OCT_DIM)]
+    p, q, k = np.array(at).T
+    a = np.arange(albert_coords_dim)
+    H = np.zeros((albert_coords_dim, 3, 3, OCT_DIM), dtype=np.int64)
+    H[a, p, q, k] = 1
+    H[a, q, p, k] = np.where(k, -1, 1)  # the conjugate; the diagonal is real
+    xy = np.einsum("aptu,jtqv,uwv->ajpqw", H, H, _oct_left_mults(), optimize=True)
+    xy = xy[:, :, p, q, k]  # [a, j, c]: coordinate c of a b_j
+    return xy.transpose(0, 2, 1) + xy.transpose(1, 2, 0)
+
+
+def _check_e6_basis(T: np.ndarray) -> None:
+    """Raise unless the integer stack T annihilates the cubic N and is
+    linearly independent.
+
+    X annihilates N when N(x + t X x) has no t term, a polynomial identity
+    in x: putting (X x)_l = sum_i X[l, i] x_i in place of the factor x_l of
+    a term c x_a x_b x_c gives c X[l, i] times the cubic monomial of the
+    other two factors and x_i.  Every nonzero X[l, i] of every matrix is
+    joined with every factor x_l of the 89 terms at once, and the products
+    are summed per matrix and monomial; each sum must be 0.  Independence
+    is one `full_rank_mod_p` of the 729 x d stack of flattened matrices.
+    """
+    n = albert_coords_dim
+    terms = freudenthal_monomials()
+    mono = np.array([m for m, _ in terms])
+    coeff = np.array([c for _, c in terms])
+    term, pos = np.divmod(np.arange(mono.size), 3)
+    others = np.column_stack([mono[term, (pos + 1) % 3], mono[term, (pos + 2) % 3]])
+    g, l, i = np.nonzero(T)
+    nz, factor = np.nonzero(l[:, None] == mono[term, pos])  # X[l, i] meets x_l
+    cubic = np.sort(np.column_stack([others[factor], i[nz]]), axis=1)
+    keys, at = np.unique(g[nz] * n**3 + cubic @ [n * n, n, 1], return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, at, T[g, l, i][nz] * coeff[term[factor]])
+    if sums.any():
+        raise AssertionError("an e6 basis matrix does not annihilate the cubic")
+    if not full_rank_mod_p(T.reshape(len(T), -1).T[None])[0]:
+        raise AssertionError("the e6 basis matrices are not independent")
+
+
 @lru_cache(maxsize=None)
 def e6_rep() -> MatrixRep:
     """The 78-dimensional algebra of 27x27 matrices annihilating the cubic.
 
-    X annihilates the cubic N when N(x + t X x) has no t term, a polynomial
-    identity in x: substituting (X x)_l = sum_i X[l, i] x_i for each factor
-    x_l of each monomial c x_a x_b x_c gives the terms c X[l, i] times the
-    cubic monomial of the other two factors and x_i.  The coefficient of
-    each cubic monomial is one linear condition on the 729 entries of X
-    (column l*27 + i is X[l, i]), and the algebra is the exact nullspace of
-    these conditions.
+    It is the reduced structure algebra of the Albert algebra (Chevalley
+    and Schafer 1950, *PNAS* 36): the traceless Jordan multiplications L_a
+    and the derivations, which their commutators span.  The generators,
+    over den 4 from M = `_jordan_mults()` (M[a] = 2 L_a), are
+      - L_a for a = E1 - E2, E2 - E3 and each of the 24 slot units;
+      - [L_(E_r), L_u] for each slot unit u, E_r the idempotent of the row
+        of u's slot (24);
+      - [L_u, L_v] for the 28 pairs u < v of units of slot o1.
+    Nothing is solved: `_check_e6_basis` confirms, exactly, that each
+    matrix annihilates the cubic and that the 78 are independent.
     """
-    n = albert_coords_dim
-    monomials: dict = {}
-    rows, cols, vals = [], [], []
-    for mono, c in freudenthal_monomials():
-        for p, l in enumerate(mono):
-            rest = mono[:p] + mono[p + 1 :]
-            for i in range(n):
-                key = tuple(sorted(rest + (i,)))
-                rows.append(monomials.setdefault(key, len(monomials)))
-                cols.append(l * n + i)
-                vals.append(c)
-    system = np.zeros((len(monomials), n * n), dtype=np.int64)
-    np.add.at(system, (rows, cols), vals)
-    kernel, den = nullspace(system)
-    if len(kernel) != 78:
-        raise AssertionError(f"cubic stabilizer has dimension {len(kernel)}")
-    return MatrixRep(kernel.reshape(78, n, n), den, ("e6 (27-dim rep)",))
+    M = _jordan_mults()
+    units = M[3:]
+    rows = M[np.repeat([r for r, _ in _SLOTS], OCT_DIM)]
+    i, j = np.triu_indices(OCT_DIM, 1)
+    o1 = units[:OCT_DIM]
+    mults = [2 * (M[:2] - M[1:3]), 2 * units]
+    commutators = [rows @ units - units @ rows, o1[i] @ o1[j] - o1[j] @ o1[i]]
+    T = np.concatenate(mults + commutators)
+    _check_e6_basis(T)
+    return MatrixRep(T, 4, ("e6 (27-dim rep)",))
 
 
 # -- combinators ---------------------------------------------------------------

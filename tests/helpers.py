@@ -6,9 +6,10 @@ dense einsums over T that `MatrixRep.act` and `pullback` replaced;
 the ring-generic evaluation of an invariant's data (memoized det and Pf
 expansions, term sums) and the reverse-mode tape that the closed-form
 gradients replaced; the hand-written invariant evaluators that the index
-grids and term lists replaced; the dense kron square action and
-one-block nullspace that the scattered and block-wise builds replaced; and
-the octonion derivation equations whose nullspace g2's closed form
+grids and term lists replaced; the dense kron square action that the
+scattered build replaced; and the exact kernel of the suite,
+`dense_nullspace`, with the octonion derivation equations and the cubic's
+annihilator conditions whose kernels the closed forms of g2 and e6
 replaced."""
 
 import math
@@ -30,10 +31,9 @@ from pvkit.linalg import (
     _fit,
     _int_array,
     _int_matrix,
-    nullspace,
     rank,
 )
-from pvkit.octonion import oct_mul, oct_norm
+from pvkit.octonion import albert_coords_dim, freudenthal_monomials, oct_mul, oct_norm
 from pvkit.reps import MatrixRep, Subalgebra, _oct_left_mults
 
 
@@ -275,7 +275,7 @@ def isotropy_algebra(rep: MatrixRep, point) -> Subalgebra:
     from the point certificate by rank-nullity.
     """
     xi, _ = _int_array(point)
-    kernel, _ = nullspace((rep.T @ xi).T)  # the kernel of the orbit map
+    kernel, _ = dense_nullspace((rep.T @ xi).T)  # the kernel of the orbit map
     sub = Subalgebra(rep, kernel)
     if sub.dim != rep.algebra_dim - rep.space_dim:
         raise AssertionError("isotropy dimension violates the rank identity")
@@ -392,8 +392,14 @@ def kron_square_action(T: np.ndarray, upper: int) -> np.ndarray:
 
 
 def dense_nullspace(m) -> tuple[np.ndarray, int]:
-    """The reference for `linalg.nullspace`: one elimination over all
-    columns in order, with no split into blocks."""
+    """(K, den): the rows of K / den are an exact basis of {v : m v = 0}.
+
+    m is as for `linalg.rank`.  One elimination over all columns in order:
+    row f / den has 1 at free column f (one in the span of the columns
+    before it), 0 at the other free columns, and is then sign-normalized so
+    its first nonzero coordinate is positive.  den > 0 and K is (nullity,
+    cols), in the dtype `linalg._fit` picks.  The package computes no
+    kernel; this is the reference for the written-down g2 and e6."""
     a, _ = _int_matrix(m)
     cols = a.shape[1]
     solver = SpanSolver(a.shape[0], track=max(1, min(a.shape)))
@@ -429,6 +435,30 @@ def octonion_derivation_system() -> np.ndarray:
         - np.einsum("ikr,cj->ijkrc", L, eye)  # (e_i D(e_j))_k = sum_r D[r,j] L[i,k,r]
     )
     return rows.reshape(8**3, 8**2)
+
+
+def cubic_annihilator_system() -> np.ndarray:
+    """The conditions for a 27 x 27 matrix X to annihilate the cubic N, as
+    an integer system in X's entries (column l*27 + i is X[l, i]): N(x + t
+    X x) has no t term.  Substituting (X x)_l = sum_i X[l, i] x_i for each
+    factor x_l of each term c x_a x_b x_c gives the terms c X[l, i] times
+    the cubic monomial of the other two factors and x_i; each cubic
+    monomial's coefficient is one row.  Its nullspace is e6, the reference
+    for `reps.e6_rep`."""
+    n = albert_coords_dim
+    monomials: dict = {}
+    rows, cols, vals = [], [], []
+    for mono, c in freudenthal_monomials():
+        for p, l in enumerate(mono):
+            rest = mono[:p] + mono[p + 1 :]
+            for i in range(n):
+                key = tuple(sorted(rest + (i,)))
+                rows.append(monomials.setdefault(key, len(monomials)))
+                cols.append(l * n + i)
+                vals.append(c)
+    system = np.zeros((len(monomials), n * n), dtype=np.int64)
+    np.add.at(system, (rows, cols), vals)
+    return system
 
 
 def character_dim_in_coefficients(rep: MatrixRep, point) -> int:
@@ -489,7 +519,7 @@ def invariant_form_space(rho: MatrixRep) -> int:
                     row[index[tuple(sorted((k, j)))]] += a[k, i]
                     row[index[tuple(sorted((i, k)))]] += a[k, j]
                 rows.append(row)
-    return len(nullspace(Matrix.from_rows(rows))[0])
+    return len(dense_nullspace(Matrix.from_rows(rows))[0])
 
 
 def freudenthal_reference(coords):

@@ -35,7 +35,7 @@ from pvkit.invariants import (
     quadratic_form,
     restrict_to_summand,
 )
-from pvkit.linalg import P, DetRng, Matrix, full_rank_mod_p, nullspace, rank
+from pvkit.linalg import P, DetRng, Matrix, full_rank_mod_p, rank
 from pvkit.reps import (
     MatrixRep,
     add_torus,
@@ -326,18 +326,13 @@ def test_classify_assembles_report():
 
 
 def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch):
-    """No nullspace in a run: the isotropy dimension comes from the point
-    certificate by rank-nullity (this once allowed the one isotropy kernel
-    of the generic point).  The Hessian runs at the first point of the
-    invariance check, on the gradient that check returned."""
-    from pvkit import analyzer, linalg, reps
+    """The Hessian runs at the first point of the invariance check, on the
+    gradient that check returned.  (The isotropy dimension comes from the
+    point certificate by rank-nullity; the package has no kernel to call,
+    see `test_tooling`.)"""
+    from pvkit import analyzer
 
-    calls = {"nullspace": 0}
     first, seen, returned, given = [], [], [], []
-
-    def counted_nullspace(m):
-        calls["nullspace"] += 1
-        return nullspace(m)
 
     def recording_verify(rep, f, points):
         first.append(points[0])
@@ -349,13 +344,10 @@ def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch
         given.append(grad)
         return hessian_regularity(f, rep, point, grad)
 
-    for module in (analyzer, linalg, reps):
-        monkeypatch.setattr(module, "nullspace", counted_nullspace, raising=False)
     monkeypatch.setattr(analyzer, "verify_relative_invariant", recording_verify)
     monkeypatch.setattr(analyzer, "hessian_regularity", recording_hessian)
     report = classify(sym2(gl(3)), [determinant(3, "sym")], seed=0)
     assert report.regular is True
-    assert calls["nullspace"] == 0
     assert len(seen) == 1 and seen[0] is first[0]
     assert all(type(c) is int for c in seen[0])
     assert given == [returned[-1][2]] and all(type(c) is int for c in given[0])
@@ -363,9 +355,8 @@ def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch
 
 def test_classify_builds_no_structure_tensor_derived_subalgebra_or_kernel(monkeypatch):
     """The report of a run comes from commutators at the certified point
-    alone, so it is unchanged with the coefficient-space tools disabled."""
-    from pvkit import analyzer, linalg, reps
-
+    alone, so it is unchanged with the coefficient-space tools disabled.
+    (The package has no kernel to disable, see `test_tooling`.)"""
     expected = classify(sym2(gl(3)), [determinant(3, "sym")], seed=0)
 
     def forbidden(*args, **kwargs):
@@ -373,8 +364,6 @@ def test_classify_builds_no_structure_tensor_derived_subalgebra_or_kernel(monkey
 
     monkeypatch.setattr(MatrixRep, "structure_tensor", forbidden)
     monkeypatch.setattr(MatrixRep, "derived_subalgebra", forbidden)
-    for module in (analyzer, linalg, reps):
-        monkeypatch.setattr(module, "nullspace", forbidden, raising=False)
     assert classify(sym2(gl(3)), [determinant(3, "sym")], seed=0) == expected
 
 

@@ -16,14 +16,12 @@ from pvkit.linalg import (
     Jet2,
     Matrix,
     SpanSolver,
-    _column_blocks,
     _combine,
     _fit,
     _int_array,
     _matmul,
     _pair,
     full_rank_mod_p,
-    nullspace,
     rank,
 )
 from pvkit.reps import MatrixRep
@@ -78,18 +76,18 @@ def test_rank_proportional_rows():
 
 
 def test_nullspace_identity():
-    basis, den = nullspace(Matrix.identity(4))
+    basis, den = dense_nullspace(Matrix.identity(4))
     assert basis.shape == (0, 4) and den == 1
 
 
 def test_nullspace_zero():
-    basis, den = nullspace(Matrix.zeros(2, 3))
+    basis, den = dense_nullspace(Matrix.zeros(2, 3))
     assert den == 1
     assert basis.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_nullspace_single_relation():
-    basis, den = nullspace(Matrix.from_rows([[1, 1]]))
+    basis, den = dense_nullspace(Matrix.from_rows([[1, 1]]))
     assert (basis.tolist(), den) == ([[1, -1]], 1)
 
 
@@ -97,7 +95,7 @@ def test_nullspace_solves():
     rng = DetRng(7)
     for _ in range(50):
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 6), denom=True)
-        for v in nullspace(m)[0].tolist():
+        for v in dense_nullspace(m)[0].tolist():
             assert all(x == 0 for x in m.apply(v))
 
 
@@ -105,7 +103,7 @@ def test_rank_plus_nullity():
     rng = DetRng(11)
     for _ in range(100):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank(m) + len(nullspace(m)[0]) == m.cols
+        assert rank(m) + len(dense_nullspace(m)[0]) == m.cols
 
 
 def test_fraction_free_agrees_with_naive_on_200_matrices():
@@ -381,23 +379,21 @@ def test_span_solver_rows_are_python_ints(vecs):
 
 @pytest.mark.parametrize("big", [4, 2**62, 2**70], ids=["4", "2^62", "2^70"])
 def test_results_leave_linalg_in_the_dtype_of_fit(big):
-    """rank is a Python int; kernels, coefficient vectors and echelon rows
-    come out as `_fit` picks for their values: int64 where they fit."""
+    """rank is a Python int; coefficient vectors and echelon rows come out
+    as `_fit` picks for their values: int64 where they fit."""
     m = np.array([[1, 2, 3, big], [2, 4, 7, 2 * big + 1], [0, 0, 1, 1]], dtype=object)
     assert type(rank(m)) is int and rank(m) == 2
-    kernel, den = nullspace(m)
     solver = SpanSolver(4, track=2)
     solver.insert(m[0])
     solver.insert(m[2])
     coeffs, k = solver.coefficients(m[1])
     echelon = solver.echelon_rows()
-    assert (kernel.tolist(), den) == ([[2, -1, 0, 0], [big - 3, 0, 1, -1]], 1)
     assert (coeffs.tolist(), k) == ([2, 1], 1)
     assert echelon.tolist() == [[1, 2, 3, big], [0, 0, 1, 1]]
-    for out in (kernel, coeffs, echelon):
+    for out in (coeffs, echelon):
         assert out.dtype == _fit(out.astype(object)).dtype
     assert coeffs.dtype == np.int64
-    assert kernel.dtype == echelon.dtype == (np.int64 if big == 4 else object)
+    assert echelon.dtype == (np.int64 if big == 4 else object)
 
 
 def _int_matrices():
@@ -422,8 +418,8 @@ def test_rank_and_nullspace_accept_integer_arrays():
         a = np.array(rows, dtype=object)
         a = a.astype(np.int64) if max(abs(v) for r in rows for v in r) < 2**60 else a
         assert rank(a) == rank(m) == naive_rank(rows)
-        basis, den = nullspace(a)
-        other, other_den = nullspace(m)
+        basis, den = dense_nullspace(a)
+        other, other_den = dense_nullspace(m)
         assert (basis.tolist(), den) == (other.tolist(), other_den)
         assert rank(m) + len(basis) == m.cols
         for v in basis.tolist():
@@ -436,7 +432,7 @@ def test_rank_of_positive_multiple_matches_matrix():
         m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), denom=True)
         ints, _ = _int_array(m.tolists())
         assert rank(ints) == rank(m)
-        (k1, d1), (k2, d2) = nullspace(ints), nullspace(m)
+        (k1, d1), (k2, d2) = dense_nullspace(ints), dense_nullspace(m)
         assert (k1.tolist(), d1) == (k2.tolist(), d2)
 
 
@@ -488,128 +484,10 @@ def test_nullspace_matches_fraction_back_substitution():
     ]
     for m in matrices:
         ref, ref_den = _int_array(_reference_nullspace(m))
-        basis, den = nullspace(m)
+        basis, den = dense_nullspace(m)
         assert basis.shape == (len(ref), m.cols)
         assert basis.tolist() == ref.reshape(len(ref), m.cols).tolist()
         assert den == ref_den
-
-
-def _permuted_blocks(rng, scale=1):
-    """A random integer matrix made of diagonal blocks (sparse ones that may
-    split further, and rank-deficient ones), with zero rows and columns
-    added, rows and columns shuffled, and every entry times `scale`."""
-    blocks = []
-    for _ in range(rng.integers(1, 6)):
-        r, c = rng.integers(0, 6, 2)
-        b = rng.integers(-4, 5, (r, c)) * (rng.random((r, c)) < 0.6)
-        if r > 1 and rng.random() < 0.3:
-            b[-1] = b[0] - 2 * b[1 % (r - 1)]  # a dependent row
-        blocks.append(b)
-    rows = sum(b.shape[0] for b in blocks) + rng.integers(0, 3)
-    cols = sum(b.shape[1] for b in blocks) + rng.integers(0, 3)
-    a = np.zeros((rows, cols), dtype=np.int64)
-    r0 = c0 = 0
-    for b in blocks:
-        a[r0 : r0 + b.shape[0], c0 : c0 + b.shape[1]] = b
-        r0, c0 = r0 + b.shape[0], c0 + b.shape[1]
-    a = a[rng.permutation(rows)][:, rng.permutation(cols)]
-    return a if scale == 1 else a.astype(object) * scale
-
-
-def _assert_same_kernel(m):
-    (got, den), (want, want_den) = nullspace(m), dense_nullspace(m)
-    assert den == want_den
-    assert got.dtype == want.dtype
-    assert got.shape == want.shape
-    assert got.tolist() == want.tolist()
-
-
-@pytest.mark.parametrize(
-    "scale", [1, 2**40, 2**63 + 1, -(3**50)], ids=["1", "2^40", "2^63+1", "-3^50"]
-)
-def test_blockwise_nullspace_equals_the_dense_elimination(scale):
-    rng = np.random.default_rng(1900 + abs(scale) % 97)
-    for _ in range(150):
-        _assert_same_kernel(_permuted_blocks(rng, scale))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_nullspace_leaves_int64_partway_through_a_block(seed, monkeypatch):
-    """A 6 x 7 block with entries near 2**14 starts in int64, and its
-    3 x 3 minors, near 2**42, take the elimination to Python ints partway:
-    `_pair` picks int64 for the first steps and object for a later one.
-    One row and one column are sums of two others, so the rank is 5 and
-    two columns are free."""
-    from pvkit import linalg
-
-    rng = np.random.default_rng(1950 + seed)
-    m = rng.integers(2**14 - 100, 2**14 + 100, (6, 7)) * rng.choice([-1, 1], (6, 7))
-    m[5] = m[0] + m[2]
-    m[:, 4] = m[:, 1] + m[:, 3]
-    chosen = []
-
-    def recording(a, b, k):
-        out = _pair(a, b, k)
-        chosen.append(out[0].dtype)
-        return out
-
-    monkeypatch.setattr(linalg, "_pair", recording)
-    linalg._column_relations(m)
-    assert chosen[0] == np.int64 and chosen[-1] == object
-    monkeypatch.undo()
-    got, _ = nullspace(m)
-    assert len(got) == 2 and got.dtype == object
-    _assert_same_kernel(m)
-
-
-@pytest.mark.parametrize(
-    "m",
-    [
-        np.zeros((3, 4), dtype=np.int64),
-        np.zeros((0, 3), dtype=np.int64),
-        np.zeros((3, 0), dtype=np.int64),
-        np.array([[0, 2, 0, 0], [0, 0, 0, 0], [0, 3, 0, 0]]),
-        np.array([[1, 0, 2, 0], [0, 0, 0, 0], [0, 5, 0, 1]]),
-        Matrix.from_rows([[Q(1, 2), 0, 0, 3], [0, Q(2, 3), 1, 0], [1, 0, 0, 6]]),
-        Matrix.zeros(2, 3),
-        np.array([[2**70, 0, 1], [0, 2**65, 0]], dtype=object),
-    ],
-    ids=["zero", "no-rows", "no-cols", "one-column", "zero-row", "matrix",
-         "matrix-zero", "beyond-int64"],
-)
-def test_blockwise_nullspace_edge_cases(m):
-    _assert_same_kernel(m)
-
-
-def _reference_blocks(a):
-    """Connected column blocks by repeated merging of row supports."""
-    groups = [{c} for c in range(a.shape[1])]
-    for row in a:
-        support = set(np.flatnonzero(row).tolist())
-        hit = [g for g in groups if g & support]
-        groups = [g for g in groups if not g & support] + [set().union(*hit)] * bool(hit)
-    return sorted(sorted(g) for g in groups)
-
-
-def test_column_blocks_are_the_connected_components():
-    rng = np.random.default_rng(1901)
-    chain = np.zeros((40, 41), dtype=np.int64)  # one block, a long chain
-    chain[np.arange(40), np.arange(40)] = 1
-    chain[np.arange(40), np.arange(1, 41)] = -1
-    cases = [chain[rng.permutation(40)][:, rng.permutation(41)], chain]
-    cases += [_permuted_blocks(rng) for _ in range(100)]
-    for a in cases:
-        blocks = _column_blocks(a)
-        cols = [c.tolist() for _, c in blocks]
-        assert sorted(cols) == _reference_blocks(a)
-        assert [c[0] for c in cols] == sorted(c[0] for c in cols)
-        assert all(c == sorted(c) for c in cols)
-        rows = np.concatenate([r for r, _ in blocks] + [np.zeros(0, dtype=int)])
-        assert sorted(rows.tolist()) == np.flatnonzero(a.any(axis=1)).tolist()
-        for r, c in blocks:
-            outside = np.setdiff1d(np.arange(a.shape[1]), c)
-            assert not a[np.ix_(r, outside)].any()
-            assert r.tolist() == sorted(r.tolist())
 
 
 @pytest.mark.parametrize("size", [7, (1 << 14) - 1, 1 << 14, (1 << 14) + 5])

@@ -13,6 +13,7 @@ import pytest
 import pvkit.reps as reps
 from helpers import (
     basis,
+    cubic_annihilator_system,
     dense_nullspace,
     invariant_form_space,
     jet_line,
@@ -21,7 +22,7 @@ from helpers import (
     sym_unpack,
 )
 from pvkit.invariants import freudenthal_cubic
-from pvkit.linalg import DetRng, Matrix, _fit, nullspace
+from pvkit.linalg import DetRng, Matrix, _fit, rank
 from pvkit.reps import (
     ClosureError,
     MatrixRep,
@@ -158,7 +159,7 @@ def test_spin8_not_equivalent_to_vector():
                     row[i * 8 + k] += b[k, j]      # (T sigma)_ij
                     row[k * 8 + j] -= a[i, k]      # -(rho T)_ij
                 rows.append(row)
-    assert len(nullspace(Matrix.from_rows(rows))[0]) == 0
+    assert len(dense_nullspace(Matrix.from_rows(rows))[0]) == 0
 
 
 @pytest.mark.parametrize("m", [7, 9])
@@ -187,19 +188,39 @@ def test_g2_dimensions_and_derivation_property():
             assert xy[0] + 0 == xy[0]  # product kept its real part untouched by D
 
 
-def test_g2_builds_without_an_elimination(monkeypatch):
-    """g2 is written down from the Fano lines: no nullspace and no span
-    solver is called, and the build is the cached one."""
+@pytest.mark.parametrize("maker", [g2_rep, e6_rep], ids=["g2", "e6"])
+def test_exceptional_builds_without_an_elimination(maker, monkeypatch):
+    """g2 is written down from the Fano lines and e6 from the Albert
+    algebra: no span solver and no exact rank is called, and the build is
+    the cached one."""
+    from pvkit import linalg
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("an elimination in the g2 build")
+        raise AssertionError("an elimination in an exceptional build")
 
-    want = g2_rep()
-    monkeypatch.setattr(reps, "nullspace", forbidden)
-    monkeypatch.setattr(reps, "SpanSolver", forbidden)
-    got = reps.g2_rep.__wrapped__()
+    want = maker()
+    for module in (reps, linalg):
+        monkeypatch.setattr(module, "SpanSolver", forbidden)
+        monkeypatch.setattr(module, "rank", forbidden, raising=False)
+    got = maker.__wrapped__()
     assert (got.den, got.labels, got.T.dtype) == (want.den, want.labels, want.T.dtype)
     assert (got.T == want.T).all()
+
+
+def test_e6_checks_reject_a_changed_entry_and_a_repeated_matrix():
+    """The two exact checks of the e6 build each catch their own fault: one
+    entry changed no longer annihilates the cubic, and one matrix repeated
+    is no longer independent (it still annihilates)."""
+    T = e6_rep().T
+    reps._check_e6_basis(T)
+    changed = T.copy()
+    changed[40, 5, 12] += 1
+    with pytest.raises(AssertionError, match="annihilate"):
+        reps._check_e6_basis(changed)
+    repeated = T.copy()
+    repeated[77] = repeated[3]
+    with pytest.raises(AssertionError, match="independent"):
+        reps._check_e6_basis(repeated)
 
 
 def test_g2_and_e6_are_perfect():
@@ -307,30 +328,37 @@ def test_alt2_builds_within_twice_its_output():
     assert peak <= 2 * got.T.nbytes, peak / got.T.nbytes
 
 
-def _g2_by_the_dense_nullspace(monkeypatch):
+def _g2_by_the_dense_nullspace():
     """The derivations of the octonions, solved for by one elimination;
     each kills the unit, so it acts on the imaginary coordinates."""
     kernel, den = dense_nullspace(octonion_derivation_system())
     kernel = kernel.reshape(-1, 8, 8)
     assert not kernel[:, 0].any() and not kernel[:, :, 0].any()
-    return MatrixRep(kernel[:, 1:, 1:], den, ("g2",))
+    return kernel[:, 1:, 1:], den
 
 
-def _e6_by_the_dense_nullspace(monkeypatch):
-    monkeypatch.setattr(reps, "nullspace", dense_nullspace)
-    return e6_rep.__wrapped__()
+def _e6_by_the_dense_nullspace():
+    kernel, den = dense_nullspace(cubic_annihilator_system())
+    return kernel.reshape(-1, 27, 27), den
 
 
 @pytest.mark.parametrize(
-    "maker,reference",
-    [(g2_rep, _g2_by_the_dense_nullspace), (e6_rep, _e6_by_the_dense_nullspace)],
+    "maker,reference,canonical",
+    [(g2_rep, _g2_by_the_dense_nullspace, True), (e6_rep, _e6_by_the_dense_nullspace, False)],
     ids=["g2", "e6"],
 )
-def test_exceptional_builds_match_the_dense_nullspace(maker, reference, monkeypatch):
+def test_exceptional_builds_match_the_dense_nullspace(maker, reference, canonical):
+    """Each written-down basis spans the kernel of its defining equations:
+    stacked with that kernel, it has the kernel's rank.  g2's basis is the
+    canonical kernel basis itself; e6's, from the Albert algebra, is not."""
     got = maker()
-    want = reference(monkeypatch)
-    assert (got.den, got.labels, got.T.dtype) == (want.den, want.labels, want.T.dtype)
-    assert got.T.shape == want.T.shape and (got.T == want.T).all()
+    kernel, den = reference()
+    assert len(kernel) == got.algebra_dim
+    stacked = np.concatenate([kernel, got.T]).reshape(2 * len(kernel), -1)
+    assert rank(stacked) == got.algebra_dim
+    if canonical:
+        assert (got.den, got.T.dtype) == (den, kernel.dtype)
+        assert (got.T == kernel).all()
 
 
 def test_tensor_dims():

@@ -96,9 +96,22 @@ def test_analyzer_works_at_the_point_not_in_coefficient_space():
     at a certified point; no structure tensor, derived subalgebra or kernel
     is built in a run."""
     names = _imported_names("analyzer")
-    for name in ("structure_tensor", "derived_subalgebra", "nullspace",
-                 "SpanSolver", "Subalgebra"):
+    for name in ("structure_tensor", "derived_subalgebra", "SpanSolver", "Subalgebra"):
         assert name not in names, name
+
+
+def test_no_module_computes_an_exact_kernel():
+    """The block-wise kernel is gone: isotropy dimensions are read by
+    rank-nullity and g2 and e6 are written down, so no module of the
+    package defines, imports or names `nullspace` or its block helpers."""
+    gone = {"nullspace", "_column_blocks", "_column_relations"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {
+            getattr(n, "name", None) or getattr(n, "id", None) for n in ast.walk(tree)
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef, ast.Name))
+        }
+        assert not (named | _imported_names(path.stem)) & gone, path.name
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
