@@ -169,7 +169,7 @@ def character_space_dim(
     n = rep.space_dim
     grads = _mod_p(np.array(covectors, dtype=object).reshape(-1, n))
     stack = np.concatenate([_commutator_sketch(rep, point), grads])
-    if full_rank_mod_p(stack[None])[0] and full_rank_mod_p(grads.T[None])[0]:
+    if full_rank_mod_p(stack) and full_rank_mod_p(grads.T):
         return len(grads)
     return n - rank(_commutator_gram(rep, point))
 
@@ -194,12 +194,12 @@ def sample_certified_points(rep: MatrixRep, seed: int = 0) -> Optional[tuple[int
 
     x is certified when the d x n matrix `rep.act(x)` (row i is a positive
     multiple of B_i . x) has column rank n, so the orbit map at x is onto.
-    It is the first draw of `_draws` that passes mod P, as a stack of one
-    per draw; when none does, the first that exact rank certifies, or None.
+    It is the first draw of `_draws` whose matrix passes `full_rank_mod_p`;
+    when none does, the first that exact rank certifies, or None.
     """
     n = rep.space_dim
     for draw in _draws(n, seed):
-        if full_rank_mod_p(rep.act(np.array([draw], dtype=np.int64)))[0]:
+        if full_rank_mod_p(rep.act(np.array(draw, dtype=np.int64))):
             return draw
     return next((draw for draw in _draws(n, seed) if rank(rep.act(draw)) == n), None)
 
@@ -312,7 +312,7 @@ def hessian_regularity(
     num = _matmul(rep.act(point), grad).astype(object)
     u = rep.pullback(grad)
     residues = np.outer(_mod_p(grad), _mod_p(num)) - (fx % P) * _mod_p(u).T
-    if full_rank_mod_p(residues.T[None])[0]:
+    if full_rank_mod_p(residues.T):
         return True
     r = np.outer(grad, num) - fx * u.astype(object).T
     if not (r != 0).any(axis=1).all():

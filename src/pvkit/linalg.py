@@ -12,14 +12,12 @@ hands out (coefficient vectors, echelon rows) is fitted back to int64.
 and clears it once.  Coefficient vectors are (A, den) pairs.  No exact
 kernel is computed here: the pipeline reads each isotropy dimension from a
 rank by rank-nullity, and the exceptional algebras are written down.
-`full_rank_mod_p` asks of a whole stack of integer r x c matrices A
-whether each has full column rank, by proving R A nonsingular modulo the
-prime P = 2**31 - 1 for one seeded c x r mixing matrix R: the c x c
-products of the whole stack are eliminated in int64 at once, on their
-diagonal pivots.  A True proves full rank over Q; exact `rank` decides
-the rest.  `Matrix`, a small Fraction matrix, and
-`Jet2`, a second-order jet over whatever ring its components come from,
-are kept for callers outside the pipeline.
+`full_rank_mod_p` asks whether an integer r x c matrix has column rank c
+modulo the prime P = 2**31 - 1, by one int64 elimination with no random
+choice in it: a True proves full rank over Q, and exact `rank` decides the
+rest.  `Matrix`, a small Fraction matrix, and `Jet2`, a second-order jet
+over whatever ring its components come from, are kept for callers outside
+the pipeline.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction as Q
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -346,69 +343,37 @@ def rank(m) -> int:
     return solver.rank
 
 
-# Rows per int64 product in `full_rank_mod_p`: a 16-bit limb times a
-# residue below 2**31, summed over 2**15 rows, stays below 2**62.
-_MIX_ROWS = 1 << 15
+def full_rank_mod_p(a) -> bool:
+    """Does the integer r x c matrix A have column rank c mod P?
 
-
-@lru_cache(maxsize=128)  # the default catalog runs use 103 shapes
-def _mixing(r: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded c x r mixing matrix R of `full_rank_mod_p`, entries
-    uniform in [0, 2**31), as its low 15-bit and high 16-bit limbs."""
-    mix = DetRng.for_stream(0, "row-mixing", f"{r}x{c}").randints(c * r, 0, (1 << 31) - 1)
-    low, high = mix.reshape(c, r) & 0x7FFF, mix.reshape(c, r) >> 15
-    low.flags.writeable = high.flags.writeable = False
-    return low, high
-
-
-def full_rank_mod_p(stack) -> np.ndarray:
-    """Per matrix A of a (K, r, c) integer stack: is R A nonsingular mod P?
-
-    R is one seeded c x r matrix (`_mixing`), the same for every member,
-    and rank(R A) <= rank(A), so a True proves that A has column rank c
-    over Q: det(R A) is nonzero mod P, so nonzero in Z.  A False proves
-    nothing over Q (an unlucky R, a vanishing leading minor of R A, or P
-    dividing every c x c minor of A), and the caller decides it with the
-    exact `rank`.  For A of full rank mod P, the k-th leading minor of R A
-    is a nonzero polynomial of degree k in R's entries (Cauchy-Binet), and
-    each entry hits a given residue with chance at most 2 / 2**31, so a
-    random R misses with chance at most c (c + 1) / 2**31 (Schwartz 1980;
-    Kaltofen and Saunders 1991).  The rows are mixed even when r == c: a
-    full-rank A can have a zero leading minor.
-
-    The stack is reduced mod P first, Python ints (dtype=object) included.
-    R A is formed in int64 as R_low A + 2**15 R_high A mod P, the limbs
-    applied to at most `_MIX_ROWS` rows at a time, so every sum is exact.
-    Then a fraction-free elimination runs on every c x c product at once,
-    with the diagonal as the pivots: each step turns the trailing block
-    into (pv * row - f * prow) % P, which needs no inverse mod P, and the
-    active block shrinks by one row and one column.  The answer is True
-    when all c pivots are nonzero: the k-th pivot is the k-th leading
-    minor times a product of earlier pivots.
+    A True proves that A has column rank c over Q: some c x c minor is
+    nonzero mod P, so nonzero in Z.  A False proves nothing over Q (P may
+    divide every c x c minor), and the caller decides it with the exact
+    `rank`.  A is reduced mod P first, Python ints (dtype=object) included.
+    Each step pivots on the largest residue of the first column (argmax:
+    residues are >= 0) and answers False when the column is zero; the other
+    rows' trailing block becomes (pv * row - f * prow) % P, which needs no
+    inverse mod P and stays below 2**62 in int64.  The active block loses
+    the pivot row and the first column, so c pivots answer True.
     """
-    a = np.asarray(stack)
-    if a.dtype.kind not in "iuO" or a.ndim != 3:
-        raise TypeError("a 3-D stack of integer matrices required")
-    k, r, c = a.shape
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuO" or a.ndim != 2:
+        raise TypeError("a 2-D integer matrix required")
+    r, c = a.shape
     if r < c:
-        return np.zeros(k, dtype=bool)
+        return False
     a = _mod_p(a)
-    low, high = _mixing(r, c)
-    m = np.zeros((k, c, c), dtype=np.int64)
-    for lo in range(0, r, _MIX_ROWS):
-        rows = slice(lo, lo + _MIX_ROWS)
-        m += (low[:, rows] @ a[:, rows]) % P
-        m += ((high[:, rows] @ a[:, rows]) % P) << 15
-        m %= P
-    full = np.ones(k, dtype=bool)
     for _ in range(c):
-        pivot = m[:, :1, :1]
-        full &= pivot[:, 0, 0] != 0
-        rest = pivot * m[:, 1:, 1:]
-        rest -= m[:, 1:, :1] * m[:, :1, 1:]
-        rest %= P
-        m = rest
-    return full
+        at = a[:, 0].argmax()
+        prow = a[at].copy()
+        if prow[0] == 0:
+            return False
+        a[at] = a[0]  # the first row takes the pivot row's place
+        rest = prow[0] * a[1:, 1:]
+        rest -= a[1:, :1] * prow[1:]
+        rest -= rest // P * P  # % P; numpy divides int64 by a scalar faster than it takes %
+        a = rest
+    return True
 
 
 class Jet2:

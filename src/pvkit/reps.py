@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SpanSolver, _fit, _int_array, _pair, full_rank_mod_p
+from .linalg import SpanSolver, _fit, _int_array, _matmul, _pair, full_rank_mod_p
 from .octonion import OCT_DIM, albert_coords_dim, freudenthal_monomials, oct_table
 
 __all__ = [
@@ -469,7 +469,9 @@ def _check_e6_basis(T: np.ndarray) -> None:
     other two factors and x_i.  Every nonzero X[l, i] of every matrix is
     joined with every factor x_l of the 89 terms at once, and the products
     are summed per matrix and monomial; each sum must be 0.  Independence
-    is one `full_rank_mod_p` of the 729 x d stack of flattened matrices.
+    is read off the d x d trace form G_ij = tr(T_i T_j), one product of
+    the flattened matrices with their flattened transposes: sum_i c_i T_i
+    = 0 gives G c = 0, so `full_rank_mod_p` of G proves the d independent.
     """
     n = albert_coords_dim
     terms = freudenthal_monomials()
@@ -485,8 +487,9 @@ def _check_e6_basis(T: np.ndarray) -> None:
     np.add.at(sums, at, T[g, l, i][nz] * coeff[term[factor]])
     if sums.any():
         raise AssertionError("an e6 basis matrix does not annihilate the cubic")
-    if not full_rank_mod_p(T.reshape(len(T), -1).T[None])[0]:
-        raise AssertionError("the e6 basis matrices are not independent")
+    flat, flat_t = T.reshape(len(T), -1), T.transpose(0, 2, 1).reshape(len(T), -1)
+    if not full_rank_mod_p(_matmul(flat, flat_t.T)):
+        raise AssertionError("the trace form of the e6 basis is singular mod P")
 
 
 @lru_cache(maxsize=None)

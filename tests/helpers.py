@@ -317,9 +317,10 @@ def sequential_further_draws(n: int, seed: int, first):
 def lockstep_full_rank_mod_p(stack) -> np.ndarray:
     """Per matrix of a (K, r, c) integer stack: is its column rank c mod P?
 
-    The reference for `linalg.full_rank_mod_p`, which mixes the rows into
-    a c x c product first: every matrix is eliminated whole, in int64, in
-    lockstep, one column per step.  Each matrix picks its own pivot row,
+    The stacked reference for `linalg.full_rank_mod_p`, which takes one
+    matrix and pivots on the largest residue of each column: here every
+    matrix of the stack is eliminated whole, in int64, in lockstep, one
+    column per step.  Each matrix picks its own pivot row,
     the first with a nonzero entry in the column, and every row, the pivot
     row included, becomes (pv * row - f * prow) % P, which zeroes the pivot
     row.  A matrix with no pivot in some column has rank below c.

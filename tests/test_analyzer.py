@@ -495,18 +495,18 @@ def test_classify_certifies_each_draw_once_and_evaluates_once_per_point(monkeypa
     orbit_shape = (built.rep.algebra_dim, built.rep.space_dim)
     certified = []
 
-    def recording_kernel(stack):
+    def recording_kernel(a):
         # the character certificate's two matrices have other shapes
-        if np.shape(stack)[1:] == orbit_shape:
-            certified.append(len(stack))
-        return full_rank_mod_p(stack)
+        if np.shape(a) == orbit_shape:
+            certified.append(np.shape(a))
+        return full_rank_mod_p(a)
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     stacks = _recording_stacks(monkeypatch)
     report = classify(built.rep, built.invariants, seed=0)
     assert report.character_dim == 2
     assert all(c.verified for c in report.invariant_checks)
-    assert certified == [1]
+    assert certified == [orbit_shape]
     first = sample_certified_points(built.rep, seed=0)
     names = [f.name for f in built.invariants]
     assert list(stacks) == names and [len(stacks[n]) for n in names] == [2, 1]
@@ -860,9 +860,9 @@ def test_sampler_decides_draws_rejected_mod_p_exactly(which, monkeypatch):
     big = _times_p(rep)
     verdicts = []
 
-    def recording_kernel(stack):
-        got = full_rank_mod_p(stack)
-        verdicts.extend(got.tolist())
+    def recording_kernel(a):
+        got = full_rank_mod_p(a)
+        verdicts.append(got)
         return got
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
@@ -876,21 +876,21 @@ def test_sampler_decides_draws_rejected_mod_p_exactly(which, monkeypatch):
 def test_sampler_shortfall_matches_the_sequential_sampler(monkeypatch):
     """No draw is generic: both samplers run MAX_DRAWS draws and find no
     point, and the sampler tests each of the 49 distinct draws once mod P,
-    as a stack of one, before exact rank rejects them all."""
+    one matrix each, before exact rank rejects them all."""
     from pvkit import analyzer
 
     rep = MatrixRep(np.zeros((1, 2, 2), dtype=np.int64), 1, ("zero",))
-    stacks = []
+    shapes = []
 
-    def recording_kernel(stack):
-        stacks.append(len(stack))
-        return full_rank_mod_p(stack)
+    def recording_kernel(a):
+        shapes.append(np.shape(a))
+        return full_rank_mod_p(a)
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     ranks = _recording(monkeypatch, "rank")
     assert sequential_certified_points(rep, 1, 1) == []
     assert sample_certified_points(rep, seed=1) is None
-    assert stacks == [1] * 49 and len(ranks) == 49
+    assert shapes == [(1, 2)] * 49 and len(ranks) == 49
 
 
 def _recording(monkeypatch, name: str) -> list:
@@ -930,9 +930,9 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
     want = hessian_regularity(f, rep, point, grad)
     verdicts, ranks = [], []
 
-    def recording_kernel(stack):
-        got = full_rank_mod_p(stack)
-        verdicts.extend(got.tolist())
+    def recording_kernel(a):
+        got = full_rank_mod_p(a)
+        verdicts.append(got)
         return got
 
     def recording_rank(m):

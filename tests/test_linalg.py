@@ -647,8 +647,8 @@ def _random_stack(rng, k, r, c, big=0):
 
 @pytest.mark.parametrize("big", [0, 2**20, 2**40, 2**70], ids=["small", "2^20", "2^40", "2^70"])
 def test_full_rank_mod_p_never_claims_a_rank_that_is_short(big):
-    """On random stacks of mixed shapes, True only where the exact rank is
-    full; with these seeds the kernel also finds every full-rank member."""
+    """On random matrices of mixed shapes, True only where the exact rank
+    is full; with these seeds the kernel also finds every full-rank one."""
     rng = DetRng(16 + big.bit_length())
     checked = full = 0
     for _ in range(40):
@@ -656,12 +656,12 @@ def test_full_rank_mod_p_never_claims_a_rank_that_is_short(big):
         r = rng.randint(max(c - 1, 0), c + 4)
         stack = _random_stack(rng, rng.randint(1, 6), r, c, big)
         ints, _ = _int_array(stack)
-        got = full_rank_mod_p(ints)
-        assert got.dtype == bool and got.shape == (len(stack),)
-        for m, ok in zip(stack, got):
+        for m, a in zip(stack, ints):
+            got = full_rank_mod_p(a)
+            assert type(got) is bool
             exact = rank(m) == c if r else c == 0
-            assert exact or not ok
-            assert ok == exact  # a miss mod P has chance about 1 / P here
+            assert exact or not got
+            assert got == exact  # a miss mod P has chance about 1 / P here
             checked += 1
             full += exact
     assert 0 < full < checked
@@ -669,7 +669,7 @@ def test_full_rank_mod_p_never_claims_a_rank_that_is_short(big):
 
 def test_full_rank_mod_p_says_no_to_a_matrix_singular_only_mod_p():
     """det = P: full rank over Q, singular mod P.  The kernel says False and
-    exact rank still says full; the other members keep their verdicts."""
+    exact rank still says full; the other matrices keep their verdicts."""
     stack = np.array(
         [
             [[P, 1], [0, 1], [0, 0]],
@@ -679,63 +679,81 @@ def test_full_rank_mod_p_says_no_to_a_matrix_singular_only_mod_p():
         ],
         dtype=np.int64,
     )
-    assert full_rank_mod_p(stack).tolist() == [False, False, True, True]
+    assert [full_rank_mod_p(m) for m in stack] == [False, False, True, True]
     assert rank(stack[0]) == 2
     # the same residues, shifted by a multiple of P into Python ints
     shifted = stack.astype(object) + P * 2**40
-    assert full_rank_mod_p(shifted).tolist() == [False, False, True, True]
+    assert [full_rank_mod_p(m) for m in shifted] == [False, False, True, True]
 
 
 def test_full_rank_mod_p_shapes():
-    assert full_rank_mod_p(np.zeros((0, 3, 2), dtype=np.int64)).tolist() == []
-    assert full_rank_mod_p(np.zeros((2, 3, 0), dtype=np.int64)).tolist() == [True, True]
-    assert full_rank_mod_p(np.ones((1, 1, 2), dtype=np.int64)).tolist() == [False]
+    """One 2-D integer matrix: a stack or a float matrix is a TypeError,
+    fewer rows than columns is False, and no columns is True."""
     with pytest.raises(TypeError):
-        full_rank_mod_p(np.ones((1, 2, 2)) / 2)
+        full_rank_mod_p(np.ones((1, 2, 2), dtype=np.int64))
     with pytest.raises(TypeError):
-        full_rank_mod_p(np.ones((2, 2), dtype=np.int64))
+        full_rank_mod_p(np.ones((2, 2)) / 2)
+    assert full_rank_mod_p(np.ones((1, 2), dtype=np.int64)) is False
+    assert full_rank_mod_p(np.zeros((3, 0), dtype=np.int64)) is True
+    assert full_rank_mod_p(np.zeros((0, 0), dtype=np.int64)) is True
+    assert full_rank_mod_p([[1, 0], [0, 1]]) is True
+    assert full_rank_mod_p(np.zeros((3, 2), dtype=np.int64)) is False
 
 
 @pytest.mark.parametrize("big", [0, 2**20, 2**40, 2**70], ids=["small", "2^20", "2^40", "2^70"])
 def test_full_rank_mod_p_agrees_with_the_lockstep_reference(big):
-    """On random stacks of mixed shapes, empty stacks, r < c and c = 0
-    included, mixing the rows into a c x c product gives the verdicts of
-    the lockstep elimination of the whole matrices."""
+    """On random matrices of mixed shapes, r < c and c = 0 included, each
+    verdict is that of the stacked lockstep elimination and of exact rank."""
     rng = DetRng(22 + big.bit_length())
     for _ in range(40):
         c = rng.randint(0, 6)
         r = rng.randint(max(c - 1, 0), c + 4)
-        ints, _ = _int_array(_random_stack(rng, rng.randint(0, 6), r, c, big))
-        assert full_rank_mod_p(ints).tolist() == lockstep_full_rank_mod_p(ints).tolist()
-    for shape in [(0, 3, 2), (2, 3, 0), (1, 0, 0), (2, 1, 2)]:
+        stack = _random_stack(rng, rng.randint(1, 6), r, c, big)
+        ints, _ = _int_array(stack)
+        want = lockstep_full_rank_mod_p(ints).tolist()
+        assert [full_rank_mod_p(a) for a in ints] == want
+        assert want == [r >= c and (c == 0 or rank(m) == c) for m in stack]
+    for shape in [(3, 2), (3, 0), (0, 0), (1, 2)]:
         ones = np.ones(shape, dtype=np.int64)
-        assert full_rank_mod_p(ones).tolist() == lockstep_full_rank_mod_p(ones).tolist()
+        assert full_rank_mod_p(ones) == lockstep_full_rank_mod_p(ones[None])[0]
 
 
-def test_full_rank_mod_p_mixes_the_rows_of_square_and_tall_members():
-    """The pivots of R A lie on its diagonal, so the rows are mixed even
-    when A is square: every permutation matrix up to 6 x 6 is full rank,
-    and so is a tall member whose first c rows are dependent.  The
-    det = P and rank-short square members stay False."""
+def test_full_rank_mod_p_pivots_below_the_first_row():
+    """A pivot is any row with a nonzero residue in the column: every
+    permutation matrix up to 6 x 6 is full rank, and so is a tall matrix
+    whose first c rows are dependent.  The det = P and rank-short square
+    matrices stay False."""
     for c in range(1, 7):
-        perms = np.eye(c, dtype=np.int64)[list(itertools.permutations(range(c)))]
-        assert full_rank_mod_p(perms).all(), c
         eye = np.eye(c, dtype=np.int64)
-        tall = np.array([
+        assert all(full_rank_mod_p(eye[list(p)]) for p in itertools.permutations(range(c))), c
+        tall = [
             np.concatenate([np.outer(np.arange(1, c + 1), eye[0]), eye[1:]]),
             np.concatenate([np.zeros((c - 1, c), dtype=np.int64), eye]),
-        ])
-        assert full_rank_mod_p(tall).tolist() == [True, True], c
+        ]
+        assert [full_rank_mod_p(m) for m in tall] == [True, True], c
     square = np.array([[[P, 0], [0, 1]], [[1, 2], [2, 4]], [[0, 1], [1, 0]]])
-    assert full_rank_mod_p(square).tolist() == [False, False, True]
+    assert [full_rank_mod_p(m) for m in square] == [False, False, True]
 
 
-def test_full_rank_mod_p_mixes_a_stack_taller_than_two_to_the_seventeen_exactly():
-    """Residues near P in 200,000 rows, where one sum over all rows would
-    pass 2**63: the mixing is applied a block of rows at a time, so no
-    int64 sum wraps."""
+def test_full_rank_mod_p_finds_a_pivot_in_the_last_row():
+    """A full-rank matrix whose first column is nonzero only in its last
+    row: the first pivot is the last row, and the rest is eliminated in
+    the rows above it."""
+    a = np.zeros((5, 3), dtype=np.int64)
+    a[4] = [7, 1, 2]
+    a[0, 1] = a[1, 2] = a[2, 1] = 3
+    assert rank(a) == 3 and full_rank_mod_p(a) is True
+    a[:4] = 0
+    assert full_rank_mod_p(a) is False
+
+
+def test_full_rank_mod_p_eliminates_200000_rows_near_p_exactly():
+    """Residues near P in 200,000 rows: every product of two residues and
+    every difference of two stays below 2**62, so no int64 step wraps."""
     rng = np.random.default_rng(22)
-    stack = rng.integers(P - 4, P, size=(2, 200_000, 3))
-    stack[1, :, 2] = stack[1, :, 0] + stack[1, :, 1]  # rank 2, not 3
-    assert full_rank_mod_p(stack).tolist() == [True, False]
+    full = rng.integers(P - 4, P, size=(200_000, 3))
+    short = full.copy()
+    short[:, 2] = short[:, 0] + short[:, 1]  # rank 2, not 3
+    assert full_rank_mod_p(full) is True and full_rank_mod_p(short) is False
+    stack = np.array([full, short])
     assert lockstep_full_rank_mod_p(stack).tolist() == [True, False]

@@ -210,7 +210,7 @@ def test_exceptional_builds_without_an_elimination(maker, monkeypatch):
 def test_e6_checks_reject_a_changed_entry_and_a_repeated_matrix():
     """The two exact checks of the e6 build each catch their own fault: one
     entry changed no longer annihilates the cubic, and one matrix repeated
-    is no longer independent (it still annihilates)."""
+    makes the trace form singular (it still annihilates)."""
     T = e6_rep().T
     reps._check_e6_basis(T)
     changed = T.copy()
@@ -219,7 +219,7 @@ def test_e6_checks_reject_a_changed_entry_and_a_repeated_matrix():
         reps._check_e6_basis(changed)
     repeated = T.copy()
     repeated[77] = repeated[3]
-    with pytest.raises(AssertionError, match="independent"):
+    with pytest.raises(AssertionError, match="trace form .* singular mod P"):
         reps._check_e6_basis(repeated)
 
 

@@ -114,6 +114,26 @@ def test_no_module_computes_an_exact_kernel():
         assert not (named | _imported_names(path.stem)) & gone, path.name
 
 
+def test_full_rank_mod_p_is_one_deterministic_elimination():
+    """The mod-P certificate mixes no rows: `full_rank_mod_p` names no
+    generator, stream or cache, linalg imports no `lru_cache`, and no code
+    of linalg outside the `DetRng` class draws a random number."""
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    drawing = {"DetRng", "for_stream", "randint", "randints", "random", "lru_cache"}
+
+    def named(node: ast.AST) -> set[str]:
+        return {
+            getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    assert not named(_function(tree, "full_rank_mod_p")) & drawing
+    assert "lru_cache" not in _imported_names("linalg")
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name == "DetRng"):
+            assert not named(node) & drawing, ast.unparse(node)[:80]
+
+
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
     return fn
@@ -134,14 +154,14 @@ def _rank_calls(node: ast.AST) -> list[ast.Call]:
 
 
 def _kernel_verdict(expr: ast.expr) -> bool:
-    """expr is `full_rank_mod_p(...)[0]`, or an `and` of such verdicts."""
+    """expr is the bare call `full_rank_mod_p(...)`, or an `and` of such
+    verdicts."""
     if isinstance(expr, ast.BoolOp):
         return isinstance(expr.op, ast.And) and all(map(_kernel_verdict, expr.values))
     return (
-        isinstance(expr, ast.Subscript)
-        and isinstance(expr.value, ast.Call)
-        and isinstance(expr.value.func, ast.Name)
-        and expr.value.func.id == "full_rank_mod_p"
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id == "full_rank_mod_p"
     )
 
 
