@@ -23,11 +23,10 @@ Regularity is full rank of the Hessian, read off that gradient by the same
 full-rank test as the point certificate, on residues mod P; when that test
 rejects, a zero row of the exact matrix proves the Hessian singular before
 exact rank is asked.  Every product with the generators is
-`MatrixRep.act` or `MatrixRep.pullback`, and every product of their
-results `linalg._matmul`, all exact under the one int64 bound of
-`linalg._pair`.  Residues mod P are `linalg._mod_p`; the seeded sketch
-reduces the rep's nonzeros of T mod P and draws its coefficients once per
-shape.
+`MatrixRep.act`, `MatrixRep.pullback` or `MatrixRep.combine`, and every
+product of their results `linalg._matmul`, all exact under the one int64
+bound of `linalg._pair`.  Residues mod P are `linalg._mod_p`, taken of
+exact integers; the seeded sketch draws its coefficients once per shape.
 """
 
 from __future__ import annotations
@@ -124,26 +123,11 @@ def _commutator_sketch(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
     """n + 4 seeded commutators [X_k, Y_k] x mod P, an (n + 4, n) int64 array.
 
     X_k and Y_k are combinations of the T_i with coefficients in [-3, 3]
-    (`_sketch_coefficients`), and [X, Y] x = X (Y x) - Y (X x) is formed
-    from T's nonzeros, which the rep keeps sorted by row: row r of
-    (sum_i a_i T_i) v sums a_i T[i, r, c] v_c over the nonzeros T[i, r, c].
-    Every row lies in [g, g].x (times den**2).
+    (`_sketch_coefficients`); [X, Y] x = X (Y x) - Y (X x), four exact
+    `MatrixRep.combine` products reduced once, lies in [g, g].x (times den**2).
     """
-    k, n = rep.space_dim + 4, rep.space_dim
-    i, r, c, t, _ = rep._entries
-    t = _mod_p(t)
-    rows, starts = np.unique(r, return_index=True)
-
-    def act(coef: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Row q: (sum_i coef[q, i] T_i) v[q] mod P; |coef| <= 3 keeps int64."""
-        terms = coef[:, i] * (t * v[:, c] % P)
-        out = np.zeros((k, n), dtype=np.int64)
-        out[:, rows] = np.add.reduceat(terms, starts, axis=1) % P
-        return out
-
-    a, b = _sketch_coefficients(rep.algebra_dim, n)
-    x = np.broadcast_to(_mod_p(np.array(point, dtype=object)), (k, n))
-    return (act(a, act(b, x)) - act(b, act(a, x))) % P
+    a, b = _sketch_coefficients(rep.algebra_dim, rep.space_dim)
+    return _mod_p(rep.combine(a, rep.combine(b, point)) - rep.combine(b, rep.combine(a, point)))
 
 
 def character_space_dim(
@@ -155,8 +139,8 @@ def character_space_dim(
     invariants.  The orbit map Y -> Y.x is onto at the certified point x and
     has kernel the isotropy g_x, so dim([g, g] + g_x) = (d - n) + dim [g, g].x.
 
-    covectors are integer vectors orthogonal over Q to [g, g].x, such as the
-    gradients at x of verified relative invariants; there are m of them.
+    covectors are m integer vectors of length n orthogonal over Q to [g, g].x,
+    such as the gradients at x of verified relative invariants.
     One test mod P proves the answer: if the n + 4 rows of
     `_commutator_sketch` stacked on the covectors have column rank n, then
     n <= rank [g, g].x + m, and if the covectors have rank m as well, the m
@@ -167,7 +151,10 @@ def character_space_dim(
     """
     point = tuple(map(operator.index, point))  # a Fraction or float is a TypeError
     n = rep.space_dim
-    grads = _mod_p(np.array(covectors, dtype=object).reshape(-1, n))
+    vectors = [tuple(map(operator.index, g)) for g in covectors]  # likewise
+    if any(len(g) != n for g in vectors):
+        raise ValueError(f"covectors must have length {n}")
+    grads = _mod_p(np.array(vectors, dtype=object).reshape(-1, n))
     stack = np.concatenate([_commutator_sketch(rep, point), grads])
     if full_rank_mod_p(stack) and full_rank_mod_p(grads.T):
         return len(grads)
@@ -206,28 +193,26 @@ def sample_certified_points(rep: MatrixRep, seed: int = 0) -> Optional[tuple[int
 
 def _first_orders(
     rep: MatrixRep, f: InvariantPolynomial, points: Sequence[Sequence[int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(f(x), grad f(x), num) at each integer point x of a stack of K.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(f(x), grad f(x), num, T x) at each integer point x of a stack of K.
 
     The values (K,) and the exact gradients (K, n) come from one stacked
     elimination (`values_and_gradients`: a det or Pf grid, or one pass
     over the terms of a polynomial).  num_X = grad f(x) . (T_X x) is the
     derivative along X.x, times den: one `rep.act` over the stack and one
     batched `_matmul`, in int64 when max|T_X x| * max|grad| * n < 2**62.
-    The values and num come as Python ints.  The evaluation reads each
-    coordinate through operator.index, so a Fraction or float is a
-    TypeError before numpy could truncate it.
+    The values and num come as Python ints, T x as `rep.act` gives it.
+    The evaluation reads each coordinate through operator.index, so a
+    Fraction or float is a TypeError before numpy could truncate it.
     """
     fx, grads = values_and_gradients(f, points)
     tx = rep.act(np.array(points, dtype=object).reshape(grads.shape))
     num = _matmul(tx, grads[:, :, None])[:, :, 0]
-    return fx.astype(object), grads, num.astype(object)
+    return fx.astype(object), grads, num.astype(object), tx
 
 
-def _annihilates_commutators(
-    rep: MatrixRep, grad: np.ndarray, point: tuple[int, ...]
-) -> bool:
-    """grad . [T_i, T_j] x == 0 for all i, j, by one symmetric d x d matrix.
+def _annihilates_commutators(rep: MatrixRep, grad: np.ndarray, tx: np.ndarray) -> bool:
+    """grad . [T_i, T_j] x == 0 for all i, j, given tx = T x, by one symmetric d x d matrix.
 
     With U_i = T_i^T grad / gcd(grad) and W_i = T_i x, S = U W^T has
     S_ij = grad . T_i T_j x / gcd, so S_ij - S_ji = grad . [T_i, T_j] x / gcd,
@@ -235,7 +220,7 @@ def _annihilates_commutators(
     `_matmul`, in int64 when max|U| * max|W| * n < 2**62.
     """
     U = rep.pullback(grad // (math.gcd(*grad.tolist()) or 1))
-    S = _matmul(U, rep.act(point).T)
+    S = _matmul(U, tx.T)
     return not (S != S.T).any()
 
 
@@ -266,14 +251,13 @@ def verify_relative_invariant(
     """
     if not points:
         raise ValueError("need at least one point")
-    fx, grads, num = _first_orders(rep, f, points)
+    fx, grads, num, tx = _first_orders(rep, f, points)
     zeros = [tuple(p) for p, v in zip(points, fx) if v == 0]
     if zeros:
         where = "on the open orbit" if fx[0] == 0 else f"at {len(zeros)} test points"
         raise ZeroAtTestPointError(f"{f.name} vanishes {where}", zeros)
-    first = tuple(map(operator.index, points[0]))
     same = not (num * fx[0] != num[0] * fx[:, None]).any()
-    verified = same and _annihilates_commutators(rep, grads[0], first)
+    verified = same and _annihilates_commutators(rep, grads[0], tx[0])
     return verified, tuple(Q(v, rep.den * fx[0]) for v in num[0]), tuple(grads[0].tolist())
 
 

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import _int_array, _pair
+from .linalg import _int_array, _pair, _top
 from .octonion import albert_coords_dim, freudenthal_monomials
 
 __all__ = [
@@ -93,7 +93,7 @@ def _stack_dtype(f: InvariantPolynomial, x: np.ndarray) -> np.dtype:
     terms of degree q, a term is a coefficient times a monomial of size at
     most t^q, and a value or gradient coordinate sums at most terms * q.
     """
-    t = max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
+    t = _top(x)
     if f.kind == "poly":
         terms, degree = f.index.shape
         coeffs = np.array(f.coeffs, dtype=object)

@@ -55,14 +55,16 @@ def _as_q(x) -> Q:
     return x if isinstance(x, Q) else Q(x)
 
 
+def _top(x: np.ndarray) -> int:
+    """max|x| as max(max x, -min x), at least 1: no copy, and no np.abs(-2**63)."""
+    return max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
+
+
 def _pair(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer arrays a and b, both int64 when max|a| * max|b| * k < 2**62,
-    else both Python ints, so that a sum of k products of their entries is
-    exact.  max|x| is max(max x, -min x), at least 1: it copies nothing, it
-    keeps -2**63 out of int64 (np.abs wraps it to itself), and each array
-    fits on its own whenever int64 is picked."""
-    top = [max(1, int(x.max(initial=0)), -int(x.min(initial=0)))
-           for x in ((a,) if b is a else (a, b))]
+    """Integer arrays a and b, both int64 when max|a| * max|b| * k < 2**62
+    (max|x| is `_top`), else both Python ints, so that a sum of k products
+    of their entries is exact; each fits on its own when int64 is picked."""
+    top = [_top(x) for x in ((a,) if b is a else (a, b))]
     dtype = np.int64 if top[0] * top[-1] * k < _GUARD else object
     return a.astype(dtype, copy=False), b.astype(dtype, copy=False)
 

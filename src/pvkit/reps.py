@@ -10,10 +10,10 @@ constants, on which derived subalgebras and subalgebra closure are handled
 in coefficient space.  A verification run uses none of these: it reads the
 commutators at a certified point (see `analyzer.character_space_dim`), and
 closure of every catalog algebra is checked by acceptance criterion 6.
-A rep owns every product of its generators with a vector, `act` (T_i x)
-and `pullback` (T_i^T u), both exact from one kept list of T's nonzeros.
-Each output entry sums at most n products t * v, so `linalg._pair` of v
-and the nonzeros with k = n picks int64 or Python ints for both.
+A rep owns every product of its generators with a vector, `act` (T_i x),
+`pullback` (T_i^T u) and `combine` ((sum_i a_i T_i) v per row of v), all
+exact from one kept list of T's nonzeros, paired with v by `linalg._pair`
+for the products one entry sums: n, or d * n times max|a| in `combine`.
 
 Basis enumeration is deterministic everywhere (lexicographic elementary
 matrices), so every downstream report is reproducible bit for bit.
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import SpanSolver, _fit, _int_array, _matmul, _pair, full_rank_mod_p
+from .linalg import SpanSolver, _fit, _int_array, _matmul, _pair, _top, full_rank_mod_p
 from .octonion import OCT_DIM, albert_coords_dim, freudenthal_monomials, oct_table
 
 __all__ = [
@@ -105,21 +105,22 @@ class MatrixRep:
 
     @cached_property
     def _entries(self) -> tuple:
-        """(i, r, c, t, runs): T's nonzeros t = T[i, r, c] in (r, i, c)
-        order, and where each run of one (r, i) starts, as `np.add.reduceat`
-        takes it.  Computed once; the arrays are read-only."""
+        """(i, r, c, t, runs, rows): T's nonzeros t = T[i, r, c] in (r, i, c)
+        order, and where each run of one (r, i) and each row r starts, as
+        `np.add.reduceat` takes them.  Computed once; the arrays are read-only."""
         r, i, c = np.nonzero(self.T.transpose(1, 0, 2))
         t = self.T[i, r, c]
         runs = np.flatnonzero(np.diff(r * self.algebra_dim + i, prepend=-1))
-        for a in (i, r, c, t, runs):
+        rows = np.flatnonzero(np.diff(r, prepend=-1))
+        for a in (i, r, c, t, runs, rows):
             a.flags.writeable = False
-        return i, r, c, t, runs
+        return i, r, c, t, runs, rows
 
     def act(self, x) -> np.ndarray:
         """T_i x for every generator i, exactly: shape (..., d, n) for an
         integer x of shape (..., n), with [..., i, :] = T_i x."""
-        i, r, c, t, runs = self._entries
-        x, t = _exact(x, t, self.space_dim)
+        i, r, c, t, runs, _ = self._entries
+        x, t = _pair(_integers(x, self.space_dim), t, self.space_dim)
         out = np.zeros(x.shape[:-1] + (self.algebra_dim, self.space_dim), dtype=x.dtype)
         out[..., i[runs], r[runs]] = np.add.reduceat(t * x[..., c], runs, axis=-1)
         return out
@@ -127,10 +128,25 @@ class MatrixRep:
     def pullback(self, u) -> np.ndarray:
         """T_i^T u for every generator i, exactly: shape (d, n) for an
         integer u of shape (n,), with row i = T_i^T u."""
-        i, r, c, t, _ = self._entries
-        u, t = _exact(u, t, self.space_dim)
+        i, r, c, t, _, _ = self._entries
+        u, t = _pair(_integers(u, self.space_dim), t, self.space_dim)
         out = np.zeros((self.algebra_dim, self.space_dim), dtype=u.dtype)
         np.add.at(out, (i, c), t * u[r])
+        return out
+
+    def combine(self, coef, v) -> np.ndarray:
+        """(sum_i coef[q, i] T_i) v[q] for each row q of an integer coef (k, d),
+        exactly: shape (k, n), for integer v of shape (k, n), or (n,) for all q."""
+        i, r, c, t, _, rows = self._entries
+        coef, v = _integers(coef, self.algebra_dim), _integers(v, self.space_dim)
+        if v.ndim > 1 and v.shape[:-1] != coef.shape[:-1]:
+            raise TypeError(f"v of shape {coef.shape[:-1] + v.shape[-1:]} or {v.shape[-1:]} required")
+        v, t = _pair(v, t, self.algebra_dim * self.space_dim * _top(coef))
+        terms = coef.astype(v.dtype, copy=False).take(i, axis=-1)
+        terms *= t
+        terms *= v.take(c, axis=-1)  # in place: two (k, nnz) arrays at most
+        out = np.zeros(terms.shape[:-1] + (self.space_dim,), dtype=v.dtype)
+        out[..., r[rows]] = np.add.reduceat(terms, rows, axis=-1)
         return out
 
     def structure_tensor(self) -> tuple[np.ndarray, int]:
@@ -217,13 +233,13 @@ class Subalgebra:
         return all(span.contains(row) for row in brackets[np.triu_indices(k, 1)])
 
 
-def _exact(v, t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer v of shape (..., n) and T's nonzeros t, as `linalg._pair`
-    picks them for sums of n products t * v; any other v is a TypeError."""
+def _integers(v, *shape: int) -> np.ndarray:
+    """v as an integer array whose shape ends in shape; any other v is a
+    TypeError, so a float is never truncated nor a vector cut short."""
     v = v if isinstance(v, np.ndarray) else np.array(v, dtype=object)
-    if v.dtype.kind not in "iuO" or v.shape[-1:] != (n,):
-        raise TypeError(f"an integer array of shape (..., {n}) required")
-    return _pair(v, t, n)
+    if v.dtype.kind not in "iuO" or v.shape[v.ndim - len(shape):] != shape:
+        raise TypeError(f"an integer array of shape (..., {', '.join(map(str, shape))}) required")
+    return v
 
 
 def _common_den(parts) -> tuple[list[np.ndarray], int]:

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: Fraction, jet, coefficient-space and
 exact-rank references for the integer and modular paths of the package;
-the lockstep elimination mod P and the per-call commutator sketch that
-the mixed-row square kernel and the rep's kept nonzero list replaced; the
-dense einsums over T that `MatrixRep.act` and `pullback` replaced;
+the lockstep elimination mod P that the mixed-row square kernel
+replaced; the dense einsums and combinations over T that
+`MatrixRep.act`, `pullback` and `combine` replaced, and the commutator
+sketch taken from the dense combinations;
 the ring-generic evaluation of an invariant's data (memoized det and Pf
 expansions, term sums) and the reverse-mode tape that the closed-form
 gradients replaced; the hand-written invariant evaluators that the index
@@ -356,26 +357,25 @@ def pullback_reference(rep: MatrixRep, u) -> np.ndarray:
     return np.einsum("r,irc->ic", np.array(u, dtype=object), rep.T.astype(object))
 
 
+def combine_reference(rep: MatrixRep, coef, v) -> np.ndarray:
+    """`MatrixRep.combine` from dense matrices: row q is
+    (sum_i coef[q, i] T[i]) @ v[q], the product in Python ints.  The sums
+    over i stay in T's dtype, exact for |coef| <= 3: an int64 T has
+    entries below 2**31 (`linalg._fit`)."""
+    X = np.tensordot(np.asarray(coef), rep.T, 1).astype(object)
+    return np.matmul(X, np.array(v, dtype=object)[..., None])[..., 0]
+
+
 def commutator_sketch_reference(rep: MatrixRep, point) -> np.ndarray:
-    """`analyzer._commutator_sketch` with T's nonzero layout and the
-    fixed-stream coefficients found afresh on every call."""
+    """`analyzer._commutator_sketch` from dense matrices, with the
+    fixed-stream coefficients drawn afresh on every call: the rows
+    X_k (Y_k x) - Y_k (X_k x) by `combine_reference`, mod P."""
     d, n = rep.algebra_dim, rep.space_dim
-    k = n + 4
-    i, r, c = np.nonzero(rep.T)
-    t = (rep.T[i, r, c] % P).astype(np.int64)
-    order = np.argsort(r, kind="stable")
-    rows, starts = np.unique(r[order], return_index=True)
-
-    def act(coef, v):
-        terms = coef[:, i] * (t * v[:, c] % P)
-        out = np.zeros((k, n), dtype=np.int64)
-        out[:, rows] = np.add.reduceat(terms[:, order], starts, axis=1) % P
-        return out
-
     rng = DetRng.for_stream(0, "commutator-sketch")
-    a, b = rng.randints(2 * k * d, -3, 3).reshape(2, k, d)
-    x = np.broadcast_to((np.array(point, dtype=object) % P).astype(np.int64), (k, n))
-    return (act(a, act(b, x)) - act(b, act(a, x))) % P
+    a, b = rng.randints(2 * (n + 4) * d, -3, 3).reshape(2, n + 4, d)
+    x = np.broadcast_to(np.array(point, dtype=object), (n + 4, n))
+    ab = combine_reference(rep, a, combine_reference(rep, b, x))
+    return (ab - combine_reference(rep, b, combine_reference(rep, a, x))) % P
 
 
 def kron_square_action(T: np.ndarray, upper: int) -> np.ndarray:

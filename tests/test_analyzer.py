@@ -10,6 +10,7 @@ from helpers import (
     act_reference,
     action_matrix,
     basis,
+    combine_reference,
     commutator_sketch_reference,
     det,
     hessian_matrix,
@@ -726,6 +727,25 @@ def test_character_dim_falls_back_when_every_residue_vanishes(monkeypatch):
     assert len(grams) == 1
 
 
+def test_character_dim_refuses_covectors_that_are_not_integer_vectors_of_length_n():
+    """Each covector entry is read through operator.index, so a Fraction
+    or a float is a TypeError, not truncated to an integer, and a covector
+    of a length other than n is a ValueError, not reshaped into others."""
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry("T2.1"), {"n": 3})
+    rep, n = built.rep, built.rep.space_dim
+    point = sample_certified_points(rep, seed=0)
+    grad = _gradient(built.invariants[0], point).tolist()
+    assert character_space_dim(rep, point, covectors=[grad]) == 1
+    for bad in ([Q(1, 2)] * n, [0.5] * n):
+        with pytest.raises(TypeError):
+            character_space_dim(rep, point, covectors=[bad])
+    for bad in (grad * 2, grad[:-1]):
+        with pytest.raises(ValueError):
+            character_space_dim(rep, point, covectors=[bad])
+
+
 def test_classify_with_an_unverified_invariant_takes_the_gram_rank(monkeypatch):
     """An unverified invariant gives no covector: alone, it leaves the
     dimension to the Gram rank; beside a verified one, whose gradient
@@ -1003,9 +1023,10 @@ def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatc
 
 
 def test_commutator_sketch_equals_the_per_call_reference_on_every_default_build():
-    """T's nonzeros kept on the rep and the coefficients drawn once per
-    shape give the sketch that finding both afresh gives, at two
-    points, so the second call reads what the first one kept."""
+    """The sketch's exact `MatrixRep.combine` products, reduced mod P once,
+    with the coefficients drawn once per shape, equal the dense
+    combinations mod P with the coefficients drawn afresh, at two points,
+    so the second call reads what the first one kept."""
     from pvkit.analyzer import _commutator_sketch
 
     for name, built in _default_builds():
@@ -1069,3 +1090,34 @@ def test_act_and_pullback_are_exact_in_python_ints(which):
             rep.act(bad)
         with pytest.raises(TypeError):
             rep.pullback(bad)
+
+
+@pytest.mark.parametrize("scale", [1, 2**40], ids=["int64", "python_ints"])
+@pytest.mark.parametrize("which", ["sym_det", "alt_pfaffian", "so_quadratic"])
+def test_combine_equals_the_dense_combinations(which, scale):
+    """`MatrixRep.combine` equals sum_i coef[q, i] T[i] @ v[q] over dense
+    matrices: in int64 on the catalog rep, and in Python ints with T and
+    den times 2**40 against a v near 2**30, each with a v per row and with
+    one v for every row.  Its pair bound covers |coef|: a v at the edge of
+    the bound for |coef| <= 1 stays in int64 there and leaves it at
+    |coef| = 3.  A float or mis-shaped v, or a float coef, is a TypeError."""
+    rep = {"sym_det": sym2(gl(3)), "alt_pfaffian": alt2(gl(4)),
+           "so_quadratic": add_torus(so(4), 1)}[which]
+    rep = MatrixRep(rep.T.astype(object) * scale, rep.den * scale, rep.labels)
+    dtype = np.int64 if scale == 1 else object
+    assert rep.T.dtype == dtype
+    d, n = rep.algebra_dim, rep.space_dim
+    rng = DetRng.for_stream(45, which)
+    coef = rng.randints(6 * d, -3, 3).reshape(6, d)
+    v = rng.randints(6 * n, -3, 3).reshape(6, n) + (0 if scale == 1 else 2**30)
+    cases = [(coef, v, dtype), (coef, v[0], dtype)]  # one v in every row
+    if scale == 1:
+        edge = np.full((6, n), (2**62 - 1) // (d * n * int(np.abs(rep.T).max())))
+        cases += [(np.sign(coef), edge, np.int64), (coef, edge, object)]
+    for c, x, want in cases:
+        got = rep.combine(c, x)
+        assert got.dtype == want and _same(got, combine_reference(rep, c, x))
+    for bad_coef, bad_v in ((coef, v.astype(float)), (coef, v[:, 1:]), (coef, v[1:]),
+                            (coef.astype(float), v), (coef[:, 1:], v)):
+        with pytest.raises(TypeError):
+            rep.combine(bad_coef, bad_v)

@@ -329,11 +329,11 @@ def test_character_dim_and_derived_check_match_coefficient_space():
         gram = _commutator_gram(rep, pts[0])
         covectors = []
         for f in (*built.invariants, squares):
-            _, grads, nums = _first_orders(rep, f, [pts[0]])
+            _, grads, nums, tx = _first_orders(rep, f, [pts[0]])
             grad, num = grads[0].astype(object), nums[0]
             at_point = not (gram @ grad).any()
             assert at_point == (not (derived @ num).any()), (entry.id, f.name)
-            assert at_point == _annihilates_commutators(rep, grad, pts[0]), (entry.id, f.name)
+            assert at_point == _annihilates_commutators(rep, grad, tx[0]), (entry.id, f.name)
             if f is not squares:
                 covectors.append(grad)
                 checked += 1

@@ -225,20 +225,33 @@ def test_regularity_reaches_exact_rank_only_after_the_modular_test():
 
 
 def test_products_with_the_generators_have_one_owner():
-    """Every product with T in the analyzer goes through `MatrixRep.act`,
-    `MatrixRep.pullback` or the rep's list of T's nonzeros: analyzer.py
-    reads no `rep.T`, calls no einsum and defines no `_act` or `_pullback`;
-    reps.py keeps no second, residue layout of T and does not know P."""
+    """Every product with T in the analyzer is `MatrixRep.act`,
+    `MatrixRep.pullback` or `MatrixRep.combine`, so only reps.py knows the
+    layout of T's nonzeros: analyzer.py reads no `rep.T` and no `_entries`,
+    calls no einsum and defines no `_act` or `_pullback`; the commutator
+    sketch names no P (it reduces its exact products once, through
+    `_mod_p`), and the invariance check forms no `act` of its own but
+    takes the one `_first_orders` formed.  reps.py keeps no second,
+    residue layout of T and does not know P."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
     reads = [
         ast.unparse(n) for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and n.attr == "T"
-        and isinstance(n.value, ast.Name) and n.value.id == "rep"
+        if isinstance(n, ast.Attribute) and (
+            n.attr == "_entries"
+            or n.attr == "T" and isinstance(n.value, ast.Name) and n.value.id == "rep"
+        )
     ]
     assert not reads, reads
     assert "einsum" not in _imported_names("analyzer")
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert not defined & {"_act", "_pullback"}
+    sketch = _function(tree, "_commutator_sketch")
+    assert not [n for n in ast.walk(sketch) if isinstance(n, ast.Name) and n.id == "P"]
+    annihilates = _function(tree, "_annihilates_commutators")
+    assert not [
+        n for n in ast.walk(annihilates)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "act"
+    ]
     tree = ast.parse((SRC / "reps.py").read_text())
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "nonzero_layout" not in defined
