@@ -5,28 +5,16 @@ genericity is certified by a rank computation and never guessed: full rank
 modulo 2**31 - 1, which proves full rank over Q; exact rank decides the
 rest.  A run certifies one point (`sample_certified_points`): the first
 distinct draw of one seeded stream (`_draws`) that passes, as a tuple of
-Python ints.  The isotropy dimension d - n follows from the point
-certificate by rank-nullity, so no kernel is computed.  Relative
-invariance is checked through exact gradients at that point and at the
-next draws of the stream where the invariant is nonzero, which each
-invariant reads on past the point, uncertified, since the invariance
-identity is polynomial: all of an invariant's points in one stacked
-closed form from its data (a determinant, a pfaffian or integer terms),
-with the character compared in integers; no other evaluation is made.
-The character vanishes on the derived algebra when the stack's gradient
-at the first point is orthogonal to the commutators [g, g].x there, read
-off one d x d integer matrix that must be symmetric.  The
-character-lattice rank is then proved by one full-rank test mod P of
-seeded commutators stacked on the verified gradients; the exact rank of
-the commutators' Gram matrix decides only what that test rejects.
-Regularity is full rank of the Hessian, read off that gradient by the same
-full-rank test as the point certificate, on residues mod P; when that test
-rejects, a zero row of the exact matrix proves the Hessian singular before
-exact rank is asked.  Every product with the generators is
+Python ints.  The isotropy dimension d - n follows by rank-nullity.  The
+character dimension and regularity are read off (g, V) alone, from an
+exact basis of the annihilator of [g, g].x (`character_space_dim`,
+`hessian_regularity`).  The declared invariants are cross-checks, each
+verified through exact gradients at the point and at the next draws of
+the stream where it is nonzero, uncertified, since the invariance
+identity is polynomial.  Every product with the generators is
 `MatrixRep.act`, `MatrixRep.pullback` or `MatrixRep.combine`, and every
 product of their results `linalg._matmul`, all exact under the one int64
-bound of `linalg._pair`.  Residues mod P are `linalg._mod_p`, taken of
-exact integers; the seeded sketch draws its coefficients once per shape.
+bound of `linalg._pair`.
 """
 
 from __future__ import annotations
@@ -41,7 +29,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .invariants import InvariantPolynomial, values_and_gradients
-from .linalg import P, DetRng, Q, _matmul, _mod_p, full_rank_mod_p, rank
+from .linalg import PRIMES, DetRng, Q, _matmul, full_rank_mod_p, kernel_mod_p, rank
 from .reps import MatrixRep
 
 __all__ = [
@@ -94,21 +82,6 @@ class AnalysisReport:
     notes: str = ""
 
 
-def _commutator_gram(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
-    """G = M^T M, where row (i, j), i < j, of M is [T_i, T_j] x.
-
-    With TTx = `rep.act(rep.act(x))`, TTx[j, i] = T_i (T_j x), so M is
-    one gather of TTx.  Over Q, M v = 0 exactly when G v = 0
-    (v^T G v = |M v|^2), so G has the rank of M and the same kernel, in an
-    n x n integer matrix.  It costs O(d^2 n^2); a run builds it only when
-    the certificate of `character_space_dim` fails.
-    """
-    TTx = rep.act(rep.act(point))
-    iu, ju = np.triu_indices(rep.algebra_dim, 1)
-    M = TTx[ju, iu] - TTx[iu, ju]
-    return _matmul(M.T, M)
-
-
 @lru_cache(maxsize=128)  # the default catalog runs use 47 shapes
 def _sketch_coefficients(d: int, n: int) -> np.ndarray:
     """The (2, n + 4, d) coefficients in [-3, 3] of `_commutator_sketch`,
@@ -120,45 +93,74 @@ def _sketch_coefficients(d: int, n: int) -> np.ndarray:
 
 
 def _commutator_sketch(rep: MatrixRep, point: tuple[int, ...]) -> np.ndarray:
-    """n + 4 seeded commutators [X_k, Y_k] x mod P, an (n + 4, n) int64 array.
+    """n + 4 seeded commutators [X_k, Y_k] x, an exact (n + 4, n) integer array.
 
     X_k and Y_k are combinations of the T_i with coefficients in [-3, 3]
     (`_sketch_coefficients`); [X, Y] x = X (Y x) - Y (X x), four exact
-    `MatrixRep.combine` products reduced once, lies in [g, g].x (times den**2).
+    `MatrixRep.combine` products, lies in [g, g].x (times den**2).
     """
     a, b = _sketch_coefficients(rep.algebra_dim, rep.space_dim)
-    return _mod_p(rep.combine(a, rep.combine(b, point)) - rep.combine(b, rep.combine(a, point)))
+    return rep.combine(a, rep.combine(b, point)) - rep.combine(b, rep.combine(a, point))
 
 
-def character_space_dim(
-    rep: MatrixRep, point: Sequence[int], covectors: Sequence[Sequence[int]] = ()
-) -> int:
-    """Corank of derived subalgebra + isotropy inside the algebra, n - rank [g, g].x.
+def _lift(residues: Sequence[tuple[np.ndarray, int]]) -> Optional[list[tuple[int, ...]]]:
+    """The rows given mod each prime p of the (rows, p) pairs, combined by
+    CRT into u mod M, each u read as the a / b with |a|, |b| <= isqrt(M / 2)
+    and a == b u mod M (Wang 1981; the extended Euclidean algorithm on
+    (M, u)), and cleared of denominators; None when some u has no such a / b."""
+    acc, modulus = residues[0][0].astype(object), residues[0][1]
+    for kernel, p in residues[1:]:
+        step = (kernel.astype(object) - acc) * pow(modulus, -1, p) % p
+        acc, modulus = acc + modulus * step, modulus * p
+    bound, covectors = math.isqrt(modulus // 2), []
+    for row in acc.tolist():
+        entries = []
+        for u in row:
+            r0, r1, s0, s1 = modulus, u, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound or math.gcd(r1, s1) != 1:
+                return None
+            entries.append(Q(r1, s1))
+        den = math.lcm(*(q.denominator for q in entries))
+        covectors.append(tuple(q.numerator * (den // q.denominator) for q in entries))
+    return covectors
 
-    This is the rank of the lattice of characters available to relative
-    invariants.  The orbit map Y -> Y.x is onto at the certified point x and
-    has kernel the isotropy g_x, so dim([g, g] + g_x) = (d - n) + dim [g, g].x.
 
-    covectors are m integer vectors of length n orthogonal over Q to [g, g].x,
-    such as the gradients at x of verified relative invariants.
-    One test mod P proves the answer: if the n + 4 rows of
-    `_commutator_sketch` stacked on the covectors have column rank n, then
-    n <= rank [g, g].x + m, and if the covectors have rank m as well, the m
-    covectors span the annihilator of [g, g].x, so the answer is m.  When
-    either test fails (an unlucky sketch, a bad prime, or covectors that do
-    not span), n - rank G decides it exactly (see `_commutator_gram`), so
-    the answer never depends on the test.
+def character_space_dim(rep: MatrixRep, point: Sequence[int]) -> Optional[list[tuple[int, ...]]]:
+    """An exact basis of the annihilator of [g, g].x, or None if no prime lifts it.
+
+    Its size is the character dimension: the orbit map is onto at the
+    certified point x with kernel g_x, so the corank of [g, g] + g_x in the
+    algebra is n - dim [g, g].x.  `_commutator_sketch` S is eliminated mod
+    each prime of `PRIMES` (`linalg.kernel_mod_p`); a prime with fewer
+    pivots than the best so far, or other pivot columns, is skipped, one
+    with more starts again, and the kernels so far are lifted (`_lift`)
+    until every covector passes `_annihilates_commutators`.  Proof: with r
+    the rank of S mod p, r <= rank S <= rank [g, g].x; the c = n - r
+    covectors are orthogonal to [g, g].x and independent (each is 1 at its
+    own free column, 0 at the others), so rank [g, g].x = r and they span
+    the annihilator.  A sketch of rank n gives no covector.
     """
     point = tuple(map(operator.index, point))  # a Fraction or float is a TypeError
-    n = rep.space_dim
-    vectors = [tuple(map(operator.index, g)) for g in covectors]  # likewise
-    if any(len(g) != n for g in vectors):
-        raise ValueError(f"covectors must have length {n}")
-    grads = _mod_p(np.array(vectors, dtype=object).reshape(-1, n))
-    stack = np.concatenate([_commutator_sketch(rep, point), grads])
-    if full_rank_mod_p(stack) and full_rank_mod_p(grads.T):
-        return len(grads)
-    return n - rank(_commutator_gram(rep, point))
+    sketch = _commutator_sketch(rep, point)
+    pivots, residues = (), []
+    for p in PRIMES:
+        got, kernel = kernel_mod_p(sketch, p)
+        if len(got) > len(pivots):
+            pivots, residues = got, []
+        elif got != pivots:
+            continue
+        if not len(kernel):
+            return []
+        residues.append((kernel, p))
+        covectors = _lift(residues)
+        if covectors is not None:
+            tx = rep.act(point)
+            if all(_annihilates_commutators(rep, np.array(w, dtype=object), tx) for w in covectors):
+                return covectors
+    return None
 
 
 def _draws(n: int, seed: int) -> Iterator[tuple[int, ...]]:
@@ -261,56 +263,33 @@ def verify_relative_invariant(
     return verified, tuple(Q(v, rep.den * fx[0]) for v in num[0]), tuple(grads[0].tolist())
 
 
-def hessian_regularity(
-    f: InvariantPolynomial, rep: MatrixRep, point: Sequence[int], grad: Sequence[int]
-) -> bool:
-    """True iff Hess f is nonsingular at the certified point, by one rank test.
+def hessian_regularity(rep: MatrixRep, covector: Sequence[int]) -> bool:
+    """Regularity: True iff U, with rows T_i^T w, has rank n, for the one
+    covector w of `character_space_dim` at the certified point x.
 
-    grad is the exact gradient of f at point, so f is not evaluated again:
-    f(x) = grad . x / deg f (Euler; f is homogeneous), and
-    num_X = grad . (T_X x).  Both are read through operator.index, so a
-    Fraction or float is a TypeError; an f(x) of 0 is ZeroAtTestPointError.
-
-    Differentiating grad f(y) . (X y) = lambda_X f(y) once more gives
-    Hess f(x) (X x) = lambda_X grad f(x) - X^T grad f(x) for a relative
-    invariant f.  The vectors X x span the space at a certified point, so
-    Hess f(x) has the rank of the n x d matrix r of right-hand sides.  Its
-    column X, times den * f(x), is num_X grad - f(x) T_X^T grad.  Full
-    column rank of r^T mod P, built in int64 from the residues of grad, num,
-    f(x) and the exact T_X^T grad, proves rank n.  Only when it fails is the
-    exact r built.  A zero row of r then proves rank below n: a coordinate
-    that neither grad f(x) nor any T_X^T grad f(x) reaches, such as one of
-    a summand the invariant never reads.  Exact rank decides the rest.
-
-    One point decides: the Hessian determinant of a relative invariant is
-    itself relatively invariant, hence identically zero or nowhere zero on
-    the open orbit (exercised as a tested dichotomy elsewhere).
+    At character dimension 1 every relative invariant is c f^m for one
+    basic f, and the space is regular when one has a nonsingular Hessian
+    (Kimura 2003, ch. 2).  v = grad log f(x) spans the annihilator of
+    [g, g].x, as w does.  From log f(gx) = log chi(g) + log f(x),
+    Hess log f(x) (X x) = -X^T v, and the X x span the space, so
+    rank Hess log f(x) = rank U.  Hess f = f (Hess log f + v v^T), and by
+    Euler Hess log f(x) x = -v and v . x = deg f, so the kernels are equal
+    for deg f >= 2, as for f^2.  Full rank of U mod P proves True; a zero
+    column of U proves False; exact rank decides the rest.
     """
-    point = tuple(map(operator.index, point))
-    grad = np.array([operator.index(g) for g in grad], dtype=object)
-    if not f.degree:
-        return False  # a constant: Hess f = 0, and Euler's identity gives no f(x)
-    fx = sum(map(operator.mul, grad, point)) // f.degree
-    if fx == 0:
-        raise ZeroAtTestPointError(f"{f.name} vanishes on the open orbit", [point])
-    num = _matmul(rep.act(point), grad).astype(object)
-    u = rep.pullback(grad)
-    residues = np.outer(_mod_p(grad), _mod_p(num)) - (fx % P) * _mod_p(u).T
-    if full_rank_mod_p(residues.T):
+    u = rep.pullback(np.array([operator.index(w) for w in covector], dtype=object))
+    if full_rank_mod_p(u):
         return True
-    r = np.outer(grad, num) - fx * u.astype(object).T
-    if not (r != 0).any(axis=1).all():
+    if not u.any(axis=0).all():
         return False
-    return rank(r.T) == rep.space_dim
+    return rank(u) == rep.space_dim
 
 
 def _check_invariant(
     rep: MatrixRep, f: InvariantPolynomial, first: tuple[int, ...], seed: int
-) -> tuple[InvariantCheck, str, Optional[tuple[int, ...]]]:
-    """The check of f at the certified point first and the next
-    LAMBDA_POINTS - 1 further draws where f does not vanish, a note when f
-    is unverified, and the gradient at first from the last stack (None
-    with a note).
+) -> tuple[InvariantCheck, str]:
+    """The check of f at first, the certified point, and the next
+    LAMBDA_POINTS - 1 draws where f does not vanish; a note if unverified.
 
     f reads the draws of `_draws(n, seed)` after first from its own
     iterator, so every invariant sees the same draws in the same order.
@@ -323,18 +302,18 @@ def _check_invariant(
     points = [first, *islice(further, LAMBDA_POINTS - 1)]
     while True:
         try:
-            verified, lam, grad = verify_relative_invariant(rep, f, points)
+            verified, lam, _ = verify_relative_invariant(rep, f, points)
         except ZeroAtTestPointError as exc:
             if first in exc.points:
-                return InvariantCheck(f.name, False, (), 0), f"{f.name} unverified: {exc}", None
+                return InvariantCheck(f.name, False, (), 0), f"{f.name} unverified: {exc}"
             points = [p for p in points if p not in exc.points]
             points += islice(further, LAMBDA_POINTS - len(points))
             continue
         if len(points) < LAMBDA_POINTS:
             found = f"only {len(points)} points off its zero set in {MAX_DRAWS} samples"
             note = f"{f.name} unverified: {found} (inconclusive)"
-            return InvariantCheck(f.name, False, (), 0), note, None
-        return InvariantCheck(f.name, verified, lam, LAMBDA_POINTS), "", grad
+            return InvariantCheck(f.name, False, (), 0), note
+        return InvariantCheck(f.name, verified, lam, LAMBDA_POINTS), ""
 
 
 def classify(
@@ -352,15 +331,12 @@ def classify(
     is evidence, generic or not.  Since a nonzero relative invariant
     vanishes nowhere on the open orbit, one that vanishes at the certified
     point is reported unverified at 0 points, as is one with too few
-    points.  The invariants are checked first, so that
-    the character dimension can be proved from the gradients of the
-    verified ones at the first point, which the stacks that verified them
-    return (see `character_space_dim`).  Regularity is decided from the
-    first invariant's, exactly when the character space is one-dimensional
-    and the invariant is verified, since the rank test holds for relative
-    invariants only; otherwise it is undecided.  That does not make the
-    declared invariant fundamental: its square passes every check here.
-    The notes keep the order point, character, invariants.
+    points.  The character dimension is the number of covectors that
+    `character_space_dim` lifts (-1, inconclusive, when none lift), and
+    at dimension 1 `hessian_regularity` decides regularity from the
+    covector, so neither reads a declared invariant.  A verified invariant
+    is not thereby fundamental: its square passes every check here.  The
+    notes keep the order point, character, invariants.
     """
     first = sample_certified_points(rep, seed)
     if first is None:
@@ -376,23 +352,14 @@ def classify(
             notes=f"no certified point among the {MAX_DRAWS} draws (inconclusive)",
         )
     notes = ["seeded point"]
-    unverified: list[str] = []
-    checks: list[InvariantCheck] = []
-    covectors = []
-    for f in declared_invariants:
-        check, note, grad = _check_invariant(rep, f, first, seed)
-        checks.append(check)
-        if note:
-            unverified.append(note)
-        if check.verified:
-            covectors.append(grad)
-    char_dim = character_space_dim(rep, first, covectors=covectors)
-    if char_dim == 0:
+    checked = [_check_invariant(rep, f, first, seed) for f in declared_invariants]
+    covectors = character_space_dim(rep, first)
+    if covectors is None:
+        notes.append(f"no covector lifted mod {len(PRIMES)} primes (inconclusive)")
+    elif not covectors:
         notes.append("no nontrivial relative invariant at the algebra level")
-    notes += unverified
-    regular: Optional[bool] = None
-    if char_dim == 1 and checks and checks[0].verified:
-        regular = hessian_regularity(declared_invariants[0], rep, first, covectors[0])
+    notes += [note for _, note in checked if note]
+    char_dim = -1 if covectors is None else len(covectors)
     return AnalysisReport(
         prehomogeneous=True,
         algebra_dim=rep.algebra_dim,
@@ -400,7 +367,7 @@ def classify(
         isotropy_dim=rep.algebra_dim - rep.space_dim,
         character_dim=char_dim,
         qd1=char_dim == 1,
-        invariant_checks=tuple(checks),
-        regular=regular,
+        invariant_checks=tuple(check for check, _ in checked),
+        regular=hessian_regularity(rep, covectors[0]) if char_dim == 1 else None,
         notes="; ".join(notes),
     )

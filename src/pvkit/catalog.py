@@ -805,7 +805,7 @@ def run(entry_id: str, params: Optional[Dict[str, int]] = None, seed: int = 0) -
                 "expected": "grading dims match the algebra and the summands",
                 "observed": False,
             }
-        status = "pass" if not diff else "fail"
+        status = "inconclusive" if report.character_dim < 0 else "fail" if diff else "pass"
     dims = {
         "algebra": report.algebra_dim,
         "space": report.space_dim,

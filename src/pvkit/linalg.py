@@ -15,9 +15,10 @@ rank by rank-nullity, and the exceptional algebras are written down.
 `full_rank_mod_p` asks whether an integer r x c matrix has column rank c
 modulo the prime P = 2**31 - 1, by one int64 elimination with no random
 choice in it: a True proves full rank over Q, and exact `rank` decides the
-rest.  `Matrix`, a small Fraction matrix, and `Jet2`, a second-order jet
-over whatever ring its components come from, are kept for callers outside
-the pipeline.
+rest.  `kernel_mod_p` gives the pivot columns and a kernel basis mod one of
+`PRIMES`, for a caller to lift and check exactly.  `Matrix`, a small
+Fraction matrix, and `Jet2`, a second-order jet over whatever ring its
+components come from, are kept for callers outside the pipeline.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ __all__ = [
     "DimensionMismatchError",
     "rank",
     "full_rank_mod_p",
+    "kernel_mod_p",
 ]
 
 # The one overflow bound, read only in `_pair`: max|a| * max|b| * k < _GUARD.
 _GUARD = 1 << 62
 # A prime with P * P < 2**62: a difference of two products of residues mod P
-# is exact in int64.
+# is exact in int64; PRIMES are the eight largest primes below 2**31, P first.
 P = (1 << 31) - 1
+PRIMES = (P, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497)
 
 
 class DimensionMismatchError(ValueError):
@@ -82,9 +85,9 @@ def _fit(a: np.ndarray) -> np.ndarray:
     return _pair(a, a, max(a.shape, default=1))[0]
 
 
-def _mod_p(a: np.ndarray) -> np.ndarray:
-    """The residues of an integer array mod P, as int64 in [0, P)."""
-    return (a % P).astype(np.int64, copy=False)
+def _mod_p(a: np.ndarray, p: int = P) -> np.ndarray:
+    """The residues of an integer array mod p (P by default), as int64 in [0, p)."""
+    return (a % p).astype(np.int64, copy=False)
 
 
 def _int_array(values) -> tuple[np.ndarray, int]:
@@ -376,6 +379,36 @@ def full_rank_mod_p(a) -> bool:
         rest -= rest // P * P  # % P; numpy divides int64 by a scalar faster than it takes %
         a = rest
     return True
+
+
+def kernel_mod_p(a, p: int = P) -> tuple[tuple[int, ...], np.ndarray]:
+    """(pivots, K): the pivot columns of the reduced echelon form of the
+    integer matrix A mod a prime p < 2**31, and a kernel basis mod p, one
+    int64 row per free column, 1 there and 0 at the other free columns.
+    Each pivot is scaled to 1 and cleared from the other rows; products of
+    residues stay below 2**62, reduced as in `full_rank_mod_p`."""
+    a = _mod_p(np.asarray(a), p)  # a new array: the input is not written
+    pivots: list[int] = []
+    for j in range(a.shape[1]):
+        k = len(pivots)
+        if k == len(a):
+            break
+        at = k + a[k:, j].argmax()
+        if a[at, j] == 0:
+            continue
+        row = a[at, j:] * pow(int(a[at, j]), -1, p)
+        row -= row // p * p
+        a[at, j:] = a[k, j:]  # rows k on are 0 before column j: row k moves to at
+        rest = a[:, j:] - a[:, j : j + 1] * row
+        rest -= rest // p * p
+        rest[k] = row
+        a[:, j:] = rest
+        pivots.append(j)
+    free = sorted(set(range(a.shape[1])).difference(pivots))
+    kernel = np.eye(a.shape[1], dtype=np.int64)[free]
+    kernel[:, pivots] = -a[: len(pivots), free].T
+    kernel -= kernel // p * p
+    return tuple(pivots), kernel
 
 
 class Jet2:

@@ -369,13 +369,13 @@ def combine_reference(rep: MatrixRep, coef, v) -> np.ndarray:
 def commutator_sketch_reference(rep: MatrixRep, point) -> np.ndarray:
     """`analyzer._commutator_sketch` from dense matrices, with the
     fixed-stream coefficients drawn afresh on every call: the rows
-    X_k (Y_k x) - Y_k (X_k x) by `combine_reference`, mod P."""
+    X_k (Y_k x) - Y_k (X_k x) by `combine_reference`, exact."""
     d, n = rep.algebra_dim, rep.space_dim
     rng = DetRng.for_stream(0, "commutator-sketch")
     a, b = rng.randints(2 * (n + 4) * d, -3, 3).reshape(2, n + 4, d)
     x = np.broadcast_to(np.array(point, dtype=object), (n + 4, n))
     ab = combine_reference(rep, a, combine_reference(rep, b, x))
-    return (ab - combine_reference(rep, b, combine_reference(rep, a, x))) % P
+    return ab - combine_reference(rep, b, combine_reference(rep, a, x))
 
 
 def kron_square_action(T: np.ndarray, upper: int) -> np.ndarray:

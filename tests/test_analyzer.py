@@ -1,5 +1,6 @@
 """Analyzer criteria: certificates, isotropy, characters, regularity."""
 
+import math
 from fractions import Fraction as Q
 from itertools import islice
 
@@ -36,7 +37,7 @@ from pvkit.invariants import (
     quadratic_form,
     restrict_to_summand,
 )
-from pvkit.linalg import P, DetRng, Matrix, full_rank_mod_p, rank
+from pvkit.linalg import PRIMES, P, DetRng, Matrix, full_rank_mod_p, rank
 from pvkit.reps import (
     MatrixRep,
     add_torus,
@@ -122,7 +123,7 @@ def test_empty_subalgebras_keep_their_shape(rep, char_dim):
     for sub in (rep.derived_subalgebra(), isotropy_algebra(rep, p)):
         assert sub.coefficient_basis.shape == (0, d)
         assert sub.dim == 0
-    assert character_space_dim(rep, p) == char_dim
+    assert len(character_space_dim(rep, p)) == char_dim
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -136,7 +137,7 @@ def test_isotropy_shared_symplectic_pair(n):
 def test_character_dim_zero_for_symplectic_vector():
     rep = add_torus(sp(2), 1)
     p = sample_certified_points(rep, seed=0)
-    assert character_space_dim(rep, p) == 0
+    assert character_space_dim(rep, p) == []
 
 
 def test_character_dim_two_for_spin8_vector_pair():
@@ -150,13 +151,13 @@ def test_character_dim_two_for_spin8_vector_pair():
         2,
     )
     p = sample_certified_points(rep, seed=0)
-    assert character_space_dim(rep, p) == 2
+    assert len(character_space_dim(rep, p)) == 2
 
 
 def test_character_dim_one_for_sym_det():
     r = sym2(gl(3))
     p = sample_certified_points(r, seed=0)
-    assert character_space_dim(r, p) == 1
+    assert len(character_space_dim(r, p)) == 1
 
 
 def test_lambda_det_on_sym_is_twice_trace():
@@ -209,7 +210,7 @@ def test_hessian_regularity_quadratic():
     f = quadratic_form(_eye(n))
     p = (1, 0, 0, 0)
     assert rank(action_matrix(rep, p)) == n  # p is generic
-    assert hessian_regularity(f, rep, p, _gradient(f, p))
+    assert hessian_regularity(rep, _gradient(f, p))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -218,7 +219,7 @@ def test_hessian_regularity_det_on_sym(n):
     f = determinant(n, "sym")
     ident = tuple(int(i == j) for i in range(n) for j in range(i, n))
     assert rank(action_matrix(r, ident)) == r.space_dim  # the identity is generic
-    assert hessian_regularity(f, r, ident, _gradient(f, ident))
+    assert hessian_regularity(r, _gradient(f, ident))
 
 
 def test_hessian_degenerate_for_partial_invariant():
@@ -233,20 +234,24 @@ def test_hessian_degenerate_for_partial_invariant():
     )
     f = restrict_to_summand(pfaffian(n), rep.summand_dims, 1)
     p = sample_certified_points(rep, seed=0)
-    assert hessian_regularity(f, rep, p, _gradient(f, p)) is False
+    assert hessian_regularity(rep, _gradient(f, p)) is False
 
 
 def test_a_constant_invariant_is_not_regular():
     """A nonzero constant is relatively invariant with character 0, and its
-    Hessian is 0: Euler's identity cannot give its value, so the stage
-    answers without it, and a run reports the space not regular."""
+    Hessian is 0: its gradient 0 pulls back to a matrix of zero columns, so
+    the stage answers False for it.  A run reads regularity off the lifted
+    covector instead, so it reports GL(2) on Sym(2) regular, as det shows,
+    with the constant verified beside it."""
     rep = sym2(gl(2))
     const = InvariantPolynomial(3, "five", "poly", np.zeros((1, 0), dtype=np.int64), (5,))
-    assert hessian_regularity(const, rep, (1, 0, 1), (0, 0, 0)) is False
+    assert hessian_regularity(rep, (0, 0, 0)) is False
     report = classify(rep, [const], seed=0)
     (chk,) = report.invariant_checks
     assert chk.verified and not chk.lambda_nonzero
-    assert report.character_dim == 1 and report.regular is False
+    plain = classify(rep, [determinant(2, "sym")], seed=0)
+    assert (report.character_dim, report.regular) == (1, True)
+    assert (plain.character_dim, plain.regular) == (1, True)
 
 
 def test_a_squared_invariant_is_reported_like_a_fundamental_one():
@@ -274,26 +279,38 @@ def test_a_squared_invariant_is_reported_like_a_fundamental_one():
 
 
 def test_stage_functions_reject_non_integer_coordinates():
-    """Points are tuples of ints: a Fraction or float coordinate is a
-    TypeError in every stage function, never truncated (numpy would read
-    (1/2, 3/2, 1) as the certified point (0, 1, 1)).  The Hessian is given
-    a valid gradient, so its TypeError comes from the coordinate, and a
-    Fraction or float in the gradient is one too."""
+    """Points and covectors are tuples of ints: a Fraction or float
+    coordinate is a TypeError in every stage function, never truncated
+    (numpy would read (1/2, 3/2, 1) as the certified point (0, 1, 1))."""
     r = sym2(gl(2))
     f = determinant(2, "sym")
     assert rank(action_matrix(r, [0, 1, 1])) == 3  # the truncation is generic
-    grad = _gradient(f, (1, 0, 1))
-    assert hessian_regularity(f, r, (1, 0, 1), grad)
+    grad = _gradient(f, (1, 0, 1)).tolist()
+    assert hessian_regularity(r, grad)
     for point in [(Q(1, 2), Q(3, 2), 1), (Q(1), 0, Q(1)), (1.0, 0, 1)]:
         with pytest.raises(TypeError):
             character_space_dim(r, point)
         with pytest.raises(TypeError):
             verify_relative_invariant(r, f, [(1, 0, 1), point])
-        with pytest.raises(TypeError):
-            hessian_regularity(f, r, point, grad)
     for bad in ([Q(1), 0, Q(1)], [1.0, 0, 1]):
         with pytest.raises(TypeError):
-            hessian_regularity(f, r, (1, 0, 1), bad)
+            hessian_regularity(r, bad)
+
+
+def test_hessian_regularity_refuses_covectors_that_are_not_integer_vectors_of_length_n():
+    """Each covector entry is read through operator.index, so a Fraction
+    or a float is a TypeError, not truncated to an integer, and so is a
+    covector of a length other than n, not reshaped or cut short."""
+    from pvkit.catalog import _build, get_entry
+
+    built = _build(get_entry("T2.1"), {"n": 3})
+    rep, n = built.rep, built.rep.space_dim
+    point = sample_certified_points(rep, seed=0)
+    (covector,) = character_space_dim(rep, point)
+    assert hessian_regularity(rep, covector) is True
+    for bad in ([Q(1, 2)] * n, [0.5] * n, covector * 2, covector[:-1]):
+        with pytest.raises(TypeError):
+            hessian_regularity(rep, bad)
 
 
 def test_hessian_dichotomy_at_ten_points():
@@ -312,7 +329,7 @@ def test_hessian_dichotomy_at_ten_points():
 def test_character_dim_stable_across_points():
     r = sym2(gl(3))
     pts = sequential_certified_points(r, 5, 9)
-    dims = {character_space_dim(r, p) for p in pts}
+    dims = {len(character_space_dim(r, p)) for p in pts}
     assert dims == {1}
 
 
@@ -327,31 +344,36 @@ def test_classify_assembles_report():
 
 
 def test_classify_samples_once_and_decides_regularity_at_first_point(monkeypatch):
-    """The Hessian runs at the first point of the invariance check, on the
-    gradient that check returned.  (The isotropy dimension comes from the
+    """The covectors are lifted at the first point of the invariance check,
+    and the Hessian stage runs once, on the one covector that lift
+    returned, as Python ints.  (The isotropy dimension comes from the
     point certificate by rank-nullity; the package has no kernel to call,
     see `test_tooling`.)"""
     from pvkit import analyzer
 
-    first, seen, returned, given = [], [], [], []
+    first, seen, lifted, given = [], [], [], []
 
     def recording_verify(rep, f, points):
         first.append(points[0])
-        returned.append(verify_relative_invariant(rep, f, points))
-        return returned[-1]
+        return verify_relative_invariant(rep, f, points)
 
-    def recording_hessian(f, rep, point, grad):
+    def recording_lift(rep, point):
         seen.append(point)
-        given.append(grad)
-        return hessian_regularity(f, rep, point, grad)
+        lifted.append(character_space_dim(rep, point))
+        return lifted[-1]
+
+    def recording_hessian(rep, covector):
+        given.append(covector)
+        return hessian_regularity(rep, covector)
 
     monkeypatch.setattr(analyzer, "verify_relative_invariant", recording_verify)
+    monkeypatch.setattr(analyzer, "character_space_dim", recording_lift)
     monkeypatch.setattr(analyzer, "hessian_regularity", recording_hessian)
     report = classify(sym2(gl(3)), [determinant(3, "sym")], seed=0)
     assert report.regular is True
     assert len(seen) == 1 and seen[0] is first[0]
     assert all(type(c) is int for c in seen[0])
-    assert given == [returned[-1][2]] and all(type(c) is int for c in given[0])
+    assert given == lifted[0] and all(type(c) is int for c in given[0])
 
 
 def test_classify_builds_no_structure_tensor_derived_subalgebra_or_kernel(monkeypatch):
@@ -370,10 +392,10 @@ def test_classify_builds_no_structure_tensor_derived_subalgebra_or_kernel(monkey
 
 @pytest.mark.parametrize("which", ["sym_det", "alt_pfaffian", "so_quadratic"])
 def test_commutators_at_the_point_are_exact_beyond_int64(which):
-    """Generators scaled by 2**40 put the commutator products at the point
-    past int64, into Python ints; the character dimension and the
-    invariance result do not change."""
-    from pvkit.analyzer import _commutator_gram
+    """Generators scaled by 2**40 put the commutator sketch at the point
+    past int64, into Python ints; the lifted covectors, the regularity
+    flag and the invariance result do not change."""
+    from pvkit.analyzer import _commutator_sketch
 
     if which == "sym_det":
         rep, f = sym2(gl(3)), determinant(3, "sym")
@@ -386,8 +408,10 @@ def test_commutators_at_the_point_are_exact_beyond_int64(which):
     assert big.T.dtype == object
     pts = sequential_certified_points(rep, LAMBDA_POINTS, 4)
     assert sample_certified_points(big, seed=4) == pts[0]
-    assert _commutator_gram(big, pts[0]).dtype == object
-    assert character_space_dim(big, pts[0]) == character_space_dim(rep, pts[0])
+    assert _commutator_sketch(big, pts[0]).dtype == object
+    covectors = character_space_dim(rep, pts[0])
+    assert character_space_dim(big, pts[0]) == covectors
+    assert hessian_regularity(big, covectors[0]) == hessian_regularity(rep, covectors[0])
     assert verify_relative_invariant(big, f, pts) == verify_relative_invariant(rep, f, pts)
 
 
@@ -402,13 +426,15 @@ def test_classify_records_unverifiable_invariant():
     """An invariant is reported unverified at 0 points when the stream has
     too few distinct draws where it does not vanish: on the line, x is
     relatively invariant, the certified point is one of 6 nonzero draws,
-    and the further draws add the other 5 and 0, which is skipped."""
+    and the further draws add the other 5 and 0, which is skipped.  The
+    character dimension and regularity do not read it: x^2 has a
+    nonsingular Hessian, so the line is regular."""
     x = InvariantPolynomial(1, "x", "poly", [[0]], (1,))
     rep = classify(torus_line(), [x], seed=0)
     assert rep.prehomogeneous and rep.character_dim == 1
     (chk,) = rep.invariant_checks
     assert not chk.verified and chk.points_checked == 0
-    assert rep.regular is None
+    assert rep.regular is True
     assert rep.notes == (
         "seeded point; x unverified: only 6 points off its zero set in "
         f"{MAX_DRAWS} samples (inconclusive)"
@@ -572,8 +598,8 @@ def test_classify_checks_invariants_at_the_stream_draws_after_the_certified_poin
 
 
 def test_every_default_invariant_satisfies_euler_at_the_certified_point():
-    """`hessian_regularity` takes f(x) = grad . x / deg f from the gradient
-    that verified f: for every declared invariant of every default build
+    """Euler's identity holds for the gradient that verified f: for every
+    declared invariant of every default build
     (det on M and on Sym, Pf, the bordered Pf, det(v;x), the quadratic and
     bilinear forms, the Freudenthal cubic), verified at the seed-0
     certified point, deg f divides grad . x, and the quotient is the value
@@ -626,51 +652,54 @@ def test_classify_skips_a_further_draw_where_the_invariant_vanishes(monkeypatch)
     assert verify_relative_invariant(built.rep, f, second)[:2] == (True, chk.lam)
 
 
-def _counting_gram(monkeypatch) -> list:
-    """Patch analyzer._commutator_gram to record each (rep, point) it builds."""
+def _recording_primes(monkeypatch) -> list:
+    """Route the analyzer's `kernel_mod_p` through a wrapper that records
+    the prime of each elimination, and return the record."""
     from pvkit import analyzer
 
-    built, gram = [], analyzer._commutator_gram
+    primes, inner = [], analyzer.kernel_mod_p
 
-    def counted(rep, point):
-        built.append((rep, point))
-        return gram(rep, point)
+    def recorded(a, p):
+        primes.append(p)
+        return inner(a, p)
 
-    monkeypatch.setattr(analyzer, "_commutator_gram", counted)
-    return built
+    monkeypatch.setattr(analyzer, "kernel_mod_p", recorded)
+    return primes
 
 
 def test_classify_builds_no_gram_matrix_when_the_bounds_meet(monkeypatch):
-    """Two verified invariants whose gradients have rank 2 and a sketch of
-    rank n - 2 prove the character dimension 2 with no Gram matrix."""
+    """NEG-4.2.8b: the sketch has rank n - 2 mod P, and the two covectors
+    lifted from that one prime are orthogonal to [g, g].x and independent,
+    so n - 2 <= rank [g, g].x <= n - 2 with no exact rank and no second
+    prime.  Both declared gradients lie in the covectors' span."""
     from pvkit.catalog import _build, get_entry
 
     built = _build(get_entry("NEG-4.2.8b"), {})
-    grams = _counting_gram(monkeypatch)
-    report = classify(built.rep, built.invariants, seed=0)
+    rep = built.rep
+    primes, ranks = _recording_primes(monkeypatch), _recording(monkeypatch, "rank")
+    report = classify(rep, built.invariants, seed=0)
     assert len(report.invariant_checks) == 2
     assert all(c.verified for c in report.invariant_checks)
-    assert report.character_dim == 2 and grams == []
+    assert report.character_dim == 2 and primes == [P] and ranks == []
+    point = sample_certified_points(rep, seed=0)
+    covectors = character_space_dim(rep, point)
+    grads = [_gradient(f, point).tolist() for f in built.invariants]
+    assert rank(covectors) == rank(grads) == rank(covectors + grads) == 2
 
 
 def test_every_default_run_proves_its_character_dimension_without_the_gram_matrix(
     monkeypatch,
 ):
-    """The certificate of `character_space_dim` holds on all 60 default runs
-    at seeds 0-5, so the reports come from it alone (about 2 s)."""
+    """Every lift of the 60 default runs at seeds 0-5 stops at its first
+    prime, P, and no run calls exact rank (about 2 s)."""
     from pvkit.catalog import run_all
 
-    grams = _counting_gram(monkeypatch)
+    primes, ranks = _recording_primes(monkeypatch), _recording(monkeypatch, "rank")
     for seed in range(6):
+        primes.clear()
         summary, reports = run_all("all", seed=seed)
         assert len(reports) == 60 and summary["counts"]["fail"] == 0
-        assert grams == [], seed
-
-
-def _sym_det_covector():
-    rep, f = sym2(gl(3)), determinant(3, "sym")
-    point = sample_certified_points(rep, seed=0)
-    return rep, point, _gradient(f, point)
+        assert primes == [P] * 60 and ranks == [], seed
 
 
 def _gradient(f: InvariantPolynomial, point) -> np.ndarray:
@@ -679,104 +708,128 @@ def _gradient(f: InvariantPolynomial, point) -> np.ndarray:
     return np.array(value_and_gradient(f, point)[1], dtype=object)
 
 
-def test_character_dim_falls_back_to_the_gram_rank_when_the_sketch_is_short(monkeypatch):
-    """A sketch of rank-deficient rows cannot meet the gradients' bound, so
-    the exact Gram rank decides, once, and gives the same dimension."""
+def test_a_run_is_inconclusive_when_no_prime_lifts(monkeypatch):
+    """A sketch of rank 1, every row a copy of the first, has n - 1
+    covectors mod every prime, and they fail the exact test, so no prime
+    lifts: the report has character dimension -1, no QD1, no regularity
+    and a note ending inconclusive, `catalog.run` reports the run
+    inconclusive, as one with no certified point, and `run_all` completes."""
     from pvkit import analyzer
+    from pvkit.catalog import run, run_all
 
-    rep, point, grad = _sym_det_covector()
-    grams = _counting_gram(monkeypatch)
-    assert character_space_dim(rep, point, covectors=[grad]) == 1
-    assert grams == []
     sketch = analyzer._commutator_sketch
 
     def short_sketch(rep, point):
-        rows = sketch(rep, point).copy()
-        rows[1:] = rows[0]  # every row a copy of the first: rank 1 < n - 1
+        rows = sketch(rep, point)
+        rows[1:] = rows[0]
         return rows
 
     monkeypatch.setattr(analyzer, "_commutator_sketch", short_sketch)
-    assert character_space_dim(rep, point, covectors=[grad]) == 1
-    assert len(grams) == 1
-
-
-def test_character_dim_falls_back_when_the_covectors_fall_short(monkeypatch):
-    """One of two independent gradients, no gradient, or a gradient twice:
-    the bounds cannot meet, and the Gram rank gives the dimension."""
-    from pvkit.catalog import _build, get_entry
-
-    built = _build(get_entry("NEG-4.2.8b"), {})
-    rep = built.rep
-    point = sample_certified_points(rep, seed=0)
-    g1, g2 = (_gradient(f, point) for f in built.invariants)
-    grams = _counting_gram(monkeypatch)
-    assert character_space_dim(rep, point, covectors=[g1, g2]) == 2
-    assert grams == []
-    for covectors in ([g1], [], [g1, 3 * g1]):
-        grams.clear()
-        assert character_space_dim(rep, point, covectors=covectors) == 2
-        assert len(grams) == 1
+    primes = _recording_primes(monkeypatch)
+    report = classify(sym2(gl(3)), [determinant(3, "sym")], seed=0)
+    assert (report.character_dim, report.qd1, report.regular) == (-1, False, None)
+    assert report.prehomogeneous and report.invariant_checks[0].verified
+    assert report.notes == "seeded point; no covector lifted mod 8 primes (inconclusive)"
+    assert primes == list(PRIMES)
+    assert run("T2.2", {"n": 3}).status == "inconclusive"
+    summary, reports = run_all("all", seed=0)
+    assert len(reports) == 60 and summary["counts"]["inconclusive"] == 60
 
 
 def test_character_dim_falls_back_when_every_residue_vanishes(monkeypatch):
-    """With T and den times P the sketch is 0 mod P: a bad prime costs the
-    Gram rank and gives the plain rep's dimension."""
-    rep, point, grad = _sym_det_covector()
-    grams = _counting_gram(monkeypatch)
-    assert character_space_dim(_times_p(rep), point, covectors=[grad]) == 1
-    assert len(grams) == 1
-
-
-def test_character_dim_refuses_covectors_that_are_not_integer_vectors_of_length_n():
-    """Each covector entry is read through operator.index, so a Fraction
-    or a float is a TypeError, not truncated to an integer, and a covector
-    of a length other than n is a ValueError, not reshaped into others."""
-    from pvkit.catalog import _build, get_entry
-
-    built = _build(get_entry("T2.1"), {"n": 3})
-    rep, n = built.rep, built.rep.space_dim
+    """With T and den times P the sketch is 0 mod P: the first elimination
+    has no pivot, and its n covectors fail the exact test.  The second
+    prime has more pivots, starts the lift again, and gives the plain
+    rep's covector."""
+    rep = sym2(gl(3))
     point = sample_certified_points(rep, seed=0)
-    grad = _gradient(built.invariants[0], point).tolist()
-    assert character_space_dim(rep, point, covectors=[grad]) == 1
-    for bad in ([Q(1, 2)] * n, [0.5] * n):
-        with pytest.raises(TypeError):
-            character_space_dim(rep, point, covectors=[bad])
-    for bad in (grad * 2, grad[:-1]):
-        with pytest.raises(ValueError):
-            character_space_dim(rep, point, covectors=[bad])
+    want = character_space_dim(rep, point)
+    primes = _recording_primes(monkeypatch)
+    assert character_space_dim(_times_p(rep), point) == want and len(want) == 1
+    assert primes == list(PRIMES[:2])
 
 
-def test_classify_with_an_unverified_invariant_takes_the_gram_rank(monkeypatch):
-    """An unverified invariant gives no covector: alone, it leaves the
-    dimension to the Gram rank; beside a verified one, whose gradient
-    proves it, no Gram matrix is built.  Regularity follows the first
-    invariant only, and the reports keep their notes."""
-    rep, det3 = sym2(gl(3)), determinant(3, "sym")
-    squares = quadratic_form(_eye(6))
-    grams = _counting_gram(monkeypatch)
-    alone = classify(rep, [squares], seed=0)
-    assert alone.character_dim == 1 and alone.regular is None
-    assert [c.verified for c in alone.invariant_checks] == [False]
-    assert len(grams) == 1
-    grams.clear()
-    for invariants, regular in (([det3, squares], True), ([squares, det3], None)):
+def test_character_dim_falls_back_when_the_covectors_fall_short(monkeypatch):
+    """GL(2) on Sym(2) in the coordinates x with s x the plain ones, for
+    s = I + 2**40 E_02: the covector has a 42-bit entry, which neither P
+    nor P and the next prime reconstruct, so the lift falls back to a third
+    prime.  It is parallel to s^T times the plain covector at s x, and
+    gives the same regularity."""
+    rep = sym2(gl(2))
+    s, s_inv = np.eye(3, dtype=object), np.eye(3, dtype=object)
+    s[0, 2], s_inv[0, 2] = 2**40, -(2**40)
+    moved = MatrixRep(np.array([s_inv @ t.astype(object) @ s for t in rep.T]), rep.den, rep.labels)
+    point = sample_certified_points(moved, seed=0)
+    plain = character_space_dim(rep, tuple((s @ np.array(point, dtype=object)).tolist()))
+    primes = _recording_primes(monkeypatch)
+    (w,) = character_space_dim(moved, point)
+    assert primes == list(PRIMES[:3]) and max(map(abs, w)).bit_length() == 42
+    assert rank([list(w), (np.array(plain[0], dtype=object) @ s).tolist()]) == 1
+    assert hessian_regularity(moved, w) == hessian_regularity(rep, plain[0]) is True
+
+
+def test_the_lift_recovers_a_60_bit_vector_from_four_primes():
+    """CRT over four primes (M > 2**123) reconstructs entries of 60 bits,
+    fractions included, and clears their denominators; over three primes
+    the same residues have no reconstruction within isqrt(M / 2)."""
+    from pvkit.analyzer import _lift
+
+    rng = DetRng.for_stream(55, "lift")
+    num = [rng.randint(-(2**60), 2**60) for _ in range(6)]
+    den = [rng.randint(1, 2**60) for _ in range(6)]
+    fractions = [Q(1)] + [Q(a, b) for a, b in zip(num, den)]
+    residues = [
+        (np.array([[q.numerator * pow(q.denominator, -1, p) % p for q in fractions]]), p)
+        for p in PRIMES[:4]
+    ]
+    (got,) = _lift(residues)
+    lcm = math.lcm(*(q.denominator for q in fractions))
+    assert got == tuple(q.numerator * (lcm // q.denominator) for q in fractions)
+    assert _lift(residues[:3]) is None
+
+
+def test_the_lifted_covector_is_parallel_to_the_first_invariants_gradient():
+    """On every default run of character dimension 1, at the seed-0
+    certified point, the one lifted covector is a multiple of the first
+    declared invariant's gradient: both span the annihilator of [g, g].x."""
+    runs = 0
+    for name, built in _default_builds():
+        point = sample_certified_points(built.rep, seed=0)
+        covectors = character_space_dim(built.rep, point)
+        if len(covectors) == 1:
+            grad = _gradient(built.invariants[0], point).tolist()
+            assert rank(covectors + [grad]) == 1, name
+            runs += 1
+    assert runs == 37
+
+
+def _assert_a_declared_non_invariant_changes_nothing(n):
+    """Squares on Sym(n), declared alone, before det or after it, is
+    reported unverified, and the character dimension and regularity are
+    those of the rep with no declared invariant, which det confirms."""
+    rep = sym2(gl(n))
+    det_n, squares = determinant(n, "sym"), quadratic_form(_eye(rep.space_dim))
+    plain = classify(rep, [], seed=0)
+    assert (plain.character_dim, plain.regular, plain.notes) == (1, True, "seeded point")
+    for invariants in ([squares], [det_n, squares], [squares, det_n], [det_n]):
         report = classify(rep, invariants, seed=0)
-        assert report.character_dim == 1 and report.regular is regular
+        assert (report.character_dim, report.regular) == (1, True)
         assert [c.verified for c in report.invariant_checks] == [
-            f is det3 for f in invariants
+            f is det_n for f in invariants
         ]
         assert report.notes == "seeded point"
-    assert grams == []
 
 
-def test_classify_leaves_regularity_undecided_for_an_unverified_invariant():
-    """The rank test holds for relative invariants only: x1^2 + x2^2 + x3^2
-    on symmetric 2x2 matrices is not one, so no regularity is reported."""
-    rep = classify(sym2(gl(2)), [quadratic_form(_eye(3))], seed=0)
-    assert rep.qd1
-    (chk,) = rep.invariant_checks
-    assert not chk.verified
-    assert rep.regular is None
+def test_a_declared_non_invariant_changes_neither_character_dim_nor_regularity():
+    """The sum of squares on Sym(3) is not relatively invariant; declaring
+    it changes neither stage."""
+    _assert_a_declared_non_invariant_changes_nothing(3)
+
+
+def test_classify_decides_regularity_from_the_lift_beside_an_unverified_invariant():
+    """x1^2 + x2^2 + x3^2 on symmetric 2x2 matrices is not relatively
+    invariant, and regularity is still decided, from the lifted covector."""
+    _assert_a_declared_non_invariant_changes_nothing(2)
 
 
 @pytest.mark.parametrize("which", ["spin9", "t32b_n5"])
@@ -823,8 +876,8 @@ def test_invariance_and_hessian_at_halved_points(which):
     assert verify_relative_invariant(rep, f, doubled)[:2] == (ok, lam)
     assert all(isinstance(c, Q) for c in lam)
     for p, d in zip(pts, doubled):
-        regular = hessian_regularity(f, rep, p, _gradient(f, p))
-        assert hessian_regularity(f, rep, d, _gradient(f, d)) == regular
+        regular = hessian_regularity(rep, _gradient(f, p))
+        assert hessian_regularity(rep, _gradient(f, d)) == regular
         (hp, dp), (hd, dd) = hessian_matrix(f, p), hessian_matrix(f, d)
         # Hess f(2x) = 2^(k-2) Hess f(x)
         law = Q(2) ** (f.degree - 2)
@@ -840,7 +893,7 @@ def test_pipeline_evaluates_invariants_at_integer_points_only(monkeypatch):
         ok, lam, grad = verify_relative_invariant(rep, f, points)
         assert ok and lam == tuple(2 * b.trace() for b in basis(gl(3)))
         grads = [grad] + [_gradient(f, p) for p in points[1:]]
-        assert all(hessian_regularity(f, rep, p, g) for p, g in zip(points, grads))
+        assert all(hessian_regularity(rep, g) for g in grads)
     assert sum(len(points) for points, _ in stacks[f.name]) >= 2 * 4
 
 
@@ -930,9 +983,9 @@ def _recording(monkeypatch, name: str) -> list:
 
 @pytest.mark.parametrize("which", ["sym_det", "so_quadratic", "alt_pfaffian_partial"])
 def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monkeypatch):
-    """On the rep scaled by P the regularity matrix is 0 mod P, so the
-    kernel says no and exact rank gives the flag of the plain rep, regular
-    or not."""
+    """On the rep scaled by P the pulled-back gradient is 0 mod P, so the
+    kernel says no, and a zero column or exact rank gives the flag of the
+    plain rep, regular or not."""
     from pvkit import analyzer
 
     if which == "sym_det":
@@ -947,7 +1000,7 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
         f = restrict_to_summand(pfaffian(4), rep.summand_dims, 1)
     point = sample_certified_points(rep, seed=0)
     grad = _gradient(f, point)
-    want = hessian_regularity(f, rep, point, grad)
+    want = hessian_regularity(rep, grad)
     verdicts, ranks = [], []
 
     def recording_kernel(a):
@@ -961,8 +1014,8 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
 
     monkeypatch.setattr(analyzer, "full_rank_mod_p", recording_kernel)
     monkeypatch.setattr(analyzer, "rank", recording_rank)
-    assert hessian_regularity(f, _times_p(rep), point, grad) == want
-    # the singular Hessian has a zero row, which decides it before exact rank
+    assert hessian_regularity(_times_p(rep), grad) == want
+    # the singular Hessian has a zero column, which decides it before exact rank
     assert verdicts == [False] and len(ranks) == (which != "alt_pfaffian_partial")
     assert want == (which != "alt_pfaffian_partial")
 
@@ -970,8 +1023,9 @@ def test_hessian_regularity_decides_a_matrix_singular_mod_p_exactly(which, monke
 def test_hessian_regularity_without_a_zero_row_reaches_exact_rank(monkeypatch):
     """f = (x1 + x3) x2 on C^3 is relatively invariant under the algebra
     that scales y1 = x1 + x3, x2 and x3 and adds y1 to x3.  Its Hessian is
-    singular with no zero row (rows 1 and 3 agree), so the zero-row
-    certificate does not apply and exact rank returns False."""
+    singular with no zero row (rows 1 and 3 agree), and its gradient pulls
+    back to a matrix with no zero column, so the zero-column certificate
+    does not apply and exact rank returns False."""
     s_inv = np.array([[1, 0, -1], [0, 1, 0], [0, 0, 1]])  # x = s_inv y
     s = np.array([[1, 0, 1], [0, 1, 0], [0, 0, 1]])  # y = s x
     in_y = np.zeros((4, 3, 3), dtype=np.int64)
@@ -984,14 +1038,14 @@ def test_hessian_regularity_without_a_zero_row_reaches_exact_rank(monkeypatch):
     h, _ = hessian_matrix(f, [Q(c) for c in points[0]])
     assert rank(h) == 2 and (h != 0).any(axis=1).all()
     ranks = _recording(monkeypatch, "rank")
-    assert hessian_regularity(f, rep, points[0], grad) is False
+    assert hessian_regularity(rep, grad) is False
     assert len(ranks) == 1
 
 
 def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatch):
     """Every default run that reports regular: false calls no exact rank at
-    seeds 0-5: the points, the character dimension and the zero-row
-    certificate of the Hessian all come from the modular test.  So do the
+    seeds 0-5: the points, the covector and the zero-column certificate
+    of the regularity test all come from eliminations mod p.  So do the
     singular Hessians of the invariants of every default build, the
     negative entries' included, whose runs leave regularity undecided."""
     from pvkit.catalog import _build, catalog, run
@@ -1015,18 +1069,17 @@ def test_every_singular_default_hessian_is_decided_without_exact_rank(monkeypatc
             if not built.invariants:
                 continue
             point = sample_certified_points(built.rep, seed=0)
-            flags = [hessian_regularity(f, built.rep, point, _gradient(f, point))
-                     for f in built.invariants]
+            flags = [hessian_regularity(built.rep, _gradient(f, point)) for f in built.invariants]
             if not all(flags):
                 runs.add((e.id, tuple(params.items())))
     assert len(runs) == 20 and not ranks
 
 
 def test_commutator_sketch_equals_the_per_call_reference_on_every_default_build():
-    """The sketch's exact `MatrixRep.combine` products, reduced mod P once,
-    with the coefficients drawn once per shape, equal the dense
-    combinations mod P with the coefficients drawn afresh, at two points,
-    so the second call reads what the first one kept."""
+    """The sketch's exact `MatrixRep.combine` products, with the
+    coefficients drawn once per shape, equal the dense combinations with
+    the coefficients drawn afresh, at two points, so the second call reads
+    what the first one kept."""
     from pvkit.analyzer import _commutator_sketch
 
     for name, built in _default_builds():

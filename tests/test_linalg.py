@@ -11,6 +11,7 @@ from helpers import dense_nullspace, det, hessian_matrix, jet_line, lockstep_ful
 from pvkit.invariants import InvariantPolynomial, determinant
 from pvkit.linalg import (
     P,
+    PRIMES,
     DetRng,
     DimensionMismatchError,
     Jet2,
@@ -22,6 +23,7 @@ from pvkit.linalg import (
     _matmul,
     _pair,
     full_rank_mod_p,
+    kernel_mod_p,
     rank,
 )
 from pvkit.reps import MatrixRep
@@ -757,3 +759,52 @@ def test_full_rank_mod_p_eliminates_200000_rows_near_p_exactly():
     assert full_rank_mod_p(full) is True and full_rank_mod_p(short) is False
     stack = np.array([full, short])
     assert lockstep_full_rank_mod_p(stack).tolist() == [True, False]
+
+
+def test_the_lift_primes_are_the_eight_largest_primes_below_2_31():
+    """PRIMES, P first, are the eight largest primes below 2**31 (trial
+    division up to isqrt(m)), so each product of two residues stays below
+    2**62."""
+    def is_prime(m: int) -> bool:
+        return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
+
+    assert PRIMES[0] == P and len(set(PRIMES)) == 8 and max(PRIMES) < 2**31
+    assert all(map(is_prime, PRIMES))
+    assert [m for m in range(min(PRIMES), 2**31) if is_prime(m)] == sorted(PRIMES)
+
+
+@pytest.mark.parametrize("big", [0, 2**40, 2**70], ids=["small", "2^40", "2^70"])
+def test_kernel_mod_p_agrees_with_the_exact_rank_profile_and_kernel(big):
+    """On random integer matrices of mixed shapes and ranks, Python ints
+    included, the pivots are the columns that raise the exact rank of the
+    columns before them, and each kernel row is the exact kernel vector
+    with 1 at its free column and 0 at the others (`dense_nullspace`,
+    scaled), reduced mod p, at P and at the last prime.  The input is not
+    written."""
+    rng = DetRng(55 + big.bit_length())
+    for p in (PRIMES[0], PRIMES[-1]):
+        for _ in range(30):
+            c = rng.randint(1, 6)
+            r = rng.randint(1, c + 4)
+            (m,) = _random_stack(rng, 1, r, c, big)
+            a, _ = _int_array(m)
+            before = a.copy()
+            pivots, kernel = kernel_mod_p(a, p)
+            assert (a == before).all() and kernel.dtype == np.int64
+            want = tuple(j for j in range(c) if rank(m[:, : j + 1]) > rank(m[:, :j]))
+            assert pivots == want
+            exact, _ = dense_nullspace(m)
+            free = [j for j in range(c) if j not in pivots]
+            assert kernel.shape == (len(free), c) == exact.shape
+            for got, row, f in zip(kernel, exact.astype(object), free):
+                assert (got == row * pow(int(row[f]), -1, p) % p).all()
+
+
+def test_kernel_mod_p_loses_the_pivots_that_p_divides():
+    """A matrix of full rank over Q whose determinant is P: mod P its last
+    pivot is lost and the kernel gains a row, while the next prime sees
+    full rank."""
+    a = np.array([[P, 1], [0, 1]], dtype=np.int64)
+    assert kernel_mod_p(a, PRIMES[1])[0] == (0, 1)
+    pivots, kernel = kernel_mod_p(a, P)
+    assert pivots == (1,) and kernel.tolist() == [[1, 0]]

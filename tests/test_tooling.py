@@ -153,18 +153,6 @@ def _rank_calls(node: ast.AST) -> list[ast.Call]:
     ]
 
 
-def _kernel_verdict(expr: ast.expr) -> bool:
-    """expr is the bare call `full_rank_mod_p(...)`, or an `and` of such
-    verdicts."""
-    if isinstance(expr, ast.BoolOp):
-        return isinstance(expr.op, ast.And) and all(map(_kernel_verdict, expr.values))
-    return (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Name)
-        and expr.func.id == "full_rank_mod_p"
-    )
-
-
 def _exact_only_after_a_rejection(fn: ast.FunctionDef, exact: set[str]) -> ast.If:
     """fn calls the names in `exact` only after the mod-P kernel said no:
     the first top-level statement to call `full_rank_mod_p` is an `if` whose
@@ -173,7 +161,8 @@ def _exact_only_after_a_rejection(fn: ast.FunctionDef, exact: set[str]) -> ast.I
     at = next(k for k, node in enumerate(fn.body) if "full_rank_mod_p" in _called(node))
     gate = fn.body[at]
     assert isinstance(gate, ast.If) and not gate.orelse, ast.unparse(gate)
-    assert _kernel_verdict(gate.test), ast.unparse(gate.test)
+    verdict = gate.test
+    assert isinstance(verdict, ast.Call) and getattr(verdict.func, "id", "") == "full_rank_mod_p"
     assert len(gate.body) == 1 and isinstance(gate.body[0], ast.Return)
     for node in fn.body[: at + 1]:
         assert not _called(node) & exact, ast.unparse(node)
@@ -184,44 +173,76 @@ def _exact_only_after_a_rejection(fn: ast.FunctionDef, exact: set[str]) -> ast.I
 def test_regularity_reaches_exact_rank_only_after_the_modular_test():
     """hessian_regularity reaches exact rank only after the mod-P kernel
     said no: after an `if` on the kernel's verdict that returns, and after
-    the zero-row check, an `if` that returns False.  character_space_dim
-    builds the Gram matrix and takes its rank only after its certificate,
-    two kernel verdicts joined by `and`, is rejected.  The sampler's draw
+    the zero-column check, an `if` that returns False.  The sampler's draw
     loop certifies by the kernel alone, and its one exact rank comes after
     that loop, when no draw passed."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
     regularity = _function(tree, "hessian_regularity")
     gate = _exact_only_after_a_rejection(regularity, {"rank"})
     at = regularity.body.index(gate)
-    zero_row = next(n for n in regularity.body[at + 1 :] if isinstance(n, ast.If))
-    assert not zero_row.orelse, ast.unparse(zero_row)
-    assert ast.unparse(zero_row.body) == "return False"
-    assert {"any", "all"} <= {n.attr for n in ast.walk(zero_row.test)
+    zero_column = next(n for n in regularity.body[at + 1 :] if isinstance(n, ast.If))
+    assert not zero_column.orelse, ast.unparse(zero_column)
+    assert ast.unparse(zero_column.body) == "return False"
+    assert {"any", "all"} <= {n.attr for n in ast.walk(zero_column.test)
                               if isinstance(n, ast.Attribute)}
-    after = regularity.body.index(zero_row) + 1
+    after = regularity.body.index(zero_column) + 1
     assert not any(_rank_calls(n) for n in regularity.body[:after])
     assert len(_rank_calls(regularity)) == 1
-    character = _function(tree, "character_space_dim")
-    gate = _exact_only_after_a_rejection(character, {"rank", "_commutator_gram"})
-    assert isinstance(gate.test, ast.BoolOp) and len(gate.test.values) == 2
-    assert len(_rank_calls(character)) == 1
     sampler = _function(tree, "sample_certified_points")
     (loop,) = [n for n in sampler.body if isinstance(n, ast.For)]
     assert "full_rank_mod_p" in _called(loop) and not _rank_calls(loop)
     after = sampler.body[sampler.body.index(loop) + 1 :]
     assert len(_rank_calls(sampler)) == sum(len(_rank_calls(n)) for n in after) == 1
+
+
+def test_the_character_and_regularity_stages_read_no_declared_invariant():
+    """The character dimension and regularity come from the lifted
+    covectors alone.  No module defines or calls `_commutator_gram`; exact
+    rank is called only by the sampler and the regularity stage;
+    `character_space_dim` takes (rep, point) and calls no `rank`;
+    `_check_invariant` returns (check, note); and no argument of either
+    stage in `classify` is built from what `_check_invariant` returns."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named = {getattr(n, "name", None) or getattr(n, "id", None) for n in ast.walk(tree)}
+        assert "_commutator_gram" not in named, path.name
+    tree = ast.parse((SRC / "analyzer.py").read_text())
     owners = {
         fn.name for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and _rank_calls(fn)
     }
-    assert owners == {
-        "sample_certified_points", "character_space_dim", "hessian_regularity",
-    }
-    gram_callers = {
-        fn.name for fn in tree.body
-        if isinstance(fn, ast.FunctionDef) and "_commutator_gram" in _called(fn)
-    }
-    assert gram_callers == {"character_space_dim"}
+    assert owners == {"sample_certified_points", "hessian_regularity"}
+    character = _function(tree, "character_space_dim")
+    assert [a.arg for a in character.args.args] == ["rep", "point"]
+    assert not _rank_calls(character)
+    check = _function(tree, "_check_invariant")
+    returns = [n.value for n in ast.walk(check) if isinstance(n, ast.Return)]
+    assert returns and all(isinstance(v, ast.Tuple) and len(v.elts) == 2 for v in returns)
+    classify = _function(tree, "classify")
+    flows = []  # (names read, names written) per assignment and method call
+    for node in ast.walk(classify):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            flows.append((_names(node.value), set().union(*map(_names, targets))))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            flows.append((_names(node), _names(node.func.value)))  # x.append(y) writes x
+    tainted = {"_check_invariant"}
+    for _ in flows:
+        for read, written in flows:
+            if read & tainted:
+                tainted |= written
+    stages = [
+        n for n in ast.walk(classify) if isinstance(n, ast.Call)
+        and getattr(n.func, "id", "") in {"character_space_dim", "hessian_regularity"}
+    ]
+    assert len(stages) == 2
+    for call in stages:
+        given = [*call.args, *(k.value for k in call.keywords)]
+        assert not set().union(*map(_names, given)) & tainted, ast.unparse(call)
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
 def test_products_with_the_generators_have_one_owner():
@@ -229,9 +250,9 @@ def test_products_with_the_generators_have_one_owner():
     `MatrixRep.pullback` or `MatrixRep.combine`, so only reps.py knows the
     layout of T's nonzeros: analyzer.py reads no `rep.T` and no `_entries`,
     calls no einsum and defines no `_act` or `_pullback`; the commutator
-    sketch names no P (it reduces its exact products once, through
-    `_mod_p`), and the invariance check forms no `act` of its own but
-    takes the one `_first_orders` formed.  reps.py keeps no second,
+    sketch names no P (it returns its exact products, and the lift reduces
+    them), and the invariance check forms no `act` of its own but takes
+    the one it is given.  reps.py keeps no second,
     residue layout of T and does not know P."""
     tree = ast.parse((SRC / "analyzer.py").read_text())
     reads = [
@@ -270,8 +291,8 @@ def test_one_overflow_rule_for_exact_integer_products():
     """`_GUARD` is read in one function of the package, `linalg._pair`, and
     no module imports it (reps pairs T's nonzeros with a vector through
     `_pair`).  The analyzer's products are `linalg._matmul`, so it does not
-    import `_fit`, and its residues are `linalg._mod_p`, so it defines no
-    `_mod_p`."""
+    import `_fit`, and it takes residues only through `linalg`, so it
+    defines no `_mod_p`."""
     modules = sorted(SRC.glob("*.py"))
     total = sum(_guard_reads(ast.parse(path.read_text())) for path in modules)
     pair = _function(ast.parse((SRC / "linalg.py").read_text()), "_pair")
